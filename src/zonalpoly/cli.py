@@ -208,7 +208,9 @@ def parse_degree_range(text: str) -> list[int]:
             degrees = [int(text)]
     except ValueError as exc:
         raise click.UsageError(f"bad degree range {text!r}; use N or A..B") from exc
-    if not degrees or degrees[0] < 1:
+    if not degrees:
+        raise click.UsageError(f"degree range {text!r} is empty")
+    if degrees[0] < 1:
         raise click.UsageError(f"degree range {text!r} must start at 1 or above")
     return degrees
 
@@ -343,6 +345,8 @@ def estimate(
         raise click.UsageError("--samples must be at least 2")
     if threads < 1:
         raise click.UsageError("--threads must be at least 1")
+    if degree is not None and degree < 0:
+        raise click.UsageError("--f must be nonnegative")
     if a_spec is None:
         raise click.UsageError("--A is required")
     a = parse_spectrum(a_spec, "--A")
@@ -366,6 +370,8 @@ def estimate(
         part = parse_partition(kappa)
         if len(part) > len(a):
             raise click.UsageError("--kappa has more parts than there are eigenvalues")
+        if any(x < 0 for x in a) and any(x < 0 for x in b):
+            raise click.UsageError("zonal-split needs --A or --B to be nonnegative")
         report = mc_splitting(part, a, b, samples, seed, threads)
         params = {"kappa": kappa, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
     elif kind == "trace-AH":

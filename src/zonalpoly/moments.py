@@ -13,16 +13,13 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import exp, factorial, sqrt
-from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .haar import as_generator, sample_orthogonal_batch
 from .partitions import Partition, partitions_of
-from .symfunc import SymPoly
 from .zonal import (
     character_degree,
     double_factorial,
@@ -107,21 +104,28 @@ class ResidualInconsistencyError(ArithmeticError):
 def normalizing_product(n: int, f: int) -> int:
     """The product n (n+2) (n+4) ... (n+2f-2); 1 when f = 0.
 
-    Valid for every n >= 1; equals the single-row zonal polynomial at the
+    Valid for every n >= 1.  It is the one-row case Z_(f)(I_n) of
+    ``zonal_at_identity``, the single-row zonal polynomial at the
     n-dimensional identity.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if f < 0:
         raise ValueError("f must be nonnegative")
-    out = 1
-    for k in range(f):
-        out *= n + 2 * k
-    return out
+    return int(zonal_at_identity((f,) if f else (), n))
 
 
 def _trace_power_prefactor(f: int) -> Fraction:
     return Fraction(2**f * factorial(f), factorial(2 * f))
+
+
+def _splitting_value(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec) -> Fraction:
+    """Z_kappa(a) Z_kappa(b) / Z_kappa(I_n), exactly; kappa has at most n parts."""
+    row = zonal_in_powersums(kappa)
+    za = row.evaluate(a.eigenvalues)
+    if not za:
+        return Fraction(0)
+    return za * row.evaluate(b.eigenvalues) / zonal_at_identity(kappa, len(a))
 
 
 def exact_trace_power_integral(a, b, f: int) -> Fraction:
@@ -149,13 +153,7 @@ def exact_trace_power_integral(a, b, f: int) -> Fraction:
     for kappa in partitions_of(f):
         if len(kappa) > n:
             continue
-        za = Fraction(zonal_row(kappa).evaluate(a.eigenvalues))
-        if not za:
-            continue
-        zb = Fraction(zonal_row(kappa).evaluate(b.eigenvalues))
-        if not zb:
-            continue
-        total += character_degree(kappa) * za * zb / zonal_at_identity(kappa, n)
+        total += character_degree(kappa) * _splitting_value(kappa, a, b)
     return _trace_power_prefactor(f) * total
 
 
@@ -285,18 +283,12 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
     return _summarize(exact, values)
 
 
-@lru_cache(maxsize=None)
-def _powersum_terms(kappa: Partition) -> tuple[tuple[float, tuple[int, ...]], ...]:
-    poly = zonal_in_powersums(kappa)
-    return tuple((float(c), tuple(lam)) for lam, c in poly.sorted_items())
-
-
 def _evaluate_powersum_batch(kappa: Partition, xs: np.ndarray) -> np.ndarray:
     """Z_kappa at each row of xs, via power sums (float path)."""
     powers: dict[int, np.ndarray] = {}
     out = np.zeros(xs.shape[0])
-    for c, lam in _powersum_terms(kappa):
-        term = np.full(xs.shape[0], c)
+    for lam, c in zonal_in_powersums(kappa).sorted_items():
+        term = np.full(xs.shape[0], float(c))
         for k in lam:
             if k not in powers:
                 powers[k] = (xs**k).sum(axis=1)
@@ -321,11 +313,7 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
         raise ValueError("a and b must have the same number of eigenvalues")
     if len(kappa) > n:
         raise ValueError(f"kappa {tuple(kappa)} has more than {n} parts")
-    exact = (
-        Fraction(zonal_row(kappa).evaluate(a.eigenvalues))
-        * Fraction(zonal_row(kappa).evaluate(b.eigenvalues))
-        / zonal_at_identity(kappa, n)
-    )
+    exact = _splitting_value(kappa, a, b)
     av, bv = a.floats(), b.floats()
     if np.all(av >= 0):
         outer, inner, transpose_h = np.sqrt(av), bv, False
@@ -410,7 +398,7 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
     for kappa in partitions_of(f // 2):
         if len(kappa) > n:
             continue
-        z = zonal_row(kappa).evaluate(spectrum)
+        z = zonal_in_powersums(kappa).evaluate(spectrum)
         exact = exact + character_degree(kappa) * z / zonal_at_identity(kappa, n)
 
     def worker(count: int, gen: np.random.Generator) -> np.ndarray:

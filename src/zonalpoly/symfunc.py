@@ -8,9 +8,11 @@ All symbolic coefficients are ``fractions.Fraction`` values, so every
 identity in this module is exact; floating point enters only through
 evaluation at float arguments.
 
-Conversion tables are memoized per degree with ``lru_cache``; concurrent
-first access may compute a table twice but always publishes a consistent
-value, and polynomials themselves are immutable.
+The monomial expansion of each power-sum product p_lambda is memoized
+with ``lru_cache``, and the monomial-to-power-sum change solves the
+triangular system those columns form, so no inverse matrix is stored.
+Concurrent first access may compute an expansion twice but always
+publishes a consistent value, and polynomials themselves are immutable.
 """
 
 from __future__ import annotations
@@ -110,7 +112,10 @@ class SymPoly:
         Exact when the coordinates are rationals; float otherwise.  In the
         monomial basis m_lambda sums over all distinct permutations of
         lambda padded to len(xs), and vanishes when lambda has more parts
-        than there are coordinates.
+        than there are coordinates.  That orbit sum is the independent
+        reference the tests hold ``m_to_p`` against; the package itself
+        evaluates through the power-sum basis, which costs one power sum
+        per distinct part instead of one term per monomial.
         """
         if self.basis == POWERSUM:
             return self._evaluate_powersum(xs)
@@ -163,18 +168,17 @@ def _distinct_permutations(pool: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def p_to_m(lam: Partition) -> SymPoly:
     """Expansion of the power-sum product p_lambda in the monomial basis.
 
-    Built by repeatedly multiplying a monomial-basis polynomial by a single
-    power sum: merging part k into a key either bumps one existing part
+    Built by multiplying the memoized expansion of lambda without its last
+    part by that single power sum, so partitions sharing a prefix share its
+    product: merging part k into a key either bumps one existing part
     value or appends a new part, with the orbit multiplicity of the bumped
     value as coefficient.
     """
     lam = Partition(lam)
-    coeffs: dict[Partition, Fraction] = {Partition(): Fraction(1)}
-    degree = 0
-    for k in lam:
-        coeffs = _multiply_by_power_sum(coeffs, k)
-        degree += k
-    return SymPoly(degree, MONOMIAL, coeffs)
+    if not lam:
+        return SymPoly(0, MONOMIAL, {lam: Fraction(1)})
+    head = p_to_m(Partition(lam[:-1]))
+    return SymPoly(lam.weight, MONOMIAL, _multiply_by_power_sum(head.coeffs, lam[-1]))
 
 
 def _multiply_by_power_sum(
@@ -194,47 +198,35 @@ def _multiply_by_power_sum(
     return out
 
 
-@lru_cache(maxsize=None)
-def _monomial_to_power_matrix(f: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of the basis-change matrix sending p_mu to monomials, degree f."""
-    parts = partitions_of(f)
-    index = {lam: i for i, lam in enumerate(parts)}
-    k = len(parts)
-    forward = [[Fraction(0)] * k for _ in range(k)]
-    for j, mu in enumerate(parts):
-        for lam, c in p_to_m(mu).coeffs.items():
-            forward[index[lam]][j] = c
-    return _invert_rational(forward)
-
-
-def _invert_rational(matrix: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Gauss-Jordan inverse over the rationals."""
-    k = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(matrix)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col]), None)
-        if pivot is None:
-            raise RuntimeError("basis-change matrix is singular; this is a bug")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
-
-
 def m_to_p(poly: SymPoly) -> SymPoly:
-    """The unique power-sum-basis representation of a monomial-basis polynomial."""
+    """The unique power-sum-basis representation of a monomial-basis polynomial.
+
+    The basis change is triangular: p_mu expands only on monomials m_lam
+    with lam dominating mu, and its m_mu coefficient is prod_i m_i(mu)!,
+    where m_i(mu) counts the parts of mu equal to i.  Partitions are
+    therefore solved finest first, in reverse lexicographic order (which
+    refines dominance): the remaining m_mu coefficient divided by that
+    diagonal entry is the p_mu coefficient, and the p_mu column from
+    ``p_to_m`` is then subtracted from the coarser remainder.
+    """
     if poly.basis != MONOMIAL:
         raise ValueError("m_to_p expects a monomial-basis polynomial")
-    parts = partitions_of(poly.degree)
-    inverse = _monomial_to_power_matrix(poly.degree)
-    vec = [poly.coefficient(lam) for lam in parts]
-    out: dict[Partition, Fraction] = {}
-    for i, mu in enumerate(parts):
-        val = sum((inverse[i][j] * vec[j] for j in range(len(parts))), Fraction(0))
-        if val:
-            out[mu] = val
+    # Integral values are held as int, whose arithmetic is several times
+    # faster than Fraction's; the p_to_m columns are integer counts.
+    rest = {lam: _integral(c) for lam, c in poly.coeffs.items()}
+    out: dict[Partition, Fraction | int] = {}
+    for mu in reversed(partitions_of(poly.degree)):
+        c = rest.pop(mu, 0)
+        if not c:
+            continue
+        column = p_to_m(mu).coeffs
+        x = _integral(c / column[mu])
+        out[mu] = x
+        for lam, b in column.items():
+            if lam != mu:
+                rest[lam] = rest.get(lam, 0) - x * b.numerator
     return SymPoly(poly.degree, POWERSUM, out)
+
+
+def _integral(c: Fraction) -> Fraction | int:
+    return c.numerator if c.denominator == 1 else c

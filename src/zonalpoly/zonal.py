@@ -148,11 +148,13 @@ def zonal_table(f: int) -> ZonalTable:
     return ZonalTable(f, {kappa: zonal_row(kappa) for kappa in partitions_of(f)})
 
 
+@lru_cache(maxsize=None)
 def zonal_in_powersums(kappa) -> SymPoly:
     """The row for kappa converted to the power-sum basis.
 
-    The conversion must land on integer coefficients; anything else means
-    a corrupted table and raises DataIntegrityError.
+    This is the form every exact value of Z_kappa is evaluated from.  The
+    conversion must land on integer coefficients; anything else means a
+    corrupted table and raises DataIntegrityError.
     """
     poly = m_to_p(zonal_row(Partition(kappa)))
     fractional = {lam: c for lam, c in poly.coeffs.items() if c.denominator != 1}
@@ -164,10 +166,21 @@ def zonal_in_powersums(kappa) -> SymPoly:
 
 
 def zonal_at_identity(kappa, n: int) -> Fraction:
-    """Z_kappa evaluated at n ones; zero iff kappa has more than n parts."""
+    """Z_kappa evaluated at n ones, from its closed form.
+
+    Z_kappa(I_n) = 2^f (n/2)_kappa = prod_i prod_{0<=j<kappa_i} (n - i + 1 + 2j)
+    with rows i counted from 1 (Muirhead, *Aspects of Multivariate
+    Statistical Theory*, Thm 7.2.7).  It is zero iff kappa has more than
+    n parts, through the factor at i = n + 1, j = 0; the empty partition
+    gives the empty product 1.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Fraction(zonal_row(Partition(kappa)).evaluate((Fraction(1),) * n))
+    out = 1
+    for i, part in enumerate(Partition(kappa), start=1):
+        for j in range(part):
+            out *= n - i + 1 + 2 * j
+    return Fraction(out)
 
 
 def character_degree(kappa) -> int:

@@ -109,6 +109,9 @@ class TestVerify:
     def test_bad_range_is_usage_error(self, runner):
         assert runner.invoke(main, ["verify", "--f", "x..y"]).exit_code == 2
         assert runner.invoke(main, ["verify", "--f", "0..2"]).exit_code == 2
+        empty = runner.invoke(main, ["verify", "--f", "3..1"])
+        assert empty.exit_code == 2
+        assert "'3..1' is empty" in empty.output
 
 
 class TestEstimate:
@@ -202,6 +205,14 @@ class TestEstimate:
              "--samples", "100"],
         )
         assert result.exit_code == 2
+        # the eigensolve needs one nonnegative spectrum
+        result = runner.invoke(
+            main,
+            ["estimate", "zonal-split", "--kappa", "1", "--A", "-1,2", "--B", "-1,3",
+             "--samples", "100"],
+        )
+        assert result.exit_code == 2
+        assert "nonnegative" in result.output
 
     def test_too_few_samples_is_usage_error(self, runner):
         result = runner.invoke(
@@ -210,6 +221,13 @@ class TestEstimate:
              "--samples", "1"],
         )
         assert result.exit_code == 2
+        for args in (
+            ["trace-power", "--f", "-1", "--A", "1,2", "--B", "1,2"],
+            ["trace-AH", "--f", "-2", "--A", "1,2"],
+        ):
+            result = runner.invoke(main, ["estimate", *args])
+            assert result.exit_code == 2
+            assert "--f must be nonnegative" in result.output
 
     def test_bad_eigenvalue_list_is_usage_error(self, runner):
         result = runner.invoke(

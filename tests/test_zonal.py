@@ -7,7 +7,7 @@ import pytest
 
 from zonalpoly.partitions import Partition, dominated_by, partitions_of
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
-from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly
+from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
 from zonalpoly.zonal import (
     character_degree,
     check_leading_coefficients,
@@ -109,6 +109,15 @@ class TestGoldenRows:
             for c in zonal_in_powersums(kappa).coeffs.values():
                 assert c.denominator == 1
 
+    @pytest.mark.parametrize("f", range(9, 13))
+    def test_powersum_row_expands_back_to_monomial_row(self, f):
+        for kappa in partitions_of(f):
+            back: dict = {}
+            for lam, c in zonal_in_powersums(kappa).coeffs.items():
+                for nu, b in p_to_m(lam).coeffs.items():
+                    back[nu] = back.get(nu, 0) + c * b
+            assert SymPoly(f, MONOMIAL, back) == zonal_row(kappa)
+
 
 class TestAtIdentity:
     def test_example_values(self):
@@ -119,6 +128,13 @@ class TestAtIdentity:
     @pytest.mark.parametrize("f", range(1, 5))
     def test_single_row_equals_normalizing_product(self, f, n):
         assert zonal_at_identity((f,), n) == normalizing_product(n, f)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("f", range(1, 7))
+    def test_closed_form_matches_orbit_sum(self, f, n):
+        ones = (Fraction(1),) * n
+        for kappa in partitions_of(f):
+            assert zonal_at_identity(kappa, n) == zonal_row(kappa).evaluate(ones)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
