@@ -12,6 +12,12 @@ positive exponent live on [0, pi] and are drawn through a symmetric Beta
 transform of cos(theta); exponent-zero angles are uniform on [0, 2*pi).
 Reflection bits are fair and independent.  An independent Gram-Schmidt
 oracle sampler is provided for cross-validation.
+
+The n(n-1)/2 rotations run over a column-major (n, count, n) copy of the
+stack, where the two columns a rotation touches are contiguous blocks; on
+a row-major stack each rotation would stride through the whole stack.
+The result is transposed back into a C-ordered (count, n, n) array once,
+together with the reflection signs.
 """
 
 from __future__ import annotations
@@ -84,34 +90,53 @@ class AngleSet:
         object.__setattr__(self, "reflections", tuple(int(b) for b in self.reflections))
 
 
-def _apply_rotations(q: np.ndarray, theta_of) -> None:
-    """Right-multiply the stack ``q`` by the rotation factors in reading order.
+def _apply_rotations(cols: np.ndarray, thetas: Mapping[tuple[int, int], object]) -> None:
+    """Right-multiply a column-major stack by the rotation factors in reading order.
 
-    ``theta_of(i, j)`` returns a scalar or per-sample array.  A factor in
-    plane (j, j+1) only touches those two columns.
+    ``cols`` has shape (n, count, n): ``cols[j]`` is column j of every
+    matrix, one row per draw, so the two columns a plane rotation touches
+    are contiguous (count, n) blocks rather than strided slices of a
+    row-major stack.  ``thetas[(i, j)]`` is a scalar or a per-draw array.
+    Each rotation updates in place through two scratch buffers, computing
+    c*left - s*right and c*right + s*left: the same products and roundings
+    as an out-of-place update, so the bits do not depend on the layout.
     """
-    n = q.shape[-1]
+    n, count = cols.shape[:2]
+    s_left = np.empty((count, n))
+    s_right = np.empty((count, n))
     for i in range(1, n):
         for j in range(n - 1, i - 1, -1):
-            theta = theta_of(i, j)
-            c = np.cos(theta)
-            s = np.sin(theta)
-            if q.ndim == 3:
-                c = np.asarray(c)[:, None]
-                s = np.asarray(s)[:, None]
-            left = q[..., j - 1].copy()
-            right = q[..., j]
-            q[..., j - 1] = c * left - s * right
-            q[..., j] = s * left + c * right
+            theta = thetas[(i, j)]
+            c = np.reshape(np.cos(theta), (-1, 1))
+            s = np.reshape(np.sin(theta), (-1, 1))
+            left = cols[j - 1]
+            right = cols[j]
+            np.multiply(s, left, out=s_left)
+            np.multiply(s, right, out=s_right)
+            left *= c
+            left -= s_right
+            right *= c
+            right += s_left
+
+
+def _orthogonal_stack(thetas: Mapping[tuple[int, int], object], bits: np.ndarray) -> np.ndarray:
+    """The C-ordered (count, n, n) stack of products for reflection bits of shape (count, n).
+
+    Rotates identity columns, then flips row r of draw m when bits[m, r]
+    is 1 while transposing back to row-major in the same pass.
+    """
+    count, n = bits.shape
+    cols = np.broadcast_to(np.eye(n)[:, None, :], (n, count, n)).copy()
+    _apply_rotations(cols, thetas)
+    out = np.empty((count, n, n))
+    np.multiply((1.0 - 2.0 * bits)[:, :, None], cols.transpose(1, 2, 0), out=out)
+    return out
 
 
 def realize(angle_set: AngleSet) -> np.ndarray:
     """The orthogonal matrix determined by an AngleSet; deterministic."""
-    n = angle_set.n
-    q = np.eye(n)
-    _apply_rotations(q, lambda i, j: angle_set.angles[(i, j)])
-    signs = 1.0 - 2.0 * np.asarray(angle_set.reflections, dtype=float)
-    return signs[:, None] * q
+    bits = np.asarray([angle_set.reflections], dtype=float)
+    return _orthogonal_stack(angle_set.angles, bits)[0]
 
 
 def sample_angle_set(n: int, rng) -> AngleSet:
@@ -139,10 +164,12 @@ def sample_orthogonal(n: int, rng) -> np.ndarray:
 
 
 def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
-    """A (count, n, n) stack of independent Haar draws.
+    """A C-contiguous (count, n, n) stack of independent Haar draws.
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
     is bit-reproducible, and a batch of one matches sample_orthogonal.
+    All angles are drawn first, in the order of sample_angle_set, then
+    the count x n reflection bits.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -158,9 +185,7 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
         else:
             thetas[(i, j)] = rng.uniform(0.0, 2.0 * math.pi, size=count)
     bits = rng.integers(0, 2, size=(count, n))
-    q = np.broadcast_to(np.eye(n), (count, n, n)).copy()
-    _apply_rotations(q, lambda i, j: thetas[(i, j)])
-    return (1.0 - 2.0 * bits)[:, :, None] * q
+    return _orthogonal_stack(thetas, bits)
 
 
 def oracle_sample_batch(n: int, count: int, rng) -> np.ndarray:

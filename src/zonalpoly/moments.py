@@ -245,20 +245,33 @@ def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random
     return [(size, child) for size, child in zip(sizes, children) if size]
 
 
-def _run_chunks(chunks, worker) -> np.ndarray:
+def _run_chunks(chunks, worker) -> tuple[np.ndarray, int]:
+    """Run ``worker(count, gen)`` on every shard; join values, sum resample counts.
+
+    Each worker returns its own (values, resampled) pair, so shards share
+    no mutable state; the counts are added after the pool joins.
+    """
     if len(chunks) == 1:
         count, gen = chunks[0]
         return worker(count, gen)
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         parts = list(pool.map(lambda cg: worker(*cg), chunks))
-    return np.concatenate(parts)
+    return np.concatenate([v for v, _ in parts]), sum(r for _, r in parts)
+
+
+# The mean of float samples is only known to a few ulps: each sample is
+# rounded, and an exact reference may itself be truncated.  A std_err below
+# this many ulps of |mean| is rounding noise (a constant integrand), so the
+# z-score divides by this floor instead; the reported std_err is unchanged.
+Z_FLOOR_ULPS = 8
 
 
 def _summarize(exact, values: np.ndarray, resampled: int = 0) -> MomentReport:
     m = values.size
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / sqrt(m)) if m > 1 else 0.0
-    z = (mean - float(exact)) / std_err if std_err > 0 else 0.0
+    scale = max(std_err, Z_FLOOR_ULPS * float(np.spacing(abs(mean))))
+    z = (mean - float(exact)) / scale
     return MomentReport(exact, mean, std_err, m, z, resampled)
 
 
@@ -274,12 +287,12 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
         return MomentReport(exact, 1.0, 0.0, samples, 0.0)
     av, bv = a.floats(), b.floats()
 
-    def worker(count: int, gen: np.random.Generator) -> np.ndarray:
+    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
         q = sample_orthogonal_batch(n, count, gen)
         t = np.einsum("mij,i,j->m", q * q, av, bv)
-        return t**f
+        return t**f, 0
 
-    values = _run_chunks(_sample_chunks(samples, threads, rng), worker)
+    values, _ = _run_chunks(_sample_chunks(samples, threads, rng), worker)
     return _summarize(exact, values)
 
 
@@ -322,15 +335,15 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     else:
         raise ValueError("one of the spectra must be nonnegative for the eigensolve")
 
-    resampled = 0
-
     def eigenvalues_of(q: np.ndarray) -> np.ndarray:
         h = q.transpose(0, 2, 1) if transpose_h else q
         core = np.einsum("mik,k,mjk->mij", h, inner, h)
-        return np.linalg.eigvalsh(outer[None, :, None] * core * outer[None, None, :])
+        core *= outer[None, :, None]
+        core *= outer[None, None, :]
+        return np.linalg.eigvalsh(core)
 
-    def worker(count: int, gen: np.random.Generator) -> np.ndarray:
-        nonlocal resampled
+    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+        resampled = 0
         q = sample_orthogonal_batch(n, count, gen)
         try:
             eigs = eigenvalues_of(q)
@@ -344,9 +357,9 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
                     except np.linalg.LinAlgError:
                         resampled += 1
                         q[idx : idx + 1] = sample_orthogonal_batch(n, 1, gen)
-        return _evaluate_powersum_batch(kappa, eigs)
+        return _evaluate_powersum_batch(kappa, eigs), resampled
 
-    values = _run_chunks(_sample_chunks(samples, threads, rng), worker)
+    values, resampled = _run_chunks(_sample_chunks(samples, threads, rng), worker)
     return _summarize(exact, values, resampled)
 
 
@@ -401,12 +414,12 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
         z = zonal_in_powersums(kappa).evaluate(spectrum)
         exact = exact + character_degree(kappa) * z / zonal_at_identity(kappa, n)
 
-    def worker(count: int, gen: np.random.Generator) -> np.ndarray:
+    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
         q = sample_orthogonal_batch(n, count, gen)
         t = np.einsum("ij,mji->m", amat, q)
-        return t**f
+        return t**f, 0
 
-    values = _run_chunks(_sample_chunks(samples, threads, rng), worker)
+    values, _ = _run_chunks(_sample_chunks(samples, threads, rng), worker)
     return _summarize(exact, values)
 
 
@@ -423,12 +436,12 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
         raise ValueError("a and b must have the same number of eigenvalues")
     av, bv = a.floats(), b.floats()
 
-    def worker(count: int, gen: np.random.Generator) -> np.ndarray:
+    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
         q = sample_orthogonal_batch(n, count, gen)
         t = np.einsum("mij,i,j->m", q * q, av, bv)
-        return np.exp(0.5 * t)
+        return np.exp(0.5 * t), 0
 
-    values = _run_chunks(_sample_chunks(samples, threads, rng), worker)
+    values, _ = _run_chunks(_sample_chunks(samples, threads, rng), worker)
     return _summarize(reference, values)
 
 

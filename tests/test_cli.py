@@ -175,6 +175,19 @@ class TestEstimate:
         assert abs(exact - estimate) / estimate < 0.02
         assert "tail_bound" in payload
 
+    def test_constant_integrand_z_score_is_bounded(self, runner):
+        # A scalar A makes tr(A Q B Q') constant; the sample spread is only
+        # rounding noise and must not blow up the z-score.
+        result = runner.invoke(
+            main,
+            ["estimate", "exp-series", "--A", "1/2,1/2,1/2", "--B", "1/4,1/2,1",
+             "--samples", "20000", "--seed", "3"],
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert float(payload["std_err"]) < 1e-15
+        assert abs(float(payload["z_score"])) <= 5
+
     def test_rational_eigenvalues_accepted(self, runner):
         result = runner.invoke(
             main,

@@ -29,6 +29,35 @@ def rounded_ks(xs, ys):
     return ks_2samp(np.round(xs, 12), np.round(ys, 12)).pvalue
 
 
+def strided_reference_batch(n, count, rng):
+    """Reference sampler on a C-ordered (count, n, n) stack.
+
+    Draws angles and bits exactly as sample_orthogonal_batch does and
+    rotates two strided columns out of place per factor.  The package's
+    column-major sweep must reproduce it bit for bit.
+    """
+    thetas = {}
+    for i in range(1, n):
+        for j in range(i, n):
+            k = n - j - 1
+            if k > 0:
+                c = rng.beta((k + 1) / 2.0, (k + 1) / 2.0, size=count)
+                thetas[(i, j)] = np.arccos(2.0 * c - 1.0)
+            else:
+                thetas[(i, j)] = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    bits = rng.integers(0, 2, size=(count, n))
+    q = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    for i in range(1, n):
+        for j in range(n - 1, i - 1, -1):
+            c = np.cos(thetas[(i, j)])[:, None]
+            s = np.sin(thetas[(i, j)])[:, None]
+            left = q[..., j - 1].copy()
+            right = q[..., j]
+            q[..., j - 1] = c * left - s * right
+            q[..., j] = s * left + c * right
+    return (1.0 - 2.0 * bits)[:, :, None] * q
+
+
 class TestAngleSet:
     def test_exponents(self):
         assert [angle_exponent(4, j) for j in (1, 2, 3)] == [2, 1, 0]
@@ -106,11 +135,19 @@ class TestDeterminism:
         q2 = sample_orthogonal(4, np.random.default_rng(5))
         assert np.array_equal(q1, q2)
 
-    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 7))
     def test_single_matches_batch_of_one(self, n):
         single = sample_orthogonal(n, np.random.default_rng(17))
         batch = sample_orthogonal_batch(n, 1, np.random.default_rng(17))
         assert np.array_equal(single, batch[0])
+
+    @pytest.mark.parametrize("n, count", ((1, 20), (2, 50), (3, 200), (7, 40), (30, 12)))
+    def test_batch_matches_strided_reference(self, n, count):
+        rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+        batch = sample_orthogonal_batch(n, count, rng)
+        assert np.array_equal(batch, strided_reference_batch(n, count, ref_rng))
+        assert batch.flags.c_contiguous
+        assert rng.random() == ref_rng.random()  # same stream consumption
 
     def test_batch_reproducible(self):
         b1 = sample_orthogonal_batch(3, 50, np.random.default_rng(33))

@@ -1,12 +1,15 @@
 """Exact moment integrals, coefficient formulas, and Monte Carlo estimators."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import exp, factorial
 
 import numpy as np
 import pytest
 
+from zonalpoly import moments
 from zonalpoly.moments import (
     DiagonalSpec,
     ResidualInconsistencyError,
@@ -219,6 +222,36 @@ class TestMcSplitting:
         report = mc_splitting((1,), (-1, 2), (3, 1), 10_000, 5)
         assert report.exact_value == Fraction(1 * 4, 2)
         assert abs(report.z_score) <= 3
+
+    @pytest.mark.parametrize("threads", (2, 4))
+    def test_resample_count_is_exact_across_threads(self, monkeypatch, threads):
+        # Every batched eigensolve fails, so each shard falls back to one
+        # draw at a time; the first `fails` of those fail too and are redrawn.
+        fails = 40
+        real_eigvalsh = np.linalg.eigvalsh
+        lock = threading.Lock()
+        left = [fails]
+
+        def flaky_eigvalsh(stack):
+            if stack.shape[0] > 1:
+                raise np.linalg.LinAlgError("batched eigensolve refused")
+            with lock:
+                fail = left[0] > 0
+                left[0] -= fail
+            if fail:
+                raise np.linalg.LinAlgError("single eigensolve refused")
+            return real_eigvalsh(stack)
+
+        monkeypatch.setattr(moments.np.linalg, "eigvalsh", flaky_eigvalsh)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = mc_splitting((2, 1), (1, 2, 3), (3, 1, 2), 400, 9, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert left[0] == 0
+        assert report.resampled == fails
+        assert report.samples == 400
 
 
 class TestMcLinearTracePower:
