@@ -345,6 +345,8 @@ def estimate(
         raise click.UsageError("--samples must be at least 2")
     if threads < 1:
         raise click.UsageError("--threads must be at least 1")
+    if seed < 0:
+        raise click.UsageError("--seed must be nonnegative")
     if degree is not None and degree < 0:
         raise click.UsageError("--f must be nonnegative")
     if a_spec is None:
@@ -368,6 +370,8 @@ def estimate(
         if len(a) != len(b):
             raise click.UsageError("--A and --B must have the same length")
         part = parse_partition(kappa)
+        if not part:
+            raise click.UsageError("--kappa must be a nonempty partition")
         if len(part) > len(a):
             raise click.UsageError("--kappa has more parts than there are eigenvalues")
         if any(x < 0 for x in a) and any(x < 0 for x in b):

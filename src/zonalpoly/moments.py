@@ -10,15 +10,17 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import exp, factorial, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .haar import as_generator, sample_orthogonal_batch
+from .haar import _sample_blocks, as_generator, sample_orthogonal_batch
 from .partitions import Partition, partitions_of
 from .zonal import (
     character_degree,
@@ -226,37 +228,26 @@ def residual_coefficient(f: int, g, h, n_values: Sequence[int] | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random.Generator]]:
-    """Split a sample budget across independent child streams.
-
-    With one thread the caller's stream is used directly, so single-thread
-    results depend only on the seed.
-    """
+def _check_budget(samples: int, threads: int) -> None:
     if samples < 2:
         raise ValueError("samples must be at least 2")
     if threads < 1:
         raise ValueError("threads must be at least 1")
+
+
+def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, int, np.random.Generator]]:
+    """Split a sample budget into (start, count, stream) shards on independent streams.
+
+    With one thread the caller's stream is used directly, so single-thread
+    results depend only on the seed.
+    """
     gen = as_generator(rng)
     if threads == 1:
-        return [(samples, gen)]
+        return [(0, samples, gen)]
     base, extra = divmod(samples, threads)
     sizes = [base + (1 if t < extra else 0) for t in range(threads)]
-    children = gen.spawn(threads)
-    return [(size, child) for size, child in zip(sizes, children) if size]
-
-
-def _run_chunks(chunks, worker) -> tuple[np.ndarray, int]:
-    """Run ``worker(count, gen)`` on every shard; join values, sum resample counts.
-
-    Each worker returns its own (values, resampled) pair, so shards share
-    no mutable state; the counts are added after the pool joins.
-    """
-    if len(chunks) == 1:
-        count, gen = chunks[0]
-        return worker(count, gen)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(lambda cg: worker(*cg), chunks))
-    return np.concatenate([v for v, _ in parts]), sum(r for _, r in parts)
+    shards = zip(accumulate(sizes, initial=0), sizes, gen.spawn(threads))
+    return [(start, size, child) for start, size, child in shards if size]
 
 
 # The mean of float samples is only known to a few ulps: each sample is
@@ -266,13 +257,44 @@ def _run_chunks(chunks, worker) -> tuple[np.ndarray, int]:
 Z_FLOOR_ULPS = 8
 
 
-def _summarize(exact, values: np.ndarray, resampled: int = 0) -> MomentReport:
+def _summarize(exact, values: np.ndarray, resampled: int) -> MomentReport:
     m = values.size
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / sqrt(m)) if m > 1 else 0.0
     scale = max(std_err, Z_FLOOR_ULPS * float(np.spacing(abs(mean))))
     z = (mean - float(exact)) / scale
     return MomentReport(exact, mean, std_err, m, z, resampled)
+
+
+def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
+    """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
+
+    Each shard draws its matrices' parameters at once, then writes
+    ``statistic(block, gen) -> (values, resampled)`` for one block at a
+    time into its slice of one values array; a statistic may overwrite its
+    block and redraw from ``gen``.  Shards run on at most os.cpu_count()
+    threads and share nothing mutable but disjoint slices, so results
+    depend only on (seed, threads, samples).
+    """
+    _check_budget(samples, threads)
+    chunks = _sample_chunks(samples, threads, rng)
+    values = np.empty(samples)
+
+    def shard(start: int, count: int, gen: np.random.Generator) -> int:
+        resampled = 0
+        for q in _sample_blocks(n, count, gen):
+            stop = start + len(q)
+            values[start:stop], block_resampled = statistic(q, gen)
+            resampled += block_resampled
+            start = stop
+        return resampled
+
+    if len(chunks) == 1:
+        resampled = [shard(*chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+            resampled = list(pool.map(shard, *zip(*chunks)))
+    return _summarize(exact, values, sum(resampled))
 
 
 def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
@@ -284,16 +306,15 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
         raise ValueError("a and b must have the same number of eigenvalues")
     exact = exact_trace_power_integral(a, b, f)
     if f == 0:
+        _check_budget(samples, threads)
         return MomentReport(exact, 1.0, 0.0, samples, 0.0)
     av, bv = a.floats(), b.floats()
 
-    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
-        q = sample_orthogonal_batch(n, count, gen)
-        t = np.einsum("mij,i,j->m", q * q, av, bv)
-        return t**f, 0
+    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+        q *= q  # in place: the block is the statistic's to overwrite
+        return np.einsum("mij,i,j->m", q, av, bv) ** f, 0
 
-    values, _ = _run_chunks(_sample_chunks(samples, threads, rng), worker)
-    return _summarize(exact, values)
+    return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
 def _evaluate_powersum_batch(kappa: Partition, xs: np.ndarray) -> np.ndarray:
@@ -316,7 +337,8 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     Estimates the Haar mean of Z_kappa at the latent roots of
     D_a H D_b H', against the exact value Z_kappa(a) Z_kappa(b) / Z_kappa(I_n).
     The per-sample roots come from a symmetric eigensolve, which needs a
-    nonnegative spectrum on at least one side.
+    nonnegative spectrum on at least one side.  A draw whose eigensolve
+    fails is replaced by a fresh draw from the shard's stream.
     """
     kappa = Partition(kappa)
     a = DiagonalSpec.of(a)
@@ -342,14 +364,13 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
         core *= outer[None, None, :]
         return np.linalg.eigvalsh(core)
 
-    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
         resampled = 0
-        q = sample_orthogonal_batch(n, count, gen)
         try:
             eigs = eigenvalues_of(q)
         except np.linalg.LinAlgError:
-            eigs = np.empty((count, n))
-            for idx in range(count):
+            eigs = np.empty((len(q), n))
+            for idx in range(len(q)):
                 while True:
                     try:
                         eigs[idx] = eigenvalues_of(q[idx : idx + 1])[0]
@@ -359,8 +380,7 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
                         q[idx : idx + 1] = sample_orthogonal_batch(n, 1, gen)
         return _evaluate_powersum_batch(kappa, eigs), resampled
 
-    values, resampled = _run_chunks(_sample_chunks(samples, threads, rng), worker)
-    return _summarize(exact, values, resampled)
+    return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
 def _exact_gram(matrix) -> list[list[Fraction]] | None:
@@ -394,9 +414,10 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
     n = amat.shape[0]
     if amat.shape != (n, n):
         raise ValueError("matrix must be square")
-    if f % 2 == 1:
-        return MomentReport(Fraction(0), 0.0, 0.0, 0, 0.0)
-    if f == 0:
+    if f % 2 == 1 or f == 0:  # odd powers vanish by H -> -H; no sampling either way
+        _check_budget(samples, threads)
+        if f:
+            return MomentReport(Fraction(0), 0.0, 0.0, 0, 0.0)
         return MomentReport(Fraction(1), 1.0, 0.0, samples, 0.0)
 
     gram_exact = _exact_gram(matrix)
@@ -414,13 +435,10 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
         z = zonal_in_powersums(kappa).evaluate(spectrum)
         exact = exact + character_degree(kappa) * z / zonal_at_identity(kappa, n)
 
-    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
-        q = sample_orthogonal_batch(n, count, gen)
-        t = np.einsum("ij,mji->m", amat, q)
-        return t**f, 0
+    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+        return np.einsum("ij,mji->m", amat, q) ** f, 0
 
-    values, _ = _run_chunks(_sample_chunks(samples, threads, rng), worker)
-    return _summarize(exact, values)
+    return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
 def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int = 1) -> MomentReport:
@@ -436,13 +454,11 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
         raise ValueError("a and b must have the same number of eigenvalues")
     av, bv = a.floats(), b.floats()
 
-    def worker(count: int, gen: np.random.Generator) -> tuple[np.ndarray, int]:
-        q = sample_orthogonal_batch(n, count, gen)
-        t = np.einsum("mij,i,j->m", q * q, av, bv)
-        return np.exp(0.5 * t), 0
+    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+        q *= q
+        return np.exp(0.5 * np.einsum("mij,i,j->m", q, av, bv)), 0
 
-    values, _ = _run_chunks(_sample_chunks(samples, threads, rng), worker)
-    return _summarize(reference, values)
+    return _monte_carlo(reference, n, samples, rng, threads, statistic)
 
 
 def hyper0f0(a, b, max_degree: int) -> SeriesResult:

@@ -20,8 +20,6 @@ __all__ = [
     "part_square_sum",
     "part_index_sum",
     "rho",
-    "lb_eigenvalue",
-    "gl_dimension",
     "sym_group_degree",
 ]
 
@@ -121,38 +119,6 @@ def rho(p: Sequence[int]) -> int:
     the recursion denominators of the zonal table away from zero.
     """
     return part_square_sum(p) - part_index_sum(p)
-
-
-def lb_eigenvalue(p: Sequence[int], n: int) -> int:
-    """Laplace-Beltrami eigenvalue sum(k_i * (k_i + n - i - 1)) in n variables."""
-    if len(p) > n:
-        raise ValueError(f"{tuple(p)} has more than {n} parts")
-    return sum(q * (q + n - i - 1) for i, q in enumerate(p, start=1))
-
-
-def gl_dimension(parts: Sequence[int], n: int) -> int:
-    """Dimension of the GL(n) irreducible with highest weight ``parts``.
-
-    The weight is padded with zeros to ``n`` entries, which must then be
-    nonincreasing and nonnegative.  Computed as the exact integer ratio
-
-        prod_{i<j} ((w_i - w_j) + (j - i)) / prod_{i<j} (j - i).
-    """
-    w = [int(x) for x in parts]
-    if len(w) > n:
-        raise ValueError(f"weight {tuple(parts)} has more than {n} entries")
-    w += [0] * (n - len(w))
-    if any(w[i] < w[i + 1] for i in range(n - 1)) or (w and w[-1] < 0):
-        raise ValueError(f"weight must be nonincreasing and nonnegative: {tuple(parts)}")
-    num = den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= (w[i] - w[j]) + (j - i)
-            den *= j - i
-    q, r = divmod(num, den)
-    if r:  # cannot happen for a dominant weight
-        raise ArithmeticError("difference-product ratio is not an integer")
-    return q
 
 
 def sym_group_degree(p: Sequence[int]) -> int:

@@ -226,6 +226,13 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "nonnegative" in result.output
+        result = runner.invoke(
+            main,
+            ["estimate", "zonal-split", "--kappa=", "--A", "1,2", "--B", "3,1",
+             "--samples", "100"],
+        )
+        assert result.exit_code == 2
+        assert "--kappa must be a nonempty partition" in result.output
 
     def test_too_few_samples_is_usage_error(self, runner):
         result = runner.invoke(
@@ -241,6 +248,13 @@ class TestEstimate:
             result = runner.invoke(main, ["estimate", *args])
             assert result.exit_code == 2
             assert "--f must be nonnegative" in result.output
+        result = runner.invoke(
+            main,
+            ["estimate", "trace-power", "--f", "1", "--A", "1,2", "--B", "3,1",
+             "--samples", "100", "--seed", "-1"],
+        )
+        assert result.exit_code == 2
+        assert "--seed must be nonnegative" in result.output
 
     def test_bad_eigenvalue_list_is_usage_error(self, runner):
         result = runner.invoke(

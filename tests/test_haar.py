@@ -1,12 +1,13 @@
-"""The rotation/reflection Haar sampler and its Gram-Schmidt oracle."""
+"""The rotation/reflection Haar sampler and its QR oracle."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest
+from scipy.stats import ks_2samp, kstest, ortho_group
 
 from zonalpoly.haar import (
+    BLOCK,
     AngleSet,
     angle_exponent,
     oracle_sample,
@@ -141,7 +142,19 @@ class TestDeterminism:
         batch = sample_orthogonal_batch(n, 1, np.random.default_rng(17))
         assert np.array_equal(single, batch[0])
 
-    @pytest.mark.parametrize("n, count", ((1, 20), (2, 50), (3, 200), (7, 40), (30, 12)))
+    @pytest.mark.parametrize(
+        "n, count",
+        (
+            (1, 20),
+            (2, 50),
+            (3, 200),
+            (7, 40),
+            (30, 12),
+            # several blocks of BLOCK // n draws, the last one partial
+            (3, 2 * (BLOCK // 3) + 5),
+            (30, 2 * (BLOCK // 30) + 7),
+        ),
+    )
     def test_batch_matches_strided_reference(self, n, count):
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         batch = sample_orthogonal_batch(n, count, rng)
@@ -231,15 +244,24 @@ class TestOracle:
         assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / 30_000)
 
 
+def scipy_ortho_group_batch(n, count, rng):
+    """scipy's Haar sampler on O(n), a second oracle independent of this package."""
+    return ortho_group.rvs(n, size=count, random_state=rng).reshape(count, n, n)
+
+
 class TestTwoSamplerAgreement:
     """Smaller version of the full distributional battery (see acceptance)."""
 
     SAMPLES = 30_000
 
-    @pytest.mark.parametrize("n", (2, 3, 4))
-    def test_ks_battery(self, n):
+    @pytest.mark.parametrize(
+        "n, oracle",
+        [pytest.param(n, oracle_sample_batch, id=str(n)) for n in (2, 3, 4)]
+        + [pytest.param(n, scipy_ortho_group_batch, id=f"{n}-scipy") for n in (2, 3, 4)],
+    )
+    def test_ks_battery(self, n, oracle):
         qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(500 + n))
-        qo = oracle_sample_batch(n, self.SAMPLES, np.random.default_rng(600 + n))
+        qo = oracle(n, self.SAMPLES, np.random.default_rng(600 + n))
         assert rounded_ks(np.trace(qs, axis1=1, axis2=2), np.trace(qo, axis1=1, axis2=2)) > 0.01
         assert rounded_ks(qs[:, 0, 0], qo[:, 0, 0]) > 0.01
         assert rounded_ks(qs[:, 0, 0] ** 2, qo[:, 0, 0] ** 2) > 0.01

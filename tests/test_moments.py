@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import exp, factorial
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from zonalpoly import moments
+from zonalpoly.haar import BLOCK, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
     ResidualInconsistencyError,
@@ -191,6 +193,49 @@ class TestMcTracePower:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             mc_trace_power((1,), (1,), 1, 1, 0)
+        with pytest.raises(ValueError):
+            mc_trace_power((1,), (1,), 0, 1, 0)
+
+    def test_blocks_match_one_whole_stack(self):
+        a, b, f = (1, 2, 3), (Fraction(1, 2), 3, 0), 3
+        samples = 2 * (BLOCK // 3) + 11
+        report = mc_trace_power(a, b, f, samples, 5)
+        q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
+        values = np.einsum("mij,i,j->m", q * q, [1.0, 2.0, 3.0], [0.5, 3.0, 0.0]) ** f
+        assert report.mc_estimate == float(values.mean())
+        assert report.mc_std_err == float(values.std(ddof=1) / np.sqrt(samples))
+
+    def test_memory_stays_below_one_stack(self):
+        n, samples = 30, 5_000
+        a = [Fraction(k % 9 + 1, 4) for k in range(n)]
+        b = [Fraction(k % 7 + 1, 3) for k in range(n)]
+        tracemalloc.start()
+        try:
+            report = mc_trace_power(a, b, 1, samples, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.samples == samples
+        assert peak < samples * n * n * np.dtype(float).itemsize
+
+    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
+        # eight shards keep the eight-thread streams; at most two threads run them
+        args = ((1, 2, 3), (3, 1, 2), 2, 4_000, 42)
+        monkeypatch.setattr(moments.os, "cpu_count", lambda: 1)
+        one_worker = mc_trace_power(*args, threads=8)
+        seen = set()
+        real_blocks = moments._sample_blocks
+
+        def recording_blocks(*blocks_args):
+            seen.add(threading.get_ident())
+            return real_blocks(*blocks_args)
+
+        monkeypatch.setattr(moments, "_sample_blocks", recording_blocks)
+        monkeypatch.setattr(moments.os, "cpu_count", lambda: 2)
+        report = mc_trace_power(*args, threads=8)
+        assert report == one_worker
+        assert report.samples == 4_000
+        assert 1 <= len(seen) <= 2
 
 
 class TestMcSplitting:

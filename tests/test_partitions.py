@@ -9,8 +9,6 @@ from zonalpoly.partitions import (
     Partition,
     conjugate,
     dominated_by,
-    gl_dimension,
-    lb_eigenvalue,
     part_index_sum,
     part_square_sum,
     partitions_of,
@@ -164,59 +162,6 @@ class TestRho:
             for low in parts:
                 if low != top and dominated_by(low, top):
                     assert rho(top) - rho(low) > 0
-
-
-class TestLbEigenvalue:
-    def test_examples(self):
-        assert lb_eigenvalue((1,), 2) == 1
-        assert lb_eigenvalue((), 5) == 0
-        assert lb_eigenvalue((2,), 3) == 6
-
-    def test_too_many_parts_rejected(self):
-        with pytest.raises(ValueError):
-            lb_eigenvalue((1, 1, 1), 2)
-
-
-def count_semistandard_tableaux(shape, n):
-    """Brute-force oracle: fillings with entries 1..n, rows weakly
-    increasing, columns strictly increasing."""
-    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
-    count = 0
-    for values in itertools.product(range(1, n + 1), repeat=len(cells)):
-        grid = {cell: v for cell, v in zip(cells, values)}
-        ok = True
-        for (i, j), v in grid.items():
-            if (i, j - 1) in grid and grid[(i, j - 1)] > v:
-                ok = False
-                break
-            if (i - 1, j) in grid and grid[(i - 1, j)] >= v:
-                ok = False
-                break
-        count += ok
-    return count
-
-
-class TestGlDimension:
-    def test_zero_weight_is_one(self):
-        for n in (1, 2, 4):
-            assert gl_dimension((), n) == 1
-            assert gl_dimension((0,) * n, n) == 1
-
-    def test_examples(self):
-        assert gl_dimension((2, 0), 2) == 3
-        assert gl_dimension((2, 2), 2) == 1
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(ValueError):
-            gl_dimension((1, 2), 2)
-
-    @pytest.mark.parametrize("n", (1, 2, 3))
-    def test_matches_tableau_count(self, n):
-        for f in range(5):
-            for shape in partitions_of(f):
-                if len(shape) > n:
-                    continue
-                assert gl_dimension(shape, n) == count_semistandard_tableaux(shape, n)
 
 
 class TestSymGroupDegree:
