@@ -30,6 +30,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is Partition:  # immutable, and validated when built
+            return parts
         parts = tuple(int(p) for p in parts)
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts}")

@@ -11,6 +11,9 @@ evaluation at float arguments.
 The monomial expansion of each power-sum product p_lambda is memoized
 with ``lru_cache``, and the monomial-to-power-sum change solves the
 triangular system those columns form, so no inverse matrix is stored.
+Both run on ``int`` wherever the values are integral: the expansions
+are integer counts, and the solve divides exactly by the integer
+diagonal unless a remainder forces a ``Fraction``.
 Concurrent first access may compute an expansion twice but always
 publishes a consistent value, and polynomials themselves are immutable.
 """
@@ -59,7 +62,8 @@ class SymPoly:
                 raise ValueError(
                     f"key {lam!r} has weight {lam.weight}, expected {self.degree}"
                 )
-            c = Fraction(c)
+            if type(c) is not Fraction:  # Fractions are immutable
+                c = Fraction(c)
             if c:
                 clean[lam] = c
         object.__setattr__(self, "coeffs", clean)
@@ -182,10 +186,11 @@ def p_to_m(lam: Partition) -> SymPoly:
 
 
 def _multiply_by_power_sum(
-    coeffs: dict[Partition, Fraction], k: int
-) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
+    coeffs: Mapping[Partition, Fraction], k: int
+) -> dict[Partition, int]:
+    out: dict[Partition, int] = {}
     for mu, c in coeffs.items():
+        c = c.numerator  # the expansions are integer counts
         # v = 0 appends a new part k; v > 0 bumps one part of that value.
         for v in set(mu) | {0}:
             merged = list(mu)
@@ -194,7 +199,7 @@ def _multiply_by_power_sum(
             merged.append(v + k)
             nu = Partition(sorted(merged, reverse=True))
             mult = nu.count(v + k)
-            out[nu] = out.get(nu, Fraction(0)) + c * mult
+            out[nu] = out.get(nu, 0) + c * mult
     return out
 
 
@@ -220,7 +225,10 @@ def m_to_p(poly: SymPoly) -> SymPoly:
         if not c:
             continue
         column = p_to_m(mu).coeffs
-        x = _integral(c / column[mu])
+        diagonal = column[mu].numerator
+        x, r = divmod(c, diagonal)
+        if r:
+            x = Fraction(c, diagonal)
         out[mu] = x
         for lam, b in column.items():
             if lam != mu:

@@ -3,22 +3,31 @@
 Each polynomial Z_kappa is homogeneous symmetric of degree f = |kappa|,
 expanded in monomial symmetric functions with coefficients supported on
 the partitions dominated by kappa, and normalized so that the coefficient
-of m_{(1,...,1)} equals f!.  Rows are produced by a triangular recursion:
-the provisional top coefficient is 1, every lower coefficient is a
-positively-weighted sum of coefficients above it in dominance divided by
-rho(kappa) - rho(g), and the finished row is rescaled once.
+of m_{(1,...,1)} equals f!.  Rows are produced by a triangular recursion
+in integers: the top coefficient is seeded with its closed form
+prod_s (2 a(s) + l(s) + 1), every lower coefficient is a
+positively-weighted sum of coefficients above it in dominance divided
+exactly by rho(kappa) - rho(g), and the m_{(1,...,1)} coefficient must
+come out as f!.  Both ends of every row are thus pinned by independent
+closed forms, and a division with a remainder is a hard error.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Mapping
 
-from .partitions import Partition, dominated_by, partitions_of, rho, sym_group_degree
+from .partitions import (
+    Partition,
+    conjugate,
+    dominated_by,
+    partitions_of,
+    rho,
+    sym_group_degree,
+)
 from .symfunc import MONOMIAL, POWERSUM, SymPoly, m_to_p, p_to_m
 
 __all__ = [
@@ -33,12 +42,6 @@ __all__ = [
     "check_trace_identity",
     "check_leading_coefficients",
 ]
-
-#: Degrees whose rows are pinned by published reference values; violations
-#: of the nonnegative-integer property are hard errors there and warnings
-#: beyond.
-TABULATED_LIMIT = 6
-
 
 class DataIntegrityError(ValueError):
     """A computed table violates a structural property it must satisfy."""
@@ -74,6 +77,22 @@ def _raising_moves(g: Partition) -> tuple[tuple[int, Partition], ...]:
     return tuple(moves)
 
 
+def _top_coefficient(kappa: Partition) -> int:
+    """The m_kappa coefficient of Z_kappa: prod over cells s of 2 a(s) + l(s) + 1.
+
+    a(s) and l(s) are the arm and leg lengths of the cell.  Z_kappa is the
+    Jack polynomial J_kappa at alpha = 2 (Stanley, Adv. Math. 1989;
+    Macdonald, *Symmetric Functions and Hall Polynomials*, VI.10).
+    """
+    legs = conjugate(kappa)
+    out = 1
+    for i, row in enumerate(kappa):
+        for j in range(row):
+            arm, leg = row - j - 1, legs[j] - i - 1
+            out *= 2 * arm + leg + 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def zonal_row(kappa: Partition) -> SymPoly:
     """The zonal polynomial for kappa, in the monomial basis.
@@ -82,18 +101,22 @@ def zonal_row(kappa: Partition) -> SymPoly:
     order, which refines descending dominance, so every coefficient a
     raise of g lands on is already final.  Raises landing outside the
     dominance interval (g, kappa] contribute nothing because their
-    coefficient is zero.
+    coefficient is zero.  Seeded with the closed-form top coefficient,
+    every coefficient is a nonnegative integer (Knop and Sahi, Invent.
+    Math. 1997), so each step is an exact integer division; a remainder,
+    a negative coefficient or an m_{(1,...,1)} coefficient other than f!
+    raises DataIntegrityError.
     """
     kappa = Partition(kappa)
     if not kappa:
         raise ValueError("kappa must be a nonempty partition")
     f = kappa.weight
     rho_top = rho(kappa)
-    coeffs: dict[Partition, Fraction] = {kappa: Fraction(1)}
+    coeffs: dict[Partition, int] = {kappa: _top_coefficient(kappa)}
     for g in partitions_of(f):
         if g == kappa or not dominated_by(g, kappa):
             continue
-        acc = Fraction(0)
+        acc = 0
         for numer, h in _raising_moves(g):
             c = coeffs.get(h)
             if c:
@@ -101,28 +124,19 @@ def zonal_row(kappa: Partition) -> SymPoly:
         denom = rho_top - rho(g)
         if denom <= 0:  # impossible while strict dominance implies rho gaps > 0
             raise DataIntegrityError(f"vanishing denominator at {g!r} under {kappa!r}")
-        if acc:
-            coeffs[g] = acc / denom
-    ones = Partition((1,) * f)
-    lead = coeffs.get(ones)
-    if not lead:
-        raise RuntimeError(f"row {kappa!r} never reached the all-ones monomial")
-    scale = Fraction(factorial(f)) / lead
-    coeffs = {lam: c * scale for lam, c in coeffs.items()}
-    _check_row_coefficients(kappa, coeffs)
+        q, r = divmod(acc, denom)
+        if r:
+            raise DataIntegrityError(
+                f"row {kappa!r} has a non-integer coefficient {acc}/{denom} at {g!r}"
+            )
+        if q < 0:
+            raise DataIntegrityError(f"row {kappa!r} has a negative coefficient {q} at {g!r}")
+        if q:
+            coeffs[g] = q
+    lead = coeffs.get(Partition((1,) * f))
+    if lead != factorial(f):
+        raise DataIntegrityError(f"row {kappa!r} ends at m_(1^{f}) = {lead}, expected {f}!")
     return SymPoly(f, MONOMIAL, coeffs)
-
-
-def _check_row_coefficients(kappa: Partition, coeffs: dict[Partition, Fraction]) -> None:
-    bad = {
-        lam: c for lam, c in coeffs.items() if c.denominator != 1 or c < 0
-    }
-    if not bad:
-        return
-    message = f"row {kappa!r} has non-integer or negative coefficients: {bad}"
-    if kappa.weight <= TABULATED_LIMIT:
-        raise DataIntegrityError(message)
-    warnings.warn(message, stacklevel=3)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, verification."""
 
+import hashlib
 import json
 
 import pytest
@@ -112,6 +113,33 @@ class TestVerify:
         empty = runner.invoke(main, ["verify", "--f", "3..1"])
         assert empty.exit_code == 2
         assert "'3..1' is empty" in empty.output
+
+
+class TestOutputBytes:
+    """Exact-integer outputs pinned byte for byte; any changed byte fails."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["table", "--f", "12", "--basis", "powersum", "--format", "json"],
+                "9ffaf076aaafb23abb7d30c886e1a7747847e8d3eda465877645d96b7b9bb798",
+            ),
+            (
+                ["table", "--f", "12", "--basis", "monomial", "--format", "json"],
+                "837c704fc536808cffee7cb84b7f70eef656a7da231b8e4a7a62fe1ead32bf20",
+            ),
+            (
+                ["verify", "--f", "1..12"],
+                "62ac259b71d7152ae89c5387b73364b7ee9bde942447a476ac4a7d0c76458e0c",
+            ),
+        ],
+        ids=["table-f12-powersum", "table-f12-monomial", "verify-f1-12"],
+    )
+    def test_stdout_sha256(self, runner, args, digest):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 class TestEstimate:

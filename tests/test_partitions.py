@@ -22,6 +22,7 @@ class TestPartitionType:
         p = Partition((3, 1))
         assert tuple(p) == (3, 1)
         assert p.weight == 4
+        assert Partition(p) is p
 
     def test_empty_partition_is_valid(self):
         p = Partition()

@@ -74,10 +74,15 @@ class TestMonomialToPower:
         with pytest.raises(ValueError):
             m_to_p(SymPoly(1, POWERSUM, {(1,): 1}))
 
-    @pytest.mark.parametrize("f", range(1, 9))
-    def test_round_trip_is_identity(self, f):
+    # A scale of 1/3 sends m_to_p down its Fraction branch; 1 keeps it in int.
+    @pytest.mark.parametrize(
+        "f, scale",
+        [pytest.param(f, 1, id=str(f)) for f in range(1, 9)]
+        + [pytest.param(f, Fraction(1, 3), id=f"{f}-1/3") for f in range(1, 9)],
+    )
+    def test_round_trip_is_identity(self, f, scale):
         for lam in partitions_of(f):
-            assert m_to_p(p_to_m(lam)) == SymPoly(f, POWERSUM, {lam: 1})
+            assert m_to_p(scale * p_to_m(lam)) == SymPoly(f, POWERSUM, {lam: scale})
 
 
 class TestArithmetic:

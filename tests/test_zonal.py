@@ -5,10 +5,13 @@ from math import factorial
 
 import pytest
 
-from zonalpoly.partitions import Partition, dominated_by, partitions_of
+from zonalpoly import zonal
+from zonalpoly.partitions import Partition, dominated_by, partitions_of, rho
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
 from zonalpoly.zonal import (
+    DataIntegrityError,
+    _raising_moves,
     character_degree,
     check_leading_coefficients,
     check_trace_identity,
@@ -19,6 +22,26 @@ from zonalpoly.zonal import (
     zonal_table,
 )
 from zonalpoly.moments import normalizing_product
+
+
+def fraction_recursion_row(kappa):
+    """Reference: the recursion over Fractions from a provisional top of 1.
+
+    The finished row is rescaled once so that its m_{(1,...,1)}
+    coefficient is f!; no closed form for the top coefficient is used.
+    """
+    f = kappa.weight
+    coeffs = {kappa: Fraction(1)}
+    for g in partitions_of(f):
+        if g == kappa or not dominated_by(g, kappa):
+            continue
+        acc = Fraction(0)
+        for numer, h in _raising_moves(g):
+            acc += numer * coeffs.get(h, 0)
+        if acc:
+            coeffs[g] = acc / (rho(kappa) - rho(g))
+    scale = factorial(f) / coeffs[Partition((1,) * f)]
+    return SymPoly(f, MONOMIAL, {lam: c * scale for lam, c in coeffs.items()})
 
 
 class TestDoubleFactorial:
@@ -53,6 +76,24 @@ class TestZonalRow:
         for kappa in partitions_of(f):
             for lam in zonal_row(kappa).coeffs:
                 assert dominated_by(lam, kappa)
+
+    @pytest.mark.parametrize("f", range(1, 13))
+    def test_matches_fraction_recursion(self, f):
+        for kappa in partitions_of(f):
+            assert zonal_row(kappa) == fraction_recursion_row(kappa)
+
+    def test_corrupted_seed_is_rejected(self, monkeypatch):
+        true_top = zonal._top_coefficient
+        monkeypatch.setattr(zonal, "_top_coefficient", lambda kappa: true_top(kappa) + 1)
+        zonal_row.cache_clear()
+        zonal_in_powersums.cache_clear()
+        try:
+            for kappa in [(1,), (2,), (2, 1), (3, 2, 1), (4, 4, 2, 1, 1)]:
+                with pytest.raises(DataIntegrityError):
+                    zonal_row(Partition(kappa))
+        finally:
+            zonal_row.cache_clear()
+            zonal_in_powersums.cache_clear()
 
     @pytest.mark.parametrize("f", range(1, 9))
     def test_coefficients_nonnegative_integers(self, f):
