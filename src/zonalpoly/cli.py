@@ -30,6 +30,7 @@ from .partitions import Partition, dominated_by, partitions_of
 from .reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from .symfunc import MONOMIAL, POWERSUM, SymPoly
 from .zonal import (
+    DataIntegrityError,
     character_degree,
     check_leading_coefficients,
     check_trace_identity,
@@ -59,9 +60,16 @@ def parse_partition(text: str) -> Partition:
 
 def parse_spectrum(text: str, option: str) -> DiagonalSpec:
     try:
-        return DiagonalSpec.of(Fraction(x) for x in text.split(","))
+        spec = DiagonalSpec.of(Fraction(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"bad eigenvalue list for {option}: {text!r}") from exc
+    try:
+        spec.floats()
+    except OverflowError as exc:
+        raise click.UsageError(
+            f"an eigenvalue in {option} is too large for a float: {text!r}"
+        ) from exc
+    return spec
 
 
 def format_float(x: float) -> str:
@@ -292,7 +300,11 @@ def verify(ctx: click.Context, frange: str) -> None:
     """Check tables against golden rows and structural identities."""
     failed = False
     for f in parse_degree_range(frange):
-        for line in _verify_degree(f):
+        try:
+            lines = _verify_degree(f)
+        except DataIntegrityError as exc:
+            lines = [f"FAIL f={f} data integrity: {exc}"]
+        for line in lines:
             click.echo(line)
             failed = failed or line.startswith("FAIL")
     ctx.exit(1 if failed else 0)
@@ -315,6 +327,16 @@ def _report_payload(kind: str, params: dict, report: MomentReport) -> dict:
         "samples": report.samples,
         "resampled": report.resampled,
     }
+
+
+def _in_float_range(kind: str, fn, *args):
+    """``fn(*args)``; a value too large for a float is a usage error, not a traceback."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        raise click.UsageError(
+            f"{kind} needs a value too large for a float ({exc}); scale the eigenvalues down"
+        ) from exc
 
 
 @main.command()
@@ -361,7 +383,7 @@ def estimate(
         b = parse_spectrum(b_spec, "--B")
         if len(a) != len(b):
             raise click.UsageError("--A and --B must have the same length")
-        report = mc_trace_power(a, b, degree, samples, seed, threads)
+        report = _in_float_range(kind, mc_trace_power, a, b, degree, samples, seed, threads)
         params = {"f": degree, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
     elif kind == "zonal-split":
         if kappa is None or b_spec is None:
@@ -376,7 +398,7 @@ def estimate(
             raise click.UsageError("--kappa has more parts than there are eigenvalues")
         if any(x < 0 for x in a) and any(x < 0 for x in b):
             raise click.UsageError("zonal-split needs --A or --B to be nonnegative")
-        report = mc_splitting(part, a, b, samples, seed, threads)
+        report = _in_float_range(kind, mc_splitting, part, a, b, samples, seed, threads)
         params = {"kappa": kappa, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
     elif kind == "trace-AH":
         if degree is None:
@@ -385,7 +407,9 @@ def estimate(
             [a.eigenvalues[i] if i == j else Fraction(0) for j in range(len(a))]
             for i in range(len(a))
         ]
-        report = mc_linear_trace_power(matrix, degree, samples, seed, threads)
+        report = _in_float_range(
+            kind, mc_linear_trace_power, matrix, degree, samples, seed, threads
+        )
         params = {"f": degree, "A": a_spec, "seed": seed, "threads": threads}
     else:  # exp-series
         if b_spec is None:
@@ -395,7 +419,7 @@ def estimate(
             raise click.UsageError("--A and --B must have the same length")
         if max_degree < 0:
             raise click.UsageError("--max-degree must be nonnegative")
-        series = hyper0f0(a, b, max_degree)
+        series = _in_float_range(kind, hyper0f0, a, b, max_degree)
         report = mc_exponential_trace(a, b, series.value, samples, seed, threads)
         payload = _report_payload(
             "exp-series",

@@ -4,8 +4,10 @@ The exact side expands integrals of powers of tr(D_a Q D_b Q') over Haar
 measure into character-weighted products of zonal polynomial values; all
 of it runs on rationals.  The Monte Carlo side estimates the same
 quantities from the Haar sampler and reports a z-score against the exact
-value.  Eigenvalue inputs are rationals so both paths share inputs
-bit-for-bit.
+value.  The splitting check needs Z_kappa at the latent roots of each
+draw; a symmetric polynomial depends on the roots only through their
+power sums, which come from traces of matrix powers, with no eigensolve.
+Eigenvalue inputs are rationals so both paths share inputs bit-for-bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .haar import _sample_blocks, as_generator, sample_orthogonal_batch
+from .haar import _sample_blocks, as_generator
 from .partitions import Partition, partitions_of
 from .zonal import (
     character_degree,
@@ -79,7 +81,7 @@ class MomentReport:
     mc_std_err: float
     samples: int
     z_score: float
-    resampled: int = 0
+    resampled: int = 0  # kept for the report schema: no estimator redraws
 
 
 @dataclass(frozen=True)
@@ -257,44 +259,43 @@ def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, int, np.r
 Z_FLOOR_ULPS = 8
 
 
-def _summarize(exact, values: np.ndarray, resampled: int) -> MomentReport:
+def _summarize(exact, reference: float, values: np.ndarray) -> MomentReport:
     m = values.size
     mean = float(values.mean())
     std_err = float(values.std(ddof=1) / sqrt(m)) if m > 1 else 0.0
     scale = max(std_err, Z_FLOOR_ULPS * float(np.spacing(abs(mean))))
-    z = (mean - float(exact)) / scale
-    return MomentReport(exact, mean, std_err, m, z, resampled)
+    z = (mean - reference) / scale
+    return MomentReport(exact, mean, std_err, m, z)
 
 
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
     Each shard draws its matrices' parameters at once, then writes
-    ``statistic(block, gen) -> (values, resampled)`` for one block at a
-    time into its slice of one values array; a statistic may overwrite its
-    block and redraw from ``gen``.  Shards run on at most os.cpu_count()
-    threads and share nothing mutable but disjoint slices, so results
-    depend only on (seed, threads, samples).
+    ``statistic(block) -> values`` for one block at a time into its slice
+    of one values array; a statistic may overwrite its block.  Shards run
+    on at most os.cpu_count() threads and share nothing mutable but
+    disjoint slices, so results depend only on (seed, threads, samples).
+    An ``exact`` value too large for a float raises OverflowError before
+    anything is drawn.
     """
     _check_budget(samples, threads)
+    reference = float(exact)
     chunks = _sample_chunks(samples, threads, rng)
     values = np.empty(samples)
 
-    def shard(start: int, count: int, gen: np.random.Generator) -> int:
-        resampled = 0
+    def shard(start: int, count: int, gen: np.random.Generator) -> None:
         for q in _sample_blocks(n, count, gen):
             stop = start + len(q)
-            values[start:stop], block_resampled = statistic(q, gen)
-            resampled += block_resampled
+            values[start:stop] = statistic(q)
             start = stop
-        return resampled
 
     if len(chunks) == 1:
-        resampled = [shard(*chunks[0])]
+        shard(*chunks[0])
     else:
         with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-            resampled = list(pool.map(shard, *zip(*chunks)))
-    return _summarize(exact, values, sum(resampled))
+            list(pool.map(shard, *zip(*chunks)))
+    return _summarize(exact, reference, values)
 
 
 def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
@@ -310,25 +311,72 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
         return MomentReport(exact, 1.0, 0.0, samples, 0.0)
     av, bv = a.floats(), b.floats()
 
-    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+    def statistic(q: np.ndarray) -> np.ndarray:
         q *= q  # in place: the block is the statistic's to overwrite
-        return np.einsum("mij,i,j->m", q, av, bv) ** f, 0
+        return np.einsum("mij,i,j->m", q, av, bv) ** f
 
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
-def _evaluate_powersum_batch(kappa: Partition, xs: np.ndarray) -> np.ndarray:
-    """Z_kappa at each row of xs, via power sums (float path)."""
-    powers: dict[int, np.ndarray] = {}
-    out = np.zeros(xs.shape[0])
-    for lam, c in zonal_in_powersums(kappa).sorted_items():
-        term = np.full(xs.shape[0], float(c))
-        for k in lam:
-            if k not in powers:
-                powers[k] = (xs**k).sum(axis=1)
-            term = term * powers[k]
-        out += term
-    return out
+def _latent_power_sums(
+    q: np.ndarray, root_s: np.ndarray, t: np.ndarray, f: int, transpose: bool
+) -> list[np.ndarray]:
+    """p_1..p_f of the latent roots of D_a H D_b H' for every draw H of ``q``.
+
+    ``root_s`` is the square root of the nonnegative spectrum s and ``t``
+    is the other one; s is a, or b when ``transpose``.  With Q = H, or H'
+    when ``transpose``, the roots are those of N = Q' D_s Q D_t, so
+    p_k = tr(N^k).  N is built by scaling the block in place by sqrt(s)
+    and writing Q' Q into one new array; the next power overwrites the
+    block, and a third buffer is made only for f >= 5.
+    """
+    h = q.transpose(0, 2, 1) if transpose else q
+    h *= root_s[:, None]
+    base = np.matmul(h.transpose(0, 2, 1), h)
+    base *= t
+    sums = [np.einsum("mii->m", base)]
+    if f > 1:
+        sums.append(np.einsum("mij,mji->m", base, base))
+    # With low = N^j and high = N^(j+1): p_(2j+1) = tr(low high), p_(2j+2) = tr(high high).
+    low, spare = base, q
+    while len(sums) < f:
+        if spare is None:
+            spare = np.empty_like(base)
+        high = np.matmul(low, base, out=spare)
+        sums.append(np.einsum("mij,mji->m", low, high))
+        if len(sums) < f:
+            sums.append(np.einsum("mij,mji->m", high, high))
+        spare, low = (None if low is base else low), high
+    return sums
+
+
+def _splitting_statistic(kappa: Partition, av: np.ndarray, bv: np.ndarray):
+    """statistic(block) -> Z_kappa at the latent roots of D_a H D_b H', per draw H.
+
+    Z_kappa is evaluated from its integer power-sum row; the power sums
+    come from ``_latent_power_sums``, which takes the square root of one
+    spectrum, so at least one side must be nonnegative.
+    """
+    if np.all(av >= 0):
+        root_s, t, transpose = np.sqrt(av), bv, False
+    elif np.all(bv >= 0):
+        root_s, t, transpose = np.sqrt(bv), av, True
+    else:
+        raise ValueError("one of the spectra must be nonnegative")
+    f = kappa.weight
+    terms = [(float(c), lam) for lam, c in zonal_in_powersums(kappa).sorted_items()]
+
+    def statistic(q: np.ndarray) -> np.ndarray:
+        sums = _latent_power_sums(q, root_s, t, f, transpose)
+        out = np.zeros(len(q))
+        for c, lam in terms:
+            term = c * sums[lam[0] - 1]
+            for k in lam[1:]:
+                term *= sums[k - 1]
+            out += term
+        return out
+
+    return statistic
 
 
 def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentReport:
@@ -336,9 +384,9 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
 
     Estimates the Haar mean of Z_kappa at the latent roots of
     D_a H D_b H', against the exact value Z_kappa(a) Z_kappa(b) / Z_kappa(I_n).
-    The per-sample roots come from a symmetric eigensolve, which needs a
-    nonnegative spectrum on at least one side.  A draw whose eigensolve
-    fails is replaced by a fresh draw from the shard's stream.
+    The power sums of the roots come from traces of matrix powers, with
+    no eigensolve; they take the square root of one spectrum, which must
+    therefore be nonnegative.
     """
     kappa = Partition(kappa)
     a = DiagonalSpec.of(a)
@@ -349,37 +397,7 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     if len(kappa) > n:
         raise ValueError(f"kappa {tuple(kappa)} has more than {n} parts")
     exact = _splitting_value(kappa, a, b)
-    av, bv = a.floats(), b.floats()
-    if np.all(av >= 0):
-        outer, inner, transpose_h = np.sqrt(av), bv, False
-    elif np.all(bv >= 0):
-        outer, inner, transpose_h = np.sqrt(bv), av, True
-    else:
-        raise ValueError("one of the spectra must be nonnegative for the eigensolve")
-
-    def eigenvalues_of(q: np.ndarray) -> np.ndarray:
-        h = q.transpose(0, 2, 1) if transpose_h else q
-        core = np.einsum("mik,k,mjk->mij", h, inner, h)
-        core *= outer[None, :, None]
-        core *= outer[None, None, :]
-        return np.linalg.eigvalsh(core)
-
-    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
-        resampled = 0
-        try:
-            eigs = eigenvalues_of(q)
-        except np.linalg.LinAlgError:
-            eigs = np.empty((len(q), n))
-            for idx in range(len(q)):
-                while True:
-                    try:
-                        eigs[idx] = eigenvalues_of(q[idx : idx + 1])[0]
-                        break
-                    except np.linalg.LinAlgError:
-                        resampled += 1
-                        q[idx : idx + 1] = sample_orthogonal_batch(n, 1, gen)
-        return _evaluate_powersum_batch(kappa, eigs), resampled
-
+    statistic = _splitting_statistic(kappa, a.floats(), b.floats())
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
@@ -435,8 +453,8 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
         z = zonal_in_powersums(kappa).evaluate(spectrum)
         exact = exact + character_degree(kappa) * z / zonal_at_identity(kappa, n)
 
-    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
-        return np.einsum("ij,mji->m", amat, q) ** f, 0
+    def statistic(q: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,mji->m", amat, q) ** f
 
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
@@ -454,9 +472,9 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
         raise ValueError("a and b must have the same number of eigenvalues")
     av, bv = a.floats(), b.floats()
 
-    def statistic(q: np.ndarray, gen: np.random.Generator) -> tuple[np.ndarray, int]:
+    def statistic(q: np.ndarray) -> np.ndarray:
         q *= q
-        return np.exp(0.5 * np.einsum("mij,i,j->m", q, av, bv)), 0
+        return np.exp(0.5 * np.einsum("mij,i,j->m", q, av, bv))
 
     return _monte_carlo(reference, n, samples, rng, threads, statistic)
 

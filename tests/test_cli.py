@@ -6,6 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from zonalpoly import zonal
 from zonalpoly.cli import _emit_json, main
 from zonalpoly.reference import GOLDEN_POWERSUM_ROWS
 
@@ -106,6 +107,25 @@ class TestVerify:
         assert result.exit_code == 1
         assert "FAIL f=2 golden rows" in result.output
         assert "2" in result.output
+
+    def test_corrupted_row_fails_each_degree(self, runner, monkeypatch):
+        caches = (zonal.zonal_row, zonal.zonal_in_powersums, zonal.zonal_table)
+        top = zonal._top_coefficient
+        monkeypatch.setattr(zonal, "_top_coefficient", lambda kappa: top(kappa) + 1)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            result = runner.invoke(main, ["verify", "--f", "1..3"])
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, zonal.DataIntegrityError)
+        lines = result.output.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"FAIL f={f} data integrity" for f in (1, 2, 3)
+        ]
+        assert "expected 1!" in lines[0]
 
     def test_bad_range_is_usage_error(self, runner):
         assert runner.invoke(main, ["verify", "--f", "x..y"]).exit_code == 2
@@ -246,7 +266,7 @@ class TestEstimate:
              "--samples", "100"],
         )
         assert result.exit_code == 2
-        # the eigensolve needs one nonnegative spectrum
+        # the trace statistic takes the square root of one nonnegative spectrum
         result = runner.invoke(
             main,
             ["estimate", "zonal-split", "--kappa", "1", "--A", "-1,2", "--B", "-1,3",
@@ -283,6 +303,16 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "--seed must be nonnegative" in result.output
+
+    def test_float_overflow_is_usage_error(self, runner):
+        # 1e400 has no float; with 1e300 the exact moment (about 1e600) has none
+        base = ["estimate", "trace-power", "--f", "2", "--B", "1,2", "--samples", "100"]
+        result = runner.invoke(main, [*base, "--A", "1e400,1"])
+        assert result.exit_code == 2
+        assert "an eigenvalue in --A is too large for a float" in result.output
+        result = runner.invoke(main, [*base, "--A", "1e300,1"])
+        assert result.exit_code == 2
+        assert "trace-power needs a value too large for a float" in result.output
 
     def test_bad_eigenvalue_list_is_usage_error(self, runner):
         result = runner.invoke(

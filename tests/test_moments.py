@@ -1,7 +1,6 @@
 """Exact moment integrals, coefficient formulas, and Monte Carlo estimators."""
 
 import random
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -27,7 +26,7 @@ from zonalpoly.moments import (
 )
 from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.symfunc import MONOMIAL, SymPoly
-from zonalpoly.zonal import double_factorial, zonal_row
+from zonalpoly.zonal import double_factorial, zonal_in_powersums, zonal_row
 
 
 class TestDiagonalSpec:
@@ -268,35 +267,103 @@ class TestMcSplitting:
         assert report.exact_value == Fraction(1 * 4, 2)
         assert abs(report.z_score) <= 3
 
-    @pytest.mark.parametrize("threads", (2, 4))
-    def test_resample_count_is_exact_across_threads(self, monkeypatch, threads):
-        # Every batched eigensolve fails, so each shard falls back to one
-        # draw at a time; the first `fails` of those fail too and are redrawn.
-        fails = 40
-        real_eigvalsh = np.linalg.eigvalsh
-        lock = threading.Lock()
-        left = [fails]
+    @pytest.mark.parametrize("threads", (1, 2, 4))
+    def test_report_repeats_exactly_across_threads(self, threads):
+        args = ((2, 1), (1, 2, 3), (3, 1, 2), 401, 9)
+        report = mc_splitting(*args, threads=threads)
+        assert mc_splitting(*args, threads=threads) == report
+        assert report.samples == 401
+        assert report.resampled == 0
 
-        def flaky_eigvalsh(stack):
-            if stack.shape[0] > 1:
-                raise np.linalg.LinAlgError("batched eigensolve refused")
-            with lock:
-                fail = left[0] > 0
-                left[0] -= fail
-            if fail:
-                raise np.linalg.LinAlgError("single eigensolve refused")
-            return real_eigvalsh(stack)
+    def test_memory_within_one_block_of_trace_power(self):
+        n, samples = 30, 5_000
+        a = [Fraction(k % 9 + 1, 4) for k in range(n)]
+        b = [Fraction(k % 7 + 1, 3) for k in range(n)]
 
-        monkeypatch.setattr(moments.np.linalg, "eigvalsh", flaky_eigvalsh)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = mc_splitting((2, 1), (1, 2, 3), (3, 1, 2), 400, 9, threads=threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert left[0] == 0
-        assert report.resampled == fails
-        assert report.samples == 400
+        def peak(run):
+            tracemalloc.start()
+            try:
+                report = run()
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.samples == samples
+            return top
+
+        baseline = peak(lambda: mc_trace_power(a, b, 3, samples, 3))
+        split = peak(lambda: mc_splitting((2, 1), a, b, samples, 3))
+        block = (BLOCK // n) * n * n * np.dtype(float).itemsize
+        assert split <= baseline + block
+
+
+def _eigensolve_roots(q, av, bv):
+    """Latent roots of D_a H D_b H' by a symmetric eigensolve: the reference path."""
+    if np.all(av >= 0):
+        outer, inner, h = np.sqrt(av), bv, q
+    else:
+        outer, inner, h = np.sqrt(bv), av, q.transpose(0, 2, 1)
+    core = np.einsum("mik,k,mjk->mij", h, inner, h)
+    core *= outer[None, :, None]
+    core *= outer[None, None, :]
+    return np.linalg.eigvalsh(core)
+
+
+def _powersum_batch(kappa, roots):
+    """Z_kappa at each row of ``roots`` from its power-sum row, and the same
+    sum over absolute values of coefficients and roots (an error scale)."""
+    value = np.zeros(len(roots))
+    scale = np.zeros(len(roots))
+    for lam, c in zonal_in_powersums(kappa).sorted_items():
+        term = np.full(len(roots), float(c))
+        bound = np.full(len(roots), abs(float(c)))
+        for k in lam:
+            term = term * (roots**k).sum(axis=1)
+            bound = bound * (np.abs(roots) ** k).sum(axis=1)
+        value += term
+        scale += bound
+    return value, scale
+
+
+def _spectra(n, negative):
+    rng = np.random.default_rng(100 + n)
+    av, bv = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    if negative == "A":
+        av[::2] *= -1
+    elif negative == "B":
+        bv[::2] *= -1
+    return av, bv
+
+
+@pytest.mark.parametrize("negative", (None, "A", "B"))
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 30))
+class TestTracePowerSums:
+    """The trace statistic against an eigensolve of every draw."""
+
+    def test_power_sums_match_eigensolve(self, n, negative):
+        av, bv = _spectra(n, negative)
+        q = sample_orthogonal_batch(n, 50, np.random.default_rng(n))
+        roots = _eigensolve_roots(q.copy(), av, bv)
+        if negative == "A":
+            root_s, t, transpose = np.sqrt(bv), av, True
+        else:
+            root_s, t, transpose = np.sqrt(av), bv, False
+        sums = moments._latent_power_sums(q, root_s, t, 6, transpose)
+        assert len(sums) == 6
+        for k, p in enumerate(sums, start=1):
+            want = (roots**k).sum(axis=1)
+            assert np.all(np.abs(p - want) <= 1e-10 * (np.abs(roots) ** k).sum(axis=1)), k
+
+    def test_zonal_values_match_eigensolve(self, n, negative):
+        av, bv = _spectra(n, negative)
+        q = sample_orthogonal_batch(n, 50, np.random.default_rng(n))
+        roots = _eigensolve_roots(q.copy(), av, bv)
+        for f in range(1, 7):
+            for kappa in partitions_of(f):
+                if len(kappa) > n:
+                    continue
+                got = moments._splitting_statistic(kappa, av, bv)(q.copy())
+                want, scale = _powersum_batch(kappa, roots)
+                assert np.all(np.abs(got - want) <= 1e-10 * scale), kappa
 
 
 class TestMcLinearTracePower:
