@@ -420,7 +420,9 @@ def estimate(
         if max_degree < 0:
             raise click.UsageError("--max-degree must be nonnegative")
         series = _in_float_range(kind, hyper0f0, a, b, max_degree)
-        report = mc_exponential_trace(a, b, series.value, samples, seed, threads)
+        report = _in_float_range(
+            kind, mc_exponential_trace, a, b, series.value, samples, seed, threads
+        )
         payload = _report_payload(
             "exp-series",
             {

@@ -1,13 +1,18 @@
 """Orthogonal-group moment integrals: exact closed forms and Monte Carlo.
 
 The exact side expands integrals of powers of tr(D_a Q D_b Q') over Haar
-measure into character-weighted products of zonal polynomial values; all
-of it runs on rationals.  The Monte Carlo side estimates the same
-quantities from the Haar sampler and reports a z-score against the exact
-value.  The splitting check needs Z_kappa at the latent roots of each
-draw; a symmetric polynomial depends on the roots only through their
-power sums, which come from traces of matrix powers, with no eigensolve.
-Eigenvalue inputs are rationals so both paths share inputs bit-for-bit.
+measure into character-weighted products of zonal polynomial values.
+Every exact Z_kappa value is an integer dot product: a spectrum x is
+scaled by the lcm D of its denominators, the monomial values m_lambda(D x)
+of every weight up to the degree needed are built once in ``int``, and
+the integer monomial row of kappa is dotted with them; the result is
+divided by D^|kappa| once per product.  The Monte Carlo side estimates
+the same quantities from the Haar sampler and reports a z-score against
+the exact value.  The splitting check needs Z_kappa at the latent roots
+of each draw; a symmetric polynomial depends on the roots only through
+their power sums, which come from traces of matrix powers, with no
+eigensolve.  Eigenvalue inputs are rationals so both paths share inputs
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import exp, factorial, sqrt
+from math import exp, factorial, lcm, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .haar import _sample_blocks, as_generator
 from .partitions import Partition, partitions_of
+from .symfunc import SymPoly
 from .zonal import (
     character_degree,
     double_factorial,
@@ -123,13 +129,86 @@ def _trace_power_prefactor(f: int) -> Fraction:
     return Fraction(2**f * factorial(f), factorial(2 * f))
 
 
+def _spectra(a, b) -> tuple[DiagonalSpec, DiagonalSpec, int]:
+    """Both spectra as DiagonalSpec, with their common length n."""
+    a = DiagonalSpec.of(a)
+    b = DiagonalSpec.of(b)
+    if len(a) != len(b):
+        raise ValueError("a and b must have the same number of eigenvalues")
+    return a, b, len(a)
+
+
+def _monomial_values(xs: Sequence[Fraction], f: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The lcm D of the denominators of ``xs`` and the integers m_lambda(D xs).
+
+    Covers every partition lambda with |lambda| <= f and at most len(xs)
+    parts (m_lambda vanishes on fewer variables than parts), adding one
+    variable y at a time:
+
+        m_lambda(.., y) = m_lambda(..) + sum_{distinct v in lambda} y^v m_{lambda - v}(..)
+
+    where lambda - v drops one part v (Koev and Edelman, Math. Comp. 75,
+    2006).  The heaviest partitions are updated first, so every
+    m_{lambda - v} on the right still holds its value before y.
+    """
+    scale = lcm(*(x.denominator for x in xs))
+    n = len(xs)
+    shapes = [
+        (lam, [(v, lam[: lam.index(v)] + lam[lam.index(v) + 1 :]) for v in set(lam)])
+        for w in range(f, 0, -1)
+        for lam in partitions_of(w)
+        if len(lam) <= n
+    ]
+    values = {lam: 0 for lam, _ in shapes}
+    values[()] = 1
+    for x in xs:
+        y = x.numerator * (scale // x.denominator)
+        if not y:
+            continue
+        powers = [1]
+        for _ in range(f):
+            powers.append(powers[-1] * y)
+        for lam, drops in shapes:
+            values[lam] += sum(powers[v] * values[rest] for v, rest in drops)
+    return scale, values
+
+
+def _row_dot(row: SymPoly, values: dict[tuple[int, ...], int]) -> int:
+    """The integer row dotted with monomial values: Z_kappa(D x) for x scaled by D."""
+    return sum(c.numerator * values.get(lam, 0) for lam, c in row.coeffs.items())
+
+
 def _splitting_value(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec) -> Fraction:
     """Z_kappa(a) Z_kappa(b) / Z_kappa(I_n), exactly; kappa has at most n parts."""
-    row = zonal_in_powersums(kappa)
-    za = row.evaluate(a.eigenvalues)
+    f = kappa.weight
+    row = zonal_row(kappa)
+    da, ma = _monomial_values(a.eigenvalues, f)
+    za = _row_dot(row, ma)
     if not za:
         return Fraction(0)
-    return za * row.evaluate(b.eigenvalues) / zonal_at_identity(kappa, len(a))
+    db, mb = _monomial_values(b.eigenvalues, f)
+    return Fraction(za * _row_dot(row, mb), (da * db) ** f) / zonal_at_identity(kappa, len(a))
+
+
+def _trace_power_sum(f: int, n: int, va, vb) -> Fraction:
+    """The trace-power integral of degree f from ``_monomial_values`` of a and b.
+
+    Each table must cover weight f; its m_lambda with more than n parts
+    are absent and count as zero.
+    """
+    if f == 0:
+        return Fraction(1)
+    (da, ma), (db, mb) = va, vb
+    total = Fraction(0)
+    for kappa in partitions_of(f):
+        if len(kappa) > n:
+            continue
+        row = zonal_row(kappa)
+        za = _row_dot(row, ma)
+        if za:
+            weight = character_degree(kappa) * za * _row_dot(row, mb)
+            total += weight / zonal_at_identity(kappa, n)
+    return _trace_power_prefactor(f) * total / (da * db) ** f
 
 
 def exact_trace_power_integral(a, b, f: int) -> Fraction:
@@ -142,23 +221,14 @@ def exact_trace_power_integral(a, b, f: int) -> Fraction:
 
     over partitions kappa of f with at most n parts.
     """
-    a = DiagonalSpec.of(a)
-    b = DiagonalSpec.of(b)
-    n = len(a)
-    if n != len(b):
-        raise ValueError("a and b must have the same number of eigenvalues")
+    a, b, n = _spectra(a, b)
     if n < 1:
         raise ValueError("spectra must be nonempty")
     if f < 0:
         raise ValueError("f must be nonnegative")
-    if f == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for kappa in partitions_of(f):
-        if len(kappa) > n:
-            continue
-        total += character_degree(kappa) * _splitting_value(kappa, a, b)
-    return _trace_power_prefactor(f) * total
+    va = _monomial_values(a.eigenvalues, f)
+    vb = _monomial_values(b.eigenvalues, f)
+    return _trace_power_sum(f, n, va, vb)
 
 
 def bilinear_coefficient(f: int, n: int, g, h) -> Fraction:
@@ -261,7 +331,10 @@ Z_FLOOR_ULPS = 8
 
 def _summarize(exact, reference: float, values: np.ndarray) -> MomentReport:
     m = values.size
-    mean = float(values.mean())
+    with np.errstate(over="ignore"):
+        mean = float(values.mean())
+    if not np.isfinite(mean):
+        raise OverflowError("the sample mean is not finite")
     std_err = float(values.std(ddof=1) / sqrt(m)) if m > 1 else 0.0
     scale = max(std_err, Z_FLOOR_ULPS * float(np.spacing(abs(mean))))
     z = (mean - reference) / scale
@@ -277,7 +350,8 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     on at most os.cpu_count() threads and share nothing mutable but
     disjoint slices, so results depend only on (seed, threads, samples).
     An ``exact`` value too large for a float raises OverflowError before
-    anything is drawn.
+    anything is drawn; a sample mean that is not finite raises it after the
+    draws.
     """
     _check_budget(samples, threads)
     reference = float(exact)
@@ -300,11 +374,7 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
 
 def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
     """Monte Carlo counterpart of exact_trace_power_integral."""
-    a = DiagonalSpec.of(a)
-    b = DiagonalSpec.of(b)
-    n = len(a)
-    if n != len(b):
-        raise ValueError("a and b must have the same number of eigenvalues")
+    a, b, n = _spectra(a, b)
     exact = exact_trace_power_integral(a, b, f)
     if f == 0:
         _check_budget(samples, threads)
@@ -389,11 +459,7 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     therefore be nonnegative.
     """
     kappa = Partition(kappa)
-    a = DiagonalSpec.of(a)
-    b = DiagonalSpec.of(b)
-    n = len(a)
-    if n != len(b):
-        raise ValueError("a and b must have the same number of eigenvalues")
+    a, b, n = _spectra(a, b)
     if len(kappa) > n:
         raise ValueError(f"kappa {tuple(kappa)} has more than {n} parts")
     exact = _splitting_value(kappa, a, b)
@@ -401,57 +467,55 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
-def _exact_gram(matrix) -> list[list[Fraction]] | None:
+def _rational_diagonal(matrix) -> list[Fraction]:
+    """The diagonal entries of a rational diagonal matrix; ValueError for any other."""
     try:
         rows = [[Fraction(x) for x in row] for row in matrix]
-    except (TypeError, ValueError):
-        return None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"matrix entries must be rationals ({exc})") from exc
     n = len(rows)
-    if any(len(r) != n for r in rows):
+    if n < 1 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    return [
-        [sum((rows[i][k] * rows[j][k] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
+    if any(x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j):
+        raise ValueError(
+            "matrix must be diagonal: the moments of tr(A H) depend only on the "
+            "singular values of A, so put them on the diagonal"
+        )
+    return [rows[i][i] for i in range(n)]
 
 
 def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
-    """Haar moment of tr(A H)^f for a full square matrix A.
+    """Haar moment of tr(A H)^f for a rational diagonal matrix A.
 
-    Odd powers integrate to zero by the H -> -H symmetry and are reported
-    exactly without sampling.  Even powers compare against
+    By Haar invariance the moments depend only on the singular values of
+    A, so A must be diagonal with rational entries; any other matrix
+    raises ValueError.  Odd powers integrate to zero by the H -> -H
+    symmetry and are reported exactly without sampling.  Even powers
+    compare against the exact value
 
-        sum_kappa chi(kappa) Z_kappa(spectrum of A A') / Z_kappa(I_n)
+        sum_kappa chi(kappa) Z_kappa(A A') / Z_kappa(I_n)
 
-    over partitions kappa of f/2; the value is exact when A A' is
-    rational diagonal and floating otherwise.
+    over partitions kappa of f/2 with at most n parts.
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
-    amat = np.array([[float(x) for x in row] for row in matrix])
-    n = amat.shape[0]
-    if amat.shape != (n, n):
-        raise ValueError("matrix must be square")
+    diagonal = _rational_diagonal(matrix)
+    n = len(diagonal)
     if f % 2 == 1 or f == 0:  # odd powers vanish by H -> -H; no sampling either way
         _check_budget(samples, threads)
         if f:
             return MomentReport(Fraction(0), 0.0, 0.0, 0, 0.0)
         return MomentReport(Fraction(1), 1.0, 0.0, samples, 0.0)
 
-    gram_exact = _exact_gram(matrix)
-    if gram_exact is not None and all(
-        gram_exact[i][j] == 0 for i in range(n) for j in range(n) if i != j
-    ):
-        spectrum: Sequence = sorted((gram_exact[i][i] for i in range(n)), reverse=True)
-        exact: Fraction | float = Fraction(0)
-    else:
-        spectrum = sorted(np.linalg.eigvalsh(amat @ amat.T), reverse=True)
-        exact = 0.0
-    for kappa in partitions_of(f // 2):
+    half = f // 2
+    scale, values = _monomial_values([d * d for d in diagonal], half)
+    exact = Fraction(0)
+    for kappa in partitions_of(half):
         if len(kappa) > n:
             continue
-        z = zonal_in_powersums(kappa).evaluate(spectrum)
-        exact = exact + character_degree(kappa) * z / zonal_at_identity(kappa, n)
+        z = Fraction(_row_dot(zonal_row(kappa), values), scale**half)
+        exact += character_degree(kappa) * z / zonal_at_identity(kappa, n)
+    amat = np.diag([float(d) for d in diagonal])
 
     def statistic(q: np.ndarray) -> np.ndarray:
         return np.einsum("ij,mji->m", amat, q) ** f
@@ -463,18 +527,16 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
     """MC mean of exp(tr(D_a Q D_b Q') / 2), z-scored against ``reference``.
 
     The natural reference is a truncated hyper0f0 value, so the z-score
-    mixes truncation error with sampling error.
+    mixes truncation error with sampling error.  A draw whose exponential
+    overflows makes the mean infinite, which raises OverflowError.
     """
-    a = DiagonalSpec.of(a)
-    b = DiagonalSpec.of(b)
-    n = len(a)
-    if n != len(b):
-        raise ValueError("a and b must have the same number of eigenvalues")
+    a, b, n = _spectra(a, b)
     av, bv = a.floats(), b.floats()
 
     def statistic(q: np.ndarray) -> np.ndarray:
         q *= q
-        return np.exp(0.5 * np.einsum("mij,i,j->m", q, av, bv))
+        with np.errstate(over="ignore"):  # an infinite mean raises OverflowError
+            return np.exp(0.5 * np.einsum("mij,i,j->m", q, av, bv))
 
     return _monte_carlo(reference, n, samples, rng, threads, statistic)
 
@@ -483,16 +545,21 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
     """Truncated series sum_f (1/(2^f f!)) <tr(D_a Q D_b Q')^f>.
 
     The per-degree terms are exact rationals; ``value`` is their floating
-    sum.  For nonnegative spectra the integrand is bounded by the sorted
-    pairing s = sum a_i^ b_i^, so the reported tail bound is the exact
-    tail of exp(s/2) past the truncation degree.
+    sum.  The monomial values of each spectrum are built once, at
+    ``max_degree``, and serve every degree.  For nonnegative spectra the
+    integrand is bounded by the sorted pairing s = sum a_i^ b_i^, so the
+    reported tail bound is the exact tail of exp(s/2) past the truncation
+    degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    a = DiagonalSpec.of(a)
-    b = DiagonalSpec.of(b)
+    a, b, n = _spectra(a, b)
+    if n < 1:
+        raise ValueError("spectra must be nonempty")
+    va = _monomial_values(a.eigenvalues, max_degree)
+    vb = _monomial_values(b.eigenvalues, max_degree)
     terms = tuple(
-        exact_trace_power_integral(a, b, f) / (2**f * factorial(f))
+        _trace_power_sum(f, n, va, vb) / (2**f * factorial(f))
         for f in range(max_degree + 1)
     )
     value = float(sum(terms))

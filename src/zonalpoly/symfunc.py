@@ -116,10 +116,9 @@ class SymPoly:
         Exact when the coordinates are rationals; float otherwise.  In the
         monomial basis m_lambda sums over all distinct permutations of
         lambda padded to len(xs), and vanishes when lambda has more parts
-        than there are coordinates.  That orbit sum is the independent
-        reference the tests hold ``m_to_p`` against; the package itself
-        evaluates through the power-sum basis, which costs one power sum
-        per distinct part instead of one term per monomial.
+        than there are coordinates.  This is the tests' reference: the
+        orbit sum is what they hold ``m_to_p`` and the package's integer
+        evaluation of zonal rows against, and no package code calls it.
         """
         if self.basis == POWERSUM:
             return self._evaluate_powersum(xs)

@@ -166,9 +166,10 @@ def zonal_table(f: int) -> ZonalTable:
 def zonal_in_powersums(kappa) -> SymPoly:
     """The row for kappa converted to the power-sum basis.
 
-    This is the form every exact value of Z_kappa is evaluated from.  The
-    conversion must land on integer coefficients; anything else means a
-    corrupted table and raises DataIntegrityError.
+    It serves the power-sum tables and the float Monte Carlo statistic of
+    the splitting check; exact values of Z_kappa come from the monomial
+    row.  The conversion must land on integer coefficients; anything else
+    means a corrupted table and raises DataIntegrityError.
     """
     poly = m_to_p(zonal_row(Partition(kappa)))
     fractional = {lam: c for lam, c in poly.coeffs.items() if c.denominator != 1}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -313,6 +314,16 @@ class TestEstimate:
         result = runner.invoke(main, [*base, "--A", "1e300,1"])
         assert result.exit_code == 2
         assert "trace-power needs a value too large for a float" in result.output
+
+    def test_exp_series_overflow_is_usage_error(self, runner):
+        # the series value is finite, but exp(tr / 2) overflows on some draws
+        args = ["estimate", "exp-series", "--A", "-40,40", "--B", "40,1", "--samples", "1000", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "exp-series needs a value too large for a float" in result.output
+        assert "not finite" in result.output
 
     def test_bad_eigenvalue_list_is_usage_error(self, runner):
         result = runner.invoke(

@@ -3,13 +3,14 @@
 import random
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
-from math import exp, factorial
+from math import exp, factorial, lcm
 
 import numpy as np
 import pytest
 
-from zonalpoly import moments
+from zonalpoly import moments, symfunc, zonal
 from zonalpoly.haar import BLOCK, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
@@ -26,7 +27,13 @@ from zonalpoly.moments import (
 )
 from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.symfunc import MONOMIAL, SymPoly
-from zonalpoly.zonal import double_factorial, zonal_in_powersums, zonal_row
+from zonalpoly.zonal import (
+    character_degree,
+    double_factorial,
+    zonal_at_identity,
+    zonal_in_powersums,
+    zonal_row,
+)
 
 
 class TestDiagonalSpec:
@@ -86,6 +93,127 @@ class TestExactTracePower:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             exact_trace_power_integral((1, 2), (1,), 1)
+
+
+def _fraction_trace_power(a, b, f):
+    """The trace-power integral by Fraction arithmetic on power-sum rows:
+    the reference the integer path must equal."""
+    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    if f == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for kappa in partitions_of(f):
+        if len(kappa) > len(a):
+            continue
+        row = zonal_in_powersums(kappa)
+        za = row.evaluate(a)
+        if za:
+            total += character_degree(kappa) * za * row.evaluate(b) / zonal_at_identity(kappa, len(a))
+    return Fraction(2**f * factorial(f), factorial(2 * f)) * total
+
+
+def _fraction_linear_trace_power(spectrum, f):
+    """The exact tr(A H)^f moment from A A' = diag(spectrum), the same way."""
+    spectrum = [Fraction(x) for x in spectrum]
+    total = Fraction(0)
+    for kappa in partitions_of(f // 2):
+        if len(kappa) <= len(spectrum):
+            z = zonal_in_powersums(kappa).evaluate(spectrum)
+            total += character_degree(kappa) * z / zonal_at_identity(kappa, len(spectrum))
+    return total
+
+
+#: The exact-moments benchmark spectra for seed 1 (n = 4, 8, 10), and the
+#: n = 30 spectra of the large-n Monte Carlo benchmark for seed 1.
+BENCHMARK_SPECTRA = {
+    4: ("3/4,4,9,1/2", "3/2,2/3,8/3,9"),
+    8: ("5/2,8/3,5,9/4,5/4,2/3,8,1/4", "9/4,7/3,9/2,1/4,5/2,3/2,4/3,2/3"),
+    10: ("7/4,1/4,8,7,5,7/2,6,9/4,5/4,7/3", "8,1/4,3,4/3,5/2,8/3,7/2,6,2,4"),
+    30: (
+        "3/4,4,1/2,3/2,2/3,8/3,5/2,9/2,9/4,5/4,1/3,4/3,1/4,7/2,2,5/3,3,7/3,7,1,8,6,9,5,7/4,1/4,7/3,8,5/3,1",
+        "7/3,8,1/4,3,4/3,5/2,8/3,7/2,5,2,2/3,7/4,9/2,6,3/4,7,5/4,1/3,4,1,1/2,5/3,9,3/2,9/4,9/4,7,3/4,4/3,9",
+    ),
+}
+
+
+def _benchmark_spectra(n):
+    return tuple([Fraction(x) for x in side.split(",")] for side in BENCHMARK_SPECTRA[n])
+
+
+#: Spectra with zeros, negative entries and mixed denominators; take the first n.
+MIXED_SPECTRA = (
+    (0, Fraction(-3, 4), Fraction(5, 6), 2, Fraction(-7, 3)),
+    (Fraction(2, 9), -1, 0, Fraction(11, 4), Fraction(1, 6)),
+    (Fraction(-5, 2), Fraction(1, 7), 3, Fraction(-1, 5), 0),
+)
+
+
+class TestIntegerEvaluation:
+    """The integer monomial path against the orbit sum and the Fraction path."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_zonal_values_match_orbit_sum(self, n):
+        for pool in MIXED_SPECTRA:
+            xs = [Fraction(x) for x in pool[:n]]
+            scale, values = moments._monomial_values(xs, 7)
+            assert scale == lcm(*(x.denominator for x in xs))
+            ys = [scale * x for x in xs]
+            want_keys = {lam for w in range(8) for lam in partitions_of(w) if len(lam) <= n}
+            assert set(values) == want_keys
+            for lam, m in values.items():
+                assert m == SymPoly(sum(lam), MONOMIAL, {lam: 1}).evaluate(ys), lam
+            for f in range(1, 8):
+                for kappa in partitions_of(f):
+                    row = zonal_row(kappa)
+                    got = Fraction(moments._row_dot(row, values), scale**f)
+                    assert got == row.evaluate(xs), (xs, kappa)
+
+    @pytest.mark.parametrize(
+        "n, degrees",
+        ((4, range(7)), (8, (1, 6)), (10, (1, 6)), (30, range(4))),
+    )
+    def test_trace_power_matches_fraction_path(self, n, degrees):
+        a, b = _benchmark_spectra(n)
+        for f in degrees:
+            assert exact_trace_power_integral(a, b, f) == _fraction_trace_power(a, b, f), f
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_trace_power_matches_fraction_path_on_mixed_spectra(self, n):
+        a, b = MIXED_SPECTRA[0][:n], MIXED_SPECTRA[1][:n]
+        for f in range(6):
+            assert exact_trace_power_integral(a, b, f) == _fraction_trace_power(a, b, f), f
+
+    @pytest.mark.parametrize(
+        "a, b, degree",
+        ((*_benchmark_spectra(4), 10), (MIXED_SPECTRA[0][:3], MIXED_SPECTRA[2][:3], 8)),
+        ids=("benchmark-n4", "mixed-n3"),
+    )
+    def test_hyper0f0_terms_match_fraction_path(self, a, b, degree):
+        want = tuple(
+            _fraction_trace_power(a, b, f) / (2**f * factorial(f)) for f in range(degree + 1)
+        )
+        assert hyper0f0(a, b, degree).terms == want
+
+    @pytest.mark.parametrize("n", (4, 30))
+    def test_linear_trace_power_matches_fraction_path(self, n):
+        a, _ = _benchmark_spectra(n)
+        matrix = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(a)]
+        for f in (2, 4):
+            report = mc_linear_trace_power(matrix, f, 2, 0)
+            assert report.exact_value == _fraction_linear_trace_power([x * x for x in a], f)
+
+    def test_exact_values_never_evaluate_a_sympoly(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact path must not take this route")
+
+        monkeypatch.setattr(symfunc.SymPoly, "evaluate", forbidden)
+        monkeypatch.setattr(zonal, "m_to_p", forbidden)
+        monkeypatch.setattr(moments, "zonal_in_powersums", forbidden)
+        a, b = MIXED_SPECTRA[0][:3], MIXED_SPECTRA[1][:3]
+        exact_trace_power_integral(a, b, 4)
+        hyper0f0(a, b, 6)
+        moments._splitting_value(Partition((2, 1)), DiagonalSpec.of(a), DiagonalSpec.of(b))
+        mc_linear_trace_power([[2, 0], [0, Fraction(1, 3)]], 4, 2, 0)
 
 
 class TestBilinearCoefficients:
@@ -383,11 +511,33 @@ class TestMcLinearTracePower:
         assert report.exact_value == Fraction(123, 8)
         assert abs(report.z_score) <= 3
 
-    def test_full_matrix_float_path(self):
-        a = [[1.0, 0.5], [-0.25, 2.0]]
-        report = mc_linear_trace_power(a, 2, 30_000, 3)
-        assert isinstance(report.exact_value, float)
-        assert abs(report.z_score) <= 3
+    @pytest.mark.parametrize(
+        "matrix",
+        (
+            [[1.0, 0.5], [-0.25, 2.0]],
+            [[1, 0], [Fraction(1, 3), 2]],
+            [[1, 0], [0, 1j]],
+            [[1, 0], [0, float("nan")]],
+            [[1, 0], [0, float("inf")]],
+            [[1, 0], [0, "two"]],
+        ),
+        ids=("full", "lower", "complex", "nan", "inf", "text"),
+    )
+    @pytest.mark.parametrize("f", (1, 2))
+    def test_rejects_non_diagonal_or_non_rational(self, matrix, f):
+        with pytest.raises(ValueError, match="diagonal|rational"):
+            mc_linear_trace_power(matrix, f, 100, 0)
+
+    def test_signs_on_the_diagonal_give_the_same_exact_value(self):
+        d = (Fraction(3, 2), 2, Fraction(-1, 3))
+        for f in (2, 4, 6):
+            values = set()
+            for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, -1), (-1, -1, -1)):
+                matrix = [[s * x if i == j else 0 for j in range(3)] for i, (s, x) in enumerate(zip(signs, d))]
+                values.add(mc_linear_trace_power(matrix, f, 2, 0).exact_value)
+            assert len(values) == 1
+            (value,) = values
+            assert value == _fraction_linear_trace_power([x * x for x in d], f)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -449,3 +599,13 @@ class TestMcExponentialTrace:
 
         with pytest.raises(ValueError):
             mc_exponential_trace((1, 2), (1,), 1.0, 100, 0)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_overflowing_draws_raise_without_warnings(self, threads):
+        from zonalpoly.moments import mc_exponential_trace
+
+        # exp(tr / 2) exceeds the float range on some draws: tr reaches 820
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="not finite"):
+                mc_exponential_trace((-40, 40), (40, 1), 1.0, 1_000, 1, threads)
