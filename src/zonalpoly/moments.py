@@ -344,11 +344,12 @@ def _summarize(exact, reference: float, values: np.ndarray) -> MomentReport:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each shard draws its matrices' parameters at once, then writes
-    ``statistic(block) -> values`` for one block at a time into its slice
-    of one values array; a statistic may overwrite its block.  Shards run
-    on at most os.cpu_count() threads and share nothing mutable but
-    disjoint slices, so results depend only on (seed, threads, samples).
+    Each shard draws its matrices' angles at once (the reflection bits
+    come with each block), then writes ``statistic(block) -> values`` for
+    one block at a time into its slice of one values array; a statistic
+    may overwrite its block.  Shards run on at most os.cpu_count() threads
+    and share nothing mutable but disjoint slices, so results depend only
+    on (seed, threads, samples).
     An ``exact`` value too large for a float raises OverflowError before
     anything is drawn; a sample mean that is not finite raises it after the
     draws.

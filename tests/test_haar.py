@@ -1,5 +1,6 @@
 """The rotation/reflection Haar sampler and its QR oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.stats import ks_2samp, kstest, ortho_group
 from zonalpoly.haar import (
     BLOCK,
     AngleSet,
+    _beta_one_one,
     angle_exponent,
     oracle_sample,
     oracle_sample_batch,
@@ -30,12 +32,18 @@ def rounded_ks(xs, ys):
     return ks_2samp(np.round(xs, 12), np.round(ys, 12)).pvalue
 
 
-def strided_reference_batch(n, count, rng):
-    """Reference sampler on a C-ordered (count, n, n) stack.
+def same_state(a, b):
+    """Whether two bit-generator states, nested dicts of scalars and arrays, are equal."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
-    Draws angles and bits exactly as sample_orthogonal_batch does and
-    rotates two strided columns out of place per factor.  The package's
-    column-major sweep must reproduce it bit for bit.
+
+def strided_reference_draw(n, count, rng):
+    """Angles by key and (count, n) bits, drawn as sample_orthogonal_batch draws them.
+
+    Every Beta angle goes through ``rng.beta`` and every uniform one through
+    ``rng.uniform``, and all bits come in one draw after all angles.
     """
     thetas = {}
     for i in range(1, n):
@@ -46,8 +54,16 @@ def strided_reference_batch(n, count, rng):
                 thetas[(i, j)] = np.arccos(2.0 * c - 1.0)
             else:
                 thetas[(i, j)] = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    bits = rng.integers(0, 2, size=(count, n))
-    q = np.broadcast_to(np.eye(n), (count, n, n)).copy()
+    return thetas, rng.integers(0, 2, size=(count, n))
+
+
+def strided_reference_rotate(n, thetas, bits):
+    """Matrices from angles by key and (count, n) bits on a C-ordered stack.
+
+    Rotates two strided columns out of place per factor.  The package's
+    column-major sweep must reproduce it bit for bit.
+    """
+    q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
     for i in range(1, n):
         for j in range(n - 1, i - 1, -1):
             c = np.cos(thetas[(i, j)])[:, None]
@@ -57,6 +73,11 @@ def strided_reference_batch(n, count, rng):
             q[..., j - 1] = c * left - s * right
             q[..., j] = s * left + c * right
     return (1.0 - 2.0 * bits)[:, :, None] * q
+
+
+def strided_reference_batch(n, count, rng):
+    """Reference sampler on a C-ordered (count, n, n) stack."""
+    return strided_reference_rotate(n, *strided_reference_draw(n, count, rng))
 
 
 class TestAngleSet:
@@ -100,6 +121,24 @@ class TestRealize:
         back = realize(AngleSet(2, {(1, 1): 2 * math.pi - theta}, (0, 0)))
         assert np.allclose(fwd @ back, np.eye(2), atol=1e-14)
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_special_angles_match_strided_reference(self, n):
+        # angles with exact zeros in their sines and cosines, where a
+        # rotation that skips rows or reorders its roundings flips signed zeros
+        keys = [(i, j) for i in range(1, n) for j in range(i, n)]
+        sweep = (0.0, math.pi / 2, 2.0, 3.0, math.pi)
+        choices = [sweep if angle_exponent(n, j) > 0 else sweep + (6.0,) for _, j in keys]
+        rng = np.random.default_rng(n)
+        if math.prod(map(len, choices)) <= 2000:
+            angles = np.array(list(itertools.product(*choices))).reshape(-1, len(keys))
+        else:  # 2000 random picks
+            angles = np.column_stack([rng.choice(values, 2000) for values in choices])
+        bits = rng.integers(0, 2, size=(len(angles), n))
+        expected = strided_reference_rotate(n, dict(zip(keys, angles.T)), bits)
+        for row, reflections, want in zip(angles, bits, expected):
+            got = realize(AngleSet(n, dict(zip(keys, row.tolist())), tuple(reflections)))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("n", (2, 3, 5))
     def test_realized_matrices_are_orthogonal(self, n):
         rng = np.random.default_rng(91)
@@ -122,6 +161,15 @@ class TestOrthogonalityCheck:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             orthogonality_check(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("count", (3, 5))
+    def test_stacks_check_every_matrix(self, count):
+        # q.T reverses every axis: with count == n it still multiplies, but
+        # pairs the wrong matrices, and with count != n it cannot multiply
+        qs = sample_orthogonal_batch(3, count, np.random.default_rng(3))
+        assert orthogonality_check(qs, 1e-12)
+        qs[-1, 0, 1] += 1e-6
+        assert not orthogonality_check(qs, 1e-9)
 
 
 class TestDeterminism:
@@ -153,6 +201,8 @@ class TestDeterminism:
             # several blocks of BLOCK // n draws, the last one partial
             (3, 2 * (BLOCK // 3) + 5),
             (30, 2 * (BLOCK // 30) + 7),
+            # Beta(1, 1) angles drawn over several full chunks of BLOCK pairs
+            (3, 2 * BLOCK + 3),
         ),
     )
     def test_batch_matches_strided_reference(self, n, count):
@@ -169,6 +219,21 @@ class TestDeterminism:
 
     def test_integer_seed_accepted(self):
         assert np.array_equal(sample_orthogonal(2, 9), sample_orthogonal(2, 9))
+
+
+class TestExponentOneDraw:
+    @pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.MT19937))
+    @pytest.mark.parametrize("count", (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5))
+    def test_matches_numpy_beta(self, bit_generator, count):
+        rng = np.random.Generator(bit_generator(11))
+        ref_rng = np.random.Generator(bit_generator(11))
+        rng.random(3)  # an odd stream offset
+        ref_rng.random(3)
+        out = np.empty(count)
+        _beta_one_one(rng, out)
+        expected = ref_rng.beta(1.0, 1.0, size=count)
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 class TestOneDimensional:

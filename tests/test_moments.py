@@ -345,6 +345,20 @@ class TestMcTracePower:
         assert report.samples == samples
         assert peak < samples * n * n * np.dtype(float).itemsize
 
+    def test_small_n_holds_angles_and_values_only(self):
+        # three angles and one value are 32 B per draw; block buffers add a
+        # few more.  A (samples, n) int64 array of reflection bits, held for
+        # the whole shard, would add 24 B per draw and cross the bound.
+        samples = 200_000
+        tracemalloc.start()
+        try:
+            report = mc_trace_power((1, 2, 3), (3, 1, 2), 2, samples, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.samples == samples
+        assert peak < 52 * samples
+
     def test_pool_is_capped_at_cpu_count(self, monkeypatch):
         # eight shards keep the eight-thread streams; at most two threads run them
         args = ((1, 2, 3), (3, 1, 2), 2, 4_000, 42)
