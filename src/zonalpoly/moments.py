@@ -126,7 +126,8 @@ def normalizing_product(n: int, f: int) -> int:
 
 
 def _trace_power_prefactor(f: int) -> Fraction:
-    return Fraction(2**f * factorial(f), factorial(2 * f))
+    """2^f f! / (2f)! = 1 / (2f-1)!!, the inverse of the trace identity's factor."""
+    return Fraction(1, double_factorial(2 * f - 1))
 
 
 def _spectra(a, b) -> tuple[DiagonalSpec, DiagonalSpec, int]:
@@ -175,7 +176,23 @@ def _monomial_values(xs: Sequence[Fraction], f: int) -> tuple[int, dict[tuple[in
 
 def _row_dot(row: SymPoly, values: dict[tuple[int, ...], int]) -> int:
     """The integer row dotted with monomial values: Z_kappa(D x) for x scaled by D."""
-    return sum(c.numerator * values.get(lam, 0) for lam, c in row.coeffs.items())
+    return sum(c * values.get(lam, 0) for lam, c in row.coeffs.items())
+
+
+def _character_sum(f: int, n: int, term) -> Fraction:
+    """sum_kappa chi(kappa) term(Z_kappa) / Z_kappa(I_n) over kappa of f with at most n parts.
+
+    ``term`` maps the integer monomial row of kappa to an integer; a zero
+    term contributes nothing and is skipped.
+    """
+    total = Fraction(0)
+    for kappa in partitions_of(f):
+        if len(kappa) > n:
+            continue
+        t = term(zonal_row(kappa))
+        if t:
+            total += character_degree(kappa) * t / zonal_at_identity(kappa, n)
+    return total
 
 
 def _splitting_value(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec) -> Fraction:
@@ -199,16 +216,12 @@ def _trace_power_sum(f: int, n: int, va, vb) -> Fraction:
     if f == 0:
         return Fraction(1)
     (da, ma), (db, mb) = va, vb
-    total = Fraction(0)
-    for kappa in partitions_of(f):
-        if len(kappa) > n:
-            continue
-        row = zonal_row(kappa)
+
+    def term(row: SymPoly) -> int:
         za = _row_dot(row, ma)
-        if za:
-            weight = character_degree(kappa) * za * _row_dot(row, mb)
-            total += weight / zonal_at_identity(kappa, n)
-    return _trace_power_prefactor(f) * total / (da * db) ** f
+        return za and za * _row_dot(row, mb)
+
+    return _trace_power_prefactor(f) * _character_sum(f, n, term) / (da * db) ** f
 
 
 def exact_trace_power_integral(a, b, f: int) -> Fraction:
@@ -217,7 +230,7 @@ def exact_trace_power_integral(a, b, f: int) -> Fraction:
     Expands the trace power into character-weighted zonal polynomials and
     integrates the splitting rule term by term:
 
-        (2^f f! / (2f)!) * sum_kappa chi(kappa) Z_kappa(a) Z_kappa(b) / Z_kappa(I_n)
+        (1 / (2f-1)!!) * sum_kappa chi(kappa) Z_kappa(a) Z_kappa(b) / Z_kappa(I_n)
 
     over partitions kappa of f with at most n parts.
     """
@@ -240,19 +253,12 @@ def bilinear_coefficient(f: int, n: int, g, h) -> Fraction:
     h = Partition(h)
     if g.weight != f or h.weight != f:
         raise ValueError("g and h must be partitions of f")
-    total = Fraction(0)
-    for kappa in partitions_of(f):
-        if len(kappa) > n:
-            continue
-        row = zonal_row(kappa)
+
+    def term(row: SymPoly) -> int:
         bg = row.coefficient(g)
-        if not bg:
-            continue
-        bh = row.coefficient(h)
-        if not bh:
-            continue
-        total += character_degree(kappa) * bg * bh / zonal_at_identity(kappa, n)
-    return _trace_power_prefactor(f) * total
+        return bg and bg * row.coefficient(h)
+
+    return _trace_power_prefactor(f) * _character_sum(f, n, term)
 
 
 def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:
@@ -510,12 +516,7 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
 
     half = f // 2
     scale, values = _monomial_values([d * d for d in diagonal], half)
-    exact = Fraction(0)
-    for kappa in partitions_of(half):
-        if len(kappa) > n:
-            continue
-        z = Fraction(_row_dot(zonal_row(kappa), values), scale**half)
-        exact += character_degree(kappa) * z / zonal_at_identity(kappa, n)
+    exact = _character_sum(half, n, lambda row: _row_dot(row, values)) / scale**half
     amat = np.diag([float(d) for d in diagonal])
 
     def statistic(q: np.ndarray) -> np.ndarray:

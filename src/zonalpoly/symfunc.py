@@ -4,16 +4,16 @@ A polynomial is a map from partitions of its degree to rational
 coefficients, tagged by basis: ``monomial`` (m_lambda, the sum of all
 distinct monomials with exponent multiset lambda) or ``powersum``
 (products p_lambda = p_{lambda_1} p_{lambda_2} ... with p_k = sum x_i^k).
-All symbolic coefficients are ``fractions.Fraction`` values, so every
-identity in this module is exact; floating point enters only through
-evaluation at float arguments.
+``SymPoly`` stores an integral coefficient as ``int`` and any other as a
+reduced ``fractions.Fraction``, so every identity in this module is
+exact and integer tables stay in ``int`` arithmetic; floating point
+enters only through evaluation at float arguments.
 
 The monomial expansion of each power-sum product p_lambda is memoized
 with ``lru_cache``, and the monomial-to-power-sum change solves the
 triangular system those columns form, so no inverse matrix is stored.
-Both run on ``int`` wherever the values are integral: the expansions
-are integer counts, and the solve divides exactly by the integer
-diagonal unless a remainder forces a ``Fraction``.
+The expansions are integer counts, and the solve divides exactly by the
+integer diagonal unless a remainder forces a ``Fraction``.
 Concurrent first access may compute an expansion twice but always
 publishes a consistent value, and polynomials themselves are immutable.
 """
@@ -44,26 +44,30 @@ POWERSUM = "powersum"
 class SymPoly:
     """Homogeneous symmetric polynomial of fixed degree in a fixed basis.
 
-    Zero coefficients are never stored, so structural equality of two
+    Every coefficient is stored as an ``int`` when it is integral (bools
+    and numpy integers included) and as a reduced ``Fraction`` otherwise,
+    and zero coefficients are never stored, so structural equality of two
     SymPoly values is exact polynomial equality.
     """
 
     degree: int
     basis: str
-    coeffs: Mapping[Partition, Fraction] = field(default_factory=dict)
+    coeffs: Mapping[Partition, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.basis not in (MONOMIAL, POWERSUM):
             raise ValueError(f"unknown basis {self.basis!r}")
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, int | Fraction] = {}
         for lam, c in self.coeffs.items():
             lam = Partition(lam)
             if lam.weight != self.degree:
                 raise ValueError(
                     f"key {lam!r} has weight {lam.weight}, expected {self.degree}"
                 )
-            if type(c) is not Fraction:  # Fractions are immutable
+            if type(c) is not int:
                 c = Fraction(c)
+                if c.denominator == 1:
+                    c = int(c)
             if c:
                 clean[lam] = c
         object.__setattr__(self, "coeffs", clean)
@@ -75,11 +79,8 @@ class SymPoly:
             raise ValueError("can only add polynomials of equal degree and basis")
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
+            out[lam] = out.get(lam, 0) + c
         return SymPoly(self.degree, self.basis, out)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-1) * other
 
     def __mul__(self, scalar) -> "SymPoly":
         if not isinstance(scalar, Rational):
@@ -92,20 +93,11 @@ class SymPoly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        return (
-            self.degree == other.degree
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
+    def coefficient(self, lam) -> int | Fraction:
+        """The coefficient attached to partition ``lam`` (0 if absent)."""
+        return self.coeffs.get(Partition(lam), 0)
 
-    def coefficient(self, lam) -> Fraction:
-        """The coefficient attached to partition ``lam`` (zero if absent)."""
-        return self.coeffs.get(Partition(lam), Fraction(0))
-
-    def sorted_items(self) -> list[tuple[Partition, Fraction]]:
+    def sorted_items(self) -> list[tuple[Partition, int | Fraction]]:
         """Coefficients keyed in the canonical partition enumeration order."""
         order = {lam: i for i, lam in enumerate(partitions_of(self.degree))}
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
@@ -179,17 +171,14 @@ def p_to_m(lam: Partition) -> SymPoly:
     """
     lam = Partition(lam)
     if not lam:
-        return SymPoly(0, MONOMIAL, {lam: Fraction(1)})
+        return SymPoly(0, MONOMIAL, {lam: 1})
     head = p_to_m(Partition(lam[:-1]))
     return SymPoly(lam.weight, MONOMIAL, _multiply_by_power_sum(head.coeffs, lam[-1]))
 
 
-def _multiply_by_power_sum(
-    coeffs: Mapping[Partition, Fraction], k: int
-) -> dict[Partition, int]:
+def _multiply_by_power_sum(coeffs: Mapping[Partition, int], k: int) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for mu, c in coeffs.items():
-        c = c.numerator  # the expansions are integer counts
         # v = 0 appends a new part k; v > 0 bumps one part of that value.
         for v in set(mu) | {0}:
             merged = list(mu)
@@ -215,25 +204,19 @@ def m_to_p(poly: SymPoly) -> SymPoly:
     """
     if poly.basis != MONOMIAL:
         raise ValueError("m_to_p expects a monomial-basis polynomial")
-    # Integral values are held as int, whose arithmetic is several times
-    # faster than Fraction's; the p_to_m columns are integer counts.
-    rest = {lam: _integral(c) for lam, c in poly.coeffs.items()}
-    out: dict[Partition, Fraction | int] = {}
+    rest = dict(poly.coeffs)
+    out: dict[Partition, int | Fraction] = {}
     for mu in reversed(partitions_of(poly.degree)):
         c = rest.pop(mu, 0)
         if not c:
             continue
         column = p_to_m(mu).coeffs
-        diagonal = column[mu].numerator
+        diagonal = column[mu]
         x, r = divmod(c, diagonal)
         if r:
             x = Fraction(c, diagonal)
         out[mu] = x
         for lam, b in column.items():
             if lam != mu:
-                rest[lam] = rest.get(lam, 0) - x * b.numerator
+                rest[lam] = rest.get(lam, 0) - x * b
     return SymPoly(poly.degree, POWERSUM, out)
-
-
-def _integral(c: Fraction) -> Fraction | int:
-    return c.numerator if c.denominator == 1 else c

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Mapping
 
 from .partitions import (
@@ -28,7 +28,7 @@ from .partitions import (
     rho,
     sym_group_degree,
 )
-from .symfunc import MONOMIAL, POWERSUM, SymPoly, m_to_p, p_to_m
+from .symfunc import MONOMIAL, SymPoly, m_to_p
 
 __all__ = [
     "DataIntegrityError",
@@ -172,7 +172,7 @@ def zonal_in_powersums(kappa) -> SymPoly:
     means a corrupted table and raises DataIntegrityError.
     """
     poly = m_to_p(zonal_row(Partition(kappa)))
-    fractional = {lam: c for lam, c in poly.coeffs.items() if c.denominator != 1}
+    fractional = {lam: c for lam, c in poly.coeffs.items() if isinstance(c, Fraction)}
     if fractional:
         raise DataIntegrityError(
             f"power-sum coefficients for {Partition(kappa)!r} are not integers: {fractional}"
@@ -203,23 +203,32 @@ def character_degree(kappa) -> int:
     return sym_group_degree(Partition(kappa).doubled())
 
 
-def check_trace_identity(f: int) -> tuple[bool, dict[Partition, Fraction]]:
+def check_trace_identity(f: int) -> tuple[bool, dict[Partition, int]]:
     """Exact check that the character-weighted row sum is a pure power of p_1.
 
-    Verifies sum_kappa chi(kappa) Z_kappa = ((2f)! / (2^f f!)) p_1^f as
-    symmetric polynomials, where chi(kappa) is the doubled-partition
-    character degree.  Returns (ok, per-monomial discrepancy map); the map
-    is empty exactly when the identity holds.
+    Verifies sum_kappa chi(kappa) Z_kappa = (2f-1)!! p_1^f as symmetric
+    polynomials, where chi(kappa) is the doubled-partition character
+    degree (James's (tr X)^f = sum_kappa C_kappa(X) in this normalization;
+    Muirhead, *Aspects of Multivariate Statistical Theory*, Sec. 7.2).
+    The right side is the closed form p_1^f = sum_lambda f! / prod_i
+    lambda_i! m_lambda, so the check is one integer pass over the rows.
+    Returns (ok, per-monomial discrepancy map); the map is empty exactly
+    when the identity holds.
     """
     if f < 1:
         raise ValueError("f must be at least 1")
-    total = SymPoly(f, MONOMIAL, {})
+    total: dict[Partition, int] = {}
     for kappa in partitions_of(f):
-        total = total + character_degree(kappa) * zonal_row(kappa)
-    ratio = Fraction(factorial(2 * f), 2**f * factorial(f))
-    expected = ratio * p_to_m(Partition((1,) * f))
-    diff = total - expected
-    return (not diff.coeffs, dict(diff.coeffs))
+        chi = character_degree(kappa)
+        for lam, c in zonal_row(kappa).coeffs.items():
+            total[lam] = total.get(lam, 0) + chi * c
+    scale = double_factorial(2 * f - 1) * factorial(f)
+    diff = {}
+    for lam in partitions_of(f):
+        gap = total.get(lam, 0) - scale // prod(factorial(part) for part in lam)
+        if gap:
+            diff[lam] = gap
+    return (not diff, diff)
 
 
 def check_leading_coefficients(f: int) -> bool:

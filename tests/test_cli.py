@@ -2,14 +2,21 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import zonalpoly
 from zonalpoly import zonal
 from zonalpoly.cli import _emit_json, main
+from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.reference import GOLDEN_POWERSUM_ROWS
+from zonalpoly.symfunc import SymPoly
 
 
 @pytest.fixture()
@@ -128,12 +135,46 @@ class TestVerify:
         ]
         assert "expected 1!" in lines[0]
 
+    def test_corrupted_row_fails_trace_identity(self, runner, monkeypatch):
+        kappa, lam = Partition((2, 2)), Partition((2, 1, 1))
+        # the golden check reads the cached power-sum rows, built from the true rows
+        for k in partitions_of(4):
+            zonal.zonal_in_powersums(k)
+        row = zonal.zonal_row
+
+        def corrupted(k):
+            poly = row(k)
+            if k != kappa:
+                return poly
+            coeffs = dict(poly.coeffs)
+            coeffs[lam] += 1
+            return SymPoly(poly.degree, poly.basis, coeffs)
+
+        monkeypatch.setattr(zonal, "zonal_row", corrupted)
+        assert zonal.check_trace_identity(4) == (False, {lam: zonal.character_degree(kappa)})
+        result = runner.invoke(main, ["verify", "--f", "4"])
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("FAIL")] == [
+            "FAIL f=4 trace identity: discrepancy {'2,1,1': '14'}"
+        ]
+
     def test_bad_range_is_usage_error(self, runner):
         assert runner.invoke(main, ["verify", "--f", "x..y"]).exit_code == 2
         assert runner.invoke(main, ["verify", "--f", "0..2"]).exit_code == 2
         empty = runner.invoke(main, ["verify", "--f", "3..1"])
         assert empty.exit_code == 2
         assert "'3..1' is empty" in empty.output
+
+
+def test_cli_imports_no_scipy():
+    # scipy is a test-only dependency: the runtime import graph must not need it
+    src = str(Path(zonalpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, zonalpoly.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestOutputBytes:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from zonalpoly.partitions import Partition, partitions_of
@@ -82,7 +83,10 @@ class TestMonomialToPower:
     )
     def test_round_trip_is_identity(self, f, scale):
         for lam in partitions_of(f):
-            assert m_to_p(scale * p_to_m(lam)) == SymPoly(f, POWERSUM, {lam: scale})
+            back = m_to_p(scale * p_to_m(lam))
+            assert back == SymPoly(f, POWERSUM, {lam: scale})
+            for c in back.coeffs.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 class TestArithmetic:
@@ -112,6 +116,18 @@ class TestArithmetic:
     def test_key_weight_validated(self):
         with pytest.raises(ValueError):
             SymPoly(2, MONOMIAL, {(1,): 1})
+
+    def test_integral_values_are_stored_as_int(self):
+        poly = SymPoly(
+            3,
+            MONOMIAL,
+            {(3,): Fraction(4, 2), (2, 1): True, (1, 1, 1): np.int64(-5)},
+        )
+        assert [(c, type(c)) for c in poly.coeffs.values()] == [(2, int), (1, int), (-5, int)]
+        assert poly.coefficient((3,)) == 2 and type(poly.coefficient((3,))) is int
+        assert type(SymPoly(2, MONOMIAL, {(2,): 1}).coefficient((1, 1))) is int
+        third = SymPoly(1, MONOMIAL, {(1,): Fraction(2, 6)})
+        assert third.coefficient((1,)) == Fraction(1, 3)
 
     def test_equality_is_symmetric_and_transitive(self):
         a = SymPoly(2, MONOMIAL, {(2,): Fraction(1, 3)})

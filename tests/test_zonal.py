@@ -1,7 +1,7 @@
 """The zonal table recursion against reference rows and exact identities."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -149,6 +149,11 @@ class TestGoldenRows:
         for kappa in partitions_of(f):
             for c in zonal_in_powersums(kappa).coeffs.values():
                 assert c.denominator == 1
+                assert type(c) is int
+            for c in zonal_row(kappa).coeffs.values():
+                assert type(c) is int
+            for c in p_to_m(kappa).coeffs.values():
+                assert type(c) is int
 
     @pytest.mark.parametrize("f", range(9, 13))
     def test_powersum_row_expands_back_to_monomial_row(self, f):
@@ -188,6 +193,16 @@ class TestTraceIdentity:
         ok, diff = check_trace_identity(f)
         assert ok
         assert diff == {}
+
+    @pytest.mark.parametrize("f", range(1, 13))
+    def test_closed_form_is_p1_power(self, f):
+        # the closed form the identity check uses, against the expansion of p_1^f
+        power = Fraction(factorial(2 * f), 2**f * factorial(f)) * p_to_m(Partition((1,) * f))
+        for lam in partitions_of(f):
+            closed = double_factorial(2 * f - 1) * factorial(f) // prod(
+                factorial(part) for part in lam
+            )
+            assert closed == power.coefficient(lam)
 
     def test_degree_two_by_hand(self):
         # 1*(3m2 + 2m11) + 2*(2m11) = 3m2 + 6m11 = 3*p1^2
