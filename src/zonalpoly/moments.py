@@ -122,7 +122,7 @@ def normalizing_product(n: int, f: int) -> int:
         raise ValueError("n must be at least 1")
     if f < 0:
         raise ValueError("f must be nonnegative")
-    return int(zonal_at_identity((f,) if f else (), n))
+    return zonal_at_identity((f,) if f else (), n)
 
 
 def _trace_power_prefactor(f: int) -> Fraction:
@@ -191,7 +191,7 @@ def _character_sum(f: int, n: int, term) -> Fraction:
             continue
         t = term(zonal_row(kappa))
         if t:
-            total += character_degree(kappa) * t / zonal_at_identity(kappa, n)
+            total += Fraction(character_degree(kappa) * t, zonal_at_identity(kappa, n))
     return total
 
 
@@ -204,7 +204,7 @@ def _splitting_value(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec) -> Frac
     if not za:
         return Fraction(0)
     db, mb = _monomial_values(b.eigenvalues, f)
-    return Fraction(za * _row_dot(row, mb), (da * db) ** f) / zonal_at_identity(kappa, len(a))
+    return Fraction(za * _row_dot(row, mb), (da * db) ** f * zonal_at_identity(kappa, len(a)))
 
 
 def _trace_power_sum(f: int, n: int, va, vb) -> Fraction:

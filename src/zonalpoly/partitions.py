@@ -58,6 +58,16 @@ class Partition(tuple):
         return f"Partition({tuple(self)!r})"
 
 
+def _trusted_partition(parts: Iterable[int]) -> Partition:
+    """A Partition from parts already nonincreasing and positive, unvalidated.
+
+    For the inner loops that build partitions from partitions (raising
+    moves, power-sum products); every outside input goes through
+    ``Partition``.
+    """
+    return tuple.__new__(Partition, parts)
+
+
 def _descending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
     if remaining == 0:
         yield ()

@@ -12,10 +12,14 @@ enters only through evaluation at float arguments.
 The monomial expansion of each power-sum product p_lambda is memoized
 with ``lru_cache``, and the monomial-to-power-sum change solves the
 triangular system those columns form, so no inverse matrix is stored.
-The expansions are integer counts, and the solve divides exactly by the
-integer diagonal unless a remainder forces a ``Fraction``.
-Concurrent first access may compute an expansion twice but always
-publishes a consistent value, and polynomials themselves are immutable.
+The columns of one degree are gathered once into a substitution plan
+(``_substitution_plan``) indexed by a partition's position in
+``partitions_of(f)``, and the solve is forward substitution over it on a
+list, finest partition first.  The expansions are integer counts, and
+the solve divides exactly by the integer diagonal unless a remainder
+forces a ``Fraction``.  Concurrent first access may compute an expansion
+or a plan twice but always publishes a consistent value; plans hold
+tuples only, and polynomials themselves are immutable.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _trusted_partition, partitions_of
 
 __all__ = [
     "MONOMIAL",
@@ -185,10 +190,36 @@ def _multiply_by_power_sum(coeffs: Mapping[Partition, int], k: int) -> dict[Part
             if v:
                 merged.remove(v)
             merged.append(v + k)
-            nu = Partition(sorted(merged, reverse=True))
+            nu = _trusted_partition(sorted(merged, reverse=True))
             mult = nu.count(v + k)
             out[nu] = out.get(nu, 0) + c * mult
     return out
+
+
+@lru_cache(maxsize=None)
+def _substitution_plan(f: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The ``p_to_m`` matrix of degree f by columns, on positions in ``partitions_of(f)``.
+
+    Entry i belongs to the i-th partition lambda and holds (M[lambda][lambda],
+    positions, coefficients): the diagonal entry, and every finer mu with
+    M[mu][lambda] != 0, where M[mu][lambda] is the m_lambda coefficient of
+    p_mu.  Finer partitions come later in the enumeration.  Built once
+    per degree from tuples only, so it is shared read-only.
+    """
+    parts = partitions_of(f)
+    position = {lam: i for i, lam in enumerate(parts)}
+    diagonal = []
+    finer: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for j, mu in enumerate(parts):
+        column = p_to_m(mu).coeffs
+        diagonal.append(column[mu])
+        for lam, b in column.items():
+            if lam != mu:
+                finer[position[lam]].append((j, b))
+    return tuple(
+        (d, tuple(j for j, _ in col), tuple(b for _, b in col))
+        for d, col in zip(diagonal, finer)
+    )
 
 
 def m_to_p(poly: SymPoly) -> SymPoly:
@@ -196,27 +227,27 @@ def m_to_p(poly: SymPoly) -> SymPoly:
 
     The basis change is triangular: p_mu expands only on monomials m_lam
     with lam dominating mu, and its m_mu coefficient is prod_i m_i(mu)!,
-    where m_i(mu) counts the parts of mu equal to i.  Partitions are
-    therefore solved finest first, in reverse lexicographic order (which
-    refines dominance): the remaining m_mu coefficient divided by that
-    diagonal entry is the p_mu coefficient, and the p_mu column from
-    ``p_to_m`` is then subtracted from the coarser remainder.
+    where m_i(mu) counts the parts of mu equal to i.  Forward substitution
+    over ``_substitution_plan`` therefore solves the p_lam coefficients
+    finest first, in reverse lexicographic order (which refines
+    dominance), in a list indexed by position:
+
+        x_lam = (a_lam - sum_{mu finer} x_mu M[mu][lam]) / M[lam][lam]
+
+    with a the monomial coefficients.  The division is exact in ``int``
+    unless a remainder forces a ``Fraction``.
     """
     if poly.basis != MONOMIAL:
         raise ValueError("m_to_p expects a monomial-basis polynomial")
-    rest = dict(poly.coeffs)
-    out: dict[Partition, int | Fraction] = {}
-    for mu in reversed(partitions_of(poly.degree)):
-        c = rest.pop(mu, 0)
+    parts = partitions_of(poly.degree)
+    plan = _substitution_plan(poly.degree)
+    coeffs = poly.coeffs
+    x: list[int | Fraction] = [0] * len(parts)
+    for i in range(len(parts) - 1, -1, -1):
+        diagonal, finer, weights = plan[i]
+        c = coeffs.get(parts[i], 0) - sum(map(mul, weights, [x[j] for j in finer]))
         if not c:
             continue
-        column = p_to_m(mu).coeffs
-        diagonal = column[mu]
-        x, r = divmod(c, diagonal)
-        if r:
-            x = Fraction(c, diagonal)
-        out[mu] = x
-        for lam, b in column.items():
-            if lam != mu:
-                rest[lam] = rest.get(lam, 0) - x * b
-    return SymPoly(poly.degree, POWERSUM, out)
+        q, r = divmod(c, diagonal)
+        x[i] = Fraction(c, diagonal) if r else q
+    return SymPoly(poly.degree, POWERSUM, {parts[i]: c for i, c in enumerate(x) if c})

@@ -10,6 +10,16 @@ positively-weighted sum of coefficients above it in dominance divided
 exactly by rho(kappa) - rho(g), and the m_{(1,...,1)} coefficient must
 come out as f!.  Both ends of every row are thus pinned by independent
 closed forms, and a division with a remainder is a hard error.
+
+The recursion runs on a per-degree plan (``_raise_plan``), built once on
+first use: for each partition g, by its position in ``partitions_of(f)``,
+the numerators of its raising moves, the positions they land on, and
+rho(g).  A row is a list of integers filled from kappa's position down.
+A partition whose raises all land on zero coefficients is skipped (its
+coefficient is zero), and that zero-sum skip stands in for a dominance
+test: only partitions strictly below kappa can collect a nonzero sum.
+The plan holds tuples only, so concurrent first access can at worst
+build it twice and no caller can change a shared plan.
 """
 
 from __future__ import annotations
@@ -18,12 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import mul
 from typing import Mapping
 
 from .partitions import (
     Partition,
+    _trusted_partition,
     conjugate,
-    dominated_by,
     partitions_of,
     rho,
     sym_group_degree,
@@ -72,9 +83,30 @@ def _raising_moves(g: Partition) -> tuple[tuple[int, Partition], ...]:
                 lifted = parts.copy()
                 lifted[i] += t
                 lifted[j] -= t
-                h = Partition(sorted((x for x in lifted if x), reverse=True))
+                h = _trusted_partition(sorted((x for x in lifted if x), reverse=True))
                 moves.append((parts[i] - parts[j] + 2 * t, h))
     return tuple(moves)
+
+
+@lru_cache(maxsize=None)
+def _raise_plan(f: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The row recursion of degree f on positions in ``partitions_of(f)``.
+
+    Entry i belongs to the i-th partition g and holds (numerators,
+    targets, rho(g)): the raising moves of g with the numerators of moves
+    onto the same partition summed, and each raised partition as its
+    position.  A raise moves weight up, so every target comes before i.
+    Built once per degree from tuples only, so it is shared read-only.
+    """
+    position = {lam: i for i, lam in enumerate(partitions_of(f))}
+    plan = []
+    for g in partitions_of(f):
+        merged: dict[int, int] = {}
+        for numer, h in _raising_moves(g):
+            target = position[h]
+            merged[target] = merged.get(target, 0) + numer
+        plan.append((tuple(merged.values()), tuple(merged), rho(g)))
+    return tuple(plan)
 
 
 def _top_coefficient(kappa: Partition) -> int:
@@ -97,31 +129,38 @@ def _top_coefficient(kappa: Partition) -> int:
 def zonal_row(kappa: Partition) -> SymPoly:
     """The zonal polynomial for kappa, in the monomial basis.
 
-    Partitions g below kappa are visited in descending lexicographic
-    order, which refines descending dominance, so every coefficient a
-    raise of g lands on is already final.  Raises landing outside the
-    dominance interval (g, kappa] contribute nothing because their
-    coefficient is zero.  Seeded with the closed-form top coefficient,
-    every coefficient is a nonnegative integer (Knop and Sahi, Invent.
-    Math. 1997), so each step is an exact integer division; a remainder,
-    a negative coefficient or an m_{(1,...,1)} coefficient other than f!
-    raises DataIntegrityError.
+    Coefficients live in a list indexed by position in ``partitions_of(f)``
+    and are filled from kappa's position down, following ``_raise_plan``.
+    That order (descending lexicographic) refines descending dominance, so
+    every coefficient a raise of g lands on is already final, and no g
+    before kappa is dominated by kappa.  A g whose raises all land on zero
+    coefficients is skipped: its coefficient is zero.  Every g that is not
+    skipped lies strictly below kappa, because a raise lands strictly
+    above g in dominance, on some h with a nonzero coefficient, and by
+    induction h lies at or below kappa; so the dominance filter of the
+    recursion needs no test of its own.  Seeded with the closed-form top
+    coefficient, every coefficient is a nonnegative integer (Knop and
+    Sahi, Invent. Math. 1997), so each step is an exact integer division;
+    a vanishing denominator, a remainder, a negative coefficient or an
+    m_{(1,...,1)} coefficient other than f! raises DataIntegrityError.
     """
     kappa = Partition(kappa)
     if not kappa:
         raise ValueError("kappa must be a nonempty partition")
     f = kappa.weight
-    rho_top = rho(kappa)
-    coeffs: dict[Partition, int] = {kappa: _top_coefficient(kappa)}
-    for g in partitions_of(f):
-        if g == kappa or not dominated_by(g, kappa):
+    parts = partitions_of(f)
+    plan = _raise_plan(f)
+    top = parts.index(kappa)
+    rho_top = plan[top][2]
+    coeffs = [0] * len(parts)
+    coeffs[top] = _top_coefficient(kappa)
+    for pos in range(top + 1, len(parts)):
+        numers, targets, rho_g = plan[pos]
+        acc = sum(map(mul, numers, [coeffs[h] for h in targets]))
+        if not acc:
             continue
-        acc = 0
-        for numer, h in _raising_moves(g):
-            c = coeffs.get(h)
-            if c:
-                acc += numer * c
-        denom = rho_top - rho(g)
+        g = parts[pos]
+        denom = rho_top - rho_g
         if denom <= 0:  # impossible while strict dominance implies rho gaps > 0
             raise DataIntegrityError(f"vanishing denominator at {g!r} under {kappa!r}")
         q, r = divmod(acc, denom)
@@ -131,12 +170,12 @@ def zonal_row(kappa: Partition) -> SymPoly:
             )
         if q < 0:
             raise DataIntegrityError(f"row {kappa!r} has a negative coefficient {q} at {g!r}")
-        if q:
-            coeffs[g] = q
-    lead = coeffs.get(Partition((1,) * f))
-    if lead != factorial(f):
-        raise DataIntegrityError(f"row {kappa!r} ends at m_(1^{f}) = {lead}, expected {f}!")
-    return SymPoly(f, MONOMIAL, coeffs)
+        coeffs[pos] = q
+    if coeffs[-1] != factorial(f):
+        raise DataIntegrityError(
+            f"row {kappa!r} ends at m_(1^{f}) = {coeffs[-1] or None}, expected {f}!"
+        )
+    return SymPoly(f, MONOMIAL, {parts[i]: c for i, c in enumerate(coeffs) if c})
 
 
 @dataclass(frozen=True)
@@ -154,8 +193,10 @@ class ZonalTable:
 def zonal_table(f: int) -> ZonalTable:
     """The full table for degree f.
 
-    Exact at any degree; the cost grows with the partition count, and
-    degrees much above 12 get slow.
+    Exact at any degree; the cost grows with the square of the partition
+    count.  Cold, all rows take about 0.04 s at f = 14 and 0.13 s at
+    f = 16 (2 cores, Python 3.11), and their power-sum forms about 0.16 s
+    and 0.8 s more.
     """
     if f < 1:
         raise ValueError("f must be at least 1")
@@ -180,8 +221,8 @@ def zonal_in_powersums(kappa) -> SymPoly:
     return poly
 
 
-def zonal_at_identity(kappa, n: int) -> Fraction:
-    """Z_kappa evaluated at n ones, from its closed form.
+def zonal_at_identity(kappa, n: int) -> int:
+    """Z_kappa evaluated at n ones, from its closed form, as an ``int``.
 
     Z_kappa(I_n) = 2^f (n/2)_kappa = prod_i prod_{0<=j<kappa_i} (n - i + 1 + 2j)
     with rows i counted from 1 (Muirhead, *Aspects of Multivariate
@@ -195,7 +236,7 @@ def zonal_at_identity(kappa, n: int) -> Fraction:
     for i, part in enumerate(Partition(kappa), start=1):
         for j in range(part):
             out *= n - i + 1 + 2 * j
-    return Fraction(out)
+    return out
 
 
 def character_degree(kappa) -> int:

@@ -158,6 +158,42 @@ class TestVerify:
             "FAIL f=4 trace identity: discrepancy {'2,1,1': '14'}"
         ]
 
+    def test_corrupted_row_fails_trace_identity_and_golden_rows(self, runner, monkeypatch):
+        kappa, lam = Partition((2, 2)), Partition((2, 1, 1))
+        row = zonal.zonal_row
+
+        def corrupted(k):
+            poly = row(k)
+            if k != kappa:
+                return poly
+            coeffs = dict(poly.coeffs)
+            coeffs[lam] += 1
+            return SymPoly(poly.degree, poly.basis, coeffs)
+
+        monkeypatch.setattr(zonal, "zonal_row", corrupted)
+        zonal.zonal_in_powersums.cache_clear()
+        try:
+            assert zonal.check_trace_identity(4) == (False, {lam: zonal.character_degree(kappa)})
+            result = runner.invoke(main, ["verify", "--f", "4"])
+        finally:
+            zonal.zonal_in_powersums.cache_clear()
+        assert result.exit_code == 1
+        assert not isinstance(result.exception, zonal.DataIntegrityError)
+        lines = result.output.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "f=4 normalization",
+            "f=4 triangularity",
+            "f=4 leading coefficients",
+            "FAIL f=4 trace identity",
+            "FAIL f=4 golden rows",
+            "f=4 character degrees",
+        ]
+        assert lines[3] == "FAIL f=4 trace identity: discrepancy {'2,1,1': '14'}"
+        assert lines[4].startswith(
+            "FAIL f=4 golden rows: data integrity: power-sum coefficients for "
+            "Partition((2, 2)) are not integers"
+        )
+
     def test_bad_range_is_usage_error(self, runner):
         assert runner.invoke(main, ["verify", "--f", "x..y"]).exit_code == 2
         assert runner.invoke(main, ["verify", "--f", "0..2"]).exit_code == 2

@@ -210,10 +210,15 @@ class TestIntegerEvaluation:
         monkeypatch.setattr(zonal, "m_to_p", forbidden)
         monkeypatch.setattr(moments, "zonal_in_powersums", forbidden)
         a, b = MIXED_SPECTRA[0][:3], MIXED_SPECTRA[1][:3]
-        exact_trace_power_integral(a, b, 4)
-        hyper0f0(a, b, 6)
-        moments._splitting_value(Partition((2, 1)), DiagonalSpec.of(a), DiagonalSpec.of(b))
-        mc_linear_trace_power([[2, 0], [0, Fraction(1, 3)]], 4, 2, 0)
+        values = [
+            exact_trace_power_integral(a, b, 4),
+            *hyper0f0(a, b, 6).terms,
+            moments._splitting_value(Partition((2, 1)), DiagonalSpec.of(a), DiagonalSpec.of(b)),
+            mc_linear_trace_power([[2, 0], [0, Fraction(1, 3)]], 4, 2, 0).exact_value,
+            bilinear_coefficient(3, 3, (2, 1), (1, 1, 1)),
+        ]
+        # Z_kappa(I_n) is an int, so every exact value must still be a Fraction
+        assert [type(v) for v in values] == [Fraction] * len(values)
 
 
 class TestBilinearCoefficients:

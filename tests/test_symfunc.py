@@ -9,6 +9,7 @@ import pytest
 
 from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, m_to_p, p_to_m
+from zonalpoly.zonal import zonal_row
 
 
 def expand_power_product(lam, n):
@@ -41,6 +42,31 @@ def monomial_coeffs_from_expansion(expansion, f, n):
     return out
 
 
+def dict_m_to_p(poly):
+    """Reference: the triangular solve on dicts keyed by partition.
+
+    Solves finest first, dividing the remaining m_mu coefficient by the
+    diagonal of the p_mu column and subtracting that column from the
+    coarser remainder; no position plan.
+    """
+    rest = dict(poly.coeffs)
+    out = {}
+    for mu in reversed(partitions_of(poly.degree)):
+        c = rest.pop(mu, 0)
+        if not c:
+            continue
+        column = p_to_m(mu).coeffs
+        diagonal = column[mu]
+        x, r = divmod(c, diagonal)
+        if r:
+            x = Fraction(c, diagonal)
+        out[mu] = x
+        for lam, b in column.items():
+            if lam != mu:
+                rest[lam] = rest.get(lam, 0) - x * b
+    return SymPoly(poly.degree, POWERSUM, out)
+
+
 class TestPowerToMonomial:
     def test_single_power_sum(self):
         assert p_to_m(Partition((2,))) == SymPoly(2, MONOMIAL, {(2,): 1})
@@ -59,6 +85,13 @@ class TestPowerToMonomial:
             expansion = expand_power_product(lam, f)
             expected = monomial_coeffs_from_expansion(expansion, f, f)
             assert dict(p_to_m(lam).coeffs) == expected
+
+    @pytest.mark.parametrize("f", range(1, 11))
+    def test_keys_are_validated_partitions(self, f):
+        for lam in partitions_of(f):
+            for key in p_to_m(lam).coeffs:
+                assert type(key) is Partition
+                assert key == Partition(tuple(key))
 
 
 class TestMonomialToPower:
@@ -87,6 +120,29 @@ class TestMonomialToPower:
             assert back == SymPoly(f, POWERSUM, {lam: scale})
             for c in back.coeffs.values():
                 assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+    @pytest.mark.parametrize("f", range(1, 13))
+    def test_matches_dict_reference_on_zonal_rows(self, f):
+        for kappa in partitions_of(f):
+            row = zonal_row(kappa)
+            assert m_to_p(row) == dict_m_to_p(row)
+
+    @pytest.mark.parametrize("f", range(1, 9))
+    def test_matches_dict_reference_with_fractions(self, f):
+        # a scale of 1/3 lands on the Fraction branch at every degree
+        for lam in partitions_of(f):
+            poly = Fraction(1, 3) * p_to_m(lam)
+            got = m_to_p(poly)
+            assert got == dict_m_to_p(poly)
+            assert any(type(c) is Fraction for c in got.coeffs.values())
+        rng = random.Random(f)
+        for _ in range(5):
+            poly = SymPoly(
+                f,
+                MONOMIAL,
+                {p: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for p in partitions_of(f)},
+            )
+            assert m_to_p(poly) == dict_m_to_p(poly)
 
 
 class TestArithmetic:

@@ -11,6 +11,7 @@ from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
 from zonalpoly.zonal import (
     DataIntegrityError,
+    _raise_plan,
     _raising_moves,
     character_degree,
     check_leading_coefficients,
@@ -81,6 +82,25 @@ class TestZonalRow:
     def test_matches_fraction_recursion(self, f):
         for kappa in partitions_of(f):
             assert zonal_row(kappa) == fraction_recursion_row(kappa)
+
+    @pytest.mark.parametrize("f", range(1, 11))
+    def test_raising_moves_yield_validated_partitions(self, f):
+        for g in partitions_of(f):
+            for _, h in _raising_moves(g):
+                assert type(h) is Partition
+                assert h == Partition(tuple(h))
+
+    @pytest.mark.parametrize("f", range(1, 11))
+    def test_raise_plan_sums_moves_onto_earlier_positions(self, f):
+        parts = partitions_of(f)
+        for pos, (g, (numers, targets, rho_g)) in enumerate(zip(parts, _raise_plan(f))):
+            assert rho_g == rho(g)
+            assert all(target < pos for target in targets)
+            assert len(set(targets)) == len(targets)
+            merged = {}
+            for numer, h in _raising_moves(g):
+                merged[h] = merged.get(h, 0) + numer
+            assert {parts[t]: numer for numer, t in zip(numers, targets)} == merged
 
     def test_corrupted_seed_is_rejected(self, monkeypatch):
         true_top = zonal._top_coefficient
@@ -186,9 +206,16 @@ class TestAtIdentity:
         with pytest.raises(ValueError):
             zonal_at_identity((1,), 0)
 
+    def test_returns_int(self):
+        for n in (1, 2, 5):
+            for kappa in partitions_of(4):
+                assert type(zonal_at_identity(kappa, n)) is int
+        assert type(zonal_at_identity((), 3)) is int
+
 
 class TestTraceIdentity:
-    @pytest.mark.parametrize("f", range(1, 9))
+    # 13 and 14 lie past the CLI's degree ceiling
+    @pytest.mark.parametrize("f", range(1, 15))
     def test_exact_identity(self, f):
         ok, diff = check_trace_identity(f)
         assert ok
