@@ -21,7 +21,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import exp, factorial, lcm, sqrt
 from typing import Iterable, Sequence
 
@@ -313,19 +312,18 @@ def _check_budget(samples: int, threads: int) -> None:
         raise ValueError("threads must be at least 1")
 
 
-def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, int, np.random.Generator]]:
-    """Split a sample budget into (start, count, stream) shards on independent streams.
+def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random.Generator]]:
+    """Split a sample budget into (count, stream) shards on independent streams.
 
     With one thread the caller's stream is used directly, so single-thread
     results depend only on the seed.
     """
     gen = as_generator(rng)
     if threads == 1:
-        return [(0, samples, gen)]
+        return [(samples, gen)]
     base, extra = divmod(samples, threads)
     sizes = [base + (1 if t < extra else 0) for t in range(threads)]
-    shards = zip(accumulate(sizes, initial=0), sizes, gen.spawn(threads))
-    return [(start, size, child) for start, size, child in shards if size]
+    return [(size, child) for size, child in zip(sizes, gen.spawn(threads)) if size]
 
 
 # The mean of float samples is only known to a few ulps: each sample is
@@ -352,10 +350,10 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
 
     Each shard draws its matrices' angles at once (the reflection bits
     come with each block), then writes ``statistic(block) -> values`` for
-    one block at a time into its slice of one values array; a statistic
-    may overwrite its block.  Shards run on at most os.cpu_count() threads
-    and share nothing mutable but disjoint slices, so results depend only
-    on (seed, threads, samples).
+    one block at a time into a values array of its own; a statistic may
+    overwrite its block.  Shards run on at most os.cpu_count() threads and
+    share nothing mutable; their arrays are joined in shard order, so
+    results depend only on (seed, threads, samples).
     An ``exact`` value too large for a float raises OverflowError before
     anything is drawn; a sample mean that is not finite raises it after the
     draws.
@@ -363,19 +361,21 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     _check_budget(samples, threads)
     reference = float(exact)
     chunks = _sample_chunks(samples, threads, rng)
-    values = np.empty(samples)
 
-    def shard(start: int, count: int, gen: np.random.Generator) -> None:
+    def shard(count: int, gen: np.random.Generator) -> np.ndarray:
+        values = np.empty(count)
+        start = 0
         for q in _sample_blocks(n, count, gen):
             stop = start + len(q)
             values[start:stop] = statistic(q)
             start = stop
+        return values
 
     if len(chunks) == 1:
-        shard(*chunks[0])
+        values = shard(*chunks[0])
     else:
         with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-            list(pool.map(shard, *zip(*chunks)))
+            values = np.concatenate(list(pool.map(shard, *zip(*chunks))))
     return _summarize(exact, reference, values)
 
 

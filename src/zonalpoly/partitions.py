@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -32,7 +33,11 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is Partition:  # immutable, and validated when built
             return parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        try:
+            parts = tuple(map(index, parts))  # int() would truncate 2.7 to 2
+        except TypeError as exc:
+            raise ValueError(f"parts must be integers: {parts}") from exc
         if any(p <= 0 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

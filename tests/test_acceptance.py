@@ -16,6 +16,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.stats import ks_2samp
 
+from zonalpoly.cli import DEGREE_CEILING
 from zonalpoly.haar import oracle_sample_batch, sample_orthogonal_batch
 from zonalpoly.moments import (
     bilinear_coefficient,
@@ -120,12 +121,16 @@ def test_criterion_4b_residual_dimension_independence():
 
 
 def test_criterion_5_single_row_structure():
-    for f in range(1, 9):
+    for f in range(1, DEGREE_CEILING + 1):
         assert check_leading_coefficients(f), f"leading coefficients wrong at f={f}"
     for f in range(1, 5):
         for n in range(1, 6):
             assert zonal_at_identity((f,), n) == normalizing_product(n, f)
-    report("5", True, "(2f-1)!! / f! heads for f <= 8; identity values for f <= 4, n <= 5")
+    report(
+        "5",
+        True,
+        f"(2f-1)!! / f! heads for f <= {DEGREE_CEILING}; identity values for f <= 4, n <= 5",
+    )
 
 
 def test_criterion_6_monte_carlo_splitting():

@@ -10,7 +10,6 @@ from scipy.stats import ks_2samp, kstest, ortho_group
 from zonalpoly.haar import (
     BLOCK,
     AngleSet,
-    _beta_one_one,
     angle_exponent,
     oracle_sample,
     oracle_sample_batch,
@@ -32,17 +31,11 @@ def rounded_ks(xs, ys):
     return ks_2samp(np.round(xs, 12), np.round(ys, 12)).pvalue
 
 
-def same_state(a, b):
-    """Whether two bit-generator states, nested dicts of scalars and arrays, are equal."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
 def strided_reference_draw(n, count, rng):
     """Angles by key and (count, n) bits, drawn as sample_orthogonal_batch draws them.
 
-    Every Beta angle goes through ``rng.beta`` and every uniform one through
+    A Beta(1, 1) angle, exponent one, takes its c from ``rng.random``; every
+    other Beta angle goes through ``rng.beta`` and every uniform one through
     ``rng.uniform``, and all bits come in one draw after all angles.
     """
     thetas = {}
@@ -50,7 +43,8 @@ def strided_reference_draw(n, count, rng):
         for j in range(i, n):
             k = n - j - 1
             if k > 0:
-                c = rng.beta((k + 1) / 2.0, (k + 1) / 2.0, size=count)
+                half = (k + 1) / 2.0
+                c = rng.random(count) if k == 1 else rng.beta(half, half, size=count)
                 thetas[(i, j)] = np.arccos(2.0 * c - 1.0)
             else:
                 thetas[(i, j)] = rng.uniform(0.0, 2.0 * math.pi, size=count)
@@ -201,7 +195,7 @@ class TestDeterminism:
             # several blocks of BLOCK // n draws, the last one partial
             (3, 2 * (BLOCK // 3) + 5),
             (30, 2 * (BLOCK // 30) + 7),
-            # Beta(1, 1) angles drawn over several full chunks of BLOCK pairs
+            # a batch longer than BLOCK itself, in one draw per angle row
             (3, 2 * BLOCK + 3),
         ),
     )
@@ -219,21 +213,6 @@ class TestDeterminism:
 
     def test_integer_seed_accepted(self):
         assert np.array_equal(sample_orthogonal(2, 9), sample_orthogonal(2, 9))
-
-
-class TestExponentOneDraw:
-    @pytest.mark.parametrize("bit_generator", (np.random.PCG64, np.random.MT19937))
-    @pytest.mark.parametrize("count", (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5))
-    def test_matches_numpy_beta(self, bit_generator, count):
-        rng = np.random.Generator(bit_generator(11))
-        ref_rng = np.random.Generator(bit_generator(11))
-        rng.random(3)  # an odd stream offset
-        ref_rng.random(3)
-        out = np.empty(count)
-        _beta_one_one(rng, out)
-        expected = ref_rng.beta(1.0, 1.0, size=count)
-        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
-        assert same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
 
 
 class TestOneDimensional:

@@ -3,6 +3,7 @@
 import itertools
 from math import factorial
 
+import numpy as np
 import pytest
 
 from zonalpoly.partitions import (
@@ -15,6 +16,7 @@ from zonalpoly.partitions import (
     rho,
     sym_group_degree,
 )
+from zonalpoly.zonal import zonal_at_identity
 
 
 class TestPartitionType:
@@ -38,6 +40,21 @@ class TestPartitionType:
             Partition((2, 0))
         with pytest.raises(ValueError):
             Partition((-1,))
+
+    @pytest.mark.parametrize("parts", [(2.7, 1.2), (1.9,), (2.0, 1), (3, "1")])
+    def test_rejects_non_integer_parts(self, parts):
+        # int() would truncate (2.7, 1.2) to (2, 1)
+        with pytest.raises(ValueError, match="integers"):
+            Partition(parts)
+
+    def test_non_integer_part_reaches_no_closed_form(self):
+        with pytest.raises(ValueError):
+            zonal_at_identity((1.9,), 3)
+
+    def test_accepts_numpy_integer_parts(self):
+        p = Partition((np.int64(3), np.int32(1)))
+        assert p == (3, 1)
+        assert all(type(x) is int for x in p)
 
     def test_padded(self):
         assert Partition((2, 1)).padded(4) == (2, 1, 0, 0)

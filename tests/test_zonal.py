@@ -6,6 +6,7 @@ from math import factorial, prod
 import pytest
 
 from zonalpoly import zonal
+from zonalpoly.cli import DEGREE_CEILING
 from zonalpoly.partitions import Partition, dominated_by, partitions_of, rho
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
@@ -20,7 +21,6 @@ from zonalpoly.zonal import (
     zonal_at_identity,
     zonal_in_powersums,
     zonal_row,
-    zonal_table,
 )
 from zonalpoly.moments import normalizing_product
 
@@ -67,12 +67,12 @@ class TestZonalRow:
         with pytest.raises(ValueError):
             zonal_row(Partition())
 
-    @pytest.mark.parametrize("f", range(1, 9))
+    @pytest.mark.parametrize("f", range(1, DEGREE_CEILING + 1))
     def test_normalization(self, f):
         for kappa in partitions_of(f):
             assert zonal_row(kappa).coefficient((1,) * f) == factorial(f)
 
-    @pytest.mark.parametrize("f", range(1, 9))
+    @pytest.mark.parametrize("f", range(1, DEGREE_CEILING + 1))
     def test_triangular_under_dominance(self, f):
         for kappa in partitions_of(f):
             for lam in zonal_row(kappa).coeffs:
@@ -115,27 +115,11 @@ class TestZonalRow:
             zonal_row.cache_clear()
             zonal_in_powersums.cache_clear()
 
-    @pytest.mark.parametrize("f", range(1, 9))
+    @pytest.mark.parametrize("f", range(1, DEGREE_CEILING + 1))
     def test_coefficients_nonnegative_integers(self, f):
         for kappa in partitions_of(f):
             for c in zonal_row(kappa).coeffs.values():
                 assert c.denominator == 1 and c >= 0
-
-
-class TestZonalTable:
-    def test_degree_two_rows(self):
-        table = zonal_table(2)
-        assert list(table.rows) == [(2,), (1, 1)]
-        assert table.rows[Partition((2,))] == SymPoly(2, MONOMIAL, {(2,): 3, (1, 1): 2})
-        assert table.rows[Partition((1, 1))] == SymPoly(2, MONOMIAL, {(1, 1): 2})
-
-    def test_keys_follow_enumeration_order(self):
-        for f in (4, 6):
-            assert tuple(zonal_table(f).rows) == partitions_of(f)
-
-    def test_rejects_zero_degree(self):
-        with pytest.raises(ValueError):
-            zonal_table(0)
 
 
 class TestGoldenRows:
