@@ -372,8 +372,6 @@ def estimate(
             raise click.UsageError("--kappa must be a nonempty partition")
         if len(part) > len(a):
             raise click.UsageError("--kappa has more parts than there are eigenvalues")
-        if any(x < 0 for x in a) and any(x < 0 for x in b):
-            raise click.UsageError("zonal-split needs --A or --B to be nonnegative")
         report = _in_float_range(kind, mc_splitting, part, a, b, samples, seed, threads)
         params = {"kappa": kappa, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
     elif kind == "trace-AH":

@@ -10,8 +10,9 @@ divided by D^|kappa| once per product.  The Monte Carlo side estimates
 the same quantities from the Haar sampler and reports a z-score against
 the exact value.  The splitting check needs Z_kappa at the latent roots
 of each draw; a symmetric polynomial depends on the roots only through
-their power sums, which come from traces of matrix powers, with no
-eigensolve.  Eigenvalue inputs are rationals so both paths share inputs
+their power sums, which come from traces of powers of H' D_a H D_b, with
+no eigensolve and no square root, so the spectra may take any real
+signs.  Eigenvalue inputs are rationals so both paths share inputs
 bit-for-bit.
 """
 
@@ -380,12 +381,15 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
 
 
 def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
-    """Monte Carlo counterpart of exact_trace_power_integral."""
+    """Monte Carlo counterpart of exact_trace_power_integral.
+
+    f = 0 is reported exactly, with no sample drawn or counted.
+    """
     a, b, n = _spectra(a, b)
     exact = exact_trace_power_integral(a, b, f)
-    if f == 0:
+    if f == 0:  # the integrand is 1: nothing is drawn
         _check_budget(samples, threads)
-        return MomentReport(exact, 1.0, 0.0, samples, 0.0)
+        return MomentReport(exact, 1.0, 0.0, 0, 0.0)
     av, bv = a.floats(), b.floats()
 
     def statistic(q: np.ndarray) -> np.ndarray:
@@ -395,56 +399,60 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
-def _latent_power_sums(
-    q: np.ndarray, root_s: np.ndarray, t: np.ndarray, f: int, transpose: bool
-) -> list[np.ndarray]:
+def _latent_power_sums(q: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     """p_1..p_f of the latent roots of D_a H D_b H' for every draw H of ``q``.
 
-    ``root_s`` is the square root of the nonnegative spectrum s and ``t``
-    is the other one; s is a, or b when ``transpose``.  With Q = H, or H'
-    when ``transpose``, the roots are those of N = Q' D_s Q D_t, so
-    p_k = tr(N^k).  N is built by scaling the block in place by sqrt(s)
-    and writing Q' Q into one new array; the next power overwrites the
-    block, and a third buffer is made only for f >= 5.
+    ``w`` is the outer product a b' of the two spectra, which may take any
+    real signs.  The roots are those of N = H' D_a H D_b, a cyclic shift of
+    D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
+    may be complex, but the traces are real.  N is H' (w * H), a product of
+    two distinct buffers, which BLAS runs as gemm.
+
+    The block is overwritten and taken in two halves, inside one scratch
+    of two half-blocks: per half, w * H fills one slot and N the other;
+    the next power goes to the half of the block, and the third power
+    buffer that f >= 5 needs reuses the first slot.  Returns an (f, m)
+    array whose row k-1 is p_k.
     """
-    h = q.transpose(0, 2, 1) if transpose else q
-    h *= root_s[:, None]
-    base = np.matmul(h.transpose(0, 2, 1), h)
-    base *= t
-    sums = [np.einsum("mii->m", base)]
-    if f > 1:
-        sums.append(np.einsum("mij,mji->m", base, base))
-    # With low = N^j and high = N^(j+1): p_(2j+1) = tr(low high), p_(2j+2) = tr(high high).
-    low, spare = base, q
-    while len(sums) < f:
-        if spare is None:
-            spare = np.empty_like(base)
-        high = np.matmul(low, base, out=spare)
-        sums.append(np.einsum("mij,mji->m", low, high))
-        if len(sums) < f:
-            sums.append(np.einsum("mij,mji->m", high, high))
-        spare, low = (None if low is base else low), high
+    m, n = len(q), q.shape[1]
+    half = (m + 1) // 2
+    scratch = np.empty((2 * half, n, n))
+    sums = np.empty((f, m))
+    for start in range(0, m, half):
+        h = q[start : start + half]
+        k = len(h)
+        spare, base = scratch[:k], scratch[half : half + k]
+        np.multiply(h, w, out=spare)
+        np.matmul(h.transpose(0, 2, 1), spare, out=base)
+        out = sums[:, start : start + k]
+        np.einsum("mii->m", base, out=out[0])
+        if f > 1:
+            np.einsum("mij,mji->m", base, base, out=out[1])
+        # With low = N^j and high = N^(j+1): p_(2j+1) = tr(low high), p_(2j+2) = tr(high high).
+        low, free, done = base, [h, spare], 2
+        while done < f:
+            high = np.matmul(low, base, out=free.pop())
+            np.einsum("mij,mji->m", low, high, out=out[done])
+            if done + 1 < f:
+                np.einsum("mij,mji->m", high, high, out=out[done + 1])
+            if low is not base:
+                free.append(low)
+            low, done = high, done + 2
     return sums
 
 
 def _splitting_statistic(kappa: Partition, av: np.ndarray, bv: np.ndarray):
     """statistic(block) -> Z_kappa at the latent roots of D_a H D_b H', per draw H.
 
-    Z_kappa is evaluated from its integer power-sum row; the power sums
-    come from ``_latent_power_sums``, which takes the square root of one
-    spectrum, so at least one side must be nonnegative.
+    Z_kappa is evaluated from its integer power-sum row at the power sums
+    from ``_latent_power_sums``; both spectra may take any real signs.
     """
-    if np.all(av >= 0):
-        root_s, t, transpose = np.sqrt(av), bv, False
-    elif np.all(bv >= 0):
-        root_s, t, transpose = np.sqrt(bv), av, True
-    else:
-        raise ValueError("one of the spectra must be nonnegative")
+    w = np.outer(av, bv)
     f = kappa.weight
     terms = [(float(c), lam) for lam, c in zonal_in_powersums(kappa).sorted_items()]
 
     def statistic(q: np.ndarray) -> np.ndarray:
-        sums = _latent_power_sums(q, root_s, t, f, transpose)
+        sums = _latent_power_sums(q, w, f)
         out = np.zeros(len(q))
         for c, lam in terms:
             term = c * sums[lam[0] - 1]
@@ -462,8 +470,8 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     Estimates the Haar mean of Z_kappa at the latent roots of
     D_a H D_b H', against the exact value Z_kappa(a) Z_kappa(b) / Z_kappa(I_n).
     The power sums of the roots come from traces of matrix powers, with
-    no eigensolve; they take the square root of one spectrum, which must
-    therefore be nonnegative.
+    no eigensolve, so a and b may be any real spectra: where the roots are
+    complex, their power sums, and so Z_kappa, are still real.
     """
     kappa = Partition(kappa)
     a, b, n = _spectra(a, b)
@@ -497,8 +505,8 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
     By Haar invariance the moments depend only on the singular values of
     A, so A must be diagonal with rational entries; any other matrix
     raises ValueError.  Odd powers integrate to zero by the H -> -H
-    symmetry and are reported exactly without sampling.  Even powers
-    compare against the exact value
+    symmetry and f = 0 to one; both are reported exactly, with no sample
+    drawn or counted.  Even powers compare against the exact value
 
         sum_kappa chi(kappa) Z_kappa(A A') / Z_kappa(I_n)
 
@@ -510,17 +518,17 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
     n = len(diagonal)
     if f % 2 == 1 or f == 0:  # odd powers vanish by H -> -H; no sampling either way
         _check_budget(samples, threads)
-        if f:
-            return MomentReport(Fraction(0), 0.0, 0.0, 0, 0.0)
-        return MomentReport(Fraction(1), 1.0, 0.0, samples, 0.0)
+        value = Fraction(0 if f else 1)
+        return MomentReport(value, float(value), 0.0, 0, 0.0)
 
     half = f // 2
     scale, values = _monomial_values([d * d for d in diagonal], half)
     exact = _character_sum(half, n, lambda row: _row_dot(row, values)) / scale**half
-    amat = np.diag([float(d) for d in diagonal])
+    av = np.array([float(d) for d in diagonal])
 
     def statistic(q: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,mji->m", amat, q) ** f
+        # f is even, so |tr(A H)|^f: pow on a nonnegative base stays vectorized
+        return np.abs(np.einsum("mii,i->m", q, av)) ** f
 
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 

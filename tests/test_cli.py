@@ -262,6 +262,14 @@ class TestEstimate:
         payload = json.loads(result.output)
         assert payload["exact"] == "1"
         assert float(payload["std_err"]) == 0.0
+        assert payload["samples"] == 0  # nothing is drawn
+        result = runner.invoke(
+            main,
+            ["estimate", "trace-AH", "--f", "0", "--A", "1,2", "--samples", "100", "--seed", "0"],
+        )
+        payload = json.loads(result.output)
+        assert payload["exact"] == "1"
+        assert payload["samples"] == 0
 
     def test_zonal_split(self, runner):
         result = runner.invoke(
@@ -274,6 +282,19 @@ class TestEstimate:
         # Z_(2)(1,2) * Z_(2)(3,1) / Z_(2)(I_2) = 19 * 36 / 8
         assert payload["exact"] == "171/2"
         assert abs(float(payload["z_score"])) <= 4
+
+    def test_zonal_split_takes_spectra_signed_on_both_sides(self, runner):
+        result = runner.invoke(
+            main,
+            ["estimate", "zonal-split", "--kappa", "2,1", "--A=-1,2,3", "--B=1,-2,1/2",
+             "--samples", "20000", "--seed", "7"],
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        # Z_(2,1)(-1,2,3) Z_(2,1)(1,-2,1/2) / Z_(2,1)(I_3) = 52 * 11 / 30
+        assert payload["exact"] == "286/15"
+        assert abs(float(payload["z_score"])) <= 4
+        assert payload["samples"] == 20000
 
     def test_trace_ah(self, runner):
         result = runner.invoke(
@@ -341,14 +362,6 @@ class TestEstimate:
              "--samples", "100"],
         )
         assert result.exit_code == 2
-        # the trace statistic takes the square root of one nonnegative spectrum
-        result = runner.invoke(
-            main,
-            ["estimate", "zonal-split", "--kappa", "1", "--A", "-1,2", "--B", "-1,3",
-             "--samples", "100"],
-        )
-        assert result.exit_code == 2
-        assert "nonnegative" in result.output
         result = runner.invoke(
             main,
             ["estimate", "zonal-split", "--kappa=", "--A", "1,2", "--B", "3,1",

@@ -9,6 +9,7 @@ from math import exp, factorial, lcm
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from zonalpoly import moments, symfunc, zonal
 from zonalpoly.haar import BLOCK, sample_orthogonal_batch
@@ -305,6 +306,7 @@ class TestMcTracePower:
         assert report.mc_estimate == 1.0
         assert report.mc_std_err == 0.0
         assert report.z_score == 0.0
+        assert report.samples == 0  # nothing is drawn
 
     def test_third_power(self):
         report = mc_trace_power((1, 2, 3), (1, 1, 2), 3, 30_000, 11)
@@ -405,9 +407,14 @@ class TestMcSplitting:
         with pytest.raises(ValueError):
             mc_splitting((1, 1, 1), (1, 2), (3, 1), 100, 0)
 
-    def test_negative_spectra_on_both_sides_rejected(self):
-        with pytest.raises(ValueError):
-            mc_splitting((1,), (-1, 2), (-3, 1), 100, 0)
+    def test_negative_spectra_on_both_sides_match_exact_value(self):
+        a, b = (-1, 2, 3), (1, -2, Fraction(1, 2))
+        report = mc_splitting((2, 1), a, b, 30_000, 5)
+        row = zonal_row(Partition((2, 1)))
+        want = row.evaluate([Fraction(x) for x in a]) * row.evaluate([Fraction(x) for x in b])
+        want /= zonal_at_identity((2, 1), 3)
+        assert report.exact_value == want != 0
+        assert abs(report.z_score) <= 3
 
     def test_negative_side_allowed_when_other_nonnegative(self):
         report = mc_splitting((1,), (-1, 2), (3, 1), 10_000, 5)
@@ -444,7 +451,14 @@ class TestMcSplitting:
 
 
 def _eigensolve_roots(q, av, bv):
-    """Latent roots of D_a H D_b H' by a symmetric eigensolve: the reference path."""
+    """Latent roots of D_a H D_b H' by an eigensolve of every draw: the reference path.
+
+    With one spectrum nonnegative the roots are real and come from a
+    symmetric eigensolve; otherwise they may be complex and come from
+    ``eigvals`` of D_a H D_b H' itself.
+    """
+    if not np.all(av >= 0) and not np.all(bv >= 0):
+        return np.linalg.eigvals(np.einsum("i,mik,k,mjk->mij", av, q, bv, q))
     if np.all(av >= 0):
         outer, inner, h = np.sqrt(av), bv, q
     else:
@@ -458,7 +472,7 @@ def _eigensolve_roots(q, av, bv):
 def _powersum_batch(kappa, roots):
     """Z_kappa at each row of ``roots`` from its power-sum row, and the same
     sum over absolute values of coefficients and roots (an error scale)."""
-    value = np.zeros(len(roots))
+    value = np.zeros(len(roots), dtype=roots.dtype)
     scale = np.zeros(len(roots))
     for lam, c in zonal_in_powersums(kappa).sorted_items():
         term = np.full(len(roots), float(c))
@@ -474,14 +488,16 @@ def _powersum_batch(kappa, roots):
 def _spectra(n, negative):
     rng = np.random.default_rng(100 + n)
     av, bv = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
-    if negative == "A":
+    if negative in ("A", "both"):
         av[::2] *= -1
-    elif negative == "B":
+    if negative == "B":
         bv[::2] *= -1
+    elif negative == "both":
+        bv[-1::-2] *= -1
     return av, bv
 
 
-@pytest.mark.parametrize("negative", (None, "A", "B"))
+@pytest.mark.parametrize("negative", (None, "A", "B", "both"))
 @pytest.mark.parametrize("n", (1, 2, 3, 7, 30))
 class TestTracePowerSums:
     """The trace statistic against an eigensolve of every draw."""
@@ -490,14 +506,12 @@ class TestTracePowerSums:
         av, bv = _spectra(n, negative)
         q = sample_orthogonal_batch(n, 50, np.random.default_rng(n))
         roots = _eigensolve_roots(q.copy(), av, bv)
-        if negative == "A":
-            root_s, t, transpose = np.sqrt(bv), av, True
-        else:
-            root_s, t, transpose = np.sqrt(av), bv, False
-        sums = moments._latent_power_sums(q, root_s, t, 6, transpose)
+        if negative == "both" and n > 1:
+            assert np.any(roots.imag != 0)  # the case the square root could not take
+        sums = moments._latent_power_sums(q, np.outer(av, bv), 6)
         assert len(sums) == 6
         for k, p in enumerate(sums, start=1):
-            want = (roots**k).sum(axis=1)
+            want = (roots**k).sum(axis=1)  # complex roots come in pairs: the sum is real
             assert np.all(np.abs(p - want) <= 1e-10 * (np.abs(roots) ** k).sum(axis=1)), k
 
     def test_zonal_values_match_eigensolve(self, n, negative):
@@ -511,6 +525,39 @@ class TestTracePowerSums:
                 got = moments._splitting_statistic(kappa, av, bv)(q.copy())
                 want, scale = _powersum_batch(kappa, roots)
                 assert np.all(np.abs(got - want) <= 1e-10 * scale), kappa
+
+
+class TestCalibratedZScores:
+    """Over a fixed seed set, the z-scores of a correct estimator follow N(0, 1).
+
+    One z-score bound passes a wrong std_err (a wrong ddof, a wrong merge
+    of shards); the spread of many does not.  Seeds, sample size and
+    bounds were fixed before the first run: a KS p-value against N(0, 1)
+    of at least KS_P_MIN, and a z standard deviation in Z_STD, which
+    leaves about 3.4 standard errors of the sample deviation of 150
+    normal draws on either side of 1 while a factor sqrt(2) in std_err
+    falls outside.  Spectra are signed, at n = 3.
+    """
+
+    SEEDS = range(150)
+    SAMPLES = 4_000
+    KS_P_MIN = 1e-3
+    Z_STD = (0.8, 1.2)
+
+    def check(self, run):
+        z = np.array([run(seed).z_score for seed in self.SEEDS])
+        assert kstest(z, "norm").pvalue >= self.KS_P_MIN, (z.mean(), z.std())
+        assert self.Z_STD[0] <= z.std(ddof=1) <= self.Z_STD[1]
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_zonal_split(self, threads):
+        a, b = (-1, 2, 3), (1, -2, Fraction(1, 2))
+        self.check(lambda seed: mc_splitting((2, 1), a, b, self.SAMPLES, seed, threads))
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_trace_ah(self, threads):
+        matrix = [[-1, 0, 0], [0, 2, 0], [0, 0, 3]]
+        self.check(lambda seed: mc_linear_trace_power(matrix, 4, self.SAMPLES, seed, threads))
 
 
 class TestMcLinearTracePower:
@@ -561,6 +608,18 @@ class TestMcLinearTracePower:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             mc_linear_trace_power([[1, 0, 0], [0, 1, 0]], 2, 100, 0)
+
+    def test_matches_dense_contraction_of_one_whole_stack(self):
+        # the diagonal contraction is bit-identical to the dense one; |x|^f
+        # and x^f agree exactly at f = 2 and within an ulp at f = 4
+        d, samples = (-1.0, 2.0, 0.5), 2 * (BLOCK // 3) + 11
+        q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
+        dense = np.einsum("ij,mji->m", np.diag(d), q)
+        matrix = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        report = mc_linear_trace_power(matrix, 2, samples, 5)
+        assert report.mc_estimate == float((dense**2).mean())
+        report = mc_linear_trace_power(matrix, 4, samples, 5)
+        assert report.mc_estimate == pytest.approx(float((dense**4).mean()), rel=1e-14)
 
 
 class TestHyper0F0:
