@@ -19,8 +19,11 @@ Every sampler draws all angles at the call, in lexicographic (i, j)
 order, and builds matrices in one loop over blocks of BLOCK // n draws,
 drawing each block's reflection bits as it is realized; the stream is that
 of all angles followed by all bits in one draw.  A block is held as
-``cols[col, row, draw]``: the two columns a rotation touches are
-contiguous, stay in cache, and take cos and sin along the draw axis.
+``cols[col, row, draw]``: the two columns a rotation touches are one
+contiguous view that stays in cache, updated by three in-place calls
+along the draw axis, and one cos, one sin and one negative give the
+cosines and signed sines of a whole sweep.  Few, long numpy calls thus
+leave the GIL free for most of the time, and shards run in parallel.
 """
 
 from __future__ import annotations
@@ -94,9 +97,11 @@ class AngleSet:
 
 
 #: Matrix entries in one column of a realized block, which holds BLOCK // n
-#: draws: the two columns a rotation touches and its two scratch buffers
-#: take 512 KB at every n.  The loop ran equally fast from 2**13 to 2**16
-#: (n = 3, 10, 30; 2 MB L2 per core); the small end keeps Monte Carlo lean.
+#: draws: the two columns a rotation touches and their scratch pair take
+#: 512 KB at every n, and the cosines and signed sines of the widest sweep
+#: 3 (n - 1) / n * 128 KB, under 384 KB.  On two threads at n = 30, 2**14
+#: ran fastest of 2**12 to 2**16 (2-core VM, 2 MB L2 per core): a smaller
+#: block spends more of each call in Python, holding the GIL.
 BLOCK = 2**14
 
 
@@ -135,21 +140,25 @@ def _realize(
 
     ``next_bits(m)`` gives the (m, n) reflection bits of the next m draws
     and is called once per block, as it is realized.  A block is held as
-    ``cols[col, row, draw]``, so a rotation updates two contiguous (n, m)
-    columns in place, with cos and sin broadcast along the draw axis:
-    c*left - s*right and c*right + s*left, the roundings of an out-of-place
-    update, so the bits depend on neither layout nor block size.  The signs
-    multiply the block in place, which is then transposed to row-major into
-    one buffer reused by every block.
+    ``cols[col, row, draw]``, so the two columns a rotation touches are one
+    contiguous (2, n, m) view ``pair``.  Sweep i's angle rows are
+    contiguous in ``thetas``: one cos, one sin and one negative per sweep
+    give every cosine and signed sine pair (-s, s) of its rotations.  A
+    rotation is then three in-place calls on ``pair``: the swapped pair
+    times (-s, s) into scratch, ``pair *= c`` and ``pair += scratch``,
+    which is c*left - s*right and c*right + s*left with the roundings of
+    an out-of-place update ((-s)*r is -(s*r) exactly and x + (-y) is
+    x - y), so the bits depend on neither layout nor block size.  The
+    signs multiply the block in place, which is then transposed to
+    row-major into one buffer reused by every block.
     """
     count = thetas.shape[1]
-    rows = {key: row for row, key in enumerate(_angle_keys(n))}
-    # sweep i applies V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), in that order
-    sweeps = [(rows[(i, j)], j) for i in range(1, n) for j in range(n - 1, i - 1, -1)]
     size = max(1, min(count, BLOCK // n))
     col_buf = np.empty(n * n * size)
-    scratch = np.empty((2, n * size))
-    trig = np.empty((2, size))
+    scratch = np.empty(2 * n * size)
+    # cosines and signed sines of the widest sweep, n - 1 rotations
+    cos_buf = np.empty((n - 1) * size)
+    sin_buf = np.empty(2 * (n - 1) * size)
     out_buf = np.empty((size, n, n))
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
@@ -157,19 +166,25 @@ def _realize(
         m = stop - start
         cols = col_buf[: n * n * m].reshape(n, n, m)
         cols[...] = eye
-        s_left, s_right = scratch[:, : n * m].reshape(2, n, m)
-        c, s = trig[:, :m]
-        for row, j in sweeps:
-            np.cos(thetas[row, start:stop], out=c)
-            np.sin(thetas[row, start:stop], out=s)
-            left = cols[j - 1]
-            right = cols[j]
-            np.multiply(s, left, out=s_left)
-            np.multiply(s, right, out=s_right)
-            left *= c
-            left -= s_right
-            right *= c
-            right += s_left
+        tmp = scratch[: 2 * n * m].reshape(2, n, m)
+        cos = cos_buf[: (n - 1) * m].reshape(n - 1, m)
+        # row r holds (-s, s) of rotation r as a (2, 1, m) broadcast operand
+        sin = sin_buf[: 2 * (n - 1) * m].reshape(n - 1, 2, 1, m)
+        first = 0
+        for i in range(1, n):
+            # sweep i: rows first + j - i for j = i..n-1, applied from j = n-1 down
+            width = n - i
+            angles = thetas[first : first + width, start:stop]
+            c, s = cos[:width], sin[:width]
+            np.cos(angles, out=c)
+            np.sin(angles, out=s[:, 1, 0])
+            np.negative(s[:, 1], out=s[:, 0])
+            for r in range(width - 1, -1, -1):
+                pair = cols[i + r - 1 : i + r + 1]
+                np.multiply(pair[::-1], s[r], out=tmp)
+                pair *= c[r]
+                pair += tmp
+            first += width
         cols *= 1.0 - 2.0 * next_bits(m).T
         out = out_buf[:m]
         np.copyto(out, cols.transpose(2, 1, 0))

@@ -317,14 +317,18 @@ def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random
     """Split a sample budget into (count, stream) shards on independent streams.
 
     With one thread the caller's stream is used directly, so single-thread
-    results depend only on the seed.
+    results depend only on the seed.  Otherwise one child stream is spawned
+    per nonempty shard.
     """
     gen = as_generator(rng)
     if threads == 1:
         return [(samples, gen)]
+    # only the first min(threads, samples) shards are nonempty; child t of a
+    # spawn does not depend on how many are spawned, so the streams are kept
+    shards = min(threads, samples)
     base, extra = divmod(samples, threads)
-    sizes = [base + (1 if t < extra else 0) for t in range(threads)]
-    return [(size, child) for size, child in zip(sizes, gen.spawn(threads)) if size]
+    sizes = [base + (1 if t < extra else 0) for t in range(shards)]
+    return list(zip(sizes, gen.spawn(shards)))
 
 
 # The mean of float samples is only known to a few ulps: each sample is
@@ -390,13 +394,27 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
     if f == 0:  # the integrand is 1: nothing is drawn
         _check_budget(samples, threads)
         return MomentReport(exact, 1.0, 0.0, 0, 0.0)
-    av, bv = a.floats(), b.floats()
+    statistic = _trace_power_statistic(a.floats(), b.floats(), f)
+    return _monte_carlo(exact, n, samples, rng, threads, statistic)
+
+
+def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
+    """statistic(block) -> tr(D_a Q D_b Q')^f per draw Q; overwrites the block.
+
+    numpy's pow leaves its vectorized loop for a negative base, so the
+    power is taken of |tr| and the sign restored for odd f: the bits of
+    ``tr ** f`` for a nonnegative trace, and within one ulp of them for a
+    negative one (measured on 1e6 signed normals at f = 3, 4, 5 and 7).
+    """
 
     def statistic(q: np.ndarray) -> np.ndarray:
         q *= q  # in place: the block is the statistic's to overwrite
-        return np.einsum("mij,i,j->m", q, av, bv) ** f
+        trace = np.einsum("mij,i,j->m", q, av, bv)
+        power = np.abs(trace)
+        power **= f
+        return np.copysign(power, trace, out=power) if f % 2 else power
 
-    return _monte_carlo(exact, n, samples, rng, threads, statistic)
+    return statistic
 
 
 def _latent_power_sums(q: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:

@@ -195,6 +195,8 @@ class TestDeterminism:
             # several blocks of BLOCK // n draws, the last one partial
             (3, 2 * (BLOCK // 3) + 5),
             (30, 2 * (BLOCK // 30) + 7),
+            # nine sweeps of different widths over three blocks, the last partial
+            (10, 2 * (BLOCK // 10) + 3),
             # a batch longer than BLOCK itself, in one draw per angle row
             (3, 2 * BLOCK + 3),
         ),

@@ -385,6 +385,45 @@ class TestMcTracePower:
         assert report.samples == 4_000
         assert 1 <= len(seen) <= 2
 
+    def test_spawns_one_stream_per_nonempty_shard(self, monkeypatch):
+        # 5 samples on 64 threads fill 5 shards of one draw: 5 streams are
+        # spawned, the first 5 children that spawning 64 would give
+        counts = []
+
+        class SpyGenerator:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def spawn(self, k):
+                counts.append(k)
+                return self.gen.spawn(k)
+
+        monkeypatch.setattr(
+            moments, "as_generator", lambda rng: SpyGenerator(np.random.default_rng(rng))
+        )
+        chunks = moments._sample_chunks(5, 64, 42)
+        assert counts == [5]
+        assert [size for size, _ in chunks] == [1] * 5
+        wide = np.random.default_rng(42).spawn(64)[:5]
+        for (_, child), want in zip(chunks, wide):
+            assert np.array_equal(child.random(8), want.random(8))
+
+        counts.clear()
+        chunks = moments._sample_chunks(10, 3, 42)
+        assert counts == [3]
+        assert [size for size, _ in chunks] == [4, 3, 3]
+
+    @pytest.mark.parametrize("f", (3, 4, 5))
+    def test_statistic_matches_pow_on_signed_spectra(self, f):
+        # traces of both signs: |tr|^f with the sign restored for odd f
+        av, bv = np.array([-1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.5])
+        q = sample_orthogonal_batch(3, 2_000, np.random.default_rng(f))
+        trace = np.einsum("mij,i,j->m", q * q, av, bv)
+        assert trace.min() < 0 < trace.max()
+        got = moments._trace_power_statistic(av, bv, f)(q)
+        want = trace**f
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
 
 class TestMcSplitting:
     def test_degree_one_reduces_to_trace_power(self):
