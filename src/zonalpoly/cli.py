@@ -301,17 +301,21 @@ def _report_payload(kind: str, params: dict, report: MomentReport) -> dict:
         "std_err": format_float(report.mc_std_err),
         "z_score": format_float(report.z_score),
         "samples": report.samples,
-        "resampled": report.resampled,
+        "resampled": 0,  # kept for the report schema: no estimator redraws
     }
 
 
 def _in_float_range(kind: str, fn, *args):
-    """``fn(*args)``; a value too large for a float is a usage error, not a traceback."""
+    """``fn(*args)``; a float overflow or a budget memory cannot hold is a usage error."""
     try:
         return fn(*args)
     except OverflowError as exc:
         raise click.UsageError(
             f"{kind} needs a value too large for a float ({exc}); scale the eigenvalues down"
+        ) from exc
+    except MemoryError as exc:
+        raise click.UsageError(
+            f"{kind} cannot allocate memory for its samples ({exc}); lower --samples"
         ) from exc
 
 

@@ -15,7 +15,7 @@ one uniform double per draw.  Exponent-zero angles are uniform on
 oracle, the Q factor of a Gaussian matrix with diag(R) made positive, is
 provided for cross-validation.
 
-Every sampler draws all angles at the call, in lexicographic (i, j)
+The sampler draws all angles at the call, in lexicographic (i, j)
 order, and builds matrices in one loop over blocks of BLOCK // n draws,
 drawing each block's reflection bits as it is realized; the stream is that
 of all angles followed by all bits in one draw.  A block is held as
@@ -29,20 +29,13 @@ leave the GIL free for most of the time, and shards run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "AngleSet",
-    "angle_exponent",
     "as_generator",
-    "realize",
-    "sample_angle_set",
-    "sample_orthogonal",
     "sample_orthogonal_batch",
-    "oracle_sample",
     "oracle_sample_batch",
     "orthogonality_check",
 ]
@@ -53,47 +46,6 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def angle_exponent(n: int, j: int) -> int:
-    """Density exponent of angle theta_ij: sin(theta)^(n-j-1)."""
-    return n - j - 1
-
-
-def _angle_keys(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n) for j in range(i, n)]
-
-
-@dataclass(frozen=True)
-class AngleSet:
-    """Rotation angles and reflection bits parametrizing one matrix.
-
-    ``angles`` maps (i, j) with 1 <= i <= j <= n-1 to radians;
-    ``reflections`` holds one 0/1 bit per axis.
-    """
-
-    n: int
-    angles: Mapping[tuple[int, int], float]
-    reflections: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        expected = set(_angle_keys(self.n))
-        if set(self.angles) != expected:
-            raise ValueError(f"angle keys must be exactly {sorted(expected)}")
-        for (i, j), theta in self.angles.items():
-            if angle_exponent(self.n, j) > 0:
-                if not 0.0 <= theta <= math.pi:
-                    raise ValueError(f"theta[{i},{j}] = {theta} outside [0, pi]")
-            elif not 0.0 <= theta < 2.0 * math.pi:
-                raise ValueError(f"theta[{i},{j}] = {theta} outside [0, 2*pi)")
-        if len(self.reflections) != self.n or any(
-            b not in (0, 1) for b in self.reflections
-        ):
-            raise ValueError(f"reflections must be {self.n} bits")
-        object.__setattr__(self, "angles", dict(self.angles))
-        object.__setattr__(self, "reflections", tuple(int(b) for b in self.reflections))
 
 
 #: Matrix entries in one column of a realized block, which holds BLOCK // n
@@ -115,10 +67,9 @@ def _draw(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     row takes its c from ``rng.random``, one double per draw; every other
     Beta row comes from ``rng.beta``.
     """
-    keys = _angle_keys(n)
-    thetas = np.empty((len(keys), count))
-    for row, (_, j) in zip(thetas, keys):
-        k = angle_exponent(n, j)
+    thetas = np.empty((n * (n - 1) // 2, count))
+    exponents = (n - j - 1 for i in range(1, n) for j in range(i, n))
+    for row, k in zip(thetas, exponents):
         if k == 0:
             rng.random(out=row)
             row *= 2.0 * math.pi
@@ -133,24 +84,22 @@ def _draw(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return thetas
 
 
-def _realize(
-    thetas: np.ndarray, n: int, next_bits: Callable[[int], np.ndarray]
-) -> Iterator[np.ndarray]:
+def _realize(thetas: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Matrices from ``thetas`` as C-contiguous (m, n, n) blocks, m <= BLOCK // n.
 
-    ``next_bits(m)`` gives the (m, n) reflection bits of the next m draws
-    and is called once per block, as it is realized.  A block is held as
-    ``cols[col, row, draw]``, so the two columns a rotation touches are one
-    contiguous (2, n, m) view ``pair``.  Sweep i's angle rows are
-    contiguous in ``thetas``: one cos, one sin and one negative per sweep
-    give every cosine and signed sine pair (-s, s) of its rotations.  A
-    rotation is then three in-place calls on ``pair``: the swapped pair
-    times (-s, s) into scratch, ``pair *= c`` and ``pair += scratch``,
-    which is c*left - s*right and c*right + s*left with the roundings of
-    an out-of-place update ((-s)*r is -(s*r) exactly and x + (-y) is
-    x - y), so the bits depend on neither layout nor block size.  The
-    signs multiply the block in place, which is then transposed to
-    row-major into one buffer reused by every block.
+    Each block draws the (m, n) reflection bits of its m draws from
+    ``rng`` in one ``rng.integers(0, 2, size=(m, n))`` call, as it is
+    realized.  A block is held as ``cols[col, row, draw]``, so the two
+    columns a rotation touches are one contiguous (2, n, m) view ``pair``.
+    Sweep i's angle rows are contiguous in ``thetas``: one cos, one sin and
+    one negative per sweep give every cosine and signed sine pair (-s, s)
+    of its rotations.  A rotation is then three in-place calls on
+    ``pair``: the swapped pair times (-s, s) into scratch, ``pair *= c``
+    and ``pair += scratch``, which is c*left - s*right and c*right + s*left
+    with the roundings of an out-of-place update ((-s)*r is -(s*r) exactly
+    and x + (-y) is x - y), so the bits depend on neither layout nor block
+    size.  The signs multiply the block in place, which is then transposed
+    to row-major into one buffer reused by every block.
     """
     count = thetas.shape[1]
     size = max(1, min(count, BLOCK // n))
@@ -185,36 +134,10 @@ def _realize(
                 pair *= c[r]
                 pair += tmp
             first += width
-        cols *= 1.0 - 2.0 * next_bits(m).T
+        cols *= 1.0 - 2.0 * rng.integers(0, 2, size=(m, n)).T
         out = out_buf[:m]
         np.copyto(out, cols.transpose(2, 1, 0))
         yield out
-
-
-def realize(angle_set: AngleSet) -> np.ndarray:
-    """The orthogonal matrix determined by an AngleSet; deterministic."""
-    n = angle_set.n
-    thetas = np.array([angle_set.angles[key] for key in _angle_keys(n)], dtype=float)
-    bits = np.array([angle_set.reflections])
-    return next(_realize(thetas.reshape(-1, 1), n, lambda m: bits))[0]
-
-
-def sample_angle_set(n: int, rng) -> AngleSet:
-    """Draw an AngleSet with the stated angle densities and fair bits.
-
-    The draw of sample_orthogonal_batch with a count of one, so identical
-    seeds give identical angles, bits and matrices.
-    """
-    rng = as_generator(rng)
-    thetas = _draw(n, 1, rng)
-    bits = rng.integers(0, 2, size=n)
-    angles = {key: float(theta) for key, theta in zip(_angle_keys(n), thetas[:, 0])}
-    return AngleSet(n, angles, tuple(int(b) for b in bits))
-
-
-def sample_orthogonal(n: int, rng) -> np.ndarray:
-    """One Haar-distributed matrix from the rotation/reflection sampler."""
-    return sample_orthogonal_batch(n, 1, rng)[0]
 
 
 def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
@@ -231,16 +154,15 @@ def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = as_generator(rng)
-    return _realize(_draw(n, count, rng), n, lambda m: rng.integers(0, 2, size=(m, n)))
+    return _realize(_draw(n, count, rng), n, rng)
 
 
 def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     """A C-contiguous (count, n, n) stack of independent Haar draws.
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
-    is bit-reproducible, and a batch of one matches sample_orthogonal.
-    All angles are drawn first, in the order of sample_angle_set, then
-    the count x n reflection bits.
+    is bit-reproducible.  All angles are drawn first, row by row in
+    lexicographic (i, j) order, then the count x n reflection bits.
     """
     blocks = _sample_blocks(n, count, rng)
     out = np.empty((count, n, n))
@@ -270,11 +192,6 @@ def oracle_sample_batch(n: int, count: int, rng) -> np.ndarray:
         out[pending[ok]] = q[ok]
         pending = pending[~ok]
     return out
-
-
-def oracle_sample(n: int, rng) -> np.ndarray:
-    """One Haar draw from the QR oracle."""
-    return oracle_sample_batch(n, 1, as_generator(rng))[0]
 
 
 def orthogonality_check(q: np.ndarray, tol: float) -> bool:

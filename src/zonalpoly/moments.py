@@ -87,7 +87,6 @@ class MomentReport:
     mc_std_err: float
     samples: int
     z_score: float
-    resampled: int = 0  # kept for the report schema: no estimator redraws
 
 
 @dataclass(frozen=True)
@@ -344,7 +343,11 @@ def _summarize(exact, reference: float, values: np.ndarray) -> MomentReport:
         mean = float(values.mean())
     if not np.isfinite(mean):
         raise OverflowError("the sample mean is not finite")
-    std_err = float(values.std(ddof=1) / sqrt(m)) if m > 1 else 0.0
+    with np.errstate(over="ignore"):  # finite samples whose squares may not be
+        std = float(values.std(ddof=1))
+    if not np.isfinite(std):
+        raise OverflowError("the sample variance is not finite")
+    std_err = std / sqrt(m)
     scale = max(std_err, Z_FLOOR_ULPS * float(np.spacing(abs(mean))))
     z = (mean - reference) / scale
     return MomentReport(exact, mean, std_err, m, z)
@@ -360,8 +363,9 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     share nothing mutable; their arrays are joined in shard order, so
     results depend only on (seed, threads, samples).
     An ``exact`` value too large for a float raises OverflowError before
-    anything is drawn; a sample mean that is not finite raises it after the
-    draws.
+    anything is drawn; a sample mean or sample variance that is not finite
+    raises it after the draws, so an overflow is never reported as an
+    infinite std_err with a zero z-score.
     """
     _check_budget(samples, threads)
     reference = float(exact)

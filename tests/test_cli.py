@@ -1,8 +1,10 @@
 """Command-line surface: formats, exit codes, determinism, verification."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -210,6 +212,17 @@ def test_cli_imports_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_every_exported_name_resolves():
+    # the tracer in perfbench/spans.py looks up every name in these lists
+    modules = [zonalpoly] + [
+        importlib.import_module(f"zonalpoly.{info.name}")
+        for info in pkgutil.iter_modules(zonalpoly.__path__)
+    ]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
 class TestOutputBytes:
     """Exact-integer outputs pinned byte for byte; any changed byte fails."""
 
@@ -411,6 +424,40 @@ class TestEstimate:
         assert result.exit_code == 2
         assert "exp-series needs a value too large for a float" in result.output
         assert "not finite" in result.output
+
+    def test_variance_overflow_is_usage_error(self, runner):
+        # every sample is finite and so is their mean, but their squares are not
+        args = [
+            "estimate", "trace-power", "--f", "20", "--A", "1000000,2000000,3000000",
+            "--B", "1000000,2000000,3000000", "--samples", "1000",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "trace-power needs a value too large for a float" in result.output
+        assert "variance is not finite" in result.output
+
+    def test_unallocatable_samples_is_usage_error(self, runner, monkeypatch):
+        # a budget too large for memory, without allocating one
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr("zonalpoly.cli.mc_trace_power", out_of_memory)
+        result = runner.invoke(
+            main, ["estimate", "trace-power", "--f", "2", "--A", "1,2,3", "--B", "1,2,3"]
+        )
+        assert result.exit_code == 2
+        assert "Unable to allocate" in result.output
+        assert "lower --samples" in result.output
+
+    def test_report_keeps_resampled_key_at_zero(self, runner):
+        result = runner.invoke(
+            main,
+            ["estimate", "trace-power", "--f", "2", "--A", "1,2", "--B", "3,1", "--samples", "100"],
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["resampled"] == 0
 
     def test_bad_eigenvalue_list_is_usage_error(self, runner):
         result = runner.invoke(

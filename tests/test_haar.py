@@ -9,14 +9,9 @@ from scipy.stats import ks_2samp, kstest, ortho_group
 
 from zonalpoly.haar import (
     BLOCK,
-    AngleSet,
-    angle_exponent,
-    oracle_sample,
+    _realize,
     oracle_sample_batch,
     orthogonality_check,
-    realize,
-    sample_angle_set,
-    sample_orthogonal,
     sample_orthogonal_batch,
 )
 
@@ -74,45 +69,42 @@ def strided_reference_batch(n, count, rng):
     return strided_reference_rotate(n, *strided_reference_draw(n, count, rng))
 
 
-class TestAngleSet:
-    def test_exponents(self):
-        assert [angle_exponent(4, j) for j in (1, 2, 3)] == [2, 1, 0]
+def realize_with_twin(n, thetas, seed):
+    """``_realize`` of (n(n-1)/2, count) angles in one block, with the bits it drew.
 
-    def test_requires_exact_key_set(self):
-        with pytest.raises(ValueError):
-            AngleSet(3, {(1, 1): 0.0}, (0, 0, 0))
+    The bits come from a twin of the generator ``_realize`` draws from, in
+    the one (count, n) call that a single block makes.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(n * (n - 1) // 2, -1)
+    assert thetas.shape[1] <= BLOCK // n
+    (block,) = _realize(thetas, n, np.random.default_rng(seed))
+    bits = np.random.default_rng(seed).integers(0, 2, size=(thetas.shape[1], n))
+    return block.copy(), bits
 
-    def test_range_validation(self):
-        angles = {(1, 1): 4.0, (1, 2): 0.0, (2, 2): 0.0}
-        with pytest.raises(ValueError):
-            AngleSet(3, angles, (0, 0, 0))  # sin-weighted angle beyond pi
-        angles = {(1, 1): 1.0, (1, 2): 6.9, (2, 2): 0.0}
-        with pytest.raises(ValueError):
-            AngleSet(3, angles, (0, 0, 0))  # uniform angle beyond 2*pi
 
-    def test_bit_validation(self):
-        with pytest.raises(ValueError):
-            AngleSet(2, {(1, 1): 0.0}, (0, 2))
+def signs(bits):
+    """The reflection factor of each draw, diag(1 - 2 b), as a (count, n, n) stack."""
+    return np.stack([np.diag(1.0 - 2.0 * b) for b in bits])
 
 
 class TestRealize:
     def test_two_dimensional_rotation(self):
         theta = 0.7
-        q = realize(AngleSet(2, {(1, 1): theta}, (0, 0)))
+        q, bits = realize_with_twin(2, [theta], 1)
         expected = np.array(
             [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
         )
-        assert np.allclose(q, expected, atol=1e-15)
+        assert np.allclose(q, signs(bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
-        angles = {(i, j): 0.0 for i in (1, 2) for j in range(i, 3)}
-        q = realize(AngleSet(3, angles, (1, 1, 1)))
-        assert np.array_equal(q, -np.eye(3))
+        qs, bits = realize_with_twin(3, np.zeros((3, 16)), 2)
+        assert (bits == 1).all(axis=1).any()  # the seed reaches all three reflections
+        assert np.array_equal(qs, signs(bits))
 
     def test_rotation_times_inverse(self):
         theta = 1.2
-        fwd = realize(AngleSet(2, {(1, 1): theta}, (0, 0)))
-        back = realize(AngleSet(2, {(1, 1): 2 * math.pi - theta}, (0, 0)))
+        (fwd, back), bits = realize_with_twin(2, [[theta, 2 * math.pi - theta]], 3)
+        fwd, back = signs(bits) @ np.stack([fwd, back])  # each draw's reflections undone
         assert np.allclose(fwd @ back, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -121,25 +113,21 @@ class TestRealize:
         # rotation that skips rows or reorders its roundings flips signed zeros
         keys = [(i, j) for i in range(1, n) for j in range(i, n)]
         sweep = (0.0, math.pi / 2, 2.0, 3.0, math.pi)
-        choices = [sweep if angle_exponent(n, j) > 0 else sweep + (6.0,) for _, j in keys]
+        choices = [sweep if n - j - 1 > 0 else sweep + (6.0,) for _, j in keys]
         rng = np.random.default_rng(n)
         if math.prod(map(len, choices)) <= 2000:
             angles = np.array(list(itertools.product(*choices))).reshape(-1, len(keys))
         else:  # 2000 random picks
             angles = np.column_stack([rng.choice(values, 2000) for values in choices])
-        bits = rng.integers(0, 2, size=(len(angles), n))
+        got, bits = realize_with_twin(n, angles.T, n)
         expected = strided_reference_rotate(n, dict(zip(keys, angles.T)), bits)
-        for row, reflections, want in zip(angles, bits, expected):
-            got = realize(AngleSet(n, dict(zip(keys, row.tolist())), tuple(reflections)))
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
-    @pytest.mark.parametrize("n", (2, 3, 5))
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
-        rng = np.random.default_rng(91)
-        for _ in range(10):
-            q = realize(sample_angle_set(n, rng))
-            assert orthogonality_check(q, 1e-12)
-            assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-10
+        qs = sample_orthogonal_batch(n, 10, np.random.default_rng(91))
+        assert orthogonality_check(qs, 1e-12)
+        assert np.all(np.abs(np.abs(np.linalg.det(qs)) - 1.0) < 1e-10)
 
 
 class TestOrthogonalityCheck:
@@ -167,23 +155,6 @@ class TestOrthogonalityCheck:
 
 
 class TestDeterminism:
-    def test_same_seed_same_angles(self):
-        a1 = sample_angle_set(3, np.random.default_rng(5))
-        a2 = sample_angle_set(3, np.random.default_rng(5))
-        assert a1.angles == a2.angles
-        assert a1.reflections == a2.reflections
-
-    def test_same_seed_same_matrix(self):
-        q1 = sample_orthogonal(4, np.random.default_rng(5))
-        q2 = sample_orthogonal(4, np.random.default_rng(5))
-        assert np.array_equal(q1, q2)
-
-    @pytest.mark.parametrize("n", (1, 2, 3, 4, 7))
-    def test_single_matches_batch_of_one(self, n):
-        single = sample_orthogonal(n, np.random.default_rng(17))
-        batch = sample_orthogonal_batch(n, 1, np.random.default_rng(17))
-        assert np.array_equal(single, batch[0])
-
     @pytest.mark.parametrize(
         "n, count",
         (
@@ -214,7 +185,7 @@ class TestDeterminism:
         assert np.array_equal(b1, b2)
 
     def test_integer_seed_accepted(self):
-        assert np.array_equal(sample_orthogonal(2, 9), sample_orthogonal(2, 9))
+        assert np.array_equal(sample_orthogonal_batch(2, 3, 9), sample_orthogonal_batch(2, 3, 9))
 
 
 class TestOneDimensional:
@@ -269,7 +240,7 @@ class TestOracle:
     def test_orthogonality(self):
         rng = np.random.default_rng(55)
         for n in (1, 2, 4):
-            assert orthogonality_check(oracle_sample(n, rng), 1e-12)
+            assert orthogonality_check(oracle_sample_batch(n, 10, rng), 1e-12)
 
     def test_first_column_angle_uniform(self):
         qs = oracle_sample_batch(2, 100_000, np.random.default_rng(60))

@@ -466,7 +466,6 @@ class TestMcSplitting:
         report = mc_splitting(*args, threads=threads)
         assert mc_splitting(*args, threads=threads) == report
         assert report.samples == 401
-        assert report.resampled == 0
 
     def test_memory_within_one_block_of_trace_power(self):
         n, samples = 30, 5_000
@@ -647,6 +646,13 @@ class TestMcLinearTracePower:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             mc_linear_trace_power([[1, 0, 0], [0, 1, 0]], 2, 100, 0)
+
+    def test_overflowing_variance_raises_without_warnings(self):
+        # tr(A H)^2 reaches 1e300: the mean is finite, the sum of squares is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="variance is not finite"):
+                mc_linear_trace_power([[10**150, 0], [0, 1]], 2, 100, 1)
 
     def test_matches_dense_contraction_of_one_whole_stack(self):
         # the diagonal contraction is bit-identical to the dense one; |x|^f
