@@ -1,18 +1,19 @@
-"""Exact zonal polynomials, orthogonal-group moments, and Haar sampling."""
+"""Exact zonal polynomials, orthogonal-group moments, and Haar sampling.
 
-from .haar import oracle_sample_batch, orthogonality_check, sample_orthogonal_batch
+The exact names import with the package.  The Haar sampler and the Monte
+Carlo estimators need numpy, so their names are resolved on first use
+(PEP 562): ``import zonalpoly`` alone does not load numpy.
+"""
+
+from importlib import import_module
+
 from .moments import (
     DiagonalSpec,
-    MomentReport,
     ResidualInconsistencyError,
     SeriesResult,
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    mc_exponential_trace,
-    mc_linear_trace_power,
-    mc_splitting,
-    mc_trace_power,
     normalizing_product,
     residual_coefficient,
     residual_values,
@@ -81,3 +82,28 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: Exported names that live in a numpy module, by the module that holds them.
+_LAZY = {
+    "oracle_sample_batch": "haar",
+    "orthogonality_check": "haar",
+    "sample_orthogonal_batch": "haar",
+    "MomentReport": "montecarlo",
+    "mc_exponential_trace": "montecarlo",
+    "mc_linear_trace_power": "montecarlo",
+    "mc_splitting": "montecarlo",
+    "mc_trace_power": "montecarlo",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

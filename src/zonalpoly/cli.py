@@ -13,18 +13,11 @@ import csv
 import io
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import click
 
-from .moments import (
-    DiagonalSpec,
-    MomentReport,
-    hyper0f0,
-    mc_exponential_trace,
-    mc_linear_trace_power,
-    mc_splitting,
-    mc_trace_power,
-)
+from .moments import DiagonalSpec, hyper0f0
 from .partitions import Partition, partitions_of
 from .reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from .symfunc import MONOMIAL, POWERSUM, SymPoly
@@ -35,6 +28,9 @@ from .zonal import (
     zonal_in_powersums,
     zonal_row,
 )
+
+if TYPE_CHECKING:
+    from .montecarlo import MomentReport
 
 #: Table generation beyond this degree is refused; the recursion stays
 #: exact but the partition count makes it slow.
@@ -343,6 +339,14 @@ def estimate(
     max_degree: int,
 ) -> None:
     """Run one Monte Carlo experiment and print a JSON report."""
+    # imported here, so that table and verify never load numpy
+    from .montecarlo import (
+        mc_exponential_trace,
+        mc_linear_trace_power,
+        mc_splitting,
+        mc_trace_power,
+    )
+
     if samples < 2:
         raise click.UsageError("--samples must be at least 2")
     if threads < 1:

@@ -21,10 +21,10 @@ from zonalpoly.haar import oracle_sample_batch, sample_orthogonal_batch
 from zonalpoly.moments import (
     bilinear_coefficient,
     hyper0f0,
-    mc_splitting,
     normalizing_product,
     residual_values,
 )
+from zonalpoly.montecarlo import mc_splitting
 from zonalpoly.partitions import Partition, dominated_by, partitions_of, rho
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES
 from zonalpoly.symfunc import SymPoly, m_to_p, p_to_m

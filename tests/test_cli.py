@@ -202,14 +202,20 @@ class TestVerify:
 
 
 def test_cli_imports_no_scipy():
-    # scipy is a test-only dependency: the runtime import graph must not need it
+    # scipy is a test-only dependency, and only the Monte Carlo side needs
+    # numpy: the package, the exact layer, table and verify load neither
     src = str(Path(zonalpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, zonalpoly.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, zonalpoly, zonalpoly.cli, zonalpoly.moments\n"
+        "for args in (['table', '--f', '3'], ['verify', '--f', '1..3']):\n"
+        "    assert zonalpoly.cli.main(args, standalone_mode=False) in (None, 0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_every_exported_name_resolves():
@@ -443,7 +449,7 @@ class TestEstimate:
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 745. GiB")
 
-        monkeypatch.setattr("zonalpoly.cli.mc_trace_power", out_of_memory)
+        monkeypatch.setattr("zonalpoly.montecarlo.mc_trace_power", out_of_memory)
         result = runner.invoke(
             main, ["estimate", "trace-power", "--f", "2", "--A", "1,2,3", "--B", "1,2,3"]
         )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from zonalpoly import moments, symfunc, zonal
+from zonalpoly import moments, montecarlo, symfunc, zonal
 from zonalpoly.haar import BLOCK, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
@@ -19,13 +19,11 @@ from zonalpoly.moments import (
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    mc_linear_trace_power,
-    mc_splitting,
-    mc_trace_power,
     normalizing_product,
     residual_coefficient,
     residual_values,
 )
+from zonalpoly.montecarlo import mc_linear_trace_power, mc_splitting, mc_trace_power
 from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.symfunc import MONOMIAL, SymPoly
 from zonalpoly.zonal import (
@@ -58,6 +56,8 @@ class TestNormalizingProduct:
             normalizing_product(0, 1)
         with pytest.raises(ValueError):
             normalizing_product(2, -1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            bilinear_coefficient(2, 0, (2,), (2,))
 
 
 class TestExactTracePower:
@@ -209,7 +209,7 @@ class TestIntegerEvaluation:
 
         monkeypatch.setattr(symfunc.SymPoly, "evaluate", forbidden)
         monkeypatch.setattr(zonal, "m_to_p", forbidden)
-        monkeypatch.setattr(moments, "zonal_in_powersums", forbidden)
+        monkeypatch.setattr(montecarlo, "zonal_in_powersums", forbidden)
         a, b = MIXED_SPECTRA[0][:3], MIXED_SPECTRA[1][:3]
         values = [
             exact_trace_power_integral(a, b, 4),
@@ -369,17 +369,17 @@ class TestMcTracePower:
     def test_pool_is_capped_at_cpu_count(self, monkeypatch):
         # eight shards keep the eight-thread streams; at most two threads run them
         args = ((1, 2, 3), (3, 1, 2), 2, 4_000, 42)
-        monkeypatch.setattr(moments.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
         one_worker = mc_trace_power(*args, threads=8)
         seen = set()
-        real_blocks = moments._sample_blocks
+        real_blocks = montecarlo._sample_blocks
 
         def recording_blocks(*blocks_args):
             seen.add(threading.get_ident())
             return real_blocks(*blocks_args)
 
-        monkeypatch.setattr(moments, "_sample_blocks", recording_blocks)
-        monkeypatch.setattr(moments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_sample_blocks", recording_blocks)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         report = mc_trace_power(*args, threads=8)
         assert report == one_worker
         assert report.samples == 4_000
@@ -399,9 +399,9 @@ class TestMcTracePower:
                 return self.gen.spawn(k)
 
         monkeypatch.setattr(
-            moments, "as_generator", lambda rng: SpyGenerator(np.random.default_rng(rng))
+            montecarlo, "as_generator", lambda rng: SpyGenerator(np.random.default_rng(rng))
         )
-        chunks = moments._sample_chunks(5, 64, 42)
+        chunks = montecarlo._sample_chunks(5, 64, 42)
         assert counts == [5]
         assert [size for size, _ in chunks] == [1] * 5
         wide = np.random.default_rng(42).spawn(64)[:5]
@@ -409,7 +409,7 @@ class TestMcTracePower:
             assert np.array_equal(child.random(8), want.random(8))
 
         counts.clear()
-        chunks = moments._sample_chunks(10, 3, 42)
+        chunks = montecarlo._sample_chunks(10, 3, 42)
         assert counts == [3]
         assert [size for size, _ in chunks] == [4, 3, 3]
 
@@ -420,7 +420,7 @@ class TestMcTracePower:
         q = sample_orthogonal_batch(3, 2_000, np.random.default_rng(f))
         trace = np.einsum("mij,i,j->m", q * q, av, bv)
         assert trace.min() < 0 < trace.max()
-        got = moments._trace_power_statistic(av, bv, f)(q)
+        got = montecarlo._trace_power_statistic(av, bv, f)(q)
         want = trace**f
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -546,7 +546,7 @@ class TestTracePowerSums:
         roots = _eigensolve_roots(q.copy(), av, bv)
         if negative == "both" and n > 1:
             assert np.any(roots.imag != 0)  # the case the square root could not take
-        sums = moments._latent_power_sums(q, np.outer(av, bv), 6)
+        sums = montecarlo._latent_power_sums(q, np.outer(av, bv), 6)
         assert len(sums) == 6
         for k, p in enumerate(sums, start=1):
             want = (roots**k).sum(axis=1)  # complex roots come in pairs: the sum is real
@@ -560,7 +560,7 @@ class TestTracePowerSums:
             for kappa in partitions_of(f):
                 if len(kappa) > n:
                     continue
-                got = moments._splitting_statistic(kappa, av, bv)(q.copy())
+                got = montecarlo._splitting_statistic(kappa, av, bv)(q.copy())
                 want, scale = _powersum_batch(kappa, roots)
                 assert np.all(np.abs(got - want) <= 1e-10 * scale), kappa
 
@@ -710,7 +710,7 @@ class TestHyper0F0:
 
 class TestMcExponentialTrace:
     def test_tracks_truncated_series(self):
-        from zonalpoly.moments import mc_exponential_trace
+        from zonalpoly.montecarlo import mc_exponential_trace
 
         series = hyper0f0((1, 2), (1, 3), 12)
         report = mc_exponential_trace((1, 2), (1, 3), series.value, 50_000, 9)
@@ -718,14 +718,14 @@ class TestMcExponentialTrace:
         assert abs(report.mc_estimate - series.value) / series.value < 0.01
 
     def test_dimension_mismatch_rejected(self):
-        from zonalpoly.moments import mc_exponential_trace
+        from zonalpoly.montecarlo import mc_exponential_trace
 
         with pytest.raises(ValueError):
             mc_exponential_trace((1, 2), (1,), 1.0, 100, 0)
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_overflowing_draws_raise_without_warnings(self, threads):
-        from zonalpoly.moments import mc_exponential_trace
+        from zonalpoly.montecarlo import mc_exponential_trace
 
         # exp(tr / 2) exceeds the float range on some draws: tr reaches 820
         with warnings.catch_warnings():
