@@ -8,27 +8,29 @@ factors V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), and sweeps are
 multiplied left to right for i = 1, ..., n-1.
 
 Angle theta_ij carries the density sin(theta)^(n-j-1): angles with a
-positive exponent live on [0, pi] and are drawn through a symmetric Beta
-transform of cos(theta); at exponent one that Beta(1, 1) is U(0, 1),
-one uniform double per draw.  Exponent-zero angles are uniform on
-[0, 2*pi).  Reflection bits are fair and independent.  An independent
-oracle, the Q factor of a Gaussian matrix with diag(R) made positive, is
-provided for cross-validation.
+positive exponent live on [0, pi] and exponent-zero angles are uniform on
+[0, 2*pi).  The d = n - i angles of sweep i are the hyperspherical
+coordinates of a uniform point on the sphere in d + 1 dimensions, so the
+sampler takes their cosines and sines from d + 1 standard normals by
+square roots and divisions (Muller, Comm. ACM 2, 1959; the Givens-angle
+view of Haar generation of Anderson, Olkin and Underhill, SIAM J. Sci.
+Stat. Comput. 8, 1987), with no angle and no transcendental call.
+Reflection bits are fair and independent.  An independent oracle, the Q
+factor of a Gaussian matrix with diag(R) made positive, is provided for
+cross-validation.
 
-The sampler draws all angles at the call, in lexicographic (i, j)
-order, and builds matrices in one loop over blocks of BLOCK // n draws,
-drawing each block's reflection bits as it is realized; the stream is that
-of all angles followed by all bits in one draw.  A block is held as
+The sampler builds matrices in blocks of BLOCK // n draws, and each block
+consumes the stream in two calls: its normals, all n(n+1)/2 - 1 per draw
+in one (rows, m) array whose rows go to sweeps 1, ..., n - 1 in turn,
+then its (m, n) reflection bits.  A block is held as
 ``cols[col, row, draw]``: the two columns a rotation touches are one
 contiguous view that stays in cache, updated by three in-place calls
-along the draw axis, and one cos, one sin and one negative give the
-cosines and signed sines of a whole sweep.  Few, long numpy calls thus
-leave the GIL free for most of the time, and shards run in parallel.
+along the draw axis.  Few, long numpy calls thus leave the GIL free for
+most of the time, and shards run in parallel.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -50,59 +52,76 @@ def as_generator(rng) -> np.random.Generator:
 
 #: Matrix entries in one column of a realized block, which holds BLOCK // n
 #: draws: the two columns a rotation touches and their scratch pair take
-#: 512 KB at every n, and the cosines and signed sines of the widest sweep
-#: 3 (n - 1) / n * 128 KB, under 384 KB.  On two threads at n = 30, 2**14
-#: ran fastest of 2**12 to 2**16 (2-core VM, 2 MB L2 per core): a smaller
-#: block spends more of each call in Python, holding the GIL.
+#: 512 KB at every n, the cosines and signed sines of the widest sweep
+#: 3 (n - 1) / n * 128 KB, under 384 KB, the radii of a sweep 128 KB, and
+#: the block's normals ((n + 1) / 2 - 1 / n) * 128 KB, 1.9 MB at n = 30.  On
+#: two threads at n = 30, 2**14 ran fastest of 2**12 to 2**16 (2-core VM,
+#: 2 MB L2 per core): a smaller block spends more of each call in Python,
+#: holding the GIL.
 BLOCK = 2**14
 
 
-def _draw(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Angles ``thetas`` (n(n-1)/2, count), drawn row by row in lexicographic (i, j) order.
+def _sweep_rotations(g: np.ndarray, radii: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """Cosines ``c`` and sines ``s`` (d, m) of a sweep's rotations from its normals ``g`` (d + 1, m).
 
-    Each row is written in place: 2c - 1 and its arccos for a
-    Beta((k+1)/2, (k+1)/2) draw c (the roundings of ``2.0 * c - 1.0``), and
-    2*pi times a uniform double for an exponent-zero angle (the bits of
-    ``rng.uniform(0, 2*pi)``).  Beta(1, 1) is U(0, 1), so an exponent-one
-    row takes its c from ``rng.random``, one double per draw; every other
-    Beta row comes from ``rng.beta``.
+    With R_k = sqrt(g_k^2 + ... + g_d^2), the tail sums added in place
+    from g_d^2 up in ``radii`` (d + 1, m), rotation r gets c = g_r / R_r
+    and s = R_(r+1) / R_r, or s = g_d / R_(d-1) for the last one: the
+    hyperspherical coordinates of the uniform point g / R_0 on the sphere
+    in d + 1 dimensions (Muller 1959), so the angle of rotation r has the
+    density sin(theta)^(d-1-r) on [0, pi] for r < d - 1, and is uniform on
+    [0, 2*pi) for the last.  A zero tail g_r = ... = g_d = 0 (numpy's
+    normals include +-0.0) leaves rotation r at 0 / 0; it is the identity,
+    c = 1 and s = 0, instead.  R_r = 0 forces R_(d-1) = 0, so one test of
+    the smallest radius guards the sweep.
     """
-    thetas = np.empty((n * (n - 1) // 2, count))
-    exponents = (n - j - 1 for i in range(1, n) for j in range(i, n))
-    for row, k in zip(thetas, exponents):
-        if k == 0:
-            rng.random(out=row)
-            row *= 2.0 * math.pi
-            continue
-        if k == 1:
-            rng.random(out=row)
-        else:
-            row[:] = rng.beta((k + 1) / 2.0, (k + 1) / 2.0, size=count)
-        row *= 2.0
-        row -= 1.0
-        np.arccos(row, out=row)
-    return thetas
+    d = len(c)
+    np.multiply(g, g, out=radii)
+    for k in range(d - 1, -1, -1):
+        radii[k] += radii[k + 1]
+    radii = radii[:d]
+    np.sqrt(radii, out=radii)
+    if radii[-1].min() > 0.0:
+        _divide(g, radii, c, s)
+        return
+    with np.errstate(invalid="ignore"):  # only 0 / 0: R_r = 0 forces g_r = R_(r+1) = 0
+        _divide(g, radii, c, s)
+    undefined = radii == 0.0
+    c[undefined] = 1.0
+    s[undefined] = 0.0
 
 
-def _realize(thetas: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Matrices from ``thetas`` as C-contiguous (m, n, n) blocks, m <= BLOCK // n.
+def _divide(g: np.ndarray, radii: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """c = g_r / R_r, s = R_(r+1) / R_r and, for the last rotation, s = g_d / R_(d-1)."""
+    np.divide(g[:-1], radii, out=c)
+    np.divide(radii[1:], radii[:-1], out=s[:-1])
+    np.divide(g[-1], radii[-1], out=s[-1])
 
-    Each block draws the (m, n) reflection bits of its m draws from
-    ``rng`` in one ``rng.integers(0, 2, size=(m, n))`` call, as it is
-    realized.  A block is held as ``cols[col, row, draw]``, so the two
-    columns a rotation touches are one contiguous (2, n, m) view ``pair``.
-    Sweep i's angle rows are contiguous in ``thetas``: one cos, one sin and
-    one negative per sweep give every cosine and signed sine pair (-s, s)
-    of its rotations.  A rotation is then three in-place calls on
-    ``pair``: the swapped pair times (-s, s) into scratch, ``pair *= c``
-    and ``pair += scratch``, which is c*left - s*right and c*right + s*left
-    with the roundings of an out-of-place update ((-s)*r is -(s*r) exactly
-    and x + (-y) is x - y), so the bits depend on neither layout nor block
-    size.  The signs multiply the block in place, which is then transposed
-    to row-major into one buffer reused by every block.
+
+def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``count`` Haar draws as C-contiguous (m, n, n) blocks, m <= BLOCK // n.
+
+    Each block of m draws makes two calls on ``rng``: one
+    ``rng.standard_normal(out=...)`` into a reused (n(n+1)/2 - 1, m)
+    buffer, then ``rng.integers(0, 2, size=(m, n))`` for the reflection
+    bits.  Sweep i = 1, ..., n - 1 of the block takes the next n - i + 1
+    rows of normals, from which ``_sweep_rotations`` gives the cosines and
+    sines of its n - i rotations, with no angle and no transcendental
+    call.  A block is held as ``cols[col, row, draw]``, so the two columns
+    a rotation touches are one contiguous (2, n, m) view ``pair``; one
+    negative per sweep gives every signed sine pair (-s, s).  A rotation
+    is then three in-place calls on ``pair``: the swapped pair times
+    (-s, s) into scratch, ``pair *= c`` and ``pair += scratch``, which is
+    c*left - s*right and c*right + s*left with the roundings of an
+    out-of-place update ((-s)*r is -(s*r) exactly and x + (-y) is x - y),
+    so the bits depend on the layout of neither the block nor the stack.
+    The signs multiply the block in place, which is then transposed to
+    row-major into one buffer reused by every block.
     """
-    count = thetas.shape[1]
     size = max(1, min(count, BLOCK // n))
+    rows = n * (n + 1) // 2 - 1
+    normal_buf = np.empty(rows * size)
+    radii_buf = np.empty(n * size)
     col_buf = np.empty(n * n * size)
     scratch = np.empty(2 * n * size)
     # cosines and signed sines of the widest sweep, n - 1 rotations
@@ -111,8 +130,9 @@ def _realize(thetas: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[n
     out_buf = np.empty((size, n, n))
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
-        stop = min(start + size, count)
-        m = stop - start
+        m = min(size, count - start)
+        normals = normal_buf[: rows * m].reshape(rows, m)
+        rng.standard_normal(out=normals)
         cols = col_buf[: n * n * m].reshape(n, n, m)
         cols[...] = eye
         tmp = scratch[: 2 * n * m].reshape(2, n, m)
@@ -121,19 +141,19 @@ def _realize(thetas: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[n
         sin = sin_buf[: 2 * (n - 1) * m].reshape(n - 1, 2, 1, m)
         first = 0
         for i in range(1, n):
-            # sweep i: rows first + j - i for j = i..n-1, applied from j = n-1 down
-            width = n - i
-            angles = thetas[first : first + width, start:stop]
-            c, s = cos[:width], sin[:width]
-            np.cos(angles, out=c)
-            np.sin(angles, out=s[:, 1, 0])
+            # sweep i: rotation r turns the plane (i + r - 1, i + r), applied from r = d - 1 down
+            d = n - i
+            c, s = cos[:d], sin[:d]
+            g = normals[first : first + d + 1]
+            radii = radii_buf[: (d + 1) * m].reshape(d + 1, m)
+            _sweep_rotations(g, radii, c, s[:, 1, 0])
             np.negative(s[:, 1], out=s[:, 0])
-            for r in range(width - 1, -1, -1):
+            for r in range(d - 1, -1, -1):
                 pair = cols[i + r - 1 : i + r + 1]
                 np.multiply(pair[::-1], s[r], out=tmp)
                 pair *= c[r]
                 pair += tmp
-            first += width
+            first += d + 1
         cols *= 1.0 - 2.0 * rng.integers(0, 2, size=(m, n)).T
         out = out_buf[:m]
         np.copyto(out, cols.transpose(2, 1, 0))
@@ -143,26 +163,25 @@ def _realize(thetas: np.ndarray, n: int, rng: np.random.Generator) -> Iterator[n
 def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
     """``count`` Haar draws as C-contiguous (m, n, n) blocks of m <= BLOCK // n.
 
-    All angles are drawn from ``rng`` at the call, and each block's
-    reflection bits as the block is realized; blocks are realized as they
-    are consumed, in the (col, row, draw) layout, each into the one
-    row-major buffer that the next overwrites.  Concatenated, the blocks
-    are the bits of sample_orthogonal_batch.
+    Blocks are drawn and realized as they are consumed, each with its own
+    normals and then its own reflection bits from ``rng``, each into the
+    one row-major buffer that the next overwrites; so a caller holds one
+    block of normals and matrices at a time, whatever ``count``.
+    Concatenated, the blocks are the bits of sample_orthogonal_batch.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rng = as_generator(rng)
-    return _realize(_draw(n, count, rng), n, rng)
+    return _realize(n, count, as_generator(rng))
 
 
 def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     """A C-contiguous (count, n, n) stack of independent Haar draws.
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
-    is bit-reproducible.  All angles are drawn first, row by row in
-    lexicographic (i, j) order, then the count x n reflection bits.
+    is bit-reproducible.  The draws come in blocks of BLOCK // n, and each
+    block draws its normals, then its reflection bits (see ``_realize``).
     """
     blocks = _sample_blocks(n, count, rng)
     out = np.empty((count, n, n))

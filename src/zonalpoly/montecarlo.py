@@ -103,10 +103,11 @@ def _summarize(exact, reference: float, values: np.ndarray) -> MomentReport:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each shard draws its matrices' angles at once (the reflection bits
-    come with each block), then writes ``statistic(block) -> values`` for
-    one block at a time into a values array of its own; a statistic may
-    overwrite its block.  Shards run on at most os.cpu_count() threads and
+    Each shard draws its matrices block by block (each block's normals,
+    then its reflection bits) and writes ``statistic(block) -> values``
+    for one block at a time into a values array of its own, so it holds
+    one block of draws besides its values; a statistic may overwrite its
+    block.  Shards run on at most os.cpu_count() threads and
     share nothing mutable; their arrays are joined in shard order, so
     results depend only on (seed, threads, samples).
     An ``exact`` value too large for a float raises OverflowError before

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest, ortho_group
+from scipy.stats import beta, ks_2samp, kstest, ortho_group
 
+from zonalpoly import haar
 from zonalpoly.haar import (
     BLOCK,
     _realize,
+    _sweep_rotations,
     oracle_sample_batch,
     orthogonality_check,
     sample_orthogonal_batch,
@@ -26,28 +29,64 @@ def rounded_ks(xs, ys):
     return ks_2samp(np.round(xs, 12), np.round(ys, 12)).pvalue
 
 
-def strided_reference_draw(n, count, rng):
-    """Angles by key and (count, n) bits, drawn as sample_orthogonal_batch draws them.
+def normal_rows(n):
+    """Normals per draw: sweep i = 1, ..., n - 1 takes n - i + 1 of them, in turn."""
+    return n * (n + 1) // 2 - 1
 
-    A Beta(1, 1) angle, exponent one, takes its c from ``rng.random``; every
-    other Beta angle goes through ``rng.beta`` and every uniform one through
-    ``rng.uniform``, and all bits come in one draw after all angles.
+
+def strided_reference_rotations(n, normals):
+    """Cosine and sine by key (i, j), recomputed from a block's (rows, m) normals.
+
+    Sweep i takes the next d + 1 = n - i + 1 rows g_0..g_d.  The rotation of
+    key (i, j), r = j - i, gets c = g_r / R_r and s = R_(r+1) / R_r, or
+    s = g_d / R_(d-1) for r = d - 1, with R_k = sqrt(g_k^2 + ... + g_d^2)
+    summed from g_d^2 up; where R_r = 0 it is the identity, c = 1 and s = 0.
+    Each key computes its own radii, so nothing is shared between keys.
     """
-    thetas = {}
+
+    def radius(g, k):
+        total = g[-1] * g[-1]
+        for x in g[k:-1][::-1]:
+            total = x * x + total
+        return np.sqrt(total)
+
+    rotations, first = {}, 0
     for i in range(1, n):
-        for j in range(i, n):
-            k = n - j - 1
-            if k > 0:
-                half = (k + 1) / 2.0
-                c = rng.random(count) if k == 1 else rng.beta(half, half, size=count)
-                thetas[(i, j)] = np.arccos(2.0 * c - 1.0)
-            else:
-                thetas[(i, j)] = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return thetas, rng.integers(0, 2, size=(count, n))
+        d = n - i
+        g = normals[first : first + d + 1]
+        for r in range(d):
+            radius_r = radius(g, r)
+            with np.errstate(invalid="ignore"):
+                c = g[r] / radius_r
+                s = (radius(g, r + 1) if r < d - 1 else g[d]) / radius_r
+            rotations[(i, i + r)] = (
+                np.where(radius_r == 0.0, 1.0, c),
+                np.where(radius_r == 0.0, 0.0, s),
+            )
+        first += d + 1
+    return rotations
 
 
-def strided_reference_rotate(n, thetas, bits):
-    """Matrices from angles by key and (count, n) bits on a C-ordered stack.
+def strided_reference_draw(n, count, rng):
+    """Cosines and sines by key and (count, n) bits, drawn as sample_orthogonal_batch draws them.
+
+    Per block of BLOCK // n draws, all the block's normals in one
+    (rows, m) draw, then its (m, n) bits.
+    """
+    size = max(1, min(count, BLOCK // n))
+    blocks, bits = [], []
+    for start in range(0, count, size):
+        m = min(size, count - start)
+        blocks.append(strided_reference_rotations(n, rng.standard_normal((normal_rows(n), m))))
+        bits.append(rng.integers(0, 2, size=(m, n)))
+    rotations = {
+        key: tuple(map(np.concatenate, zip(*(block[key] for block in blocks)))) for key in blocks[0]
+    }
+    return rotations, np.concatenate(bits)
+
+
+def strided_reference_rotate(n, rotations, bits):
+    """Matrices from cosines and sines by key and (count, n) bits on a C-ordered stack.
 
     Rotates two strided columns out of place per factor.  The package's
     column-major sweep must reproduce it bit for bit.
@@ -55,8 +94,7 @@ def strided_reference_rotate(n, thetas, bits):
     q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
     for i in range(1, n):
         for j in range(n - 1, i - 1, -1):
-            c = np.cos(thetas[(i, j)])[:, None]
-            s = np.sin(thetas[(i, j)])[:, None]
+            c, s = (x[:, None] for x in rotations[(i, j)])
             left = q[..., j - 1].copy()
             right = q[..., j]
             q[..., j - 1] = c * left - s * right
@@ -69,16 +107,32 @@ def strided_reference_batch(n, count, rng):
     return strided_reference_rotate(n, *strided_reference_draw(n, count, rng))
 
 
-def realize_with_twin(n, thetas, seed):
-    """``_realize`` of (n(n-1)/2, count) angles in one block, with the bits it drew.
+class FixedNormals:
+    """A generator stand-in: fixed normals, and bits from a generator seeded with ``seed``."""
 
-    The bits come from a twin of the generator ``_realize`` draws from, in
-    the one (count, n) call that a single block makes.
+    def __init__(self, normals, seed):
+        self.normals = normals
+        self.bits = np.random.default_rng(seed)
+
+    def standard_normal(self, out):
+        out[...] = self.normals
+        return out
+
+    def integers(self, *args, **kwargs):
+        return self.bits.integers(*args, **kwargs)
+
+
+def realize_with_twin(n, normals, seed):
+    """``_realize`` of one block of (rows, count) normals, with the bits it drew.
+
+    The normals are fed through ``FixedNormals``; the bits come from a twin
+    of its generator, in the one (count, n) call that a single block makes.
     """
-    thetas = np.asarray(thetas, dtype=float).reshape(n * (n - 1) // 2, -1)
-    assert thetas.shape[1] <= BLOCK // n
-    (block,) = _realize(thetas, n, np.random.default_rng(seed))
-    bits = np.random.default_rng(seed).integers(0, 2, size=(thetas.shape[1], n))
+    normals = np.asarray(normals, dtype=float).reshape(normal_rows(n), -1)
+    count = normals.shape[1]
+    assert count <= BLOCK // n
+    (block,) = _realize(n, count, FixedNormals(normals, seed))
+    bits = np.random.default_rng(seed).integers(0, 2, size=(count, n))
     return block.copy(), bits
 
 
@@ -87,41 +141,85 @@ def signs(bits):
     return np.stack([np.diag(1.0 - 2.0 * b) for b in bits])
 
 
+def special_sweeps(width):
+    """Normals of one sweep with exact zeros in its cosines and sines.
+
+    Every vector of +-0.0 and +-1.0: one-hot vectors, equal magnitudes,
+    signed zeros and all-zero tails, where a rotation that skips rows or
+    reorders its roundings flips signed zeros.
+    """
+    return list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=width))
+
+
 class TestRealize:
     def test_two_dimensional_rotation(self):
         theta = 0.7
-        q, bits = realize_with_twin(2, [theta], 1)
+        q, bits = realize_with_twin(2, [3 * math.cos(theta), 3 * math.sin(theta)], 1)
         expected = np.array(
             [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
         )
         assert np.allclose(q, signs(bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
-        qs, bits = realize_with_twin(3, np.zeros((3, 16)), 2)
+        # one-hot normals: c = 1 and s = 0, and the zero tails after them are the identity
+        normals = np.zeros((normal_rows(3), 16))
+        normals[[0, 3]] = np.linspace(0.5, 2.0, 16)
+        qs, bits = realize_with_twin(3, normals, 2)
         assert (bits == 1).all(axis=1).any()  # the seed reaches all three reflections
         assert np.array_equal(qs, signs(bits))
 
     def test_rotation_times_inverse(self):
         theta = 1.2
-        (fwd, back), bits = realize_with_twin(2, [[theta, 2 * math.pi - theta]], 3)
+        g = [[math.cos(theta), math.cos(theta)], [math.sin(theta), -math.sin(theta)]]
+        (fwd, back), bits = realize_with_twin(2, g, 3)
         fwd, back = signs(bits) @ np.stack([fwd, back])  # each draw's reflections undone
         assert np.allclose(fwd @ back, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_special_angles_match_strided_reference(self, n):
-        # angles with exact zeros in their sines and cosines, where a
-        # rotation that skips rows or reorders its roundings flips signed zeros
-        keys = [(i, j) for i in range(1, n) for j in range(i, n)]
-        sweep = (0.0, math.pi / 2, 2.0, 3.0, math.pi)
-        choices = [sweep if n - j - 1 > 0 else sweep + (6.0,) for _, j in keys]
+        # special normals give angles with exact zeros in their sines and cosines
+        choices = [special_sweeps(n - i + 1) for i in range(1, n)]
         rng = np.random.default_rng(n)
         if math.prod(map(len, choices)) <= 2000:
-            angles = np.array(list(itertools.product(*choices))).reshape(-1, len(keys))
+            picks = itertools.product(*choices)
         else:  # 2000 random picks
-            angles = np.column_stack([rng.choice(values, 2000) for values in choices])
-        got, bits = realize_with_twin(n, angles.T, n)
-        expected = strided_reference_rotate(n, dict(zip(keys, angles.T)), bits)
+            picks = zip(*(np.array(sweeps)[rng.integers(0, len(sweeps), 2000)] for sweeps in choices))
+        normals = np.array([np.concatenate(pick) for pick in picks]).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an undefined angle warns nothing
+            got, bits = realize_with_twin(n, normals, n)
+        expected = strided_reference_rotate(n, strided_reference_rotations(n, normals), bits)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("n", (2, 3, 6))
+    def test_zero_tails_are_identity_rotations(self, n):
+        # numpy's normals include +-0.0; a zero tail g_r = ... = g_d = 0 would
+        # make rotation r 0 / 0 and every entry of the draw NaN
+        rng = np.random.default_rng(40 + n)
+        normals = rng.standard_normal((normal_rows(n), 300))
+        first = 0
+        for i in range(1, n):
+            d = n - i
+            for draw in range(300):
+                r = rng.integers(0, d + 2)  # r = d + 1 leaves the sweep as drawn
+                normals[first + r : first + d + 1, draw] = rng.choice((0.0, -0.0), d + 1 - r)
+            first += d + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, bits = realize_with_twin(n, normals, n)
+        assert np.isfinite(got).all()
+        assert orthogonality_check(got, 1e-12)
+        expected = strided_reference_rotate(n, strided_reference_rotations(n, normals), bits)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_undefined_rotation_is_identity(self):
+        c, s = np.empty((3, 4)), np.empty((3, 4))
+        g = np.array(
+            [[1.0, 0.0, 0.0, 2.0], [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 3.0]]
+        )
+        _sweep_rotations(g, np.empty((4, 4)), c, s)
+        assert c.tolist() == [[1.0, 1.0, 1.0, 0.5547001962252291], [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]]
+        assert s.tolist() == [[0.0, 0.0, 0.0, 0.8320502943378437], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
 
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
@@ -234,6 +332,44 @@ class TestSamplerStatistics:
         x4 = qs[:, 0, 0] ** 4
         se4 = x4.std(ddof=1) / math.sqrt(x4.size)
         assert abs(x4.mean() - 3 / (n * (n + 2))) <= 3 * se4
+
+
+class TestRotationLaw:
+    """The cosines and sines the sampler takes from its normals, by exponent.
+
+    Rotation r of a sweep of d has the exponent k = d - 1 - r: for k >= 1,
+    (1 + c) / 2 is Beta((k + 1) / 2, (k + 1) / 2), and for k = 0 the angle
+    atan2(s, c) is uniform on [0, 2*pi); every (c, s) is a unit vector.  Seed, sample size and the p-value
+    bound (1e-3 for each of the ten laws at n = 5) were fixed before the
+    first run; a rotation that takes the normal or the radius of a
+    neighbouring index moves some law far beyond it.
+    """
+
+    N, SAMPLES, P_MIN = 5, 20_000, 1e-3
+
+    def test_each_exponent_has_its_law(self, monkeypatch):
+        seen = {}
+
+        def recording(g, radii, c, s):
+            _sweep_rotations(g, radii, c, s)
+            seen.setdefault(len(c), []).append((c.copy(), s.copy()))
+
+        monkeypatch.setattr(haar, "_sweep_rotations", recording)
+        sample_orthogonal_batch(self.N, self.SAMPLES, np.random.default_rng(16))
+        assert sorted(seen) == list(range(1, self.N))
+        for d, blocks in seen.items():
+            c, s = (np.concatenate(x, axis=1) for x in zip(*blocks))
+            assert c.shape == (d, self.SAMPLES)
+            assert np.all(np.abs(np.hypot(c, s) - 1.0) < 1e-15)
+            assert np.all(s[:-1] >= 0.0)  # angles of exponent k >= 1 lie in [0, pi]
+            for r in range(d):
+                k = d - 1 - r
+                if k:
+                    p = kstest((1.0 + c[r]) / 2.0, beta((k + 1) / 2, (k + 1) / 2).cdf).pvalue
+                else:
+                    angle = np.mod(np.arctan2(s[r], c[r]), 2 * math.pi)
+                    p = kstest(angle, "uniform", args=(0.0, 2 * math.pi)).pvalue
+                assert p > self.P_MIN, (d, r, p)
 
 
 class TestOracle:

@@ -352,10 +352,13 @@ class TestMcTracePower:
         assert report.samples == samples
         assert peak < samples * n * n * np.dtype(float).itemsize
 
-    def test_small_n_holds_angles_and_values_only(self):
-        # three angles and one value are 32 B per draw; block buffers add a
-        # few more.  A (samples, n) int64 array of reflection bits, held for
-        # the whole shard, would add 24 B per draw and cross the bound.
+    def test_small_n_holds_values_and_one_block_only(self):
+        # the values and the one values-sized array of deviations that their
+        # standard deviation takes are 16 B per draw; the block buffers (the
+        # normals, the column stack and its scratch, the cosines and sines,
+        # the row-major copy: 38 doubles per draw of a block) and the
+        # statistic's temporaries fit in 64 doubles per draw of one block.
+        # Three angles per draw held for the whole shard, 24 B, cross it.
         samples = 200_000
         tracemalloc.start()
         try:
@@ -364,7 +367,24 @@ class TestMcTracePower:
         finally:
             tracemalloc.stop()
         assert report.samples == samples
-        assert peak < 52 * samples
+        assert peak < 16 * samples + 64 * 8 * (BLOCK // 3)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_sample_deviation_matches_exact_sigma(self, threads):
+        # mc_std_err * sqrt(N) is the sample deviation s of tr(D_a Q D_b Q')^f,
+        # whose Haar deviation is sigma = sqrt(I(2f) - I(f)^2) with I the exact
+        # integral.  s is within a z bound of sigma, in units of its standard
+        # error sqrt(mu_4 - sigma^4) / (2 sigma sqrt(N)), mu_4 the exact fourth
+        # central moment.  Seeds, sample size and the bound were fixed before
+        # the first run; a std_err off by a factor sqrt(2) lands far beyond it.
+        a, b, f, samples, seed, bound = (1, 2, 3), (3, 1, 2), 2, 20_000, 16, 4.0
+        i1, i2, i3, i4 = (exact_trace_power_integral(a, b, k * f) for k in (1, 2, 3, 4))
+        variance = i2 - i1**2
+        mu4 = i4 - 4 * i3 * i1 + 6 * i2 * i1**2 - 3 * i1**4
+        sigma = float(variance) ** 0.5
+        se = float(mu4 - variance**2) ** 0.5 / (2 * sigma * samples**0.5)
+        report = mc_trace_power(a, b, f, samples, seed, threads)
+        assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_pool_is_capped_at_cpu_count(self, monkeypatch):
         # eight shards keep the eight-thread streams; at most two threads run them
