@@ -302,7 +302,7 @@ def _report_payload(kind: str, params: dict, report: MomentReport) -> dict:
 
 
 def _in_float_range(kind: str, fn, *args):
-    """``fn(*args)``; a float overflow or a budget memory cannot hold is a usage error."""
+    """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error."""
     try:
         return fn(*args)
     except OverflowError as exc:

@@ -2,7 +2,10 @@
 
 Each estimator draws Haar matrices from ``haar``'s batch sampler, takes
 one statistic per draw, and reports the sample mean, its standard error
-and a z-score against the exact value from ``moments``.  The splitting
+and a z-score against the exact value from ``moments``.  No sample is
+kept: each block of statistics becomes its (count, mean, M2) at once,
+and those triples are merged by the pairwise update of Chan, Golub and
+LeVeque, so memory stays at one block whatever the budget.  The splitting
 check needs Z_kappa at the latent roots of each draw; a symmetric
 polynomial depends on the roots only through their power sums, which
 come from traces of powers of H' D_a H D_b, with no eigensolve and no
@@ -16,7 +19,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from functools import reduce
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -83,18 +87,48 @@ def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random
 # z-score divides by this floor instead; the reported std_err is unchanged.
 Z_FLOOR_ULPS = 8
 
+#: A sample's (count, mean, M2), M2 the sum of squared deviations from the mean.
+Moments = tuple[int, float, float]
 
-def _summarize(exact, reference: float, values: np.ndarray) -> MomentReport:
-    m = values.size
-    with np.errstate(over="ignore"):
-        mean = float(values.mean())
-    if not np.isfinite(mean):
+
+def _moments(values: np.ndarray, shift: float) -> Moments:
+    """The moments of one block's values less ``shift``, overwriting them.
+
+    The mean is the block's sum over its count, and the squared
+    deviations from it are taken in place.  A sum or square beyond
+    the float range is left inf or nan, for ``_summarize`` to report.
+    """
+    k = len(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values -= shift
+        mean = float(values.sum()) / k
+        values -= mean
+        values *= values
+        return k, mean, float(values.sum())
+
+
+def _merge(a: Moments, b: Moments) -> Moments:
+    """The (count, mean, M2) of two samples joined, from theirs.
+
+    The pairwise update of Chan, Golub and LeVeque (Am. Stat. 37, 1983).
+    The delta is squared as delta * delta: a Python float ``**`` raises
+    OverflowError where ``*`` gives inf.
+    """
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def _summarize(exact, reference: float, moments: Moments) -> MomentReport:
+    m, mean, m2 = moments
+    if not isfinite(mean):
         raise OverflowError("the sample mean is not finite")
-    with np.errstate(over="ignore"):  # finite samples whose squares may not be
-        std = float(values.std(ddof=1))
-    if not np.isfinite(std):
+    variance = m2 / (m - 1)
+    if not isfinite(variance):  # finite samples whose squares may not be
         raise OverflowError("the sample variance is not finite")
-    std_err = std / sqrt(m)
+    std_err = sqrt(variance) / sqrt(m)
     scale = max(std_err, Z_FLOOR_ULPS * float(np.spacing(abs(mean))))
     z = (mean - reference) / scale
     return MomentReport(exact, mean, std_err, m, z)
@@ -104,12 +138,18 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
     Each shard draws its matrices block by block (each block's normals,
-    then its reflection bits) and writes ``statistic(block) -> values``
-    for one block at a time into a values array of its own, so it holds
-    one block of draws besides its values; a statistic may overwrite its
-    block.  Shards run on at most os.cpu_count() threads and
-    share nothing mutable; their arrays are joined in shard order, so
-    results depend only on (seed, threads, samples).
+    then its reflection bits) and reduces ``statistic(block) -> values``
+    to the block's (count, mean, M2) at once, so it holds one block of
+    draws and its values, whatever the budget.  A statistic may overwrite
+    its block and must return a fresh array, which ``_moments``
+    overwrites.  A shard takes its values less its first value (the
+    shifted data of Chan, Golub and LeVeque), so the means that the fold
+    rounds are of deviations, not of a mean that may dwarf them, and it
+    folds its block triples left to right, in block order.  Shards run on
+    at most os.cpu_count() threads and share nothing mutable; their
+    triples, rebased to the first shard's shift, are folded the same way,
+    in shard order, and that shift is added back to the mean, so results
+    depend only on (seed, threads, samples).
     An ``exact`` value too large for a float raises OverflowError before
     anything is drawn; a sample mean or sample variance that is not finite
     raises it after the draws, so an overflow is never reported as an
@@ -119,21 +159,22 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     reference = float(exact)
     chunks = _sample_chunks(samples, threads, rng)
 
-    def shard(count: int, gen: np.random.Generator) -> np.ndarray:
-        values = np.empty(count)
-        start = 0
-        for q in _sample_blocks(n, count, gen):
-            stop = start + len(q)
-            values[start:stop] = statistic(q)
-            start = stop
-        return values
+    def shard(count: int, gen: np.random.Generator) -> tuple[float, Moments]:
+        blocks = _sample_blocks(n, count, gen)
+        values = statistic(next(blocks))
+        shift = float(values[0])
+        first = _moments(values, shift)
+        del values  # no block's values outlive its moments
+        return shift, reduce(_merge, (_moments(statistic(q), shift) for q in blocks), first)
 
     if len(chunks) == 1:
-        values = shard(*chunks[0])
+        shards = [shard(*chunks[0])]
     else:
         with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-            values = np.concatenate(list(pool.map(shard, *zip(*chunks))))
-    return _summarize(exact, reference, values)
+            shards = list(pool.map(shard, *zip(*chunks)))
+    base = shards[0][0]
+    m, mean, m2 = reduce(_merge, ((k, (shift - base) + mu, m2) for shift, (k, mu, m2) in shards))
+    return _summarize(exact, reference, (m, base + mean, m2))
 
 
 def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentReport:

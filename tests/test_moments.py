@@ -1,11 +1,13 @@
 """Exact moment integrals, coefficient formulas, and Monte Carlo estimators."""
 
+import itertools
+import os
 import random
 import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
-from math import exp, factorial, lcm
+from math import exp, factorial, lcm, sqrt
 
 import numpy as np
 import pytest
@@ -122,6 +124,41 @@ def _fraction_linear_trace_power(spectrum, f):
             z = zonal_in_powersums(kappa).evaluate(spectrum)
             total += character_degree(kappa) * z / zonal_at_identity(kappa, len(spectrum))
     return total
+
+
+def exact_deviation(i1, i2, i3, i4, samples):
+    """(sigma, se): the exact deviation of a statistic X from its raw moments
+    E[X^k] = i_k, and the standard error sqrt(mu_4 - sigma^4) / (2 sigma sqrt(N))
+    of the sample deviation of N draws, mu_4 the exact fourth central moment."""
+    variance = i2 - i1**2
+    mu4 = i4 - 4 * i3 * i1 + 6 * i2 * i1**2 - 3 * i1**4
+    sigma = float(variance) ** 0.5
+    return sigma, float(mu4 - variance**2) ** 0.5 / (2 * sigma * samples**0.5)
+
+
+def shard_fold(blocks):
+    """(count, mean, M2) of a stream of value blocks, folded as one shard does.
+
+    Every value is taken less the stream's first; each block gives its
+    count, its mean (sum over count) and the sum of its squared deviations
+    from that mean; the block triples are merged left to right by the
+    pairwise update of Chan, Golub and LeVeque; the shift is added back.
+    """
+    shift, total = None, None
+    for block in blocks:
+        if shift is None:
+            shift = float(block[0])
+        x = block - shift
+        mean = float(x.sum()) / len(x)
+        deviation = x - mean
+        part = (len(x), mean, float((deviation * deviation).sum()))
+        if total is None:
+            total = part
+            continue
+        (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = total, part
+        n, delta = n_a + n_b, mean_b - mean_a
+        total = (n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n)
+    return total[0], shift + total[1], total[2]
 
 
 #: The exact-moments benchmark spectra for seed 1 (n = 4, 8, 10), and the
@@ -331,13 +368,22 @@ class TestMcTracePower:
             mc_trace_power((1,), (1,), 0, 1, 0)
 
     def test_blocks_match_one_whole_stack(self):
+        # the report is the shard fold of the whole stack's values in blocks
+        # of BLOCK // 3 draws, bit for bit; it agrees with numpy's whole-stack
+        # mean and sample deviation to 1e-12 relative, a bound fixed before
+        # the first run
         a, b, f = (1, 2, 3), (Fraction(1, 2), 3, 0), 3
-        samples = 2 * (BLOCK // 3) + 11
+        samples, size = 2 * (BLOCK // 3) + 11, BLOCK // 3
         report = mc_trace_power(a, b, f, samples, 5)
         q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
         values = np.einsum("mij,i,j->m", q * q, [1.0, 2.0, 3.0], [0.5, 3.0, 0.0]) ** f
-        assert report.mc_estimate == float(values.mean())
-        assert report.mc_std_err == float(values.std(ddof=1) / np.sqrt(samples))
+        m, mean, m2 = shard_fold(values[s : s + size] for s in range(0, samples, size))
+        assert report.samples == m == samples
+        assert report.mc_estimate == mean
+        assert report.mc_std_err == sqrt(m2 / (m - 1)) / sqrt(m)
+        assert report.mc_estimate == pytest.approx(float(values.mean()), rel=1e-12)
+        whole = float(values.std(ddof=1)) / sqrt(samples)
+        assert report.mc_std_err == pytest.approx(whole, rel=1e-12)
 
     def test_memory_stays_below_one_stack(self):
         n, samples = 30, 5_000
@@ -352,22 +398,26 @@ class TestMcTracePower:
         assert report.samples == samples
         assert peak < samples * n * n * np.dtype(float).itemsize
 
-    def test_small_n_holds_values_and_one_block_only(self):
-        # the values and the one values-sized array of deviations that their
-        # standard deviation takes are 16 B per draw; the block buffers (the
-        # normals, the column stack and its scratch, the cosines and sines,
-        # the row-major copy: 38 doubles per draw of a block) and the
-        # statistic's temporaries fit in 64 doubles per draw of one block.
-        # Three angles per draw held for the whole shard, 24 B, cross it.
-        samples = 200_000
-        tracemalloc.start()
-        try:
-            report = mc_trace_power((1, 2, 3), (3, 1, 2), 2, samples, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert report.samples == samples
-        assert peak < 16 * samples + 64 * 8 * (BLOCK // 3)
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_memory_does_not_grow_with_the_budget(self, threads):
+        # a shard keeps each block's (count, mean, M2), not its values: the
+        # block buffers (the normals, the column stack and its scratch, the
+        # cosines and sines, the row-major copy: 38 doubles per draw of a
+        # block) and the statistic's temporaries fit in 64 doubles per draw
+        # of one block, for each shard that runs at once, whatever the budget
+        workers = min(threads, os.cpu_count() or 1)
+        allowance = workers * 64 * 8 * (BLOCK // 3)
+        peaks = {}
+        for samples in (3, 200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                report = mc_trace_power((1, 2, 3), (3, 1, 2), 2, samples, 3, threads)
+                _, peaks[samples] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.samples == samples
+        assert max(peaks.values()) < allowance, peaks
+        assert abs(peaks[2_000_000] - peaks[200_000]) < 64 * 8 * (BLOCK // 3), peaks
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_sample_deviation_matches_exact_sigma(self, threads):
@@ -378,11 +428,8 @@ class TestMcTracePower:
         # central moment.  Seeds, sample size and the bound were fixed before
         # the first run; a std_err off by a factor sqrt(2) lands far beyond it.
         a, b, f, samples, seed, bound = (1, 2, 3), (3, 1, 2), 2, 20_000, 16, 4.0
-        i1, i2, i3, i4 = (exact_trace_power_integral(a, b, k * f) for k in (1, 2, 3, 4))
-        variance = i2 - i1**2
-        mu4 = i4 - 4 * i3 * i1 + 6 * i2 * i1**2 - 3 * i1**4
-        sigma = float(variance) ** 0.5
-        se = float(mu4 - variance**2) ** 0.5 / (2 * sigma * samples**0.5)
+        moments = (exact_trace_power_integral(a, b, k * f) for k in (1, 2, 3, 4))
+        sigma, se = exact_deviation(*moments, samples)
         report = mc_trace_power(a, b, f, samples, seed, threads)
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
@@ -443,6 +490,79 @@ class TestMcTracePower:
         got = montecarlo._trace_power_statistic(av, bv, f)(q)
         want = trace**f
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+class TestMomentFold:
+    """The (count, mean, M2) fold of ``_monte_carlo`` on streams of given values.
+
+    ``_sample_blocks`` is replaced by a stream whose blocks are the values
+    themselves, and the statistic copies each block, so the fold sees
+    exactly these values, in these blocks and shards.
+    """
+
+    @staticmethod
+    def run(monkeypatch, blocks_of, samples, threads):
+        """The report on ``blocks_of(count, gen)`` per shard, and every block seen."""
+        seen = []
+
+        def sample_blocks(n, count, gen):
+            for block in blocks_of(count, gen):
+                seen.append(block.copy())
+                yield block
+
+        monkeypatch.setattr(montecarlo, "_sample_blocks", sample_blocks)
+        return montecarlo._monte_carlo(0, 1, samples, 17, threads, np.copy), seen
+
+    @pytest.mark.parametrize("threads", (1, 3))
+    def test_ill_conditioned_stream_matches_exact_variance(self, monkeypatch, threads):
+        # 1e9 plus standard normals, in blocks of uneven sizes, on one shard
+        # or on three uneven ones; each value is a multiple of 2^-23, so the
+        # exact sample variance is a ratio of integers.  Less the first
+        # value, the values are exact and of unit scale, so the fold rounds
+        # like a sum of unit-scale terms; folded unshifted, the means round
+        # at the scale of 1e9, about 1e-10 relative in the variance here.
+        # The naive E[x^2] - E[x]^2 misses by far more
+        samples, bound = 200_000, 1e-12
+
+        def blocks_of(count, gen):
+            sizes = itertools.cycle((1, 2, 1000, 37, 5000, 3))
+            while count:
+                k = min(count, next(sizes))
+                count -= k
+                yield 1e9 + gen.standard_normal(k)
+
+        report, seen = self.run(monkeypatch, blocks_of, samples, threads)
+        x = np.concatenate(seen)
+        ints = (x * 2.0**23).astype(np.int64)
+        assert np.array_equal(ints * 2.0**-23, x)
+        total, squares = sum(ints.tolist()), sum(v * v for v in ints.tolist())
+        variance = Fraction(samples * squares - total * total, samples * (samples - 1) * 2**46)
+        assert report.samples == len(x) == samples
+        got = Fraction(report.mc_std_err) ** 2 * samples
+        assert abs(got / variance - 1) <= bound
+        naive = ((x * x).mean() - x.mean() ** 2) * samples / (samples - 1)
+        assert abs(Fraction(naive) / variance - 1) > bound
+
+    @pytest.mark.parametrize(
+        "threads, shards",
+        [
+            (1, {6: [[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]]}),  # squares in a later block
+            (1, {5: [[1.0, 2.0, 3.0], [1e200, 1e200]]}),  # the merge of two blocks
+            (2, {3: [[1.0, 2.0, 3.0]], 2: [[1e200, 1e200]]}),  # the merge of two shards
+        ],
+    )
+    def test_later_overflow_raises_without_warnings(self, monkeypatch, threads, shards):
+        # the mean stays finite; the sample variance overflows only after a
+        # finite first block or shard, in numpy or in the float merge
+        samples = sum(len(block) for blocks in shards.values() for block in blocks)
+
+        def blocks_of(count, gen):
+            return (np.array(block) for block in shards[count])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="sample variance is not finite"):
+                self.run(monkeypatch, blocks_of, samples, threads)
 
 
 class TestMcSplitting:
@@ -674,6 +794,19 @@ class TestMcLinearTracePower:
             with pytest.raises(OverflowError, match="variance is not finite"):
                 mc_linear_trace_power([[10**150, 0], [0, 1]], 2, 100, 1)
 
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_sample_deviation_matches_exact_sigma(self, threads):
+        # as for trace-power: the sample deviation of tr(A H)^f against
+        # sigma = sqrt(I(2f) - I(f)^2), I(k) the exact tr(A H)^k moment, in
+        # units of its standard error from I up to 4f.  Seed, sample size and
+        # the bound were fixed before the first run
+        d, f, samples, seed, bound = (-1, 2, 3), 2, 20_000, 16, 4.0
+        moments = (_fraction_linear_trace_power([x * x for x in d], k * f) for k in (1, 2, 3, 4))
+        sigma, se = exact_deviation(*moments, samples)
+        matrix = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        report = mc_linear_trace_power(matrix, f, samples, seed, threads)
+        assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
+
     def test_matches_dense_contraction_of_one_whole_stack(self):
         # the diagonal contraction is bit-identical to the dense one; |x|^f
         # and x^f agree exactly at f = 2 and within an ulp at f = 4
@@ -742,6 +875,23 @@ class TestMcExponentialTrace:
 
         with pytest.raises(ValueError):
             mc_exponential_trace((1, 2), (1,), 1.0, 100, 0)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_sample_deviation_matches_exact_sigma(self, threads):
+        # exp(tr(D_a Q D_b Q') / 2)^k = exp(tr(D_ka Q D_b Q') / 2), so the k-th
+        # raw moment is hyper0f0(k a, b): at degree 16 each of the four series
+        # has a tail bound below 1e-8 on these nonnegative spectra, far below
+        # the standard error of the sample deviation.  Seed, sample size,
+        # degree and the bound were fixed before the first run
+        from zonalpoly.montecarlo import mc_exponential_trace
+
+        a, b = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 2), 1, Fraction(1, 4))
+        degree, samples, seed, bound = 16, 20_000, 16, 4.0
+        series = [hyper0f0([k * x for x in a], b, degree) for k in (1, 2, 3, 4)]
+        assert max(s.tail_bound for s in series) < 1e-8
+        sigma, se = exact_deviation(*(sum(s.terms) for s in series), samples)
+        report = mc_exponential_trace(a, b, series[0].value, samples, seed, threads)
+        assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_overflowing_draws_raise_without_warnings(self, threads):
