@@ -301,8 +301,12 @@ def _report_payload(kind: str, params: dict, report: MomentReport) -> dict:
     }
 
 
-def _in_float_range(kind: str, fn, *args):
-    """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error."""
+def _in_float_range(kind: str, n: int, fn, *args):
+    """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error.
+
+    ``n`` is the dimension of the draws: a shard holds one block of up to
+    BLOCK // n of them, whatever the sample budget.
+    """
     try:
         return fn(*args)
     except OverflowError as exc:
@@ -310,8 +314,12 @@ def _in_float_range(kind: str, fn, *args):
             f"{kind} needs a value too large for a float ({exc}); scale the eigenvalues down"
         ) from exc
     except MemoryError as exc:
+        from .haar import BLOCK  # estimate has loaded numpy already
+
         raise click.UsageError(
-            f"{kind} cannot allocate memory for its samples ({exc}); lower --samples"
+            f"{kind} cannot allocate a block of up to {max(1, BLOCK // n)} draws of "
+            f"{n} x {n} matrices ({exc}); each running shard holds one such block, "
+            "whatever --samples, so lower --threads or n"
         ) from exc
 
 
@@ -367,7 +375,9 @@ def estimate(
         b = parse_spectrum(b_spec, "--B")
         if len(a) != len(b):
             raise click.UsageError("--A and --B must have the same length")
-        report = _in_float_range(kind, mc_trace_power, a, b, degree, samples, seed, threads)
+        report = _in_float_range(
+            kind, len(a), mc_trace_power, a, b, degree, samples, seed, threads
+        )
         params = {"f": degree, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
     elif kind == "zonal-split":
         if kappa is None or b_spec is None:
@@ -380,7 +390,7 @@ def estimate(
             raise click.UsageError("--kappa must be a nonempty partition")
         if len(part) > len(a):
             raise click.UsageError("--kappa has more parts than there are eigenvalues")
-        report = _in_float_range(kind, mc_splitting, part, a, b, samples, seed, threads)
+        report = _in_float_range(kind, len(a), mc_splitting, part, a, b, samples, seed, threads)
         params = {"kappa": kappa, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
     elif kind == "trace-AH":
         if degree is None:
@@ -390,7 +400,7 @@ def estimate(
             for i in range(len(a))
         ]
         report = _in_float_range(
-            kind, mc_linear_trace_power, matrix, degree, samples, seed, threads
+            kind, len(a), mc_linear_trace_power, matrix, degree, samples, seed, threads
         )
         params = {"f": degree, "A": a_spec, "seed": seed, "threads": threads}
     else:  # exp-series
@@ -401,9 +411,9 @@ def estimate(
             raise click.UsageError("--A and --B must have the same length")
         if max_degree < 0:
             raise click.UsageError("--max-degree must be nonnegative")
-        series = _in_float_range(kind, hyper0f0, a, b, max_degree)
+        series = _in_float_range(kind, len(a), hyper0f0, a, b, max_degree)
         report = _in_float_range(
-            kind, mc_exponential_trace, a, b, series.value, samples, seed, threads
+            kind, len(a), mc_exponential_trace, a, b, series.value, samples, seed, threads
         )
         payload = _report_payload(
             "exp-series",

@@ -4,8 +4,12 @@ The primary sampler drives a rotation/reflection decomposition: a matrix
 is a product of n reflection factors U_i^{eps_i} (reflections first, on
 the left) and a triangular family of plane rotations V_j(theta_ij),
 where V_j rotates the (j, j+1) coordinate plane.  Sweep i contributes the
-factors V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), and sweeps are
-multiplied left to right for i = 1, ..., n-1.
+factors V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), and the matrix is the
+product of sweeps i = 1, ..., n-1 in that order.  It is formed right to
+left, as in the subgroup algorithm (Diaconis and Shahshahani, Prob. Eng.
+Inf. Sci. 1, 1987): the product of sweeps i + 1, ..., n-1 is the identity
+outside its trailing (n - i) x (n - i) corner, so sweep i rotates rows
+over the trailing n - i + 1 columns only.
 
 Angle theta_ij carries the density sin(theta)^(n-j-1): angles with a
 positive exponent live on [0, pi] and exponent-zero angles are uniform on
@@ -22,11 +26,13 @@ cross-validation.
 The sampler builds matrices in blocks of BLOCK // n draws, and each block
 consumes the stream in two calls: its normals, all n(n+1)/2 - 1 per draw
 in one (rows, m) array whose rows go to sweeps 1, ..., n - 1 in turn,
-then its (m, n) reflection bits.  A block is held as
-``cols[col, row, draw]``: the two columns a rotation touches are one
-contiguous view that stays in cache, updated by three in-place calls
-along the draw axis.  Few, long numpy calls thus leave the GIL free for
-most of the time, and shards run in parallel.
+then its (m, n) reflection bits.  A block is held draw-minor, as
+``rows[row, col, draw]``: the two rows a rotation touches, over the
+columns it reaches, are one view of two contiguous runs that stays in
+cache, updated by three in-place calls along the draw axis.  Few, long
+numpy calls thus leave the GIL free for most of the time, and shards run
+in parallel.  The Monte Carlo statistics take the draw-minor block as
+it is; sample_orthogonal_batch transposes it to one matrix per draw.
 """
 
 from __future__ import annotations
@@ -50,14 +56,16 @@ def as_generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-#: Matrix entries in one column of a realized block, which holds BLOCK // n
-#: draws: the two columns a rotation touches and their scratch pair take
-#: 512 KB at every n, the cosines and signed sines of the widest sweep
-#: 3 (n - 1) / n * 128 KB, under 384 KB, the radii of a sweep 128 KB, and
-#: the block's normals ((n + 1) / 2 - 1 / n) * 128 KB, 1.9 MB at n = 30.  On
-#: two threads at n = 30, 2**14 ran fastest of 2**12 to 2**16 (2-core VM,
-#: 2 MB L2 per core): a smaller block spends more of each call in Python,
-#: holding the GIL.
+#: Matrix entries in one row of a realized block, which holds BLOCK // n
+#: draws: the two rows a rotation of the widest sweep touches and their
+#: scratch pair take 512 KB at every n, and the block n * 128 KB, which the
+#: statistics overwrite in place, so no second copy is made.  The cosines
+#: and signed sines of the widest sweep take 3 (n - 1) / n * 128 KB, under
+#: 384 KB, the radii of a sweep 128 KB, and the block's normals
+#: ((n + 1) / 2 - 1 / n) * 128 KB, 1.9 MB at n = 30.  On two threads at
+#: n = 30, 2**14 ran fastest of 2**12 to 2**16 (2-core VM, 2 MB L2 per
+#: core): a smaller block spends more of each call in Python, holding the
+#: GIL.
 BLOCK = 2**14
 
 
@@ -99,75 +107,78 @@ def _divide(g: np.ndarray, radii: np.ndarray, c: np.ndarray, s: np.ndarray) -> N
 
 
 def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``count`` Haar draws as C-contiguous (m, n, n) blocks, m <= BLOCK // n.
+    """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks, m <= BLOCK // n.
 
     Each block of m draws makes two calls on ``rng``: one
     ``rng.standard_normal(out=...)`` into a reused (n(n+1)/2 - 1, m)
     buffer, then ``rng.integers(0, 2, size=(m, n))`` for the reflection
-    bits.  Sweep i = 1, ..., n - 1 of the block takes the next n - i + 1
-    rows of normals, from which ``_sweep_rotations`` gives the cosines and
-    sines of its n - i rotations, with no angle and no transcendental
-    call.  A block is held as ``cols[col, row, draw]``, so the two columns
-    a rotation touches are one contiguous (2, n, m) view ``pair``; one
-    negative per sweep gives every signed sine pair (-s, s).  A rotation
-    is then three in-place calls on ``pair``: the swapped pair times
-    (-s, s) into scratch, ``pair *= c`` and ``pair += scratch``, which is
-    c*left - s*right and c*right + s*left with the roundings of an
-    out-of-place update ((-s)*r is -(s*r) exactly and x + (-y) is x - y),
+    bits.  The rows of normals go to sweeps i = 1, ..., n - 1 in turn,
+    n - i + 1 rows each, from which ``_sweep_rotations`` gives the cosines
+    and sines of the sweep's d = n - i rotations, with no angle and no
+    transcendental call.  The sweeps are multiplied onto the identity from
+    the left, i from n - 1 down to 1, so before sweep i the product is the
+    identity outside its trailing d x d corner, and rotation
+    r = 0, ..., d - 1 of the sweep turns rows (i + r - 1, i + r) over the
+    trailing d + 1 columns only.  A block is held as
+    ``rows[row, col, draw]``, so those two rows are one (2, d + 1, m) view
+    ``pair``; one negative per sweep gives every signed sine pair (s, -s).
+    A rotation is then three in-place calls on ``pair``: the swapped pair
+    times (s, -s) into scratch, ``pair *= c`` and ``pair += scratch``,
+    which is c*top + s*bottom and c*bottom - s*top with the roundings of an
+    out-of-place update ((-s)*t is -(s*t) exactly and x + (-y) is x - y),
     so the bits depend on the layout of neither the block nor the stack.
-    The signs multiply the block in place, which is then transposed to
-    row-major into one buffer reused by every block.
+    The signs multiply the rows in place.  Each block is yielded in the
+    one buffer that the next overwrites.
     """
     size = max(1, min(count, BLOCK // n))
-    rows = n * (n + 1) // 2 - 1
-    normal_buf = np.empty(rows * size)
+    normal_rows = n * (n + 1) // 2 - 1
+    normal_buf = np.empty(normal_rows * size)
     radii_buf = np.empty(n * size)
-    col_buf = np.empty(n * n * size)
+    row_buf = np.empty(n * n * size)
     scratch = np.empty(2 * n * size)
     # cosines and signed sines of the widest sweep, n - 1 rotations
     cos_buf = np.empty((n - 1) * size)
     sin_buf = np.empty(2 * (n - 1) * size)
-    out_buf = np.empty((size, n, n))
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
         m = min(size, count - start)
-        normals = normal_buf[: rows * m].reshape(rows, m)
+        normals = normal_buf[: normal_rows * m].reshape(normal_rows, m)
         rng.standard_normal(out=normals)
-        cols = col_buf[: n * n * m].reshape(n, n, m)
-        cols[...] = eye
-        tmp = scratch[: 2 * n * m].reshape(2, n, m)
+        rows = row_buf[: n * n * m].reshape(n, n, m)
+        rows[...] = eye
         cos = cos_buf[: (n - 1) * m].reshape(n - 1, m)
-        # row r holds (-s, s) of rotation r as a (2, 1, m) broadcast operand
+        # row r holds (s, -s) of rotation r as a (2, 1, m) broadcast operand
         sin = sin_buf[: 2 * (n - 1) * m].reshape(n - 1, 2, 1, m)
-        first = 0
-        for i in range(1, n):
-            # sweep i: rotation r turns the plane (i + r - 1, i + r), applied from r = d - 1 down
+        # sweep i takes the d + 1 rows of normals just before those of sweep i + 1
+        last = normal_rows
+        for i in range(n - 1, 0, -1):
             d = n - i
             c, s = cos[:d], sin[:d]
-            g = normals[first : first + d + 1]
+            g = normals[last - d - 1 : last]
+            last -= d + 1
             radii = radii_buf[: (d + 1) * m].reshape(d + 1, m)
-            _sweep_rotations(g, radii, c, s[:, 1, 0])
-            np.negative(s[:, 1], out=s[:, 0])
-            for r in range(d - 1, -1, -1):
-                pair = cols[i + r - 1 : i + r + 1]
+            _sweep_rotations(g, radii, c, s[:, 0, 0])
+            np.negative(s[:, 0], out=s[:, 1])
+            tmp = scratch[: 2 * (d + 1) * m].reshape(2, d + 1, m)
+            for r in range(d):
+                pair = rows[i + r - 1 : i + r + 1, i - 1 :]
                 np.multiply(pair[::-1], s[r], out=tmp)
                 pair *= c[r]
                 pair += tmp
-            first += d + 1
-        cols *= 1.0 - 2.0 * rng.integers(0, 2, size=(m, n)).T
-        out = out_buf[:m]
-        np.copyto(out, cols.transpose(2, 1, 0))
-        yield out
+        rows *= (1.0 - 2.0 * rng.integers(0, 2, size=(m, n)).T)[:, None, :]
+        yield rows
 
 
 def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
-    """``count`` Haar draws as C-contiguous (m, n, n) blocks of m <= BLOCK // n.
+    """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks of m <= BLOCK // n.
 
-    Blocks are drawn and realized as they are consumed, each with its own
-    normals and then its own reflection bits from ``rng``, each into the
-    one row-major buffer that the next overwrites; so a caller holds one
-    block of normals and matrices at a time, whatever ``count``.
-    Concatenated, the blocks are the bits of sample_orthogonal_batch.
+    Entry [i, j, k] of a block is entry (i, j) of its draw k.  Blocks are
+    drawn and realized as they are consumed, each with its own normals and
+    then its own reflection bits from ``rng``, each into the one buffer
+    that the next overwrites, which the caller may overwrite too; so a
+    caller holds one block of normals and matrices at a time, whatever
+    ``count``.  Transposed to (m, n, n) and concatenated, the blocks are
+    the bits of sample_orthogonal_batch.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -187,8 +198,9 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     out = np.empty((count, n, n))
     start = 0
     for block in blocks:
-        out[start : start + len(block)] = block
-        start += len(block)
+        m = block.shape[2]
+        out[start : start + m] = block.transpose(2, 0, 1)
+        start += m
     return out
 
 

@@ -140,12 +140,14 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     Each shard draws its matrices block by block (each block's normals,
     then its reflection bits) and reduces ``statistic(block) -> values``
     to the block's (count, mean, M2) at once, so it holds one block of
-    draws and its values, whatever the budget.  A statistic may overwrite
-    its block and must return a fresh array, which ``_moments``
-    overwrites.  A shard takes its values less its first value (the
-    shifted data of Chan, Golub and LeVeque), so the means that the fold
-    rounds are of deviations, not of a mean that may dwarf them, and it
-    folds its block triples left to right, in block order.  Shards run on
+    draws and its values, whatever the budget.  A block is the sampler's
+    draw-minor (n, n, m) array, entry (i, j) of draw k at [i, j, k]; a
+    statistic may overwrite it and must return a fresh array of m values,
+    which ``_moments`` overwrites.  A shard takes its values less its
+    first value (the shifted data of Chan, Golub and LeVeque), so the
+    means that the fold rounds are of deviations, not of a mean that may
+    dwarf them, and it folds its block triples left to right, in block
+    order.  Shards run on
     at most os.cpu_count() threads and share nothing mutable; their
     triples, rebased to the first shard's shift, are folded the same way,
     in shard order, and that shift is added back to the mean, so results
@@ -191,6 +193,17 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
+def _squares_dot(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tr(D_a Q D_b Q') = sum_ij a_i b_j Q_ij^2 per draw Q of a draw-minor block.
+
+    ``w`` is outer(a, b) raveled.  The block is squared in place and
+    contracted along its entries by einsum, which calls no BLAS: with two
+    shards, each shard's BLAS call would start its own threads.
+    """
+    q *= q
+    return np.einsum("k,km->m", w, q.reshape(len(w), -1))
+
+
 def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     """statistic(block) -> tr(D_a Q D_b Q')^f per draw Q; overwrites the block.
 
@@ -199,10 +212,10 @@ def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     ``tr ** f`` for a nonnegative trace, and within one ulp of them for a
     negative one (measured on 1e6 signed normals at f = 3, 4, 5 and 7).
     """
+    w = np.outer(av, bv).ravel()
 
     def statistic(q: np.ndarray) -> np.ndarray:
-        q *= q  # in place: the block is the statistic's to overwrite
-        trace = np.einsum("mij,i,j->m", q, av, bv)
+        trace = _squares_dot(w, q)
         power = np.abs(trace)
         power **= f
         return np.copysign(power, trace, out=power) if f % 2 else power
@@ -210,8 +223,8 @@ def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     return statistic
 
 
-def _latent_power_sums(q: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
-    """p_1..p_f of the latent roots of D_a H D_b H' for every draw H of ``q``.
+def _latent_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
+    """p_1..p_f of the latent roots of D_a H D_b H' for every draw H of a draw-minor block.
 
     ``w`` is the outer product a b' of the two spectra, which may take any
     real signs.  The roots are those of N = H' D_a H D_b, a cyclic shift of
@@ -219,20 +232,27 @@ def _latent_power_sums(q: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     may be complex, but the traces are real.  N is H' (w * H), a product of
     two distinct buffers, which BLAS runs as gemm.
 
-    The block is overwritten and taken in two halves, inside one scratch
-    of two half-blocks: per half, w * H fills one slot and N the other;
-    the next power goes to the half of the block, and the third power
-    buffer that f >= 5 needs reuses the first slot.  Returns an (f, m)
-    array whose row k-1 is p_k.
+    The block is copied once into a row-major (m, n, n) stack for the
+    batched matmul, and is then overwritten: its memory holds two slots of
+    m // 2 draws (a lone draw takes two fresh ones).  The stack is taken in
+    parts of m // 2 draws, the last of one draw for odd m: per part, w * H
+    fills one slot and N the other; the next power goes to the part of
+    the stack, and the third power buffer that f >= 5 needs reuses the
+    first slot.  Returns an (f, m) array whose row k-1 is p_k.
     """
-    m, n = len(q), q.shape[1]
-    half = (m + 1) // 2
-    scratch = np.empty((2 * half, n, n))
+    n, m = block.shape[0], block.shape[2]
+    q = np.empty((m, n, n))
+    np.copyto(q, block.transpose(2, 0, 1))
+    half = max(1, m // 2)
+    if m > 1:
+        slots = block.reshape(-1)[: 2 * half * n * n].reshape(2, half, n, n)
+    else:
+        slots = np.empty((2, 1, n, n))
     sums = np.empty((f, m))
     for start in range(0, m, half):
         h = q[start : start + half]
         k = len(h)
-        spare, base = scratch[:k], scratch[half : half + k]
+        spare, base = slots[0, :k], slots[1, :k]
         np.multiply(h, w, out=spare)
         np.matmul(h.transpose(0, 2, 1), spare, out=base)
         out = sums[:, start : start + k]
@@ -264,7 +284,7 @@ def _splitting_statistic(kappa: Partition, av: np.ndarray, bv: np.ndarray):
 
     def statistic(q: np.ndarray) -> np.ndarray:
         sums = _latent_power_sums(q, w, f)
-        out = np.zeros(len(q))
+        out = np.zeros(sums.shape[1])
         for c, lam in terms:
             term = c * sums[lam[0] - 1]
             for k in lam[1:]:
@@ -338,8 +358,9 @@ def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -
     av = np.array([float(d) for d in diagonal])
 
     def statistic(q: np.ndarray) -> np.ndarray:
+        # the diagonal entries are every (n + 1)-th row of the draw-minor block;
         # f is even, so |tr(A H)|^f: pow on a nonnegative base stays vectorized
-        return np.abs(np.einsum("mii,i->m", q, av)) ** f
+        return np.abs(np.einsum("k,km->m", av, q.reshape(n * n, -1)[:: n + 1])) ** f
 
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
@@ -352,11 +373,10 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
     overflows makes the mean infinite, which raises OverflowError.
     """
     a, b, n = _spectra(a, b)
-    av, bv = np.array(a.floats()), np.array(b.floats())
+    w = np.outer(a.floats(), b.floats()).ravel()
 
     def statistic(q: np.ndarray) -> np.ndarray:
-        q *= q
         with np.errstate(over="ignore"):  # an infinite mean raises OverflowError
-            return np.exp(0.5 * np.einsum("mij,i,j->m", q, av, bv))
+            return np.exp(0.5 * _squares_dot(w, q))
 
     return _monte_carlo(reference, n, samples, rng, threads, statistic)

@@ -445,7 +445,10 @@ class TestEstimate:
         assert "variance is not finite" in result.output
 
     def test_unallocatable_samples_is_usage_error(self, runner, monkeypatch):
-        # a budget too large for memory, without allocating one
+        # a block of draws too large for memory, without allocating one: the
+        # message names the block, which lowering --samples does not shrink
+        from zonalpoly.haar import BLOCK
+
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 745. GiB")
 
@@ -455,7 +458,8 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "Unable to allocate" in result.output
-        assert "lower --samples" in result.output
+        assert f"a block of up to {BLOCK // 3} draws of 3 x 3 matrices" in result.output
+        assert "lower --samples" not in result.output
 
     def test_report_keeps_resampled_key_at_zero(self, runner):
         result = runner.invoke(

@@ -88,8 +88,29 @@ def strided_reference_draw(n, count, rng):
 def strided_reference_rotate(n, rotations, bits):
     """Matrices from cosines and sines by key and (count, n) bits on a C-ordered stack.
 
-    Rotates two strided columns out of place per factor.  The package's
-    column-major sweep must reproduce it bit for bit.
+    The subgroup order: the sweeps are multiplied onto the identity from
+    the left, i = n - 1 down to 1, and factor (i, j) of sweep i, from
+    j = i up, rotates rows j - 1 and j over the trailing columns
+    i - 1, ..., n - 1, two strided rows out of place.  The package's
+    draw-minor sweep must reproduce it bit for bit.
+    """
+    q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
+    for i in range(n - 1, 0, -1):
+        for j in range(i, n):
+            c, s = (x[:, None] for x in rotations[(i, j)])
+            top = q[:, j - 1, i - 1 :].copy()
+            bottom = q[:, j, i - 1 :]
+            q[:, j - 1, i - 1 :] = c * top + s * bottom
+            q[:, j, i - 1 :] = c * bottom - s * top
+    return (1.0 - 2.0 * bits)[:, :, None] * q
+
+
+def left_to_right_rotate(n, rotations, bits):
+    """The same product formed left to right, sweep i = 1 first, on whole columns.
+
+    Factor (i, j), from j = n - 1 down, rotates columns j - 1 and j over
+    all n rows.  It rounds differently from the subgroup order, so it is
+    an independent check of the product, not of its bits.
     """
     q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
     for i in range(1, n):
@@ -127,13 +148,14 @@ def realize_with_twin(n, normals, seed):
 
     The normals are fed through ``FixedNormals``; the bits come from a twin
     of its generator, in the one (count, n) call that a single block makes.
+    The draw-minor block is transposed to a (count, n, n) stack.
     """
     normals = np.asarray(normals, dtype=float).reshape(normal_rows(n), -1)
     count = normals.shape[1]
     assert count <= BLOCK // n
     (block,) = _realize(n, count, FixedNormals(normals, seed))
     bits = np.random.default_rng(seed).integers(0, 2, size=(count, n))
-    return block.copy(), bits
+    return block.transpose(2, 0, 1).copy(), bits
 
 
 def signs(bits):
@@ -276,6 +298,14 @@ class TestDeterminism:
         assert np.array_equal(batch, strided_reference_batch(n, count, ref_rng))
         assert batch.flags.c_contiguous
         assert rng.random() == ref_rng.random()  # same stream consumption
+
+    @pytest.mark.parametrize("n, count", ((2, 300), (3, 300), (7, 100), (30, 40)))
+    def test_subgroup_order_matches_left_to_right_product(self, n, count):
+        # the same factors multiplied in the other order, on whole columns:
+        # the matrices agree to rounding, a bound fixed before the first run
+        batch = sample_orthogonal_batch(n, count, np.random.default_rng(29))
+        rotations, bits = strided_reference_draw(n, count, np.random.default_rng(29))
+        assert np.max(np.abs(batch - left_to_right_rotate(n, rotations, bits))) <= 1e-14
 
     def test_batch_reproducible(self):
         b1 = sample_orthogonal_batch(3, 50, np.random.default_rng(33))

@@ -368,21 +368,24 @@ class TestMcTracePower:
             mc_trace_power((1,), (1,), 0, 1, 0)
 
     def test_blocks_match_one_whole_stack(self):
-        # the report is the shard fold of the whole stack's values in blocks
-        # of BLOCK // 3 draws, bit for bit; it agrees with numpy's whole-stack
-        # mean and sample deviation to 1e-12 relative, a bound fixed before
-        # the first run
-        a, b, f = (1, 2, 3), (Fraction(1, 2), 3, 0), 3
+        # the report is the shard fold, in blocks of BLOCK // 3 draws, of the
+        # whole stack's values from the same contraction of the squared
+        # draw-minor stack against outer(a, b), bit for bit; it agrees with
+        # numpy's whole-stack mean and sample deviation of the row-major
+        # contraction to 1e-12 relative, a bound fixed before the first run
+        av, bv, f = [1.0, 2.0, 3.0], [0.5, 3.0, 0.0], 3
         samples, size = 2 * (BLOCK // 3) + 11, BLOCK // 3
-        report = mc_trace_power(a, b, f, samples, 5)
+        report = mc_trace_power((1, 2, 3), (Fraction(1, 2), 3, 0), f, samples, 5)
         q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
-        values = np.einsum("mij,i,j->m", q * q, [1.0, 2.0, 3.0], [0.5, 3.0, 0.0]) ** f
+        squares = (q * q).transpose(1, 2, 0).reshape(9, samples)
+        values = np.einsum("k,km->m", np.outer(av, bv).ravel(), squares) ** f
         m, mean, m2 = shard_fold(values[s : s + size] for s in range(0, samples, size))
         assert report.samples == m == samples
         assert report.mc_estimate == mean
         assert report.mc_std_err == sqrt(m2 / (m - 1)) / sqrt(m)
-        assert report.mc_estimate == pytest.approx(float(values.mean()), rel=1e-12)
-        whole = float(values.std(ddof=1)) / sqrt(samples)
+        row_major = np.einsum("mij,i,j->m", q * q, av, bv) ** f
+        assert report.mc_estimate == pytest.approx(float(row_major.mean()), rel=1e-12)
+        whole = float(row_major.std(ddof=1)) / sqrt(samples)
         assert report.mc_std_err == pytest.approx(whole, rel=1e-12)
 
     def test_memory_stays_below_one_stack(self):
@@ -401,8 +404,8 @@ class TestMcTracePower:
     @pytest.mark.parametrize("threads", (1, 2))
     def test_memory_does_not_grow_with_the_budget(self, threads):
         # a shard keeps each block's (count, mean, M2), not its values: the
-        # block buffers (the normals, the column stack and its scratch, the
-        # cosines and sines, the row-major copy: 38 doubles per draw of a
+        # block buffers (the normals and their radii, the draw-minor stack and
+        # its scratch, the cosines and sines: 29 doubles per draw of a
         # block) and the statistic's temporaries fit in 64 doubles per draw
         # of one block, for each shard that runs at once, whatever the budget
         workers = min(threads, os.cpu_count() or 1)
@@ -487,7 +490,7 @@ class TestMcTracePower:
         q = sample_orthogonal_batch(3, 2_000, np.random.default_rng(f))
         trace = np.einsum("mij,i,j->m", q * q, av, bv)
         assert trace.min() < 0 < trace.max()
-        got = montecarlo._trace_power_statistic(av, bv, f)(q)
+        got = montecarlo._trace_power_statistic(av, bv, f)(q.transpose(1, 2, 0).copy())
         want = trace**f
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -686,7 +689,7 @@ class TestTracePowerSums:
         roots = _eigensolve_roots(q.copy(), av, bv)
         if negative == "both" and n > 1:
             assert np.any(roots.imag != 0)  # the case the square root could not take
-        sums = montecarlo._latent_power_sums(q, np.outer(av, bv), 6)
+        sums = montecarlo._latent_power_sums(q.transpose(1, 2, 0).copy(), np.outer(av, bv), 6)
         assert len(sums) == 6
         for k, p in enumerate(sums, start=1):
             want = (roots**k).sum(axis=1)  # complex roots come in pairs: the sum is real
@@ -700,9 +703,23 @@ class TestTracePowerSums:
             for kappa in partitions_of(f):
                 if len(kappa) > n:
                     continue
-                got = montecarlo._splitting_statistic(kappa, av, bv)(q.copy())
+                got = montecarlo._splitting_statistic(kappa, av, bv)(q.transpose(1, 2, 0).copy())
                 want, scale = _powersum_batch(kappa, roots)
                 assert np.all(np.abs(got - want) <= 1e-10 * scale), kappa
+
+
+class TestPowerSumParts:
+    @pytest.mark.parametrize("n", (1, 3, 30))
+    def test_block_size_does_not_move_a_draw(self, n):
+        # a block of m draws is taken in parts of m // 2 inside its own memory,
+        # the last part of one draw for odd m, and a lone draw in fresh slots:
+        # each draw's power sums are the same bits in any block size
+        av, bv = _spectra(n, "A")
+        q = sample_orthogonal_batch(n, 51, np.random.default_rng(n)).transpose(1, 2, 0).copy()
+        whole = montecarlo._latent_power_sums(q.copy(), np.outer(av, bv), 6)
+        for m in (1, 2, 3, 50):
+            part = montecarlo._latent_power_sums(q[:, :, :m].copy(), np.outer(av, bv), 6)
+            assert np.array_equal(part, whole[:, :m]), m
 
 
 class TestCalibratedZScores:
@@ -808,16 +825,24 @@ class TestMcLinearTracePower:
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_matches_dense_contraction_of_one_whole_stack(self):
-        # the diagonal contraction is bit-identical to the dense one; |x|^f
+        # the report is the shard fold of |tr(A H)|^f from the same contraction
+        # of the diagonal rows of the draw-minor stack, bit for bit; that
+        # contraction is bit-identical to the dense row-major one, and |x|^f
         # and x^f agree exactly at f = 2 and within an ulp at f = 4
-        d, samples = (-1.0, 2.0, 0.5), 2 * (BLOCK // 3) + 11
+        d, samples, size = (-1.0, 2.0, 0.5), 2 * (BLOCK // 3) + 11, BLOCK // 3
         q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
         dense = np.einsum("ij,mji->m", np.diag(d), q)
+        diagonal = np.einsum("k,km->m", d, q.transpose(1, 2, 0).reshape(9, samples)[::4])
+        assert np.array_equal(diagonal.view(np.int64), dense.view(np.int64))
         matrix = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
-        report = mc_linear_trace_power(matrix, 2, samples, 5)
-        assert report.mc_estimate == float((dense**2).mean())
-        report = mc_linear_trace_power(matrix, 4, samples, 5)
-        assert report.mc_estimate == pytest.approx(float((dense**4).mean()), rel=1e-14)
+        reports = {f: mc_linear_trace_power(matrix, f, samples, 5) for f in (2, 4)}
+        for f, report in reports.items():
+            values = np.abs(diagonal) ** f
+            _, mean, _ = shard_fold(values[s : s + size] for s in range(0, samples, size))
+            assert report.mc_estimate == mean
+        assert np.array_equal(np.abs(diagonal) ** 2, dense**2)
+        assert np.all(np.abs(np.abs(diagonal) ** 4 - dense**4) <= 1e-14 * dense**4)
+        assert reports[4].mc_estimate == pytest.approx(float((dense**4).mean()), rel=1e-14)
 
 
 class TestHyper0F0:
