@@ -276,6 +276,26 @@ def residual_coefficient(f: int, g, h, n_values: Sequence[int] | None = None) ->
     return values[0][1]
 
 
+def _exp_tail(x: float, degree: int) -> float:
+    """sum_(k > degree) x^k / k! for x >= 0: the tail of exp(x) past ``degree``.
+
+    The omitted terms are summed forward, each from the last by
+    term *= x / k, until one no longer changes the sum, so nothing cancels
+    against exp(x) and no power or factorial leaves the float range.
+    Raises OverflowError where exp(x) itself is beyond the float range.
+    """
+    exp(x)  # OverflowError beyond the float range, where terms may be too
+    term = 1.0
+    for k in range(1, degree + 2):
+        term *= x / k
+    tail, k = 0.0, degree + 1
+    while tail + term != tail:
+        tail += term
+        k += 1
+        term *= x / k
+    return tail
+
+
 def hyper0f0(a, b, max_degree: int) -> SeriesResult:
     """Truncated series sum_f (1/(2^f f!)) <tr(D_a Q D_b Q')^f>.
 
@@ -283,8 +303,8 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
     sum.  The monomial values of each spectrum are built once, at
     ``max_degree``, and serve every degree.  For nonnegative spectra the
     integrand is bounded by the sorted pairing s = sum a_i^ b_i^, so the
-    reported tail bound is the exact tail of exp(s/2) past the truncation
-    degree.
+    reported tail bound is the tail of exp(s/2) past the truncation
+    degree, summed forward by ``_exp_tail``.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -304,7 +324,5 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
             x * y
             for x, y in zip(sorted(a.eigenvalues), sorted(b.eigenvalues))
         )
-        half = float(s) / 2.0
-        partial = sum(half**f / factorial(f) for f in range(max_degree + 1))
-        tail = max(exp(half) - partial, 0.0)
+        tail = _exp_tail(float(s) / 2.0, max_degree)
     return SeriesResult(value, terms, tail)

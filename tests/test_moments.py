@@ -610,8 +610,10 @@ class TestMcSplitting:
         assert mc_splitting(*args, threads=threads) == report
         assert report.samples == 401
 
-    def test_memory_within_one_block_of_trace_power(self):
-        n, samples = 30, 5_000
+    @pytest.mark.parametrize("n", (3, 30))
+    def test_memory_within_one_block_of_trace_power(self, n):
+        # n = 3 takes the power sums on the draw-minor block, n = 30 by gemm
+        samples = 5_000
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
         b = [Fraction(k % 7 + 1, 3) for k in range(n)]
 
@@ -709,17 +711,34 @@ class TestTracePowerSums:
 
 
 class TestPowerSumParts:
-    @pytest.mark.parametrize("n", (1, 3, 30))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 30))
     def test_block_size_does_not_move_a_draw(self, n):
-        # a block of m draws is taken in parts of m // 2 inside its own memory,
-        # the last part of one draw for odd m, and a lone draw in fresh slots:
-        # each draw's power sums are the same bits in any block size
+        # up to DRAW_MINOR_MAX_N every call is elementwise along the draws and
+        # each trace adds its terms one at a time; above it, a block of m
+        # draws is taken in parts of m // 2 inside its own memory, the last
+        # part of one draw for odd m, and a lone draw in fresh slots: either
+        # way each draw's power sums are the same bits in any block size
         av, bv = _spectra(n, "A")
         q = sample_orthogonal_batch(n, 51, np.random.default_rng(n)).transpose(1, 2, 0).copy()
         whole = montecarlo._latent_power_sums(q.copy(), np.outer(av, bv), 6)
         for m in (1, 2, 3, 50):
             part = montecarlo._latent_power_sums(q[:, :, :m].copy(), np.outer(av, bv), 6)
             assert np.array_equal(part, whole[:, :m]), m
+
+
+@pytest.mark.parametrize("negative", ("A", "both"))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_draw_minor_and_gemm_power_sums_agree(n, negative):
+    # the two paths round differently; on the same block they agree to
+    # 1e-13 of the scale sum_i |root_i|^k of each p_k
+    assert n <= montecarlo.DRAW_MINOR_MAX_N
+    av, bv = _spectra(n, negative)
+    q = sample_orthogonal_batch(n, 200, np.random.default_rng(40 + n))
+    scale = (np.abs(_eigensolve_roots(q.copy(), av, bv))[:, :, None] ** np.arange(1, 7)).sum(axis=1).T
+    block = q.transpose(1, 2, 0)
+    draw_minor = montecarlo._draw_minor_power_sums(block.copy(), np.outer(av, bv), 6)
+    gemm = montecarlo._gemm_power_sums(block.copy(), np.outer(av, bv), 6)
+    assert np.all(np.abs(draw_minor - gemm) <= 1e-13 * scale)
 
 
 class TestCalibratedZScores:
@@ -872,6 +891,15 @@ class TestHyper0F0:
         # sorted pairing bound: s = 1*1 + 2*3 = 7
         expected_tail = exp(3.5) - sum(3.5**f / factorial(f) for f in range(13))
         assert res.tail_bound == pytest.approx(expected_tail, rel=1e-9)
+
+    @pytest.mark.parametrize("degree", (24, 30))
+    def test_tail_bound_is_the_tail_past_high_degrees(self, degree):
+        # s = 1*1 + 2*3 = 7: the tail of exp(7/2) past the degree, against
+        # exact rationals (terms past degree + 100 are below 1e-100 of it);
+        # at these degrees exp(3.5) less the partial sum would cancel
+        res = hyper0f0((1, 2), (3, 1), degree)
+        exact = sum(Fraction(7, 2) ** k / factorial(k) for k in range(degree + 1, degree + 101))
+        assert abs(Fraction(res.tail_bound) - exact) <= Fraction(1, 10**12) * exact
 
     def test_no_tail_bound_with_negative_eigenvalue(self):
         assert hyper0f0((-1, 2), (1, 3), 4).tail_bound is None
