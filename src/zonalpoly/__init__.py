@@ -14,16 +14,12 @@ from .moments import (
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    normalizing_product,
     residual_coefficient,
     residual_values,
 )
 from .partitions import (
     Partition,
     conjugate,
-    dominated_by,
-    part_index_sum,
-    part_square_sum,
     partitions_of,
     rho,
     sym_group_degree,
@@ -32,7 +28,6 @@ from .symfunc import MONOMIAL, POWERSUM, SymPoly, m_to_p, p_to_m
 from .zonal import (
     DataIntegrityError,
     character_degree,
-    check_leading_coefficients,
     check_trace_identity,
     double_factorial,
     zonal_at_identity,
@@ -52,10 +47,8 @@ __all__ = [
     "SymPoly",
     "bilinear_coefficient",
     "character_degree",
-    "check_leading_coefficients",
     "check_trace_identity",
     "conjugate",
-    "dominated_by",
     "double_factorial",
     "exact_trace_power_integral",
     "hyper0f0",
@@ -64,12 +57,8 @@ __all__ = [
     "mc_linear_trace_power",
     "mc_splitting",
     "mc_trace_power",
-    "normalizing_product",
     "oracle_sample_batch",
-    "orthogonality_check",
     "p_to_m",
-    "part_index_sum",
-    "part_square_sum",
     "partitions_of",
     "residual_coefficient",
     "residual_values",
@@ -86,7 +75,6 @@ __version__ = "0.1.0"
 #: Exported names that live in a numpy module, by the module that holds them.
 _LAZY = {
     "oracle_sample_batch": "haar",
-    "orthogonality_check": "haar",
     "sample_orthogonal_batch": "haar",
     "MomentReport": "montecarlo",
     "mc_exponential_trace": "montecarlo",

@@ -45,7 +45,6 @@ __all__ = [
     "as_generator",
     "sample_orthogonal_batch",
     "oracle_sample_batch",
-    "orthogonality_check",
 ]
 
 
@@ -224,11 +223,3 @@ def oracle_sample_batch(n: int, count: int, rng) -> np.ndarray:
         pending = pending[~ok]
     return out
 
-
-def orthogonality_check(q: np.ndarray, tol: float) -> bool:
-    """Whether max-abs of Q^T Q - I is below ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    q = np.asarray(q, dtype=float)
-    n = q.shape[-1]
-    return bool(np.max(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n))) < tol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lcm
+from math import exp, factorial, lcm, ulp
 from typing import Iterable, Sequence
 
 from .partitions import Partition, partitions_of
@@ -31,7 +31,6 @@ __all__ = [
     "DiagonalSpec",
     "SeriesResult",
     "ResidualInconsistencyError",
-    "normalizing_product",
     "exact_trace_power_integral",
     "bilinear_coefficient",
     "residual_values",
@@ -48,9 +47,13 @@ class DiagonalSpec:
 
     @classmethod
     def of(cls, values) -> "DiagonalSpec":
+        """The spectrum of ``values``; ValueError for any entry that is not a rational."""
         if isinstance(values, DiagonalSpec):
             return values
-        return cls(tuple(Fraction(v) for v in values))
+        try:
+            return cls(tuple(map(Fraction, values)))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"eigenvalues must be rationals ({exc})") from exc
 
     def floats(self) -> tuple[float, ...]:
         """The eigenvalues as floats; OverflowError if one has no float."""
@@ -82,20 +85,6 @@ class ResidualInconsistencyError(ArithmeticError):
             f"residual coefficient for f={f}, g={tuple(g)}, h={tuple(h)} "
             f"depends on the dimension ({detail})"
         )
-
-
-def normalizing_product(n: int, f: int) -> int:
-    """The product n (n+2) (n+4) ... (n+2f-2); 1 when f = 0.
-
-    Valid for every n >= 1.  It is the one-row case Z_(f)(I_n) of
-    ``zonal_at_identity``, the single-row zonal polynomial at the
-    n-dimensional identity.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    return zonal_at_identity((f,) if f else (), n)
 
 
 def _trace_power_prefactor(f: int) -> Fraction:
@@ -180,6 +169,24 @@ def _splitting_value(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec) -> Frac
     return Fraction(za * _row_dot(row, mb), (da * db) ** f * zonal_at_identity(kappa, len(a)))
 
 
+def _linear_trace_power_value(a: DiagonalSpec, f: int) -> Fraction:
+    """The Haar average of tr(D_a H)^f, exactly.
+
+    Odd powers vanish by H -> -H and f = 0 gives 1; an even f gives
+    sum_kappa chi(kappa) Z_kappa(a^2) / Z_kappa(I_n) over partitions kappa
+    of f/2 with at most n parts.
+    """
+    if f < 0:
+        raise ValueError("f must be nonnegative")
+    if not len(a):
+        raise ValueError("spectra must be nonempty")
+    if f % 2 or f == 0:
+        return Fraction(0 if f else 1)
+    half = f // 2
+    scale, values = _monomial_values([x * x for x in a.eigenvalues], half)
+    return _character_sum(half, len(a), lambda row: _row_dot(row, values)) / scale**half
+
+
 def _trace_power_sum(f: int, n: int, va, vb) -> Fraction:
     """The trace-power integral of degree f from ``_monomial_values`` of a and b.
 
@@ -237,20 +244,24 @@ def bilinear_coefficient(f: int, n: int, g, h) -> Fraction:
 
 
 def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:
-    """The residual (2f-1)!! c(n) a_{g,h} - b_{(f),g} b_{(f),h} at each n."""
+    """The residual (2f-1)!! c(n) a_{g,h} - b_{(f),g} b_{(f),h} at each n.
+
+    c(n) = n (n+2) ... (n+2f-2) is Z_(f)(I_n), from ``zonal_at_identity``.
+    """
     g = Partition(g)
     h = Partition(h)
     if g.weight != f or h.weight != f:
         raise ValueError("g and h must be partitions of f")
-    if g == (f,) or h == (f,):
+    single = Partition((f,))
+    if g == single or h == single:
         raise ValueError("the residual excludes the single-row partition")
-    top = zonal_row(Partition((f,)))
+    top = zonal_row(single)
     cross = top.coefficient(g) * top.coefficient(h)
     out = []
     for n in n_values:
         value = (
             double_factorial(2 * f - 1)
-            * normalizing_product(n, f)
+            * zonal_at_identity(single, n)
             * bilinear_coefficient(f, n, g, h)
             - cross
         )
@@ -283,6 +294,9 @@ def _exp_tail(x: float, degree: int) -> float:
     term *= x / k, until one no longer changes the sum, so nothing cancels
     against exp(x) and no power or factorial leaves the float range.
     Raises OverflowError where exp(x) itself is beyond the float range.
+    A first omitted term that underflows for x > 0 gives ``ulp(0.0)``: it
+    underflows only for x < (degree + 2) / 2, where each later term is below
+    half the one before, so the tail is below twice that term.
     """
     exp(x)  # OverflowError beyond the float range, where terms may be too
     term = 1.0
@@ -293,6 +307,8 @@ def _exp_tail(x: float, degree: int) -> float:
         tail += term
         k += 1
         term *= x / k
+    if not tail and x > 0:
+        return ulp(0.0)
     return tail
 
 
@@ -320,9 +336,7 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
     value = float(sum(terms))
     tail: float | None = None
     if all(x >= 0 for x in a) and all(x >= 0 for x in b):
-        s = sum(
-            x * y
-            for x, y in zip(sorted(a.eigenvalues), sorted(b.eigenvalues))
-        )
-        tail = _exp_tail(float(s) / 2.0, max_degree)
+        s = sum(x * y for x, y in zip(sorted(a.eigenvalues), sorted(b.eigenvalues)))
+        # the tail grows with x: an s / 2 below the float range counts as ulp(0.0)
+        tail = _exp_tail(max(float(s) / 2.0, ulp(0.0)) if s else 0.0, max_degree)
     return SeriesResult(value, terms, tail)

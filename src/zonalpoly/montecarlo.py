@@ -30,9 +30,8 @@ import numpy as np
 
 from .haar import _sample_blocks, as_generator
 from .moments import (
-    _character_sum,
-    _monomial_values,
-    _row_dot,
+    DiagonalSpec,
+    _linear_trace_power_value,
     _spectra,
     _splitting_value,
     exact_trace_power_integral,
@@ -408,49 +407,26 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
-def _rational_diagonal(matrix) -> list[Fraction]:
-    """The diagonal entries of a rational diagonal matrix; ValueError for any other."""
-    try:
-        rows = [[Fraction(x) for x in row] for row in matrix]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"matrix entries must be rationals ({exc})") from exc
-    n = len(rows)
-    if n < 1 or any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if any(x for i, r in enumerate(rows) for j, x in enumerate(r) if i != j):
-        raise ValueError(
-            "matrix must be diagonal: the moments of tr(A H) depend only on the "
-            "singular values of A, so put them on the diagonal"
-        )
-    return [rows[i][i] for i in range(n)]
+def mc_linear_trace_power(a, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
+    """Haar moment of tr(D_a H)^f for a rational spectrum a of any signs.
 
+    By Haar invariance the moments of tr(A H) depend only on the singular
+    values of A, so a diagonal A covers every A.  Odd powers integrate to
+    zero by the H -> -H symmetry and f = 0 to one; both are reported
+    exactly, with no sample drawn or counted.  Even powers compare against
+    the exact value
 
-def mc_linear_trace_power(matrix, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
-    """Haar moment of tr(A H)^f for a rational diagonal matrix A.
-
-    By Haar invariance the moments depend only on the singular values of
-    A, so A must be diagonal with rational entries; any other matrix
-    raises ValueError.  Odd powers integrate to zero by the H -> -H
-    symmetry and f = 0 to one; both are reported exactly, with no sample
-    drawn or counted.  Even powers compare against the exact value
-
-        sum_kappa chi(kappa) Z_kappa(A A') / Z_kappa(I_n)
+        sum_kappa chi(kappa) Z_kappa(a^2) / Z_kappa(I_n)
 
     over partitions kappa of f/2 with at most n parts.
     """
-    if f < 0:
-        raise ValueError("f must be nonnegative")
-    diagonal = _rational_diagonal(matrix)
-    n = len(diagonal)
+    a = DiagonalSpec.of(a)
+    n = len(a)
+    exact = _linear_trace_power_value(a, f)
     if f % 2 == 1 or f == 0:  # odd powers vanish by H -> -H; no sampling either way
         _check_budget(samples, threads)
-        value = Fraction(0 if f else 1)
-        return MomentReport(value, float(value), 0.0, 0, 0.0)
-
-    half = f // 2
-    scale, values = _monomial_values([d * d for d in diagonal], half)
-    exact = _character_sum(half, n, lambda row: _row_dot(row, values)) / scale**half
-    av = np.array([float(d) for d in diagonal])
+        return MomentReport(exact, float(exact), 0.0, 0, 0.0)
+    av = np.array(a.floats())
 
     def statistic(q: np.ndarray) -> np.ndarray:
         # the diagonal entries are every (n + 1)-th row of the draw-minor block;

@@ -16,10 +16,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "Partition",
     "partitions_of",
-    "dominated_by",
     "conjugate",
-    "part_square_sum",
-    "part_index_sum",
     "rho",
     "sym_group_degree",
 ]
@@ -94,23 +91,6 @@ def partitions_of(f: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in _descending(f, f))
 
 
-def dominated_by(g: Sequence[int], f: Sequence[int]) -> bool:
-    """Whether ``g`` is below or equal to ``f`` in the dominance order.
-
-    True iff every prefix sum of ``g`` is at most the corresponding prefix
-    sum of ``f``.  Both partitions must have the same weight.
-    """
-    if sum(g) != sum(f):
-        raise ValueError("dominance compares partitions of equal weight")
-    gs = fs = 0
-    for k in range(max(len(g), len(f))):
-        gs += g[k] if k < len(g) else 0
-        fs += f[k] if k < len(f) else 0
-        if gs > fs:
-            return False
-    return True
-
-
 def conjugate(p: Sequence[int]) -> Partition:
     """Transpose of the Young diagram; an involution."""
     if not p:
@@ -118,24 +98,14 @@ def conjugate(p: Sequence[int]) -> Partition:
     return Partition(sum(1 for q in p if q > i) for i in range(p[0]))
 
 
-def part_square_sum(p: Sequence[int]) -> int:
-    """Sum of squared parts."""
-    return sum(q * q for q in p)
-
-
-def part_index_sum(p: Sequence[int]) -> int:
-    """Sum of parts weighted by their 1-based row index."""
-    return sum(i * q for i, q in enumerate(p, start=1))
-
-
 def rho(p: Sequence[int]) -> int:
     """The statistic sum(p_i * (p_i - i)), with rows indexed from 1.
 
-    Equals ``part_square_sum(p) - part_index_sum(p)``.  For g strictly
-    below f in dominance (equal weights), rho(f) - rho(g) > 0, which keeps
-    the recursion denominators of the zonal table away from zero.
+    For g strictly below f in dominance (equal weights),
+    rho(f) - rho(g) > 0, which keeps the recursion denominators of the
+    zonal table away from zero.
     """
-    return part_square_sum(p) - part_index_sum(p)
+    return sum(q * (q - i) for i, q in enumerate(p, 1))
 
 
 def sym_group_degree(p: Sequence[int]) -> int:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
@@ -76,27 +75,6 @@ class SymPoly:
             if c:
                 clean[lam] = c
         object.__setattr__(self, "coeffs", clean)
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if not isinstance(other, SymPoly):
-            return NotImplemented
-        if (self.degree, self.basis) != (other.degree, other.basis):
-            raise ValueError("can only add polynomials of equal degree and basis")
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, 0) + c
-        return SymPoly(self.degree, self.basis, out)
-
-    def __mul__(self, scalar) -> "SymPoly":
-        if not isinstance(scalar, Rational):
-            return NotImplemented
-        return SymPoly(
-            self.degree,
-            self.basis,
-            {lam: c * scalar for lam, c in self.coeffs.items()},
-        )
-
-    __rmul__ = __mul__
 
     def coefficient(self, lam) -> int | Fraction:
         """The coefficient attached to partition ``lam`` (0 if absent)."""

@@ -49,7 +49,6 @@ __all__ = [
     "zonal_at_identity",
     "character_degree",
     "check_trace_identity",
-    "check_leading_coefficients",
 ]
 
 class DataIntegrityError(ValueError):
@@ -244,16 +243,3 @@ def check_trace_identity(f: int) -> tuple[bool, dict[Partition, int]]:
             diff[lam] = gap
     return (not diff, diff)
 
-
-def check_leading_coefficients(f: int) -> bool:
-    """Whether the single-row polynomial starts at (2f-1)!! and ends at f!.
-
-    Asserts the m_{(f)} coefficient of the (f,) row is (2f-1)!! and its
-    m_{(1,...,1)} coefficient is f!.
-    """
-    if f < 1:
-        raise ValueError("f must be at least 1")
-    row = zonal_row(Partition((f,)))
-    return row.coefficient((f,)) == double_factorial(2 * f - 1) and row.coefficient(
-        (1,) * f
-    ) == factorial(f)

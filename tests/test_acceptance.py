@@ -9,7 +9,7 @@ for the numbers.
 
 import time
 from fractions import Fraction
-from math import exp, factorial, sqrt
+from math import exp, factorial, prod, sqrt
 
 import numpy as np
 import pytest
@@ -21,21 +21,21 @@ from zonalpoly.haar import oracle_sample_batch, sample_orthogonal_batch
 from zonalpoly.moments import (
     bilinear_coefficient,
     hyper0f0,
-    normalizing_product,
     residual_values,
 )
 from zonalpoly.montecarlo import mc_splitting
-from zonalpoly.partitions import Partition, dominated_by, partitions_of, rho
+from zonalpoly.partitions import Partition, partitions_of, rho
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES
 from zonalpoly.symfunc import SymPoly, m_to_p, p_to_m
 from zonalpoly.zonal import (
     character_degree,
-    check_leading_coefficients,
     check_trace_identity,
     double_factorial,
     zonal_at_identity,
     zonal_row,
 )
+
+from oracles import dominated_by
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -86,7 +86,7 @@ def test_criterion_3_character_degrees():
 def test_criterion_4a_coefficient_formulas():
     for f in range(1, 5):
         for n in range(2, 6):
-            c = normalizing_product(n, f)
+            c = zonal_at_identity((f,), n)
             assert bilinear_coefficient(f, n, (f,), (f,)) == Fraction(
                 double_factorial(2 * f - 1), c
             )
@@ -122,10 +122,12 @@ def test_criterion_4b_residual_dimension_independence():
 
 def test_criterion_5_single_row_structure():
     for f in range(1, DEGREE_CEILING + 1):
-        assert check_leading_coefficients(f), f"leading coefficients wrong at f={f}"
+        row = zonal_row(Partition((f,)))
+        assert row.coefficient((f,)) == double_factorial(2 * f - 1), f"head wrong at f={f}"
+        assert row.coefficient((1,) * f) == factorial(f), f"tail wrong at f={f}"
     for f in range(1, 5):
         for n in range(1, 6):
-            assert zonal_at_identity((f,), n) == normalizing_product(n, f)
+            assert zonal_at_identity((f,), n) == prod(n + 2 * j for j in range(f))
     report(
         "5",
         True,
@@ -237,9 +239,9 @@ def test_criterion_9_property_suites():
     xs = (Fraction(1, 2), Fraction(-2), Fraction(3, 5))
     for f in range(1, 6):
         polys = [zonal_row(kappa) for kappa in partitions_of(f)]
-        total = polys[0]
-        for poly in polys[1:]:
-            total = total + poly
+        total = SymPoly(
+            f, "monomial", {lam: sum(p.coefficient(lam) for p in polys) for lam in partitions_of(f)}
+        )
         assert total.evaluate(xs) == sum(p.evaluate(xs) for p in polys)
         for poly in polys:
             assert poly.evaluate(xs) == m_to_p(poly).evaluate(xs)

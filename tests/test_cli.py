@@ -470,12 +470,14 @@ class TestEstimate:
         assert json.loads(result.output)["resampled"] == 0
 
     def test_bad_eigenvalue_list_is_usage_error(self, runner):
-        result = runner.invoke(
-            main,
-            ["estimate", "trace-power", "--f", "1", "--A", "1,x", "--B", "1,2",
-             "--samples", "100"],
-        )
-        assert result.exit_code == 2
+        for spec in ("1,x", "1,1/0"):
+            result = runner.invoke(
+                main,
+                ["estimate", "trace-power", "--f", "1", "--A", spec, "--B", "1,2",
+                 "--samples", "100"],
+            )
+            assert result.exit_code == 2
+            assert "bad eigenvalue list for --A" in result.output
 
     def test_unknown_kind_is_usage_error(self, runner):
         result = runner.invoke(main, ["estimate", "bogus", "--A", "1"])

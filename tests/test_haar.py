@@ -14,9 +14,10 @@ from zonalpoly.haar import (
     _realize,
     _sweep_rotations,
     oracle_sample_batch,
-    orthogonality_check,
     sample_orthogonal_batch,
 )
+
+from oracles import orthogonality_check
 
 
 def rounded_ks(xs, ys):

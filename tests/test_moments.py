@@ -7,7 +7,7 @@ import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
-from math import exp, factorial, lcm, sqrt
+from math import exp, factorial, lcm, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -21,11 +21,15 @@ from zonalpoly.moments import (
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    normalizing_product,
     residual_coefficient,
     residual_values,
 )
-from zonalpoly.montecarlo import mc_linear_trace_power, mc_splitting, mc_trace_power
+from zonalpoly.montecarlo import (
+    mc_exponential_trace,
+    mc_linear_trace_power,
+    mc_splitting,
+    mc_trace_power,
+)
 from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.symfunc import MONOMIAL, SymPoly
 from zonalpoly.zonal import (
@@ -48,16 +52,18 @@ class TestDiagonalSpec:
 
 
 class TestNormalizingProduct:
+    """The normalizing product n (n+2) ... (n+2f-2) is Z_(f)(I_n)."""
+
     def test_examples(self):
-        assert normalizing_product(3, 2) == 15
-        assert normalizing_product(7, 0) == 1
-        assert normalizing_product(2, 3) == 48
+        assert zonal_at_identity((2,), 3) == 15
+        assert zonal_at_identity((), 7) == 1
+        assert zonal_at_identity((3,), 2) == 48
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            normalizing_product(0, 1)
+            zonal_at_identity((1,), 0)
         with pytest.raises(ValueError):
-            normalizing_product(2, -1)
+            zonal_at_identity((-1,), 2)
         with pytest.raises(ValueError, match="n must be at least 1"):
             bilinear_coefficient(2, 0, (2,), (2,))
 
@@ -235,9 +241,8 @@ class TestIntegerEvaluation:
     @pytest.mark.parametrize("n", (4, 30))
     def test_linear_trace_power_matches_fraction_path(self, n):
         a, _ = _benchmark_spectra(n)
-        matrix = [[x if i == j else 0 for j in range(n)] for i, x in enumerate(a)]
         for f in (2, 4):
-            report = mc_linear_trace_power(matrix, f, 2, 0)
+            report = mc_linear_trace_power(a, f, 2, 0)
             assert report.exact_value == _fraction_linear_trace_power([x * x for x in a], f)
 
     def test_exact_values_never_evaluate_a_sympoly(self, monkeypatch):
@@ -252,7 +257,7 @@ class TestIntegerEvaluation:
             exact_trace_power_integral(a, b, 4),
             *hyper0f0(a, b, 6).terms,
             moments._splitting_value(Partition((2, 1)), DiagonalSpec.of(a), DiagonalSpec.of(b)),
-            mc_linear_trace_power([[2, 0], [0, Fraction(1, 3)]], 4, 2, 0).exact_value,
+            mc_linear_trace_power((2, Fraction(1, 3)), 4, 2, 0).exact_value,
             bilinear_coefficient(3, 3, (2, 1), (1, 1, 1)),
         ]
         # Z_kappa(I_n) is an int, so every exact value must still be a Fraction
@@ -263,7 +268,7 @@ class TestBilinearCoefficients:
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     @pytest.mark.parametrize("f", (1, 2, 3, 4))
     def test_closed_forms_for_extreme_pairs(self, f, n):
-        c = normalizing_product(n, f)
+        c = zonal_at_identity((f,), n)
         top = bilinear_coefficient(f, n, (f,), (f,))
         assert top == Fraction(double_factorial(2 * f - 1), c)
         corner = bilinear_coefficient(f, n, (f,), (1,) * f)
@@ -299,7 +304,7 @@ class TestBilinearCoefficients:
         # coefficients once the common denominator is cleared
         for f in (1, 2, 3, 4):
             for n in (2, 3):
-                c = normalizing_product(n, f)
+                c = zonal_at_identity((f,), n)
                 dfac = double_factorial(2 * f - 1)
                 assert dfac * c * bilinear_coefficient(f, n, (f,), (f,)) == dfac**2
                 assert dfac * c * bilinear_coefficient(
@@ -770,65 +775,77 @@ class TestCalibratedZScores:
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_trace_ah(self, threads):
-        matrix = [[-1, 0, 0], [0, 2, 0], [0, 0, 3]]
-        self.check(lambda seed: mc_linear_trace_power(matrix, 4, self.SAMPLES, seed, threads))
+        self.check(lambda seed: mc_linear_trace_power((-1, 2, 3), 4, self.SAMPLES, seed, threads))
 
 
 class TestMcLinearTracePower:
     def test_odd_power_is_exactly_zero(self):
-        report = mc_linear_trace_power([[1, 0], [0, 2]], 3, 100, 0)
+        report = mc_linear_trace_power((1, 2), 3, 100, 0)
         assert report.exact_value == 0
         assert report.mc_estimate == 0.0
         assert report.samples == 0
 
     def test_identity_second_power(self):
-        report = mc_linear_trace_power([[1, 0], [0, 1]], 2, 30_000, 3)
+        report = mc_linear_trace_power((1, 1), 2, 30_000, 3)
         assert report.exact_value == 1
         assert abs(report.z_score) <= 3
 
     def test_diagonal_fourth_power(self):
-        report = mc_linear_trace_power([[1, 0], [0, 2]], 4, 30_000, 3)
+        report = mc_linear_trace_power((1, 2), 4, 30_000, 3)
         assert report.exact_value == Fraction(123, 8)
         assert abs(report.z_score) <= 3
 
     @pytest.mark.parametrize(
-        "matrix",
+        "bad",
         (
             [[1.0, 0.5], [-0.25, 2.0]],
             [[1, 0], [Fraction(1, 3), 2]],
-            [[1, 0], [0, 1j]],
-            [[1, 0], [0, float("nan")]],
-            [[1, 0], [0, float("inf")]],
-            [[1, 0], [0, "two"]],
+            [1, 1j],
+            [1, float("nan")],
+            [1, float("inf")],
+            [1, "two"],
+            [1, "1/0"],
         ),
-        ids=("full", "lower", "complex", "nan", "inf", "text"),
+        ids=("full", "lower", "complex", "nan", "inf", "text", "zero-denominator"),
     )
     @pytest.mark.parametrize("f", (1, 2))
-    def test_rejects_non_diagonal_or_non_rational(self, matrix, f):
-        with pytest.raises(ValueError, match="diagonal|rational"):
-            mc_linear_trace_power(matrix, f, 100, 0)
+    def test_rejects_non_diagonal_or_non_rational(self, bad, f):
+        # every spectrum input raises ValueError for an entry that is not a
+        # rational, on either side, whatever error Fraction raises for it; a
+        # matrix ("full", "lower") is not a spectrum, so its rows are such entries
+        good = (1, 2)
+        calls = (
+            lambda: mc_linear_trace_power(bad, f, 100, 0),
+            lambda: mc_trace_power(bad, good, f, 100, 0),
+            lambda: mc_trace_power(good, bad, f, 100, 0),
+            lambda: mc_splitting((f,), bad, good, 100, 0),
+            lambda: mc_splitting((f,), good, bad, 100, 0),
+            lambda: mc_exponential_trace(bad, good, 1.0, 100, 0),
+            lambda: mc_exponential_trace(good, bad, 1.0, 100, 0),
+            lambda: exact_trace_power_integral(bad, good, f),
+            lambda: exact_trace_power_integral(good, bad, f),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="rational"):
+                call()
 
     def test_signs_on_the_diagonal_give_the_same_exact_value(self):
         d = (Fraction(3, 2), 2, Fraction(-1, 3))
         for f in (2, 4, 6):
             values = set()
             for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, -1), (-1, -1, -1)):
-                matrix = [[s * x if i == j else 0 for j in range(3)] for i, (s, x) in enumerate(zip(signs, d))]
-                values.add(mc_linear_trace_power(matrix, f, 2, 0).exact_value)
+                spectrum = [s * x for s, x in zip(signs, d)]
+                values.add(mc_linear_trace_power(spectrum, f, 2, 0).exact_value)
             assert len(values) == 1
             (value,) = values
             assert value == _fraction_linear_trace_power([x * x for x in d], f)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            mc_linear_trace_power([[1, 0, 0], [0, 1, 0]], 2, 100, 0)
 
     def test_overflowing_variance_raises_without_warnings(self):
         # tr(A H)^2 reaches 1e300: the mean is finite, the sum of squares is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="variance is not finite"):
-                mc_linear_trace_power([[10**150, 0], [0, 1]], 2, 100, 1)
+                mc_linear_trace_power((10**150, 1), 2, 100, 1)
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_sample_deviation_matches_exact_sigma(self, threads):
@@ -839,8 +856,7 @@ class TestMcLinearTracePower:
         d, f, samples, seed, bound = (-1, 2, 3), 2, 20_000, 16, 4.0
         moments = (_fraction_linear_trace_power([x * x for x in d], k * f) for k in (1, 2, 3, 4))
         sigma, se = exact_deviation(*moments, samples)
-        matrix = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
-        report = mc_linear_trace_power(matrix, f, samples, seed, threads)
+        report = mc_linear_trace_power(d, f, samples, seed, threads)
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_matches_dense_contraction_of_one_whole_stack(self):
@@ -853,8 +869,7 @@ class TestMcLinearTracePower:
         dense = np.einsum("ij,mji->m", np.diag(d), q)
         diagonal = np.einsum("k,km->m", d, q.transpose(1, 2, 0).reshape(9, samples)[::4])
         assert np.array_equal(diagonal.view(np.int64), dense.view(np.int64))
-        matrix = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
-        reports = {f: mc_linear_trace_power(matrix, f, samples, 5) for f in (2, 4)}
+        reports = {f: mc_linear_trace_power(d, f, samples, 5) for f in (2, 4)}
         for f, report in reports.items():
             values = np.abs(diagonal) ** f
             _, mean, _ = shard_fold(values[s : s + size] for s in range(0, samples, size))
@@ -901,6 +916,16 @@ class TestHyper0F0:
         exact = sum(Fraction(7, 2) ** k / factorial(k) for k in range(degree + 1, degree + 101))
         assert abs(Fraction(res.tail_bound) - exact) <= Fraction(1, 10**12) * exact
 
+    def test_tail_bound_is_positive_where_the_tail_underflows(self):
+        # the tail of exp(x) past degree 3 is about x^4 / 4!, 4e-402 at
+        # x = 1e-100: below the float range, so the least positive float
+        # bounds it, never 0; a zero pairing s keeps its exact tail of 0
+        assert moments._exp_tail(1e-100, 3) == ulp(0.0) > 0
+        assert hyper0f0((Fraction(1, 10**100), 0), (2, 0), 3).tail_bound == ulp(0.0)
+        # s / 2 = 1e-400 is itself below the float range
+        assert hyper0f0((Fraction(1, 10**400),), (2,), 3).tail_bound == ulp(0.0)
+        assert hyper0f0((0, 0), (2, 0), 3).tail_bound == 0.0
+
     def test_no_tail_bound_with_negative_eigenvalue(self):
         assert hyper0f0((-1, 2), (1, 3), 4).tail_bound is None
 
@@ -916,16 +941,12 @@ class TestHyper0F0:
 
 class TestMcExponentialTrace:
     def test_tracks_truncated_series(self):
-        from zonalpoly.montecarlo import mc_exponential_trace
-
         series = hyper0f0((1, 2), (1, 3), 12)
         report = mc_exponential_trace((1, 2), (1, 3), series.value, 50_000, 9)
         assert report.exact_value == series.value
         assert abs(report.mc_estimate - series.value) / series.value < 0.01
 
     def test_dimension_mismatch_rejected(self):
-        from zonalpoly.montecarlo import mc_exponential_trace
-
         with pytest.raises(ValueError):
             mc_exponential_trace((1, 2), (1,), 1.0, 100, 0)
 
@@ -936,8 +957,6 @@ class TestMcExponentialTrace:
         # has a tail bound below 1e-8 on these nonnegative spectra, far below
         # the standard error of the sample deviation.  Seed, sample size,
         # degree and the bound were fixed before the first run
-        from zonalpoly.montecarlo import mc_exponential_trace
-
         a, b = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 2), 1, Fraction(1, 4))
         degree, samples, seed, bound = 16, 20_000, 16, 4.0
         series = [hyper0f0([k * x for x in a], b, degree) for k in (1, 2, 3, 4)]
@@ -948,8 +967,6 @@ class TestMcExponentialTrace:
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_overflowing_draws_raise_without_warnings(self, threads):
-        from zonalpoly.montecarlo import mc_exponential_trace
-
         # exp(tr / 2) exceeds the float range on some draws: tr reaches 820
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -94,6 +94,11 @@ class TestPowerToMonomial:
                 assert key == Partition(tuple(key))
 
 
+def scaled(poly, scale):
+    """The polynomial with every coefficient multiplied by ``scale``."""
+    return SymPoly(poly.degree, poly.basis, {lam: c * scale for lam, c in poly.coeffs.items()})
+
+
 class TestMonomialToPower:
     def test_single_monomial(self):
         assert m_to_p(SymPoly(2, MONOMIAL, {(2,): 1})) == SymPoly(2, POWERSUM, {(2,): 1})
@@ -116,7 +121,7 @@ class TestMonomialToPower:
     )
     def test_round_trip_is_identity(self, f, scale):
         for lam in partitions_of(f):
-            back = m_to_p(scale * p_to_m(lam))
+            back = m_to_p(scaled(p_to_m(lam), scale))
             assert back == SymPoly(f, POWERSUM, {lam: scale})
             for c in back.coeffs.values():
                 assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
@@ -131,7 +136,7 @@ class TestMonomialToPower:
     def test_matches_dict_reference_with_fractions(self, f):
         # a scale of 1/3 lands on the Fraction branch at every degree
         for lam in partitions_of(f):
-            poly = Fraction(1, 3) * p_to_m(lam)
+            poly = scaled(p_to_m(lam), Fraction(1, 3))
             got = m_to_p(poly)
             assert got == dict_m_to_p(poly)
             assert any(type(c) is Fraction for c in got.coeffs.values())
@@ -146,24 +151,6 @@ class TestMonomialToPower:
 
 
 class TestArithmetic:
-    def test_add_zero_scaled(self):
-        poly = p_to_m(Partition((2, 1)))
-        other = p_to_m(Partition((1, 1, 1)))
-        assert poly + 0 * other == poly
-
-    def test_scale_combination(self):
-        m2 = SymPoly(2, MONOMIAL, {(2,): 1})
-        m11 = SymPoly(2, MONOMIAL, {(1, 1): 1})
-        assert 3 * m2 + 2 * m11 == SymPoly(2, MONOMIAL, {(2,): 3, (1, 1): 2})
-
-    def test_mismatched_degree_rejected(self):
-        with pytest.raises(ValueError):
-            SymPoly(1, MONOMIAL, {(1,): 1}) + SymPoly(2, MONOMIAL, {(2,): 1})
-
-    def test_mismatched_basis_rejected(self):
-        with pytest.raises(ValueError):
-            SymPoly(1, MONOMIAL, {(1,): 1}) + SymPoly(1, POWERSUM, {(1,): 1})
-
     def test_zero_coefficients_pruned(self):
         poly = SymPoly(2, MONOMIAL, {(2,): 1, (1, 1): 0})
         assert (1, 1) not in poly.coeffs
@@ -237,7 +224,8 @@ class TestEvaluation:
             a = SymPoly(f, MONOMIAL, {p: Fraction(rng.randint(-4, 4)) for p in parts})
             b = SymPoly(f, MONOMIAL, {p: Fraction(rng.randint(-4, 4), 3) for p in parts})
             xs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
-            assert (a + b).evaluate(xs) == a.evaluate(xs) + b.evaluate(xs)
+            total = SymPoly(f, MONOMIAL, {p: a.coefficient(p) + b.coefficient(p) for p in parts})
+            assert total.evaluate(xs) == a.evaluate(xs) + b.evaluate(xs)
 
     def test_evaluation_commutes_with_basis_change(self):
         rng = random.Random(13)
