@@ -422,8 +422,7 @@ def estimate(
             report,
         )
         payload["series_value"] = str(sum(series.terms))
-        if series.tail_bound is not None:
-            payload["tail_bound"] = format_float(series.tail_bound)
+        payload["tail_bound"] = format_float(series.tail_bound)
         click.echo(json.dumps(payload, indent=2))
         return
 

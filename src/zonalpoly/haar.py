@@ -126,8 +126,10 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
     which is c*top + s*bottom and c*bottom - s*top with the roundings of an
     out-of-place update ((-s)*t is -(s*t) exactly and x + (-y) is x - y),
     so the bits depend on the layout of neither the block nor the stack.
-    The signs multiply the rows in place.  Each block is yielded in the
-    one buffer that the next overwrites.
+    The reflection bits b become the signs 1 - 2b in the rotations'
+    scratch, which is free once the sweeps are done, and multiply the rows
+    in place.  Each block is yielded in the one buffer that the next
+    overwrites.
     """
     size = max(1, min(count, BLOCK // n))
     normal_rows = n * (n + 1) // 2 - 1
@@ -164,7 +166,10 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
                 np.multiply(pair[::-1], s[r], out=tmp)
                 pair *= c[r]
                 pair += tmp
-        rows *= (1.0 - 2.0 * rng.integers(0, 2, size=(m, n)).T)[:, None, :]
+        signs = scratch[: n * m].reshape(n, m)
+        np.multiply(rng.integers(0, 2, size=(m, n)).T, -2.0, out=signs)
+        signs += 1.0
+        rows *= signs[:, None, :]
         yield rows
 
 

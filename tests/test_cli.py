@@ -229,6 +229,14 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
+#: ``series_value`` of ``estimate exp-series --A 1/4,1/2,3/4 --B 1,1/2,1/4
+#: --max-degree 20``: the exact sum of the series' terms to degree 20.
+EXP_SERIES_DEGREE_20 = (
+    "81705805075927871605048587829790539809310302226949"
+    "/52705178433578662706368265390809011339028070400000"
+)
+
+
 class TestOutputBytes:
     """Exact-integer outputs pinned byte for byte; any changed byte fails."""
 
@@ -338,6 +346,42 @@ class TestEstimate:
         assert abs(exact - estimate) / estimate < 0.02
         assert "tail_bound" in payload
 
+    def test_exp_series_value_at_degree_20_is_pinned(self, runner):
+        # the exact series to degree 20 at n = 3, read from rows capped at 3
+        # parts; CI's "Exact series at degree 20" step checks the same string
+        result = runner.invoke(
+            main,
+            ["estimate", "exp-series", "--A", "1/4,1/2,3/4", "--B", "1,1/2,1/4",
+             "--max-degree", "20", "--samples", "1000", "--seed", "1"],
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["series_value"] == EXP_SERIES_DEGREE_20
+
+    def test_exp_series_bounds_the_tail_of_signed_spectra(self, runner):
+        # a = (-1, 2) and b = (1, 3) pair to 5 sorted alike and to -1 sorted
+        # opposite, so |tr| <= 5 on every draw, as for a = b = (1, 2); the
+        # absolute values would pair to 7
+        signed, unsigned = (
+            json.loads(
+                runner.invoke(
+                    main,
+                    ["estimate", "exp-series", "--A", a, "--B", b, "--samples", "1000"],
+                ).output
+            )
+            for a, b in (("-1,2", "1,3"), ("1,2", "1,2"))
+        )
+        assert signed["tail_bound"] == unsigned["tail_bound"] == "2.9045483506499294e-05"
+
+    def test_exp_series_of_wide_signed_spectra_is_bounded(self, runner):
+        # |tr| <= 30 on O(2): the pairings are -30 * 29 + 30 * 30 = 30 and
+        # -30 * 30 + 30 * 29 = -30, where |a| and |b| would pair to 1770
+        result = runner.invoke(
+            main,
+            ["estimate", "exp-series", "--A", "-30,30", "--B", "29,30", "--samples", "1000", "--seed", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert float(json.loads(result.output)["tail_bound"]) == pytest.approx(2394192.2552465633, rel=1e-15)
+
     def test_constant_integrand_z_score_is_bounded(self, runner):
         # A scalar A makes tr(A Q B Q') constant; the sample spread is only
         # rounding noise and must not blow up the z-score.
@@ -422,14 +466,16 @@ class TestEstimate:
         assert "trace-power needs a value too large for a float" in result.output
 
     def test_exp_series_overflow_is_usage_error(self, runner):
-        # the series value is finite, but exp(tr / 2) overflows on some draws
+        # the series value is finite, but exp(tr / 2) overflows on some draws;
+        # |tr| <= s = 40 * 40 - 40 * 1 on every draw, attained at a permutation,
+        # so the tail bound exp(s / 2) overflows first, before a single draw
         args = ["estimate", "exp-series", "--A", "-40,40", "--B", "40,1", "--samples", "1000", "--seed", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "exp-series needs a value too large for a float" in result.output
-        assert "not finite" in result.output
+        assert "the tail bound needs exp(780)" in result.output
 
     def test_variance_overflow_is_usage_error(self, runner):
         # every sample is finite and so is their mean, but their squares are not

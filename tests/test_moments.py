@@ -238,6 +238,17 @@ class TestIntegerEvaluation:
         )
         assert hyper0f0(a, b, degree).terms == want
 
+    @pytest.mark.parametrize(
+        "a, b",
+        (tuple(side[:3] for side in _benchmark_spectra(4)), (MIXED_SPECTRA[0][:3], MIXED_SPECTRA[2][:3])),
+        ids=("benchmark-n3", "mixed-n3"),
+    )
+    def test_hyper0f0_terms_on_capped_rows_match_full_rows(self, a, b, monkeypatch):
+        # rows capped at n = 3 parts against the full rows of every degree to 16
+        capped = hyper0f0(a, b, 16).terms
+        monkeypatch.setattr(moments, "_capped_row", lambda kappa, n: zonal_row(kappa))
+        assert capped == hyper0f0(a, b, 16).terms
+
     @pytest.mark.parametrize("n", (4, 30))
     def test_linear_trace_power_matches_fraction_path(self, n):
         a, _ = _benchmark_spectra(n)
@@ -805,14 +816,17 @@ class TestMcLinearTracePower:
             [1, float("inf")],
             [1, "two"],
             [1, "1/0"],
+            "12",
+            b"12",
         ),
-        ids=("full", "lower", "complex", "nan", "inf", "text", "zero-denominator"),
+        ids=("full", "lower", "complex", "nan", "inf", "text", "zero-denominator", "string", "bytes"),
     )
     @pytest.mark.parametrize("f", (1, 2))
     def test_rejects_non_diagonal_or_non_rational(self, bad, f):
         # every spectrum input raises ValueError for an entry that is not a
         # rational, on either side, whatever error Fraction raises for it; a
-        # matrix ("full", "lower") is not a spectrum, so its rows are such entries
+        # matrix ("full", "lower") is not a spectrum, so its rows are such entries;
+        # a string or bytes is one value, never read as the spectrum (1, 2)
         good = (1, 2)
         calls = (
             lambda: mc_linear_trace_power(bad, f, 100, 0),
@@ -926,8 +940,30 @@ class TestHyper0F0:
         assert hyper0f0((Fraction(1, 10**400),), (2,), 3).tail_bound == ulp(0.0)
         assert hyper0f0((0, 0), (2, 0), 3).tail_bound == 0.0
 
-    def test_no_tail_bound_with_negative_eigenvalue(self):
-        assert hyper0f0((-1, 2), (1, 3), 4).tail_bound is None
+    @pytest.mark.parametrize(
+        "a, b, s",
+        (
+            ((-1, 2), (1, 3), 5),
+            ((Fraction(-3, 2), Fraction(1, 2), 1), (2, Fraction(-1, 3), -1), Fraction(25, 6)),
+            ((-30, 30), (29, 30), 30),
+        ),
+        ids=("n2", "n3", "n2-wide"),
+    )
+    def test_tail_bound_for_signed_spectra(self, a, b, s):
+        # tr(D_a Q D_b Q') = sum_ij a_i Q_ij^2 b_j peaks in absolute value
+        # at a permutation Q, where it is a pairing of a and b: s is the
+        # largest |pairing|, so every exact term is at most (s/2)^k / k!
+        # and the tail of exp(s/2) bounds the series' tail; the bound is
+        # the exact rational tail of exp(s/2) to relative 1e-12 (terms past
+        # degree + 100 are below 1e-100 of it), as for nonnegative spectra
+        assert s == max(abs(sum(x * y for x, y in zip(a, p))) for p in itertools.permutations(b))
+        degree, x = 6, Fraction(s) / 2
+        res = hyper0f0(a, b, degree)
+        exact = sum(x**k / factorial(k) for k in range(degree + 1, degree + 101))
+        assert abs(Fraction(res.tail_bound) - exact) <= Fraction(1, 10**12) * exact
+        terms = hyper0f0(a, b, 24).terms
+        assert all(abs(t) <= x**k / factorial(k) for k, t in enumerate(terms))
+        assert abs(sum(terms[degree + 1 :])) <= exact
 
     def test_against_monte_carlo(self):
         from zonalpoly.haar import sample_orthogonal_batch

@@ -12,6 +12,7 @@ from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
 from zonalpoly.zonal import (
     DataIntegrityError,
+    _capped_row,
     _raise_plan,
     _raising_moves,
     character_degree,
@@ -43,6 +44,17 @@ def fraction_recursion_row(kappa):
             coeffs[g] = acc / (rho(kappa) - rho(g))
     scale = factorial(f) / coeffs[Partition((1,) * f)]
     return SymPoly(f, MONOMIAL, {lam: c * scale for lam, c in coeffs.items()})
+
+
+@pytest.fixture
+def fresh_rows():
+    """Empty row caches before and after a test that corrupts the recursion."""
+    caches = (zonal_row, _capped_row, zonal_in_powersums)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 class TestDoubleFactorial:
@@ -92,28 +104,59 @@ class TestZonalRow:
 
     @pytest.mark.parametrize("f", range(1, 11))
     def test_raise_plan_sums_moves_onto_earlier_positions(self, f):
-        parts = partitions_of(f)
-        for pos, (g, (numers, targets, rho_g)) in enumerate(zip(parts, _raise_plan(f))):
-            assert rho_g == rho(g)
-            assert all(target < pos for target in targets)
-            assert len(set(targets)) == len(targets)
-            merged = {}
-            for numer, h in _raising_moves(g):
-                merged[h] = merged.get(h, 0) + numer
-            assert {parts[t]: numer for numer, t in zip(numers, targets)} == merged
+        for n in range(1, f + 1):
+            parts, steps, orbits = _raise_plan(f, n)
+            assert parts == tuple(g for g in partitions_of(f) if len(g) <= n)
+            assert len(steps) == len(parts)
+            for pos, (g, (numers, targets, rho_g)) in enumerate(zip(parts, steps)):
+                assert rho_g == rho(g)
+                assert all(target < pos for target in targets)
+                assert len(set(targets)) == len(targets)
+                merged = {}
+                for numer, h in _raising_moves(g):
+                    merged[h] = merged.get(h, 0) + numer
+                assert {parts[t]: numer for numer, t in zip(numers, targets)} == merged
+            # the orbit sizes weight the Z(I_n) pin, which the full plan does not use
+            ones = [1] * n
+            want = tuple(SymPoly(f, MONOMIAL, {g: 1}).evaluate(ones) for g in parts)
+            assert orbits == (want if n < f else ())
 
-    def test_corrupted_seed_is_rejected(self, monkeypatch):
+    def test_corrupted_seed_is_rejected(self, monkeypatch, fresh_rows):
         true_top = zonal._top_coefficient
         monkeypatch.setattr(zonal, "_top_coefficient", lambda kappa: true_top(kappa) + 1)
-        zonal_row.cache_clear()
-        zonal_in_powersums.cache_clear()
-        try:
-            for kappa in [(1,), (2,), (2, 1), (3, 2, 1), (4, 4, 2, 1, 1)]:
+        for kappa in [(1,), (2,), (2, 1), (3, 2, 1), (4, 4, 2, 1, 1)]:
+            with pytest.raises(DataIntegrityError):
+                zonal_row(Partition(kappa))
+            for n in range(len(kappa), len(kappa) + 2):
                 with pytest.raises(DataIntegrityError):
-                    zonal_row(Partition(kappa))
-        finally:
-            zonal_row.cache_clear()
-            zonal_in_powersums.cache_clear()
+                    _capped_row(Partition(kappa), n)
+
+    def test_scaled_seed_fails_the_identity_pin_of_a_capped_row(self, monkeypatch, fresh_rows):
+        # twice the true seed keeps every division exact, so the row is twice
+        # Z_kappa and only the closed form Z_kappa(I_n) can catch it
+        true_top = zonal._top_coefficient
+        monkeypatch.setattr(zonal, "_top_coefficient", lambda kappa: 2 * true_top(kappa))
+        for kappa, n in [((2,), 1), ((2, 1), 2), ((3, 2, 1), 3), ((4, 2), 2), ((5, 3, 1), 4)]:
+            want = zonal_at_identity(kappa, n)
+            with pytest.raises(DataIntegrityError, match=rf"Z\(I_{n}\) = {2 * want}, expected {want}"):
+                _capped_row(Partition(kappa), n)
+
+    @pytest.mark.parametrize("f", range(2, 15))
+    def test_capped_rows_are_the_full_rows_on_at_most_n_parts(self, f):
+        for kappa in partitions_of(f):
+            full = zonal_row(kappa).coeffs
+            for n in range(len(kappa), f):
+                want = {lam: c for lam, c in full.items() if len(lam) <= n}
+                assert _capped_row(kappa, n) == SymPoly(f, MONOMIAL, want), (kappa, n)
+
+    def test_capped_row_from_n_equal_f_is_the_full_row(self):
+        kappa = Partition((3, 1))
+        assert _capped_row(kappa, 4) is zonal_row(kappa)
+        assert _capped_row(kappa, 9) is zonal_row(kappa)
+
+    def test_capped_row_rejects_more_parts_than_n(self):
+        with pytest.raises(ValueError, match="more than 2 parts"):
+            _capped_row(Partition((2, 1, 1)), 2)
 
     @pytest.mark.parametrize("f", range(1, DEGREE_CEILING + 1))
     def test_coefficients_nonnegative_integers(self, f):
