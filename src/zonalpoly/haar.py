@@ -1,10 +1,10 @@
 """Haar sampling on the orthogonal group O(n).
 
 The primary sampler drives a rotation/reflection decomposition: a matrix
-is a product of n reflection factors U_i^{eps_i} (reflections first, on
-the left) and a triangular family of plane rotations V_j(theta_ij),
-where V_j rotates the (j, j+1) coordinate plane.  Sweep i contributes the
-factors V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), and the matrix is the
+is one reflection factor F^eps, F = diag(-1, 1, ..., 1), on the left of a
+triangular family of plane rotations V_j(theta_ij), where V_j rotates the
+(j, j+1) coordinate plane.  Sweep i contributes the factors
+V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), and the matrix is the
 product of sweeps i = 1, ..., n-1 in that order.  It is formed right to
 left, as in the subgroup algorithm (Diaconis and Shahshahani, Prob. Eng.
 Inf. Sci. 1, 1987): the product of sweeps i + 1, ..., n-1 is the identity
@@ -19,20 +19,23 @@ sampler takes their cosines and sines from d + 1 standard normals by
 square roots and divisions (Muller, Comm. ACM 2, 1959; the Givens-angle
 view of Haar generation of Anderson, Olkin and Underhill, SIAM J. Sci.
 Stat. Comput. 8, 1987), with no angle and no transcendental call.
-Reflection bits are fair and independent.  An independent oracle, the Q
+Each rotation has det 1 and each sweep's last angle is uniform on the
+full circle, so the product of sweeps is Haar on SO(n); F SO(n) is the
+other coset of O(n), so one fair bit eps per draw, which flips the sign
+of row 0, makes the draw Haar on O(n).  An independent oracle, the Q
 factor of a Gaussian matrix with diag(R) made positive, is provided for
 cross-validation.
 
 The sampler builds matrices in blocks of BLOCK // n draws, and each block
 consumes the stream in two calls: its normals, all n(n+1)/2 - 1 per draw
 in one (rows, m) array whose rows go to sweeps 1, ..., n - 1 in turn,
-then its (m, n) reflection bits.  A block is held draw-minor, as
+then its m reflection bits, one per draw.  A block is held draw-minor, as
 ``rows[row, col, draw]``: the two rows a rotation touches, over the
 columns it reaches, are one view of two contiguous runs that stays in
-cache, updated by three in-place calls along the draw axis.  Few, long
-numpy calls thus leave the GIL free for most of the time, and shards run
-in parallel.  The Monte Carlo statistics take the draw-minor block as
-it is; sample_orthogonal_batch transposes it to one matrix per draw.
+cache, updated by three in-place calls along the draw axis, so few, long
+numpy calls do the work.  The Monte Carlo statistics take the draw-minor
+block as it is; sample_orthogonal_batch transposes it to one matrix per
+draw.
 """
 
 from __future__ import annotations
@@ -110,11 +113,11 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
 
     Each block of m draws makes two calls on ``rng``: one
     ``rng.standard_normal(out=...)`` into a reused (n(n+1)/2 - 1, m)
-    buffer, then ``rng.integers(0, 2, size=(m, n))`` for the reflection
-    bits.  The rows of normals go to sweeps i = 1, ..., n - 1 in turn,
-    n - i + 1 rows each, from which ``_sweep_rotations`` gives the cosines
-    and sines of the sweep's d = n - i rotations, with no angle and no
-    transcendental call.  The sweeps are multiplied onto the identity from
+    buffer, then ``rng.integers(0, 2, size=m)`` for the reflection bits,
+    one per draw.  The rows of normals go to sweeps i = 1, ..., n - 1 in
+    turn, n - i + 1 rows each, from which ``_sweep_rotations`` gives the
+    cosines and sines of the sweep's d = n - i rotations, with no angle
+    and no transcendental call.  The sweeps are multiplied onto the identity from
     the left, i from n - 1 down to 1, so before sweep i the product is the
     identity outside its trailing d x d corner, and rotation
     r = 0, ..., d - 1 of the sweep turns rows (i + r - 1, i + r) over the
@@ -126,9 +129,10 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
     which is c*top + s*bottom and c*bottom - s*top with the roundings of an
     out-of-place update ((-s)*t is -(s*t) exactly and x + (-y) is x - y),
     so the bits depend on the layout of neither the block nor the stack.
-    The reflection bits b become the signs 1 - 2b in the rotations'
-    scratch, which is free once the sweeps are done, and multiply the rows
-    in place.  Each block is yielded in the one buffer that the next
+    The product of the sweeps is Haar on SO(n); a draw's reflection bit b
+    becomes the sign 1 - 2b in the rotations' scratch, which is free once
+    the sweeps are done, and multiplies row 0 in place, which is Haar on
+    O(n).  Each block is yielded in the one buffer that the next
     overwrites.
     """
     size = max(1, min(count, BLOCK // n))
@@ -166,10 +170,10 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
                 np.multiply(pair[::-1], s[r], out=tmp)
                 pair *= c[r]
                 pair += tmp
-        signs = scratch[: n * m].reshape(n, m)
-        np.multiply(rng.integers(0, 2, size=(m, n)).T, -2.0, out=signs)
+        signs = scratch[:m]
+        np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
         signs += 1.0
-        rows *= signs[:, None, :]
+        rows[0] *= signs
         yield rows
 
 
@@ -178,11 +182,11 @@ def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
 
     Entry [i, j, k] of a block is entry (i, j) of its draw k.  Blocks are
     drawn and realized as they are consumed, each with its own normals and
-    then its own reflection bits from ``rng``, each into the one buffer
-    that the next overwrites, which the caller may overwrite too; so a
-    caller holds one block of normals and matrices at a time, whatever
-    ``count``.  Transposed to (m, n, n) and concatenated, the blocks are
-    the bits of sample_orthogonal_batch.
+    then its own reflection bits, one per draw, from ``rng``, each into
+    the one buffer that the next overwrites, which the caller may
+    overwrite too; so a caller holds one block of normals and matrices at
+    a time, whatever ``count``.  Transposed to (m, n, n) and concatenated,
+    the blocks are the bits of sample_orthogonal_batch.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -196,7 +200,8 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
     is bit-reproducible.  The draws come in blocks of BLOCK // n, and each
-    block draws its normals, then its reflection bits (see ``_realize``).
+    block draws its normals, then one reflection bit per draw, which
+    flips the sign of row 0 (see ``_realize``).
     """
     blocks = _sample_blocks(n, count, rng)
     out = np.empty((count, n, n))

@@ -8,11 +8,11 @@ and those triples are merged by the pairwise update of Chan, Golub and
 LeVeque, so memory stays at one block whatever the budget.  The splitting
 check needs Z_kappa at the latent roots of each draw; a symmetric
 polynomial depends on the roots only through their power sums, which
-come from traces of powers of H' D_a H D_b, with no eigensolve and no
-square root, so the spectra may take any real signs.  Up to n = 3 the
-matrix products run entry by entry along the draw axis of the sampler's
-block; above, where one small gemm per draw costs less than the numpy
-calls of a product, whose number grows like n^3, they run through a
+come with no eigensolve and no square root, so the spectra may take any
+real signs.  Up to n = 3 they follow by Newton's identities from the
+elementary symmetric functions of the roots, which are weighted sums of
+the squared entries of each draw along the draw axis of the sampler's
+block; above, they are traces of powers of H' D_a H D_b through a
 row-major copy and a batched matmul.  This module and ``haar`` are the
 only ones that import numpy.
 """
@@ -226,119 +226,101 @@ def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     return statistic
 
 
-#: The largest n whose latent power sums are taken entry by entry on the
-#: draw-minor block; above it they are taken by batched gemm.  Measured
-#: at f = 3 on one thread of a 2-core VM (numpy 2.4, OpenBLAS), entry by
-#: entry runs 3-4x faster at n = 1, 2 and 3; n = 4 ties, and from n = 5
-#: on gemm wins, by 2x at n = 6 and 8x at n = 30.
-DRAW_MINOR_MAX_N = 3
-
-
 def _latent_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     """p_1..p_f of the latent roots of D_a H D_b H' for every draw H of a draw-minor block.
 
     ``w`` is the outer product a b' of the two spectra, which may take any
-    real signs.  The roots are those of N = H' D_a H D_b, a cyclic shift of
-    D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
-    may be complex, but the traces are real.  N is H' (w * H).  Up to
-    n = DRAW_MINOR_MAX_N a product of n x n matrices is a few dozen numpy
-    calls along the draw axis, far cheaper than one tiny gemm per draw, so
-    ``_draw_minor_power_sums`` works on the block as it is; above it,
-    ``_gemm_power_sums`` hands one gemm per draw to BLAS.  Either way the
-    block is overwritten.  Returns an (f, m) array whose row k-1 is p_k.
+    real signs.  Up to n = 3 the elementary symmetric functions of the
+    roots are closed forms in the squared entries of H, and
+    ``_squares_power_sums`` takes the power sums from them; above, where
+    e_2, ..., e_(n-2) would need larger minors, ``_gemm_power_sums`` takes
+    traces of powers by one gemm per draw.  Either way the block is
+    overwritten.  Returns an (f, m) array whose row k-1 is p_k.
     """
-    if block.shape[0] <= DRAW_MINOR_MAX_N:
-        return _draw_minor_power_sums(block, w, f)
+    if block.shape[0] <= 3:
+        return _squares_power_sums(block, w, f)
     return _gemm_power_sums(block, w, f)
 
 
-def _trace_of_product(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = tr(x y) = sum_ij x_ij y_ji per draw of two (n, n, m) stacks; ``tmp`` is one (m) row.
+def _cofactor_weights(w: np.ndarray) -> np.ndarray:
+    """The outer product of a^ and b^, a^_i the product of a_k over k != i, from w = a b'.
 
-    The n^2 products are added one at a time, in row-major order of (i, j).
+    Entry (i, j) is the product of w over any matching of the rows other
+    than i with the columns other than j; for n = 1 it is 1.
     """
-    n = len(x)
-    np.multiply(x[0, 0], y[0, 0], out=out)
+    n = len(w)
+    out = np.ones((n, n))
     for i in range(n):
         for j in range(n):
-            if i or j:
-                np.multiply(x[i, j], y[j, i], out=tmp)
-                out += tmp
+            rows, cols = [k for k in range(n) if k != i], [k for k in range(n) if k != j]
+            out[i, j] = np.prod(w[rows, cols])
+    return out
 
 
-def _draw_minor_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
-    """``_latent_power_sums`` entry by entry along the draw axis of the (n, n, m) block.
+def _weighted_sum(v: np.ndarray, squares: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = sum_k v_k squares[k] per draw; ``tmp`` is one (m) row.
 
-    Every numpy call is elementwise over rows of m draws, and each trace
-    adds its n^2 products one at a time, so each draw's bits do not depend
-    on the block size (a reduction over an axis of length n^2 may sum
-    pairwise when that axis is contiguous, as it is at m = 1).
-    N = sum_i outer(H[i], w[i] * H[i]) is formed in a fresh (n, n, m)
-    array, with one (n, m) row for w[i] * H[i] that is released once N
-    is in; row 0 of H is scratch once its own term is in.
-    p_2 = tr(N N), p_k = tr(N N^(k-1)) for k >= 3 and, for even f,
-    p_f = tr(N^(f/2) N^(f/2)), with N^2, N^3, ... in the block's memory:
-    N^2 from N entry by entry, each further power in place, one row at a
-    time through a copy of that row.  Every other product waits in one
-    (m) row of scratch.  So a call holds N with, first, the row of
-    w[i] * H[i] and then the sums, the (m) row and, from f = 5 on, the
-    (n, m) row copy.
+    The terms are added one at a time, so no draw's sum depends on m.
+    """
+    np.multiply(squares[0], v[0], out=out)
+    for k in range(1, len(v)):
+        np.multiply(squares[k], v[k], out=tmp)
+        out += tmp
+    return out
+
+
+def _squares_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
+    """``_latent_power_sums`` at n <= 3, from the squared entries of each draw.
+
+    By Cauchy-Binet, e_k of the roots of D_a H D_b H' is the sum over
+    |I| = |J| = k of a_I b_J det(H_IJ)^2.  For orthogonal H each
+    (n - 1)-minor is +-det(H) H_ij, since the adjugate is det(H) H', so
+    e_1 = sum a_i b_j H_ij^2, e_(n-1) = sum a^_i b^_j H_ij^2 (see
+    ``_cofactor_weights``) and e_n = prod a_i prod b_j.  At n <= 3 every
+    k is 1, n - 1 or n; at n = 2, e_(n-1) is e_1.  Newton's identities
+    give p_1..p_f, for spectra of any real signs.  The block is squared
+    in place, and every call is elementwise over rows of m draws with the
+    squared terms added one at a time, so each draw's bits do not depend
+    on the block size.
     """
     n, m = block.shape[0], block.shape[2]
-    base = np.empty((n, n, m))
-    lifted = np.empty((n, m))
-    np.multiply(block[0], w[0][:, None], out=lifted)
-    np.multiply(block[0][:, None], lifted, out=base)
-    for i in range(1, n):
-        np.multiply(block[i], w[i][:, None], out=lifted)
-        for j in range(n):
-            np.multiply(block[i, j], lifted, out=block[0])
-            base[j] += block[0]
-    del lifted
-    sums, one = np.empty((f, m)), np.empty(m)
-    row = np.empty((n, m)) if f >= 5 else None
-    np.copyto(sums[0], base[0, 0])
-    for i in range(1, n):
-        sums[0] += base[i, i]
-    if f > 1:
-        _trace_of_product(base, base, sums[1], one)
-    # p_(k+1) = tr(N N^k) as each power N^k is formed, and p_f = tr(N^k N^k)
-    # at 2k = f, which spares even f its last power
-    power = block
-    for k in range(2, f if f % 2 else f - 1):
-        for j in range(n):
-            if k == 2:
-                np.multiply(base[j, 0], base[0], out=power[j])
-                for i in range(1, n):
-                    for col in range(n):
-                        np.multiply(base[j, i], base[i, col], out=one)
-                        power[j, col] += one
+    squares = block.reshape(n * n, m)
+    squares *= squares
+    sums, tmp = np.empty((f, m)), np.empty(m)
+    e = {1: _weighted_sum(w.ravel(), squares, sums[0], tmp)}
+    if n == 3:
+        e[2] = _weighted_sum(_cofactor_weights(w).ravel(), squares, np.empty(m), tmp)
+    if n > 1:
+        e[n] = float(np.prod(np.diagonal(w)))
+    # p_k = sum_(i = 1..min(k, n)) (-1)^(i-1) e_i p_(k-i), where p_0 counts as k
+    for k in range(2, f + 1):
+        out = sums[k - 1]
+        np.multiply(sums[k - 2], e[1], out=out)
+        for i in range(2, min(k, n) + 1):
+            if i < k:
+                np.multiply(sums[k - i - 1], e[i], out=tmp)
             else:
-                # row j of N^(k-1) N over itself: ``row`` keeps the old row,
-                # and its entry i - 1, once spent, holds each product with entry i
-                np.copyto(row, power[j])
-                np.multiply(row[0], base[0], out=power[j])
-                for i in range(1, n):
-                    for col in range(n):
-                        np.multiply(row[i], base[i, col], out=row[i - 1])
-                        power[j, col] += row[i - 1]
-        _trace_of_product(base, power, sums[k], one)
-        if 2 * k == f:
-            _trace_of_product(power, power, sums[f - 1], one)
+                np.multiply(e[i], k, out=tmp)
+            if i % 2:
+                out += tmp
+            else:
+                out -= tmp
     return sums
 
 
 def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     """``_latent_power_sums`` by batched gemm on a row-major copy of the block.
 
-    N = H' (w * H) is a product of two distinct buffers, which BLAS runs
-    as gemm.  The block is copied once into a row-major (m, n, n) stack
-    for the batched matmul, and is then overwritten: its memory holds two
-    slots of m // 2 draws (a lone draw takes two fresh ones).  The stack
-    is taken in parts of m // 2 draws, the last of one draw for odd m: per
-    part, w * H fills one slot and N the other; the next power goes to the
-    part of the stack, and the third power buffer that f >= 5 needs reuses
-    the first slot.
+    The roots are those of N = H' D_a H D_b, a cyclic shift of
+    D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
+    may be complex, but the traces are real.  N = H' (w * H) is a product
+    of two distinct buffers, which BLAS runs as gemm.  The block is copied
+    once into a row-major (m, n, n) stack for the batched matmul, and is
+    then overwritten: its memory holds two slots of m // 2 draws (a lone
+    draw takes two fresh ones).  The stack is taken in parts of m // 2
+    draws, the last of one draw for odd m: per part, w * H fills one slot
+    and N the other; the next power goes to the part of the stack, and the
+    third power buffer that f >= 5 needs reuses the first slot.
     """
     n, m = block.shape[0], block.shape[2]
     q = np.empty((m, n, n))
@@ -400,9 +382,11 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
 
     Estimates the Haar mean of Z_kappa at the latent roots of
     D_a H D_b H', against the exact value Z_kappa(a) Z_kappa(b) / Z_kappa(I_n).
-    The power sums of the roots come from traces of matrix powers, with
-    no eigensolve, so a and b may be any real spectra: where the roots are
-    complex, their power sums, and so Z_kappa, are still real.
+    The power sums of the roots come, with no eigensolve, from the
+    squared entries of each draw at n <= 3 (e_1, e_(n-1) and e_n of the
+    roots in closed form, then Newton's identities) and from traces of
+    matrix powers above, so a and b may be any real spectra: where the
+    roots are complex, their power sums, and so Z_kappa, are still real.
     """
     kappa = Partition(kappa)
     a, b, n = _spectra(a, b)

@@ -69,25 +69,31 @@ def strided_reference_rotations(n, normals):
 
 
 def strided_reference_draw(n, count, rng):
-    """Cosines and sines by key and (count, n) bits, drawn as sample_orthogonal_batch draws them.
+    """Cosines and sines by key and (count,) bits, drawn as sample_orthogonal_batch draws them.
 
     Per block of BLOCK // n draws, all the block's normals in one
-    (rows, m) draw, then its (m, n) bits.
+    (rows, m) draw, then its m bits, one per draw.
     """
     size = max(1, min(count, BLOCK // n))
     blocks, bits = [], []
     for start in range(0, count, size):
         m = min(size, count - start)
         blocks.append(strided_reference_rotations(n, rng.standard_normal((normal_rows(n), m))))
-        bits.append(rng.integers(0, 2, size=(m, n)))
+        bits.append(rng.integers(0, 2, size=m))
     rotations = {
         key: tuple(map(np.concatenate, zip(*(block[key] for block in blocks)))) for key in blocks[0]
     }
     return rotations, np.concatenate(bits)
 
 
+def reflect_row_zero(q, bits):
+    """Each draw of a (count, n, n) stack with row 0 times 1 - 2 b, b its bit, in place."""
+    q[:, 0] *= (1.0 - 2.0 * bits)[:, None]
+    return q
+
+
 def strided_reference_rotate(n, rotations, bits):
-    """Matrices from cosines and sines by key and (count, n) bits on a C-ordered stack.
+    """Matrices from cosines and sines by key and (count,) bits on a C-ordered stack.
 
     The subgroup order: the sweeps are multiplied onto the identity from
     the left, i = n - 1 down to 1, and factor (i, j) of sweep i, from
@@ -103,7 +109,7 @@ def strided_reference_rotate(n, rotations, bits):
             bottom = q[:, j, i - 1 :]
             q[:, j - 1, i - 1 :] = c * top + s * bottom
             q[:, j, i - 1 :] = c * bottom - s * top
-    return (1.0 - 2.0 * bits)[:, :, None] * q
+    return reflect_row_zero(q, bits)
 
 
 def left_to_right_rotate(n, rotations, bits):
@@ -121,7 +127,7 @@ def left_to_right_rotate(n, rotations, bits):
             right = q[..., j]
             q[..., j - 1] = c * left - s * right
             q[..., j] = s * left + c * right
-    return (1.0 - 2.0 * bits)[:, :, None] * q
+    return reflect_row_zero(q, bits)
 
 
 def strided_reference_batch(n, count, rng):
@@ -130,38 +136,47 @@ def strided_reference_batch(n, count, rng):
 
 
 class FixedNormals:
-    """A generator stand-in: fixed normals, and bits from a generator seeded with ``seed``."""
+    """A generator stand-in: fixed normals, and bits from a generator seeded with ``seed``.
+
+    With ``seed=None`` every bit is 0: no draw is reflected.
+    """
 
     def __init__(self, normals, seed):
         self.normals = normals
-        self.bits = np.random.default_rng(seed)
+        self.bits = None if seed is None else np.random.default_rng(seed)
 
     def standard_normal(self, out):
         out[...] = self.normals
         return out
 
-    def integers(self, *args, **kwargs):
-        return self.bits.integers(*args, **kwargs)
+    def integers(self, low, high, size):
+        if self.bits is None:
+            return np.zeros(size, dtype=np.int64)
+        return self.bits.integers(low, high, size=size)
 
 
 def realize_with_twin(n, normals, seed):
-    """``_realize`` of one block of (rows, count) normals, with the bits it drew.
+    """``_realize`` of one block of (rows, count) normals, with the (count,) bits it drew.
 
     The normals are fed through ``FixedNormals``; the bits come from a twin
-    of its generator, in the one (count, n) call that a single block makes.
-    The draw-minor block is transposed to a (count, n, n) stack.
+    of its generator, in the one call of one bit per draw that a single
+    block makes.  The draw-minor block is transposed to a (count, n, n)
+    stack.
     """
     normals = np.asarray(normals, dtype=float).reshape(normal_rows(n), -1)
     count = normals.shape[1]
     assert count <= BLOCK // n
     (block,) = _realize(n, count, FixedNormals(normals, seed))
-    bits = np.random.default_rng(seed).integers(0, 2, size=(count, n))
+    if seed is None:
+        bits = np.zeros(count, dtype=np.int64)
+    else:
+        bits = np.random.default_rng(seed).integers(0, 2, size=count)
     return block.transpose(2, 0, 1).copy(), bits
 
 
-def signs(bits):
-    """The reflection factor of each draw, diag(1 - 2 b), as a (count, n, n) stack."""
-    return np.stack([np.diag(1.0 - 2.0 * b) for b in bits])
+def signs(n, bits):
+    """The reflection factor of each draw, diag(1 - 2 b, 1, ..., 1), as a (count, n, n) stack."""
+    return reflect_row_zero(np.broadcast_to(np.eye(n), (len(bits), n, n)).copy(), bits)
 
 
 def special_sweeps(width):
@@ -181,22 +196,34 @@ class TestRealize:
         expected = np.array(
             [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
         )
-        assert np.allclose(q, signs(bits) @ expected, atol=1e-15)
+        assert np.allclose(q, signs(2, bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
         # one-hot normals: c = 1 and s = 0, and the zero tails after them are the identity
         normals = np.zeros((normal_rows(3), 16))
         normals[[0, 3]] = np.linspace(0.5, 2.0, 16)
         qs, bits = realize_with_twin(3, normals, 2)
-        assert (bits == 1).all(axis=1).any()  # the seed reaches all three reflections
-        assert np.array_equal(qs, signs(bits))
+        assert bits.any() and not bits.all()  # the seed reaches the reflection and the identity
+        assert np.array_equal(qs, signs(3, bits))
 
     def test_rotation_times_inverse(self):
         theta = 1.2
         g = [[math.cos(theta), math.cos(theta)], [math.sin(theta), -math.sin(theta)]]
         (fwd, back), bits = realize_with_twin(2, g, 3)
-        fwd, back = signs(bits) @ np.stack([fwd, back])  # each draw's reflections undone
+        fwd, back = signs(2, bits) @ np.stack([fwd, back])  # each draw's reflection undone
         assert np.allclose(fwd @ back, np.eye(2), atol=1e-14)
+
+    @pytest.mark.parametrize("n", (2, 3, 6))
+    def test_reflection_flips_row_zero_only(self, n):
+        # the rotation product alone lies in SO(n); a set bit negates row 0
+        # and leaves rows 1..n-1 as they were, bit for bit
+        normals = np.random.default_rng(70 + n).standard_normal((normal_rows(n), 300))
+        rotations, _ = realize_with_twin(n, normals, None)
+        assert np.all(np.abs(np.linalg.det(rotations) - 1.0) <= 1e-12)
+        got, bits = realize_with_twin(n, normals, n)
+        assert bits.any() and not bits.all()
+        assert np.array_equal(got[:, 1:].view(np.int64), rotations[:, 1:].view(np.int64))
+        assert np.array_equal(got[:, 0], (1.0 - 2.0 * bits)[:, None] * rotations[:, 0])
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_special_angles_match_strided_reference(self, n):

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 from zonalpoly import moments, montecarlo, symfunc, zonal
-from zonalpoly.haar import BLOCK, sample_orthogonal_batch
+from zonalpoly.haar import BLOCK, _sample_blocks, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
     ResidualInconsistencyError,
@@ -627,8 +627,10 @@ class TestMcSplitting:
         assert report.samples == 401
 
     @pytest.mark.parametrize("n", (3, 30))
-    def test_memory_within_one_block_of_trace_power(self, n):
-        # n = 3 takes the power sums on the draw-minor block, n = 30 by gemm
+    def test_memory_within_one_block_of_the_sampler(self, n):
+        # the baseline is the sampler's own peak, its normals, its rotations
+        # and one block of draws; n = 3 takes the power sums from the block
+        # squared in place, n = 30 by gemm on a row-major copy
         samples = 5_000
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
         b = [Fraction(k % 7 + 1, 3) for k in range(n)]
@@ -636,17 +638,21 @@ class TestMcSplitting:
         def peak(run):
             tracemalloc.start()
             try:
-                report = run()
+                run()
                 _, top = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert report.samples == samples
             return top
 
-        baseline = peak(lambda: mc_trace_power(a, b, 3, samples, 3))
-        split = peak(lambda: mc_splitting((2, 1), a, b, samples, 3))
+        def consume():
+            assert sum(block.shape[2] for block in _sample_blocks(n, samples, 3)) == samples
+
+        def split():
+            assert mc_splitting((2, 1), a, b, samples, 3).samples == samples
+
+        split()  # the exact value's caches fill outside the measurement
         block = (BLOCK // n) * n * n * np.dtype(float).itemsize
-        assert split <= baseline + block
+        assert peak(split) <= peak(consume) + block
 
 
 def _eigensolve_roots(q, av, bv):
@@ -729,8 +735,8 @@ class TestTracePowerSums:
 class TestPowerSumParts:
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 30))
     def test_block_size_does_not_move_a_draw(self, n):
-        # up to DRAW_MINOR_MAX_N every call is elementwise along the draws and
-        # each trace adds its terms one at a time; above it, a block of m
+        # up to n = 3 every call is elementwise along the draws and each
+        # weighted sum adds its terms one at a time; above, a block of m
         # draws is taken in parts of m // 2 inside its own memory, the last
         # part of one draw for odd m, and a lone draw in fresh slots: either
         # way each draw's power sums are the same bits in any block size
@@ -745,16 +751,35 @@ class TestPowerSumParts:
 @pytest.mark.parametrize("negative", ("A", "both"))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_draw_minor_and_gemm_power_sums_agree(n, negative):
-    # the two paths round differently; on the same block they agree to
-    # 1e-13 of the scale sum_i |root_i|^k of each p_k
-    assert n <= montecarlo.DRAW_MINOR_MAX_N
+    # the power sums from the squared entries of the draw-minor block and
+    # the traces of gemm powers round differently; on the same block they
+    # agree to 1e-13 of the scale sum_i |root_i|^k of each p_k
     av, bv = _spectra(n, negative)
     q = sample_orthogonal_batch(n, 200, np.random.default_rng(40 + n))
     scale = (np.abs(_eigensolve_roots(q.copy(), av, bv))[:, :, None] ** np.arange(1, 7)).sum(axis=1).T
     block = q.transpose(1, 2, 0)
-    draw_minor = montecarlo._draw_minor_power_sums(block.copy(), np.outer(av, bv), 6)
+    squares = montecarlo._squares_power_sums(block.copy(), np.outer(av, bv), 6)
     gemm = montecarlo._gemm_power_sums(block.copy(), np.outer(av, bv), 6)
-    assert np.all(np.abs(draw_minor - gemm) <= 1e-13 * scale)
+    assert np.all(np.abs(squares - gemm) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("zero", (False, True), ids=("signed", "zero-root"))
+@pytest.mark.parametrize("n", (2, 3))
+def test_cofactor_weights_give_the_principal_minor_sum(n, zero):
+    # e_(n-1) of the roots of D_a H D_b H' is the sum of its principal
+    # (n - 1)-minors; from the squared entries it is sum a^_i b^_j H_ij^2,
+    # with no division, so a zero eigenvalue of A is no special case
+    av, bv = _spectra(n, "both")
+    if zero:
+        av[0] = 0.0
+    q = sample_orthogonal_batch(n, 200, np.random.default_rng(60 + n))
+    product = np.einsum("i,mik,k,mjk->mij", av, q, bv, q)
+    minors = [[k for k in range(n) if k != i] for i in range(n)]
+    want = sum(np.linalg.det(product[:, rows][:, :, rows]) for rows in minors)
+    weights = montecarlo._cofactor_weights(np.outer(av, bv))
+    squares = (q * q).transpose(1, 2, 0).reshape(n * n, -1)
+    got = montecarlo._weighted_sum(weights.ravel(), squares, np.empty(200), np.empty(200))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(weights).sum())
 
 
 class TestCalibratedZScores:
