@@ -1,41 +1,32 @@
-"""Haar sampling on the orthogonal group O(n).
+"""Haar sampling on O(n).
 
-The primary sampler drives a rotation/reflection decomposition: a matrix
-is one reflection factor F^eps, F = diag(-1, 1, ..., 1), on the left of a
-triangular family of plane rotations V_j(theta_ij), where V_j rotates the
-(j, j+1) coordinate plane.  Sweep i contributes the factors
-V_{n-1}(theta_{i,n-1}) ... V_i(theta_{i,i}), and the matrix is the
-product of sweeps i = 1, ..., n-1 in that order.  It is formed right to
-left, as in the subgroup algorithm (Diaconis and Shahshahani, Prob. Eng.
-Inf. Sci. 1, 1987): the product of sweeps i + 1, ..., n-1 is the identity
-outside its trailing (n - i) x (n - i) corner, so sweep i rotates rows
-over the trailing n - i + 1 columns only.
-
-Angle theta_ij carries the density sin(theta)^(n-j-1): angles with a
-positive exponent live on [0, pi] and exponent-zero angles are uniform on
-[0, 2*pi).  The d = n - i angles of sweep i are the hyperspherical
-coordinates of a uniform point on the sphere in d + 1 dimensions, so the
-sampler takes their cosines and sines from d + 1 standard normals by
-square roots and divisions (Muller, Comm. ACM 2, 1959; the Givens-angle
-view of Haar generation of Anderson, Olkin and Underhill, SIAM J. Sci.
-Stat. Comput. 8, 1987), with no angle and no transcendental call.
-Each rotation has det 1 and each sweep's last angle is uniform on the
-full circle, so the product of sweeps is Haar on SO(n); F SO(n) is the
-other coset of O(n), so one fair bit eps per draw, which flips the sign
-of row 0, makes the draw Haar on O(n).  An independent oracle, the Q
-factor of a Gaussian matrix with diag(R) made positive, is provided for
-cross-validation.
+The primary sampler runs the subgroup algorithm (Diaconis and
+Shahshahani, Prob. Eng. Inf. Sci. 1, 1987): if C is Haar on SO(d) and M
+is in SO(d + 1) with M e_0 = u, u uniform on the sphere in d + 1
+dimensions and independent of C, then M diag(1, C) is Haar on SO(d + 1).
+Sweep i = n - 1, ..., 1, with d = n - i, takes d + 1 standard normals g,
+whose direction u = g / |g| is uniform on that sphere (Muller, Comm. ACM
+2, 1959), and multiplies the trailing (d + 1) x (d + 1) block of the
+product so far, which is diag(1, C), by one step M: the Householder
+reflection that takes e_0 to -sign(g_0) u (Householder, J. ACM 5, 1958),
+times diag(-sign(g_0), sign(g_0), 1, ..., 1), so that M e_0 = u and
+det M = 1 for every draw.  Starting from SO(1) = {1}, the product of the
+steps is Haar on SO(n); F SO(n), F = diag(-1, 1, ..., 1), is the other
+coset of O(n), so one fair bit per draw, which flips the sign of row 0,
+makes the draw Haar on O(n).  A step with det -1 on some draws and +1 on
+others would not: the bit flips the coset, not the law within it.  An
+independent oracle, the Q factor of a Gaussian matrix with diag(R) made
+positive, is provided for cross-validation.
 
 The sampler builds matrices in blocks of BLOCK // n draws, and each block
 consumes the stream in two calls: its normals, all n(n+1)/2 - 1 per draw
 in one (rows, m) array whose rows go to sweeps 1, ..., n - 1 in turn,
 then its m reflection bits, one per draw.  A block is held draw-minor, as
-``rows[row, col, draw]``: the two rows a rotation touches, over the
-columns it reaches, are one view of two contiguous runs that stays in
-cache, updated by three in-place calls along the draw axis, so few, long
-numpy calls do the work.  The Monte Carlo statistics take the draw-minor
-block as it is; sample_orthogonal_batch transposes it to one matrix per
-draw.
+``rows[row, col, draw]``, so a step is one contraction along the draw
+axis and one rank-1 update of the trailing block, a few long numpy calls
+per sweep whatever its width.  The Monte Carlo statistics take the
+draw-minor block as it is; sample_orthogonal_batch transposes it to one
+matrix per draw.
 """
 
 from __future__ import annotations
@@ -59,53 +50,75 @@ def as_generator(rng) -> np.random.Generator:
 
 
 #: Matrix entries in one row of a realized block, which holds BLOCK // n
-#: draws: the two rows a rotation of the widest sweep touches and their
-#: scratch pair take 512 KB at every n, and the block n * 128 KB, which the
-#: statistics overwrite in place, so no second copy is made.  The cosines
-#: and signed sines of the widest sweep take 3 (n - 1) / n * 128 KB, under
-#: 384 KB, the radii of a sweep 128 KB, and the block's normals
-#: ((n + 1) / 2 - 1 / n) * 128 KB, 1.9 MB at n = 30.  On two threads at
-#: n = 30, 2**14 ran fastest of 2**12 to 2**16 (2-core VM, 2 MB L2 per
-#: core): a smaller block spends more of each call in Python, holding the
-#: GIL.
+#: draws: the block takes n * 128 KB, and the statistics overwrite it in
+#: place, so no second copy is made.  Its normals take
+#: ((n + 1) / 2 - 1 / n) * 128 KB, 1.9 MB at n = 30.  A step's contraction
+#: takes n rows of BLOCK // n doubles, its rank-1 update UPDATE_ROWS rows
+#: of the widest sweep, UPDATE_ROWS * (n - 1), and its per-draw radius,
+#: sign and scale three: 4n rows, 512 KB at most.  On two threads at
+#: n = 30 (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower
+#: than 2**14: a smaller block spends more of each call in Python, holding
+#: the GIL.  2**15 ran about 15% faster, but BLOCK sets which normals and
+#: bits each block takes, so a new value changes every estimate.
 BLOCK = 2**14
 
+#: Rows of the widest sweep's trailing block that one multiply and one add
+#: of the rank-1 update cover; a narrower sweep takes more rows per call.
+UPDATE_ROWS = 3
 
-def _sweep_rotations(g: np.ndarray, radii: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-    """Cosines ``c`` and sines ``s`` (d, m) of a sweep's rotations from its normals ``g`` (d + 1, m).
 
-    With R_k = sqrt(g_k^2 + ... + g_d^2), the tail sums added in place
-    from g_d^2 up in ``radii`` (d + 1, m), rotation r gets c = g_r / R_r
-    and s = R_(r+1) / R_r, or s = g_d / R_(d-1) for the last one: the
-    hyperspherical coordinates of the uniform point g / R_0 on the sphere
-    in d + 1 dimensions (Muller 1959), so the angle of rotation r has the
-    density sin(theta)^(d-1-r) on [0, pi] for r < d - 1, and is uniform on
-    [0, 2*pi) for the last.  A zero tail g_r = ... = g_d = 0 (numpy's
-    normals include +-0.0) leaves rotation r at 0 / 0; it is the identity,
-    c = 1 and s = 0, instead.  R_r = 0 forces R_(d-1) = 0, so one test of
-    the smallest radius guards the sweep.
+def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray, draws: np.ndarray) -> None:
+    """Multiply diag(1, C) by one step M of the subgroup algorithm, in place, for every draw.
+
+    ``corner`` is the draw-minor (d + 1, d + 1, m) trailing block, whose
+    first row and column are those of the identity; ``g`` holds the
+    sweep's (d + 1, m) normals, R = |g|; ``dots`` is a (d + 1, m) buffer,
+    ``work`` the rank-1 update's scratch and ``draws`` three (m) rows.
+    With s = sign(g_0), u = g / R and v = u + s e_0, the Householder
+    reflection H = I - 2 v v' / |v|^2 takes e_0 to -s u, so
+    M = H diag(-s, s, 1, ..., 1) has M e_0 = u and det M = 1 for every
+    draw.  On diag(1, C) that is: row 0 of C times s; with
+    y = (g[1:]' C) / (R (R + |g_0|)), C - g[1:] y' below and
+    -s (|g_0| + R) y' above, since v_0 = s (|g_0| + R) / R, which cancels
+    nothing; and g / R in the first column.
+
+    One einsum along the draw axis takes g' against the corner with g
+    copied into its first column, so its first entry is R^2 and the rest
+    g[1:]' C.  The scale w = -(|g_0| + R) makes z = dots / (R w) = -y, so
+    the update adds g[1:] z' in calls of the rows that ``work`` holds and
+    the first row is s (|g_0| + R) z, the same bits as subtracting and
+    negating.  Every call is elementwise along the draw axis, or in the
+    einsum adds its terms from k = 0 up, separately rounded, so no draw's
+    bits depend on the block.  An all-zero g (numpy's normals include
+    +-0.0) has no direction: its g_0 is taken as 1, so u = e_0, s = 1 and
+    M is the identity.
     """
-    d = len(c)
-    np.multiply(g, g, out=radii)
-    for k in range(d - 1, -1, -1):
-        radii[k] += radii[k + 1]
-    radii = radii[:d]
-    np.sqrt(radii, out=radii)
-    if radii[-1].min() > 0.0:
-        _divide(g, radii, c, s)
-        return
-    with np.errstate(invalid="ignore"):  # only 0 / 0: R_r = 0 forces g_r = R_(r+1) = 0
-        _divide(g, radii, c, s)
-    undefined = radii == 0.0
-    c[undefined] = 1.0
-    s[undefined] = 0.0
-
-
-def _divide(g: np.ndarray, radii: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-    """c = g_r / R_r, s = R_(r+1) / R_r and, for the last rotation, s = g_d / R_(d-1)."""
-    np.divide(g[:-1], radii, out=c)
-    np.divide(radii[1:], radii[:-1], out=s[:-1])
-    np.divide(g[-1], radii[-1], out=s[-1])
+    d = len(g) - 1
+    m = g.shape[1]
+    g0, tail = g[0], g[1:]
+    if not g0.all():  # an all-zero g starts with a zero
+        g0[~g.any(axis=0)] = 1.0
+    radius, sign, scale = draws
+    np.copysign(1.0, g0, out=sign)
+    corner[1, 1:] *= sign
+    np.copyto(corner[:, 0], g)
+    np.einsum("km,kjm->jm", g, corner, out=dots)
+    np.sqrt(dots[0], out=radius)
+    np.copysign(g0, -1.0, out=scale)
+    scale -= radius
+    den = sign  # spent on row 0 of C
+    np.multiply(radius, scale, out=den)
+    z = dots[1:]
+    z /= den
+    rows = max(1, len(work) // (d * m))
+    for r in range(0, d, rows):
+        k = min(rows, d - r)
+        product = work[: k * d * m].reshape(k, d, m)
+        np.multiply(tail[r : r + k, None], z, out=product)
+        corner[1 + r : 1 + r + k, 1:] += product
+    np.copysign(scale, g0, out=scale)
+    np.multiply(z, scale, out=corner[0, 1:])
+    np.divide(g, radius, out=corner[:, 0])
 
 
 def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -115,35 +128,27 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
     ``rng.standard_normal(out=...)`` into a reused (n(n+1)/2 - 1, m)
     buffer, then ``rng.integers(0, 2, size=m)`` for the reflection bits,
     one per draw.  The rows of normals go to sweeps i = 1, ..., n - 1 in
-    turn, n - i + 1 rows each, from which ``_sweep_rotations`` gives the
-    cosines and sines of the sweep's d = n - i rotations, with no angle
-    and no transcendental call.  The sweeps are multiplied onto the identity from
-    the left, i from n - 1 down to 1, so before sweep i the product is the
-    identity outside its trailing d x d corner, and rotation
-    r = 0, ..., d - 1 of the sweep turns rows (i + r - 1, i + r) over the
-    trailing d + 1 columns only.  A block is held as
-    ``rows[row, col, draw]``, so those two rows are one (2, d + 1, m) view
-    ``pair``; one negative per sweep gives every signed sine pair (s, -s).
-    A rotation is then three in-place calls on ``pair``: the swapped pair
-    times (s, -s) into scratch, ``pair *= c`` and ``pair += scratch``,
-    which is c*top + s*bottom and c*bottom - s*top with the roundings of an
-    out-of-place update ((-s)*t is -(s*t) exactly and x + (-y) is x - y),
-    so the bits depend on the layout of neither the block nor the stack.
-    The product of the sweeps is Haar on SO(n); a draw's reflection bit b
-    becomes the sign 1 - 2b in the rotations' scratch, which is free once
-    the sweeps are done, and multiplies row 0 in place, which is Haar on
-    O(n).  Each block is yielded in the one buffer that the next
-    overwrites.
+    turn, d + 1 = n - i + 1 rows each.  The sweeps are applied to the
+    identity from the left, i from n - 1 down to 1 (the subgroup
+    algorithm): before sweep i the product is diag(I_i, C), C in SO(d)
+    Haar, and ``_step`` multiplies its trailing (d + 1) x (d + 1) block
+    diag(1, C) by one M in SO(d + 1) with M e_0 = g / |g|, uniform on the
+    sphere, which leaves M diag(1, C) Haar on SO(d + 1).  A block is held
+    as ``rows[row, col, draw]``, so a step is O(1) numpy calls over the
+    whole corner along the draw axis, plus its rank-1 update in calls of
+    UPDATE_ROWS rows of the widest sweep.  The product of the steps is
+    Haar on SO(n); a draw's reflection bit b becomes the sign 1 - 2b,
+    which multiplies row 0 in place, and F SO(n), F = diag(-1, 1, ..., 1),
+    is the other coset, so the draws are Haar on O(n).  Each block is
+    yielded in the one buffer that the next overwrites.
     """
     size = max(1, min(count, BLOCK // n))
     normal_rows = n * (n + 1) // 2 - 1
     normal_buf = np.empty(normal_rows * size)
-    radii_buf = np.empty(n * size)
     row_buf = np.empty(n * n * size)
-    scratch = np.empty(2 * n * size)
-    # cosines and signed sines of the widest sweep, n - 1 rotations
-    cos_buf = np.empty((n - 1) * size)
-    sin_buf = np.empty(2 * (n - 1) * size)
+    dots_buf = np.empty(n * size)
+    work = np.empty(UPDATE_ROWS * (n - 1) * size)
+    draw_buf = np.empty(3 * size)
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
         m = min(size, count - start)
@@ -151,26 +156,15 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
         rng.standard_normal(out=normals)
         rows = row_buf[: n * n * m].reshape(n, n, m)
         rows[...] = eye
-        cos = cos_buf[: (n - 1) * m].reshape(n - 1, m)
-        # row r holds (s, -s) of rotation r as a (2, 1, m) broadcast operand
-        sin = sin_buf[: 2 * (n - 1) * m].reshape(n - 1, 2, 1, m)
+        draws = draw_buf[: 3 * m].reshape(3, m)
         # sweep i takes the d + 1 rows of normals just before those of sweep i + 1
         last = normal_rows
         for i in range(n - 1, 0, -1):
             d = n - i
-            c, s = cos[:d], sin[:d]
-            g = normals[last - d - 1 : last]
+            dots = dots_buf[: (d + 1) * m].reshape(d + 1, m)
+            _step(rows[i - 1 :, i - 1 :], normals[last - d - 1 : last], dots, work, draws)
             last -= d + 1
-            radii = radii_buf[: (d + 1) * m].reshape(d + 1, m)
-            _sweep_rotations(g, radii, c, s[:, 0, 0])
-            np.negative(s[:, 0], out=s[:, 1])
-            tmp = scratch[: 2 * (d + 1) * m].reshape(2, d + 1, m)
-            for r in range(d):
-                pair = rows[i + r - 1 : i + r + 1, i - 1 :]
-                np.multiply(pair[::-1], s[r], out=tmp)
-                pair *= c[r]
-                pair += tmp
-        signs = scratch[:m]
+        signs = draws[0]
         np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
         signs += 1.0
         rows[0] *= signs

@@ -196,15 +196,31 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
 
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added into rows[0] in place, one row per call; returns rows[0].
+
+    Each call is elementwise along the draw axis and the rows are added
+    from the first down, so no draw's sum depends on the block size.
+    """
+    total = rows[0]
+    for row in rows[1:]:
+        total += row
+    return total
+
+
 def _squares_dot(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """tr(D_a Q D_b Q') = sum_ij a_i b_j Q_ij^2 per draw Q of a draw-minor block.
 
-    ``w`` is outer(a, b) raveled.  The block is squared in place and
-    contracted along its entries by einsum, which calls no BLAS: with two
-    shards, each shard's BLAS call would start its own threads.
+    ``w`` is outer(a, b).  The block is squared and weighted in place, and
+    the terms are added as sum_j (sum_i w_ij Q_ij^2), each sum from index
+    0 up: 2n calls along the draw axis, with separately rounded products
+    and sums, so a draw's bits do not depend on the block it lands in.
+    No BLAS is called: with two shards, each shard's BLAS call would start
+    its own threads.  Returns a view of the block.
     """
     q *= q
-    return np.einsum("k,km->m", w, q.reshape(len(w), -1))
+    q *= w[:, :, None]
+    return _sum_rows(_sum_rows(q))
 
 
 def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
@@ -215,7 +231,7 @@ def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     ``tr ** f`` for a nonnegative trace, and within one ulp of them for a
     negative one (measured on 1e6 signed normals at f = 3, 4, 5 and 7).
     """
-    w = np.outer(av, bv).ravel()
+    w = np.outer(av, bv)
 
     def statistic(q: np.ndarray) -> np.ndarray:
         trace = _squares_dot(w, q)
@@ -226,20 +242,23 @@ def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     return statistic
 
 
-def _latent_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
-    """p_1..p_f of the latent roots of D_a H D_b H' for every draw H of a draw-minor block.
+def _latent_power_sums(w: np.ndarray, f: int):
+    """power_sums(block) -> p_1..p_f of the latent roots of D_a H D_b H' per draw H.
 
     ``w`` is the outer product a b' of the two spectra, which may take any
-    real signs.  Up to n = 3 the elementary symmetric functions of the
-    roots are closed forms in the squared entries of H, and
-    ``_squares_power_sums`` takes the power sums from them; above, where
-    e_2, ..., e_(n-2) would need larger minors, ``_gemm_power_sums`` takes
-    traces of powers by one gemm per draw.  Either way the block is
-    overwritten.  Returns an (f, m) array whose row k-1 is p_k.
+    real signs, and the block is draw-minor.  Up to n = 3 the elementary
+    symmetric functions of the roots are closed forms in the squared
+    entries of H, and ``_squares_power_sums`` takes the power sums from
+    them, with the cofactor weights computed here, once per estimate;
+    above, where e_2, ..., e_(n-2) would need larger minors,
+    ``_gemm_power_sums`` takes traces of powers by one gemm per draw.
+    Either way the block is overwritten, and the result is an (f, m)
+    array whose row k-1 is p_k.
     """
-    if block.shape[0] <= 3:
-        return _squares_power_sums(block, w, f)
-    return _gemm_power_sums(block, w, f)
+    if len(w) <= 3:
+        cofactors = _cofactor_weights(w)
+        return lambda block: _squares_power_sums(block, w, cofactors, f)
+    return lambda block: _gemm_power_sums(block, w, f)
 
 
 def _cofactor_weights(w: np.ndarray) -> np.ndarray:
@@ -269,15 +288,16 @@ def _weighted_sum(v: np.ndarray, squares: np.ndarray, out: np.ndarray, tmp: np.n
     return out
 
 
-def _squares_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
+def _squares_power_sums(block: np.ndarray, w: np.ndarray, cofactors: np.ndarray, f: int) -> np.ndarray:
     """``_latent_power_sums`` at n <= 3, from the squared entries of each draw.
 
     By Cauchy-Binet, e_k of the roots of D_a H D_b H' is the sum over
     |I| = |J| = k of a_I b_J det(H_IJ)^2.  For orthogonal H each
     (n - 1)-minor is +-det(H) H_ij, since the adjugate is det(H) H', so
-    e_1 = sum a_i b_j H_ij^2, e_(n-1) = sum a^_i b^_j H_ij^2 (see
-    ``_cofactor_weights``) and e_n = prod a_i prod b_j.  At n <= 3 every
-    k is 1, n - 1 or n; at n = 2, e_(n-1) is e_1.  Newton's identities
+    e_1 = sum a_i b_j H_ij^2, e_(n-1) = sum a^_i b^_j H_ij^2 from
+    ``cofactors``, the ``_cofactor_weights`` of w, and
+    e_n = prod a_i prod b_j.  At n <= 3 every k is 1, n - 1 or n; at
+    n = 2, e_(n-1) is e_1.  Newton's identities
     give p_1..p_f, for spectra of any real signs.  The block is squared
     in place, and every call is elementwise over rows of m draws with the
     squared terms added one at a time, so each draw's bits do not depend
@@ -289,7 +309,7 @@ def _squares_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     sums, tmp = np.empty((f, m)), np.empty(m)
     e = {1: _weighted_sum(w.ravel(), squares, sums[0], tmp)}
     if n == 3:
-        e[2] = _weighted_sum(_cofactor_weights(w).ravel(), squares, np.empty(m), tmp)
+        e[2] = _weighted_sum(cofactors.ravel(), squares, np.empty(m), tmp)
     if n > 1:
         e[n] = float(np.prod(np.diagonal(w)))
     # p_k = sum_(i = 1..min(k, n)) (-1)^(i-1) e_i p_(k-i), where p_0 counts as k
@@ -360,12 +380,12 @@ def _splitting_statistic(kappa: Partition, av: np.ndarray, bv: np.ndarray):
     Z_kappa is evaluated from its integer power-sum row at the power sums
     from ``_latent_power_sums``; both spectra may take any real signs.
     """
-    w = np.outer(av, bv)
     f = kappa.weight
+    power_sums = _latent_power_sums(np.outer(av, bv), f)
     terms = [(float(c), lam) for lam, c in zonal_in_powersums(kappa).sorted_items()]
 
     def statistic(q: np.ndarray) -> np.ndarray:
-        sums = _latent_power_sums(q, w, f)
+        sums = power_sums(q)
         out = np.zeros(sums.shape[1])
         for c, lam in terms:
             term = c * sums[lam[0] - 1]
@@ -419,9 +439,12 @@ def mc_linear_trace_power(a, f: int, samples: int, rng, threads: int = 1) -> Mom
     av = np.array(a.floats())
 
     def statistic(q: np.ndarray) -> np.ndarray:
-        # the diagonal entries are every (n + 1)-th row of the draw-minor block;
-        # f is even, so |tr(A H)|^f: pow on a nonnegative base stays vectorized
-        return np.abs(np.einsum("k,km->m", av, q.reshape(n * n, -1)[:: n + 1])) ** f
+        # the diagonal entries are every (n + 1)-th row of the draw-minor block,
+        # weighted in place and added from a_0 Q_00 up; f is even, so
+        # |tr(A H)|^f: pow on a nonnegative base stays vectorized
+        diagonal = q.reshape(n * n, -1)[:: n + 1]
+        diagonal *= av[:, None]
+        return np.abs(_sum_rows(diagonal)) ** f
 
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
@@ -434,7 +457,7 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
     overflows makes the mean infinite, which raises OverflowError.
     """
     a, b, n = _spectra(a, b)
-    w = np.outer(a.floats(), b.floats()).ravel()
+    w = np.outer(a.floats(), b.floats())
 
     def statistic(q: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # an infinite mean raises OverflowError

@@ -1,7 +1,8 @@
-"""The rotation/reflection Haar sampler and its QR oracle."""
+"""The Householder subgroup Haar sampler and its QR oracle."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ from zonalpoly import haar
 from zonalpoly.haar import (
     BLOCK,
     _realize,
-    _sweep_rotations,
+    _sample_blocks,
     oracle_sample_batch,
     sample_orthogonal_batch,
 )
@@ -35,55 +36,28 @@ def normal_rows(n):
     return n * (n + 1) // 2 - 1
 
 
-def strided_reference_rotations(n, normals):
-    """Cosine and sine by key (i, j), recomputed from a block's (rows, m) normals.
-
-    Sweep i takes the next d + 1 = n - i + 1 rows g_0..g_d.  The rotation of
-    key (i, j), r = j - i, gets c = g_r / R_r and s = R_(r+1) / R_r, or
-    s = g_d / R_(d-1) for r = d - 1, with R_k = sqrt(g_k^2 + ... + g_d^2)
-    summed from g_d^2 up; where R_r = 0 it is the identity, c = 1 and s = 0.
-    Each key computes its own radii, so nothing is shared between keys.
-    """
-
-    def radius(g, k):
-        total = g[-1] * g[-1]
-        for x in g[k:-1][::-1]:
-            total = x * x + total
-        return np.sqrt(total)
-
-    rotations, first = {}, 0
-    for i in range(1, n):
-        d = n - i
-        g = normals[first : first + d + 1]
-        for r in range(d):
-            radius_r = radius(g, r)
-            with np.errstate(invalid="ignore"):
-                c = g[r] / radius_r
-                s = (radius(g, r + 1) if r < d - 1 else g[d]) / radius_r
-            rotations[(i, i + r)] = (
-                np.where(radius_r == 0.0, 1.0, c),
-                np.where(radius_r == 0.0, 0.0, s),
-            )
-        first += d + 1
-    return rotations
-
-
 def strided_reference_draw(n, count, rng):
-    """Cosines and sines by key and (count,) bits, drawn as sample_orthogonal_batch draws them.
+    """(count, rows) normals and (count,) bits, drawn as sample_orthogonal_batch draws them.
 
     Per block of BLOCK // n draws, all the block's normals in one
     (rows, m) draw, then its m bits, one per draw.
     """
     size = max(1, min(count, BLOCK // n))
-    blocks, bits = [], []
+    normals, bits = [], []
     for start in range(0, count, size):
         m = min(size, count - start)
-        blocks.append(strided_reference_rotations(n, rng.standard_normal((normal_rows(n), m))))
+        normals.append(rng.standard_normal((normal_rows(n), m)).T)
         bits.append(rng.integers(0, 2, size=m))
-    rotations = {
-        key: tuple(map(np.concatenate, zip(*(block[key] for block in blocks)))) for key in blocks[0]
-    }
-    return rotations, np.concatenate(bits)
+    return np.concatenate(normals), np.concatenate(bits)
+
+
+def sweep_normals(n, normals):
+    """Sweep i's (count, n - i + 1) normals by i: sweep 1 takes the first rows, in turn."""
+    out, first = {}, 0
+    for i in range(1, n):
+        out[i] = normals[:, first : first + n - i + 1]
+        first += n - i + 1
+    return out
 
 
 def reflect_row_zero(q, bits):
@@ -92,47 +66,91 @@ def reflect_row_zero(q, bits):
     return q
 
 
-def strided_reference_rotate(n, rotations, bits):
-    """Matrices from cosines and sines by key and (count,) bits on a C-ordered stack.
+def strided_reference_step(q, i, g):
+    """Sweep i's step on a C-ordered (count, n, n) stack, from its (count, d + 1) normals g.
 
-    The subgroup order: the sweeps are multiplied onto the identity from
-    the left, i = n - 1 down to 1, and factor (i, j) of sweep i, from
-    j = i up, rotates rows j - 1 and j over the trailing columns
-    i - 1, ..., n - 1, two strided rows out of place.  The package's
-    draw-minor sweep must reproduce it bit for bit.
+    The operations of the package's draw-minor step, one draw per row of
+    every array: an all-zero g takes g_0 = 1; row i times s = sign(g_0);
+    g into column i - 1; the dots of g against rows i - 1, ..., n - 1,
+    added from the first row down onto zero; R from the first dot;
+    z = dots / (R w), w = -|g_0| - R; rows i, ... plus g[1:] z'; row
+    i - 1 z times s (|g_0| + R); column i - 1 g / R.
+    """
+    g = g.copy()
+    g[~g.any(axis=1), 0] = 1.0
+    g0 = g[:, 0]
+    sign = np.copysign(1.0, g0)
+    q[:, i, i:] *= sign[:, None]
+    corner = q[:, i - 1 :, i - 1 :]
+    corner[:, :, 0] = g
+    dots = np.zeros(corner.shape[:2])
+    for k in range(g.shape[1]):
+        dots = dots + g[:, k, None] * corner[:, k]
+    radius = np.sqrt(dots[:, 0])
+    scale = -np.abs(g0) - radius
+    z = dots[:, 1:] / (radius * scale)[:, None]
+    corner[:, 1:, 1:] += g[:, 1:, None] * z[:, None, :]
+    corner[:, 0, 1:] = z * np.copysign(scale, g0)[:, None]
+    corner[:, :, 0] = g / radius[:, None]
+
+
+def strided_reference_realize(n, normals, bits):
+    """Matrices from (count, rows) normals and (count,) bits on a C-ordered stack.
+
+    The subgroup order: the steps are applied to the identity from the
+    left, sweep n - 1 first, each on the trailing rows and columns
+    i - 1, ..., n - 1, and then row 0 of each draw is reflected by its bit.
+    The package's draw-minor sweep must reproduce it bit for bit.
     """
     q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
+    by_sweep = sweep_normals(n, normals)
     for i in range(n - 1, 0, -1):
-        for j in range(i, n):
-            c, s = (x[:, None] for x in rotations[(i, j)])
-            top = q[:, j - 1, i - 1 :].copy()
-            bottom = q[:, j, i - 1 :]
-            q[:, j - 1, i - 1 :] = c * top + s * bottom
-            q[:, j, i - 1 :] = c * bottom - s * top
+        strided_reference_step(q, i, by_sweep[i])
     return reflect_row_zero(q, bits)
 
 
-def left_to_right_rotate(n, rotations, bits):
-    """The same product formed left to right, sweep i = 1 first, on whole columns.
+def dense_step(n, i, g):
+    """Sweep i's step of one draw as a dense n x n matrix: diag(I_(i-1), M).
 
-    Factor (i, j), from j = n - 1 down, rotates columns j - 1 and j over
-    all n rows.  It rounds differently from the subgroup order, so it is
-    an independent check of the product, not of its bits.
+    M = H diag(-s, s, 1, ..., 1), H the Householder reflection with
+    v = u + s e_0, u = g / |g| by ``np.linalg.norm`` and s = sign(g_0);
+    the identity for an all-zero g.
     """
-    q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
-    for i in range(1, n):
-        for j in range(n - 1, i - 1, -1):
-            c, s = (x[:, None] for x in rotations[(i, j)])
-            left = q[..., j - 1].copy()
-            right = q[..., j]
-            q[..., j - 1] = c * left - s * right
-            q[..., j] = s * left + c * right
-    return reflect_row_zero(q, bits)
+    out = np.eye(n)
+    radius = np.linalg.norm(g)
+    if radius == 0.0:
+        return out
+    u = g / radius
+    s = math.copysign(1.0, g[0])
+    v = u.copy()
+    v[0] += s
+    h = np.eye(len(g)) - 2.0 * np.outer(v, v) / (v @ v)
+    flips = np.ones(len(g))
+    flips[:2] = (-s, s)
+    out[i - 1 :, i - 1 :] = h * flips
+    return out
+
+
+def left_to_right_product(n, normals, bits):
+    """The same matrices as dense products F^b E_1 E_2 ... E_(n-1), formed left to right.
+
+    E_i is sweep i's ``dense_step``.  It rounds differently from the
+    subgroup order and builds each step from its definition, so it is an
+    independent check of the product, not of its bits.
+    """
+    by_sweep = sweep_normals(n, normals)
+    out = np.empty((len(bits), n, n))
+    for k in range(len(bits)):
+        q = np.eye(n)
+        for i in range(1, n):
+            q = q @ dense_step(n, i, by_sweep[i][k])
+        out[k] = q
+    return reflect_row_zero(out, bits)
 
 
 def strided_reference_batch(n, count, rng):
     """Reference sampler on a C-ordered (count, n, n) stack."""
-    return strided_reference_rotate(n, *strided_reference_draw(n, count, rng))
+    return strided_reference_realize(n, *strided_reference_draw(n, count, rng))
 
 
 class FixedNormals:
@@ -180,10 +198,10 @@ def signs(n, bits):
 
 
 def special_sweeps(width):
-    """Normals of one sweep with exact zeros in its cosines and sines.
+    """Normals of one sweep with exact zeros in its step.
 
     Every vector of +-0.0 and +-1.0: one-hot vectors, equal magnitudes,
-    signed zeros and all-zero tails, where a rotation that skips rows or
+    signed zeros and all-zero sweeps, where a step that skips rows or
     reorders its roundings flips signed zeros.
     """
     return list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=width))
@@ -191,15 +209,16 @@ def special_sweeps(width):
 
 class TestRealize:
     def test_two_dimensional_rotation(self):
+        # the step takes e_0 to g / |g| and has det 1
         theta = 0.7
         q, bits = realize_with_twin(2, [3 * math.cos(theta), 3 * math.sin(theta)], 1)
         expected = np.array(
-            [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
+            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         assert np.allclose(q, signs(2, bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
-        # one-hot normals: c = 1 and s = 0, and the zero tails after them are the identity
+        # normals e_0 times a positive scale: each step is the identity
         normals = np.zeros((normal_rows(3), 16))
         normals[[0, 3]] = np.linspace(0.5, 2.0, 16)
         qs, bits = realize_with_twin(3, normals, 2)
@@ -215,7 +234,7 @@ class TestRealize:
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_reflection_flips_row_zero_only(self, n):
-        # the rotation product alone lies in SO(n); a set bit negates row 0
+        # the product of the steps alone lies in SO(n); a set bit negates row 0
         # and leaves rows 1..n-1 as they were, bit for bit
         normals = np.random.default_rng(70 + n).standard_normal((normal_rows(n), 300))
         rotations, _ = realize_with_twin(n, normals, None)
@@ -225,9 +244,32 @@ class TestRealize:
         assert np.array_equal(got[:, 1:].view(np.int64), rotations[:, 1:].view(np.int64))
         assert np.array_equal(got[:, 0], (1.0 - 2.0 * bits)[:, None] * rotations[:, 0])
 
+    @pytest.mark.parametrize("n", (2, 3, 5, 30))
+    def test_det_is_the_reflection_sign(self, n):
+        # every step has det 1, whatever the sign of g_0, so det = 1 - 2 b
+        normals = np.random.default_rng(80 + n).standard_normal((normal_rows(n), 300))
+        got, bits = realize_with_twin(n, normals, n)
+        assert bits.any() and not bits.all()
+        assert np.all(np.abs(np.linalg.det(got) - (1.0 - 2.0 * bits)) <= 1e-12)
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 30))
+    def test_first_column_is_the_first_sweep_direction(self, n):
+        # column 0 of a draw is F^b g / |g|, g the normals of sweep 1 (the
+        # first n rows), |g| the square root of g_0^2 + ... + g_(n-1)^2 added
+        # in that order: the step's einsum adds its terms from k = 0 up
+        normals = np.random.default_rng(90 + n).standard_normal((normal_rows(n), 300))
+        got, bits = realize_with_twin(n, normals, n)
+        g = normals[:n]
+        total = np.zeros(300)
+        for x in g:
+            total = total + x * x
+        want = g / np.sqrt(total)
+        want[0] *= 1.0 - 2.0 * bits
+        assert np.array_equal(got[:, :, 0].view(np.int64), want.T.view(np.int64))
+
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_special_angles_match_strided_reference(self, n):
-        # special normals give angles with exact zeros in their sines and cosines
+        # special normals give steps with exact zeros in their entries
         choices = [special_sweeps(n - i + 1) for i in range(1, n)]
         rng = np.random.default_rng(n)
         if math.prod(map(len, choices)) <= 2000:
@@ -236,15 +278,17 @@ class TestRealize:
             picks = zip(*(np.array(sweeps)[rng.integers(0, len(sweeps), 2000)] for sweeps in choices))
         normals = np.array([np.concatenate(pick) for pick in picks]).T
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an undefined angle warns nothing
+            warnings.simplefilter("error")  # an all-zero sweep warns nothing
             got, bits = realize_with_twin(n, normals, n)
-        expected = strided_reference_rotate(n, strided_reference_rotations(n, normals), bits)
+        expected = strided_reference_realize(n, normals.T, bits)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_zero_tails_are_identity_rotations(self, n):
-        # numpy's normals include +-0.0; a zero tail g_r = ... = g_d = 0 would
-        # make rotation r 0 / 0 and every entry of the draw NaN
+        # numpy's normals include +-0.0; a sweep whose normals are all zero
+        # would make its step 0 / 0 and every entry of the draw NaN, and is
+        # the identity instead.  Shorter zero tails g_r = ... = g_d = 0, r > 0,
+        # are no special case, and every draw matches the reference
         rng = np.random.default_rng(40 + n)
         normals = rng.standard_normal((normal_rows(n), 300))
         first = 0
@@ -254,28 +298,53 @@ class TestRealize:
                 r = rng.integers(0, d + 2)  # r = d + 1 leaves the sweep as drawn
                 normals[first + r : first + d + 1, draw] = rng.choice((0.0, -0.0), d + 1 - r)
             first += d + 1
+        normals[:, :10] = rng.choice((0.0, -0.0), (normal_rows(n), 10))  # every step the identity
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, bits = realize_with_twin(n, normals, n)
         assert np.isfinite(got).all()
         assert orthogonality_check(got, 1e-12)
-        expected = strided_reference_rotate(n, strided_reference_rotations(n, normals), bits)
+        assert np.array_equal(got[:10], signs(n, bits[:10]))
+        expected = strided_reference_realize(n, normals.T, bits)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_undefined_rotation_is_identity(self):
-        c, s = np.empty((3, 4)), np.empty((3, 4))
-        g = np.array(
-            [[1.0, 0.0, 0.0, 2.0], [0.0, -0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 3.0]]
-        )
-        _sweep_rotations(g, np.empty((4, 4)), c, s)
-        assert c.tolist() == [[1.0, 1.0, 1.0, 0.5547001962252291], [1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0]]
-        assert s.tolist() == [[0.0, 0.0, 0.0, 0.8320502943378437], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
+        # an all-zero g has no direction: the step leaves diag(1, C) as it is,
+        # in value, with no warning, whatever the signs of its zeros and of C
+        m = 8
+        for d in (1, 2, 5):
+            corner = np.zeros((d + 1, d + 1, m))
+            corner[0, 0] = 1.0
+            corner[1:, 1:] = sample_orthogonal_batch(d, m, np.random.default_rng(d)).transpose(1, 2, 0)
+            before = corner.copy()
+            g = np.random.default_rng(d).choice((0.0, -0.0), (d + 1, m))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                haar._step(corner, g, np.empty((d + 1, m)), np.empty(d * d * m), np.empty((3, m)))
+            assert np.array_equal(corner, before), d
 
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
         qs = sample_orthogonal_batch(n, 10, np.random.default_rng(91))
         assert orthogonality_check(qs, 1e-12)
         assert np.all(np.abs(np.abs(np.linalg.det(qs)) - 1.0) < 1e-10)
+
+    def test_sampler_scratch_is_capped(self):
+        # besides its normals and its block, the sampler holds at most
+        # (6n - 3) doubles per draw of a block, numpy's transient buffers
+        # included: the radii, scratch pair, cosines and signed sines of the
+        # plane-rotation sampler that the step replaced took as much
+        n, count = 30, 5_000
+        size = BLOCK // n
+        cap = (normal_rows(n) + n * n + 6 * n - 3) * size * np.dtype(float).itemsize
+        sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
+        tracemalloc.start()
+        try:
+            assert sum(block.shape[2] for block in _sample_blocks(n, count, 3)) == count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, (peak, cap)
 
 
 class TestOrthogonalityCheck:
@@ -316,24 +385,40 @@ class TestDeterminism:
             (30, 2 * (BLOCK // 30) + 7),
             # nine sweeps of different widths over three blocks, the last partial
             (10, 2 * (BLOCK // 10) + 3),
-            # a batch longer than BLOCK itself, in one draw per angle row
+            # a batch longer than BLOCK itself
             (3, 2 * BLOCK + 3),
+            # a last block of one draw
+            (30, BLOCK // 30 + 1),
         ),
     )
     def test_batch_matches_strided_reference(self, n, count):
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         batch = sample_orthogonal_batch(n, count, rng)
-        assert np.array_equal(batch, strided_reference_batch(n, count, ref_rng))
+        reference = strided_reference_batch(n, count, ref_rng)
+        assert np.array_equal(batch.view(np.int64), reference.view(np.int64))
         assert batch.flags.c_contiguous
         assert rng.random() == ref_rng.random()  # same stream consumption
 
+    @pytest.mark.parametrize("n", (2, 3, 10, 30))
+    def test_draw_alone_matches_its_block(self, n):
+        # given its normals and bit, a draw has the same bits in a block of
+        # one as in a full block, wherever it sits there
+        size = BLOCK // n
+        normals = np.random.default_rng(110 + n).standard_normal((normal_rows(n), size))
+        block, bits = realize_with_twin(n, normals, n)
+        for k in np.random.default_rng(n).choice(size, 12, replace=False):
+            alone, _ = realize_with_twin(n, normals[:, k : k + 1], None)
+            alone[:, 0] *= 1.0 - 2.0 * bits[k]
+            assert np.array_equal(alone[0].view(np.int64), block[k].view(np.int64)), k
+
     @pytest.mark.parametrize("n, count", ((2, 300), (3, 300), (7, 100), (30, 40)))
     def test_subgroup_order_matches_left_to_right_product(self, n, count):
-        # the same factors multiplied in the other order, on whole columns:
-        # the matrices agree to rounding, a bound fixed before the first run
+        # each step built densely from its definition and the steps multiplied
+        # in the other order: the matrices agree to rounding, a bound fixed
+        # before the first run
         batch = sample_orthogonal_batch(n, count, np.random.default_rng(29))
-        rotations, bits = strided_reference_draw(n, count, np.random.default_rng(29))
-        assert np.max(np.abs(batch - left_to_right_rotate(n, rotations, bits))) <= 1e-14
+        normals, bits = strided_reference_draw(n, count, np.random.default_rng(29))
+        assert np.max(np.abs(batch - left_to_right_product(n, normals, bits))) <= 1e-14
 
     def test_batch_reproducible(self):
         b1 = sample_orthogonal_batch(3, 50, np.random.default_rng(33))
@@ -392,42 +477,23 @@ class TestSamplerStatistics:
         assert abs(x4.mean() - 3 / (n * (n + 2))) <= 3 * se4
 
 
-class TestRotationLaw:
-    """The cosines and sines the sampler takes from its normals, by exponent.
+class TestStepLaw:
+    """The first entry of a draw, by the law of a Haar draw's corner.
 
-    Rotation r of a sweep of d has the exponent k = d - 1 - r: for k >= 1,
-    (1 + c) / 2 is Beta((k + 1) / 2, (k + 1) / 2), and for k = 0 the angle
-    atan2(s, c) is uniform on [0, 2*pi); every (c, s) is a unit vector.  Seed, sample size and the p-value
-    bound (1e-3 for each of the ten laws at n = 5) were fixed before the
-    first run; a rotation that takes the normal or the radius of a
-    neighbouring index moves some law far beyond it.
+    Q_00 is u_0 = g_0 / |g| for the n normals g of sweep 1, flipped by the
+    reflection bit, so Q_00^2 is Beta(1/2, (n - 1) / 2).  Seed, sample
+    size and the p-value bound were fixed before the first run; a step
+    that takes the wrong normals or the wrong radius moves the law far
+    beyond it.
     """
 
-    N, SAMPLES, P_MIN = 5, 20_000, 1e-3
+    SAMPLES, P_MIN = 20_000, 1e-3
 
-    def test_each_exponent_has_its_law(self, monkeypatch):
-        seen = {}
-
-        def recording(g, radii, c, s):
-            _sweep_rotations(g, radii, c, s)
-            seen.setdefault(len(c), []).append((c.copy(), s.copy()))
-
-        monkeypatch.setattr(haar, "_sweep_rotations", recording)
-        sample_orthogonal_batch(self.N, self.SAMPLES, np.random.default_rng(16))
-        assert sorted(seen) == list(range(1, self.N))
-        for d, blocks in seen.items():
-            c, s = (np.concatenate(x, axis=1) for x in zip(*blocks))
-            assert c.shape == (d, self.SAMPLES)
-            assert np.all(np.abs(np.hypot(c, s) - 1.0) < 1e-15)
-            assert np.all(s[:-1] >= 0.0)  # angles of exponent k >= 1 lie in [0, pi]
-            for r in range(d):
-                k = d - 1 - r
-                if k:
-                    p = kstest((1.0 + c[r]) / 2.0, beta((k + 1) / 2, (k + 1) / 2).cdf).pvalue
-                else:
-                    angle = np.mod(np.arctan2(s[r], c[r]), 2 * math.pi)
-                    p = kstest(angle, "uniform", args=(0.0, 2 * math.pi)).pvalue
-                assert p > self.P_MIN, (d, r, p)
+    @pytest.mark.parametrize("n", (2, 3, 5, 30))
+    def test_corner_square_is_beta(self, n):
+        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(16))
+        p = kstest(qs[:, 0, 0] ** 2, beta(0.5, (n - 1) / 2).cdf).pvalue
+        assert p > self.P_MIN, p
 
 
 class TestOracle:

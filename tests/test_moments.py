@@ -142,6 +142,14 @@ def exact_deviation(i1, i2, i3, i4, samples):
     return sigma, float(mu4 - variance**2) ** 0.5 / (2 * sigma * samples**0.5)
 
 
+def fixed_order_sum(terms):
+    """The sum of each row of a (count, k) array, added from column 0 up, separately rounded."""
+    total = terms[:, 0]
+    for column in terms[:, 1:].T:
+        total = total + column
+    return total
+
+
 def shard_fold(blocks):
     """(count, mean, M2) of a stream of value blocks, folded as one shard does.
 
@@ -385,16 +393,19 @@ class TestMcTracePower:
 
     def test_blocks_match_one_whole_stack(self):
         # the report is the shard fold, in blocks of BLOCK // 3 draws, of the
-        # whole stack's values from the same contraction of the squared
-        # draw-minor stack against outer(a, b), bit for bit; it agrees with
+        # whole stack's values, each the sum over j of the sums over i of
+        # a_i b_j Q_ij^2, added from index 0 up, bit for bit; it agrees with
         # numpy's whole-stack mean and sample deviation of the row-major
         # contraction to 1e-12 relative, a bound fixed before the first run
         av, bv, f = [1.0, 2.0, 3.0], [0.5, 3.0, 0.0], 3
         samples, size = 2 * (BLOCK // 3) + 11, BLOCK // 3
         report = mc_trace_power((1, 2, 3), (Fraction(1, 2), 3, 0), f, samples, 5)
         q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
-        squares = (q * q).transpose(1, 2, 0).reshape(9, samples)
-        values = np.einsum("k,km->m", np.outer(av, bv).ravel(), squares) ** f
+        terms = q * q * np.outer(av, bv)
+        columns = terms[:, 0]
+        for row in terms[:, 1:].transpose(1, 0, 2):
+            columns = columns + row
+        values = fixed_order_sum(columns) ** f
         m, mean, m2 = shard_fold(values[s : s + size] for s in range(0, samples, size))
         assert report.samples == m == samples
         assert report.mc_estimate == mean
@@ -420,10 +431,10 @@ class TestMcTracePower:
     @pytest.mark.parametrize("threads", (1, 2))
     def test_memory_does_not_grow_with_the_budget(self, threads):
         # a shard keeps each block's (count, mean, M2), not its values: the
-        # block buffers (the normals and their radii, the draw-minor stack and
-        # its scratch, the cosines and sines: 29 doubles per draw of a
-        # block) and the statistic's temporaries fit in 64 doubles per draw
-        # of one block, for each shard that runs at once, whatever the budget
+        # block buffers (the normals, the draw-minor stack and the step's
+        # scratch: 26 doubles per draw of a block) and the statistic's
+        # temporaries fit in 64 doubles per draw of one block, for each
+        # shard that runs at once, whatever the budget
         workers = min(threads, os.cpu_count() or 1)
         allowance = workers * 64 * 8 * (BLOCK // 3)
         peaks = {}
@@ -501,12 +512,17 @@ class TestMcTracePower:
 
     @pytest.mark.parametrize("f", (3, 4, 5))
     def test_statistic_matches_pow_on_signed_spectra(self, f):
-        # traces of both signs: |tr|^f with the sign restored for odd f
+        # traces of both signs: |tr|^f with the sign restored for odd f, on
+        # the statistic's own traces; they agree with einsum's to 1e-15 of
+        # sum |a_i b_j| Q_ij^2, whatever the cancellation
         av, bv = np.array([-1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.5])
         q = sample_orthogonal_batch(3, 2_000, np.random.default_rng(f))
-        trace = np.einsum("mij,i,j->m", q * q, av, bv)
+        block = q.transpose(1, 2, 0)
+        trace = montecarlo._squares_dot(np.outer(av, bv), block.copy())
         assert trace.min() < 0 < trace.max()
-        got = montecarlo._trace_power_statistic(av, bv, f)(q.transpose(1, 2, 0).copy())
+        dense = np.einsum("mij,i,j->m", q * q, av, bv)
+        assert np.all(np.abs(trace - dense) <= 1e-15 * np.einsum("mij,i,j->m", q * q, abs(av), abs(bv)))
+        got = montecarlo._trace_power_statistic(av, bv, f)(block.copy())
         want = trace**f
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -628,8 +644,8 @@ class TestMcSplitting:
 
     @pytest.mark.parametrize("n", (3, 30))
     def test_memory_within_one_block_of_the_sampler(self, n):
-        # the baseline is the sampler's own peak, its normals, its rotations
-        # and one block of draws; n = 3 takes the power sums from the block
+        # the baseline is the sampler's own peak, its normals, its step's
+        # scratch and one block of draws; n = 3 takes the power sums from the block
         # squared in place, n = 30 by gemm on a row-major copy
         samples = 5_000
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
@@ -713,7 +729,7 @@ class TestTracePowerSums:
         roots = _eigensolve_roots(q.copy(), av, bv)
         if negative == "both" and n > 1:
             assert np.any(roots.imag != 0)  # the case the square root could not take
-        sums = montecarlo._latent_power_sums(q.transpose(1, 2, 0).copy(), np.outer(av, bv), 6)
+        sums = montecarlo._latent_power_sums(np.outer(av, bv), 6)(q.transpose(1, 2, 0).copy())
         assert len(sums) == 6
         for k, p in enumerate(sums, start=1):
             want = (roots**k).sum(axis=1)  # complex roots come in pairs: the sum is real
@@ -732,6 +748,33 @@ class TestTracePowerSums:
                 assert np.all(np.abs(got - want) <= 1e-10 * scale), kappa
 
 
+ESTIMATES = {
+    "trace-power": lambda a, b: mc_trace_power(a, b, 3, 2, 0),
+    "zonal-split": lambda a, b: mc_splitting((2, 1), a, b, 2, 0),
+    "trace-AH": lambda a, b: mc_linear_trace_power(a, 4, 2, 0),
+    "exp-series": lambda a, b: mc_exponential_trace(a, b, 1.0, 2, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ESTIMATES))
+@pytest.mark.parametrize("n", (2, 3, 30))
+def test_draw_alone_matches_its_block(monkeypatch, n, kind):
+    # each estimate's statistic gives a draw the same bits in a block of
+    # one as in a full block of the sampler, wherever it sits there
+    statistics = []
+    monkeypatch.setattr(montecarlo, "_monte_carlo", lambda *args: statistics.append(args[-1]))
+    a = [Fraction(k % 5 + 1, 4) * (-1) ** k for k in range(n)]
+    b = [Fraction(k % 3 + 1, 2) for k in range(n)]
+    ESTIMATES[kind](a, b)
+    (statistic,) = statistics
+    block = next(_sample_blocks(n, BLOCK // n, 8)).copy()
+    whole = statistic(block.copy())
+    assert len(whole) == block.shape[2]
+    for k in np.random.default_rng(n).choice(block.shape[2], 12, replace=False):
+        alone = statistic(block[:, :, k : k + 1].copy())
+        assert np.array_equal(alone.view(np.int64), whole[k : k + 1].view(np.int64)), k
+
+
 class TestPowerSumParts:
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 30))
     def test_block_size_does_not_move_a_draw(self, n):
@@ -742,9 +785,10 @@ class TestPowerSumParts:
         # way each draw's power sums are the same bits in any block size
         av, bv = _spectra(n, "A")
         q = sample_orthogonal_batch(n, 51, np.random.default_rng(n)).transpose(1, 2, 0).copy()
-        whole = montecarlo._latent_power_sums(q.copy(), np.outer(av, bv), 6)
+        power_sums = montecarlo._latent_power_sums(np.outer(av, bv), 6)
+        whole = power_sums(q.copy())
         for m in (1, 2, 3, 50):
-            part = montecarlo._latent_power_sums(q[:, :, :m].copy(), np.outer(av, bv), 6)
+            part = power_sums(q[:, :, :m].copy())
             assert np.array_equal(part, whole[:, :m]), m
 
 
@@ -758,8 +802,9 @@ def test_draw_minor_and_gemm_power_sums_agree(n, negative):
     q = sample_orthogonal_batch(n, 200, np.random.default_rng(40 + n))
     scale = (np.abs(_eigensolve_roots(q.copy(), av, bv))[:, :, None] ** np.arange(1, 7)).sum(axis=1).T
     block = q.transpose(1, 2, 0)
-    squares = montecarlo._squares_power_sums(block.copy(), np.outer(av, bv), 6)
-    gemm = montecarlo._gemm_power_sums(block.copy(), np.outer(av, bv), 6)
+    w = np.outer(av, bv)
+    squares = montecarlo._squares_power_sums(block.copy(), w, montecarlo._cofactor_weights(w), 6)
+    gemm = montecarlo._gemm_power_sums(block.copy(), w, 6)
     assert np.all(np.abs(squares - gemm) <= 1e-13 * scale)
 
 
@@ -899,14 +944,14 @@ class TestMcLinearTracePower:
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_matches_dense_contraction_of_one_whole_stack(self):
-        # the report is the shard fold of |tr(A H)|^f from the same contraction
-        # of the diagonal rows of the draw-minor stack, bit for bit; that
-        # contraction is bit-identical to the dense row-major one, and |x|^f
+        # the report is the shard fold of |tr(A H)|^f, the trace added as
+        # a_0 H_00 + a_1 H_11 + a_2 H_22 in that order, bit for bit; that
+        # trace is bit-identical to the dense row-major contraction, and |x|^f
         # and x^f agree exactly at f = 2 and within an ulp at f = 4
         d, samples, size = (-1.0, 2.0, 0.5), 2 * (BLOCK // 3) + 11, BLOCK // 3
         q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
         dense = np.einsum("ij,mji->m", np.diag(d), q)
-        diagonal = np.einsum("k,km->m", d, q.transpose(1, 2, 0).reshape(9, samples)[::4])
+        diagonal = fixed_order_sum(np.diagonal(q, axis1=1, axis2=2) * d)
         assert np.array_equal(diagonal.view(np.int64), dense.view(np.int64))
         reports = {f: mc_linear_trace_power(d, f, samples, 5) for f in (2, 4)}
         for f, report in reports.items():
