@@ -18,10 +18,12 @@ others would not: the bit flips the coset, not the law within it.  An
 independent oracle, the Q factor of a Gaussian matrix with diag(R) made
 positive, is provided for cross-validation.
 
-The sampler builds matrices in blocks of BLOCK // n draws, and each block
-consumes the stream in two calls: its normals, all n(n+1)/2 - 1 per draw
-in one (rows, m) array whose rows go to sweeps 1, ..., n - 1 in turn,
-then its m reflection bits, one per draw.  A block is held draw-minor, as
+The sampler builds matrices in blocks of BLOCK // n draws.  Each block
+consumes the stream sweep by sweep, in the order the sweeps run: sweep
+i = n - 1, ..., 1 draws its own (d + 1, m) normals just before its step,
+n(n+1)/2 - 1 per draw in all, and after the last sweep the block draws
+its m reflection bits, one per draw.  So a block holds n rows of normals,
+not all of them.  A block is held draw-minor, as
 ``rows[row, col, draw]``, so a step is one contraction along the draw
 axis and one rank-1 update of the trailing block, a few long numpy calls
 per sweep whatever its width.  The Monte Carlo statistics take the
@@ -51,15 +53,17 @@ def as_generator(rng) -> np.random.Generator:
 
 #: Matrix entries in one row of a realized block, which holds BLOCK // n
 #: draws: the block takes n * 128 KB, and the statistics overwrite it in
-#: place, so no second copy is made.  Its normals take
-#: ((n + 1) / 2 - 1 / n) * 128 KB, 1.9 MB at n = 30.  A step's contraction
-#: takes n rows of BLOCK // n doubles, its rank-1 update UPDATE_ROWS rows
-#: of the widest sweep, UPDATE_ROWS * (n - 1), and its per-draw radius,
-#: sign and scale three: 4n rows, 512 KB at most.  On two threads at
-#: n = 30 (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower
-#: than 2**14: a smaller block spends more of each call in Python, holding
-#: the GIL.  2**15 ran about 15% faster, but BLOCK sets which normals and
-#: bits each block takes, so a new value changes every estimate.
+#: place or read it in chunks, so no second block is made.  Its normals
+#: take the widest sweep's n rows, 128 KB, since each sweep draws its own
+#: into the same buffer.  A step's contraction takes n rows of BLOCK // n
+#: doubles, its rank-1 update UPDATE_ROWS rows of the widest sweep,
+#: UPDATE_ROWS * (n - 1), and its per-draw radius, sign and scale three:
+#: 5n rows with the normals, 640 KB at most.  On two threads at n = 30
+#: (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower than
+#: 2**14: a smaller block spends more of each call in Python, holding the
+#: GIL.  2**15 ran about 14% faster (two shards of 4000 draws, median
+#: 0.148 s against 0.172 s), but BLOCK sets which normals and bits each
+#: block takes, so a new value changes every estimate.
 BLOCK = 2**14
 
 #: Rows of the widest sweep's trailing block that one multiply and one add
@@ -124,27 +128,27 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
 def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks, m <= BLOCK // n.
 
-    Each block of m draws makes two calls on ``rng``: one
-    ``rng.standard_normal(out=...)`` into a reused (n(n+1)/2 - 1, m)
-    buffer, then ``rng.integers(0, 2, size=m)`` for the reflection bits,
-    one per draw.  The rows of normals go to sweeps i = 1, ..., n - 1 in
-    turn, d + 1 = n - i + 1 rows each.  The sweeps are applied to the
-    identity from the left, i from n - 1 down to 1 (the subgroup
-    algorithm): before sweep i the product is diag(I_i, C), C in SO(d)
-    Haar, and ``_step`` multiplies its trailing (d + 1) x (d + 1) block
-    diag(1, C) by one M in SO(d + 1) with M e_0 = g / |g|, uniform on the
-    sphere, which leaves M diag(1, C) Haar on SO(d + 1).  A block is held
-    as ``rows[row, col, draw]``, so a step is O(1) numpy calls over the
-    whole corner along the draw axis, plus its rank-1 update in calls of
-    UPDATE_ROWS rows of the widest sweep.  The product of the steps is
-    Haar on SO(n); a draw's reflection bit b becomes the sign 1 - 2b,
-    which multiplies row 0 in place, and F SO(n), F = diag(-1, 1, ..., 1),
-    is the other coset, so the draws are Haar on O(n).  Each block is
-    yielded in the one buffer that the next overwrites.
+    Each block of m draws makes n calls on ``rng``: sweep i = n - 1, ...,
+    1, with d = n - i, draws its d + 1 rows of normals by one
+    ``rng.standard_normal(out=...)`` into a reused (n, m) buffer just
+    before its step, and after the last sweep ``rng.integers(0, 2,
+    size=m)`` draws the reflection bits, one per draw.  The sweeps are
+    applied to the identity from the left, i from n - 1 down to 1 (the
+    subgroup algorithm): before sweep i the product is diag(I_i, C), C in
+    SO(d) Haar, and ``_step`` multiplies its trailing (d + 1) x (d + 1)
+    block diag(1, C) by one M in SO(d + 1) with M e_0 = g / |g|, uniform
+    on the sphere, which leaves M diag(1, C) Haar on SO(d + 1).  A block
+    is held as ``rows[row, col, draw]``, so a step is O(1) numpy calls
+    over the whole corner along the draw axis, plus its rank-1 update in
+    calls of UPDATE_ROWS rows of the widest sweep.  The product of the
+    steps is Haar on SO(n); a draw's reflection bit b becomes the sign
+    1 - 2b, which multiplies row 0 in place, and F SO(n),
+    F = diag(-1, 1, ..., 1), is the other coset, so the draws are Haar on
+    O(n).  Each block is yielded in the one buffer that the next
+    overwrites.
     """
     size = max(1, min(count, BLOCK // n))
-    normal_rows = n * (n + 1) // 2 - 1
-    normal_buf = np.empty(normal_rows * size)
+    normal_buf = np.empty(n * size)
     row_buf = np.empty(n * n * size)
     dots_buf = np.empty(n * size)
     work = np.empty(UPDATE_ROWS * (n - 1) * size)
@@ -152,18 +156,15 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
         m = min(size, count - start)
-        normals = normal_buf[: normal_rows * m].reshape(normal_rows, m)
-        rng.standard_normal(out=normals)
         rows = row_buf[: n * n * m].reshape(n, n, m)
         rows[...] = eye
         draws = draw_buf[: 3 * m].reshape(3, m)
-        # sweep i takes the d + 1 rows of normals just before those of sweep i + 1
-        last = normal_rows
         for i in range(n - 1, 0, -1):
             d = n - i
+            g = normal_buf[: (d + 1) * m].reshape(d + 1, m)
+            rng.standard_normal(out=g)
             dots = dots_buf[: (d + 1) * m].reshape(d + 1, m)
-            _step(rows[i - 1 :, i - 1 :], normals[last - d - 1 : last], dots, work, draws)
-            last -= d + 1
+            _step(rows[i - 1 :, i - 1 :], g, dots, work, draws)
         signs = draws[0]
         np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
         signs += 1.0
@@ -175,12 +176,13 @@ def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
     """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks of m <= BLOCK // n.
 
     Entry [i, j, k] of a block is entry (i, j) of its draw k.  Blocks are
-    drawn and realized as they are consumed, each with its own normals and
-    then its own reflection bits, one per draw, from ``rng``, each into
-    the one buffer that the next overwrites, which the caller may
-    overwrite too; so a caller holds one block of normals and matrices at
-    a time, whatever ``count``.  Transposed to (m, n, n) and concatenated,
-    the blocks are the bits of sample_orthogonal_batch.
+    drawn and realized as they are consumed, each with its own normals,
+    sweep by sweep, and then its own reflection bits, one per draw, from
+    ``rng``, each into the one buffer that the next overwrites, which the
+    caller may overwrite too; so a caller holds one block of matrices and
+    n rows of normals at a time, whatever ``count``.  Transposed to
+    (m, n, n) and concatenated, the blocks are the bits of
+    sample_orthogonal_batch.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -194,8 +196,9 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
     is bit-reproducible.  The draws come in blocks of BLOCK // n, and each
-    block draws its normals, then one reflection bit per draw, which
-    flips the sign of row 0 (see ``_realize``).
+    block draws each sweep's normals as the sweep runs, then one
+    reflection bit per draw, which flips the sign of row 0 (see
+    ``_realize``).
     """
     blocks = _sample_blocks(n, count, rng)
     out = np.empty((count, n, n))

@@ -12,9 +12,10 @@ come with no eigensolve and no square root, so the spectra may take any
 real signs.  Up to n = 3 they follow by Newton's identities from the
 elementary symmetric functions of the roots, which are weighted sums of
 the squared entries of each draw along the draw axis of the sampler's
-block; above, they are traces of powers of H' D_a H D_b through a
-row-major copy and a batched matmul.  This module and ``haar`` are the
-only ones that import numpy.
+block; above, they are traces of powers of H' D_a H D_b, through a
+batched matmul on row-major copies of a few chunks of the block, so a
+shard holds its block and the chunks, not a second block.  This module
+and ``haar`` are the only ones that import numpy.
 """
 
 from __future__ import annotations
@@ -140,10 +141,11 @@ def _summarize(exact, reference: float, moments: Moments) -> MomentReport:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each shard draws its matrices block by block (each block's normals,
-    then its reflection bits) and reduces ``statistic(block) -> values``
-    to the block's (count, mean, M2) at once, so it holds one block of
-    draws and its values, whatever the budget.  A block is the sampler's
+    Each shard draws its matrices block by block (each sweep's normals as
+    it runs, then the block's reflection bits) and reduces
+    ``statistic(block) -> values`` to the block's (count, mean, M2) at
+    once, so it holds one block of draws and its values, whatever the
+    budget.  A block is the sampler's
     draw-minor (n, n, m) array, entry (i, j) of draw k at [i, j, k]; a
     statistic may overwrite it and must return a fresh array of m values,
     which ``_moments`` overwrites.  A shard takes its values less its
@@ -329,32 +331,28 @@ def _squares_power_sums(block: np.ndarray, w: np.ndarray, cofactors: np.ndarray,
 
 
 def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
-    """``_latent_power_sums`` by batched gemm on a row-major copy of the block.
+    """``_latent_power_sums`` by batched gemm on row-major chunks of the block.
 
     The roots are those of N = H' D_a H D_b, a cyclic shift of
     D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
     may be complex, but the traces are real.  N = H' (w * H) is a product
-    of two distinct buffers, which BLAS runs as gemm.  The block is copied
-    once into a row-major (m, n, n) stack for the batched matmul, and is
-    then overwritten: its memory holds two slots of m // 2 draws (a lone
-    draw takes two fresh ones).  The stack is taken in parts of m // 2
-    draws, the last of one draw for odd m: per part, w * H fills one slot
-    and N the other; the next power goes to the part of the stack, and the
-    third power buffer that f >= 5 needs reuses the first slot.
+    of two distinct buffers, which BLAS runs as gemm.  The block is taken
+    in chunks of m // 8 draws (at least one), and each chunk is copied to
+    a row-major (k, n, n) stack H for the batched matmul, so no
+    block-sized copy is made and the block is left as it is.  Three chunk
+    buffers serve every chunk: H, w * H and N; the next power goes to
+    w * H, and the third power buffer that f >= 5 needs reuses H.  Each
+    draw's matrices are multiplied on their own, so its power sums do not
+    depend on the block or the chunk it lands in.
     """
     n, m = block.shape[0], block.shape[2]
-    q = np.empty((m, n, n))
-    np.copyto(q, block.transpose(2, 0, 1))
-    half = max(1, m // 2)
-    if m > 1:
-        slots = block.reshape(-1)[: 2 * half * n * n].reshape(2, half, n, n)
-    else:
-        slots = np.empty((2, 1, n, n))
+    chunk = max(1, m // 8)
+    bufs = np.empty((3, chunk, n, n))
     sums = np.empty((f, m))
-    for start in range(0, m, half):
-        h = q[start : start + half]
-        k = len(h)
-        spare, base = slots[0, :k], slots[1, :k]
+    for start in range(0, m, chunk):
+        k = min(chunk, m - start)
+        h, spare, base = bufs[:, :k]
+        np.copyto(h, block[:, :, start : start + k].transpose(2, 0, 1))
         np.multiply(h, w, out=spare)
         np.matmul(h.transpose(0, 2, 1), spare, out=base)
         out = sums[:, start : start + k]

@@ -39,14 +39,20 @@ def normal_rows(n):
 def strided_reference_draw(n, count, rng):
     """(count, rows) normals and (count,) bits, drawn as sample_orthogonal_batch draws them.
 
-    Per block of BLOCK // n draws, all the block's normals in one
-    (rows, m) draw, then its m bits, one per draw.
+    Per block of BLOCK // n draws, each sweep's normals in one (d + 1, m)
+    draw, sweep i = n - 1 first, then the block's m bits, one per draw.
+    The normals are laid out as ``sweep_normals`` reads them, sweep 1
+    first.
     """
     size = max(1, min(count, BLOCK // n))
     normals, bits = [], []
     for start in range(0, count, size):
         m = min(size, count - start)
-        normals.append(rng.standard_normal((normal_rows(n), m)).T)
+        block, last = np.empty((normal_rows(n), m)), normal_rows(n)
+        for i in range(n - 1, 0, -1):
+            block[last - (n - i + 1) : last] = rng.standard_normal((n - i + 1, m))
+            last -= n - i + 1
+        normals.append(block.T)
         bits.append(rng.integers(0, 2, size=m))
     return np.concatenate(normals), np.concatenate(bits)
 
@@ -156,15 +162,19 @@ def strided_reference_batch(n, count, rng):
 class FixedNormals:
     """A generator stand-in: fixed normals, and bits from a generator seeded with ``seed``.
 
-    With ``seed=None`` every bit is 0: no draw is reflected.
+    The (rows, count) normals are laid out as ``sweep_normals`` reads
+    them, sweep 1 first; the sampler draws sweep n - 1 first, so each
+    call is served the last rows not yet served.  With ``seed=None``
+    every bit is 0: no draw is reflected.
     """
 
     def __init__(self, normals, seed):
-        self.normals = normals
+        self.normals, self.last = normals, len(normals)
         self.bits = None if seed is None else np.random.default_rng(seed)
 
     def standard_normal(self, out):
-        out[...] = self.normals
+        out[...] = self.normals[self.last - len(out) : self.last]
+        self.last -= len(out)
         return out
 
     def integers(self, low, high, size):
@@ -330,13 +340,16 @@ class TestRealize:
         assert np.all(np.abs(np.abs(np.linalg.det(qs)) - 1.0) < 1e-10)
 
     def test_sampler_scratch_is_capped(self):
-        # besides its normals and its block, the sampler holds at most
-        # (6n - 3) doubles per draw of a block, numpy's transient buffers
-        # included: the radii, scratch pair, cosines and signed sines of the
-        # plane-rotation sampler that the step replaced took as much
+        # the sampler holds its block (n^2 doubles per draw), one sweep's
+        # normals (n), the step's dots (n), rank-1 update scratch
+        # (UPDATE_ROWS (n - 1)) and three per-draw rows, plus numpy's
+        # transients: one int64 row of bits, and the ufunc buffers of
+        # np.getbufsize() elements that broadcast in-place updates take,
+        # about two at n = 30 (measured), three allowed
         n, count = 30, 5_000
         size = BLOCK // n
-        cap = (normal_rows(n) + n * n + 6 * n - 3) * size * np.dtype(float).itemsize
+        rows = n * n + n + n + haar.UPDATE_ROWS * (n - 1) + 3 + 1
+        cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
         sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
         tracemalloc.start()
         try:
@@ -389,15 +402,22 @@ class TestDeterminism:
             (3, 2 * BLOCK + 3),
             # a last block of one draw
             (30, BLOCK // 30 + 1),
+            # one draw, a full block and a block plus one draw (at n = 30 above)
+            (2, 1), (3, 1), (5, 1), (30, 1),
+            (2, BLOCK // 2), (3, BLOCK // 3), (5, BLOCK // 5), (30, BLOCK // 30),
+            (2, BLOCK // 2 + 1), (3, BLOCK // 3 + 1), (5, BLOCK // 5 + 1),
         ),
     )
     def test_batch_matches_strided_reference(self, n, count):
+        # per block, sweep i = n - 1, ..., 1 draws its own (d + 1, m) normals,
+        # then the block draws its m bits: a twin generator that makes those
+        # calls gives the same matrices, bit for bit, and ends in the same state
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         batch = sample_orthogonal_batch(n, count, rng)
         reference = strided_reference_batch(n, count, ref_rng)
         assert np.array_equal(batch.view(np.int64), reference.view(np.int64))
         assert batch.flags.c_contiguous
-        assert rng.random() == ref_rng.random()  # same stream consumption
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", (2, 3, 10, 30))
     def test_draw_alone_matches_its_block(self, n):

@@ -431,8 +431,8 @@ class TestMcTracePower:
     @pytest.mark.parametrize("threads", (1, 2))
     def test_memory_does_not_grow_with_the_budget(self, threads):
         # a shard keeps each block's (count, mean, M2), not its values: the
-        # block buffers (the normals, the draw-minor stack and the step's
-        # scratch: 26 doubles per draw of a block) and the statistic's
+        # block buffers (one sweep's normals, the draw-minor stack and the
+        # step's scratch: 24 doubles per draw of a block) and the statistic's
         # temporaries fit in 64 doubles per draw of one block, for each
         # shard that runs at once, whatever the budget
         workers = min(threads, os.cpu_count() or 1)
@@ -645,8 +645,9 @@ class TestMcSplitting:
     @pytest.mark.parametrize("n", (3, 30))
     def test_memory_within_one_block_of_the_sampler(self, n):
         # the baseline is the sampler's own peak, its normals, its step's
-        # scratch and one block of draws; n = 3 takes the power sums from the block
-        # squared in place, n = 30 by gemm on a row-major copy
+        # scratch and one block of draws; n = 3 takes the power sums from the
+        # block squared in place, within one more block; n = 30 by gemm on
+        # row-major chunks of m // 8 draws, within its three chunk buffers
         samples = 5_000
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
         b = [Fraction(k % 7 + 1, 3) for k in range(n)]
@@ -667,8 +668,9 @@ class TestMcSplitting:
             assert mc_splitting((2, 1), a, b, samples, 3).samples == samples
 
         split()  # the exact value's caches fill outside the measurement
-        block = (BLOCK // n) * n * n * np.dtype(float).itemsize
-        assert peak(split) <= peak(consume) + block
+        draws = BLOCK // n if n <= 3 else 3 * (BLOCK // n // 8)
+        allowance = draws * n * n * np.dtype(float).itemsize
+        assert peak(split) <= peak(consume) + allowance
 
 
 def _eigensolve_roots(q, av, bv):
@@ -780,9 +782,9 @@ class TestPowerSumParts:
     def test_block_size_does_not_move_a_draw(self, n):
         # up to n = 3 every call is elementwise along the draws and each
         # weighted sum adds its terms one at a time; above, a block of m
-        # draws is taken in parts of m // 2 inside its own memory, the last
-        # part of one draw for odd m, and a lone draw in fresh slots: either
-        # way each draw's power sums are the same bits in any block size
+        # draws is taken in row-major chunks of m // 8 draws, at least one,
+        # each draw multiplied on its own: either way each draw's power sums
+        # are the same bits in any block size
         av, bv = _spectra(n, "A")
         q = sample_orthogonal_batch(n, 51, np.random.default_rng(n)).transpose(1, 2, 0).copy()
         power_sums = montecarlo._latent_power_sums(np.outer(av, bv), 6)
@@ -790,6 +792,35 @@ class TestPowerSumParts:
         for m in (1, 2, 3, 50):
             part = power_sums(q[:, :, :m].copy())
             assert np.array_equal(part, whole[:, :m]), m
+
+
+@pytest.mark.parametrize("n", (4, 5, 10, 30))
+def test_gemm_chunks_keep_each_draw(n):
+    # the gemm path copies a block of m draws to row-major in chunks of
+    # m // 8 through three chunk buffers, and f >= 5 reuses the first for
+    # the third power buffer: at block sizes around a full block's chunk,
+    # and at every f up to 7, each draw's power sums are those of the draw
+    # alone, bit for bit, and the traces of np.linalg.matrix_power of
+    # N = H' D_a H D_b to 1e-12 relative (positive spectra: every trace is
+    # a sum of positive roots)
+    av, bv = _spectra(n, None)
+    w = np.outer(av, bv)
+    size = BLOCK // n
+    chunk = size // 8
+    q = sample_orthogonal_batch(n, size, np.random.default_rng(130 + n))
+    block = q.transpose(1, 2, 0).copy()
+    alone = np.concatenate(
+        [montecarlo._gemm_power_sums(block[:, :, k : k + 1].copy(), w, 7) for k in range(size)], axis=1
+    )
+    product = q.transpose(0, 2, 1) @ (q * w)
+    for k in range(1, 8):
+        want = np.trace(np.linalg.matrix_power(product, k), axis1=1, axis2=2)
+        assert np.all(np.abs(alone[k - 1] - want) <= 1e-12 * want), k
+    for m in (1, chunk - 1, chunk, chunk + 1, size):
+        for f in range(1, 8):
+            got = montecarlo._gemm_power_sums(block[:, :, :m].copy(), w, f)
+            assert got.shape == (f, m)
+            assert np.array_equal(got.view(np.int64), alone[:f, :m].view(np.int64)), (m, f)
 
 
 @pytest.mark.parametrize("negative", ("A", "both"))
