@@ -13,7 +13,6 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import click
 
@@ -29,14 +28,17 @@ from .zonal import (
     zonal_row,
 )
 
-if TYPE_CHECKING:
-    from .montecarlo import MomentReport
-
 #: Table generation beyond this degree is refused; the recursion stays
 #: exact but the partition count makes it slow.
 DEGREE_CEILING = 12
 
-ESTIMATE_KINDS = ("trace-power", "zonal-split", "trace-AH", "exp-series")
+#: Each ``estimate`` kind and the options it needs; it takes no other of them.
+ESTIMATE_KINDS = {
+    "trace-power": ("--f", "--B"),
+    "zonal-split": ("--kappa", "--B"),
+    "trace-AH": ("--f",),
+    "exp-series": ("--B",),
+}
 
 
 def format_partition(p) -> str:
@@ -70,20 +72,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _powersum_monomial(p, sep: str, factor: str, power: str) -> str:
+    """p_lambda as one ``factor`` per distinct part k, ``power`` added at multiplicity m > 1."""
+    return sep.join(
+        factor.format(k) + (power.format(p.count(k)) if p.count(k) > 1 else "")
+        for k in sorted(set(p))
+    )
+
+
 def powersum_label(p) -> str:
-    factors = []
-    for k in sorted(set(p)):
-        mult = p.count(k)
-        factors.append(f"s{k}^{mult}" if mult > 1 else f"s{k}")
-    return "*".join(factors)
+    return _powersum_monomial(p, "*", "s{}", "^{}")
 
 
 def powersum_latex(p) -> str:
-    factors = []
-    for k in sorted(set(p)):
-        mult = p.count(k)
-        factors.append(f"s_{{{k}}}^{{{mult}}}" if mult > 1 else f"s_{{{k}}}")
-    return " ".join(factors)
+    return _powersum_monomial(p, " ", "s_{{{}}}", "^{{{}}}")
 
 
 @click.group()
@@ -96,47 +98,23 @@ def main() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _table_payload(degree: int, basis: str) -> dict:
-    columns = partitions_of(degree)
-    rows = []
-    for kappa in partitions_of(degree):
-        poly = zonal_row(kappa) if basis == MONOMIAL else zonal_in_powersums(kappa)
-        rows.append(
-            {
-                "partition": format_partition(kappa),
-                "coefficients": [str(poly.coefficient(lam)) for lam in columns],
-                "character_degree": character_degree(kappa),
-            }
-        )
-    return {
-        "degree": degree,
-        "basis": basis,
-        "columns": [format_partition(lam) for lam in columns],
-        "rows": rows,
-    }
+def _column_label(lam, basis: str, latex: bool) -> str:
+    if basis == POWERSUM:
+        return f"${powersum_latex(lam)}$" if latex else powersum_label(lam)
+    return f"$m_{{({format_partition(lam)})}}$" if latex else f"m[{format_partition(lam)}]"
 
 
 def _emit_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_csv(payload: dict, label) -> str:
-    columns = [parse_partition(c) for c in payload["columns"]]
+def _emit_csv(header: list[str], body: list[list[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kappa", *(label(c) for c in columns), "chi"])
-    for row in payload["rows"]:
-        writer.writerow([row["partition"], *row["coefficients"], row["character_degree"]])
+    csv.writer(buf, lineterminator="\n").writerows([header, *body])
     return buf.getvalue()
 
 
-def _emit_text(payload: dict, label) -> str:
-    columns = [parse_partition(c) for c in payload["columns"]]
-    header = ["kappa", *(label(c) for c in columns), "chi"]
-    body = [
-        [row["partition"], *row["coefficients"], str(row["character_degree"])]
-        for row in payload["rows"]
-    ]
+def _emit_text(header: list[str], body: list[list[str]]) -> str:
     widths = [max(len(line[i]) for line in [header, *body]) for i in range(len(header))]
     lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(line, widths))
@@ -145,22 +123,16 @@ def _emit_text(payload: dict, label) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_latex(payload: dict) -> str:
-    columns = [parse_partition(c) for c in payload["columns"]]
-    if payload["basis"] == POWERSUM:
-        heads = [f"${powersum_latex(c)}$" for c in columns]
-    else:
-        heads = [f"$m_{{({format_partition(c)})}}$" for c in columns]
+def _emit_latex(header: list[str], body: list[list[str]]) -> str:
     lines = [
-        r"\begin{tabular}{|c|" + "c" * len(columns) + "|c|}",
+        r"\begin{tabular}{|c|" + "c" * (len(header) - 2) + "|c|}",
         r"\hline",
-        " & ".join([r"$\kappa$", *heads, r"$\chi$"]) + r" \\",
+        " & ".join(header) + r" \\",
         r"\hline",
+        *(" & ".join(line) + r" \\" for line in body),
+        r"\hline",
+        r"\end{tabular}",
     ]
-    for row in payload["rows"]:
-        cells = [f"({row['partition']})", *row["coefficients"], str(row["character_degree"])]
-        lines.append(" & ".join(cells) + r" \\")
-    lines += [r"\hline", r"\end{tabular}"]
     return "\n".join(lines) + "\n"
 
 
@@ -183,16 +155,33 @@ def table(degree: int, basis: str, fmt: str) -> None:
     """Print the full coefficient table for one degree."""
     if not 1 <= degree <= DEGREE_CEILING:
         raise click.UsageError(f"--f must be between 1 and {DEGREE_CEILING}")
-    payload = _table_payload(degree, basis)
-    label = powersum_label if basis == POWERSUM else lambda c: f"m[{format_partition(c)}]"
+    columns = partitions_of(degree)
+    rows = []
+    for kappa in columns:
+        poly = zonal_row(kappa) if basis == MONOMIAL else zonal_in_powersums(kappa)
+        coefficients = [str(poly.coefficient(lam)) for lam in columns]
+        rows.append((format_partition(kappa), coefficients, character_degree(kappa)))
     if fmt == "json":
+        payload = {
+            "degree": degree,
+            "basis": basis,
+            "columns": [format_partition(lam) for lam in columns],
+            "rows": [
+                {"partition": kappa, "coefficients": coefficients, "character_degree": chi}
+                for kappa, coefficients, chi in rows
+            ],
+        }
         click.echo(_emit_json(payload), nl=False)
-    elif fmt == "csv":
-        click.echo(_emit_csv(payload, label), nl=False)
-    elif fmt == "latex":
-        click.echo(_emit_latex(payload), nl=False)
-    else:
-        click.echo(_emit_text(payload, label), nl=False)
+        return
+    latex = fmt == "latex"
+    kappa_head, chi_head = (r"$\kappa$", r"$\chi$") if latex else ("kappa", "chi")
+    header = [kappa_head, *(_column_label(lam, basis, latex) for lam in columns), chi_head]
+    body = [
+        [f"({kappa})" if latex else kappa, *coefficients, str(chi)]
+        for kappa, coefficients, chi in rows
+    ]
+    emit = {"csv": _emit_csv, "latex": _emit_latex, "text": _emit_text}[fmt]
+    click.echo(emit(header, body), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +275,6 @@ def verify(ctx: click.Context, frange: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _report_payload(kind: str, params: dict, report: MomentReport) -> dict:
-    exact = report.exact_value
-    return {
-        "kind": kind,
-        "parameters": params,
-        "exact": str(exact) if isinstance(exact, Fraction) else format_float(exact),
-        "estimate": format_float(report.mc_estimate),
-        "std_err": format_float(report.mc_std_err),
-        "z_score": format_float(report.z_score),
-        "samples": report.samples,
-        "resampled": 0,  # kept for the report schema: no estimator redraws
-    }
-
-
 def _in_float_range(kind: str, n: int, fn, *args):
     """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error.
 
@@ -323,7 +298,7 @@ def _in_float_range(kind: str, n: int, fn, *args):
 
 
 @main.command()
-@click.argument("kind", type=click.Choice(ESTIMATE_KINDS))
+@click.argument("kind", type=click.Choice(tuple(ESTIMATE_KINDS)))
 @click.option("--f", "degree", type=int, default=None, help="Trace power.")
 @click.option("--n", "dim", type=int, default=None, help="Expected dimension (validated).")
 @click.option("--A", "a_spec", "--a", default=None, help="Eigenvalues, e.g. 1,2 or 1/2,3.")
@@ -368,65 +343,62 @@ def estimate(
     if dim is not None and len(a) != dim:
         raise click.UsageError(f"--A has {len(a)} eigenvalues but --n is {dim}")
 
+    options = {"--f": degree, "--B": b_spec, "--kappa": kappa}
+    given = [option for option, value in options.items() if value is not None]
+    needs = ESTIMATE_KINDS[kind]
+    if any(option not in given for option in needs):
+        raise click.UsageError(f"{kind} needs {' and '.join(needs)}")
+    unused = [option for option in given if option not in needs]
+    if unused:
+        raise click.UsageError(f"{kind} takes no {' or '.join(unused)}")
+    if b_spec is not None:
+        b = parse_spectrum(b_spec, "--B")
+        if len(a) != len(b):
+            raise click.UsageError("--A and --B must have the same length")
+
     if kind == "trace-power":
-        if degree is None or b_spec is None:
-            raise click.UsageError("trace-power needs --f and --B")
-        b = parse_spectrum(b_spec, "--B")
-        if len(a) != len(b):
-            raise click.UsageError("--A and --B must have the same length")
-        report = _in_float_range(
-            kind, len(a), mc_trace_power, a, b, degree, samples, seed, threads
-        )
-        params = {"f": degree, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
+        run = (mc_trace_power, a, b, degree)
     elif kind == "zonal-split":
-        if kappa is None or b_spec is None:
-            raise click.UsageError("zonal-split needs --kappa and --B")
-        b = parse_spectrum(b_spec, "--B")
-        if len(a) != len(b):
-            raise click.UsageError("--A and --B must have the same length")
         part = parse_partition(kappa)
         if not part:
             raise click.UsageError("--kappa must be a nonempty partition")
         if len(part) > len(a):
             raise click.UsageError("--kappa has more parts than there are eigenvalues")
-        report = _in_float_range(kind, len(a), mc_splitting, part, a, b, samples, seed, threads)
-        params = {"kappa": kappa, "A": a_spec, "B": b_spec, "seed": seed, "threads": threads}
+        run = (mc_splitting, part, a, b)
     elif kind == "trace-AH":
-        if degree is None:
-            raise click.UsageError("trace-AH needs --f")
-        report = _in_float_range(
-            kind, len(a), mc_linear_trace_power, a, degree, samples, seed, threads
-        )
-        params = {"f": degree, "A": a_spec, "seed": seed, "threads": threads}
+        run = (mc_linear_trace_power, a, degree)
     else:  # exp-series
-        if b_spec is None:
-            raise click.UsageError("exp-series needs --B")
-        b = parse_spectrum(b_spec, "--B")
-        if len(a) != len(b):
-            raise click.UsageError("--A and --B must have the same length")
         if max_degree < 0:
             raise click.UsageError("--max-degree must be nonnegative")
         series = _in_float_range(kind, len(a), hyper0f0, a, b, max_degree)
-        report = _in_float_range(
-            kind, len(a), mc_exponential_trace, a, b, series.value, samples, seed, threads
-        )
-        payload = _report_payload(
-            "exp-series",
-            {
-                "A": a_spec,
-                "B": b_spec,
-                "max_degree": max_degree,
-                "seed": seed,
-                "threads": threads,
-            },
-            report,
-        )
+        run = (mc_exponential_trace, a, b, series.value)
+    report = _in_float_range(kind, len(a), *run, samples, seed, threads)
+
+    # the checks above leave set exactly the options that this kind takes
+    params = {
+        "kappa": kappa,
+        "f": degree,
+        "A": a_spec,
+        "B": b_spec,
+        "max_degree": max_degree if kind == "exp-series" else None,
+        "seed": seed,
+        "threads": threads,
+    }
+    exact = report.exact_value
+    payload = {
+        "kind": kind,
+        "parameters": {k: v for k, v in params.items() if v is not None},
+        "exact": str(exact) if isinstance(exact, Fraction) else format_float(exact),
+        "estimate": format_float(report.mc_estimate),
+        "std_err": format_float(report.mc_std_err),
+        "z_score": format_float(report.z_score),
+        "samples": report.samples,
+        "resampled": 0,  # kept for the report schema: no estimator redraws
+    }
+    if kind == "exp-series":
         payload["series_value"] = str(sum(series.terms))
         payload["tail_bound"] = format_float(series.tail_bound)
-        click.echo(json.dumps(payload, indent=2))
-        return
-
-    click.echo(json.dumps(_report_payload(kind, params, report), indent=2))
+    click.echo(json.dumps(payload, indent=2))
 
 
 if __name__ == "__main__":

@@ -60,13 +60,6 @@ class MomentReport:
     z_score: float
 
 
-def _check_budget(samples: int, threads: int) -> None:
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-
-
 def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random.Generator]]:
     """Split a sample budget into (count, stream) shards on independent streams.
 
@@ -160,10 +153,17 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     An ``exact`` value too large for a float raises OverflowError before
     anything is drawn; a sample mean or sample variance that is not finite
     raises it after the draws, so an overflow is never reported as an
-    infinite std_err with a zero z-score.
+    infinite std_err with a zero z-score.  A ``statistic`` of None marks
+    an integrand known to equal ``exact`` on every draw: it is reported
+    exactly, with no sample drawn or counted.
     """
-    _check_budget(samples, threads)
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     reference = float(exact)
+    if statistic is None:
+        return MomentReport(exact, reference, 0.0, 0, 0.0)
     chunks = _sample_chunks(samples, threads, rng)
 
     def shard(count: int, gen: np.random.Generator) -> tuple[float, Moments]:
@@ -192,8 +192,7 @@ def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentR
     a, b, n = _spectra(a, b)
     exact = exact_trace_power_integral(a, b, f)
     if f == 0:  # the integrand is 1: nothing is drawn
-        _check_budget(samples, threads)
-        return MomentReport(exact, 1.0, 0.0, 0, 0.0)
+        return _monte_carlo(exact, n, samples, rng, threads, None)
     statistic = _trace_power_statistic(np.array(a.floats()), np.array(b.floats()), f)
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
@@ -432,8 +431,7 @@ def mc_linear_trace_power(a, f: int, samples: int, rng, threads: int = 1) -> Mom
     n = len(a)
     exact = _linear_trace_power_value(a, f)
     if f % 2 == 1 or f == 0:  # odd powers vanish by H -> -H; no sampling either way
-        _check_budget(samples, threads)
-        return MomentReport(exact, float(exact), 0.0, 0, 0.0)
+        return _monte_carlo(exact, n, samples, rng, threads, None)
     av = np.array(a.floats())
 
     def statistic(q: np.ndarray) -> np.ndarray:

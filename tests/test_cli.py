@@ -255,13 +255,60 @@ class TestOutputBytes:
                 ["verify", "--f", "1..12"],
                 "811da7441b555cba1b1a461861b7c064a4fe9420ed3c209dd58bbe0f9b0a0c10",
             ),
+            (
+                ["table", "--f", "6", "--basis", "powersum", "--format", "csv"],
+                "042e50dec975f1940bccbc4696c012fcff163a3a94d67214838bcb1cfc78a550",
+            ),
+            (
+                ["table", "--f", "6", "--basis", "powersum", "--format", "text"],
+                "61d913fb9c6c34cf7c64dc00e42bf77265cf54824c0eef2f64b961b54fe4e4ef",
+            ),
+            (
+                ["table", "--f", "6", "--basis", "powersum", "--format", "latex"],
+                "3b1508a3db7371ba3203eccb095835c92107486f5760ce768a6c5a8a1b31bbe7",
+            ),
+            (
+                ["table", "--f", "6", "--basis", "monomial", "--format", "csv"],
+                "c375c1639727b7e57afbb1878571b6204c56f8e48933488039ae5cc34976de1c",
+            ),
+            (
+                ["table", "--f", "6", "--basis", "monomial", "--format", "text"],
+                "c18edd7716e913be2f7d465de9679aab21c3fac7c0e1bfbb89eeccb65705f9db",
+            ),
+            (
+                ["table", "--f", "6", "--basis", "monomial", "--format", "latex"],
+                "24615fe7024c4ce0f6eed35db429865d0d3c5f93ba5b050fbfdd42dcc13cc935",
+            ),
         ],
-        ids=["table-f12-powersum", "table-f12-monomial", "verify-f1-12"],
+        ids=[
+            "table-f12-powersum",
+            "table-f12-monomial",
+            "verify-f1-12",
+            "table-f6-powersum-csv",
+            "table-f6-powersum-text",
+            "table-f6-powersum-latex",
+            "table-f6-monomial-csv",
+            "table-f6-monomial-text",
+            "table-f6-monomial-latex",
+        ],
     )
     def test_stdout_sha256(self, runner, args, digest):
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+#: Each ``estimate`` kind's required options, with a valid value each at n = 2.
+KIND_OPTIONS = {
+    "trace-power": {"--f": "1", "--B": "3,1"},
+    "zonal-split": {"--kappa": "2", "--B": "3,1"},
+    "trace-AH": {"--f": "2"},
+    "exp-series": {"--B": "3,1"},
+}
+
+#: A value for each option that some kind does not take: malformed where the
+#: CLI, not click, parses it, since such an option is refused before it is read.
+UNUSED_VALUES = {"--f": "2", "--B": "x", "--kappa": "x"}
 
 
 class TestEstimate:
@@ -528,6 +575,43 @@ class TestEstimate:
     def test_unknown_kind_is_usage_error(self, runner):
         result = runner.invoke(main, ["estimate", "bogus", "--A", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "kind, missing, message",
+        [
+            ("trace-power", "--f", "trace-power needs --f and --B"),
+            ("trace-power", "--B", "trace-power needs --f and --B"),
+            ("zonal-split", "--kappa", "zonal-split needs --kappa and --B"),
+            ("zonal-split", "--B", "zonal-split needs --kappa and --B"),
+            ("trace-AH", "--f", "trace-AH needs --f"),
+            ("exp-series", "--B", "exp-series needs --B"),
+        ],
+    )
+    def test_missing_option_is_usage_error(self, runner, kind, missing, message):
+        options = {k: v for k, v in KIND_OPTIONS[kind].items() if k != missing}
+        result = runner.invoke(
+            main, ["estimate", kind, "--A", "1,2", *sum(options.items(), ()), "--samples", "100"]
+        )
+        assert result.exit_code == 2
+        assert f"Error: {message}\n" in result.output
+
+    @pytest.mark.parametrize(
+        "kind, unused",
+        [
+            (kind, option)
+            for kind, options in KIND_OPTIONS.items()
+            for option in UNUSED_VALUES
+            if option not in options
+        ],
+    )
+    def test_option_the_kind_does_not_take_is_usage_error(self, runner, kind, unused):
+        options = {**KIND_OPTIONS[kind], unused: UNUSED_VALUES[unused]}
+        result = runner.invoke(
+            main, ["estimate", kind, "--A", "1,2", *sum(options.items(), ()), "--samples", "100"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: {kind} takes no {unused}\n" in result.output
 
 
 class TestDimensionFlag:
