@@ -15,6 +15,7 @@ import json
 from fractions import Fraction
 
 import click
+from click.core import ParameterSource
 
 from .moments import DiagonalSpec, hyper0f0
 from .partitions import Partition, partitions_of
@@ -32,7 +33,8 @@ from .zonal import (
 #: exact but the partition count makes it slow.
 DEGREE_CEILING = 12
 
-#: Each ``estimate`` kind and the options it needs; it takes no other of them.
+#: Each ``estimate`` kind and the options it needs; it takes no other of them,
+#: but for ``--max-degree``, which ``exp-series`` reads with a default.
 ESTIMATE_KINDS = {
     "trace-power": ("--f", "--B"),
     "zonal-split": ("--kappa", "--B"),
@@ -348,6 +350,10 @@ def estimate(
     needs = ESTIMATE_KINDS[kind]
     if any(option not in given for option in needs):
         raise click.UsageError(f"{kind} needs {' and '.join(needs)}")
+    # --max-degree has a default, so only its source tells whether it was given
+    source = click.get_current_context().get_parameter_source("max_degree")
+    if kind != "exp-series" and source is not ParameterSource.DEFAULT:
+        given.append("--max-degree")
     unused = [option for option in given if option not in needs]
     if unused:
         raise click.UsageError(f"{kind} takes no {' or '.join(unused)}")

@@ -4,26 +4,33 @@ The primary sampler runs the subgroup algorithm (Diaconis and
 Shahshahani, Prob. Eng. Inf. Sci. 1, 1987): if C is Haar on SO(d) and M
 is in SO(d + 1) with M e_0 = u, u uniform on the sphere in d + 1
 dimensions and independent of C, then M diag(1, C) is Haar on SO(d + 1).
-Sweep i = n - 1, ..., 1, with d = n - i, takes d + 1 standard normals g,
-whose direction u = g / |g| is uniform on that sphere (Muller, Comm. ACM
-2, 1959), and multiplies the trailing (d + 1) x (d + 1) block of the
-product so far, which is diag(1, C), by one step M: the Householder
-reflection that takes e_0 to -sign(g_0) u (Householder, J. ACM 5, 1958),
-times diag(-sign(g_0), sign(g_0), 1, ..., 1), so that M e_0 = u and
-det M = 1 for every draw.  Starting from SO(1) = {1}, the product of the
-steps is Haar on SO(n); F SO(n), F = diag(-1, 1, ..., 1), is the other
-coset of O(n), so one fair bit per draw, which flips the sign of row 0,
-makes the draw Haar on O(n).  A step with det -1 on some draws and +1 on
-others would not: the bit flips the coset, not the law within it.  An
-independent oracle, the Q factor of a Gaussian matrix with diag(R) made
-positive, is provided for cross-validation.
+The algorithm may start from any Haar block.  For n >= 3 it starts from
+SO(3): 4 standard normals q, whose direction is uniform on the 3-sphere,
+read as a quaternion give the rotation R(q / |q|), Haar on SO(3)
+(Shoemake, Graphics Gems III, 1992), in the trailing 3 x 3 block of the
+identity; for n <= 2 it starts from SO(1) = {1}.  Then each sweep
+i = n - 3, ..., 1 (i = n - 1, ..., 1 for n <= 2), with d = n - i, takes
+d + 1 standard normals g, whose direction u = g / |g| is uniform on that
+sphere (Muller, Comm. ACM 2, 1959), and multiplies the trailing
+(d + 1) x (d + 1) block of the product so far, which is diag(1, C), by
+one step M: the Householder reflection that takes e_0 to -sign(g_0) u
+(Householder, J. ACM 5, 1958), times diag(-sign(g_0), sign(g_0), 1, ...,
+1), so that M e_0 = u and det M = 1 for every draw.  So the product of
+the steps and the starting block is Haar on SO(n); F SO(n),
+F = diag(-1, 1, ..., 1), is the other coset of O(n), so one fair bit per
+draw, which flips the sign of row 0, makes the draw Haar on O(n).  A
+step with det -1 on some draws and +1 on others would not: the bit flips
+the coset, not the law within it.  An independent oracle, the Q factor
+of a Gaussian matrix with diag(R) made positive, is provided for
+cross-validation.
 
 The sampler builds matrices in blocks of BLOCK // n draws.  Each block
-consumes the stream sweep by sweep, in the order the sweeps run: sweep
-i = n - 1, ..., 1 draws its own (d + 1, m) normals just before its step,
-n(n+1)/2 - 1 per draw in all, and after the last sweep the block draws
-its m reflection bits, one per draw.  So a block holds n rows of normals,
-not all of them.  A block is held draw-minor, as
+consumes the stream in the order it uses it: for n >= 3 first its
+(4, m) quaternion normals, then each sweep's own (d + 1, m) normals just
+before its step, n(n+1)/2 - 2 per draw in all (n(n+1)/2 - 1 for
+n <= 2), and after the last sweep its m reflection bits, one per draw.
+So a block holds one call's normals at a time, not all of them.  At
+n = 3 no sweep runs.  A block is held draw-minor, as
 ``rows[row, col, draw]``, so a step is one contraction along the draw
 axis and one rank-1 update of the trailing block, a few long numpy calls
 per sweep whatever its width.  The Monte Carlo statistics take the
@@ -54,11 +61,14 @@ def as_generator(rng) -> np.random.Generator:
 #: Matrix entries in one row of a realized block, which holds BLOCK // n
 #: draws: the block takes n * 128 KB, and the statistics overwrite it in
 #: place or read it in chunks, so no second block is made.  Its normals
-#: take the widest sweep's n rows, 128 KB, since each sweep draws its own
-#: into the same buffer.  A step's contraction takes n rows of BLOCK // n
-#: doubles, its rank-1 update UPDATE_ROWS rows of the widest sweep,
-#: UPDATE_ROWS * (n - 1), and its per-draw radius, sign and scale three:
-#: 5n rows with the normals, 640 KB at most.  On two threads at n = 30
+#: take the widest call's rows, since the quaternion and each sweep draw
+#: theirs into the same buffer: the widest sweep's n, 128 KB, or at n = 3,
+#: where no sweep runs, the quaternion's 4.  A step's contraction takes n
+#: rows of BLOCK // n doubles, its rank-1 update UPDATE_ROWS rows of the
+#: widest sweep, UPDATE_ROWS * (n - 1), and its per-draw radius, sign and
+#: scale three: 5n rows with the normals, 640 KB at most.  At n = 3, where
+#: no step runs, the buffers take 16 rows (9 of matrices, 4 of normals and
+#: 3 per-draw), about 700 KB.  On two threads at n = 30
 #: (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower than
 #: 2**14: a smaller block spends more of each call in Python, holding the
 #: GIL.  2**15 ran about 14% faster (two shards of 4000 draws, median
@@ -69,6 +79,59 @@ BLOCK = 2**14
 #: Rows of the widest sweep's trailing block that one multiply and one add
 #: of the rank-1 update cover; a narrower sweep takes more rows per call.
 UPDATE_ROWS = 3
+
+
+def _direct_zeros(g: np.ndarray) -> None:
+    """Set the first entry of each all-zero column of ``g`` to 1, in place.
+
+    An all-zero draw of normals (numpy's normals include +-0.0) has no
+    direction; taking it as e_0 makes its step, or its rotation, the
+    identity.
+    """
+    if not g[0].all():  # an all-zero column starts with a zero
+        g[0][~g.any(axis=0)] = 1.0
+
+
+def _quaternion_base(rows: np.ndarray, q: np.ndarray, draws: np.ndarray) -> None:
+    """Write R(q / |q|) into the trailing 3 x 3 block of the draw-minor (n, n, m) ``rows``.
+
+    ``rows`` is C-contiguous; ``q`` holds the block's (4, m) normals
+    (w, x, y, z), whose direction is uniform on the 3-sphere, so
+    R(q / |q|) is Haar on SO(3) (Shoemake, Graphics Gems III, 1992);
+    ``draws`` is two (m) rows of scratch.  R is taken in its
+    Euler-Rodrigues form for a quaternion of any length,
+    R = I + s (w [v]x + [v]x^2), [v]x^2 = v v' - |v|^2 I, s = 2 / |q|^2:
+    with T = |v|^2 = x^2 + y^2 + z^2 and |q|^2 = w^2 + T, each sum added
+    from left to right, the diagonal is 1 + s (v_i^2 - T) and the entry
+    (i, j) off it s (v_i v_j -+ w v_k).  Every call is elementwise along
+    the draw axis, so no draw's bits depend on the block; an all-zero q is
+    taken as (1, 0, 0, 0), whose R is the identity.  The other entries of
+    ``rows`` are left as they are.
+    """
+    n, m = rows.shape[1], rows.shape[2]
+    _direct_zeros(q)
+    scale, total = draws
+    w, v = q[0], q[1:]
+    corner = rows[n - 3 :, n - 3 :]
+    np.multiply(v[:, None], v, out=corner)
+    # entry (j, k) of the 3 x 3 block is flat row b + j n + k
+    flat, b, e = rows.reshape(n * n, m), (n - 3) * (n + 1), n + 1
+    diagonal = flat[b : b + 2 * e + 1 : e]
+    np.add(diagonal[0], diagonal[1], out=total)
+    total += diagonal[2]
+    np.multiply(w, w, out=scale)
+    scale += total
+    np.divide(2.0, scale, out=scale)
+    diagonal -= total
+    v *= w
+    below = flat[b + n : b + n + e + 1 : e]  # (1, 0) and (2, 1): + w z and + w x
+    below += v[::-2]
+    above = flat[b + 1 : b + e + 2 : e]  # (0, 1) and (1, 2): - w z and - w x
+    above -= v[::-2]
+    np.add(flat[b + 2], v[1], out=flat[b + 2])  # (0, 2): + w y
+    np.subtract(flat[b + 2 * n], v[1], out=flat[b + 2 * n])  # (2, 0): - w y
+    corner *= scale
+    diagonal += 1.0
 
 
 def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray, draws: np.ndarray) -> None:
@@ -100,8 +163,7 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
     d = len(g) - 1
     m = g.shape[1]
     g0, tail = g[0], g[1:]
-    if not g0.all():  # an all-zero g starts with a zero
-        g0[~g.any(axis=0)] = 1.0
+    _direct_zeros(g)
     radius, sign, scale = draws
     np.copysign(1.0, g0, out=sign)
     corner[1, 1:] *= sign
@@ -128,38 +190,53 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
 def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks, m <= BLOCK // n.
 
-    Each block of m draws makes n calls on ``rng``: sweep i = n - 1, ...,
-    1, with d = n - i, draws its d + 1 rows of normals by one
-    ``rng.standard_normal(out=...)`` into a reused (n, m) buffer just
-    before its step, and after the last sweep ``rng.integers(0, 2,
-    size=m)`` draws the reflection bits, one per draw.  The sweeps are
-    applied to the identity from the left, i from n - 1 down to 1 (the
-    subgroup algorithm): before sweep i the product is diag(I_i, C), C in
-    SO(d) Haar, and ``_step`` multiplies its trailing (d + 1) x (d + 1)
-    block diag(1, C) by one M in SO(d + 1) with M e_0 = g / |g|, uniform
-    on the sphere, which leaves M diag(1, C) Haar on SO(d + 1).  A block
-    is held as ``rows[row, col, draw]``, so a step is O(1) numpy calls
-    over the whole corner along the draw axis, plus its rank-1 update in
-    calls of UPDATE_ROWS rows of the widest sweep.  The product of the
-    steps is Haar on SO(n); a draw's reflection bit b becomes the sign
-    1 - 2b, which multiplies row 0 in place, and F SO(n),
+    Each block of m draws makes its calls on ``rng`` in the order it uses
+    them, every normal call one ``rng.standard_normal(out=...)`` into a
+    reused buffer of the widest call's rows.  For n >= 3 the block first
+    draws its (4, m) quaternions, and ``_quaternion_base`` writes their
+    rotations, Haar on SO(3), into the trailing 3 x 3 block of the
+    identity.  Then sweep i = n - 3, ..., 1 (i = n - 1, ..., 1 for
+    n <= 2, from SO(1) = {1}), with d = n - i, draws its d + 1 rows of
+    normals just before its step: n(n+1)/2 - 2 normals per draw in all
+    for n >= 3, none of them in a sweep at n = 3, and n(n+1)/2 - 1 for
+    n <= 2.  After the last sweep ``rng.integers(0, 2, size=m)`` draws the
+    reflection bits, one per draw.  The sweeps are applied from the left
+    (the subgroup algorithm): before sweep i the product is diag(I_i, C),
+    C in SO(d) Haar, and ``_step`` multiplies its trailing
+    (d + 1) x (d + 1) block diag(1, C) by one M in SO(d + 1) with
+    M e_0 = g / |g|, uniform on the sphere, which leaves M diag(1, C) Haar
+    on SO(d + 1).  A block is held as ``rows[row, col, draw]``, so the
+    quaternion block and each step are O(1) numpy calls over the whole
+    corner along the draw axis, plus a step's rank-1 update in calls of
+    UPDATE_ROWS rows of the widest sweep.  The product is Haar on SO(n);
+    a draw's reflection bit b becomes the sign 1 - 2b, which multiplies
+    row 0 in place, and F SO(n),
     F = diag(-1, 1, ..., 1), is the other coset, so the draws are Haar on
     O(n).  Each block is yielded in the one buffer that the next
     overwrites.
     """
     size = max(1, min(count, BLOCK // n))
-    normal_buf = np.empty(n * size)
+    base = 3 if n >= 3 else 1  # the sweeps start from diag(I_(n - base), SO(base))
+    widest = n if base < n else 0  # the normals of the widest sweep, if any sweep runs
+    normal_buf = np.empty(max(widest, 4 if base == 3 else 0) * size)
     row_buf = np.empty(n * n * size)
-    dots_buf = np.empty(n * size)
-    work = np.empty(UPDATE_ROWS * (n - 1) * size)
+    dots_buf = np.empty(widest * size)
+    work = np.empty(UPDATE_ROWS * (n - 1) * size if widest else 0)
     draw_buf = np.empty(3 * size)
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
         m = min(size, count - start)
         rows = row_buf[: n * n * m].reshape(n, n, m)
-        rows[...] = eye
         draws = draw_buf[: 3 * m].reshape(3, m)
-        for i in range(n - 1, 0, -1):
+        if base == 3:
+            rows[: n - 3] = eye[: n - 3]
+            rows[n - 3 :, : n - 3] = 0.0
+            q = normal_buf[: 4 * m].reshape(4, m)
+            rng.standard_normal(out=q)
+            _quaternion_base(rows, q, draws[:2])
+        else:
+            rows[...] = eye
+        for i in range(n - base, 0, -1):
             d = n - i
             g = normal_buf[: (d + 1) * m].reshape(d + 1, m)
             rng.standard_normal(out=g)
@@ -177,10 +254,11 @@ def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
 
     Entry [i, j, k] of a block is entry (i, j) of its draw k.  Blocks are
     drawn and realized as they are consumed, each with its own normals,
-    sweep by sweep, and then its own reflection bits, one per draw, from
-    ``rng``, each into the one buffer that the next overwrites, which the
-    caller may overwrite too; so a caller holds one block of matrices and
-    n rows of normals at a time, whatever ``count``.  Transposed to
+    the quaternions' first for n >= 3 and then sweep by sweep, and then
+    its own reflection bits, one per draw, from ``rng``, each into the one
+    buffer that the next overwrites, which the caller may overwrite too;
+    so a caller holds one block of matrices and one call's rows of normals
+    (n, or 4 at n = 3) at a time, whatever ``count``.  Transposed to
     (m, n, n) and concatenated, the blocks are the bits of
     sample_orthogonal_batch.
     """
@@ -196,9 +274,10 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
     is bit-reproducible.  The draws come in blocks of BLOCK // n, and each
-    block draws each sweep's normals as the sweep runs, then one
-    reflection bit per draw, which flips the sign of row 0 (see
-    ``_realize``).
+    block draws 4 normals per draw for its quaternion block when n >= 3,
+    then each sweep's normals as the sweep runs, n(n+1)/2 - 2 per draw in
+    all (n(n+1)/2 - 1 for n <= 2), then one reflection bit per draw, which
+    flips the sign of row 0 (see ``_realize``).
     """
     blocks = _sample_blocks(n, count, rng)
     out = np.empty((count, n, n))

@@ -134,8 +134,9 @@ def _summarize(exact, reference: float, moments: Moments) -> MomentReport:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each shard draws its matrices block by block (each sweep's normals as
-    it runs, then the block's reflection bits) and reduces
+    Each shard draws its matrices block by block (the quaternion normals
+    for n >= 3, each sweep's normals as it runs, then the block's
+    reflection bits) and reduces
     ``statistic(block) -> values`` to the block's (count, mean, M2) at
     once, so it holds one block of draws and its values, whatever the
     budget.  A block is the sampler's

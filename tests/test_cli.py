@@ -613,6 +613,19 @@ class TestEstimate:
         assert result.stdout == ""
         assert f"Error: {kind} takes no {unused}\n" in result.output
 
+    @pytest.mark.parametrize("kind", [kind for kind in KIND_OPTIONS if kind != "exp-series"])
+    @pytest.mark.parametrize("value", ("20", "12"))
+    def test_max_degree_on_a_kind_that_does_not_read_it_is_usage_error(self, runner, kind, value):
+        # only exp-series reads --max-degree; given to any other kind, even at
+        # its default value, it is refused like any option the kind does not take
+        options = {**KIND_OPTIONS[kind], "--max-degree": value}
+        result = runner.invoke(
+            main, ["estimate", kind, "--A", "1,2", *sum(options.items(), ()), "--samples", "100"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"Error: {kind} takes no --max-degree\n" in result.output
+
 
 class TestDimensionFlag:
     def test_matching_dimension_accepted(self, runner):

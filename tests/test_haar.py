@@ -31,45 +31,74 @@ def rounded_ks(xs, ys):
     return ks_2samp(np.round(xs, 12), np.round(ys, 12)).pvalue
 
 
+def stream_calls(n):
+    """The calls on the normal stream that make one block, in order, as (name, rows per draw).
+
+    At n >= 3 the block first draws its quaternions, 4 normals per draw,
+    and then each sweep i = n - 3, ..., 1 draws n - i + 1; at n <= 2 the
+    sweeps i = n - 1, ..., 1 start from SO(1) = {1}.
+    """
+    base = [("base", 4)] if n >= 3 else []
+    first = n - 3 if n >= 3 else n - 1
+    return base + [(i, n - i + 1) for i in range(first, 0, -1)]
+
+
 def normal_rows(n):
-    """Normals per draw: sweep i = 1, ..., n - 1 takes n - i + 1 of them, in turn."""
-    return n * (n + 1) // 2 - 1
+    """Normals per draw: n(n+1)/2 - 2 at n >= 3, n(n+1)/2 - 1 below."""
+    return sum(width for _, width in stream_calls(n))
+
+
+def split_normals(n, normals):
+    """Each call's (count, rows) normals by name, from (count, normal_rows(n)) normals in stream order."""
+    out, first = {}, 0
+    for name, width in stream_calls(n):
+        out[name] = normals[:, first : first + width]
+        first += width
+    return out
 
 
 def strided_reference_draw(n, count, rng):
     """(count, rows) normals and (count,) bits, drawn as sample_orthogonal_batch draws them.
 
-    Per block of BLOCK // n draws, each sweep's normals in one (d + 1, m)
-    draw, sweep i = n - 1 first, then the block's m bits, one per draw.
-    The normals are laid out as ``sweep_normals`` reads them, sweep 1
-    first.
+    Per block of BLOCK // n draws, each call of ``stream_calls`` in one
+    (rows, m) draw, in turn, then the block's m bits, one per draw.  The
+    normals of a draw are laid out in the same order.
     """
     size = max(1, min(count, BLOCK // n))
     normals, bits = [], []
     for start in range(0, count, size):
         m = min(size, count - start)
-        block, last = np.empty((normal_rows(n), m)), normal_rows(n)
-        for i in range(n - 1, 0, -1):
-            block[last - (n - i + 1) : last] = rng.standard_normal((n - i + 1, m))
-            last -= n - i + 1
-        normals.append(block.T)
+        calls = [rng.standard_normal((width, m)) for _, width in stream_calls(n)]
+        normals.append(np.concatenate(calls or [np.empty((0, m))]).T)
         bits.append(rng.integers(0, 2, size=m))
     return np.concatenate(normals), np.concatenate(bits)
-
-
-def sweep_normals(n, normals):
-    """Sweep i's (count, n - i + 1) normals by i: sweep 1 takes the first rows, in turn."""
-    out, first = {}, 0
-    for i in range(1, n):
-        out[i] = normals[:, first : first + n - i + 1]
-        first += n - i + 1
-    return out
 
 
 def reflect_row_zero(q, bits):
     """Each draw of a (count, n, n) stack with row 0 times 1 - 2 b, b its bit, in place."""
     q[:, 0] *= (1.0 - 2.0 * bits)[:, None]
     return q
+
+
+def quaternion_rotation(quats):
+    """Row-major (count, 3, 3) rotations R(q / |q|) of (count, 4) quaternions q = (w, x, y, z).
+
+    The textbook formula R = I + 2 / |q|^2 (w [v]x + [v]x^2) (Euler and
+    Rodrigues) for the quaternion (w, v) of any length, written entry by
+    entry with [v]x^2 = v v' - |v|^2 I; sums add from left to right.  An
+    all-zero q is taken as (1, 0, 0, 0): the identity.
+    """
+    quats = quats.copy()
+    quats[~quats.any(axis=1), 0] = 1.0
+    w, x, y, z = quats.T
+    vv = x * x + y * y + z * z
+    s = 2.0 / (w * w + vv)
+    entries = [
+        [1.0 + s * (x * x - vv), s * (x * y - w * z), s * (x * z + w * y)],
+        [s * (y * x + w * z), 1.0 + s * (y * y - vv), s * (y * z - w * x)],
+        [s * (z * x - w * y), s * (z * y + w * x), 1.0 + s * (z * z - vv)],
+    ]
+    return np.stack([np.stack(row, axis=1) for row in entries], axis=1)
 
 
 def strided_reference_step(q, i, g):
@@ -103,16 +132,40 @@ def strided_reference_step(q, i, g):
 def strided_reference_realize(n, normals, bits):
     """Matrices from (count, rows) normals and (count,) bits on a C-ordered stack.
 
-    The subgroup order: the steps are applied to the identity from the
-    left, sweep n - 1 first, each on the trailing rows and columns
-    i - 1, ..., n - 1, and then row 0 of each draw is reflected by its bit.
-    The package's draw-minor sweep must reproduce it bit for bit.
+    The subgroup order: at n >= 3 the trailing 3 x 3 block of the
+    identity becomes the quaternion's rotation, then the steps are applied
+    from the left, sweep by sweep in stream order, each on the trailing
+    rows and columns i - 1, ..., n - 1, and then row 0 of each draw is
+    reflected by its bit.  The package's draw-minor sweep must reproduce it
+    bit for bit.
     """
     q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
-    by_sweep = sweep_normals(n, normals)
-    for i in range(n - 1, 0, -1):
-        strided_reference_step(q, i, by_sweep[i])
+    for name, g in split_normals(n, normals).items():
+        if name == "base":
+            q[:, n - 3 :, n - 3 :] = quaternion_rotation(g)
+        else:
+            strided_reference_step(q, name, g)
     return reflect_row_zero(q, bits)
+
+
+def dense_base(n, quat):
+    """The quaternion block of one draw as a dense n x n matrix: diag(I_(n-3), R).
+
+    R has entries 1 - 2 (y^2 + z^2), 2 (x y - w z), ... in u = q / |q|,
+    by ``np.linalg.norm``: Shoemake's form, which rounds differently from
+    ``quaternion_rotation``; the identity for an all-zero q.
+    """
+    out = np.eye(n)
+    radius = np.linalg.norm(quat)
+    if radius == 0.0:
+        return out
+    w, x, y, z = quat / radius
+    out[n - 3 :, n - 3 :] = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return out
 
 
 def dense_step(n, i, g):
@@ -138,18 +191,21 @@ def dense_step(n, i, g):
 
 
 def left_to_right_product(n, normals, bits):
-    """The same matrices as dense products F^b E_1 E_2 ... E_(n-1), formed left to right.
+    """The same matrices as dense products F^b E_1 E_2 ... E_k B, formed left to right.
 
-    E_i is sweep i's ``dense_step``.  It rounds differently from the
-    subgroup order and builds each step from its definition, so it is an
-    independent check of the product, not of its bits.
+    E_i is sweep i's ``dense_step``, k = n - 3 (n - 1 at n <= 2), and B the
+    ``dense_base`` (the identity at n <= 2).  It rounds differently from
+    the subgroup order and builds each factor from its definition, so it
+    is an independent check of the product, not of its bits.
     """
-    by_sweep = sweep_normals(n, normals)
+    by_call = split_normals(n, normals)
     out = np.empty((len(bits), n, n))
     for k in range(len(bits)):
         q = np.eye(n)
-        for i in range(1, n):
-            q = q @ dense_step(n, i, by_sweep[i][k])
+        for i in range(1, n - 2 if n >= 3 else n):
+            q = q @ dense_step(n, i, by_call[i][k])
+        if n >= 3:
+            q = q @ dense_base(n, by_call["base"][k])
         out[k] = q
     return reflect_row_zero(out, bits)
 
@@ -162,19 +218,18 @@ def strided_reference_batch(n, count, rng):
 class FixedNormals:
     """A generator stand-in: fixed normals, and bits from a generator seeded with ``seed``.
 
-    The (rows, count) normals are laid out as ``sweep_normals`` reads
-    them, sweep 1 first; the sampler draws sweep n - 1 first, so each
-    call is served the last rows not yet served.  With ``seed=None``
-    every bit is 0: no draw is reflected.
+    The (rows, count) normals are laid out in stream order, so each call
+    is served the first rows not yet served.  With ``seed=None`` every bit
+    is 0: no draw is reflected.
     """
 
     def __init__(self, normals, seed):
-        self.normals, self.last = normals, len(normals)
+        self.normals, self.first = normals, 0
         self.bits = None if seed is None else np.random.default_rng(seed)
 
     def standard_normal(self, out):
-        out[...] = self.normals[self.last - len(out) : self.last]
-        self.last -= len(out)
+        out[...] = self.normals[self.first : self.first + len(out)]
+        self.first += len(out)
         return out
 
     def integers(self, low, high, size):
@@ -208,11 +263,11 @@ def signs(n, bits):
 
 
 def special_sweeps(width):
-    """Normals of one sweep with exact zeros in its step.
+    """Normals of one call, a sweep or a quaternion, with exact zeros in its step or rotation.
 
     Every vector of +-0.0 and +-1.0: one-hot vectors, equal magnitudes,
-    signed zeros and all-zero sweeps, where a step that skips rows or
-    reorders its roundings flips signed zeros.
+    signed zeros and all-zero calls, where a step or rotation that skips
+    rows or reorders its roundings flips signed zeros.
     """
     return list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=width))
 
@@ -228,12 +283,15 @@ class TestRealize:
         assert np.allclose(q, signs(2, bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
-        # normals e_0 times a positive scale: each step is the identity
-        normals = np.zeros((normal_rows(3), 16))
-        normals[[0, 3]] = np.linspace(0.5, 2.0, 16)
-        qs, bits = realize_with_twin(3, normals, 2)
-        assert bits.any() and not bits.all()  # the seed reaches the reflection and the identity
-        assert np.array_equal(qs, signs(3, bits))
+        # every call's normals e_0 times a positive scale: the quaternion
+        # block and each step are the identity
+        for n in (3, 4, 6):
+            normals = np.zeros((normal_rows(n), 16))
+            first = np.cumsum([0] + [width for _, width in stream_calls(n)][:-1])
+            normals[first] = np.linspace(0.5, 2.0, 16)
+            qs, bits = realize_with_twin(n, normals, 2)
+            assert bits.any() and not bits.all()  # the seed reaches the reflection and the identity
+            assert np.array_equal(qs, signs(n, bits)), n
 
     def test_rotation_times_inverse(self):
         theta = 1.2
@@ -262,14 +320,14 @@ class TestRealize:
         assert bits.any() and not bits.all()
         assert np.all(np.abs(np.linalg.det(got) - (1.0 - 2.0 * bits)) <= 1e-12)
 
-    @pytest.mark.parametrize("n", (2, 3, 5, 30))
+    @pytest.mark.parametrize("n", (2, 4, 5, 30))
     def test_first_column_is_the_first_sweep_direction(self, n):
         # column 0 of a draw is F^b g / |g|, g the normals of sweep 1 (the
-        # first n rows), |g| the square root of g_0^2 + ... + g_(n-1)^2 added
+        # last n rows), |g| the square root of g_0^2 + ... + g_(n-1)^2 added
         # in that order: the step's einsum adds its terms from k = 0 up
         normals = np.random.default_rng(90 + n).standard_normal((normal_rows(n), 300))
         got, bits = realize_with_twin(n, normals, n)
-        g = normals[:n]
+        g = normals[-n:]
         total = np.zeros(300)
         for x in g:
             total = total + x * x
@@ -277,10 +335,20 @@ class TestRealize:
         want[0] *= 1.0 - 2.0 * bits
         assert np.array_equal(got[:, :, 0].view(np.int64), want.T.view(np.int64))
 
+    def test_three_dimensional_draw_is_the_quaternion_rotation(self):
+        # at n = 3 no step runs: a draw is F^b R(q / |q|), R built entry by
+        # entry from the textbook formula on a row-major 3 x 3, bit for bit
+        normals = np.random.default_rng(95).standard_normal((4, 300))
+        got, bits = realize_with_twin(3, normals, 3)
+        assert bits.any() and not bits.all()
+        want = reflect_row_zero(quaternion_rotation(normals.T), bits)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_special_angles_match_strided_reference(self, n):
-        # special normals give steps with exact zeros in their entries
-        choices = [special_sweeps(n - i + 1) for i in range(1, n)]
+        # special normals give steps and quaternion blocks with exact zeros
+        # in their entries
+        choices = [special_sweeps(width) for _, width in stream_calls(n)]
         rng = np.random.default_rng(n)
         if math.prod(map(len, choices)) <= 2000:
             picks = itertools.product(*choices)
@@ -288,26 +356,26 @@ class TestRealize:
             picks = zip(*(np.array(sweeps)[rng.integers(0, len(sweeps), 2000)] for sweeps in choices))
         normals = np.array([np.concatenate(pick) for pick in picks]).T
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an all-zero sweep warns nothing
+            warnings.simplefilter("error")  # an all-zero call warns nothing
             got, bits = realize_with_twin(n, normals, n)
         expected = strided_reference_realize(n, normals.T, bits)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_zero_tails_are_identity_rotations(self, n):
-        # numpy's normals include +-0.0; a sweep whose normals are all zero
-        # would make its step 0 / 0 and every entry of the draw NaN, and is
-        # the identity instead.  Shorter zero tails g_r = ... = g_d = 0, r > 0,
-        # are no special case, and every draw matches the reference
+        # numpy's normals include +-0.0; a sweep or a quaternion whose normals
+        # are all zero would make its step or its rotation 0 / 0 and every
+        # entry of the draw NaN, and is the identity instead.  Shorter zero
+        # tails g_r = ... = 0, r > 0, are no special case, and every draw
+        # matches the reference
         rng = np.random.default_rng(40 + n)
         normals = rng.standard_normal((normal_rows(n), 300))
         first = 0
-        for i in range(1, n):
-            d = n - i
+        for _, width in stream_calls(n):
             for draw in range(300):
-                r = rng.integers(0, d + 2)  # r = d + 1 leaves the sweep as drawn
-                normals[first + r : first + d + 1, draw] = rng.choice((0.0, -0.0), d + 1 - r)
-            first += d + 1
+                r = rng.integers(0, width + 1)  # r = width leaves the call as drawn
+                normals[first + r : first + width, draw] = rng.choice((0.0, -0.0), width - r)
+            first += width
         normals[:, :10] = rng.choice((0.0, -0.0), (normal_rows(n), 10))  # every step the identity
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -333,6 +401,21 @@ class TestRealize:
                 haar._step(corner, g, np.empty((d + 1, m)), np.empty(d * d * m), np.empty((3, m)))
             assert np.array_equal(corner, before), d
 
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_zero_quaternion_is_identity(self, n):
+        # an all-zero q has no direction either: the trailing 3 x 3 block is
+        # the identity, in value, with no warning, whatever the signs of its
+        # zeros, and the entries outside it are left as they were
+        m = 8
+        rows = np.random.default_rng(n).standard_normal((n, n, m))
+        want = rows.copy()
+        want[n - 3 :, n - 3 :] = np.eye(3)[:, :, None]
+        q = np.random.default_rng(n).choice((0.0, -0.0), (4, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            haar._quaternion_base(rows, q, np.empty((2, m)))
+        assert np.array_equal(rows, want)
+
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
         qs = sample_orthogonal_batch(n, 10, np.random.default_rng(91))
@@ -340,24 +423,26 @@ class TestRealize:
         assert np.all(np.abs(np.abs(np.linalg.det(qs)) - 1.0) < 1e-10)
 
     def test_sampler_scratch_is_capped(self):
-        # the sampler holds its block (n^2 doubles per draw), one sweep's
-        # normals (n), the step's dots (n), rank-1 update scratch
-        # (UPDATE_ROWS (n - 1)) and three per-draw rows, plus numpy's
+        # the sampler holds its block (n^2 doubles per draw), the widest
+        # call's normals (the sweep's n, or the quaternion's 4 at n = 3), and
+        # when a sweep runs the step's dots (n) and rank-1 update scratch
+        # (UPDATE_ROWS (n - 1)); then three per-draw rows, plus numpy's
         # transients: one int64 row of bits, and the ufunc buffers of
         # np.getbufsize() elements that broadcast in-place updates take,
         # about two at n = 30 (measured), three allowed
-        n, count = 30, 5_000
-        size = BLOCK // n
-        rows = n * n + n + n + haar.UPDATE_ROWS * (n - 1) + 3 + 1
-        cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
-        sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
-        tracemalloc.start()
-        try:
-            assert sum(block.shape[2] for block in _sample_blocks(n, count, 3)) == count
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= cap, (peak, cap)
+        for n, count in ((3, 20_000), (30, 5_000)):
+            size = BLOCK // n
+            steps = 0 if n == 3 else n + haar.UPDATE_ROWS * (n - 1)
+            rows = n * n + max(n, 4) + steps + 3 + 1
+            cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
+            sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
+            tracemalloc.start()
+            try:
+                assert sum(block.shape[2] for block in _sample_blocks(n, count, 3)) == count
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= cap, (n, peak, cap)
 
 
 class TestOrthogonalityCheck:
@@ -409,9 +494,10 @@ class TestDeterminism:
         ),
     )
     def test_batch_matches_strided_reference(self, n, count):
-        # per block, sweep i = n - 1, ..., 1 draws its own (d + 1, m) normals,
-        # then the block draws its m bits: a twin generator that makes those
-        # calls gives the same matrices, bit for bit, and ends in the same state
+        # per block, the quaternions' (4, m) normals at n >= 3, then each
+        # sweep's own (d + 1, m) normals as it runs, then the block's m bits:
+        # a twin generator that makes those calls gives the same matrices,
+        # bit for bit, and ends in the same state
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         batch = sample_orthogonal_batch(n, count, rng)
         reference = strided_reference_batch(n, count, ref_rng)
@@ -498,21 +584,30 @@ class TestSamplerStatistics:
 
 
 class TestStepLaw:
-    """The first entry of a draw, by the law of a Haar draw's corner.
+    """The corner entries of a draw, by the law of a Haar draw's entry.
 
-    Q_00 is u_0 = g_0 / |g| for the n normals g of sweep 1, flipped by the
-    reflection bit, so Q_00^2 is Beta(1/2, (n - 1) / 2).  Seed, sample
-    size and the p-value bound were fixed before the first run; a step
-    that takes the wrong normals or the wrong radius moves the law far
-    beyond it.
+    Every entry Q_ij^2 of a Haar draw is Beta(1/2, (n - 1) / 2).  For
+    n != 3, Q_00 is u_0 = g_0 / |g| for the n normals g of sweep 1, flipped
+    by the reflection bit; at n = 3 it is an entry of the quaternion's
+    rotation.  Q_(n-1)(n-1) is made by the quaternion block alone at n = 3,
+    and at n = 4 by it under one Householder step.  Seeds, sample size and
+    the p-value bound were fixed before the first run; a step or a
+    rotation that takes the wrong normals or the wrong radius moves the
+    law far beyond it.
     """
 
     SAMPLES, P_MIN = 20_000, 1e-3
 
-    @pytest.mark.parametrize("n", (2, 3, 5, 30))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 30))
     def test_corner_square_is_beta(self, n):
         qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(16))
         p = kstest(qs[:, 0, 0] ** 2, beta(0.5, (n - 1) / 2).cdf).pvalue
+        assert p > self.P_MIN, p
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_last_corner_square_is_beta(self, n):
+        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(17))
+        p = kstest(qs[:, -1, -1] ** 2, beta(0.5, (n - 1) / 2).cdf).pvalue
         assert p > self.P_MIN, p
 
 
