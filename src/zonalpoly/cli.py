@@ -161,7 +161,7 @@ def table(degree: int, basis: str, fmt: str) -> None:
     rows = []
     for kappa in columns:
         poly = zonal_row(kappa) if basis == MONOMIAL else zonal_in_powersums(kappa)
-        coefficients = [str(poly.coefficient(lam)) for lam in columns]
+        coefficients = [str(poly.coeffs.get(lam, 0)) for lam in columns]
         rows.append((format_partition(kappa), coefficients, character_degree(kappa)))
     if fmt == "json":
         payload = {

@@ -21,7 +21,6 @@ and ``haar`` are the only ones that import numpy.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -178,6 +177,9 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     if len(chunks) == 1:
         shards = [shard(*chunks[0])]
     else:
+        # imported here: it loads logging, which no single-thread run needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             shards = list(pool.map(shard, *zip(*chunks)))
     base = shards[0][0]

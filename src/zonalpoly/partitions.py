@@ -54,7 +54,7 @@ class Partition(tuple):
 
     def doubled(self) -> "Partition":
         """The partition with every part doubled."""
-        return Partition(2 * p for p in self)
+        return _trusted_partition(2 * p for p in self)
 
     def __repr__(self) -> str:
         return f"Partition({tuple(self)!r})"
@@ -70,12 +70,19 @@ def _trusted_partition(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-def _descending(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
+def _descending(remaining: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``remaining`` into at most ``slots`` parts of at most ``cap``, descending.
+
+    A head h can finish only if h * slots >= remaining, and that fails for
+    every smaller head too, so no branch is walked that yields nothing.
+    """
     if remaining == 0:
         yield ()
         return
     for head in range(min(remaining, cap), 0, -1):
-        for tail in _descending(remaining - head, head):
+        if head * slots < remaining:
+            return
+        for tail in _descending(remaining - head, head, slots - 1):
             yield (head,) + tail
 
 
@@ -88,14 +95,33 @@ def partitions_of(f: int) -> tuple[Partition, ...]:
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
-    return tuple(map(_trusted_partition, _descending(f, f)))
+    return tuple(map(_trusted_partition, _descending(f, f, f)))
+
+
+@lru_cache(maxsize=None)
+def _partitions_capped(f: int, n: int) -> tuple[Partition, ...]:
+    """The partitions of ``f`` with at most ``n`` parts, in the order of ``partitions_of(f)``.
+
+    Enumerated with the cap, so at n = 3 and f = 30 it walks the 91
+    partitions it returns, not all 5604 of f.
+    """
+    if n >= f:
+        return partitions_of(f)
+    return tuple(map(_trusted_partition, _descending(f, f, n)))
 
 
 def conjugate(p: Sequence[int]) -> Partition:
-    """Transpose of the Young diagram; an involution."""
-    if not p:
-        return Partition()
-    return Partition(sum(1 for q in p if q > i) for i in range(p[0]))
+    """Transpose of the Young diagram; an involution.
+
+    Column j holds the i parts of at least j + 1, so reading the parts
+    from the last, part i (counted from 1) fills the columns up to p_i
+    with i.
+    """
+    p = Partition(p)
+    columns: list[int] = []
+    for i in range(len(p), 0, -1):
+        columns += [i] * (p[i - 1] - len(columns))
+    return _trusted_partition(columns)
 
 
 def rho(p: Sequence[int]) -> int:

@@ -15,11 +15,14 @@ The recursion runs on a plan keyed by (f, n) (``_raise_plan``), built
 once on first use: the partitions of f with at most n parts, in the
 order of ``partitions_of(f)``; for each partition g, by its position,
 the numerators of its raising moves, the positions they land on, and
-rho(g); and, for n < f, the orbit sizes m_lam(1^n).  A row is a list of
-integers filled from kappa's position down.  A partition whose raises
-all land on zero coefficients is skipped (its coefficient is zero), and
-that zero-sum skip stands in for a dominance test: only partitions
-strictly below kappa can collect a nonzero sum.  A raising move never
+rho(g); and, for n < f, the orbit sizes m_lam(1^n).  Beside it, one
+``itemgetter`` per partition gathers the coefficients its moves land
+on (``_raise_gathers``).  A row is a list of integers filled from
+kappa's position down, each entry one gather and one ``sum`` of
+products.  A partition whose raises all land on zero coefficients is
+skipped (its coefficient is zero), and that zero-sum skip stands in for
+a dominance test: only partitions strictly below kappa can collect a
+nonzero sum.  A raising move never
 adds a part, so the recursion restricted to at most n parts is closed
 and exact (Koev and Edelman, Math. Comp. 75, 2006).  ``zonal_row`` is
 the case n = f, pinned at m_(1^f) = f!.  Every exact value at n
@@ -29,10 +32,14 @@ n < f stops short of m_(1^f); it is pinned instead by Muirhead's closed
 form (Thm 7.2.7): the sum of c_lam m_lam(1^n) over its coefficients
 must be Z_kappa(I_n).  The plan holds tuples only, so concurrent first
 access can at worst build it twice and no caller can change a shared
-plan.  Cold, all full rows of one degree take about 0.04 s at f = 14
-and 0.08 s at f = 16 (2 cores, Python 3.11), and their power-sum forms
-about 0.17 s and 0.7 s more; the rows capped at 3 parts of every degree
-up to 20 take 0.03 s, against 0.7 s for the full rows.
+plan.  Rows and power-sum forms are built as ``SymPoly`` values
+without re-validation: their keys come from ``partitions_of``, and
+their coefficients are nonzero ints, or reduced Fractions from the
+solve, as they are made.  Cold, all full rows of one
+degree take about 0.008 s at f = 12, 0.022 s at f = 14 and 0.07 s at
+f = 16 (2-core shared VM, Python 3.11), and their power-sum forms about
+0.026 s, 0.10 s and 0.42 s more; the rows capped at 3 parts of every
+degree up to 20 take 0.04 s.
 """
 
 from __future__ import annotations
@@ -44,13 +51,14 @@ from operator import mul
 
 from .partitions import (
     Partition,
+    _partitions_capped,
     _trusted_partition,
     conjugate,
     partitions_of,
     rho,
     sym_group_degree,
 )
-from .symfunc import MONOMIAL, SymPoly, m_to_p
+from .symfunc import MONOMIAL, SymPoly, _gather, _trusted_poly, m_to_p
 
 __all__ = [
     "DataIntegrityError",
@@ -81,18 +89,29 @@ def _raising_moves(g: Partition) -> tuple[tuple[int, Partition], ...]:
 
     Yields (g_i - g_j + 2t, h) where h is the re-sorted result; every
     (i, j, t) choice counts separately even when several produce the same
-    h.  t is capped by g_j, and zero parts are dropped after sorting.
+    h.  t is capped by g_j, and zero parts are dropped.  The choices with
+    the same values (g_i, g_j, t) give the same h, so h is sorted once
+    per value pair and t, and its move repeated once per pair of parts.
     """
     parts = list(g)
+    values = sorted(set(parts), reverse=True)
     moves: list[tuple[int, Partition]] = []
-    for j in range(1, len(parts)):
-        for i in range(j):
-            for t in range(1, parts[j] + 1):
+    for x, a in enumerate(values):
+        for b in values[x:]:
+            ma, mb = parts.count(a), parts.count(b)
+            pairs = ma * mb if a > b else ma * (ma - 1) // 2
+            if not pairs:
+                continue
+            i, j = parts.index(a), parts.index(b) + mb - 1  # the first a, the last b
+            for t in range(1, b + 1):
                 lifted = parts.copy()
                 lifted[i] += t
-                lifted[j] -= t
-                h = _trusted_partition(sorted((x for x in lifted if x), reverse=True))
-                moves.append((parts[i] - parts[j] + 2 * t, h))
+                if t == b:
+                    del lifted[j]
+                else:
+                    lifted[j] -= t
+                lifted.sort(reverse=True)
+                moves += [(a - b + 2 * t, _trusted_partition(lifted))] * pairs
     return tuple(moves)
 
 
@@ -120,7 +139,7 @@ def _raise_plan(f: int, n: int) -> tuple[tuple[Partition, ...], tuple, tuple[int
     plan.  Built once per (f, n) from tuples only, so it is shared
     read-only.
     """
-    parts = tuple(g for g in partitions_of(f) if len(g) <= n)
+    parts = _partitions_capped(f, n)
     position = {lam: i for i, lam in enumerate(parts)}
     steps = []
     for g in parts:
@@ -131,6 +150,12 @@ def _raise_plan(f: int, n: int) -> tuple[tuple[Partition, ...], tuple, tuple[int
         steps.append((tuple(merged.values()), tuple(merged), rho(g)))
     orbits = tuple(_orbit_size(lam, n) for lam in parts) if n < f else ()
     return parts, tuple(steps), orbits
+
+
+@lru_cache(maxsize=None)
+def _raise_gathers(f: int, n: int) -> tuple:
+    """Per step of ``_raise_plan(f, n)``, an ``itemgetter`` of its targets."""
+    return tuple(_gather(targets) for _, targets, _ in _raise_plan(f, n)[1])
 
 
 def _top_coefficient(kappa: Partition) -> int:
@@ -172,13 +197,14 @@ def _recurse(kappa: Partition, n: int) -> SymPoly:
     """
     f = kappa.weight
     parts, steps, orbits = _raise_plan(f, n)
+    gathers = _raise_gathers(f, n)
     top = parts.index(kappa)
     rho_top = steps[top][2]
     coeffs = [0] * len(parts)
     coeffs[top] = _top_coefficient(kappa)
     for pos in range(top + 1, len(parts)):
-        numers, targets, rho_g = steps[pos]
-        acc = sum(map(mul, numers, [coeffs[h] for h in targets]))
+        numers, _, rho_g = steps[pos]
+        acc = sum(map(mul, numers, gathers[pos](coeffs)))
         if not acc:
             continue
         g = parts[pos]
@@ -204,7 +230,7 @@ def _recurse(kappa: Partition, n: int) -> SymPoly:
             raise DataIntegrityError(
                 f"row {kappa!r} on {n} parts sums to Z(I_{n}) = {at_identity}, expected {want}"
             )
-    return SymPoly(f, MONOMIAL, {parts[i]: c for i, c in enumerate(coeffs) if c})
+    return _trusted_poly(f, MONOMIAL, {parts[i]: c for i, c in enumerate(coeffs) if c})
 
 
 @lru_cache(maxsize=None)
@@ -246,8 +272,8 @@ def zonal_in_powersums(kappa) -> SymPoly:
     means a corrupted table and raises DataIntegrityError.
     """
     poly = m_to_p(zonal_row(Partition(kappa)))
-    fractional = {lam: c for lam, c in poly.coeffs.items() if isinstance(c, Fraction)}
-    if fractional:
+    if Fraction in set(map(type, poly.coeffs.values())):  # m_to_p gives int or Fraction
+        fractional = {lam: c for lam, c in poly.coeffs.items() if type(c) is Fraction}
         raise DataIntegrityError(
             f"power-sum coefficients for {Partition(kappa)!r} are not integers: {fractional}"
         )

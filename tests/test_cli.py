@@ -201,21 +201,39 @@ class TestVerify:
         assert "'3..1' is empty" in empty.output
 
 
+def last_line_of_python(code: str) -> str:
+    """The last stdout line of ``code`` run in a fresh interpreter on this package."""
+    src = str(Path(zonalpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.splitlines()[-1]
+
+
 def test_cli_imports_no_scipy():
     # scipy is a test-only dependency, and only the Monte Carlo side needs
     # numpy: the package, the exact layer, table and verify load neither
-    src = str(Path(zonalpoly.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, zonalpoly, zonalpoly.cli, zonalpoly.moments\n"
         "for args in (['table', '--f', '3'], ['verify', '--f', '1..3']):\n"
         "    assert zonalpoly.cli.main(args, standalone_mode=False) in (None, 0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert last_line_of_python(code) == "[]"
+
+
+@pytest.mark.parametrize("threads, pooled", [("1", "False"), ("2", "True")])
+def test_only_a_threaded_estimate_imports_the_thread_pool(threads, pooled):
+    # concurrent.futures loads logging, which a single-thread run never needs
+    code = (
+        "import sys, zonalpoly.cli\n"
+        "args = ['estimate', 'trace-power', '--f', '2', '--A', '1,2', '--B', '3,1',\n"
+        f"        '--samples', '100', '--threads', '{threads}']\n"
+        "zonalpoly.cli.main(args, standalone_mode=False)\n"
+        "print('concurrent.futures' in sys.modules)"
     )
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert last_line_of_python(code) == pooled
 
 
 def test_every_exported_name_resolves():
@@ -246,6 +264,14 @@ class TestOutputBytes:
             (
                 ["table", "--f", "12", "--basis", "powersum", "--format", "json"],
                 "9ffaf076aaafb23abb7d30c886e1a7747847e8d3eda465877645d96b7b9bb798",
+            ),
+            (
+                ["table", "--f", "10", "--basis", "powersum", "--format", "json"],
+                "46d9e79626a0cb75ec1150c57bd1507fac3eed08d83ad2ccbec9e8606e6ef897",
+            ),
+            (
+                ["table", "--f", "11", "--basis", "powersum", "--format", "json"],
+                "6ac39b4841d9dcb75f8e7c71c973b52f5b78a00c7791dc4588af1dba1ae567a2",
             ),
             (
                 ["table", "--f", "12", "--basis", "monomial", "--format", "json"],
@@ -282,6 +308,8 @@ class TestOutputBytes:
         ],
         ids=[
             "table-f12-powersum",
+            "table-f10-powersum",
+            "table-f11-powersum",
             "table-f12-monomial",
             "verify-f1-12",
             "table-f6-powersum-csv",

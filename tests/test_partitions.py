@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zonalpoly.partitions import (
+    _partitions_capped,
     Partition,
     conjugate,
     partitions_of,
@@ -102,6 +103,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             partitions_of(-1)
 
+    @pytest.mark.parametrize("f", range(16))
+    def test_capped_keeps_the_partitions_with_at_most_n_parts(self, f):
+        for n in range(f + 2):
+            capped = _partitions_capped(f, n)
+            assert capped == tuple(p for p in partitions_of(f) if len(p) <= n)
+            assert all(type(p) is Partition for p in capped)
+
+    def test_capped_enumerates_only_what_it_keeps(self):
+        assert len(_partitions_capped(30, 3)) == 91
+        assert _partitions_capped(5, 0) == ()
+        assert _partitions_capped(0, 0) == (Partition(),)
+
 
 class TestDominance:
     def test_single_row_dominates_everything(self):
@@ -142,6 +155,17 @@ class TestConjugate:
     def test_involution(self, f):
         for p in partitions_of(f):
             assert conjugate(conjugate(p)) == p
+
+    @pytest.mark.parametrize("f", range(13))
+    def test_columns_count_the_parts_above_them(self, f):
+        for p in partitions_of(f):
+            conj = conjugate(tuple(p))
+            assert type(conj) is Partition
+            assert conj == tuple(sum(1 for q in p if q > j) for j in range(p[0] if p else 0))
+
+    def test_rejects_a_non_partition(self):
+        with pytest.raises(ValueError):
+            conjugate((1, 3))
 
 
 class TestRho:

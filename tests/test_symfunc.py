@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from zonalpoly.partitions import Partition, partitions_of
-from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, m_to_p, p_to_m
+from zonalpoly.symfunc import (
+    MONOMIAL,
+    POWERSUM,
+    SymPoly,
+    _gather,
+    _power_sum_columns,
+    _substitution_plan,
+    m_to_p,
+    p_to_m,
+)
 from zonalpoly.zonal import zonal_row
 
 
@@ -39,6 +48,28 @@ def monomial_coeffs_from_expansion(expansion, f, n):
             c = expansion.get(lam.padded(n), Fraction(0))
             if c:
                 out[lam] = c
+    return out
+
+
+def dict_p_to_m(lam):
+    """Reference: p_lam multiplied out one power sum at a time, on dicts.
+
+    Merging part k into a partition mu bumps one part value v of mu, or
+    appends a new part for v = 0, and counts the result once per part of
+    value v + k; no positions and no memo.
+    """
+    out = {(): 1}
+    for k in lam:
+        step = {}
+        for mu, c in out.items():
+            for v in set(mu) | {0}:
+                merged = list(mu)
+                if v:
+                    merged.remove(v)
+                merged.append(v + k)
+                nu = tuple(sorted(merged, reverse=True))
+                step[nu] = step.get(nu, 0) + c * nu.count(v + k)
+        out = step
     return out
 
 
@@ -86,6 +117,37 @@ class TestPowerToMonomial:
             expected = monomial_coeffs_from_expansion(expansion, f, f)
             assert dict(p_to_m(lam).coeffs) == expected
 
+    @pytest.mark.parametrize("f", range(13))
+    def test_columns_match_dict_products(self, f):
+        parts = partitions_of(f)
+        columns = _power_sum_columns(f)
+        assert len(columns) == len(parts)
+        for mu, column in zip(parts, columns):
+            positions = [i for i, _ in column]
+            assert positions == sorted(set(positions))
+            assert {parts[i]: b for i, b in column} == dict_p_to_m(mu)
+            assert dict(p_to_m(mu).coeffs) == dict_p_to_m(mu)
+
+    @pytest.mark.parametrize("f", range(1, 11))
+    def test_substitution_plan_is_the_transpose_of_the_columns(self, f):
+        parts = partitions_of(f)
+        plan = _substitution_plan(f)
+        x = [random.Random(f).randint(-9, 9) for _ in parts]
+        for i, (diagonal, finer, weights, gather) in enumerate(plan):
+            column = p_to_m(parts[i]).coeffs
+            assert diagonal == column[parts[i]]
+            assert all(j > i for j in finer)
+            want = {mu: p_to_m(mu).coeffs.get(parts[i], 0) for mu in parts[i + 1 :]}
+            assert {parts[j]: b for j, b in zip(finer, weights)} == {
+                mu: b for mu, b in want.items() if b
+            }
+            assert list(gather(x)) == [x[j] for j in finer]
+
+    @pytest.mark.parametrize("positions", [(), (3,), (0, 4), (4, 1, 2)])
+    def test_gather_returns_a_sequence_for_any_count(self, positions):
+        x = list(range(10, 16))
+        assert list(_gather(positions)(x)) == [x[j] for j in positions]
+
     @pytest.mark.parametrize("f", range(1, 11))
     def test_keys_are_validated_partitions(self, f):
         for lam in partitions_of(f):
@@ -126,11 +188,14 @@ class TestMonomialToPower:
             for c in back.coeffs.values():
                 assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
-    @pytest.mark.parametrize("f", range(1, 13))
+    @pytest.mark.parametrize("f", range(1, 15))
     def test_matches_dict_reference_on_zonal_rows(self, f):
+        # two degrees past the table ceiling: every power-sum form is integral
         for kappa in partitions_of(f):
             row = zonal_row(kappa)
-            assert m_to_p(row) == dict_m_to_p(row)
+            got = m_to_p(row)
+            assert got == dict_m_to_p(row)
+            assert all(type(c) is int for c in got.coeffs.values())
 
     @pytest.mark.parametrize("f", range(1, 9))
     def test_matches_dict_reference_with_fractions(self, f):
@@ -140,6 +205,11 @@ class TestMonomialToPower:
             got = m_to_p(poly)
             assert got == dict_m_to_p(poly)
             assert any(type(c) is Fraction for c in got.coeffs.values())
+            # built unvalidated: the same value the validating constructor keeps
+            assert dict(got.coeffs) == dict(SymPoly(f, POWERSUM, got.coeffs).coeffs)
+            for lam, c in got.coeffs.items():
+                assert type(lam) is Partition and lam.weight == f
+                assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
         rng = random.Random(f)
         for _ in range(5):
             poly = SymPoly(

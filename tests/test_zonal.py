@@ -13,6 +13,7 @@ from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
 from zonalpoly.zonal import (
     DataIntegrityError,
     _capped_row,
+    _raise_gathers,
     _raise_plan,
     _raising_moves,
     character_degree,
@@ -120,6 +121,28 @@ class TestZonalRow:
             ones = [1] * n
             want = tuple(SymPoly(f, MONOMIAL, {g: 1}).evaluate(ones) for g in parts)
             assert orbits == (want if n < f else ())
+
+    @pytest.mark.parametrize("f", range(1, 11))
+    def test_raise_gathers_read_the_targets(self, f):
+        for n in range(1, f + 1):
+            parts, steps, _ = _raise_plan(f, n)
+            coeffs = list(range(100, 100 + len(parts)))
+            gathers = _raise_gathers(f, n)
+            assert len(gathers) == len(steps)
+            for gather, (_, targets, _) in zip(gathers, steps):
+                assert list(gather(coeffs)) == [coeffs[t] for t in targets]
+
+    @pytest.mark.parametrize("f", range(1, 11))
+    def test_trusted_rows_equal_validated_values(self, f):
+        # rows and power-sum forms skip SymPoly's validation: they must be what it keeps
+        for kappa in partitions_of(f):
+            polys = [zonal_row(kappa), zonal_in_powersums(kappa), p_to_m(kappa)]
+            polys += [_capped_row(kappa, n) for n in range(len(kappa), f)]
+            for poly in polys:
+                assert poly == SymPoly(poly.degree, poly.basis, dict(poly.coeffs))
+                for lam, c in poly.coeffs.items():
+                    assert type(lam) is Partition and lam.weight == f
+                    assert type(c) is int and c
 
     def test_corrupted_seed_is_rejected(self, monkeypatch, fresh_rows):
         true_top = zonal._top_coefficient
