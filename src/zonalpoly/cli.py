@@ -280,7 +280,7 @@ def verify(ctx: click.Context, frange: str) -> None:
 def _in_float_range(kind: str, n: int, fn, *args):
     """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error.
 
-    ``n`` is the dimension of the draws: a shard holds one block of up to
+    ``n`` is the dimension of the draws: a lane holds one block of up to
     BLOCK // n of them, whatever the sample budget.
     """
     try:
@@ -294,7 +294,7 @@ def _in_float_range(kind: str, n: int, fn, *args):
 
         raise click.UsageError(
             f"{kind} cannot allocate a block of up to {max(1, BLOCK // n)} draws of "
-            f"{n} x {n} matrices ({exc}); each running shard holds one such block, "
+            f"{n} x {n} matrices ({exc}); each running lane holds one such block, "
             "whatever --samples, so lower --threads or n"
         ) from exc
 
@@ -308,7 +308,13 @@ def _in_float_range(kind: str, n: int, fn, *args):
 @click.option("--kappa", default=None, help="Partition, e.g. 2,1.")
 @click.option("--samples", type=int, default=100_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="64-bit RNG seed.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Worker cap for MC shards.")
+@click.option(
+    "--threads",
+    type=int,
+    default=1,
+    show_default=True,
+    help="Worker threads for MC; they change the speed, not the estimate.",
+)
 @click.option("--max-degree", type=int, default=12, show_default=True, help="Series truncation.")
 def estimate(
     kind: str,

@@ -14,7 +14,7 @@ elementary symmetric functions of the roots, which are weighted sums of
 the squared entries of each draw along the draw axis of the sampler's
 block; above, they are traces of powers of H' D_a H D_b, through a
 batched matmul on row-major copies of a few chunks of the block, so a
-shard holds its block and the chunks, not a second block.  This module
+lane holds its block and the chunks, not a second block.  This module
 and ``haar`` are the only ones that import numpy.
 """
 
@@ -59,22 +59,22 @@ class MomentReport:
     z_score: float
 
 
-def _sample_chunks(samples: int, threads: int, rng) -> list[tuple[int, np.random.Generator]]:
-    """Split a sample budget into (count, stream) shards on independent streams.
+#: The lanes of a sample budget, each on its own spawned stream.  The lanes,
+#: not the threads, fix the draws; threads only set how many lanes run at
+#: once, on up to LANES cores.  A lane costs a stream, sampler buffers and a
+#: partial block: 1 to 16 lanes ran within noise on one thread at n = 3 (1e6
+#: draws), and 2 to 16 on two threads at n = 30 (8000 draws).
+LANES = 8
 
-    With one thread the caller's stream is used directly, so single-thread
-    results depend only on the seed.  Otherwise one child stream is spawned
-    per nonempty shard.
+
+def _sample_chunks(samples: int, rng) -> list[tuple[int, np.random.Generator]]:
+    """Split a budget into min(LANES, samples) (count, stream) lanes on spawned children.
+
+    Child k of a spawn does not depend on how many are spawned.
     """
-    gen = as_generator(rng)
-    if threads == 1:
-        return [(samples, gen)]
-    # only the first min(threads, samples) shards are nonempty; child t of a
-    # spawn does not depend on how many are spawned, so the streams are kept
-    shards = min(threads, samples)
-    base, extra = divmod(samples, threads)
-    sizes = [base + (1 if t < extra else 0) for t in range(shards)]
-    return list(zip(sizes, gen.spawn(shards)))
+    lanes = min(LANES, samples)
+    base, extra = divmod(samples, lanes)
+    return [(base + (k < extra), gen) for k, gen in enumerate(as_generator(rng).spawn(lanes))]
 
 
 # The mean of float samples is only known to a few ulps: each sample is
@@ -133,23 +133,22 @@ def _summarize(exact, reference: float, moments: Moments) -> MomentReport:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each shard draws its matrices block by block (the quaternion normals
-    for n >= 3, each sweep's normals as it runs, then the block's
-    reflection bits) and reduces
-    ``statistic(block) -> values`` to the block's (count, mean, M2) at
-    once, so it holds one block of draws and its values, whatever the
-    budget.  A block is the sampler's
+    Each lane of ``_sample_chunks`` draws its matrices block by block (the
+    quaternion normals for n >= 3, each sweep's normals as it runs, then the
+    block's reflection bits) and reduces ``statistic(block) -> values`` to
+    the block's (count, mean, M2) at once, so it holds one block of draws
+    and its values, whatever the budget.  A block is the sampler's
     draw-minor (n, n, m) array, entry (i, j) of draw k at [i, j, k]; a
     statistic may overwrite it and must return a fresh array of m values,
-    which ``_moments`` overwrites.  A shard takes its values less its
+    which ``_moments`` overwrites.  A lane takes its values less its
     first value (the shifted data of Chan, Golub and LeVeque), so the
     means that the fold rounds are of deviations, not of a mean that may
     dwarf them, and it folds its block triples left to right, in block
-    order.  Shards run on
-    at most os.cpu_count() threads and share nothing mutable; their
-    triples, rebased to the first shard's shift, are folded the same way,
-    in shard order, and that shift is added back to the mean, so results
-    depend only on (seed, threads, samples).
+    order.  With one thread the lanes run in turn, else on at most
+    min(threads, os.cpu_count()) threads, sharing nothing mutable; their
+    triples, rebased to the first lane's shift, are folded the same way,
+    in lane order, and that shift is added back to the mean, so results
+    depend only on (seed, samples), whatever ``threads``.
     An ``exact`` value too large for a float raises OverflowError before
     anything is drawn; a sample mean or sample variance that is not finite
     raises it after the draws, so an overflow is never reported as an
@@ -164,9 +163,9 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     reference = float(exact)
     if statistic is None:
         return MomentReport(exact, reference, 0.0, 0, 0.0)
-    chunks = _sample_chunks(samples, threads, rng)
+    chunks = _sample_chunks(samples, rng)
 
-    def shard(count: int, gen: np.random.Generator) -> tuple[float, Moments]:
+    def lane(count: int, gen: np.random.Generator) -> tuple[float, Moments]:
         blocks = _sample_blocks(n, count, gen)
         values = statistic(next(blocks))
         shift = float(values[0])
@@ -174,16 +173,16 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
         del values  # no block's values outlive its moments
         return shift, reduce(_merge, (_moments(statistic(q), shift) for q in blocks), first)
 
-    if len(chunks) == 1:
-        shards = [shard(*chunks[0])]
+    if threads == 1:
+        lanes = [lane(*chunk) for chunk in chunks]
     else:
         # imported here: it loads logging, which no single-thread run needs
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
-            shards = list(pool.map(shard, *zip(*chunks)))
-    base = shards[0][0]
-    m, mean, m2 = reduce(_merge, ((k, (shift - base) + mu, m2) for shift, (k, mu, m2) in shards))
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks), os.cpu_count() or 1)) as pool:
+            lanes = list(pool.map(lane, *zip(*chunks)))
+    base = lanes[0][0]
+    m, mean, m2 = reduce(_merge, ((k, (shift - base) + mu, m2) for shift, (k, mu, m2) in lanes))
     return _summarize(exact, reference, (m, base + mean, m2))
 
 
@@ -219,8 +218,8 @@ def _squares_dot(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     the terms are added as sum_j (sum_i w_ij Q_ij^2), each sum from index
     0 up: 2n calls along the draw axis, with separately rounded products
     and sums, so a draw's bits do not depend on the block it lands in.
-    No BLAS is called: with two shards, each shard's BLAS call would start
-    its own threads.  Returns a view of the block.
+    No BLAS is called: with two lanes running at once, each lane's BLAS
+    call would start its own threads.  Returns a view of the block.
     """
     q *= q
     q *= w[:, :, None]

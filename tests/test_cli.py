@@ -485,6 +485,14 @@ class TestEstimate:
                 "--samples", "5000", "--seed", "11", "--threads", "2"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
 
+    def test_only_the_threads_line_depends_on_threads(self, runner):
+        args = ["estimate", "zonal-split", "--kappa", "2,1", "--A", "1,2,3", "--B", "3,1,2",
+                "--samples", "5000", "--seed", "11", "--threads"]
+        one, two = (runner.invoke(main, [*args, threads]).output.splitlines() for threads in "12")
+        assert len(one) == len(two)
+        changed = [(a, b) for a, b in zip(one, two) if a != b]
+        assert changed == [('    "threads": 1', '    "threads": 2')]
+
     def test_eigenvalue_count_mismatch_is_usage_error(self, runner):
         result = runner.invoke(
             main,

@@ -25,6 +25,7 @@ from zonalpoly.moments import (
     residual_values,
 )
 from zonalpoly.montecarlo import (
+    LANES,
     mc_exponential_trace,
     mc_linear_trace_power,
     mc_splitting,
@@ -150,13 +151,13 @@ def fixed_order_sum(terms):
     return total
 
 
-def shard_fold(blocks):
-    """(count, mean, M2) of a stream of value blocks, folded as one shard does.
+def lane_fold(blocks):
+    """(shift, (count, mean, M2)) of one lane's stream of value blocks, folded as a lane does.
 
-    Every value is taken less the stream's first; each block gives its
-    count, its mean (sum over count) and the sum of its squared deviations
-    from that mean; the block triples are merged left to right by the
-    pairwise update of Chan, Golub and LeVeque; the shift is added back.
+    Every value is taken less the stream's first, the shift; each block
+    gives its count, its mean (sum over count) and the sum of its squared
+    deviations from that mean; the block triples are merged left to right
+    by the pairwise update of Chan, Golub and LeVeque.
     """
     shift, total = None, None
     for block in blocks:
@@ -166,13 +167,47 @@ def shard_fold(blocks):
         mean = float(x.sum()) / len(x)
         deviation = x - mean
         part = (len(x), mean, float((deviation * deviation).sum()))
-        if total is None:
-            total = part
-            continue
-        (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = total, part
-        n, delta = n_a + n_b, mean_b - mean_a
-        total = (n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n)
-    return total[0], shift + total[1], total[2]
+        total = part if total is None else merge_moments(total, part)
+    return shift, total
+
+
+def merge_moments(a, b):
+    """The pairwise update of Chan, Golub and LeVeque of two (count, mean, M2) triples."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n, delta = n_a + n_b, mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def lanes_fold(lanes):
+    """(count, mean, M2) of a budget's lanes, each a stream of value blocks.
+
+    Each lane is folded by ``lane_fold``; the lane triples, their means
+    rebased to the first lane's shift, are merged in lane order, and that
+    shift is added back to the mean.
+    """
+    folds = [lane_fold(blocks) for blocks in lanes]
+    base = folds[0][0]
+    rebased = [(k, (shift - base) + mean, m2) for shift, (k, mean, m2) in folds]
+    total = rebased[0]
+    for part in rebased[1:]:
+        total = merge_moments(total, part)
+    return total[0], base + total[1], total[2]
+
+
+def lane_stacks(n, samples, seed):
+    """Each lane's (size, n, n) stack of Haar draws, as an estimate draws them.
+
+    Lane k runs on child k of ``default_rng(seed).spawn(LANES)``; the first
+    ``samples % LANES`` lanes take one draw more than ``samples // LANES``.
+    """
+    base, extra = divmod(samples, LANES)
+    children = np.random.default_rng(seed).spawn(LANES)[: min(LANES, samples)]
+    return [sample_orthogonal_batch(n, base + (k < extra), gen) for k, gen in enumerate(children)]
+
+
+def in_blocks(values, size):
+    """``values`` cut into consecutive blocks of ``size``, the last one shorter."""
+    return [values[s : s + size] for s in range(0, len(values), size)]
 
 
 #: The exact-moments benchmark spectra for seed 1 (n = 4, 8, 10), and the
@@ -379,12 +414,6 @@ class TestMcTracePower:
         r2 = mc_trace_power((1, 2), (3, 1), 2, 5_000, 42)
         assert r1 == r2
 
-    def test_threads_share_the_budget(self):
-        r1 = mc_trace_power((1, 2), (3, 1), 2, 9_999, 42, threads=3)
-        r2 = mc_trace_power((1, 2), (3, 1), 2, 9_999, 42, threads=3)
-        assert r1 == r2
-        assert r1.samples == 9_999
-
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             mc_trace_power((1,), (1,), 1, 1, 0)
@@ -392,24 +421,27 @@ class TestMcTracePower:
             mc_trace_power((1,), (1,), 0, 1, 0)
 
     def test_blocks_match_one_whole_stack(self):
-        # the report is the shard fold, in blocks of BLOCK // 3 draws, of the
-        # whole stack's values, each the sum over j of the sums over i of
+        # the report is the lane fold, each lane in blocks of BLOCK // 3 draws
+        # and each lane two full blocks and a block of one or two draws, of
+        # the whole stack's values, each the sum over j of the sums over i of
         # a_i b_j Q_ij^2, added from index 0 up, bit for bit; it agrees with
         # numpy's whole-stack mean and sample deviation of the row-major
         # contraction to 1e-12 relative, a bound fixed before the first run
         av, bv, f = [1.0, 2.0, 3.0], [0.5, 3.0, 0.0], 3
-        samples, size = 2 * (BLOCK // 3) + 11, BLOCK // 3
+        samples, size = LANES * 2 * (BLOCK // 3) + 11, BLOCK // 3
         report = mc_trace_power((1, 2, 3), (Fraction(1, 2), 3, 0), f, samples, 5)
-        q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
-        terms = q * q * np.outer(av, bv)
-        columns = terms[:, 0]
-        for row in terms[:, 1:].transpose(1, 0, 2):
-            columns = columns + row
-        values = fixed_order_sum(columns) ** f
-        m, mean, m2 = shard_fold(values[s : s + size] for s in range(0, samples, size))
+        stacks, lanes = lane_stacks(3, samples, 5), []
+        for q in stacks:
+            terms = q * q * np.outer(av, bv)
+            columns = terms[:, 0]
+            for row in terms[:, 1:].transpose(1, 0, 2):
+                columns = columns + row
+            lanes.append(in_blocks(fixed_order_sum(columns) ** f, size))
+        m, mean, m2 = lanes_fold(lanes)
         assert report.samples == m == samples
         assert report.mc_estimate == mean
         assert report.mc_std_err == sqrt(m2 / (m - 1)) / sqrt(m)
+        q = np.concatenate(stacks)
         row_major = np.einsum("mij,i,j->m", q * q, av, bv) ** f
         assert report.mc_estimate == pytest.approx(float(row_major.mean()), rel=1e-12)
         whole = float(row_major.std(ddof=1)) / sqrt(samples)
@@ -430,11 +462,11 @@ class TestMcTracePower:
 
     @pytest.mark.parametrize("threads", (1, 2))
     def test_memory_does_not_grow_with_the_budget(self, threads):
-        # a shard keeps each block's (count, mean, M2), not its values: the
+        # a lane keeps each block's (count, mean, M2), not its values: the
         # block buffers (one sweep's normals, the draw-minor stack and the
         # step's scratch: 24 doubles per draw of a block) and the statistic's
         # temporaries fit in 64 doubles per draw of one block, for each
-        # shard that runs at once, whatever the budget
+        # lane that runs at once, whatever the budget
         workers = min(threads, os.cpu_count() or 1)
         allowance = workers * 64 * 8 * (BLOCK // 3)
         peaks = {}
@@ -463,28 +495,12 @@ class TestMcTracePower:
         report = mc_trace_power(a, b, f, samples, seed, threads)
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
-    def test_pool_is_capped_at_cpu_count(self, monkeypatch):
-        # eight shards keep the eight-thread streams; at most two threads run them
-        args = ((1, 2, 3), (3, 1, 2), 2, 4_000, 42)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 1)
-        one_worker = mc_trace_power(*args, threads=8)
-        seen = set()
-        real_blocks = montecarlo._sample_blocks
-
-        def recording_blocks(*blocks_args):
-            seen.add(threading.get_ident())
-            return real_blocks(*blocks_args)
-
-        monkeypatch.setattr(montecarlo, "_sample_blocks", recording_blocks)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        report = mc_trace_power(*args, threads=8)
-        assert report == one_worker
-        assert report.samples == 4_000
-        assert 1 <= len(seen) <= 2
-
-    def test_spawns_one_stream_per_nonempty_shard(self, monkeypatch):
-        # 5 samples on 64 threads fill 5 shards of one draw: 5 streams are
-        # spawned, the first 5 children that spawning 64 would give
+    def test_spawns_one_stream_per_lane(self, monkeypatch):
+        # 5 samples fill 5 lanes of one draw: 5 streams are spawned, the
+        # first 5 children that spawning LANES would give; 10 samples fill
+        # LANES lanes from divmod.  A whole estimate spawns once, at most
+        # LANES streams whatever threads asks for, and with two CPUs at most
+        # two threads draw
         counts = []
 
         class SpyGenerator:
@@ -498,17 +514,35 @@ class TestMcTracePower:
         monkeypatch.setattr(
             montecarlo, "as_generator", lambda rng: SpyGenerator(np.random.default_rng(rng))
         )
-        chunks = montecarlo._sample_chunks(5, 64, 42)
+        chunks = montecarlo._sample_chunks(5, 42)
         assert counts == [5]
         assert [size for size, _ in chunks] == [1] * 5
-        wide = np.random.default_rng(42).spawn(64)[:5]
+        wide = np.random.default_rng(42).spawn(LANES)[:5]
         for (_, child), want in zip(chunks, wide):
             assert np.array_equal(child.random(8), want.random(8))
 
         counts.clear()
-        chunks = montecarlo._sample_chunks(10, 3, 42)
-        assert counts == [3]
-        assert [size for size, _ in chunks] == [4, 3, 3]
+        chunks = montecarlo._sample_chunks(10, 42)
+        assert counts == [LANES]
+        assert [size for size, _ in chunks] == [2, 2, 1, 1, 1, 1, 1, 1]
+
+        seen = set()
+        real_blocks = montecarlo._sample_blocks
+
+        def recording_blocks(*blocks_args):
+            seen.add(threading.get_ident())
+            return real_blocks(*blocks_args)
+
+        monkeypatch.setattr(montecarlo, "_sample_blocks", recording_blocks)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        for samples in (5, 20_000):
+            for threads in (1, 2, 20_000):
+                counts.clear()
+                seen.clear()
+                report = mc_trace_power((1, 2), (3, 1), 2, samples, 42, threads)
+                assert counts == [min(LANES, samples)]
+                assert report.samples == samples
+                assert 1 <= len(seen) <= min(threads, 2)
 
     @pytest.mark.parametrize("f", (3, 4, 5))
     def test_statistic_matches_pow_on_signed_spectra(self, f):
@@ -532,12 +566,12 @@ class TestMomentFold:
 
     ``_sample_blocks`` is replaced by a stream whose blocks are the values
     themselves, and the statistic copies each block, so the fold sees
-    exactly these values, in these blocks and shards.
+    exactly these values, in these blocks and lanes.
     """
 
     @staticmethod
     def run(monkeypatch, blocks_of, samples, threads):
-        """The report on ``blocks_of(count, gen)`` per shard, and every block seen."""
+        """The report on ``blocks_of(count, gen)`` per lane, and every block seen."""
         seen = []
 
         def sample_blocks(n, count, gen):
@@ -550,8 +584,8 @@ class TestMomentFold:
 
     @pytest.mark.parametrize("threads", (1, 3))
     def test_ill_conditioned_stream_matches_exact_variance(self, monkeypatch, threads):
-        # 1e9 plus standard normals, in blocks of uneven sizes, on one shard
-        # or on three uneven ones; each value is a multiple of 2^-23, so the
+        # 1e9 plus standard normals, in blocks of uneven sizes, in LANES lanes
+        # run on one thread or on three; each value is a multiple of 2^-23, so the
         # exact sample variance is a ratio of integers.  Less the first
         # value, the values are exact and of unit scale, so the fold rounds
         # like a sum of unit-scale terms; folded unshifted, the means round
@@ -579,25 +613,53 @@ class TestMomentFold:
         assert abs(Fraction(naive) / variance - 1) > bound
 
     @pytest.mark.parametrize(
-        "threads, shards",
+        "threads, samples, lanes",
         [
-            (1, {6: [[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]]}),  # squares in a later block
-            (1, {5: [[1.0, 2.0, 3.0], [1e200, 1e200]]}),  # the merge of two blocks
-            (2, {3: [[1.0, 2.0, 3.0]], 2: [[1e200, 1e200]]}),  # the merge of two shards
+            # one lane of 6 draws, seven of 5
+            (1, 41, {6: [[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]], 5: [[1.0, 2.0, 3.0, 4.0, 5.0]]}),
+            # one lane of 5 draws, seven of 4
+            (1, 33, {5: [[1.0, 2.0, 3.0], [1e200, 1e200]], 4: [[1.0, 2.0, 3.0, 4.0]]}),
+            # one lane of 3 draws, seven of 2
+            (2, 17, {3: [[1.0, 2.0, 3.0]], 2: [[1e200, 1e200]]}),
         ],
+        ids=["squares-in-a-later-block", "merge-of-two-blocks", "merge-of-two-lanes"],
     )
-    def test_later_overflow_raises_without_warnings(self, monkeypatch, threads, shards):
+    def test_later_overflow_raises_without_warnings(self, monkeypatch, threads, samples, lanes):
         # the mean stays finite; the sample variance overflows only after a
-        # finite first block or shard, in numpy or in the float merge
-        samples = sum(len(block) for blocks in shards.values() for block in blocks)
+        # finite first block or lane, in numpy or in the float merge.  The
+        # blocks of a lane are keyed by its size
+        assert all(sum(map(len, blocks)) == size for size, blocks in lanes.items())
+        assert {size for size, _ in montecarlo._sample_chunks(samples, 0)} == set(lanes)
 
         def blocks_of(count, gen):
-            return (np.array(block) for block in shards[count])
+            return (np.array(block) for block in lanes[count])
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="sample variance is not finite"):
                 self.run(monkeypatch, blocks_of, samples, threads)
+
+
+class TestThreads:
+    """Every report is the same at any thread count: the lanes fix the draws."""
+
+    KINDS = {
+        "trace-power": lambda a, b, *run: mc_trace_power(a, b, 3, *run),
+        "zonal-split": lambda a, b, *run: mc_splitting((2, 1), a, b, *run),
+        "trace-AH": lambda a, b, *run: mc_linear_trace_power(a, 4, *run),
+        "exp-series": lambda a, b, *run: mc_exponential_trace(a, b, 1.0, *run),
+    }
+
+    @pytest.mark.parametrize("samples", (5, 1_001))
+    @pytest.mark.parametrize("n", (2, 3, 5, 30))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_is_the_same_on_one_two_and_three_threads(self, kind, n, samples):
+        # 5 draws fill 5 lanes of one draw; 1001 fill LANES uneven lanes
+        a = [Fraction(k % 9 + 1, 4) for k in range(n)]
+        b = [Fraction(-1 if k == 1 else k % 7 + 1, 3) for k in range(n)]
+        one, two, three = (self.KINDS[kind](a, b, samples, 9, threads) for threads in (1, 2, 3))
+        assert one == two == three
+        assert one.samples == samples
 
 
 class TestMcSplitting:
@@ -634,13 +696,6 @@ class TestMcSplitting:
         report = mc_splitting((1,), (-1, 2), (3, 1), 10_000, 5)
         assert report.exact_value == Fraction(1 * 4, 2)
         assert abs(report.z_score) <= 3
-
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_report_repeats_exactly_across_threads(self, threads):
-        args = ((2, 1), (1, 2, 3), (3, 1, 2), 401, 9)
-        report = mc_splitting(*args, threads=threads)
-        assert mc_splitting(*args, threads=threads) == report
-        assert report.samples == 401
 
     @pytest.mark.parametrize("n", (3, 30))
     def test_memory_within_one_block_of_the_sampler(self, n):
@@ -975,19 +1030,19 @@ class TestMcLinearTracePower:
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_matches_dense_contraction_of_one_whole_stack(self):
-        # the report is the shard fold of |tr(A H)|^f, the trace added as
+        # the report is the lane fold of |tr(A H)|^f, the trace added as
         # a_0 H_00 + a_1 H_11 + a_2 H_22 in that order, bit for bit; that
         # trace is bit-identical to the dense row-major contraction, and |x|^f
         # and x^f agree exactly at f = 2 and within an ulp at f = 4
-        d, samples, size = (-1.0, 2.0, 0.5), 2 * (BLOCK // 3) + 11, BLOCK // 3
-        q = sample_orthogonal_batch(3, samples, np.random.default_rng(5))
+        d, samples, size = (-1.0, 2.0, 0.5), LANES * 2 * (BLOCK // 3) + 11, BLOCK // 3
+        stacks = lane_stacks(3, samples, 5)
+        diagonals = [fixed_order_sum(np.diagonal(q, axis1=1, axis2=2) * d) for q in stacks]
+        q, diagonal = np.concatenate(stacks), np.concatenate(diagonals)
         dense = np.einsum("ij,mji->m", np.diag(d), q)
-        diagonal = fixed_order_sum(np.diagonal(q, axis1=1, axis2=2) * d)
         assert np.array_equal(diagonal.view(np.int64), dense.view(np.int64))
         reports = {f: mc_linear_trace_power(d, f, samples, 5) for f in (2, 4)}
         for f, report in reports.items():
-            values = np.abs(diagonal) ** f
-            _, mean, _ = shard_fold(values[s : s + size] for s in range(0, samples, size))
+            _, mean, _ = lanes_fold([in_blocks(np.abs(lane) ** f, size) for lane in diagonals])
             assert report.mc_estimate == mean
         assert np.array_equal(np.abs(diagonal) ** 2, dense**2)
         assert np.all(np.abs(np.abs(diagonal) ** 4 - dense**4) <= 1e-14 * dense**4)
