@@ -9,12 +9,10 @@ from importlib import import_module
 
 from .moments import (
     DiagonalSpec,
-    ResidualInconsistencyError,
     SeriesResult,
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    residual_coefficient,
     residual_values,
 )
 from .partitions import (
@@ -42,7 +40,6 @@ __all__ = [
     "MomentReport",
     "POWERSUM",
     "Partition",
-    "ResidualInconsistencyError",
     "SeriesResult",
     "SymPoly",
     "bilinear_coefficient",
@@ -60,7 +57,6 @@ __all__ = [
     "oracle_sample_batch",
     "p_to_m",
     "partitions_of",
-    "residual_coefficient",
     "residual_values",
     "rho",
     "sample_orthogonal_batch",

@@ -40,36 +40,40 @@ from .zonal import (
 __all__ = [
     "DiagonalSpec",
     "SeriesResult",
-    "ResidualInconsistencyError",
     "exact_trace_power_integral",
     "bilinear_coefficient",
     "residual_values",
-    "residual_coefficient",
     "hyper0f0",
 ]
 
 
 @dataclass(frozen=True)
 class DiagonalSpec:
-    """Latent roots of a diagonal matrix, held as exact rationals."""
+    """Latent roots of a diagonal matrix, held as exact rationals; at least one."""
 
     eigenvalues: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if not self.eigenvalues:
+            raise ValueError("spectra must be nonempty")
 
     @classmethod
     def of(cls, values) -> "DiagonalSpec":
         """The spectrum of ``values``; ValueError for any entry that is not a rational.
 
         A string or bytes is one value, not a sequence of entries, so it
-        is rejected too rather than read character by character.
+        is rejected too rather than read character by character.  An
+        empty ``values`` is rejected as well.
         """
         if isinstance(values, DiagonalSpec):
             return values
         if isinstance(values, (str, bytes)):
             raise ValueError(f"eigenvalues must be rationals, not one {type(values).__name__}")
         try:
-            return cls(tuple(map(Fraction, values)))
+            eigenvalues = tuple(map(Fraction, values))
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"eigenvalues must be rationals ({exc})") from exc
+        return cls(eigenvalues)
 
     def floats(self) -> tuple[float, ...]:
         """The eigenvalues as floats; OverflowError if one has no float."""
@@ -89,18 +93,6 @@ class SeriesResult:
     value: float
     terms: tuple[Fraction, ...]
     tail_bound: float
-
-
-class ResidualInconsistencyError(ArithmeticError):
-    """The residual coefficient came out different at different dimensions."""
-
-    def __init__(self, f: int, g: Partition, h: Partition, values):
-        self.values = tuple(values)
-        detail = ", ".join(f"n={n}: {v}" for n, v in self.values)
-        super().__init__(
-            f"residual coefficient for f={f}, g={tuple(g)}, h={tuple(h)} "
-            f"depends on the dimension ({detail})"
-        )
 
 
 def _trace_power_prefactor(f: int) -> Fraction:
@@ -194,8 +186,6 @@ def _linear_trace_power_value(a: DiagonalSpec, f: int) -> Fraction:
     """
     if f < 0:
         raise ValueError("f must be nonnegative")
-    if not len(a):
-        raise ValueError("spectra must be nonempty")
     if f % 2 or f == 0:
         return Fraction(0 if f else 1)
     half = f // 2
@@ -231,8 +221,6 @@ def exact_trace_power_integral(a, b, f: int) -> Fraction:
     over partitions kappa of f with at most n parts.
     """
     a, b, n = _spectra(a, b)
-    if n < 1:
-        raise ValueError("spectra must be nonempty")
     if f < 0:
         raise ValueError("f must be nonnegative")
     va = _monomial_values(a.eigenvalues, f)
@@ -286,24 +274,6 @@ def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fr
     return out
 
 
-def residual_coefficient(f: int, g, h, n_values: Sequence[int] | None = None) -> Fraction:
-    """The dimension-free residual coefficient, if it exists.
-
-    Evaluates the residual at two dimensions (by default n = f and
-    n = f + 1, large enough that every partition of f contributes) and
-    returns the common value.  A residual that still depends on n raises
-    ResidualInconsistencyError carrying both values.
-    """
-    if n_values is None:
-        n_values = (f, f + 1)
-    if len(n_values) < 2:
-        raise ValueError("need at least two dimensions to compare")
-    values = residual_values(f, g, h, n_values)
-    if any(v != values[0][1] for _, v in values[1:]):
-        raise ResidualInconsistencyError(f, Partition(g), Partition(h), values)
-    return values[0][1]
-
-
 def _exp_tail(x: float, degree: int) -> float:
     """sum_(k > degree) x^k / k! for x >= 0: the tail of exp(x) past ``degree``.
 
@@ -351,8 +321,6 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     a, b, n = _spectra(a, b)
-    if n < 1:
-        raise ValueError("spectra must be nonempty")
     va = _monomial_values(a.eigenvalues, max_degree)
     vb = _monomial_values(b.eigenvalues, max_degree)
     terms = tuple(

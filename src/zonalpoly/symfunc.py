@@ -90,7 +90,7 @@ class SymPoly:
 
     def sorted_items(self) -> list[tuple[Partition, int | Fraction]]:
         """Coefficients keyed in the canonical partition enumeration order."""
-        order = {lam: i for i, lam in enumerate(partitions_of(self.degree))}
+        order = _positions(self.degree)
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
 
     def evaluate(self, xs: Sequence):

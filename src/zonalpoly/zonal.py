@@ -14,32 +14,32 @@ closed forms, and a division with a remainder is a hard error.
 The recursion runs on a plan keyed by (f, n) (``_raise_plan``), built
 once on first use: the partitions of f with at most n parts, in the
 order of ``partitions_of(f)``; for each partition g, by its position,
-the numerators of its raising moves, the positions they land on, and
-rho(g); and, for n < f, the orbit sizes m_lam(1^n).  Beside it, one
-``itemgetter`` per partition gathers the coefficients its moves land
-on (``_raise_gathers``).  A row is a list of integers filled from
+rho(g), the positions its raising moves land on, their numerators, and
+an ``itemgetter`` that gathers the coefficients there, the same shape as
+a row of the basis change's ``_substitution_plan``; and, for n < f, the
+orbit sizes m_lam(1^n).  A row is a list of integers filled from
 kappa's position down, each entry one gather and one ``sum`` of
 products.  A partition whose raises all land on zero coefficients is
 skipped (its coefficient is zero), and that zero-sum skip stands in for
 a dominance test: only partitions strictly below kappa can collect a
-nonzero sum.  A raising move never
-adds a part, so the recursion restricted to at most n parts is closed
-and exact (Koev and Edelman, Math. Comp. 75, 2006).  ``zonal_row`` is
-the case n = f, pinned at m_(1^f) = f!.  Every exact value at n
-variables reads only the partitions with at most n parts, so the exact
-integrals read rows capped at n (``_capped_row``).  A capped row with
-n < f stops short of m_(1^f); it is pinned instead by Muirhead's closed
-form (Thm 7.2.7): the sum of c_lam m_lam(1^n) over its coefficients
-must be Z_kappa(I_n).  The plan holds tuples only, so concurrent first
-access can at worst build it twice and no caller can change a shared
-plan.  Rows and power-sum forms are built as ``SymPoly`` values
-without re-validation: their keys come from ``partitions_of``, and
-their coefficients are nonzero ints, or reduced Fractions from the
-solve, as they are made.  Cold, all full rows of one
-degree take about 0.008 s at f = 12, 0.022 s at f = 14 and 0.07 s at
-f = 16 (2-core shared VM, Python 3.11), and their power-sum forms about
-0.026 s, 0.10 s and 0.42 s more; the rows capped at 3 parts of every
-degree up to 20 take 0.04 s.
+nonzero sum.  A raising move never adds a part, so the recursion
+restricted to at most n parts is closed and exact (Koev and Edelman,
+Math. Comp. 75, 2006).  ``zonal_row`` is the case n = f, pinned at
+m_(1^f) = f!.  Every exact value at n variables reads only the
+partitions with at most n parts, so the exact integrals read rows
+capped at n (``_capped_row``).  A capped row with n < f stops short of
+m_(1^f); it is pinned instead by Muirhead's closed form (Thm 7.2.7):
+the sum of c_lam m_lam(1^n) over its coefficients must be Z_kappa(I_n).
+The plan holds tuples and itemgetters only, so concurrent first access
+can at worst build it twice and no caller can change a shared plan.
+Rows and power-sum forms are built as ``SymPoly`` values without
+re-validation: their keys come from ``partitions_of``, and their
+coefficients are nonzero ints, or reduced Fractions from the solve, as
+they are made.  Cold, all full rows of one degree take about 0.008 s
+at f = 12, 0.022 s at f = 14 and 0.07 s at f = 16 (2-core shared VM,
+Python 3.11), and their power-sum forms about 0.026 s, 0.10 s and
+0.42 s more; the rows capped at 3 parts of every degree up to 20 take
+0.04 s.
 """
 
 from __future__ import annotations
@@ -85,17 +85,18 @@ def double_factorial(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _raising_moves(g: Partition) -> tuple[tuple[int, Partition], ...]:
-    """All single raises of g: move t units from part j up to part i < j.
+    """The single raises of g, each raised partition once: (numerator, h).
 
-    Yields (g_i - g_j + 2t, h) where h is the re-sorted result; every
-    (i, j, t) choice counts separately even when several produce the same
-    h.  t is capped by g_j, and zero parts are dropped.  The choices with
-    the same values (g_i, g_j, t) give the same h, so h is sorted once
-    per value pair and t, and its move repeated once per pair of parts.
+    A raise moves t units from part j up to part i < j, with t capped by
+    g_j, and h is the re-sorted result with zero parts dropped.  The
+    numerator of h sums g_i - g_j + 2t over every (i, j, t) choice giving
+    h.  The choices with the same values (g_i, g_j, t) give the same h, so
+    h is sorted once per value pair and t, and its move counted once per
+    pair of parts.  The h come in the order they first arise.
     """
     parts = list(g)
     values = sorted(set(parts), reverse=True)
-    moves: list[tuple[int, Partition]] = []
+    numers: dict[Partition, int] = {}
     for x, a in enumerate(values):
         for b in values[x:]:
             ma, mb = parts.count(a), parts.count(b)
@@ -111,8 +112,9 @@ def _raising_moves(g: Partition) -> tuple[tuple[int, Partition], ...]:
                 else:
                     lifted[j] -= t
                 lifted.sort(reverse=True)
-                moves += [(a - b + 2 * t, _trusted_partition(lifted))] * pairs
-    return tuple(moves)
+                h = _trusted_partition(lifted)
+                numers[h] = numers.get(h, 0) + (a - b + 2 * t) * pairs
+    return tuple((numer, h) for h, numer in numers.items())
 
 
 def _orbit_size(lam: Partition, n: int) -> int:
@@ -128,34 +130,26 @@ def _raise_plan(f: int, n: int) -> tuple[tuple[Partition, ...], tuple, tuple[int
     """The row recursion of degree f on the partitions of f with at most n parts.
 
     Returns those partitions, in the order of ``partitions_of(f)``; per
-    partition g (numerators, targets, rho(g)): the raising moves of g
-    with the numerators of moves onto the same partition summed, and each
-    raised partition as its position; and, for n < f, per partition lam
-    its orbit size m_lam(1^n), the weights of the Z_kappa(I_n) pin (the
-    full plan, n = f, is pinned at m_(1^f) and has none).  A raise moves
-    weight up, so every target comes before g, and it never adds a part,
-    so every target is in the list: the recursion on at most n parts is
-    closed (Koev and Edelman, Math. Comp. 75, 2006).  n = f gives the full
-    plan.  Built once per (f, n) from tuples only, so it is shared
-    read-only.
+    partition g (rho(g), targets, numerators, gather): the partitions
+    ``_raising_moves`` raises g to, as positions, their numerators, and an
+    ``itemgetter`` of those positions, the shape of a ``_substitution_plan``
+    row; and, for n < f, per partition lam its orbit size m_lam(1^n), the
+    weights of the Z_kappa(I_n) pin (the full plan, n = f, is pinned at
+    m_(1^f) and has none).  A raise moves weight up, so every target comes
+    before g, and it never adds a part, so every target is in the list:
+    the recursion on at most n parts is closed (Koev and Edelman, Math.
+    Comp. 75, 2006).  n = f gives the full plan.  Built once per (f, n)
+    from tuples and itemgetters only, so it is shared read-only.
     """
     parts = _partitions_capped(f, n)
     position = {lam: i for i, lam in enumerate(parts)}
     steps = []
     for g in parts:
-        merged: dict[int, int] = {}
-        for numer, h in _raising_moves(g):
-            target = position[h]
-            merged[target] = merged.get(target, 0) + numer
-        steps.append((tuple(merged.values()), tuple(merged), rho(g)))
+        moves = _raising_moves(g)
+        targets = tuple(position[h] for _, h in moves)
+        steps.append((rho(g), targets, tuple(numer for numer, _ in moves), _gather(targets)))
     orbits = tuple(_orbit_size(lam, n) for lam in parts) if n < f else ()
     return parts, tuple(steps), orbits
-
-
-@lru_cache(maxsize=None)
-def _raise_gathers(f: int, n: int) -> tuple:
-    """Per step of ``_raise_plan(f, n)``, an ``itemgetter`` of its targets."""
-    return tuple(_gather(targets) for _, targets, _ in _raise_plan(f, n)[1])
 
 
 def _top_coefficient(kappa: Partition) -> int:
@@ -197,14 +191,13 @@ def _recurse(kappa: Partition, n: int) -> SymPoly:
     """
     f = kappa.weight
     parts, steps, orbits = _raise_plan(f, n)
-    gathers = _raise_gathers(f, n)
     top = parts.index(kappa)
-    rho_top = steps[top][2]
+    rho_top = steps[top][0]
     coeffs = [0] * len(parts)
     coeffs[top] = _top_coefficient(kappa)
     for pos in range(top + 1, len(parts)):
-        numers, _, rho_g = steps[pos]
-        acc = sum(map(mul, numers, gathers[pos](coeffs)))
+        rho_g, _, numers, gather = steps[pos]
+        acc = sum(map(mul, numers, gather(coeffs)))
         if not acc:
             continue
         g = parts[pos]

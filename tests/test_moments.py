@@ -17,11 +17,9 @@ from zonalpoly import moments, montecarlo, symfunc, zonal
 from zonalpoly.haar import BLOCK, _sample_blocks, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
-    ResidualInconsistencyError,
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    residual_coefficient,
     residual_values,
 )
 from zonalpoly.montecarlo import (
@@ -50,6 +48,23 @@ class TestDiagonalSpec:
 
     def test_floats(self):
         assert np.allclose(DiagonalSpec.of((1, "1/2")).floats(), [1.0, 0.5])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e: DiagonalSpec.of(e),
+            lambda e: exact_trace_power_integral(e, e, 2),
+            lambda e: hyper0f0(e, e, 4),
+            lambda e: mc_trace_power(e, e, 2, 10, 1),
+            lambda e: mc_splitting((1,), e, e, 10, 1),
+            lambda e: mc_linear_trace_power(e, 2, 10, 1),
+            lambda e: mc_exponential_trace(e, e, 1.0, 10, 1),
+        ],
+        ids=["of", "exact", "hyper0f0", "mc-trace-power", "mc-splitting", "mc-linear", "mc-exp"],
+    )
+    def test_empty_spectrum_is_rejected(self, call):
+        with pytest.raises(ValueError, match="^spectra must be nonempty$"):
+            call(())
 
 
 class TestNormalizingProduct:
@@ -376,10 +391,14 @@ class TestResidualCoefficients:
         values = dict(residual_values(2, (1, 1), (1, 1), (2, 3, 4)))
         assert values == {2: 32, 3: 20, 4: 16}
 
-    def test_residual_reports_inconsistency(self):
-        with pytest.raises(ResidualInconsistencyError) as info:
-            residual_coefficient(2, (1, 1), (1, 1))
-        assert info.value.values == ((2, Fraction(32)), (3, Fraction(20)))
+    @pytest.mark.parametrize("f", range(2, 5))
+    def test_every_residual_depends_on_dimension(self, f):
+        # why no dimension-free residual coefficient is offered: none exists
+        lower = [g for g in partitions_of(f) if g != (f,)]
+        for g in lower:
+            for h in lower:
+                values = {v for _, v in residual_values(f, g, h, (f, f + 1, f + 2))}
+                assert len(values) > 1, (g, h)
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
@@ -387,7 +406,7 @@ class TestResidualCoefficients:
 
     def test_degree_one_has_no_valid_inputs(self):
         with pytest.raises(ValueError):
-            residual_coefficient(1, (1,), (1,))
+            residual_values(1, (1,), (1,), (1, 2))
 
 
 class TestMcTracePower:

@@ -13,7 +13,6 @@ from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
 from zonalpoly.zonal import (
     DataIntegrityError,
     _capped_row,
-    _raise_gathers,
     _raise_plan,
     _raising_moves,
     character_degree,
@@ -24,7 +23,7 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
-from oracles import dominated_by
+from oracles import dominated_by, raising_moves
 
 
 def fraction_recursion_row(kappa):
@@ -39,7 +38,7 @@ def fraction_recursion_row(kappa):
         if g == kappa or not dominated_by(g, kappa):
             continue
         acc = Fraction(0)
-        for numer, h in _raising_moves(g):
+        for numer, h in raising_moves(g):
             acc += numer * coeffs.get(h, 0)
         if acc:
             coeffs[g] = acc / (rho(kappa) - rho(g))
@@ -109,14 +108,15 @@ class TestZonalRow:
             parts, steps, orbits = _raise_plan(f, n)
             assert parts == tuple(g for g in partitions_of(f) if len(g) <= n)
             assert len(steps) == len(parts)
-            for pos, (g, (numers, targets, rho_g)) in enumerate(zip(parts, steps)):
+            for pos, (g, (rho_g, targets, numers, _)) in enumerate(zip(parts, steps)):
                 assert rho_g == rho(g)
                 assert all(target < pos for target in targets)
                 assert len(set(targets)) == len(targets)
                 merged = {}
-                for numer, h in _raising_moves(g):
+                for numer, h in raising_moves(g):
                     merged[h] = merged.get(h, 0) + numer
                 assert {parts[t]: numer for numer, t in zip(numers, targets)} == merged
+                assert dict((h, numer) for numer, h in _raising_moves(g)) == merged
             # the orbit sizes weight the Z(I_n) pin, which the full plan does not use
             ones = [1] * n
             want = tuple(SymPoly(f, MONOMIAL, {g: 1}).evaluate(ones) for g in parts)
@@ -127,9 +127,8 @@ class TestZonalRow:
         for n in range(1, f + 1):
             parts, steps, _ = _raise_plan(f, n)
             coeffs = list(range(100, 100 + len(parts)))
-            gathers = _raise_gathers(f, n)
-            assert len(gathers) == len(steps)
-            for gather, (_, targets, _) in zip(gathers, steps):
+            for _, targets, numers, gather in steps:
+                assert len(numers) == len(targets)
                 assert list(gather(coeffs)) == [coeffs[t] for t in targets]
 
     @pytest.mark.parametrize("f", range(1, 11))
