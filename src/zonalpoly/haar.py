@@ -71,8 +71,8 @@ def as_generator(rng) -> np.random.Generator:
 #: 3 per-draw), about 700 KB.  On two threads at n = 30
 #: (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower than
 #: 2**14: a smaller block spends more of each call in Python, holding the
-#: GIL.  2**15 ran about 14% faster (two shards of 4000 draws, median
-#: 0.148 s against 0.172 s), but BLOCK sets which normals and bits each
+#: GIL.  2**15 ran about 9% faster (eight lanes of 1000 draws, median
+#: 0.197 s against 0.217 s), but BLOCK sets which normals and bits each
 #: block takes, so a new value changes every estimate.
 BLOCK = 2**14
 

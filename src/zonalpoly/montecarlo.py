@@ -37,6 +37,7 @@ from .moments import (
     exact_trace_power_integral,
 )
 from .partitions import Partition
+from .symfunc import _powersum_value
 from .zonal import zonal_in_powersums
 
 __all__ = [
@@ -377,21 +378,16 @@ def _splitting_statistic(kappa: Partition, av: np.ndarray, bv: np.ndarray):
     """statistic(block) -> Z_kappa at the latent roots of D_a H D_b H', per draw H.
 
     Z_kappa is evaluated from its integer power-sum row at the power sums
-    from ``_latent_power_sums``; both spectra may take any real signs.
+    from ``_latent_power_sums``, by the term loop of ``SymPoly.evaluate``
+    (``_powersum_value``); both spectra may take any real signs.
     """
     f = kappa.weight
     power_sums = _latent_power_sums(np.outer(av, bv), f)
-    terms = [(float(c), lam) for lam, c in zonal_in_powersums(kappa).sorted_items()]
+    terms = [(lam, float(c)) for lam, c in zonal_in_powersums(kappa).sorted_items()]
 
     def statistic(q: np.ndarray) -> np.ndarray:
         sums = power_sums(q)
-        out = np.zeros(sums.shape[1])
-        for c, lam in terms:
-            term = c * sums[lam[0] - 1]
-            for k in lam[1:]:
-                term *= sums[k - 1]
-            out += term
-        return out
+        return _powersum_value(terms, sums, np.zeros(sums.shape[1]))
 
     return statistic
 

@@ -46,12 +46,6 @@ class Partition(tuple):
         """Sum of the parts."""
         return sum(self)
 
-    def padded(self, n: int) -> tuple[int, ...]:
-        """The parts padded with zeros to length ``n``."""
-        if len(self) > n:
-            raise ValueError(f"{self!r} has more than {n} parts")
-        return tuple(self) + (0,) * (n - len(self))
-
     def doubled(self) -> "Partition":
         """The partition with every part doubled."""
         return _trusted_partition(2 * p for p in self)

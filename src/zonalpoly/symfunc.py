@@ -6,8 +6,10 @@ distinct monomials with exponent multiset lambda) or ``powersum``
 (products p_lambda = p_{lambda_1} p_{lambda_2} ... with p_k = sum x_i^k).
 ``SymPoly`` stores an integral coefficient as ``int`` and any other as a
 reduced ``fractions.Fraction``, so every identity in this module is
-exact and integer tables stay in ``int`` arithmetic; floating point
-enters only through evaluation at float arguments.
+exact and integer tables stay in ``int`` arithmetic.  Evaluation is
+exact too: one integer recursion gives monomial values
+(``_monomial_values``) and one term loop power-sum values
+(``_powersum_value``), which Monte Carlo also runs on float arrays.
 
 The monomial expansions of the power-sum products p_lambda of one
 degree are built once, as columns on positions in ``partitions_of(f)``
@@ -35,10 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter, mul
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _partitions_capped, partitions_of
 
 __all__ = [
     "MONOMIAL",
@@ -93,61 +96,70 @@ class SymPoly:
         order = _positions(self.degree)
         return sorted(self.coeffs.items(), key=lambda kv: order[kv[0]])
 
-    def evaluate(self, xs: Sequence):
-        """Value at the point ``xs``.
+    def evaluate(self, xs: Sequence) -> Fraction:
+        """Value at the point ``xs`` of rationals, exactly; floats are converted exactly.
 
-        Exact when the coordinates are rationals; float otherwise.  In the
-        monomial basis m_lambda sums over all distinct permutations of
-        lambda padded to len(xs), and vanishes when lambda has more parts
-        than there are coordinates.  This is the tests' reference: the
-        orbit sum is what they hold ``m_to_p`` and the package's integer
-        evaluation of zonal rows against, and no package code calls it.
+        m_lambda vanishes when lambda has more parts than there are coordinates.
         """
+        xs = [Fraction(x) for x in xs]
         if self.basis == POWERSUM:
-            return self._evaluate_powersum(xs)
-        return self._evaluate_monomial(xs)
-
-    def _evaluate_powersum(self, xs):
-        sums: dict[int, object] = {}
-        total = 0
-        for lam, c in self.coeffs.items():
-            term = c
-            for k in lam:
-                if k not in sums:
-                    sums[k] = sum(x ** k for x in xs)
-                term = term * sums[k]
-            total = total + term
-        return total
-
-    def _evaluate_monomial(self, xs):
-        n = len(xs)
-        total = 0
-        for lam, c in self.coeffs.items():
-            if len(lam) > n:
-                continue
-            orbit = 0
-            for expo in _distinct_permutations(lam.padded(n)):
-                prod = 1
-                for x, e in zip(xs, expo):
-                    if e:
-                        prod = prod * x ** e
-                orbit = orbit + prod
-            total = total + c * orbit
-        return total
+            sums = [sum(x**k for x in xs) for k in range(1, self.degree + 1)]
+            return _powersum_value(self.coeffs.items(), sums, Fraction(0))
+        scale, values = _monomial_values(xs, self.degree)
+        return Fraction(_row_dot(self, values), scale**self.degree)
 
 
-def _distinct_permutations(pool: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not pool:
-        yield ()
-        return
-    prev = None
-    for idx, v in enumerate(pool):
-        if v == prev:
+def _monomial_values(xs: Sequence[Fraction], f: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """The lcm D of the denominators of ``xs`` and the integers m_lambda(D xs).
+
+    Covers every partition lambda with |lambda| <= f and at most len(xs)
+    parts (m_lambda vanishes on fewer variables than parts), adding one
+    variable y at a time:
+
+        m_lambda(.., y) = m_lambda(..) + sum_{distinct v in lambda} y^v m_{lambda - v}(..)
+
+    where lambda - v drops one part v (Koev and Edelman, Math. Comp. 75,
+    2006).  The heaviest partitions are updated first, so every
+    m_{lambda - v} on the right still holds its value before y.
+    """
+    scale = lcm(*(x.denominator for x in xs))
+    n = len(xs)
+    shapes = [
+        (lam, [(v, lam[: lam.index(v)] + lam[lam.index(v) + 1 :]) for v in set(lam)])
+        for w in range(f, 0, -1)
+        for lam in _partitions_capped(w, n)
+    ]
+    values = {lam: 0 for lam, _ in shapes}
+    values[()] = 1
+    for x in xs:
+        y = x.numerator * (scale // x.denominator)
+        if not y:
             continue
-        prev = v
-        rest = pool[:idx] + pool[idx + 1 :]
-        for tail in _distinct_permutations(rest):
-            yield (v,) + tail
+        powers = [1]
+        for _ in range(f):
+            powers.append(powers[-1] * y)
+        for lam, drops in shapes:
+            values[lam] += sum(powers[v] * values[rest] for v, rest in drops)
+    return scale, values
+
+
+def _row_dot(row: SymPoly, values: dict[tuple[int, ...], int]) -> int:
+    """A monomial-basis row dotted with monomial values: its value at D x for x scaled by D."""
+    return sum(c * values.get(lam, 0) for lam, c in row.coeffs.items())
+
+
+def _powersum_value(terms, sums, total):
+    """``total`` plus the sum of c p_lambda over the pairs (lambda, c) of ``terms``.
+
+    ``sums[k - 1]`` holds p_k.  Each term is multiplied and added in place,
+    so on numpy arrays of power sums it allocates one array.
+    """
+    for lam, c in terms:
+        term = c
+        for k in lam:
+            term *= sums[k - 1]
+        total += term
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -3,11 +3,16 @@
 The package itself needs none of them: ``zonal_row`` keeps every
 coefficient inside kappa's dominance interval without a dominance test,
 its raising moves are grouped by value and summed by target rather than
-listed one choice at a time, and no package code checks a sampled matrix
-for orthogonality.
+listed one choice at a time, its exact values come from an integer
+recursion over the variables rather than from orbit sums or the
+branching rule, and no package code checks a sampled matrix for
+orthogonality.
 """
 
-from typing import Sequence
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,3 +60,115 @@ def orthogonality_check(q: np.ndarray, tol: float) -> bool:
     q = np.asarray(q, dtype=float)
     n = q.shape[-1]
     return bool(np.max(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n))) < tol)
+
+
+def evaluate_by_terms(poly, xs: Sequence):
+    """Value of the SymPoly ``poly`` at the point ``xs``, term by term.
+
+    Exact when the coordinates are rationals.  In the monomial basis
+    m_lambda sums over all distinct permutations of lambda padded with
+    zeros to len(xs), and vanishes when lambda has more parts than there
+    are coordinates; in the power-sum basis each p_k is a sum of powers.
+    """
+    total = 0
+    if poly.basis == "powersum":
+        sums: dict[int, object] = {}
+        for lam, c in poly.coeffs.items():
+            term = c
+            for k in lam:
+                if k not in sums:
+                    sums[k] = sum(x**k for x in xs)
+                term = term * sums[k]
+            total = total + term
+        return total
+    n = len(xs)
+    for lam, c in poly.coeffs.items():
+        if len(lam) > n:
+            continue
+        orbit = 0
+        for expo in _distinct_permutations(tuple(lam) + (0,) * (n - len(lam))):
+            monomial = 1
+            for x, e in zip(xs, expo):
+                if e:
+                    monomial = monomial * x**e
+            orbit = orbit + monomial
+        total = total + c * orbit
+    return total
+
+
+def _distinct_permutations(pool: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of the nonincreasing tuple ``pool``, once each."""
+    if not pool:
+        yield ()
+        return
+    prev = None
+    for idx, v in enumerate(pool):
+        if v == prev:
+            continue
+        prev = v
+        rest = pool[:idx] + pool[idx + 1 :]
+        for tail in _distinct_permutations(rest):
+            yield (v,) + tail
+
+
+def zonal_by_branching(xs: Sequence):
+    """A function kappa -> Z_kappa(xs), by the Jack branching rule at alpha = 2.
+
+    Z_kappa(x_1, ..., x_k) is the sum, over the mu with kappa / mu a
+    horizontal strip, of Z_mu(x_1, ..., x_(k-1)) x_k^|kappa / mu|
+    beta(kappa, mu) (Stanley, Adv. Math. 77, 1989; Macdonald, Symmetric
+    Functions and Hall Polynomials, VI (7.14'); Koev and Edelman, Math.
+    Comp. 75, 2006, Sec. 4), from Z_() = 1 at no variables, where a
+    nonempty kappa vanishes.  It shares no code with the package's
+    raising recursion.  Values at the prefixes of ``xs`` are memoized
+    across every kappa asked of one function.
+    """
+    xs = tuple(Fraction(x) for x in xs)
+
+    @lru_cache(maxsize=None)
+    def value(kappa: tuple[int, ...], k: int) -> Fraction:
+        if not kappa:
+            return Fraction(1)
+        if len(kappa) > k:
+            return Fraction(0)
+        x = xs[k - 1]
+        total = Fraction(0)
+        below = kappa[1:] + (0,)
+        for mu in product(*(range(low, high + 1) for low, high in zip(below, kappa))):
+            mu = tuple(part for part in mu if part)
+            z = value(mu, k - 1)
+            if z:
+                total += z * x ** (sum(kappa) - sum(mu)) * _branching_coefficient(kappa, mu)
+        return total
+
+    return lambda kappa: value(tuple(kappa), len(xs))
+
+
+@lru_cache(maxsize=None)
+def _branching_coefficient(kappa: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
+    """beta(kappa, mu) at alpha = 2, for kappa / mu a horizontal strip.
+
+    The product over the cells s of kappa of B_kappa(s), over the product
+    over the cells of mu of B_mu(s).  B_nu(s) is the upper hook
+    l(s) + 2 (a(s) + 1) of s in nu where kappa and mu have columns of the
+    same length at s, and the lower hook l(s) + 1 + 2 a(s) elsewhere.
+    """
+    kappa_cols, mu_cols = _columns(kappa), _columns(mu)
+
+    def hooks(nu: tuple[int, ...], nu_cols: list[int]) -> int:
+        out = 1
+        for i, row in enumerate(nu):
+            for j in range(row):
+                arm, leg = row - j - 1, nu_cols[j] - i - 1
+                if kappa_cols[j] == (mu_cols[j] if j < len(mu_cols) else 0):
+                    out *= leg + 2 * (arm + 1)
+                else:
+                    out *= leg + 1 + 2 * arm
+        return out
+
+    return Fraction(hooks(kappa, kappa_cols), hooks(mu, mu_cols))
+
+
+def _columns(nu: tuple[int, ...]) -> list[int]:
+    """The column lengths of the diagram of ``nu``, its conjugate."""
+    return [sum(1 for part in nu if part > j) for j in range(nu[0] if nu else 0)]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from zonalpoly import moments, montecarlo, symfunc, zonal
+from zonalpoly import moments, montecarlo, zonal
 from zonalpoly.haar import BLOCK, _sample_blocks, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
@@ -30,7 +30,7 @@ from zonalpoly.montecarlo import (
     mc_trace_power,
 )
 from zonalpoly.partitions import Partition, partitions_of
-from zonalpoly.symfunc import MONOMIAL, SymPoly
+from zonalpoly.symfunc import MONOMIAL, SymPoly, _monomial_values, _row_dot
 from zonalpoly.zonal import (
     character_degree,
     double_factorial,
@@ -38,6 +38,9 @@ from zonalpoly.zonal import (
     zonal_in_powersums,
     zonal_row,
 )
+
+from oracles import evaluate_by_terms, zonal_by_branching
+from test_cli import EXP_SERIES_DEGREE_20
 
 
 class TestDiagonalSpec:
@@ -131,9 +134,10 @@ def _fraction_trace_power(a, b, f):
         if len(kappa) > len(a):
             continue
         row = zonal_in_powersums(kappa)
-        za = row.evaluate(a)
+        za = evaluate_by_terms(row, a)
         if za:
-            total += character_degree(kappa) * za * row.evaluate(b) / zonal_at_identity(kappa, len(a))
+            zb = evaluate_by_terms(row, b)
+            total += character_degree(kappa) * za * zb / zonal_at_identity(kappa, len(a))
     return Fraction(2**f * factorial(f), factorial(2 * f)) * total
 
 
@@ -143,7 +147,7 @@ def _fraction_linear_trace_power(spectrum, f):
     total = Fraction(0)
     for kappa in partitions_of(f // 2):
         if len(kappa) <= len(spectrum):
-            z = zonal_in_powersums(kappa).evaluate(spectrum)
+            z = evaluate_by_terms(zonal_in_powersums(kappa), spectrum)
             total += character_degree(kappa) * z / zonal_at_identity(kappa, len(spectrum))
     return total
 
@@ -257,18 +261,18 @@ class TestIntegerEvaluation:
     def test_zonal_values_match_orbit_sum(self, n):
         for pool in MIXED_SPECTRA:
             xs = [Fraction(x) for x in pool[:n]]
-            scale, values = moments._monomial_values(xs, 7)
+            scale, values = _monomial_values(xs, 7)
             assert scale == lcm(*(x.denominator for x in xs))
             ys = [scale * x for x in xs]
             want_keys = {lam for w in range(8) for lam in partitions_of(w) if len(lam) <= n}
             assert set(values) == want_keys
             for lam, m in values.items():
-                assert m == SymPoly(sum(lam), MONOMIAL, {lam: 1}).evaluate(ys), lam
+                assert m == evaluate_by_terms(SymPoly(sum(lam), MONOMIAL, {lam: 1}), ys), lam
             for f in range(1, 8):
                 for kappa in partitions_of(f):
                     row = zonal_row(kappa)
-                    got = Fraction(moments._row_dot(row, values), scale**f)
-                    assert got == row.evaluate(xs), (xs, kappa)
+                    got = Fraction(_row_dot(row, values), scale**f)
+                    assert got == evaluate_by_terms(row, xs), (xs, kappa)
 
     @pytest.mark.parametrize(
         "n, degrees",
@@ -318,7 +322,7 @@ class TestIntegerEvaluation:
         def forbidden(*args, **kwargs):
             raise AssertionError("the exact path must not take this route")
 
-        monkeypatch.setattr(symfunc.SymPoly, "evaluate", forbidden)
+        # exact values read monomial rows only: no basis change, no power-sum form
         monkeypatch.setattr(zonal, "m_to_p", forbidden)
         monkeypatch.setattr(montecarlo, "zonal_in_powersums", forbidden)
         a, b = MIXED_SPECTRA[0][:3], MIXED_SPECTRA[1][:3]
@@ -359,11 +363,11 @@ class TestBilinearCoefficients:
         ell = [Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(n)]
         total = Fraction(0)
         for g in partitions_of(f):
-            mg = SymPoly(f, MONOMIAL, {g: 1}).evaluate(beta)
+            mg = evaluate_by_terms(SymPoly(f, MONOMIAL, {g: 1}), beta)
             if not mg:
                 continue
             for h in partitions_of(f):
-                mh = SymPoly(f, MONOMIAL, {h: 1}).evaluate(ell)
+                mh = evaluate_by_terms(SymPoly(f, MONOMIAL, {h: 1}), ell)
                 if mh:
                     total += bilinear_coefficient(f, n, g, h) * mg * mh
         assert total == exact_trace_power_integral(beta, ell, f)
@@ -706,7 +710,9 @@ class TestMcSplitting:
         a, b = (-1, 2, 3), (1, -2, Fraction(1, 2))
         report = mc_splitting((2, 1), a, b, 30_000, 5)
         row = zonal_row(Partition((2, 1)))
-        want = row.evaluate([Fraction(x) for x in a]) * row.evaluate([Fraction(x) for x in b])
+        want = evaluate_by_terms(row, [Fraction(x) for x in a]) * evaluate_by_terms(
+            row, [Fraction(x) for x in b]
+        )
         want /= zonal_at_identity((2, 1), 3)
         assert report.exact_value == want != 0
         assert abs(report.z_score) <= 3
@@ -1088,6 +1094,25 @@ class TestHyper0F0:
     def test_scalar_matrix_reaches_exponential(self):
         res = hyper0f0((1, 1), (1, 1), 20)
         assert abs(res.value - exp(1.0)) < 1e-6
+
+    def test_terms_to_degree_20_match_the_branching_rule(self):
+        # rows capped at 3 parts, past the degree 16 of the full-row comparison,
+        # against Z_kappa from the branching rule: the exp-series inputs that
+        # EXP_SERIES_DEGREE_20 pins
+        a = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+        b = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+        za, zb, ones = (zonal_by_branching(x) for x in (a, b, (1, 1, 1)))
+        want = []
+        for f in range(21):
+            total = sum(
+                character_degree(kappa) * za(kappa) * zb(kappa) / ones(kappa)
+                for kappa in partitions_of(f)
+                if len(kappa) <= 3
+            )
+            want.append(total / (double_factorial(2 * f - 1) * 2**f * factorial(f)))
+        terms = hyper0f0(a, b, 20).terms
+        assert terms == tuple(want)
+        assert str(sum(terms)) == EXP_SERIES_DEGREE_20
 
     def test_tail_bound_for_nonnegative_spectra(self):
         res = hyper0f0((1, 2), (1, 3), 12)

@@ -56,11 +56,6 @@ class TestPartitionType:
         assert p == (3, 1)
         assert all(type(x) is int for x in p)
 
-    def test_padded(self):
-        assert Partition((2, 1)).padded(4) == (2, 1, 0, 0)
-        with pytest.raises(ValueError):
-            Partition((2, 1)).padded(1)
-
     def test_doubled(self):
         assert Partition((3, 1)).doubled() == (6, 2)
 

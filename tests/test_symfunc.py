@@ -20,6 +20,8 @@ from zonalpoly.symfunc import (
 )
 from zonalpoly.zonal import zonal_row
 
+from oracles import evaluate_by_terms
+
 
 def expand_power_product(lam, n):
     """Oracle: multiply out p_lam in n explicit variables.
@@ -45,7 +47,7 @@ def monomial_coeffs_from_expansion(expansion, f, n):
     out = {}
     for lam in partitions_of(f):
         if len(lam) <= n:
-            c = expansion.get(lam.padded(n), Fraction(0))
+            c = expansion.get(lam + (0,) * (n - len(lam)), Fraction(0))
             if c:
                 out[lam] = c
     return out
@@ -250,26 +252,36 @@ class TestArithmetic:
         assert b == c and a == c
 
 
+#: The package's evaluator and the tests' term-by-term reference, each (poly, xs) -> value.
+EVALUATORS = (SymPoly.evaluate, evaluate_by_terms)
+
+
 class TestEvaluation:
+    # the closed forms hold for the package's evaluator and for the reference
+
     def test_orbit_counts_at_ones(self):
         m11 = SymPoly(2, MONOMIAL, {(1, 1): 1})
         m2 = SymPoly(2, MONOMIAL, {(2,): 1})
-        assert m11.evaluate((1, 1)) == 1
-        assert m2.evaluate((1, 1)) == 2
+        for evaluate in EVALUATORS:
+            assert evaluate(m11, (1, 1)) == 1
+            assert evaluate(m2, (1, 1)) == 2
 
     def test_zero_vector_kills_positive_degree(self):
         for lam in partitions_of(3):
-            assert p_to_m(lam).evaluate((0, 0, 0)) == 0
+            for evaluate in EVALUATORS:
+                assert evaluate(p_to_m(lam), (0, 0, 0)) == 0
 
     @pytest.mark.parametrize("n", (1, 2, 3, 5))
     def test_power_sum_at_ones(self, n):
         poly = SymPoly(2, POWERSUM, {(1, 1): 1, (2,): 2})
-        assert poly.evaluate((1,) * n) == n * n + 2 * n
+        for evaluate in EVALUATORS:
+            assert evaluate(poly, (1,) * n) == n * n + 2 * n
 
     def test_vanishing_with_too_few_variables(self):
         m111 = SymPoly(3, MONOMIAL, {(1, 1, 1): 1})
-        assert m111.evaluate((5, 7)) == 0
-        assert m111.evaluate((Fraction(1, 2),)) == 0
+        for evaluate in EVALUATORS:
+            assert evaluate(m111, (5, 7)) == 0
+            assert evaluate(m111, (Fraction(1, 2),)) == 0
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_ones_count_formula(self, n):
@@ -277,14 +289,15 @@ class TestEvaluation:
         for f in range(6):
             for lam in partitions_of(f):
                 poly = SymPoly(f, MONOMIAL, {lam: 1}) if f else SymPoly(0, MONOMIAL, {(): 1})
-                value = poly.evaluate((1,) * n)
-                if len(lam) > n:
-                    assert value == 0
-                    continue
-                mults = 1
-                for k in set(lam):
-                    mults *= factorial(lam.count(k))
-                assert value == factorial(n) // (factorial(n - len(lam)) * mults)
+                for evaluate in EVALUATORS:
+                    value = evaluate(poly, (1,) * n)
+                    if len(lam) > n:
+                        assert value == 0
+                        continue
+                    mults = 1
+                    for k in set(lam):
+                        mults *= factorial(lam.count(k))
+                    assert value == factorial(n) // (factorial(n - len(lam)) * mults)
 
     def test_evaluation_is_additive(self):
         rng = random.Random(11)
@@ -295,7 +308,7 @@ class TestEvaluation:
             b = SymPoly(f, MONOMIAL, {p: Fraction(rng.randint(-4, 4), 3) for p in parts})
             xs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
             total = SymPoly(f, MONOMIAL, {p: a.coefficient(p) + b.coefficient(p) for p in parts})
-            assert total.evaluate(xs) == a.evaluate(xs) + b.evaluate(xs)
+            assert total.evaluate(xs) == evaluate_by_terms(a, xs) + evaluate_by_terms(b, xs)
 
     def test_evaluation_commutes_with_basis_change(self):
         rng = random.Random(13)
@@ -306,4 +319,27 @@ class TestEvaluation:
                 f, MONOMIAL, {p: Fraction(rng.randint(-5, 5), 2) for p in parts}
             )
             xs = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4))
-            assert poly.evaluate(xs) == m_to_p(poly).evaluate(xs)
+            assert poly.evaluate(xs) == evaluate_by_terms(m_to_p(poly), xs)
+            assert m_to_p(poly).evaluate(xs) == evaluate_by_terms(poly, xs)
+
+    @pytest.mark.parametrize("basis", (MONOMIAL, POWERSUM))
+    def test_matches_term_by_term_reference(self, basis):
+        # random polynomials at rational points of 0 to 4 coordinates, so many
+        # have fewer coordinates than parts, and the degree-0 polynomial
+        rng = random.Random(17)
+        for _ in range(40):
+            f = rng.randint(0, 6)
+            parts = partitions_of(f)
+            poly = SymPoly(f, basis, {p: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for p in parts})
+            xs = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 4)))
+            value = poly.evaluate(xs)
+            assert type(value) is Fraction
+            assert value == evaluate_by_terms(poly, xs), (poly, xs)
+        constant = SymPoly(0, basis, {(): Fraction(-7, 3)})
+        assert constant.evaluate(()) == constant.evaluate((2, Fraction(1, 5))) == Fraction(-7, 3)
+        # a float coordinate is read exactly
+        poly = SymPoly(3, basis, {(2, 1): 1, (3,): Fraction(1, 3)})
+        assert poly.evaluate((0.5,)) == poly.evaluate((Fraction(1, 2),))
+        assert poly.evaluate((0.1, 2)) == poly.evaluate((Fraction(0.1), 2)) != poly.evaluate(
+            (Fraction(1, 10), 2)
+        )

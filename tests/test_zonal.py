@@ -9,7 +9,7 @@ from zonalpoly import zonal
 from zonalpoly.cli import DEGREE_CEILING
 from zonalpoly.partitions import Partition, partitions_of, rho
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
-from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, p_to_m
+from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, _monomial_values, _row_dot, p_to_m
 from zonalpoly.zonal import (
     DataIntegrityError,
     _capped_row,
@@ -23,7 +23,7 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
-from oracles import dominated_by, raising_moves
+from oracles import dominated_by, evaluate_by_terms, raising_moves, zonal_by_branching
 
 
 def fraction_recursion_row(kappa):
@@ -119,7 +119,7 @@ class TestZonalRow:
                 assert dict((h, numer) for numer, h in _raising_moves(g)) == merged
             # the orbit sizes weight the Z(I_n) pin, which the full plan does not use
             ones = [1] * n
-            want = tuple(SymPoly(f, MONOMIAL, {g: 1}).evaluate(ones) for g in parts)
+            want = tuple(evaluate_by_terms(SymPoly(f, MONOMIAL, {g: 1}), ones) for g in parts)
             assert orbits == (want if n < f else ())
 
     @pytest.mark.parametrize("f", range(1, 11))
@@ -179,6 +179,18 @@ class TestZonalRow:
     def test_capped_row_rejects_more_parts_than_n(self):
         with pytest.raises(ValueError, match="more than 2 parts"):
             _capped_row(Partition((2, 1, 1)), 2)
+
+    def test_capped_rows_match_the_branching_rule(self):
+        # every kappa with at most 3 parts to f = 12, capped below f from f = 4 on,
+        # against Z_kappa built by the branching rule with no raising recursion
+        xs = (Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7))
+        oracle = zonal_by_branching(xs)
+        scale, values = _monomial_values(xs, 12)
+        for f in range(1, 13):
+            for kappa in partitions_of(f):
+                if len(kappa) <= 3:
+                    got = Fraction(_row_dot(_capped_row(kappa, 3), values), scale**f)
+                    assert got == oracle(kappa), kappa
 
     @pytest.mark.parametrize("f", range(1, DEGREE_CEILING + 1))
     def test_coefficients_nonnegative_integers(self, f):
@@ -250,7 +262,7 @@ class TestAtIdentity:
     def test_closed_form_matches_orbit_sum(self, f, n):
         ones = (Fraction(1),) * n
         for kappa in partitions_of(f):
-            assert zonal_at_identity(kappa, n) == zonal_row(kappa).evaluate(ones)
+            assert zonal_at_identity(kappa, n) == evaluate_by_terms(zonal_row(kappa), ones)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -297,7 +309,7 @@ class TestTraceIdentity:
     def test_numeric_row_sum_at_rational_point(self, f):
         xs = (Fraction(1, 2), Fraction(2), Fraction(-1, 3))
         total = sum(
-            character_degree(kappa) * zonal_row(kappa).evaluate(xs)
+            character_degree(kappa) * evaluate_by_terms(zonal_row(kappa), xs)
             for kappa in partitions_of(f)
         )
         ratio = Fraction(factorial(2 * f), 2**f * factorial(f))
