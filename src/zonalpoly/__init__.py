@@ -13,7 +13,6 @@ from .moments import (
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    residual_values,
 )
 from .partitions import (
     Partition,
@@ -54,10 +53,8 @@ __all__ = [
     "mc_linear_trace_power",
     "mc_splitting",
     "mc_trace_power",
-    "oracle_sample_batch",
     "p_to_m",
     "partitions_of",
-    "residual_values",
     "rho",
     "sample_orthogonal_batch",
     "sym_group_degree",
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 
 #: Exported names that live in a numpy module, by the module that holds them.
 _LAZY = {
-    "oracle_sample_batch": "haar",
     "sample_orthogonal_batch": "haar",
     "MomentReport": "montecarlo",
     "mc_exponential_trace": "montecarlo",

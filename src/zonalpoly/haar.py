@@ -20,9 +20,9 @@ the steps and the starting block is Haar on SO(n); F SO(n),
 F = diag(-1, 1, ..., 1), is the other coset of O(n), so one fair bit per
 draw, which flips the sign of row 0, makes the draw Haar on O(n).  A
 step with det -1 on some draws and +1 on others would not: the bit flips
-the coset, not the law within it.  An independent oracle, the Q factor
-of a Gaussian matrix with diag(R) made positive, is provided for
-cross-validation.
+the coset, not the law within it.  The tests check the sampler against
+an independent oracle, the Q factor of a Gaussian matrix with diag(R)
+made positive.
 
 The sampler builds matrices in blocks of BLOCK // n draws.  Each block
 consumes the stream in the order it uses it: for n >= 3 first its
@@ -47,7 +47,6 @@ import numpy as np
 __all__ = [
     "as_generator",
     "sample_orthogonal_batch",
-    "oracle_sample_batch",
 ]
 
 
@@ -286,26 +285,5 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
         m = block.shape[2]
         out[start : start + m] = block.transpose(2, 0, 1)
         start += m
-    return out
-
-
-def oracle_sample_batch(n: int, count: int, rng) -> np.ndarray:
-    """Independent verifier: QR of standard-Gaussian matrices.
-
-    The Q factor, with each column's sign flipped so that diag(R) is
-    positive (Mezzadri, Notices AMS 2007); the law is Haar by rotational
-    invariance of the Gaussian.  Numerically singular draws (some
-    |R_kk| <= 1e-12, probability zero) are redrawn.
-    """
-    rng = as_generator(rng)
-    out = np.empty((count, n, n))
-    pending = np.arange(count)
-    while pending.size:
-        q, r = np.linalg.qr(rng.standard_normal((pending.size, n, n)))
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        q *= np.sign(diag)[:, None, :]
-        ok = np.all(np.abs(diag) > 1e-12, axis=1)
-        out[pending[ok]] = q[ok]
-        pending = pending[~ok]
     return out
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, ulp
 from operator import mul
-from typing import Iterable
 
 from .partitions import Partition, _partitions_capped
 from .symfunc import SymPoly, _monomial_values, _row_dot
@@ -35,7 +34,6 @@ from .zonal import (
     character_degree,
     double_factorial,
     zonal_at_identity,
-    zonal_row,
 )
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "SeriesResult",
     "exact_trace_power_integral",
     "bilinear_coefficient",
-    "residual_values",
     "hyper0f0",
 ]
 
@@ -116,8 +113,11 @@ def _character_sum(f: int, n: int, term, cap: int | None = None) -> Fraction:
     ``term`` maps the integer monomial row of kappa, on the partitions with
     at most ``cap`` parts (by default n, all that Z_kappa reads at n
     variables), to an integer; a zero term contributes nothing and is
-    skipped.
+    skipped.  At f = 0 the one kappa is (), whose Z is the constant 1 and
+    every term 1, so the sum is 1.
     """
+    if f == 0:
+        return Fraction(1)
     cap = n if cap is None else cap
     total = Fraction(0)
     for kappa in _partitions_capped(f, n):
@@ -156,8 +156,6 @@ def _trace_power_sum(f: int, n: int, va, vb) -> Fraction:
     Each table must cover weight f; its m_lambda with more than n parts
     are absent and count as zero.
     """
-    if f == 0:
-        return Fraction(1)
     (da, ma), (db, mb) = va, vb
 
     def term(row: SymPoly) -> int:
@@ -203,32 +201,6 @@ def bilinear_coefficient(f: int, n: int, g, h) -> Fraction:
 
     # rows that reach m_g and m_h, which may have more than n parts
     return _trace_power_prefactor(f) * _character_sum(f, n, term, max(n, len(g), len(h)))
-
-
-def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:
-    """The residual (2f-1)!! c(n) a_{g,h} - b_{(f),g} b_{(f),h} at each n.
-
-    c(n) = n (n+2) ... (n+2f-2) is Z_(f)(I_n), from ``zonal_at_identity``.
-    """
-    g = Partition(g)
-    h = Partition(h)
-    if g.weight != f or h.weight != f:
-        raise ValueError("g and h must be partitions of f")
-    single = Partition((f,))
-    if g == single or h == single:
-        raise ValueError("the residual excludes the single-row partition")
-    top = zonal_row(single)
-    cross = top.coefficient(g) * top.coefficient(h)
-    out = []
-    for n in n_values:
-        value = (
-            double_factorial(2 * f - 1)
-            * zonal_at_identity(single, n)
-            * bilinear_coefficient(f, n, g, h)
-            - cross
-        )
-        out.append((n, value))
-    return out
 
 
 def _exp_tail(x: float, degree: int) -> float:

@@ -1,20 +1,28 @@
-"""Independent references that only the tests use.
+"""References that only the tests use.
 
-The package itself needs none of them: ``zonal_row`` keeps every
-coefficient inside kappa's dominance interval without a dominance test,
-its raising moves are grouped by value and summed by target rather than
-listed one choice at a time, its exact values come from an integer
-recursion over the variables rather than from orbit sums or the
-branching rule, and no package code checks a sampled matrix for
-orthogonality.
+The package itself needs none of them.  All but ``residual_values`` are
+independent of it: ``zonal_row`` keeps every coefficient inside kappa's
+dominance interval without a dominance test, its raising moves are
+grouped by value and summed by target rather than listed one choice at
+a time, its exact values come from an integer recursion over the
+variables rather than from orbit sums or the branching rule, its Haar
+sampler runs the subgroup algorithm rather than a QR factorization, and
+no package code checks a sampled matrix for orthogonality.
+``residual_values`` is no independent reference: it is criterion 4b's
+quantity, computed from the package's public exact values, so the tests
+can show that it depends on the dimension.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from zonalpoly.moments import bilinear_coefficient
+from zonalpoly.partitions import Partition
+from zonalpoly.zonal import double_factorial, zonal_at_identity, zonal_row
 
 
 def dominated_by(g: Sequence[int], f: Sequence[int]) -> bool:
@@ -60,6 +68,53 @@ def orthogonality_check(q: np.ndarray, tol: float) -> bool:
     q = np.asarray(q, dtype=float)
     n = q.shape[-1]
     return bool(np.max(np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(n))) < tol)
+
+
+def oracle_sample_batch(n: int, count: int, rng) -> np.ndarray:
+    """Independent verifier: QR of standard-Gaussian matrices.
+
+    The Q factor, with each column's sign flipped so that diag(R) is
+    positive (Mezzadri, Notices AMS 2007); the law is Haar by rotational
+    invariance of the Gaussian.  Numerically singular draws (some
+    |R_kk| <= 1e-12, probability zero) are redrawn.
+    """
+    rng = np.random.default_rng(rng)
+    out = np.empty((count, n, n))
+    pending = np.arange(count)
+    while pending.size:
+        q, r = np.linalg.qr(rng.standard_normal((pending.size, n, n)))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q *= np.sign(diag)[:, None, :]
+        ok = np.all(np.abs(diag) > 1e-12, axis=1)
+        out[pending[ok]] = q[ok]
+        pending = pending[~ok]
+    return out
+
+
+def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:
+    """The residual (2f-1)!! c(n) a_{g,h} - b_{(f),g} b_{(f),h} at each n.
+
+    c(n) = n (n+2) ... (n+2f-2) is Z_(f)(I_n), from ``zonal_at_identity``.
+    """
+    g = Partition(g)
+    h = Partition(h)
+    if g.weight != f or h.weight != f:
+        raise ValueError("g and h must be partitions of f")
+    single = Partition((f,))
+    if g == single or h == single:
+        raise ValueError("the residual excludes the single-row partition")
+    top = zonal_row(single)
+    cross = top.coefficient(g) * top.coefficient(h)
+    out = []
+    for n in n_values:
+        value = (
+            double_factorial(2 * f - 1)
+            * zonal_at_identity(single, n)
+            * bilinear_coefficient(f, n, g, h)
+            - cross
+        )
+        out.append((n, value))
+    return out
 
 
 def evaluate_by_terms(poly, xs: Sequence):

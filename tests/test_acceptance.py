@@ -17,12 +17,8 @@ from click.testing import CliRunner
 from scipy.stats import ks_2samp
 
 from zonalpoly.cli import DEGREE_CEILING
-from zonalpoly.haar import oracle_sample_batch, sample_orthogonal_batch
-from zonalpoly.moments import (
-    bilinear_coefficient,
-    hyper0f0,
-    residual_values,
-)
+from zonalpoly.haar import sample_orthogonal_batch
+from zonalpoly.moments import bilinear_coefficient, hyper0f0
 from zonalpoly.montecarlo import mc_splitting
 from zonalpoly.partitions import Partition, partitions_of, rho
 from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES
@@ -35,7 +31,7 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
-from oracles import dominated_by, evaluate_by_terms
+from oracles import dominated_by, evaluate_by_terms, oracle_sample_batch, residual_values
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

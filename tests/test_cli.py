@@ -247,6 +247,20 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
+def test_lazy_names_agree_with_all():
+    # a stale _LAZY entry would keep a name visible after __all__ drops it
+    for name, module in zonalpoly._LAZY.items():
+        assert name in zonalpoly.__all__, name
+        assert name in vars(importlib.import_module(f"zonalpoly.{module}")), (name, module)
+    code = (
+        "import sys, zonalpoly\n"
+        "eager = [n for n in zonalpoly.__all__ if n not in zonalpoly._LAZY]\n"
+        "print([n for n in eager if n not in vars(zonalpoly)], 'numpy' in sys.modules)"
+    )
+    assert last_line_of_python(code) == "[] False"
+    assert set(zonalpoly.__all__) <= set(dir(zonalpoly))
+
+
 #: ``series_value`` of ``estimate exp-series --A 1/4,1/2,3/4 --B 1,1/2,1/4
 #: --max-degree 20``: the exact sum of the series' terms to degree 20.
 EXP_SERIES_DEGREE_20 = (

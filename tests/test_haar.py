@@ -14,11 +14,10 @@ from zonalpoly.haar import (
     BLOCK,
     _realize,
     _sample_blocks,
-    oracle_sample_batch,
     sample_orthogonal_batch,
 )
 
-from oracles import orthogonality_check
+from oracles import oracle_sample_batch, orthogonality_check
 
 
 def rounded_ks(xs, ys):

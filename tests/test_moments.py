@@ -20,7 +20,6 @@ from zonalpoly.moments import (
     bilinear_coefficient,
     exact_trace_power_integral,
     hyper0f0,
-    residual_values,
 )
 from zonalpoly.montecarlo import (
     LANES,
@@ -39,7 +38,7 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
-from oracles import evaluate_by_terms, zonal_by_branching
+from oracles import evaluate_by_terms, residual_values, zonal_by_branching
 from test_cli import EXP_SERIES_DEGREE_20
 
 
@@ -318,7 +317,7 @@ class TestIntegerEvaluation:
             report = mc_linear_trace_power(a, f, 2, 0)
             assert report.exact_value == _fraction_linear_trace_power([x * x for x in a], f)
 
-    def test_exact_values_never_evaluate_a_sympoly(self, monkeypatch):
+    def test_exact_values_never_change_basis(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the exact path must not take this route")
 
@@ -354,6 +353,11 @@ class TestBilinearCoefficients:
 
     def test_agrees_with_rank_one_integral(self):
         assert bilinear_coefficient(2, 2, (2,), (2,)) == Fraction(3, 8)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_degree_zero_is_one(self, n):
+        # the f = 0 integral is 1 = m_() m_(): the coefficient of the empty pair
+        assert bilinear_coefficient(0, n, (), ()) == Fraction(1)
 
     @pytest.mark.parametrize("n", (2, 3, 4))
     @pytest.mark.parametrize("f", (1, 2, 3, 4))
