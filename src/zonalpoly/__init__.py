@@ -1,67 +1,19 @@
 """Exact zonal polynomials, orthogonal-group moments, and Haar sampling.
 
-The exact names import with the package.  The Haar sampler and the Monte
-Carlo estimators need numpy, so their names are resolved on first use
-(PEP 562): ``import zonalpoly`` alone does not load numpy.
+The public names are those of each module's ``__all__``.  The exact
+modules' names import with the package.  The Haar sampler and the Monte
+Carlo estimators need numpy, so their names, listed in ``_LAZY``, are
+resolved on first use (PEP 562): ``import zonalpoly`` alone does not load
+numpy.
 """
 
 from importlib import import_module
 
-from .moments import (
-    DiagonalSpec,
-    SeriesResult,
-    bilinear_coefficient,
-    exact_trace_power_integral,
-    hyper0f0,
-)
-from .partitions import (
-    Partition,
-    conjugate,
-    partitions_of,
-    rho,
-    sym_group_degree,
-)
-from .symfunc import MONOMIAL, POWERSUM, SymPoly, m_to_p, p_to_m
-from .zonal import (
-    DataIntegrityError,
-    character_degree,
-    check_trace_identity,
-    double_factorial,
-    zonal_at_identity,
-    zonal_in_powersums,
-    zonal_row,
-)
-
-__all__ = [
-    "DataIntegrityError",
-    "DiagonalSpec",
-    "MONOMIAL",
-    "MomentReport",
-    "POWERSUM",
-    "Partition",
-    "SeriesResult",
-    "SymPoly",
-    "bilinear_coefficient",
-    "character_degree",
-    "check_trace_identity",
-    "conjugate",
-    "double_factorial",
-    "exact_trace_power_integral",
-    "hyper0f0",
-    "m_to_p",
-    "mc_exponential_trace",
-    "mc_linear_trace_power",
-    "mc_splitting",
-    "mc_trace_power",
-    "p_to_m",
-    "partitions_of",
-    "rho",
-    "sample_orthogonal_batch",
-    "sym_group_degree",
-    "zonal_at_identity",
-    "zonal_in_powersums",
-    "zonal_row",
-]
+from . import moments, partitions, symfunc, zonal
+from .moments import *
+from .partitions import *
+from .symfunc import *
+from .zonal import *
 
 __version__ = "0.1.0"
 
@@ -74,6 +26,8 @@ _LAZY = {
     "mc_splitting": "montecarlo",
     "mc_trace_power": "montecarlo",
 }
+
+__all__ = sorted({*_LAZY, *moments.__all__, *partitions.__all__, *symfunc.__all__, *zonal.__all__})
 
 
 def __getattr__(name: str):

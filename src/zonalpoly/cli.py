@@ -307,7 +307,7 @@ def _in_float_range(kind: str, n: int, fn, *args):
 @click.option("--B", "b_spec", "--b", default=None, help="Eigenvalues of the second matrix.")
 @click.option("--kappa", default=None, help="Partition, e.g. 2,1.")
 @click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="64-bit RNG seed.")
+@click.option("--seed", type=int, default=0, show_default=True, help="Nonnegative integer RNG seed.")
 @click.option(
     "--threads",
     type=int,

@@ -33,9 +33,10 @@ So a block holds one call's normals at a time, not all of them.  At
 n = 3 no sweep runs.  A block is held draw-minor, as
 ``rows[row, col, draw]``, so a step is one contraction along the draw
 axis and one rank-1 update of the trailing block, a few long numpy calls
-per sweep whatever its width.  The Monte Carlo statistics take the
-draw-minor block as it is; sample_orthogonal_batch transposes it to one
-matrix per draw.
+per sweep whatever its width.  The Monte Carlo lanes take ``_realize``'s
+draw-minor blocks as they are, on the streams they hold;
+sample_orthogonal_batch, the only sampler function that checks and
+coerces its input, transposes them to one matrix per draw.
 """
 
 from __future__ import annotations
@@ -189,6 +190,11 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
 def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks, m <= BLOCK // n.
 
+    Nothing is checked: n >= 1, count >= 0 and a Generator ``rng`` are
+    taken as given, as sample_orthogonal_batch and the Monte Carlo lanes,
+    on their spawned streams, pass them.  Entry [i, j, k] of a block is
+    entry (i, j) of its draw k.
+
     Each block of m draws makes its calls on ``rng`` in the order it uses
     them, every normal call one ``rng.standard_normal(out=...)`` into a
     reused buffer of the widest call's rows.  For n >= 3 the block first
@@ -212,7 +218,10 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
     row 0 in place, and F SO(n),
     F = diag(-1, 1, ..., 1), is the other coset, so the draws are Haar on
     O(n).  Each block is yielded in the one buffer that the next
-    overwrites.
+    overwrites, which the caller may overwrite too; so a caller holds one
+    block of matrices and one call's rows of normals (n, or 4 at n = 3) at
+    a time, whatever ``count``.  Transposed to (m, n, n) and concatenated,
+    the blocks are the bits of sample_orthogonal_batch.
     """
     size = max(1, min(count, BLOCK // n))
     base = 3 if n >= 3 else 1  # the sweeps start from diag(I_(n - base), SO(base))
@@ -248,26 +257,6 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
         yield rows
 
 
-def _sample_blocks(n: int, count: int, rng) -> Iterator[np.ndarray]:
-    """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks of m <= BLOCK // n.
-
-    Entry [i, j, k] of a block is entry (i, j) of its draw k.  Blocks are
-    drawn and realized as they are consumed, each with its own normals,
-    the quaternions' first for n >= 3 and then sweep by sweep, and then
-    its own reflection bits, one per draw, from ``rng``, each into the one
-    buffer that the next overwrites, which the caller may overwrite too;
-    so a caller holds one block of matrices and one call's rows of normals
-    (n, or 4 at n = 3) at a time, whatever ``count``.  Transposed to
-    (m, n, n) and concatenated, the blocks are the bits of
-    sample_orthogonal_batch.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return _realize(n, count, as_generator(rng))
-
-
 def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     """A C-contiguous (count, n, n) stack of independent Haar draws.
 
@@ -276,12 +265,17 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     block draws 4 normals per draw for its quaternion block when n >= 3,
     then each sweep's normals as the sweep runs, n(n+1)/2 - 2 per draw in
     all (n(n+1)/2 - 1 for n <= 2), then one reflection bit per draw, which
-    flips the sign of row 0 (see ``_realize``).
+    flips the sign of row 0 (see ``_realize``).  This is the sampler's one
+    entry point that checks its input: ValueError for n < 1 or count < 0,
+    before anything is drawn, and ``rng`` may be a seed or a Generator.
     """
-    blocks = _sample_blocks(n, count, rng)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     out = np.empty((count, n, n))
     start = 0
-    for block in blocks:
+    for block in _realize(n, count, as_generator(rng)):
         m = block.shape[2]
         out[start : start + m] = block.transpose(2, 0, 1)
         start += m

@@ -28,7 +28,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .haar import _sample_blocks, as_generator
+from .haar import _realize, as_generator
 from .moments import (
     DiagonalSpec,
     _linear_trace_power_value,
@@ -134,11 +134,12 @@ def _summarize(exact, reference: float, moments: Moments) -> MomentReport:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each lane of ``_sample_chunks`` draws its matrices block by block (the
-    quaternion normals for n >= 3, each sweep's normals as it runs, then the
-    block's reflection bits) and reduces ``statistic(block) -> values`` to
-    the block's (count, mean, M2) at once, so it holds one block of draws
-    and its values, whatever the budget.  A block is the sampler's
+    Each lane of ``_sample_chunks`` draws its matrices block by block from
+    ``haar._realize`` on its own spawned stream (the quaternion normals for
+    n >= 3, each sweep's normals as it runs, then the block's reflection
+    bits) and reduces ``statistic(block) -> values`` to the block's
+    (count, mean, M2) at once, so it holds one block of draws and its
+    values, whatever the budget.  A block is the sampler's
     draw-minor (n, n, m) array, entry (i, j) of draw k at [i, j, k]; a
     statistic may overwrite it and must return a fresh array of m values,
     which ``_moments`` overwrites.  A lane takes its values less its
@@ -167,7 +168,7 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     chunks = _sample_chunks(samples, rng)
 
     def lane(count: int, gen: np.random.Generator) -> tuple[float, Moments]:
-        blocks = _sample_blocks(n, count, gen)
+        blocks = _realize(n, count, gen)
         values = statistic(next(blocks))
         shift = float(values[0])
         first = _moments(values, shift)

@@ -249,9 +249,15 @@ def test_every_exported_name_resolves():
 
 def test_lazy_names_agree_with_all():
     # a stale _LAZY entry would keep a name visible after __all__ drops it
-    for name, module in zonalpoly._LAZY.items():
+    for name, short in zonalpoly._LAZY.items():
+        module = importlib.import_module(f"zonalpoly.{short}")
         assert name in zonalpoly.__all__, name
-        assert name in vars(importlib.import_module(f"zonalpoly.{module}")), (name, module)
+        assert name in vars(module) and name in module.__all__, (name, short)
+    # _LAZY is the one list of names in __init__.py: every public name of the
+    # numpy modules is on it, but the seed coercion that haar shares with montecarlo
+    haar, montecarlo = (importlib.import_module(f"zonalpoly.{m}") for m in ("haar", "montecarlo"))
+    public = [*montecarlo.__all__, *(n for n in haar.__all__ if n != "as_generator")]
+    assert [n for n in public if n not in zonalpoly._LAZY] == []
     code = (
         "import sys, zonalpoly\n"
         "eager = [n for n in zonalpoly.__all__ if n not in zonalpoly._LAZY]\n"
@@ -551,6 +557,17 @@ class TestEstimate:
         )
         assert result.exit_code == 2
         assert "--seed must be nonnegative" in result.output
+
+    def test_seed_is_any_nonnegative_integer(self, runner):
+        # numpy seeds from an integer of any size, so --seed is not capped at 64 bits
+        assert "Nonnegative integer RNG seed." in runner.invoke(main, ["estimate", "--help"]).output
+        result = runner.invoke(
+            main,
+            ["estimate", "trace-power", "--f", "1", "--A", "1,2", "--B", "3,1",
+             "--samples", "100", "--seed", str(2**100)],
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["parameters"]["seed"] == 2**100
 
     def test_float_overflow_is_usage_error(self, runner):
         # 1e400 has no float; with 1e300 the exact moment (about 1e600) has none

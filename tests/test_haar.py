@@ -13,7 +13,6 @@ from zonalpoly import haar
 from zonalpoly.haar import (
     BLOCK,
     _realize,
-    _sample_blocks,
     sample_orthogonal_batch,
 )
 
@@ -437,7 +436,7 @@ class TestRealize:
             sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
             tracemalloc.start()
             try:
-                assert sum(block.shape[2] for block in _sample_blocks(n, count, 3)) == count
+                assert sum(block.shape[2] for block in _realize(n, count, np.random.default_rng(3))) == count
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -532,6 +531,26 @@ class TestDeterminism:
 
     def test_integer_seed_accepted(self):
         assert np.array_equal(sample_orthogonal_batch(2, 3, 9), sample_orthogonal_batch(2, 3, 9))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "n, count, message",
+        ((0, 5, "n must be at least 1"), (-1, 5, "n must be at least 1"), (3, -1, "count must be nonnegative")),
+    )
+    def test_rejected_before_any_draw(self, n, count, message):
+        rng = np.random.default_rng(41)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_orthogonal_batch(n, count, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 30))
+    def test_empty_batch(self, n):
+        batch = sample_orthogonal_batch(n, 0, np.random.default_rng(41))
+        assert batch.shape == (0, n, n)
+        assert batch.dtype == np.float64
+        assert batch.flags.c_contiguous
 
 
 class TestOneDimensional:

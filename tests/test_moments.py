@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 from zonalpoly import moments, montecarlo, zonal
-from zonalpoly.haar import BLOCK, _sample_blocks, sample_orthogonal_batch
+from zonalpoly.haar import BLOCK, _realize, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
     bilinear_coefficient,
@@ -554,13 +554,13 @@ class TestMcTracePower:
         assert [size for size, _ in chunks] == [2, 2, 1, 1, 1, 1, 1, 1]
 
         seen = set()
-        real_blocks = montecarlo._sample_blocks
+        real_blocks = montecarlo._realize
 
         def recording_blocks(*blocks_args):
             seen.add(threading.get_ident())
             return real_blocks(*blocks_args)
 
-        monkeypatch.setattr(montecarlo, "_sample_blocks", recording_blocks)
+        monkeypatch.setattr(montecarlo, "_realize", recording_blocks)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         for samples in (5, 20_000):
             for threads in (1, 2, 20_000):
@@ -591,7 +591,7 @@ class TestMcTracePower:
 class TestMomentFold:
     """The (count, mean, M2) fold of ``_monte_carlo`` on streams of given values.
 
-    ``_sample_blocks`` is replaced by a stream whose blocks are the values
+    ``montecarlo._realize`` is replaced by a stream whose blocks are the values
     themselves, and the statistic copies each block, so the fold sees
     exactly these values, in these blocks and lanes.
     """
@@ -601,12 +601,12 @@ class TestMomentFold:
         """The report on ``blocks_of(count, gen)`` per lane, and every block seen."""
         seen = []
 
-        def sample_blocks(n, count, gen):
+        def realize(n, count, gen):
             for block in blocks_of(count, gen):
                 seen.append(block.copy())
                 yield block
 
-        monkeypatch.setattr(montecarlo, "_sample_blocks", sample_blocks)
+        monkeypatch.setattr(montecarlo, "_realize", realize)
         return montecarlo._monte_carlo(0, 1, samples, 17, threads, np.copy), seen
 
     @pytest.mark.parametrize("threads", (1, 3))
@@ -746,7 +746,7 @@ class TestMcSplitting:
             return top
 
         def consume():
-            assert sum(block.shape[2] for block in _sample_blocks(n, samples, 3)) == samples
+            assert sum(block.shape[2] for block in _realize(n, samples, np.random.default_rng(3))) == samples
 
         def split():
             assert mc_splitting((2, 1), a, b, samples, 3).samples == samples
@@ -853,7 +853,7 @@ def test_draw_alone_matches_its_block(monkeypatch, n, kind):
     b = [Fraction(k % 3 + 1, 2) for k in range(n)]
     ESTIMATES[kind](a, b)
     (statistic,) = statistics
-    block = next(_sample_blocks(n, BLOCK // n, 8)).copy()
+    block = next(_realize(n, BLOCK // n, np.random.default_rng(8))).copy()
     whole = statistic(block.copy())
     assert len(whole) == block.shape[2]
     for k in np.random.default_rng(n).choice(block.shape[2], 12, replace=False):
