@@ -13,17 +13,18 @@ import csv
 import io
 import json
 from fractions import Fraction
+from typing import Iterator
 
 import click
 from click.core import ParameterSource
 
 from .moments import DiagonalSpec, hyper0f0
 from .partitions import Partition, partitions_of
-from .reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
-from .symfunc import MONOMIAL, POWERSUM, SymPoly
+from .symfunc import MONOMIAL, POWERSUM
 from .zonal import (
     DataIntegrityError,
     character_degree,
+    check_orthogonality,
     check_trace_identity,
     zonal_in_powersums,
     zonal_row,
@@ -32,6 +33,12 @@ from .zonal import (
 #: Table generation beyond this degree is refused; the recursion stays
 #: exact but the partition count makes it slow.
 DEGREE_CEILING = 12
+
+#: ``verify`` runs the Jack orthogonality certificate up to this degree.  It
+#: needs the power-sum form of every row: to degree 6 that costs about 2 ms,
+#: while to degree 12 a cold ``verify --f 1..12`` would take 0.18 s instead
+#: of 0.11 s (2-core shared VM, Python 3.11).
+ORTHOGONALITY_CEILING = 6
 
 #: Each ``estimate`` kind and the options it needs; it takes no other of them,
 #: but for ``--max-degree``, which ``exp-series`` reads with a default.
@@ -207,68 +214,55 @@ def parse_degree_range(text: str) -> list[int]:
     return degrees
 
 
-def _verify_degree(f: int) -> list[str]:
+def _verify_degree(f: int) -> Iterator[str]:
     """One line per check; failing lines start with FAIL.
 
     Normalization, triangularity and the top coefficient need no line:
     ``zonal_row`` builds every row to satisfy them and raises
-    DataIntegrityError otherwise, which ``verify`` prints as a FAIL line.
+    DataIntegrityError otherwise, which ``verify`` prints as a FAIL line
+    after the lines already given.
     """
     ok, diff = check_trace_identity(f)
-    lines = [
+    yield (
         f"f={f} trace identity: ok"
         if ok
         else f"FAIL f={f} trace identity: discrepancy "
         + str({format_partition(k): str(v) for k, v in diff.items()})
-    ]
-
-    golden = GOLDEN_POWERSUM_ROWS.get(f)
-    if golden is not None:
-        try:
-            mismatched = [
-                format_partition(kappa)
-                for kappa, expected in golden.items()
-                if zonal_in_powersums(kappa) != SymPoly(f, POWERSUM, expected)
-            ]
-        except DataIntegrityError as exc:  # a row whose power-sum form is not integral
-            lines.append(f"FAIL f={f} golden rows: data integrity: {exc}")
+    )
+    if f <= ORTHOGONALITY_CEILING:
+        ok, bad = check_orthogonality(f)
+        if ok:
+            yield f"f={f} Jack orthogonality: ok ({len(partitions_of(f))} rows)"
         else:
-            skipped = len(partitions_of(f)) - len(golden)
-            note = f" ({skipped} rows without reference skipped)" if skipped else ""
-            lines.append(
-                f"f={f} golden rows: ok ({len(golden)} rows{note})"
-                if not mismatched
-                else f"FAIL f={f} golden rows: mismatch at {mismatched}"
+            (kappa, mu), gap = next(iter(bad.items()))
+            yield (
+                f"FAIL f={f} Jack orthogonality: <Z({format_partition(kappa)}), "
+                f"Z({format_partition(mu)})> off by {gap} ({len(bad)} bad pairs)"
             )
-
-        bad_chi = [
-            format_partition(kappa)
-            for kappa in partitions_of(f)
-            if kappa in GOLDEN_CHARACTER_DEGREES
-            and character_degree(kappa) != GOLDEN_CHARACTER_DEGREES[kappa]
-        ]
-        lines.append(
-            f"f={f} character degrees: ok"
-            if not bad_chi
-            else f"FAIL f={f} character degrees: mismatch at {bad_chi}"
-        )
-    return lines
 
 
 @main.command()
 @click.option("--f", "frange", default="1..6", show_default=True, help="Degree or range A..B.")
 @click.pass_context
 def verify(ctx: click.Context, frange: str) -> None:
-    """Check tables against golden rows and structural identities."""
+    """Check the trace identity and, to degree 6, prove the rows by Jack orthogonality.
+
+    Each row is built triangular in the lexicographic order, which refines
+    dominance, with m_(1^f) = f!, and orthogonality with Stanley's norms
+    then proves every row of its degree.  Proven rows are linearly
+    independent, so the trace identity sum_kappa chi(kappa) Z_kappa =
+    (2f-1)!! p_1^f has exactly one solution chi: the character degrees
+    need no check of their own.
+    """
     failed = False
     for f in parse_degree_range(frange):
         try:
-            lines = _verify_degree(f)
+            for line in _verify_degree(f):
+                click.echo(line)
+                failed = failed or line.startswith("FAIL")
         except DataIntegrityError as exc:  # a row that cannot be built
-            lines = [f"FAIL f={f} data integrity: {exc}"]
-        for line in lines:
-            click.echo(line)
-            failed = failed or line.startswith("FAIL")
+            click.echo(f"FAIL f={f} data integrity: {exc}")
+            failed = True
     ctx.exit(1 if failed else 0)
 
 

@@ -46,16 +46,8 @@ from typing import Iterator
 import numpy as np
 
 __all__ = [
-    "as_generator",
     "sample_orthogonal_batch",
 ]
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Coerce a seed or Generator into a numpy Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 #: Matrix entries in one row of a realized block, which holds BLOCK // n
@@ -275,7 +267,7 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     out = np.empty((count, n, n))
     start = 0
-    for block in _realize(n, count, as_generator(rng)):
+    for block in _realize(n, count, np.random.default_rng(rng)):
         m = block.shape[2]
         out[start : start + m] = block.transpose(2, 0, 1)
         start += m

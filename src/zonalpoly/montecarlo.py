@@ -28,7 +28,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .haar import _realize, as_generator
+from .haar import _realize
 from .moments import (
     DiagonalSpec,
     _linear_trace_power_value,
@@ -75,7 +75,8 @@ def _sample_chunks(samples: int, rng) -> list[tuple[int, np.random.Generator]]:
     """
     lanes = min(LANES, samples)
     base, extra = divmod(samples, lanes)
-    return [(base + (k < extra), gen) for k, gen in enumerate(as_generator(rng).spawn(lanes))]
+    streams = np.random.default_rng(rng).spawn(lanes)
+    return [(base + (k < extra), gen) for k, gen in enumerate(streams)]
 
 
 # The mean of float samples is only known to a few ulps: each sample is

@@ -128,15 +128,26 @@ def rho(p: Sequence[int]) -> int:
     return sum(q * (q - i) for i, q in enumerate(p, 1))
 
 
+def _hook_product(p: Partition, alpha: int, shift: int) -> int:
+    """prod over the cells s of p of alpha a(s) + l(s) + shift.
+
+    The arm a(s) counts the cells to the right of s in its row, the leg
+    l(s) the cells below it in its column.  alpha = shift = 1 multiplies
+    the hook lengths; alpha = 2 gives Stanley's c_p(2) at shift 1 and
+    c'_p(2) at shift 2 (Adv. Math. 77, 1989).
+    """
+    legs = conjugate(p)
+    out = 1
+    for i, row in enumerate(p):
+        for j in range(row):
+            out *= alpha * (row - j - 1) + legs[j] - i - 1 + shift
+    return out
+
+
 def sym_group_degree(p: Sequence[int]) -> int:
     """Degree of the symmetric-group irreducible indexed by ``p``.
 
     Hook-length formula: |p|! divided by the product of hook lengths.
     """
     p = Partition(p)
-    conj = conjugate(p)
-    hooks = 1
-    for i, row in enumerate(p):
-        for j in range(row):
-            hooks *= (row - j) + (conj[j] - i) - 1
-    return factorial(p.weight) // hooks
+    return factorial(p.weight) // _hook_product(p, 1, 1)

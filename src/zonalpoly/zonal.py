@@ -51,9 +51,9 @@ from operator import mul
 
 from .partitions import (
     Partition,
+    _hook_product,
     _partitions_capped,
     _trusted_partition,
-    conjugate,
     partitions_of,
     rho,
     sym_group_degree,
@@ -68,6 +68,7 @@ __all__ = [
     "zonal_at_identity",
     "character_degree",
     "check_trace_identity",
+    "check_orthogonality",
 ]
 
 class DataIntegrityError(ValueError):
@@ -159,13 +160,7 @@ def _top_coefficient(kappa: Partition) -> int:
     Jack polynomial J_kappa at alpha = 2 (Stanley, Adv. Math. 1989;
     Macdonald, *Symmetric Functions and Hall Polynomials*, VI.10).
     """
-    legs = conjugate(kappa)
-    out = 1
-    for i, row in enumerate(kappa):
-        for j in range(row):
-            arm, leg = row - j - 1, legs[j] - i - 1
-            out *= 2 * arm + leg + 1
-    return out
+    return _hook_product(kappa, 2, 1)
 
 
 def _recurse(kappa: Partition, n: int) -> SymPoly:
@@ -259,10 +254,11 @@ def _capped_row(kappa: Partition, n: int) -> SymPoly:
 def zonal_in_powersums(kappa) -> SymPoly:
     """The row for kappa converted to the power-sum basis.
 
-    It serves the power-sum tables and the float Monte Carlo statistic of
-    the splitting check; exact values of Z_kappa come from the monomial
-    row.  The conversion must land on integer coefficients; anything else
-    means a corrupted table and raises DataIntegrityError.
+    It serves the power-sum tables, the orthogonality certificate
+    (``check_orthogonality``) and the float Monte Carlo statistic of the
+    splitting check; exact values of Z_kappa come from the monomial row.
+    The conversion must land on integer coefficients; anything else means
+    a corrupted table and raises DataIntegrityError.
     """
     poly = m_to_p(zonal_row(Partition(kappa)))
     if Fraction in set(map(type, poly.coeffs.values())):  # m_to_p gives int or Fraction
@@ -329,3 +325,40 @@ def check_trace_identity(f: int) -> tuple[bool, dict[Partition, int]]:
             diff[lam] = gap
     return (not diff, diff)
 
+
+def check_orthogonality(f: int) -> tuple[bool, dict[tuple[Partition, Partition], int]]:
+    """Exact check that the rows of degree f are orthogonal with Stanley's norms.
+
+    Under the scalar product <p_lambda, p_mu> = delta z_lambda 2^len(lambda),
+    z_lambda = prod_k k^m_k m_k! over the multiplicities m_k of lambda, the
+    Jack polynomials J_kappa at alpha = 2 are orthogonal, with
+    <J_kappa, J_kappa> = prod_s (2 a(s) + l(s) + 1)(2 a(s) + l(s) + 2)
+    (Stanley, Adv. Math. 77, 1989; Macdonald, *Symmetric Functions and
+    Hall Polynomials*, VI.10).  ``_recurse`` makes every row triangular in
+    the lexicographic order, which refines dominance, with m_(1^f) = f!.
+    Gram-Schmidt in that order has one solution, so rows that also pass
+    this check are the zonal polynomials.  Every pair kappa, mu, kappa
+    first, is checked on the power-sum rows of ``zonal_in_powersums``.
+    Returns (ok, per-pair discrepancy map), in that pair order; the map is
+    empty exactly when every pair holds.
+    """
+    if f < 1:
+        raise ValueError("f must be at least 1")
+    parts = partitions_of(f)
+    weights = [  # z_lambda 2^len(lambda) = prod_k (2k)^m_k m_k!
+        prod((2 * k) ** lam.count(k) * factorial(lam.count(k)) for k in set(lam)) for lam in parts
+    ]
+    rows = [[zonal_in_powersums(kappa).coeffs.get(lam, 0) for lam in parts] for kappa in parts]
+    bad = {}
+    for i, (kappa, row) in enumerate(zip(parts, rows)):
+        weighted = list(map(mul, row, weights))
+        for mu, other in zip(parts[i:], rows[i:]):
+            gap = sum(map(mul, weighted, other)) - (_jack_norm(kappa) if mu == kappa else 0)
+            if gap:
+                bad[kappa, mu] = gap
+    return (not bad, bad)
+
+
+def _jack_norm(kappa: Partition) -> int:
+    """<Z_kappa, Z_kappa> = prod over cells s of (2 a(s) + l(s) + 1)(2 a(s) + l(s) + 2)."""
+    return _hook_product(kappa, 2, 1) * _hook_product(kappa, 2, 2)

@@ -21,17 +21,18 @@ from zonalpoly.haar import sample_orthogonal_batch
 from zonalpoly.moments import bilinear_coefficient, hyper0f0
 from zonalpoly.montecarlo import mc_splitting
 from zonalpoly.partitions import Partition, partitions_of, rho
-from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES
-from zonalpoly.symfunc import SymPoly, m_to_p, p_to_m
+from zonalpoly.symfunc import POWERSUM, SymPoly, m_to_p, p_to_m
 from zonalpoly.zonal import (
     character_degree,
     check_trace_identity,
     double_factorial,
     zonal_at_identity,
+    zonal_in_powersums,
     zonal_row,
 )
 
 from oracles import dominated_by, evaluate_by_terms, oracle_sample_batch, residual_values
+from reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -42,11 +43,24 @@ def test_criterion_1_golden_table_reproduction():
     start = time.perf_counter()
     result = CliRunner().invoke(main_cli(), ["verify", "--f", "1..6"])
     elapsed = time.perf_counter() - start
-    ok = result.exit_code == 0 and "FAIL" not in result.output and elapsed < 5.0
-    report("1", ok, f"verify --f 1..6 exit={result.exit_code} in {elapsed:.2f}s (< 5s)")
+    # verify proves the rows without the golden table; every tabulated row must match too
+    golden = [
+        (kappa, f, row) for f, rows in GOLDEN_POWERSUM_ROWS.items() for kappa, row in rows.items()
+    ]
+    mismatches = [
+        kappa for kappa, f, row in golden if zonal_in_powersums(kappa) != SymPoly(f, POWERSUM, row)
+    ]
+    ok = result.exit_code == 0 and "FAIL" not in result.output and elapsed < 5.0 and not mismatches
+    report(
+        "1",
+        ok,
+        f"verify --f 1..6 exit={result.exit_code} in {elapsed:.2f}s (< 5s); "
+        f"{len(golden) - len(mismatches)} of {len(golden)} golden rows match",
+    )
     assert result.exit_code == 0, result.output
     assert "FAIL" not in result.output
     assert elapsed < 5.0
+    assert not mismatches
 
 
 def main_cli():

@@ -17,7 +17,6 @@ import zonalpoly
 from zonalpoly import zonal
 from zonalpoly.cli import _emit_json, main
 from zonalpoly.partitions import Partition, partitions_of
-from zonalpoly.reference import GOLDEN_POWERSUM_ROWS
 from zonalpoly.symfunc import SymPoly
 
 
@@ -96,27 +95,50 @@ class TestVerify:
     def test_full_range_passes(self, runner):
         result = runner.invoke(main, ["verify", "--f", "1..6"])
         assert result.exit_code == 0
-        assert "FAIL" not in result.output
-        assert "f=6 golden rows: ok (11 rows)" in result.output
+        assert result.output.splitlines() == [
+            line
+            for f in range(1, 7)
+            for line in (
+                f"f={f} trace identity: ok",
+                f"f={f} Jack orthogonality: ok ({len(partitions_of(f))} rows)",
+            )
+        ]
 
     def test_single_degree(self, runner):
         result = runner.invoke(main, ["verify", "--f", "1"])
         assert result.exit_code == 0
 
-    def test_degree_without_reference_still_checked(self, runner):
-        result = runner.invoke(main, ["verify", "--f", "7"])
+    def test_degree_above_certificate_still_checked(self, runner):
+        result = runner.invoke(main, ["verify", "--f", "6..7"])
         assert result.exit_code == 0
-        assert "f=7 trace identity: ok" in result.output
-        assert "golden rows" not in result.output
+        assert result.output.splitlines() == [
+            "f=6 trace identity: ok",
+            "f=6 Jack orthogonality: ok (11 rows)",
+            "f=7 trace identity: ok",
+        ]
 
-    def test_corrupted_reference_names_bad_row(self, runner, monkeypatch):
-        corrupted = {k: dict(v) for k, v in GOLDEN_POWERSUM_ROWS[2].items()}
-        corrupted[(2,)] = {(1, 1): 1, (2,): 99}
-        monkeypatch.setitem(GOLDEN_POWERSUM_ROWS, 2, corrupted)
-        result = runner.invoke(main, ["verify", "--f", "2"])
+    def test_corrupted_powersum_row_names_bad_pair(self, runner, monkeypatch):
+        # the trace identity reads the monomial rows, the certificate the power-sum
+        # rows: the p_2 coefficient of Z_(2) = p_1^2 + 2 p_2 becomes 99
+        two = Partition((2,))
+        row = zonal.zonal_in_powersums
+
+        def corrupted(k):
+            poly = row(k)
+            if k != two:
+                return poly
+            return SymPoly(poly.degree, poly.basis, {**poly.coeffs, two: 99})
+
+        monkeypatch.setattr(zonal, "zonal_in_powersums", corrupted)
+        result = runner.invoke(main, ["verify", "--f", "1..2"])
         assert result.exit_code == 1
-        assert "FAIL f=2 golden rows" in result.output
-        assert "2" in result.output
+        # <Z_(2), Z_(2)> = 1 * 8 + 99^2 * 4 against 24; <Z_(2), Z_(1,1)> = 8 - 99 * 4
+        assert result.output.splitlines() == [
+            "f=1 trace identity: ok",
+            "f=1 Jack orthogonality: ok (1 rows)",
+            "f=2 trace identity: ok",
+            "FAIL f=2 Jack orthogonality: <Z(2), Z(2)> off by 39188 (2 bad pairs)",
+        ]
 
     def test_corrupted_row_fails_each_degree(self, runner, monkeypatch):
         caches = (zonal.zonal_row, zonal.zonal_in_powersums)
@@ -139,7 +161,7 @@ class TestVerify:
 
     def test_corrupted_row_fails_trace_identity(self, runner, monkeypatch):
         kappa, lam = Partition((2, 2)), Partition((2, 1, 1))
-        # the golden check reads the cached power-sum rows, built from the true rows
+        # the certificate reads the cached power-sum rows, built from the true rows
         for k in partitions_of(4):
             zonal.zonal_in_powersums(k)
         row = zonal.zonal_row
@@ -160,7 +182,7 @@ class TestVerify:
             "FAIL f=4 trace identity: discrepancy {'2,1,1': '14'}"
         ]
 
-    def test_corrupted_row_fails_trace_identity_and_golden_rows(self, runner, monkeypatch):
+    def test_corrupted_row_fails_trace_identity_and_certificate(self, runner, monkeypatch):
         kappa, lam = Partition((2, 2)), Partition((2, 1, 1))
         row = zonal.zonal_row
 
@@ -176,20 +198,22 @@ class TestVerify:
         zonal.zonal_in_powersums.cache_clear()
         try:
             assert zonal.check_trace_identity(4) == (False, {lam: zonal.character_degree(kappa)})
-            result = runner.invoke(main, ["verify", "--f", "4"])
+            result = runner.invoke(main, ["verify", "--f", "4..5"])
         finally:
             zonal.zonal_in_powersums.cache_clear()
         assert result.exit_code == 1
         assert not isinstance(result.exception, zonal.DataIntegrityError)
         lines = result.output.splitlines()
+        # the certificate cannot convert the row, and verify goes on to the next degree
         assert [line.split(":")[0] for line in lines] == [
             "FAIL f=4 trace identity",
-            "FAIL f=4 golden rows",
-            "f=4 character degrees",
+            "FAIL f=4 data integrity",
+            "f=5 trace identity",
+            "f=5 Jack orthogonality",
         ]
         assert lines[0] == "FAIL f=4 trace identity: discrepancy {'2,1,1': '14'}"
         assert lines[1].startswith(
-            "FAIL f=4 golden rows: data integrity: power-sum coefficients for "
+            "FAIL f=4 data integrity: power-sum coefficients for "
             "Partition((2, 2)) are not integers"
         )
 
@@ -254,9 +278,9 @@ def test_lazy_names_agree_with_all():
         assert name in zonalpoly.__all__, name
         assert name in vars(module) and name in module.__all__, (name, short)
     # _LAZY is the one list of names in __init__.py: every public name of the
-    # numpy modules is on it, but the seed coercion that haar shares with montecarlo
+    # numpy modules is on it
     haar, montecarlo = (importlib.import_module(f"zonalpoly.{m}") for m in ("haar", "montecarlo"))
-    public = [*montecarlo.__all__, *(n for n in haar.__all__ if n != "as_generator")]
+    public = [*montecarlo.__all__, *haar.__all__]
     assert [n for n in public if n not in zonalpoly._LAZY] == []
     code = (
         "import sys, zonalpoly\n"
@@ -299,7 +323,7 @@ class TestOutputBytes:
             ),
             (
                 ["verify", "--f", "1..12"],
-                "811da7441b555cba1b1a461861b7c064a4fe9420ed3c209dd58bbe0f9b0a0c10",
+                "60ca600d00cfc9deff19fde36c7cb449b2d30a50266b8f4b44267b163a48f64b",
             ),
             (
                 ["table", "--f", "6", "--basis", "powersum", "--format", "csv"],

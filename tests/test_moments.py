@@ -538,13 +538,12 @@ class TestMcTracePower:
                 counts.append(k)
                 return self.gen.spawn(k)
 
-        monkeypatch.setattr(
-            montecarlo, "as_generator", lambda rng: SpyGenerator(np.random.default_rng(rng))
-        )
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda rng: SpyGenerator(default_rng(rng)))
         chunks = montecarlo._sample_chunks(5, 42)
         assert counts == [5]
         assert [size for size, _ in chunks] == [1] * 5
-        wide = np.random.default_rng(42).spawn(LANES)[:5]
+        wide = default_rng(42).spawn(LANES)[:5]
         for (_, child), want in zip(chunks, wide):
             assert np.array_equal(child.random(8), want.random(8))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from zonalpoly.partitions import (
+    _hook_product,
     _partitions_capped,
     Partition,
     conjugate,
@@ -199,6 +200,30 @@ class TestRho:
             for low in parts:
                 if low != top and dominated_by(low, top):
                     assert rho(top) - rho(low) > 0
+
+
+class TestHookProduct:
+    def test_by_hand(self):
+        # (3, 1): the cells (arm, leg) are (2, 1), (1, 0), (0, 0) and (0, 0)
+        p = Partition((3, 1))
+        assert _hook_product(p, 1, 1) == 4 * 2 * 1 * 1
+        assert _hook_product(p, 2, 1) == 6 * 3 * 1 * 1
+        assert _hook_product(p, 2, 2) == 7 * 4 * 2 * 2
+
+    @pytest.mark.parametrize("f", range(1, 9))
+    def test_matches_cells_counted_from_the_parts(self, f):
+        for p in partitions_of(f):
+            cells = [
+                (row - j - 1, sum(1 for below in p[i + 1 :] if below > j))
+                for i, row in enumerate(p)
+                for j in range(row)
+            ]
+            for alpha, shift in ((1, 1), (2, 1), (2, 2)):
+                want = 1
+                for arm, leg in cells:
+                    want *= alpha * arm + leg + shift
+                assert _hook_product(p, alpha, shift) == want
+            assert _hook_product(conjugate(p), 1, 1) == _hook_product(p, 1, 1)
 
 
 class TestSymGroupDegree:

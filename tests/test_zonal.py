@@ -8,14 +8,15 @@ import pytest
 from zonalpoly import zonal
 from zonalpoly.cli import DEGREE_CEILING
 from zonalpoly.partitions import Partition, partitions_of, rho
-from zonalpoly.reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 from zonalpoly.symfunc import MONOMIAL, POWERSUM, SymPoly, _monomial_values, _row_dot, p_to_m
 from zonalpoly.zonal import (
     DataIntegrityError,
     _capped_row,
     _raise_plan,
     _raising_moves,
+    _jack_norm,
     character_degree,
+    check_orthogonality,
     check_trace_identity,
     double_factorial,
     zonal_at_identity,
@@ -24,6 +25,7 @@ from zonalpoly.zonal import (
 )
 
 from oracles import dominated_by, evaluate_by_terms, raising_moves, zonal_by_branching
+from reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 
 
 def fraction_recursion_row(kappa):
@@ -314,6 +316,61 @@ class TestTraceIdentity:
         )
         ratio = Fraction(factorial(2 * f), 2**f * factorial(f))
         assert total == ratio * sum(xs) ** f
+
+
+def with_powersum_row(monkeypatch, kappa, change):
+    """Make ``zonal.zonal_in_powersums`` give ``change(coeffs)`` for kappa, other rows as they are."""
+    row = zonal.zonal_in_powersums
+
+    def changed(k):
+        poly = row(k)
+        if k != kappa:
+            return poly
+        return SymPoly(poly.degree, poly.basis, change(dict(poly.coeffs)))
+
+    monkeypatch.setattr(zonal, "zonal_in_powersums", changed)
+
+
+class TestOrthogonality:
+    @pytest.mark.parametrize("f", range(1, DEGREE_CEILING + 1))
+    def test_every_served_degree(self, f):
+        assert check_orthogonality(f) == (True, {})
+
+    def test_degree_two_by_hand(self):
+        # Z_(2) = p_1^2 + 2 p_2 and Z_(1,1) = p_1^2 - p_2, with <p_1^2, p_1^2> = 2! 2^2
+        # and <p_2, p_2> = 2 * 2: norms 8 + 4 * 4 = 24 and 8 + 4 = 12, and
+        # <Z_(2), Z_(1,1)> = 8 - 2 * 4 = 0
+        assert _jack_norm(Partition((2,))) == 24 == (3 * 4) * (1 * 2)
+        assert _jack_norm(Partition((1, 1))) == 12 == (2 * 3) * (1 * 2)
+        assert check_orthogonality(2) == (True, {})
+
+    def test_one_coefficient_off_names_every_pair_it_breaks(self, monkeypatch):
+        # p_(2,1,1) of Z_(2,2) one up: each pair with Z_(2,2) moves by the other
+        # row's p_(2,1,1) coefficient (12, 5, 2 + 1 + 2, -1, -6) times
+        # z_(2,1,1) 2^3 = 4 * 8 = 32; pairs without it stay exact
+        kappa, lam = Partition((2, 2)), Partition((2, 1, 1))
+        with_powersum_row(monkeypatch, kappa, lambda c: {**c, lam: c[lam] + 1})
+        four, three_one, ones = Partition((4,)), Partition((3, 1)), Partition((1, 1, 1, 1))
+        assert check_orthogonality(4) == (
+            False,
+            {
+                (four, kappa): 384,
+                (three_one, kappa): 160,
+                (kappa, kappa): 160,
+                (kappa, lam): -32,
+                (kappa, ones): -192,
+            },
+        )
+
+    def test_norm_is_checked_on_the_diagonal(self, monkeypatch):
+        # a doubled row stays orthogonal to the others: only its norm catches it
+        kappa = Partition((2, 1))
+        with_powersum_row(monkeypatch, kappa, lambda c: {k: 2 * v for k, v in c.items()})
+        assert check_orthogonality(3) == (False, {(kappa, kappa): 3 * _jack_norm(kappa)})
+
+    def test_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_orthogonality(0)
 
 
 class TestLeadingCoefficients:
