@@ -274,8 +274,8 @@ def verify(ctx: click.Context, frange: str) -> None:
 def _in_float_range(kind: str, n: int, fn, *args):
     """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error.
 
-    ``n`` is the dimension of the draws: a lane holds one block of up to
-    BLOCK // n of them, whatever the sample budget.
+    ``n`` is the dimension of the draws: each running worker holds one
+    block of up to BLOCK // n of them, whatever the sample budget.
     """
     try:
         return fn(*args)

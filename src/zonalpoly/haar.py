@@ -33,10 +33,13 @@ So a block holds one call's normals at a time, not all of them.  At
 n = 3 no sweep runs.  A block is held draw-minor, as
 ``rows[row, col, draw]``, so a step is one contraction along the draw
 axis and one rank-1 update of the trailing block, a few long numpy calls
-per sweep whatever its width.  The Monte Carlo lanes take ``_realize``'s
-draw-minor blocks as they are, on the streams they hold;
-sample_orthogonal_batch, the only sampler function that checks and
-coerces its input, transposes them to one matrix per draw.
+per sweep whatever its width.  ``_realize`` makes its blocks in the five
+buffers of a ``_workspace`` that its caller builds and may pass to later
+calls: each Monte Carlo worker builds one and runs its lanes in it in
+turn, each lane on the stream it holds, and takes the draw-minor blocks
+as they are; sample_orthogonal_batch, the only sampler function that
+checks and coerces its input, builds one per call and transposes the
+blocks to one matrix per draw.
 """
 
 from __future__ import annotations
@@ -52,20 +55,22 @@ __all__ = [
 
 #: Matrix entries in one row of a realized block, which holds BLOCK // n
 #: draws: the block takes n * 128 KB, and the statistics overwrite it in
-#: place or read it in chunks, so no second block is made.  Its normals
-#: take the widest call's rows, since the quaternion and each sweep draw
-#: theirs into the same buffer: the widest sweep's n, 128 KB, or at n = 3,
-#: where no sweep runs, the quaternion's 4.  A step's contraction takes n
-#: rows of BLOCK // n doubles, its rank-1 update UPDATE_ROWS rows of the
-#: widest sweep, UPDATE_ROWS * (n - 1), and its per-draw radius, sign and
-#: scale three: 5n rows with the normals, 640 KB at most.  At n = 3, where
-#: no step runs, the buffers take 16 rows (9 of matrices, 4 of normals and
-#: 3 per-draw), about 700 KB.  On two threads at n = 30
-#: (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower than
-#: 2**14: a smaller block spends more of each call in Python, holding the
-#: GIL.  2**15 ran about 9% faster (eight lanes of 1000 draws, median
-#: 0.197 s against 0.217 s), but BLOCK sets which normals and bits each
-#: block takes, so a new value changes every estimate.
+#: place or read it in chunks, so no second block is made.  The block and
+#: the sampler's scratch live in one ``_workspace``, which serves every
+#: block of every call it is passed to (a Monte Carlo worker's lanes, in
+#: turn).  Its normals take the widest call's rows, since the quaternion
+#: and each sweep draw theirs into the same buffer: the widest sweep's n,
+#: 128 KB, or at n = 3, where no sweep runs, the quaternion's 4.  A step's
+#: contraction takes n rows of BLOCK // n doubles, its rank-1 update
+#: UPDATE_ROWS rows of the widest sweep, UPDATE_ROWS * (n - 1), and its
+#: per-draw radius, sign and scale three: 5n rows with the normals, 640 KB
+#: at most.  At n = 3, where no step runs, the buffers take 16 rows (9 of
+#: matrices, 4 of normals and 3 per-draw), about 700 KB.  On two threads
+#: at n = 30 (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x
+#: slower than 2**14: a smaller block spends more of each call in Python,
+#: holding the GIL.  2**15 ran about 9% faster (eight lanes of 1000 draws,
+#: median 0.197 s against 0.217 s), but BLOCK sets which normals and bits
+#: each block takes, so a new value changes every estimate.
 BLOCK = 2**14
 
 #: Rows of the widest sweep's trailing block that one multiply and one add
@@ -179,20 +184,47 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
     np.divide(g, radius, out=corner[:, 0])
 
 
-def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _workspace(n: int, count: int) -> tuple[np.ndarray, ...]:
+    """The five flat buffers in which ``_realize`` runs up to ``count`` draws.
+
+    They take blocks of up to min(count, BLOCK // n) draws (at least one),
+    in the order ``_realize`` takes them: normals (the widest call's rows,
+    the widest sweep's n, or at n = 3, where no sweep runs, the
+    quaternion's 4), the draw-minor block (n^2 rows), the step's dots (n
+    rows) and rank-1 update scratch (UPDATE_ROWS (n - 1) rows), both
+    empty when no sweep runs, and three per-draw rows.  Nothing is filled
+    in: ``_realize`` writes every entry it reads.
+    """
+    size = max(1, min(count, BLOCK // n))
+    base = 3 if n >= 3 else 1  # as in _realize
+    widest = n if base < n else 0  # the normals of the widest sweep, if any sweep runs
+    return (
+        np.empty(max(widest, 4 if base == 3 else 0) * size),
+        np.empty(n * n * size),
+        np.empty(widest * size),
+        np.empty(UPDATE_ROWS * (n - 1) * size if widest else 0),
+        np.empty(3 * size),
+    )
+
+
+def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.ndarray, ...]) -> Iterator[np.ndarray]:
     """``count`` Haar draws as C-contiguous draw-minor (n, n, m) blocks, m <= BLOCK // n.
 
-    Nothing is checked: n >= 1, count >= 0 and a Generator ``rng`` are
-    taken as given, as sample_orthogonal_batch and the Monte Carlo lanes,
-    on their spawned streams, pass them.  Entry [i, j, k] of a block is
-    entry (i, j) of its draw k.
+    Nothing is checked: n >= 1, count >= 0, a Generator ``rng`` and a
+    ``_workspace(n, c)`` for some c >= count are taken as given, as
+    sample_orthogonal_batch and the Monte Carlo workers, on their spawned
+    streams, pass them.  Entry [i, j, k] of a block is entry (i, j) of its
+    draw k.  The blocks take min(count, BLOCK // n) draws, the last one
+    fewer, whatever the workspace's size, so they draw the same normals
+    and bits in any workspace; a block is made in the first entries of
+    each buffer, and the entries it leaves alone are never read.
 
     Each block of m draws makes its calls on ``rng`` in the order it uses
-    them, every normal call one ``rng.standard_normal(out=...)`` into a
-    reused buffer of the widest call's rows.  For n >= 3 the block first
-    draws its (4, m) quaternions, and ``_quaternion_base`` writes their
-    rotations, Haar on SO(3), into the trailing 3 x 3 block of the
-    identity.  Then sweep i = n - 3, ..., 1 (i = n - 1, ..., 1 for
+    them, every normal call one ``rng.standard_normal(out=...)`` into the
+    normal buffer, which holds the widest call's rows.  For n >= 3 the
+    block first draws its (4, m) quaternions, and ``_quaternion_base``
+    writes their rotations, Haar on SO(3), into the trailing 3 x 3 block
+    of the identity.  Then sweep i = n - 3, ..., 1 (i = n - 1, ..., 1 for
     n <= 2, from SO(1) = {1}), with d = n - i, draws its d + 1 rows of
     normals just before its step: n(n+1)/2 - 2 normals per draw in all
     for n >= 3, none of them in a sweep at n = 3, and n(n+1)/2 - 1 for
@@ -205,32 +237,28 @@ def _realize(n: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarra
     on SO(d + 1).  A block is held as ``rows[row, col, draw]``, so the
     quaternion block and each step are O(1) numpy calls over the whole
     corner along the draw axis, plus a step's rank-1 update in calls of
-    UPDATE_ROWS rows of the widest sweep.  The product is Haar on SO(n);
-    a draw's reflection bit b becomes the sign 1 - 2b, which multiplies
-    row 0 in place, and F SO(n),
+    at least UPDATE_ROWS rows of the widest sweep.  The product is Haar on
+    SO(n); a draw's reflection bit b becomes the sign 1 - 2b, which
+    multiplies row 0 in place, and F SO(n),
     F = diag(-1, 1, ..., 1), is the other coset, so the draws are Haar on
-    O(n).  Each block is yielded in the one buffer that the next
-    overwrites, which the caller may overwrite too; so a caller holds one
-    block of matrices and one call's rows of normals (n, or 4 at n = 3) at
-    a time, whatever ``count``.  Transposed to (m, n, n) and concatenated,
-    the blocks are the bits of sample_orthogonal_batch.
+    O(n).  Each block is yielded in the workspace's block buffer, which
+    the next overwrites, and which the caller may overwrite too; so a
+    caller holds one workspace whatever ``count``, and may pass it to the
+    next call once this one is spent.  Transposed to (m, n, n) and
+    concatenated, the blocks are the bits of sample_orthogonal_batch.
     """
     size = max(1, min(count, BLOCK // n))
     base = 3 if n >= 3 else 1  # the sweeps start from diag(I_(n - base), SO(base))
-    widest = n if base < n else 0  # the normals of the widest sweep, if any sweep runs
-    normal_buf = np.empty(max(widest, 4 if base == 3 else 0) * size)
-    row_buf = np.empty(n * n * size)
-    dots_buf = np.empty(widest * size)
-    work = np.empty(UPDATE_ROWS * (n - 1) * size if widest else 0)
-    draw_buf = np.empty(3 * size)
+    normal_buf, row_buf, dots_buf, work, draw_buf = workspace
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
         m = min(size, count - start)
         rows = row_buf[: n * n * m].reshape(n, n, m)
         draws = draw_buf[: 3 * m].reshape(3, m)
         if base == 3:
+            # rows n - 3 on, left of the corner, are each written by the first
+            # column of the step that reaches them before anything reads them
             rows[: n - 3] = eye[: n - 3]
-            rows[n - 3 :, : n - 3] = 0.0
             q = normal_buf[: 4 * m].reshape(4, m)
             rng.standard_normal(out=q)
             _quaternion_base(rows, q, draws[:2])
@@ -267,7 +295,7 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     out = np.empty((count, n, n))
     start = 0
-    for block in _realize(n, count, np.random.default_rng(rng)):
+    for block in _realize(n, count, np.random.default_rng(rng), _workspace(n, count)):
         m = block.shape[2]
         out[start : start + m] = block.transpose(2, 0, 1)
         start += m

@@ -5,17 +5,21 @@ one statistic per draw, and reports the sample mean, its standard error
 and a z-score against the exact value from ``moments``.  No sample is
 kept: each block of statistics becomes its (count, mean, M2) at once,
 and those triples are merged by the pairwise update of Chan, Golub and
-LeVeque, so memory stays at one block whatever the budget.  The splitting
-check needs Z_kappa at the latent roots of each draw; a symmetric
-polynomial depends on the roots only through their power sums, which
-come with no eigensolve and no square root, so the spectra may take any
-real signs.  Up to n = 3 they follow by Newton's identities from the
-elementary symmetric functions of the roots, which are weighted sums of
-the squared entries of each draw along the draw axis of the sampler's
-block; above, they are traces of powers of H' D_a H D_b, through a
-batched matmul on row-major copies of a few chunks of the block, so a
-lane holds its block and the chunks, not a second block.  This module
-and ``haar`` are the only ones that import numpy.
+LeVeque.  The lanes of a budget run on at most
+min(threads, lanes, usable CPUs) workers, each lane in turn in its
+worker's one sampler workspace (a block and the sampler's scratch), so
+memory stays at one workspace per worker whatever the budget.  The
+splitting check needs Z_kappa at the latent roots of each draw; a
+symmetric polynomial depends on the roots only through their power sums,
+which come with no eigensolve and no square root, so the spectra may
+take any real signs.  Up to n = 3 they follow by Newton's identities
+from the elementary symmetric functions of the roots, which are weighted
+sums of the squared entries of each draw along the draw axis of the
+sampler's block; above, they are traces of powers of H' D_a H D_b,
+through a batched matmul on row-major copies of the block in chunks of
+CHUNK // n^2 draws, so a worker holds its block and three chunks of at
+most CHUNK entries, not a second block.  This module and ``haar`` are
+the only ones that import numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .haar import _realize
+from .haar import _realize, _workspace
 from .moments import (
     DiagonalSpec,
     _linear_trace_power_value,
@@ -62,9 +66,10 @@ class MomentReport:
 
 #: The lanes of a sample budget, each on its own spawned stream.  The lanes,
 #: not the threads, fix the draws; threads only set how many lanes run at
-#: once, on up to LANES cores.  A lane costs a stream, sampler buffers and a
-#: partial block: 1 to 16 lanes ran within noise on one thread at n = 3 (1e6
-#: draws), and 2 to 16 on two threads at n = 30 (8000 draws).
+#: once, on up to LANES cores.  A lane costs a stream and a partial block; the
+#: sampler buffers belong to the worker that runs it: 1 to 16 lanes ran within
+#: noise on one thread at n = 3 (1e6 draws), and 2 to 16 on two threads at
+#: n = 30 (8000 draws).
 LANES = 8
 
 
@@ -132,6 +137,13 @@ def _summarize(exact, reference: float, moments: Moments) -> MomentReport:
     return MomentReport(exact, mean, std_err, m, z)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
@@ -140,18 +152,24 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     n >= 3, each sweep's normals as it runs, then the block's reflection
     bits) and reduces ``statistic(block) -> values`` to the block's
     (count, mean, M2) at once, so it holds one block of draws and its
-    values, whatever the budget.  A block is the sampler's
-    draw-minor (n, n, m) array, entry (i, j) of draw k at [i, j, k]; a
-    statistic may overwrite it and must return a fresh array of m values,
-    which ``_moments`` overwrites.  A lane takes its values less its
+    values, whatever the budget.  The lanes run on
+    min(threads, lanes, ``_usable_cpus()``) workers, lane k on worker
+    k mod workers; each worker builds one ``haar._workspace`` for its
+    longest lane and runs its lanes in it in turn.  A lane's blocks take
+    min(count, BLOCK // n) draws for its own count, so the workspace's
+    size moves no draw.  A block is the sampler's draw-minor (n, n, m)
+    array, entry (i, j) of draw k at [i, j, k]; a statistic may overwrite
+    it and must return a fresh array of m values, which ``_moments``
+    overwrites.  A lane takes its values less its
     first value (the shifted data of Chan, Golub and LeVeque), so the
     means that the fold rounds are of deviations, not of a mean that may
     dwarf them, and it folds its block triples left to right, in block
-    order.  With one thread the lanes run in turn, else on at most
-    min(threads, os.cpu_count()) threads, sharing nothing mutable; their
-    triples, rebased to the first lane's shift, are folded the same way,
-    in lane order, and that shift is added back to the mean, so results
-    depend only on (seed, samples), whatever ``threads``.
+    order.  One worker runs in the calling thread, so ``threads == 1``
+    starts no pool; more run on as many pool threads, sharing nothing
+    mutable.  Nothing outlives the call.  The lane triples, rebased to the
+    first lane's shift, are folded the same way, in lane order, and that
+    shift is added back to the mean, so results depend only on
+    (seed, samples), whatever ``threads``.
     An ``exact`` value too large for a float raises OverflowError before
     anything is drawn; a sample mean or sample variance that is not finite
     raises it after the draws, so an overflow is never reported as an
@@ -167,23 +185,30 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     if statistic is None:
         return MomentReport(exact, reference, 0.0, 0, 0.0)
     chunks = _sample_chunks(samples, rng)
+    workers = min(threads, len(chunks), _usable_cpus())
 
-    def lane(count: int, gen: np.random.Generator) -> tuple[float, Moments]:
-        blocks = _realize(n, count, gen)
+    def lane(count: int, gen: np.random.Generator, workspace) -> tuple[float, Moments]:
+        blocks = _realize(n, count, gen, workspace)
         values = statistic(next(blocks))
         shift = float(values[0])
         first = _moments(values, shift)
         del values  # no block's values outlive its moments
         return shift, reduce(_merge, (_moments(statistic(q), shift) for q in blocks), first)
 
-    if threads == 1:
-        lanes = [lane(*chunk) for chunk in chunks]
+    def worker(share: list[tuple[int, np.random.Generator]]) -> list[tuple[float, Moments]]:
+        # _sample_chunks puts the longer lanes first, so a share's first lane is its longest
+        workspace = _workspace(n, share[0][0])
+        return [lane(count, gen, workspace) for count, gen in share]
+
+    if workers == 1:
+        lanes = worker(chunks)
     else:
         # imported here: it loads logging, which no single-thread run needs
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks), os.cpu_count() or 1)) as pool:
-            lanes = list(pool.map(lane, *zip(*chunks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shares = list(pool.map(worker, (chunks[k::workers] for k in range(workers))))
+        lanes = [shares[k % workers][k // workers] for k in range(len(chunks))]
     base = lanes[0][0]
     m, mean, m2 = reduce(_merge, ((k, (shift - base) + mu, m2) for shift, (k, mu, m2) in lanes))
     return _summarize(exact, reference, (m, base + mean, m2))
@@ -334,6 +359,13 @@ def _squares_power_sums(block: np.ndarray, w: np.ndarray, cofactors: np.ndarray,
     return sums
 
 
+#: Matrix entries in one chunk of ``_gemm_power_sums``, CHUNK // n^2 draws (at
+#: least one): each of its three chunk buffers takes at most 256 KB, whatever
+#: the block, for n <= 181.  At n = 30 a chunk is 36 draws, where chunks of an
+#: eighth of a block (68 draws) took 1.47 MB per running worker.
+CHUNK = 2**15
+
+
 def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     """``_latent_power_sums`` by batched gemm on row-major chunks of the block.
 
@@ -341,16 +373,16 @@ def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
     may be complex, but the traces are real.  N = H' (w * H) is a product
     of two distinct buffers, which BLAS runs as gemm.  The block is taken
-    in chunks of m // 8 draws (at least one), and each chunk is copied to
-    a row-major (k, n, n) stack H for the batched matmul, so no
-    block-sized copy is made and the block is left as it is.  Three chunk
-    buffers serve every chunk: H, w * H and N; the next power goes to
-    w * H, and the third power buffer that f >= 5 needs reuses H.  Each
-    draw's matrices are multiplied on their own, so its power sums do not
-    depend on the block or the chunk it lands in.
+    in chunks of CHUNK // n^2 draws (at least one, at most m), and each
+    chunk is copied to a row-major (k, n, n) stack H for the batched
+    matmul, so no block-sized copy is made and the block is left as it
+    is.  Three chunk buffers serve every chunk: H, w * H and N; the next
+    power goes to w * H, and the third power buffer that f >= 5 needs
+    reuses H.  Each draw's matrices are multiplied on their own, so its
+    power sums do not depend on the block or the chunk it lands in.
     """
     n, m = block.shape[0], block.shape[2]
-    chunk = max(1, m // 8)
+    chunk = max(1, min(m, CHUNK // (n * n)))
     bufs = np.empty((3, chunk, n, n))
     sums = np.empty((f, m))
     for start in range(0, m, chunk):

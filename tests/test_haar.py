@@ -13,6 +13,7 @@ from zonalpoly import haar
 from zonalpoly.haar import (
     BLOCK,
     _realize,
+    _workspace,
     sample_orthogonal_batch,
 )
 
@@ -247,7 +248,7 @@ def realize_with_twin(n, normals, seed):
     normals = np.asarray(normals, dtype=float).reshape(normal_rows(n), -1)
     count = normals.shape[1]
     assert count <= BLOCK // n
-    (block,) = _realize(n, count, FixedNormals(normals, seed))
+    (block,) = _realize(n, count, FixedNormals(normals, seed), _workspace(n, count))
     if seed is None:
         bits = np.zeros(count, dtype=np.int64)
     else:
@@ -436,7 +437,8 @@ class TestRealize:
             sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
             tracemalloc.start()
             try:
-                assert sum(block.shape[2] for block in _realize(n, count, np.random.default_rng(3))) == count
+                blocks = _realize(n, count, np.random.default_rng(3), _workspace(n, count))
+                assert sum(block.shape[2] for block in blocks) == count
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -1,11 +1,11 @@
 """Exact moment integrals, coefficient formulas, and Monte Carlo estimators."""
 
 import itertools
-import os
 import random
 import threading
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from math import exp, factorial, lcm, sqrt, ulp
 
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from zonalpoly import moments, montecarlo, zonal
-from zonalpoly.haar import BLOCK, _realize, sample_orthogonal_batch
+from zonalpoly import haar, moments, montecarlo, zonal
+from zonalpoly.haar import BLOCK, _realize, _workspace, sample_orthogonal_batch
 from zonalpoly.moments import (
     DiagonalSpec,
     bilinear_coefficient,
@@ -493,8 +493,8 @@ class TestMcTracePower:
         # block buffers (one sweep's normals, the draw-minor stack and the
         # step's scratch: 24 doubles per draw of a block) and the statistic's
         # temporaries fit in 64 doubles per draw of one block, for each
-        # lane that runs at once, whatever the budget
-        workers = min(threads, os.cpu_count() or 1)
+        # worker, whatever the budget
+        workers = min(threads, montecarlo._usable_cpus())
         allowance = workers * 64 * 8 * (BLOCK // 3)
         peaks = {}
         for samples in (3, 200_000, 2_000_000):
@@ -560,7 +560,7 @@ class TestMcTracePower:
             return real_blocks(*blocks_args)
 
         monkeypatch.setattr(montecarlo, "_realize", recording_blocks)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         for samples in (5, 20_000):
             for threads in (1, 2, 20_000):
                 counts.clear()
@@ -600,7 +600,7 @@ class TestMomentFold:
         """The report on ``blocks_of(count, gen)`` per lane, and every block seen."""
         seen = []
 
-        def realize(n, count, gen):
+        def realize(n, count, gen, workspace):
             for block in blocks_of(count, gen):
                 seen.append(block.copy())
                 yield block
@@ -688,6 +688,71 @@ class TestThreads:
         assert one.samples == samples
 
 
+class TestWorkspace:
+    """One sampler workspace per worker, written before it is read and gone after the call."""
+
+    @staticmethod
+    def record(monkeypatch, fill=None):
+        """Wrap ``haar._workspace`` to fill every buffer of each new set with ``fill``; returns its weakrefs."""
+        built = []
+
+        def workspace(n, count):
+            buffers = _workspace(n, count)
+            if fill is not None:
+                for buf in buffers:
+                    buf.fill(fill)
+            built.append([weakref.ref(buf) for buf in buffers])
+            return buffers
+
+        monkeypatch.setattr(haar, "_workspace", workspace)
+        monkeypatch.setattr(montecarlo, "_workspace", workspace)
+        return built
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 30))
+    @pytest.mark.parametrize("kind", (*TestThreads.KINDS, "batch"))
+    def test_every_buffer_is_written_before_it_is_read(self, monkeypatch, kind, n):
+        # every buffer of every fresh set filled with NaN, then with +1e300
+        # and with -1e300: an entry read before it is written would move some
+        # bit of the output.  Two workers; each lane, and the batch, spans two
+        # blocks at n = 30 (BLOCK // 30 = 546), the second a partial one
+        a = [Fraction(k % 9 + 1, 4) for k in range(n)]
+        b = [Fraction(-1 if k == 1 else k % 7 + 1, 3) for k in range(n)]
+        samples = LANES * (BLOCK // 30 + 1) + 3
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+
+        def run():
+            if kind == "batch":
+                return sample_orthogonal_batch(n, BLOCK // n + 3, 6).tobytes()
+            if kind == "zonal-split":
+                return repr(mc_splitting((2, 1) if n > 1 else (2,), a, b, samples, 9, 2))
+            return repr(TestThreads.KINDS[kind](a, b, samples, 9, 2))
+
+        want = run()
+        for fill in (np.nan, 1e300, -1e300):
+            built = self.record(monkeypatch, fill)
+            assert run() == want, fill
+            assert len(built) == (1 if kind == "batch" else 2)
+
+    @pytest.mark.parametrize("n", (3, 30))
+    @pytest.mark.parametrize("kind", TestThreads.KINDS)
+    def test_one_workspace_per_worker(self, monkeypatch, kind, n):
+        # with eight usable CPUs, 1001 draws in LANES lanes (one of 126, seven
+        # of 125) run on 1, 2, 3 and 8 workers, each with one workspace for
+        # its longest lane that serves its shorter lanes too: the reports are
+        # equal, exactly one set is built per worker, and none outlives the call
+        a = [Fraction(k % 9 + 1, 4) for k in range(n)]
+        b = [Fraction(-1 if k == 1 else k % 7 + 1, 3) for k in range(n)]
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        reports = []
+        for threads in (1, 2, 3, 8):
+            built = self.record(monkeypatch)
+            reports.append(TestThreads.KINDS[kind](a, b, 1_001, 9, threads))
+            assert len(built) == threads
+            assert all(ref() is None for refs in built for ref in refs)
+        assert reports.count(reports[0]) == len(reports)
+        assert reports[0].samples == 1_001
+
+
 class TestMcSplitting:
     def test_degree_one_reduces_to_trace_power(self):
         report = mc_splitting((1,), (1, 2), (3, 1), 10_000, 5)
@@ -725,13 +790,17 @@ class TestMcSplitting:
         assert report.exact_value == Fraction(1 * 4, 2)
         assert abs(report.z_score) <= 3
 
-    @pytest.mark.parametrize("n", (3, 30))
-    def test_memory_within_one_block_of_the_sampler(self, n):
+    @pytest.mark.parametrize(
+        "n, threads", (pytest.param(3, 1, id="3"), pytest.param(30, 1, id="30"), pytest.param(30, 2, id="30-2"))
+    )
+    def test_memory_within_one_block_of_the_sampler(self, n, threads):
         # the baseline is the sampler's own peak, its normals, its step's
-        # scratch and one block of draws; n = 3 takes the power sums from the
-        # block squared in place, within one more block; n = 30 by gemm on
-        # row-major chunks of m // 8 draws, within its three chunk buffers
+        # scratch and one block of draws, once per worker; n = 3 takes the
+        # power sums from the block squared in place, within one more block;
+        # n = 30 by gemm on row-major chunks of CHUNK // n^2 draws, within
+        # its three chunk buffers of at most CHUNK doubles
         samples = 5_000
+        workers = min(threads, LANES, montecarlo._usable_cpus())
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
         b = [Fraction(k % 7 + 1, 3) for k in range(n)]
 
@@ -745,15 +814,16 @@ class TestMcSplitting:
             return top
 
         def consume():
-            assert sum(block.shape[2] for block in _realize(n, samples, np.random.default_rng(3))) == samples
+            blocks = _realize(n, samples, np.random.default_rng(3), _workspace(n, samples))
+            assert sum(block.shape[2] for block in blocks) == samples
 
         def split():
-            assert mc_splitting((2, 1), a, b, samples, 3).samples == samples
+            assert mc_splitting((2, 1), a, b, samples, 3, threads).samples == samples
 
         split()  # the exact value's caches fill outside the measurement
-        draws = BLOCK // n if n <= 3 else 3 * (BLOCK // n // 8)
-        allowance = draws * n * n * np.dtype(float).itemsize
-        assert peak(split) <= peak(consume) + allowance
+        entries = BLOCK // n * n * n if n <= 3 else 3 * montecarlo.CHUNK
+        allowance = entries * np.dtype(float).itemsize
+        assert peak(split) <= workers * (peak(consume) + allowance)
 
 
 def _eigensolve_roots(q, av, bv):
@@ -852,7 +922,7 @@ def test_draw_alone_matches_its_block(monkeypatch, n, kind):
     b = [Fraction(k % 3 + 1, 2) for k in range(n)]
     ESTIMATES[kind](a, b)
     (statistic,) = statistics
-    block = next(_realize(n, BLOCK // n, np.random.default_rng(8))).copy()
+    block = next(_realize(n, BLOCK // n, np.random.default_rng(8), _workspace(n, BLOCK // n))).copy()
     whole = statistic(block.copy())
     assert len(whole) == block.shape[2]
     for k in np.random.default_rng(n).choice(block.shape[2], 12, replace=False):
@@ -860,19 +930,26 @@ def test_draw_alone_matches_its_block(monkeypatch, n, kind):
         assert np.array_equal(alone.view(np.int64), whole[k : k + 1].view(np.int64)), k
 
 
+def gemm_block_sizes(n):
+    """Block sizes 1, chunk - 1, chunk, chunk + 1 and a full block, chunk = CHUNK // n^2 draws."""
+    chunk = montecarlo.CHUNK // (n * n)
+    return (1, chunk - 1, chunk, chunk + 1, BLOCK // n)
+
+
 class TestPowerSumParts:
-    @pytest.mark.parametrize("n", (1, 2, 3, 4, 30))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 10, 30))
     def test_block_size_does_not_move_a_draw(self, n):
         # up to n = 3 every call is elementwise along the draws and each
         # weighted sum adds its terms one at a time; above, a block of m
-        # draws is taken in row-major chunks of m // 8 draws, at least one,
-        # each draw multiplied on its own: either way each draw's power sums
-        # are the same bits in any block size
+        # draws is taken in row-major chunks of CHUNK // n^2 draws, at least
+        # one, each draw multiplied on its own: either way each draw's power
+        # sums are the same bits in any block size
         av, bv = _spectra(n, "A")
-        q = sample_orthogonal_batch(n, 51, np.random.default_rng(n)).transpose(1, 2, 0).copy()
+        sizes = (1, 2, 3, 50, BLOCK // n) if n <= 3 else gemm_block_sizes(n)
+        q = sample_orthogonal_batch(n, BLOCK // n, np.random.default_rng(n)).transpose(1, 2, 0).copy()
         power_sums = montecarlo._latent_power_sums(np.outer(av, bv), 6)
         whole = power_sums(q.copy())
-        for m in (1, 2, 3, 50):
+        for m in sizes:
             part = power_sums(q[:, :, :m].copy())
             assert np.array_equal(part, whole[:, :m]), m
 
@@ -880,16 +957,15 @@ class TestPowerSumParts:
 @pytest.mark.parametrize("n", (4, 5, 10, 30))
 def test_gemm_chunks_keep_each_draw(n):
     # the gemm path copies a block of m draws to row-major in chunks of
-    # m // 8 through three chunk buffers, and f >= 5 reuses the first for
-    # the third power buffer: at block sizes around a full block's chunk,
-    # and at every f up to 7, each draw's power sums are those of the draw
+    # CHUNK // n^2 through three chunk buffers, and f >= 5 reuses the first
+    # for the third power buffer: at block sizes around a chunk, and at
+    # every f up to 7, each draw's power sums are those of the draw
     # alone, bit for bit, and the traces of np.linalg.matrix_power of
     # N = H' D_a H D_b to 1e-12 relative (positive spectra: every trace is
     # a sum of positive roots)
     av, bv = _spectra(n, None)
     w = np.outer(av, bv)
     size = BLOCK // n
-    chunk = size // 8
     q = sample_orthogonal_batch(n, size, np.random.default_rng(130 + n))
     block = q.transpose(1, 2, 0).copy()
     alone = np.concatenate(
@@ -899,7 +975,7 @@ def test_gemm_chunks_keep_each_draw(n):
     for k in range(1, 8):
         want = np.trace(np.linalg.matrix_power(product, k), axis1=1, axis2=2)
         assert np.all(np.abs(alone[k - 1] - want) <= 1e-12 * want), k
-    for m in (1, chunk - 1, chunk, chunk + 1, size):
+    for m in gemm_block_sizes(n):
         for f in range(1, 8):
             got = montecarlo._gemm_power_sums(block[:, :, :m].copy(), w, f)
             assert got.shape == (f, m)
