@@ -146,7 +146,9 @@ def _emit_latex(header: list[str], body: list[list[str]]) -> str:
 
 
 @main.command()
-@click.option("--f", "degree", type=int, required=True, help="Degree of the table.")
+@click.option(
+    "--f", "degree", type=click.IntRange(1, DEGREE_CEILING), required=True, help="Degree of the table."
+)
 @click.option(
     "--basis",
     type=click.Choice([MONOMIAL, POWERSUM]),
@@ -162,8 +164,6 @@ def _emit_latex(header: list[str], body: list[list[str]]) -> str:
 )
 def table(degree: int, basis: str, fmt: str) -> None:
     """Print the full coefficient table for one degree."""
-    if not 1 <= degree <= DEGREE_CEILING:
-        raise click.UsageError(f"--f must be between 1 and {DEGREE_CEILING}")
     columns = partitions_of(degree)
     rows = []
     for kappa in columns:
@@ -271,11 +271,11 @@ def verify(ctx: click.Context, frange: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _in_float_range(kind: str, n: int, fn, *args):
-    """``fn(*args)``; a float overflow or a block of draws memory cannot hold is a usage error.
+def _in_float_range(kind: str, holds: str, remedy: str, fn, *args):
+    """``fn(*args)``; a float overflow, or memory that cannot hold what ``fn`` holds, is a usage error.
 
-    ``n`` is the dimension of the draws: each running worker holds one
-    block of up to BLOCK // n of them, whatever the sample budget.
+    ``holds`` names what the step allocates and ``remedy`` says what
+    shrinks it, for the MemoryError message.
     """
     try:
         return fn(*args)
@@ -284,37 +284,35 @@ def _in_float_range(kind: str, n: int, fn, *args):
             f"{kind} needs a value too large for a float ({exc}); scale the eigenvalues down"
         ) from exc
     except MemoryError as exc:
-        from .haar import BLOCK  # estimate has loaded numpy already
-
-        raise click.UsageError(
-            f"{kind} cannot allocate a block of up to {max(1, BLOCK // n)} draws of "
-            f"{n} x {n} matrices ({exc}); each running lane holds one such block, "
-            "whatever --samples, so lower --threads or n"
-        ) from exc
+        raise click.UsageError(f"{kind} cannot allocate {holds} ({exc}); {remedy}") from exc
 
 
 @main.command()
 @click.argument("kind", type=click.Choice(tuple(ESTIMATE_KINDS)))
-@click.option("--f", "degree", type=int, default=None, help="Trace power.")
+@click.option("--f", "degree", type=click.IntRange(min=0), default=None, help="Trace power.")
 @click.option("--n", "dim", type=int, default=None, help="Expected dimension (validated).")
-@click.option("--A", "a_spec", "--a", default=None, help="Eigenvalues, e.g. 1,2 or 1/2,3.")
+@click.option("--A", "a_spec", "--a", required=True, help="Eigenvalues, e.g. 1,2 or 1/2,3.")
 @click.option("--B", "b_spec", "--b", default=None, help="Eigenvalues of the second matrix.")
 @click.option("--kappa", default=None, help="Partition, e.g. 2,1.")
-@click.option("--samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Nonnegative integer RNG seed.")
+@click.option("--samples", type=click.IntRange(min=2), default=100_000, show_default=True)
+@click.option(
+    "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Nonnegative integer RNG seed."
+)
 @click.option(
     "--threads",
-    type=int,
+    type=click.IntRange(min=1),
     default=1,
     show_default=True,
     help="Worker threads for MC; they change the speed, not the estimate.",
 )
-@click.option("--max-degree", type=int, default=12, show_default=True, help="Series truncation.")
+@click.option(
+    "--max-degree", type=click.IntRange(min=0), default=12, show_default=True, help="Series truncation."
+)
 def estimate(
     kind: str,
     degree: int | None,
     dim: int | None,
-    a_spec: str | None,
+    a_spec: str,
     b_spec: str | None,
     kappa: str | None,
     samples: int,
@@ -324,6 +322,7 @@ def estimate(
 ) -> None:
     """Run one Monte Carlo experiment and print a JSON report."""
     # imported here, so that table and verify never load numpy
+    from .haar import BLOCK
     from .montecarlo import (
         mc_exponential_trace,
         mc_linear_trace_power,
@@ -331,16 +330,6 @@ def estimate(
         mc_trace_power,
     )
 
-    if samples < 2:
-        raise click.UsageError("--samples must be at least 2")
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
-    if seed < 0:
-        raise click.UsageError("--seed must be nonnegative")
-    if degree is not None and degree < 0:
-        raise click.UsageError("--f must be nonnegative")
-    if a_spec is None:
-        raise click.UsageError("--A is required")
     a = parse_spectrum(a_spec, "--A")
     if dim is not None and len(a) != dim:
         raise click.UsageError(f"--A has {len(a)} eigenvalues but --n is {dim}")
@@ -374,11 +363,13 @@ def estimate(
     elif kind == "trace-AH":
         run = (mc_linear_trace_power, a, degree)
     else:  # exp-series
-        if max_degree < 0:
-            raise click.UsageError("--max-degree must be nonnegative")
-        series = _in_float_range(kind, len(a), hyper0f0, a, b, max_degree)
+        terms = f"the series terms to degree {max_degree}"
+        series = _in_float_range(kind, terms, "lower --max-degree", hyper0f0, a, b, max_degree)
         run = (mc_exponential_trace, a, b, series.value)
-    report = _in_float_range(kind, len(a), *run, samples, seed, threads)
+    n = len(a)
+    block = f"a block of up to {max(1, BLOCK // n)} draws of {n} x {n} matrices"
+    remedy = "each of up to --threads workers holds one, whatever --samples, so lower --threads or n"
+    report = _in_float_range(kind, block, remedy, *run, samples, seed, threads)
 
     # the checks above leave set exactly the options that this kind takes
     params = {

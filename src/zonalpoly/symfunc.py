@@ -245,13 +245,13 @@ def _power_sum_columns(f: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _substitution_plan(f: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...], itemgetter], ...]:
+def _substitution_plan(f: int) -> tuple[tuple[int, tuple[int, ...], itemgetter], ...]:
     """The ``p_to_m`` matrix of degree f by rows, on positions in ``partitions_of(f)``.
 
     Entry i belongs to the i-th partition lambda and holds (M[lambda][lambda],
-    positions, coefficients, gather): the diagonal entry, every finer mu
-    with M[mu][lambda] != 0, where M[mu][lambda] is the m_lambda
-    coefficient of p_mu, and an ``itemgetter`` of those positions.  Finer
+    weights, gather): the diagonal entry, the entries M[mu][lambda] != 0
+    of every finer mu, where M[mu][lambda] is the m_lambda coefficient of
+    p_mu, and an ``itemgetter`` of the positions of those mu.  Finer
     partitions come later in the enumeration.  The rows of the columns of
     ``_power_sum_columns``; built once per degree from tuples and
     itemgetters only, so it is shared read-only.
@@ -267,8 +267,7 @@ def _substitution_plan(f: int) -> tuple[tuple[int, tuple[int, ...], tuple[int, .
                 finer[i].append((j, b))
     plan = []
     for d, row in zip(diagonal, finer):
-        positions = tuple(j for j, _ in row)
-        plan.append((d, positions, tuple(b for _, b in row), _gather(positions)))
+        plan.append((d, tuple(b for _, b in row), _gather(tuple(j for j, _ in row))))
     return tuple(plan)
 
 
@@ -294,7 +293,7 @@ def m_to_p(poly: SymPoly) -> SymPoly:
     coeffs = poly.coeffs
     x: list[int | Fraction] = [0] * len(parts)
     for i in range(len(parts) - 1, -1, -1):
-        diagonal, _, weights, gather = plan[i]
+        diagonal, weights, gather = plan[i]
         c = coeffs.get(parts[i], 0) - sum(map(mul, weights, gather(x)))
         if not c:
             continue

@@ -14,9 +14,9 @@ closed forms, and a division with a remainder is a hard error.
 The recursion runs on a plan keyed by (f, n) (``_raise_plan``), built
 once on first use: the partitions of f with at most n parts, in the
 order of ``partitions_of(f)``; for each partition g, by its position,
-rho(g), the positions its raising moves land on, their numerators, and
-an ``itemgetter`` that gathers the coefficients there, the same shape as
-a row of the basis change's ``_substitution_plan``; and, for n < f, the
+rho(g), the numerators of its raising moves, and an ``itemgetter`` that
+gathers the coefficients at the positions they land on, the same shape
+as a row of the basis change's ``_substitution_plan``; and, for n < f, the
 orbit sizes m_lam(1^n).  A row is a list of integers filled from
 kappa's position down, each entry one gather and one ``sum`` of
 products.  A partition whose raises all land on zero coefficients is
@@ -131,15 +131,14 @@ def _raise_plan(f: int, n: int) -> tuple[tuple[Partition, ...], tuple, tuple[int
     """The row recursion of degree f on the partitions of f with at most n parts.
 
     Returns those partitions, in the order of ``partitions_of(f)``; per
-    partition g (rho(g), targets, numerators, gather): the partitions
-    ``_raising_moves`` raises g to, as positions, their numerators, and an
-    ``itemgetter`` of those positions, the shape of a ``_substitution_plan``
-    row; and, for n < f, per partition lam its orbit size m_lam(1^n), the
-    weights of the Z_kappa(I_n) pin (the full plan, n = f, is pinned at
-    m_(1^f) and has none).  A raise moves weight up, so every target comes
-    before g, and it never adds a part, so every target is in the list:
-    the recursion on at most n parts is closed (Koev and Edelman, Math.
-    Comp. 75, 2006).  n = f gives the full plan.  Built once per (f, n)
+    partition g (rho(g), numerators, gather): the numerators of the
+    partitions ``_raising_moves`` raises g to, and an ``itemgetter`` of
+    their positions, the shape of a ``_substitution_plan`` row; and, for
+    n < f, per partition lam its orbit size m_lam(1^n), the weights of the
+    Z_kappa(I_n) pin (the full plan, n = f, is pinned at m_(1^f) and has
+    none).  A raise moves weight up, so every target comes before g, and
+    it never adds a part, so every target is in the list: the recursion
+    on at most n parts is closed (Koev and Edelman, Math. Comp. 75, 2006).  n = f gives the full plan.  Built once per (f, n)
     from tuples and itemgetters only, so it is shared read-only.
     """
     parts = _partitions_capped(f, n)
@@ -147,8 +146,8 @@ def _raise_plan(f: int, n: int) -> tuple[tuple[Partition, ...], tuple, tuple[int
     steps = []
     for g in parts:
         moves = _raising_moves(g)
-        targets = tuple(position[h] for _, h in moves)
-        steps.append((rho(g), targets, tuple(numer for numer, _ in moves), _gather(targets)))
+        gather = _gather(tuple(position[h] for _, h in moves))
+        steps.append((rho(g), tuple(numer for numer, _ in moves), gather))
     orbits = tuple(_orbit_size(lam, n) for lam in parts) if n < f else ()
     return parts, tuple(steps), orbits
 
@@ -191,7 +190,7 @@ def _recurse(kappa: Partition, n: int) -> SymPoly:
     coeffs = [0] * len(parts)
     coeffs[top] = _top_coefficient(kappa)
     for pos in range(top + 1, len(parts)):
-        rho_g, _, numers, gather = steps[pos]
+        rho_g, numers, gather = steps[pos]
         acc = sum(map(mul, numers, gather(coeffs)))
         if not acc:
             continue

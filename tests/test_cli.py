@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,14 @@ from zonalpoly.symfunc import SymPoly
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def assert_refused(result, option, value):
+    """A usage error (exit 2, nothing on stdout) whose message names ``option`` and ``value``."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert option in result.output
+    assert value in result.output
 
 
 class TestTable:
@@ -78,8 +87,11 @@ class TestTable:
         assert r"\end{tabular}" in result.output
 
     def test_ceiling_is_usage_error(self, runner):
-        assert runner.invoke(main, ["table", "--f", "13"]).exit_code == 2
-        assert runner.invoke(main, ["table", "--f", "0"]).exit_code == 2
+        for value in ("13", "0"):
+            assert_refused(runner.invoke(main, ["table", "--f", value]), "--f", value)
+
+    def test_help_shows_the_degree_range(self, runner):
+        assert "[1<=x<=12; required]" in runner.invoke(main, ["table", "--help"]).output
 
     def test_unknown_format_is_usage_error(self, runner):
         result = runner.invoke(main, ["table", "--f", "2", "--format", "yaml"])
@@ -300,7 +312,12 @@ EXP_SERIES_DEGREE_20 = (
 
 
 class TestOutputBytes:
-    """Exact-integer outputs pinned byte for byte; any changed byte fails."""
+    """Exact-integer outputs pinned byte for byte; any changed byte fails.
+
+    The ``estimate`` pins are at n = 3, where each statistic takes only
+    elementwise IEEE operations (no exp, no power beyond a square, no
+    einsum or BLAS), so every numpy build rounds them alike.
+    """
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -349,6 +366,20 @@ class TestOutputBytes:
                 ["table", "--f", "6", "--basis", "monomial", "--format", "latex"],
                 "24615fe7024c4ce0f6eed35db429865d0d3c5f93ba5b050fbfdd42dcc13cc935",
             ),
+            (
+                ["estimate", "trace-power", "--f", "2", "--A", "1,2,3", "--B", "3,1,2",
+                 "--samples", "20000", "--seed", "7"],
+                "c2321f74b3acabf550179cc6d1f438457c011045c8d5b8b5d2ea05556cf40ac8",
+            ),
+            (
+                ["estimate", "zonal-split", "--kappa", "2,1", "--A", "1,2,3", "--B", "3,1,2",
+                 "--samples", "20000", "--seed", "7"],
+                "08b63d21800ad21b11ca3934addf1d71a00f98bad17165978d0e43709028a4c8",
+            ),
+            (
+                ["estimate", "trace-AH", "--f", "2", "--A", "1,2,3", "--samples", "20001", "--seed", "7"],
+                "9735aeb1772716430bada50fe7a4236e0245b90d1b47c13c44d929bc415d1126",
+            ),
         ],
         ids=[
             "table-f12-powersum",
@@ -362,6 +393,9 @@ class TestOutputBytes:
             "table-f6-monomial-csv",
             "table-f6-monomial-text",
             "table-f6-monomial-latex",
+            "estimate-trace-power-n3",
+            "estimate-zonal-split-n3",
+            "estimate-trace-AH-n3",
         ],
     )
     def test_stdout_sha256(self, runner, args, digest):
@@ -561,26 +595,38 @@ class TestEstimate:
         assert "--kappa must be a nonempty partition" in result.output
 
     def test_too_few_samples_is_usage_error(self, runner):
-        result = runner.invoke(
-            main,
-            ["estimate", "trace-power", "--f", "1", "--A", "1", "--B", "1",
-             "--samples", "1"],
-        )
-        assert result.exit_code == 2
-        for args in (
-            ["trace-power", "--f", "-1", "--A", "1,2", "--B", "1,2"],
-            ["trace-AH", "--f", "-2", "--A", "1,2"],
+        # and every other integer out of its range
+        for args, option, value in (
+            (["trace-power", "--f", "1", "--B", "1,2"], "--samples", "1"),
+            (["trace-power", "--f", "1", "--B", "1,2"], "--samples", "0"),
+            (["trace-power", "--f", "1", "--B", "1,2"], "--threads", "0"),
+            (["trace-power", "--f", "1", "--B", "1,2"], "--seed", "-1"),
+            (["trace-power", "--B", "1,2"], "--f", "-1"),
+            (["trace-AH"], "--f", "-2"),
+            (["exp-series", "--B", "1,2"], "--max-degree", "-1"),
         ):
-            result = runner.invoke(main, ["estimate", *args])
+            result = runner.invoke(main, ["estimate", *args, "--A", "1,2", option, value])
+            assert_refused(result, option, value)
+
+    def test_missing_A_is_usage_error(self, runner):
+        for kind, options in KIND_OPTIONS.items():
+            result = runner.invoke(main, ["estimate", kind, *sum(options.items(), ())])
             assert result.exit_code == 2
-            assert "--f must be nonnegative" in result.output
-        result = runner.invoke(
-            main,
-            ["estimate", "trace-power", "--f", "1", "--A", "1,2", "--B", "3,1",
-             "--samples", "100", "--seed", "-1"],
-        )
-        assert result.exit_code == 2
-        assert "--seed must be nonnegative" in result.output
+            assert result.stdout == ""
+            assert "--A" in result.output
+
+    def test_help_shows_the_integer_ranges(self, runner):
+        # click wraps the help over lines; joined, each entry runs to its bracket
+        output = " ".join(runner.invoke(main, ["estimate", "--help"]).output.split())
+        for option, shown in (
+            ("--f", "x>=0"),
+            ("--A", "required"),
+            ("--samples", "default: 100000; x>=2"),
+            ("--seed", "default: 0; x>=0"),
+            ("--threads", "default: 1; x>=1"),
+            ("--max-degree", "default: 12; x>=0"),
+        ):
+            assert re.search(rf" {option}\b[^\[]*\[([^\]]*)\]", output)[1] == shown
 
     def test_seed_is_any_nonnegative_integer(self, runner):
         # numpy seeds from an integer of any size, so --seed is not capped at 64 bits
@@ -644,6 +690,20 @@ class TestEstimate:
         assert "Unable to allocate" in result.output
         assert f"a block of up to {BLOCK // 3} draws of 3 x 3 matrices" in result.output
         assert "lower --samples" not in result.output
+
+    def test_unallocatable_series_is_usage_error(self, runner, monkeypatch):
+        # the series step holds its exact terms, not a block of draws: lowering
+        # --max-degree is what shrinks it
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr("zonalpoly.cli.hyper0f0", out_of_memory)
+        result = runner.invoke(main, ["estimate", "exp-series", "--A", "1,2,3", "--B", "1,2,3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Unable to allocate" in result.output
+        assert "lower --max-degree" in result.output
+        assert "block of" not in result.output
 
     def test_report_keeps_resampled_key_at_zero(self, runner):
         result = runner.invoke(

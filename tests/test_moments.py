@@ -794,12 +794,15 @@ class TestMcSplitting:
         "n, threads", (pytest.param(3, 1, id="3"), pytest.param(30, 1, id="30"), pytest.param(30, 2, id="30-2"))
     )
     def test_memory_within_one_block_of_the_sampler(self, n, threads):
-        # the baseline is the sampler's own peak, its normals, its step's
-        # scratch and one block of draws, once per worker; n = 3 takes the
-        # power sums from the block squared in place, within one more block;
-        # n = 30 by gemm on row-major chunks of CHUNK // n^2 draws, within
-        # its three chunk buffers of at most CHUNK doubles
-        samples = 5_000
+        # the baseline is the sampler's own peak on one lane's draws, its
+        # normals, its step's scratch and one block of draws, once per
+        # worker; n = 3 takes the power sums from the block squared in
+        # place, within one more block; n = 30 by gemm on row-major chunks
+        # of CHUNK // n^2 draws, within its three chunk buffers of at most
+        # CHUNK doubles.  At n = 3 every lane takes one full block, so a
+        # statistic that held one more block alive would not fit
+        samples = LANES * (BLOCK // n) if n == 3 else 5_000
+        lane = -(-samples // LANES)
         workers = min(threads, LANES, montecarlo._usable_cpus())
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
         b = [Fraction(k % 7 + 1, 3) for k in range(n)]
@@ -814,8 +817,8 @@ class TestMcSplitting:
             return top
 
         def consume():
-            blocks = _realize(n, samples, np.random.default_rng(3), _workspace(n, samples))
-            assert sum(block.shape[2] for block in blocks) == samples
+            blocks = _realize(n, lane, np.random.default_rng(3), _workspace(n, lane))
+            assert sum(block.shape[2] for block in blocks) == lane
 
         def split():
             assert mc_splitting((2, 1), a, b, samples, 3, threads).samples == samples
