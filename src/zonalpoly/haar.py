@@ -18,28 +18,34 @@ one step M: the Householder reflection that takes e_0 to -sign(g_0) u
 1), so that M e_0 = u and det M = 1 for every draw.  So the product of
 the steps and the starting block is Haar on SO(n); F SO(n),
 F = diag(-1, 1, ..., 1), is the other coset of O(n), so one fair bit per
-draw, which flips the sign of row 0, makes the draw Haar on O(n).  A
-step with det -1 on some draws and +1 on others would not: the bit flips
-the coset, not the law within it.  The tests check the sampler against
-an independent oracle, the Q factor of a Gaussian matrix with diag(R)
-made positive.
+draw, independent of the rotation, which flips the sign of row 0, makes
+the draw Haar on O(n).  A step with det -1 on some draws and +1 on
+others would not: the bit flips the coset, not the law within it.  For
+n >= 3 the bit is the sign of the quaternion's w, which costs no draw:
+q and -q are equally likely (numpy's normals are symmetric, signed zeros
+included) and R(q) = R(-q), so the sign is fair and independent of the
+rotation.  For n <= 2, which has no quaternion, the bits are drawn.  The
+tests check the sampler against an independent oracle, the Q factor of
+a Gaussian matrix with diag(R) made positive.
 
-The sampler builds matrices in blocks of BLOCK // n draws.  Each block
+A seed means ``Generator(SFC64(seed))``, whose normals cost less than
+PCG64's; a Generator passed in is used as given (``_generator``).  The
+sampler builds matrices in blocks of BLOCK // n draws.  Each block
 consumes the stream in the order it uses it: for n >= 3 first its
 (4, m) quaternion normals, then each sweep's own (d + 1, m) normals just
-before its step, n(n+1)/2 - 2 per draw in all (n(n+1)/2 - 1 for
-n <= 2), and after the last sweep its m reflection bits, one per draw.
-So a block holds one call's normals at a time, not all of them.  At
-n = 3 no sweep runs.  A block is held draw-minor, as
-``rows[row, col, draw]``, so a step is one contraction along the draw
-axis and one rank-1 update of the trailing block, a few long numpy calls
-per sweep whatever its width.  ``_realize`` makes its blocks in the five
-buffers of a ``_workspace`` that its caller builds and may pass to later
-calls: each Monte Carlo worker builds one and runs its lanes in it in
-turn, each lane on the stream it holds, and takes the draw-minor blocks
-as they are; sample_orthogonal_batch, the only sampler function that
-checks and coerces its input, builds one per call and transposes the
-blocks to one matrix per draw.
+before its step, n(n+1)/2 - 2 per draw in all; for n <= 2 each sweep's
+normals, n(n+1)/2 - 1 per draw, and after the last sweep its m
+reflection bits, one per draw.  So a block holds one call's normals at a
+time, not all of them.  At n = 3 no sweep runs.  A block is held
+draw-minor, as ``rows[row, col, draw]``, so a step is one contraction
+along the draw axis and one rank-1 update of the trailing block, a few
+long numpy calls per sweep whatever its width.  ``_realize`` makes its
+blocks in the five buffers of a ``_workspace`` that its caller builds and
+may pass to later calls: each Monte Carlo worker builds one and runs its
+lanes in it in turn, each lane on the stream it holds, and takes the
+draw-minor blocks as they are; sample_orthogonal_batch, the only sampler
+function that checks and coerces its input, builds one per call and
+transposes the blocks to one matrix per draw.
 """
 
 from __future__ import annotations
@@ -63,12 +69,12 @@ __all__ = [
 #: 128 KB, or at n = 3, where no sweep runs, the quaternion's 4.  A step's
 #: contraction takes n rows of BLOCK // n doubles, its rank-1 update
 #: UPDATE_ROWS rows of the widest sweep, UPDATE_ROWS * (n - 1), and its
-#: per-draw radius, sign and scale three: 5n rows with the normals, 640 KB
-#: at most.  At n = 3, where no step runs, the buffers take 16 rows (9 of
-#: matrices, 4 of normals and 3 per-draw), about 700 KB.  On two threads
-#: at n = 30 (2-core VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x
-#: slower than 2**14: a smaller block spends more of each call in Python,
-#: holding the GIL.  2**15 ran about 9% faster (eight lanes of 1000 draws,
+#: per-draw radius, sign and scale three, and the reflection signs one:
+#: 5n + 1 rows with the normals, about 640 KB.  At n = 3, where no step
+#: runs, the buffers take 17 rows (9 of matrices, 4 of normals and 4
+#: per-draw), about 740 KB.  On two threads at n = 30 (2-core VM, 2 MB L2
+#: per core), 2**12 and 2**13 ran 1.4-2x slower than 2**14: a smaller
+#: block spends more of each call in Python, holding the GIL.  2**15 ran about 9% faster (eight lanes of 1000 draws,
 #: median 0.197 s against 0.217 s), but BLOCK sets which normals and bits
 #: each block takes, so a new value changes every estimate.
 BLOCK = 2**14
@@ -76,6 +82,20 @@ BLOCK = 2**14
 #: Rows of the widest sweep's trailing block that one multiply and one add
 #: of the rank-1 update cover; a narrower sweep takes more rows per call.
 UPDATE_ROWS = 3
+
+
+def _generator(rng) -> np.random.Generator:
+    """``Generator(SFC64(rng))`` for a seed; a Generator is used as given.
+
+    A seed (None, an integer or a sequence of them, or a SeedSequence)
+    means SFC64, whose ziggurat normals cost less than PCG64's, and
+    ``.spawn`` gives SFC64 children of the seed's SeedSequence.  A
+    Generator is returned as it is, and a BitGenerator or RandomState is
+    wrapped as ``np.random.default_rng`` wraps it.
+    """
+    if isinstance(rng, (np.random.Generator, np.random.BitGenerator, np.random.RandomState)):
+        return np.random.default_rng(rng)
+    return np.random.Generator(np.random.SFC64(rng))
 
 
 def _direct_zeros(g: np.ndarray) -> None:
@@ -102,8 +122,11 @@ def _quaternion_base(rows: np.ndarray, q: np.ndarray, draws: np.ndarray) -> None
     from left to right, the diagonal is 1 + s (v_i^2 - T) and the entry
     (i, j) off it s (v_i v_j -+ w v_k).  Every call is elementwise along
     the draw axis, so no draw's bits depend on the block; an all-zero q is
-    taken as (1, 0, 0, 0), whose R is the identity.  The other entries of
-    ``rows`` are left as they are.
+    taken as (1, 0, 0, 0), whose R is the identity.  Each entry is made of
+    products of two of q's entries, so -q gives the same R bit for bit
+    (for an all-zero q the same identity, with the signs of its zeros
+    flipped), which is what lets ``_realize`` take the sign of w as the
+    reflection bit.  The other entries of ``rows`` are left as they are.
     """
     n, m = rows.shape[1], rows.shape[2]
     _direct_zeros(q)
@@ -192,7 +215,9 @@ def _workspace(n: int, count: int) -> tuple[np.ndarray, ...]:
     the widest sweep's n, or at n = 3, where no sweep runs, the
     quaternion's 4), the draw-minor block (n^2 rows), the step's dots (n
     rows) and rank-1 update scratch (UPDATE_ROWS (n - 1) rows), both
-    empty when no sweep runs, and three per-draw rows.  Nothing is filled
+    empty when no sweep runs, and four per-draw rows: the step's radius,
+    sign and scale, then the reflection signs, which for n >= 3 are taken
+    before the first sweep and kept past every step.  Nothing is filled
     in: ``_realize`` writes every entry it reads.
     """
     size = max(1, min(count, BLOCK // n))
@@ -203,7 +228,7 @@ def _workspace(n: int, count: int) -> tuple[np.ndarray, ...]:
         np.empty(n * n * size),
         np.empty(widest * size),
         np.empty(UPDATE_ROWS * (n - 1) * size if widest else 0),
-        np.empty(3 * size),
+        np.empty(4 * size),
     )
 
 
@@ -222,15 +247,18 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
     Each block of m draws makes its calls on ``rng`` in the order it uses
     them, every normal call one ``rng.standard_normal(out=...)`` into the
     normal buffer, which holds the widest call's rows.  For n >= 3 the
-    block first draws its (4, m) quaternions, and ``_quaternion_base``
-    writes their rotations, Haar on SO(3), into the trailing 3 x 3 block
-    of the identity.  Then sweep i = n - 3, ..., 1 (i = n - 1, ..., 1 for
-    n <= 2, from SO(1) = {1}), with d = n - i, draws its d + 1 rows of
-    normals just before its step: n(n+1)/2 - 2 normals per draw in all
-    for n >= 3, none of them in a sweep at n = 3, and n(n+1)/2 - 1 for
-    n <= 2.  After the last sweep ``rng.integers(0, 2, size=m)`` draws the
-    reflection bits, one per draw.  The sweeps are applied from the left
-    (the subgroup algorithm): before sweep i the product is diag(I_i, C),
+    block first draws its (4, m) quaternions; the sign of each w, taken
+    before anything is written over it, is the draw's reflection sign, and
+    ``_quaternion_base`` writes their rotations, Haar on SO(3), into the
+    trailing 3 x 3 block of the identity.  Then sweep i = n - 3, ..., 1
+    (i = n - 1, ..., 1 for n <= 2, from SO(1) = {1}), with d = n - i,
+    draws its d + 1 rows of normals just before its step: n(n+1)/2 - 2
+    normals per draw in all for n >= 3, none of them in a sweep at n = 3,
+    and n(n+1)/2 - 1 for n <= 2.  For n <= 2 only, after the last sweep
+    ``rng.integers(0, 2, size=m)`` draws the reflection bits, one per
+    draw, and a bit b becomes the sign 1 - 2b; for n >= 3 the block calls
+    no ``integers``.  The sweeps are applied from the left (the subgroup
+    algorithm): before sweep i the product is diag(I_i, C),
     C in SO(d) Haar, and ``_step`` multiplies its trailing
     (d + 1) x (d + 1) block diag(1, C) by one M in SO(d + 1) with
     M e_0 = g / |g|, uniform on the sphere, which leaves M diag(1, C) Haar
@@ -238,11 +266,12 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
     quaternion block and each step are O(1) numpy calls over the whole
     corner along the draw axis, plus a step's rank-1 update in calls of
     at least UPDATE_ROWS rows of the widest sweep.  The product is Haar on
-    SO(n); a draw's reflection bit b becomes the sign 1 - 2b, which
-    multiplies row 0 in place, and F SO(n),
-    F = diag(-1, 1, ..., 1), is the other coset, so the draws are Haar on
-    O(n).  Each block is yielded in the workspace's block buffer, which
-    the next overwrites, and which the caller may overwrite too; so a
+    SO(n); the reflection sign multiplies row 0 in place at every n, and
+    F SO(n), F = diag(-1, 1, ..., 1), is the other coset, so the draws
+    are Haar on O(n): the sign of w is fair and independent of R(q),
+    since q and -q are equally likely and R(q) = R(-q).  Each block is
+    yielded in the workspace's block buffer, which the next overwrites,
+    and which the caller may overwrite too; so a
     caller holds one workspace whatever ``count``, and may pass it to the
     next call once this one is spent.  Transposed to (m, n, n) and
     concatenated, the blocks are the bits of sample_orthogonal_batch.
@@ -254,13 +283,15 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
     for start in range(0, count, size):
         m = min(size, count - start)
         rows = row_buf[: n * n * m].reshape(n, n, m)
-        draws = draw_buf[: 3 * m].reshape(3, m)
+        draws = draw_buf[: 4 * m].reshape(4, m)
+        signs = draws[3]  # no step touches it
         if base == 3:
             # rows n - 3 on, left of the corner, are each written by the first
             # column of the step that reaches them before anything reads them
             rows[: n - 3] = eye[: n - 3]
             q = normal_buf[: 4 * m].reshape(4, m)
             rng.standard_normal(out=q)
+            np.copysign(1.0, q[0], out=signs)
             _quaternion_base(rows, q, draws[:2])
         else:
             rows[...] = eye
@@ -269,10 +300,10 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
             g = normal_buf[: (d + 1) * m].reshape(d + 1, m)
             rng.standard_normal(out=g)
             dots = dots_buf[: (d + 1) * m].reshape(d + 1, m)
-            _step(rows[i - 1 :, i - 1 :], g, dots, work, draws)
-        signs = draws[0]
-        np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
-        signs += 1.0
+            _step(rows[i - 1 :, i - 1 :], g, dots, work, draws[:3])
+        if base == 1:
+            np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
+            signs += 1.0
         rows[0] *= signs
         yield rows
 
@@ -281,13 +312,16 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     """A C-contiguous (count, n, n) stack of independent Haar draws.
 
     Vectorized across the batch; for a fixed (n, count, seed) the output
-    is bit-reproducible.  The draws come in blocks of BLOCK // n, and each
-    block draws 4 normals per draw for its quaternion block when n >= 3,
-    then each sweep's normals as the sweep runs, n(n+1)/2 - 2 per draw in
-    all (n(n+1)/2 - 1 for n <= 2), then one reflection bit per draw, which
-    flips the sign of row 0 (see ``_realize``).  This is the sampler's one
+    is bit-reproducible.  ``rng`` may be a seed, which means
+    ``Generator(SFC64(seed))``, or a Generator, used as given.  The draws
+    come in blocks of BLOCK // n, and each block draws 4 normals per draw
+    for its quaternion block when n >= 3, whose w gives the draw's
+    reflection bit, then each sweep's normals as the sweep runs,
+    n(n+1)/2 - 2 per draw in all; for n <= 2 it draws n(n+1)/2 - 1
+    normals per draw and then one reflection bit per draw.  The bit flips
+    the sign of row 0 (see ``_realize``).  This is the sampler's one
     entry point that checks its input: ValueError for n < 1 or count < 0,
-    before anything is drawn, and ``rng`` may be a seed or a Generator.
+    before anything is drawn.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -295,7 +329,7 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
         raise ValueError("count must be nonnegative")
     out = np.empty((count, n, n))
     start = 0
-    for block in _realize(n, count, np.random.default_rng(rng), _workspace(n, count)):
+    for block in _realize(n, count, _generator(rng), _workspace(n, count)):
         m = block.shape[2]
         out[start : start + m] = block.transpose(2, 0, 1)
         start += m

@@ -32,7 +32,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .haar import _realize, _workspace
+from .haar import _generator, _realize, _workspace
 from .moments import (
     DiagonalSpec,
     _linear_trace_power_value,
@@ -76,11 +76,14 @@ LANES = 8
 def _sample_chunks(samples: int, rng) -> list[tuple[int, np.random.Generator]]:
     """Split a budget into min(LANES, samples) (count, stream) lanes on spawned children.
 
-    Child k of a spawn does not depend on how many are spawned.
+    ``rng`` is a seed, which means ``Generator(SFC64(seed))``, or a
+    Generator, used as given (``haar._generator``); its ``.spawn`` gives
+    children of the same bit generator on the spawned SeedSequences, and
+    child k does not depend on how many are spawned.
     """
     lanes = min(LANES, samples)
     base, extra = divmod(samples, lanes)
-    streams = np.random.default_rng(rng).spawn(lanes)
+    streams = _generator(rng).spawn(lanes)
     return [(base + (k < extra), gen) for k, gen in enumerate(streams)]
 
 
@@ -148,11 +151,13 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
     Each lane of ``_sample_chunks`` draws its matrices block by block from
-    ``haar._realize`` on its own spawned stream (the quaternion normals for
-    n >= 3, each sweep's normals as it runs, then the block's reflection
-    bits) and reduces ``statistic(block) -> values`` to the block's
-    (count, mean, M2) at once, so it holds one block of draws and its
-    values, whatever the budget.  The lanes run on
+    ``haar._realize`` on its own spawned stream, SFC64 for a seed (the
+    quaternion normals for n >= 3, whose w gives each draw's reflection
+    bit, then each sweep's normals as it runs; for n <= 2 the sweeps'
+    normals, then the block's reflection bits) and reduces
+    ``statistic(block) -> values`` to the block's (count, mean, M2) at
+    once, so it holds one block of draws and its values, whatever the
+    budget.  The lanes run on
     min(threads, lanes, ``_usable_cpus()``) workers, lane k on worker
     k mod workers; each worker builds one ``haar._workspace`` for its
     longest lane and runs its lanes in it in turn.  A lane's blocks take

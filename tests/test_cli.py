@@ -369,16 +369,16 @@ class TestOutputBytes:
             (
                 ["estimate", "trace-power", "--f", "2", "--A", "1,2,3", "--B", "3,1,2",
                  "--samples", "20000", "--seed", "7"],
-                "c2321f74b3acabf550179cc6d1f438457c011045c8d5b8b5d2ea05556cf40ac8",
+                "aebd3f2f64b111d16af331a877518d751f28e3ec3748bf2f247fc38e90fdac0a",
             ),
             (
                 ["estimate", "zonal-split", "--kappa", "2,1", "--A", "1,2,3", "--B", "3,1,2",
                  "--samples", "20000", "--seed", "7"],
-                "08b63d21800ad21b11ca3934addf1d71a00f98bad17165978d0e43709028a4c8",
+                "439b4e3fc9a2009887438cf8b1da5c700f0f3f9f12818e4b6b2640be48cef591",
             ),
             (
                 ["estimate", "trace-AH", "--f", "2", "--A", "1,2,3", "--samples", "20001", "--seed", "7"],
-                "9735aeb1772716430bada50fe7a4236e0245b90d1b47c13c44d929bc415d1126",
+                "4e1a57f3a97adbab18f22b459d7f69d2f331f3b4389f7ba16463aa9550721823",
             ),
         ],
         ids=[

@@ -12,6 +12,7 @@ from scipy.stats import beta, ks_2samp, kstest, ortho_group
 from zonalpoly import haar
 from zonalpoly.haar import (
     BLOCK,
+    _generator,
     _realize,
     _workspace,
     sample_orthogonal_batch,
@@ -56,12 +57,22 @@ def split_normals(n, normals):
     return out
 
 
+def quaternion_bits(normals):
+    """The reflection bits of (rows, count) normals at n >= 3: the sign bits of the quaternions' w.
+
+    w is the first normal of each draw, as drawn (a w of -0.0 has its bit
+    set).
+    """
+    return np.signbit(normals[0]).astype(np.int64)
+
+
 def strided_reference_draw(n, count, rng):
     """(count, rows) normals and (count,) bits, drawn as sample_orthogonal_batch draws them.
 
     Per block of BLOCK // n draws, each call of ``stream_calls`` in one
-    (rows, m) draw, in turn, then the block's m bits, one per draw.  The
-    normals of a draw are laid out in the same order.
+    (rows, m) draw, in turn; at n >= 3 a draw's bit is the sign bit of its
+    quaternion's w, and at n <= 2 the block then draws its m bits, one per
+    draw.  The normals of a draw are laid out in the same order.
     """
     size = max(1, min(count, BLOCK // n))
     normals, bits = [], []
@@ -69,7 +80,7 @@ def strided_reference_draw(n, count, rng):
         m = min(size, count - start)
         calls = [rng.standard_normal((width, m)) for _, width in stream_calls(n)]
         normals.append(np.concatenate(calls or [np.empty((0, m))]).T)
-        bits.append(rng.integers(0, 2, size=m))
+        bits.append(quaternion_bits(calls[0]) if n >= 3 else rng.integers(0, 2, size=m))
     return np.concatenate(normals), np.concatenate(bits)
 
 
@@ -219,11 +230,12 @@ class FixedNormals:
 
     The (rows, count) normals are laid out in stream order, so each call
     is served the first rows not yet served.  With ``seed=None`` every bit
-    is 0: no draw is reflected.
+    is 0: no draw is reflected.  With ``draws_bits=False`` an ``integers``
+    call fails the test: at n >= 3 the sampler draws no bits.
     """
 
-    def __init__(self, normals, seed):
-        self.normals, self.first = normals, 0
+    def __init__(self, normals, seed, draws_bits=True):
+        self.normals, self.first, self.draws_bits = normals, 0, draws_bits
         self.bits = None if seed is None else np.random.default_rng(seed)
 
     def standard_normal(self, out):
@@ -232,28 +244,49 @@ class FixedNormals:
         return out
 
     def integers(self, low, high, size):
+        assert self.draws_bits, "a reflection bit drawn at n >= 3"
         if self.bits is None:
             return np.zeros(size, dtype=np.int64)
         return self.bits.integers(low, high, size=size)
 
 
 def realize_with_twin(n, normals, seed):
-    """``_realize`` of one block of (rows, count) normals, with the (count,) bits it drew.
+    """``_realize`` of one block of (rows, count) normals, with the (count,) bits it took.
 
-    The normals are fed through ``FixedNormals``; the bits come from a twin
-    of its generator, in the one call of one bit per draw that a single
-    block makes.  The draw-minor block is transposed to a (count, n, n)
+    The normals are fed through ``FixedNormals``.  At n >= 3 the bits are
+    the ``quaternion_bits`` of the normals, and any ``integers`` call
+    fails; at n <= 2 they come from a twin of its generator, in the one
+    call of one bit per draw that a single block makes (all 0 for
+    ``seed=None``).  The draw-minor block is transposed to a (count, n, n)
     stack.
     """
     normals = np.asarray(normals, dtype=float).reshape(normal_rows(n), -1)
     count = normals.shape[1]
     assert count <= BLOCK // n
-    (block,) = _realize(n, count, FixedNormals(normals, seed), _workspace(n, count))
-    if seed is None:
+    rng = FixedNormals(normals, seed, draws_bits=n <= 2)
+    (block,) = _realize(n, count, rng, _workspace(n, count))
+    assert rng.first == len(normals)  # every normal served, none left over
+    if n >= 3:
+        bits = quaternion_bits(normals)
+    elif seed is None:
         bits = np.zeros(count, dtype=np.int64)
     else:
         bits = np.random.default_rng(seed).integers(0, 2, size=count)
     return block.transpose(2, 0, 1).copy(), bits
+
+
+def unreflected(n, normals):
+    """(rows, count) normals whose draws keep their rotations and take bit 0.
+
+    At n >= 3 each quaternion whose w has its sign bit set is negated:
+    R(q) = R(-q) bit for bit (for a nonzero q), so only the bit changes.
+    At n <= 2, where the bits do not come from the normals, a copy of the
+    normals.
+    """
+    normals = np.array(normals, dtype=float).reshape(normal_rows(n), -1)
+    if n >= 3:
+        normals[:4] *= 1.0 - 2.0 * quaternion_bits(normals)
+    return normals
 
 
 def signs(n, bits):
@@ -282,14 +315,17 @@ class TestRealize:
         assert np.allclose(q, signs(2, bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
-        # every call's normals e_0 times a positive scale: the quaternion
-        # block and each step are the identity
+        # every sweep's normals e_0 times a positive scale and every
+        # quaternion e_0 times a scale of either sign: the quaternion block
+        # and each step are the identity, and the sign of the scale is the
+        # reflection
         for n in (3, 4, 6):
             normals = np.zeros((normal_rows(n), 16))
             first = np.cumsum([0] + [width for _, width in stream_calls(n)][:-1])
             normals[first] = np.linspace(0.5, 2.0, 16)
+            normals[0, 1::3] *= -1.0
             qs, bits = realize_with_twin(n, normals, 2)
-            assert bits.any() and not bits.all()  # the seed reaches the reflection and the identity
+            assert bits.any() and not bits.all()  # the quaternions reach the reflection and the identity
             assert np.array_equal(qs, signs(n, bits)), n
 
     def test_rotation_times_inverse(self):
@@ -302,9 +338,10 @@ class TestRealize:
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_reflection_flips_row_zero_only(self, n):
         # the product of the steps alone lies in SO(n); a set bit negates row 0
-        # and leaves rows 1..n-1 as they were, bit for bit
+        # and leaves rows 1..n-1 as they were, bit for bit (at n >= 3 the
+        # draws without a reflection take the negated quaternions)
         normals = np.random.default_rng(70 + n).standard_normal((normal_rows(n), 300))
-        rotations, _ = realize_with_twin(n, normals, None)
+        rotations, _ = realize_with_twin(n, unreflected(n, normals), None)
         assert np.all(np.abs(np.linalg.det(rotations) - 1.0) <= 1e-12)
         got, bits = realize_with_twin(n, normals, n)
         assert bits.any() and not bits.all()
@@ -415,6 +452,55 @@ class TestRealize:
             haar._quaternion_base(rows, q, np.empty((2, m)))
         assert np.array_equal(rows, want)
 
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_negated_quaternion_is_the_same_rotation(self, n):
+        # every entry of R(q) is made of products of two entries of q, so -q
+        # gives the same rotation bit for bit, signed zeros included: the sign
+        # of w is free to serve as the reflection bit.  An all-zero q gives
+        # the identity either way, but its zeros take the signs of v w
+        rng = np.random.default_rng(120 + n)
+        q = np.concatenate([rng.standard_normal((4, 300)), np.array(special_sweeps(4)).T], axis=1)
+        m = q.shape[1]
+        got = []
+        for quats in (q, -q):
+            rows = np.zeros((n, n, m))
+            haar._quaternion_base(rows, quats.copy(), np.empty((2, m)))
+            got.append(rows)
+        nonzero = q.any(axis=0)
+        assert np.count_nonzero(~nonzero) == 16  # the all-zero calls of the special values
+        assert np.array_equal(got[0][..., nonzero].view(np.int64), got[1][..., nonzero].view(np.int64))
+        assert np.array_equal(got[0], got[1])
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_bits_drawn_only_without_a_quaternion(self, n):
+        # at n <= 2 each block makes one integers call, of one bit per draw,
+        # after its normals; at n >= 3 the quaternions' w are the bits and
+        # no block calls integers
+        calls = []
+
+        class Spy:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, out):
+                calls.append(("normal", out.shape[-1]))
+                return self.gen.standard_normal(out=out)
+
+            def integers(self, low, high, size):
+                calls.append(("integers", size))
+                return self.gen.integers(low, high, size=size)
+
+        size = BLOCK // n
+        count = 2 * size + 3
+        blocks = _realize(n, count, Spy(np.random.default_rng(n)), _workspace(n, count))
+        widths = [block.shape[2] for block in blocks]
+        assert widths == [size, size, 3]
+        per_block = len(stream_calls(n))
+        want = []
+        for m in widths:
+            want += [("normal", m)] * per_block + ([("integers", m)] if n <= 2 else [])
+        assert calls == want
+
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
         qs = sample_orthogonal_batch(n, 10, np.random.default_rng(91))
@@ -425,14 +511,15 @@ class TestRealize:
         # the sampler holds its block (n^2 doubles per draw), the widest
         # call's normals (the sweep's n, or the quaternion's 4 at n = 3), and
         # when a sweep runs the step's dots (n) and rank-1 update scratch
-        # (UPDATE_ROWS (n - 1)); then three per-draw rows, plus numpy's
-        # transients: one int64 row of bits, and the ufunc buffers of
-        # np.getbufsize() elements that broadcast in-place updates take,
-        # about two at n = 30 (measured), three allowed
+        # (UPDATE_ROWS (n - 1)); then four per-draw rows, the step's three
+        # and the reflection signs, plus numpy's transients: the ufunc
+        # buffers of np.getbufsize() elements that broadcast in-place updates
+        # take, about two at n = 30 (measured), three allowed.  At n >= 3 no
+        # row of bits is drawn
         for n, count in ((3, 20_000), (30, 5_000)):
             size = BLOCK // n
             steps = 0 if n == 3 else n + haar.UPDATE_ROWS * (n - 1)
-            rows = n * n + max(n, 4) + steps + 3 + 1
+            rows = n * n + max(n, 4) + steps + 4
             cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
             sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
             tracemalloc.start()
@@ -494,10 +581,11 @@ class TestDeterminism:
         ),
     )
     def test_batch_matches_strided_reference(self, n, count):
-        # per block, the quaternions' (4, m) normals at n >= 3, then each
-        # sweep's own (d + 1, m) normals as it runs, then the block's m bits:
-        # a twin generator that makes those calls gives the same matrices,
-        # bit for bit, and ends in the same state
+        # per block, the quaternions' (4, m) normals at n >= 3, whose w give
+        # the bits, then each sweep's own (d + 1, m) normals as it runs, and
+        # at n <= 2 then the block's m bits: a twin generator that makes
+        # those calls gives the same matrices, bit for bit, and ends in the
+        # same state
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         batch = sample_orthogonal_batch(n, count, rng)
         reference = strided_reference_batch(n, count, ref_rng)
@@ -513,7 +601,7 @@ class TestDeterminism:
         normals = np.random.default_rng(110 + n).standard_normal((normal_rows(n), size))
         block, bits = realize_with_twin(n, normals, n)
         for k in np.random.default_rng(n).choice(size, 12, replace=False):
-            alone, _ = realize_with_twin(n, normals[:, k : k + 1], None)
+            alone, _ = realize_with_twin(n, unreflected(n, normals[:, k : k + 1]), None)
             alone[:, 0] *= 1.0 - 2.0 * bits[k]
             assert np.array_equal(alone[0].view(np.int64), block[k].view(np.int64)), k
 
@@ -533,6 +621,30 @@ class TestDeterminism:
 
     def test_integer_seed_accepted(self):
         assert np.array_equal(sample_orthogonal_batch(2, 3, 9), sample_orthogonal_batch(2, 3, 9))
+
+    @pytest.mark.parametrize("n, count", ((1, 20), (2, 50), (3, BLOCK // 3 + 1), (5, 40), (30, 12)))
+    def test_seed_means_sfc64(self, n, count):
+        # a seed s draws exactly what Generator(SFC64(s)) draws; a Generator
+        # passed in, PCG64 here, is used as given: it draws as the strided
+        # reference on it does, and the seed's draws are not its draws
+        by_seed = sample_orthogonal_batch(n, count, 23)
+        sfc = sample_orthogonal_batch(n, count, np.random.Generator(np.random.SFC64(23)))
+        assert np.array_equal(by_seed.view(np.int64), sfc.view(np.int64))
+        reference = strided_reference_batch(n, count, np.random.Generator(np.random.SFC64(23)))
+        assert np.array_equal(by_seed.view(np.int64), reference.view(np.int64))
+        pcg = sample_orthogonal_batch(n, count, np.random.default_rng(23))
+        assert not np.array_equal(pcg, by_seed)
+
+    def test_generator_used_as_given(self):
+        # a Generator is returned as it is and a bit generator is wrapped, as
+        # before seeds meant SFC64; every kind of seed means SFC64
+        gen = np.random.default_rng(5)
+        assert _generator(gen) is gen
+        bits = np.random.PCG64(5)
+        assert _generator(bits).bit_generator is bits
+        for seed in (5, [5, 6], np.random.SeedSequence(5), None):
+            assert isinstance(_generator(seed).bit_generator, np.random.SFC64)
+        assert np.array_equal(_generator(5).random(8), np.random.Generator(np.random.SFC64(5)).random(8))
 
 
 class TestInputChecks:
@@ -587,6 +699,29 @@ class TestSamplerStatistics:
         qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(300 + n))
         freq = (np.linalg.det(qs) < 0).mean()
         assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / self.SAMPLES)
+
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_reflection_bit_is_fair_and_independent_of_the_rotation(self, n):
+        # at n >= 3 the bit is the sign of the quaternion's w: det = -1 with
+        # frequency 1/2 within 4 sigma, and on each coset the trace and two
+        # entries of the last row, which the bit leaves alone, have the law
+        # of the QR oracle's draws on that coset, so the bit does not lean on
+        # the rotation.  The trace alone would not see a bit that leans on a
+        # quantity conjugation moves, such as the sign of Q[n-1, n-2].
+        # Seeds, sample sizes and the p-value bound were fixed before the
+        # first run
+        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(700 + n))
+        qo = oracle_sample_batch(n, self.SAMPLES, np.random.default_rng(800 + n))
+        reflected, oracle_reflected = np.linalg.det(qs) < 0, np.linalg.det(qo) < 0
+        assert abs(reflected.mean() - 0.5) <= 4 * math.sqrt(0.25 / self.SAMPLES)
+        for stat in (
+            lambda q: np.trace(q, axis1=1, axis2=2),
+            lambda q: q[:, n - 1, n - 1],
+            lambda q: q[:, n - 1, n - 2],
+        ):
+            for coset in (False, True):
+                p = rounded_ks(stat(qs[reflected == coset]), stat(qo[oracle_reflected == coset]))
+                assert p > 1e-3, (coset, p)
 
     @pytest.mark.parametrize("n", (2, 3))
     def test_left_invariance_moments(self, n):

@@ -215,11 +215,12 @@ def lanes_fold(lanes):
 def lane_stacks(n, samples, seed):
     """Each lane's (size, n, n) stack of Haar draws, as an estimate draws them.
 
-    Lane k runs on child k of ``default_rng(seed).spawn(LANES)``; the first
-    ``samples % LANES`` lanes take one draw more than ``samples // LANES``.
+    Lane k runs on child k of ``Generator(SFC64(seed)).spawn(LANES)``; the
+    first ``samples % LANES`` lanes take one draw more than
+    ``samples // LANES``.
     """
     base, extra = divmod(samples, LANES)
-    children = np.random.default_rng(seed).spawn(LANES)[: min(LANES, samples)]
+    children = np.random.Generator(np.random.SFC64(seed)).spawn(LANES)[: min(LANES, samples)]
     return [sample_orthogonal_batch(n, base + (k < extra), gen) for k, gen in enumerate(children)]
 
 
@@ -523,11 +524,11 @@ class TestMcTracePower:
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_spawns_one_stream_per_lane(self, monkeypatch):
-        # 5 samples fill 5 lanes of one draw: 5 streams are spawned, the
-        # first 5 children that spawning LANES would give; 10 samples fill
-        # LANES lanes from divmod.  A whole estimate spawns once, at most
-        # LANES streams whatever threads asks for, and with two CPUs at most
-        # two threads draw
+        # 5 samples fill 5 lanes of one draw: 5 SFC64 streams are spawned from
+        # the seed, the first 5 children that spawning LANES would give; 10
+        # samples fill LANES lanes from divmod.  A whole estimate spawns once,
+        # at most LANES streams whatever threads asks for, and with two CPUs
+        # at most two threads draw
         counts = []
 
         class SpyGenerator:
@@ -538,13 +539,14 @@ class TestMcTracePower:
                 counts.append(k)
                 return self.gen.spawn(k)
 
-        default_rng = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng", lambda rng: SpyGenerator(default_rng(rng)))
+        generator = montecarlo._generator
+        monkeypatch.setattr(montecarlo, "_generator", lambda rng: SpyGenerator(generator(rng)))
         chunks = montecarlo._sample_chunks(5, 42)
         assert counts == [5]
         assert [size for size, _ in chunks] == [1] * 5
-        wide = default_rng(42).spawn(LANES)[:5]
+        wide = np.random.Generator(np.random.SFC64(42)).spawn(LANES)[:5]
         for (_, child), want in zip(chunks, wide):
+            assert isinstance(child.bit_generator, np.random.SFC64)
             assert np.array_equal(child.random(8), want.random(8))
 
         counts.clear()
@@ -686,6 +688,28 @@ class TestThreads:
         one, two, three = (self.KINDS[kind](a, b, samples, 9, threads) for threads in (1, 2, 3))
         assert one == two == three
         assert one.samples == samples
+
+
+class TestSeeds:
+    """A seed means Generator(SFC64(seed)); a Generator passed in is used as given."""
+
+    @pytest.mark.parametrize("n", (2, 3, 5))
+    @pytest.mark.parametrize("kind", TestThreads.KINDS)
+    def test_seed_and_its_generator_give_the_same_report(self, kind, n):
+        # 1001 draws in LANES uneven lanes: the seed's report and that of
+        # Generator(SFC64(seed)) are equal; a PCG64 Generator is spawned from
+        # as given, once, one child per lane, and gives other draws.  (At
+        # n = 1 every statistic is constant on O(1) = {-1, 1})
+        a = [Fraction(k % 9 + 1, 4) for k in range(n)]
+        b = [Fraction(-1 if k == 1 else k % 7 + 1, 3) for k in range(n)]
+        run = TestThreads.KINDS[kind]
+        by_seed = run(a, b, 1_001, 9, 1)
+        assert run(a, b, 1_001, np.random.Generator(np.random.SFC64(9)), 1) == by_seed
+        pcg = np.random.default_rng(9)
+        by_pcg = run(a, b, 1_001, pcg, 2)
+        assert pcg.bit_generator.seed_seq.n_children_spawned == LANES
+        assert by_pcg == run(a, b, 1_001, np.random.default_rng(9), 1)
+        assert by_pcg.mc_estimate != by_seed.mc_estimate
 
 
 class TestWorkspace:
