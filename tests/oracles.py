@@ -8,9 +8,11 @@ a time, its exact values come from an integer recursion over the
 variables rather than from orbit sums or the branching rule, its Haar
 sampler runs the subgroup algorithm rather than a QR factorization, and
 no package code checks a sampled matrix for orthogonality.
-``residual_values`` is no independent reference: it is criterion 4b's
-quantity, computed from the package's public exact values, so the tests
-can show that it depends on the dimension.
+``bilinear_reference`` reads the package's full rows and closed forms,
+but none of its exact-integral machinery: no capped row and no cached
+character table.  ``residual_values`` is no independent reference: it is
+criterion 4b's quantity, computed from the package's public exact
+values, so the tests can show that it depends on the dimension.
 """
 
 from fractions import Fraction
@@ -21,8 +23,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from zonalpoly.moments import bilinear_coefficient
-from zonalpoly.partitions import Partition
-from zonalpoly.zonal import double_factorial, zonal_at_identity, zonal_row
+from zonalpoly.partitions import Partition, partitions_of
+from zonalpoly.zonal import character_degree, double_factorial, zonal_at_identity, zonal_row
 
 
 def dominated_by(g: Sequence[int], f: Sequence[int]) -> bool:
@@ -115,6 +117,25 @@ def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fr
         )
         out.append((n, value))
     return out
+
+
+def bilinear_reference(f: int, n: int, g, h) -> Fraction:
+    """The coefficient of m_g(a) m_h(b) in the trace-power integral, as a plain Fraction sum.
+
+    (1 / (2f-1)!!) sum_kappa chi(kappa) c_g c_h / Z_kappa(I_n) over every
+    kappa of f >= 1 with at most n parts, where c_g and c_h are
+    coefficients of the full row ``zonal_row(kappa)``, so g and h may have
+    more than n parts.
+    """
+    total = Fraction(0)
+    for kappa in partitions_of(f):
+        if len(kappa) <= n:
+            row = zonal_row(kappa)
+            total += Fraction(
+                character_degree(kappa) * row.coefficient(g) * row.coefficient(h),
+                zonal_at_identity(kappa, n),
+            )
+    return total / double_factorial(2 * f - 1)
 
 
 def evaluate_by_terms(poly, xs: Sequence):

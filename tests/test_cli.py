@@ -237,12 +237,16 @@ class TestVerify:
         assert "'3..1' is empty" in empty.output
 
 
+def package_env() -> dict:
+    """The environment with this package's source directory first on PYTHONPATH."""
+    src = str(Path(zonalpoly.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def last_line_of_python(code: str) -> str:
     """The last stdout line of ``code`` run in a fresh interpreter on this package."""
-    src = str(Path(zonalpoly.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=package_env(), capture_output=True, text=True, check=True
     )
     return result.stdout.splitlines()[-1]
 
@@ -309,6 +313,10 @@ EXP_SERIES_DEGREE_20 = (
     "81705805075927871605048587829790539809310302226949"
     "/52705178433578662706368265390809011339028070400000"
 )
+
+#: sha256 of the stdout of ``python tests/exact_bytes.py``; the CI
+#: console-script job pins the same digest.
+EXACT_BYTES_SHA256 = "bab0203b4347573836ad6315d1d33659dd78eca5ef5140a2ecbb8a54fac23e9a"
 
 
 class TestOutputBytes:
@@ -402,6 +410,15 @@ class TestOutputBytes:
         result = runner.invoke(main, args)
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+    def test_exact_layer_sha256(self):
+        # the trace-power integral, the bilinear sweep and the hyper0f0 terms
+        # of tests/exact_bytes.py, in a fresh interpreter as the CI step runs it
+        script = Path(__file__).resolve().parent / "exact_bytes.py"
+        result = subprocess.run(
+            [sys.executable, str(script)], env=package_env(), capture_output=True, check=True
+        )
+        assert hashlib.sha256(result.stdout).hexdigest() == EXACT_BYTES_SHA256
 
 
 #: Each ``estimate`` kind's required options, with a valid value each at n = 2.

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -38,7 +39,7 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
-from oracles import evaluate_by_terms, residual_values, zonal_by_branching
+from oracles import bilinear_reference, evaluate_by_terms, residual_values, zonal_by_branching
 from test_cli import EXP_SERIES_DEGREE_20
 
 
@@ -318,6 +319,41 @@ class TestIntegerEvaluation:
             report = mc_linear_trace_power(a, f, 2, 0)
             assert report.exact_value == _fraction_linear_trace_power([x * x for x in a], f)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_spectra_give_n_to_the_f(self, n):
+        # tr(Q Q') = n on every draw: this holds only if the table's D, chi(kappa)
+        # and Z_kappa(I_n) are right
+        for f in range(11):
+            assert exact_trace_power_integral([1] * n, [1] * n, f) == n**f, f
+
+    def test_character_table_holds_partitions_and_ints_only(self):
+        for f in range(1, 9):
+            for n in range(1, 7):
+                d, weights = moments._character_table(f, n)
+                assert type(d) is int
+                assert all(type(kappa) is Partition and type(w) is int for kappa, w in weights)
+
+    def test_threads_racing_on_cold_tables_agree(self):
+        # lru_cache may build a table once per racing thread: every copy must serve
+        moments._character_table.cache_clear()
+        results = []
+
+        def work():
+            results.append([exact_trace_power_integral([1] * 5, [1] * 5, f) for f in range(1, 9)])
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[5**f for f in range(1, 9)]] * len(threads)
+
     def test_exact_values_never_change_basis(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the exact path must not take this route")
@@ -346,6 +382,15 @@ class TestBilinearCoefficients:
         assert top == Fraction(double_factorial(2 * f - 1), c)
         corner = bilinear_coefficient(f, n, (f,), (1,) * f)
         assert corner == Fraction(factorial(f), c)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("f", (1, 2, 3, 4, 5, 6))
+    def test_every_pair_matches_the_fraction_reference(self, f, n):
+        # pairs with more than n parts too, whose rows are capped at max(n, len g, len h)
+        parts = partitions_of(f)
+        for g in parts:
+            for h in parts:
+                assert bilinear_coefficient(f, n, g, h) == bilinear_reference(f, n, g, h), (g, h)
 
     def test_symmetric_in_gh(self):
         assert bilinear_coefficient(3, 3, (2, 1), (1, 1, 1)) == bilinear_coefficient(
