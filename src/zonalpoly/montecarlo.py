@@ -8,31 +8,49 @@ and those triples are merged by the pairwise update of Chan, Golub and
 LeVeque.  The lanes of a budget run on at most
 min(threads, lanes, usable CPUs) workers, each lane in turn in its
 worker's one sampler workspace (a block and the sampler's scratch), so
-memory stays at one workspace per worker whatever the budget.  The
-splitting check needs Z_kappa at the latent roots of each draw; a
+memory stays at one workspace per worker whatever the budget.
+
+At n = 3 a draw is F^b R(q), q = (w, x, y, z) four normals read as a
+quaternion and b set where w is negative, -0.0 included, and a lane
+reads each block of quaternions as ``haar._quaternions`` makes it, with
+no rotation built.  Each statistic is a closed form in q.  The squares
+(H_ij^2) of an orthogonal H are doubly stochastic, so every weighted sum
+of them is a constant plus a weighted sum of the leading 2 x 2 minor
+(``_reduced``), whose entries are quadratic in q over |q|^2
+(``_minor_squares``); the weights are reduced once per estimate, in
+Fractions, so a scalar spectrum gives an exactly constant trace.
+tr(D_a R(q)) is a diagonal quadratic form in q over |q|^2 (Davenport's
+q-method; Shuster and Oh, J. Guid. Control 4, 1981), less 2 a_0 R_00
+where b is set (``_linear_trace``).  Elsewhere the statistics read the
+sampler's draw-minor blocks.
+
+The splitting check needs Z_kappa at the latent roots of each draw; a
 symmetric polynomial depends on the roots only through their power sums,
 which come with no eigensolve and no square root, so the spectra may
 take any real signs.  Up to n = 3 they follow by Newton's identities
 from the elementary symmetric functions of the roots, which are weighted
-sums of the squared entries of each draw along the draw axis of the
-sampler's block; above, they are traces of powers of H' D_a H D_b,
-through a batched matmul on row-major copies of the block in chunks of
-CHUNK // n^2 draws, so a worker holds its block and three chunks of at
-most CHUNK entries, not a second block.  This module and ``haar`` are
-the only ones that import numpy.
+sums of the squared entries of each draw along the draw axis (at n = 3,
+of the squared leading minor of each quaternion's rotation); above, they
+are traces of powers of H' D_a H D_b, through a batched matmul on
+row-major copies of the block in chunks of CHUNK // n^2 draws, so a
+worker holds its block and three chunks of at most CHUNK entries, not a
+second block.  At n = 1, O(1) = {-1, 1}, every statistic but exp-series'
+is constant and its exact value is reported with no draw.  This module
+and ``haar`` are the only ones that import numpy.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isfinite, sqrt
+from math import isfinite, prod, sqrt
 
 import numpy as np
 
-from .haar import _generator, _realize, _workspace
+from .haar import _generator, _quaternion_workspace, _quaternions, _realize, _workspace
 from .moments import (
     DiagonalSpec,
     _linear_trace_power_value,
@@ -154,24 +172,28 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     ``haar._realize`` on its own spawned stream, SFC64 for a seed (the
     quaternion normals for n >= 3, whose w gives each draw's reflection
     bit, then each sweep's normals as it runs; for n <= 2 the sweeps'
-    normals, then the block's reflection bits) and reduces
+    normals, then the block's reflection bits), or at n = 3 takes the
+    same quaternion blocks from ``haar._quaternions`` itself, and reduces
     ``statistic(block) -> values`` to the block's (count, mean, M2) at
     once, so it holds one block of draws and its values, whatever the
     budget.  The lanes run on
     min(threads, lanes, ``_usable_cpus()``) workers, lane k on worker
     k mod workers; each worker builds one ``haar._workspace`` for its
-    longest lane and runs its lanes in it in turn.  A lane's blocks take
-    min(count, BLOCK // n) draws for its own count, so the workspace's
-    size moves no draw.  A block is the sampler's draw-minor (n, n, m)
-    array, entry (i, j) of draw k at [i, j, k]; a statistic may overwrite
-    it and must return a fresh array of m values, which ``_moments``
-    overwrites.  A lane takes its values less its
-    first value (the shifted data of Chan, Golub and LeVeque), so the
-    means that the fold rounds are of deviations, not of a mean that may
-    dwarf them, and it folds its block triples left to right, in block
-    order.  One worker runs in the calling thread, so ``threads == 1``
-    starts no pool; more run on as many pool threads, sharing nothing
-    mutable.  Nothing outlives the call.  The lane triples, rebased to the
+    longest lane (at n = 3 a ``haar._quaternion_workspace``) and runs its
+    lanes in it in turn.  A lane's blocks take min(count, BLOCK // n)
+    draws for its own count, so the workspace's size moves no draw.  A
+    block is the sampler's draw-minor (n, n, m) array, entry (i, j) of
+    draw k at [i, j, k], or at n = 3 the (``haar.QUATERNION_ROWS``, m)
+    quaternion block; a statistic may overwrite it and must return a fresh
+    array of m values, which ``_moments`` overwrites.  A lane takes its values
+    less its first value (the shifted data of Chan, Golub and LeVeque),
+    so the means that the fold rounds are of deviations, not of a mean
+    that may dwarf them, and it folds its block triples left to right, in
+    block order.  Worker 0 runs in the calling thread, so ``threads == 1``
+    starts no thread; each other worker runs on a ``threading.Thread`` of
+    its own, sharing nothing mutable, and an error that a worker raises is
+    raised again here once every worker has ended, the lowest worker's
+    first.  Nothing outlives the call.  The lane triples, rebased to the
     first lane's shift, are folded the same way, in lane order, and that
     shift is added back to the mean, so results depend only on
     (seed, samples), whatever ``threads``.
@@ -193,7 +215,7 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     workers = min(threads, len(chunks), _usable_cpus())
 
     def lane(count: int, gen: np.random.Generator, workspace) -> tuple[float, Moments]:
-        blocks = _realize(n, count, gen, workspace)
+        blocks = _quaternions(count, gen, workspace) if n == 3 else _realize(n, count, gen, workspace)
         values = statistic(next(blocks))
         shift = float(values[0])
         first = _moments(values, shift)
@@ -202,18 +224,28 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
 
     def worker(share: list[tuple[int, np.random.Generator]]) -> list[tuple[float, Moments]]:
         # _sample_chunks puts the longer lanes first, so a share's first lane is its longest
-        workspace = _workspace(n, share[0][0])
+        longest = share[0][0]
+        workspace = _quaternion_workspace(longest) if n == 3 else _workspace(n, longest)
         return [lane(count, gen, workspace) for count, gen in share]
 
-    if workers == 1:
-        lanes = worker(chunks)
-    else:
-        # imported here: it loads logging, which no single-thread run needs
-        from concurrent.futures import ThreadPoolExecutor
+    shares, errors = [None] * workers, [None] * workers
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(worker, (chunks[k::workers] for k in range(workers))))
-        lanes = [shares[k % workers][k // workers] for k in range(len(chunks))]
+    def run(k: int) -> None:
+        try:
+            shares[k] = worker(chunks[k::workers])
+        except BaseException as exc:  # raised again in the calling thread
+            errors[k] = exc
+
+    pool = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for thread in pool:
+        thread.start()
+    run(0)
+    for thread in pool:
+        thread.join()
+    raised = [exc for exc in errors if exc is not None]
+    if raised:
+        raise raised[0]
+    lanes = [shares[k % workers][k // workers] for k in range(len(chunks))]
     base = lanes[0][0]
     m, mean, m2 = reduce(_merge, ((k, (shift - base) + mu, m2) for shift, (k, mu, m2) in lanes))
     return _summarize(exact, reference, (m, base + mean, m2))
@@ -222,14 +254,14 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
 def mc_trace_power(a, b, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
     """Monte Carlo counterpart of exact_trace_power_integral.
 
-    f = 0 is reported exactly, with no sample drawn or counted.
+    f = 0, and n = 1, where tr(D_a Q D_b Q') = a_0 b_0 on O(1) = {-1, 1},
+    are reported exactly, with no sample drawn or counted.
     """
     a, b, n = _spectra(a, b)
     exact = exact_trace_power_integral(a, b, f)
-    if f == 0:  # the integrand is 1: nothing is drawn
+    if f == 0 or n == 1:  # the integrand is constant: nothing is drawn
         return _monte_carlo(exact, n, samples, rng, threads, None)
-    statistic = _trace_power_statistic(np.array(a.floats()), np.array(b.floats()), f)
-    return _monte_carlo(exact, n, samples, rng, threads, statistic)
+    return _monte_carlo(exact, n, samples, rng, threads, _trace_power_statistic(a, b, f))
 
 
 def _sum_rows(rows: np.ndarray) -> np.ndarray:
@@ -259,18 +291,107 @@ def _squares_dot(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _sum_rows(_sum_rows(q))
 
 
-def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
-    """statistic(block) -> tr(D_a Q D_b Q')^f per draw Q; overwrites the block.
+def _outer(a: DiagonalSpec, b: DiagonalSpec) -> list[list[Fraction]]:
+    """The exact outer product a b' of two spectra."""
+    return [[x * y for y in b] for x in a]
+
+
+def _reduced(w) -> tuple[float, np.ndarray]:
+    """(c, v) with sum_ij w_ij P_ij = c + sum_(i, j < 2) v_ij P_ij for every doubly stochastic 3 x 3 P.
+
+    ``w`` is an exact 3 x 3 matrix (nested sequences of Fractions).  P's
+    last row and column follow from its leading 2 x 2 minor, so
+    v_ij = w_ij - w_i2 - w_2j + w_22 and c = w_02 + w_12 + w_20 + w_21 - w_22.
+    Both are taken exactly and rounded once, so a w whose rows, or whose
+    columns, are all equal (a scalar spectrum on either side) gives v = 0
+    and a constant sum, bit for bit.  v is returned in the row order of
+    ``_minor_squares``, 00, 01, 10, 11, times the (1, 4, 4, 1) that it
+    leaves out.
+    """
+    c = w[0][2] + w[1][2] + w[2][0] + w[2][1] - w[2][2]
+    v = [(w[i][j] - w[i][2] - w[2][j] + w[2][2]) * (1 if i == j else 4) for i in (0, 1) for j in (0, 1)]
+    return float(c), np.array([float(x) for x in v])
+
+
+def _minor_squares(block: np.ndarray) -> np.ndarray:
+    """The squared leading 2 x 2 minor of |q|^2 R(q), per draw of a quaternion block, into its rows 0-3; returns |q|^4.
+
+    The block is a ``haar._quaternions`` block: q = (w, x, y, z) in rows
+    0-3, no column all zero.  With u = w^2 - z^2 and v = x^2 - y^2,
+    Shoemake's R (``haar._quaternion_base``) has |q|^2 R_00 = u + v,
+    |q|^2 R_11 = u - v, |q|^2 R_01 = 2 (xy - wz) and
+    |q|^2 R_10 = 2 (xy + wz), and |q|^2 = (w^2 + z^2) + (x^2 + y^2).  Rows
+    0-3 become (u + v)^2, (xy - wz)^2, (xy + wz)^2 and (u - v)^2, the
+    factors 2 left to the weights, and row 7 |q|^4; row 5 holds xy and
+    row 6 wz, and row 4, the reflection signs, is left alone: a flipped
+    row 0 leaves every square as it is.  Every call is elementwise along
+    the draw axis, so no draw's bits depend on the block.
+    """
+    w, x, y, z = block[:4]
+    xy, wz, norm = block[5:8]
+    np.multiply(x, y, out=xy)
+    np.multiply(w, z, out=wz)
+    squares = block[:4]
+    squares *= squares
+    np.add(w, z, out=norm)
+    np.subtract(w, z, out=w)  # u
+    np.add(x, y, out=z)
+    np.subtract(x, y, out=x)  # v
+    norm += z
+    np.subtract(w, x, out=z)
+    w += x
+    np.subtract(xy, wz, out=x)
+    np.add(xy, wz, out=y)
+    squares *= squares
+    norm *= norm
+    return norm
+
+
+def _reduced_sum(reduced: tuple[float, np.ndarray], block: np.ndarray, norm: np.ndarray, out: np.ndarray):
+    """c + (sum_k v_k block[k]) / norm into ``out``, (c, v) = ``reduced``, after ``_minor_squares``.
+
+    The four terms are added one at a time, and row 5 of the block is
+    scratch.  Returns ``out``.
+    """
+    c, v = reduced
+    total = _weighted_sum(v, block[:4], out, block[5])
+    total /= norm
+    total += c
+    return total
+
+
+def _trace(a: DiagonalSpec, b: DiagonalSpec):
+    """trace(block) -> tr(D_a Q D_b Q') per draw Q of one lane's block, which it overwrites.
+
+    At n = 3 the block is a quaternion block and Q = F^b R(q): the squares
+    (Q_ij^2) are doubly stochastic, so the trace is ``_reduced`` of the
+    exact a b' on the leading minor of ``_minor_squares``, over |q|^4, and
+    no rotation is built.  Elsewhere it is ``_squares_dot`` of the
+    draw-minor block.  Either way it returns a view of the block.
+    """
+    if len(a) == 3:
+        reduced = _reduced(_outer(a, b))
+
+        def trace(block: np.ndarray) -> np.ndarray:
+            return _reduced_sum(reduced, block, _minor_squares(block), block[6])
+
+        return trace
+    w = np.outer(a.floats(), b.floats())
+    return lambda block: _squares_dot(w, block)
+
+
+def _trace_power_statistic(a: DiagonalSpec, b: DiagonalSpec, f: int):
+    """statistic(block) -> tr(D_a Q D_b Q')^f per draw Q, from ``_trace``; overwrites the block.
 
     numpy's pow leaves its vectorized loop for a negative base, so the
     power is taken of |tr| and the sign restored for odd f: the bits of
     ``tr ** f`` for a nonnegative trace, and within one ulp of them for a
     negative one (measured on 1e6 signed normals at f = 3, 4, 5 and 7).
     """
-    w = np.outer(av, bv)
+    trace_of = _trace(a, b)
 
-    def statistic(q: np.ndarray) -> np.ndarray:
-        trace = _squares_dot(w, q)
+    def statistic(block: np.ndarray) -> np.ndarray:
+        trace = trace_of(block)
         power = np.abs(trace)
         power **= f
         return np.copysign(power, trace, out=power) if f % 2 else power
@@ -278,38 +399,41 @@ def _trace_power_statistic(av: np.ndarray, bv: np.ndarray, f: int):
     return statistic
 
 
-def _latent_power_sums(w: np.ndarray, f: int):
+def _latent_power_sums(a: DiagonalSpec, b: DiagonalSpec, f: int):
     """power_sums(block) -> p_1..p_f of the latent roots of D_a H D_b H' per draw H.
 
-    ``w`` is the outer product a b' of the two spectra, which may take any
-    real signs, and the block is draw-minor.  Up to n = 3 the elementary
-    symmetric functions of the roots are closed forms in the squared
-    entries of H, and ``_squares_power_sums`` takes the power sums from
-    them, with the cofactor weights computed here, once per estimate;
-    above, where e_2, ..., e_(n-2) would need larger minors,
-    ``_gemm_power_sums`` takes traces of powers by one gemm per draw.
-    Either way the block is overwritten, and the result is an (f, m)
-    array whose row k-1 is p_k.
+    The spectra may take any real signs.  The elementary symmetric
+    functions of the roots are closed forms in the squared entries of H
+    where every one is e_1, e_(n-1) or e_n, so up to n = 3, and Newton's
+    identities (``_newton``) take the power sums from them: at n <= 2 from
+    the draw-minor block (``_squares_power_sums``), and at n = 3 from the
+    leading minor of each quaternion block (``_quaternion_power_sums``),
+    with the weights reduced here, once per estimate, from the exact
+    a b' and its ``_cofactor_weights``.  Above, where e_2, ..., e_(n-2)
+    would need larger minors, ``_gemm_power_sums`` takes traces of powers
+    by one gemm per draw.  Either way the block is overwritten, and the
+    result is a fresh (f, m) array whose row k-1 is p_k.
     """
-    if len(w) <= 3:
-        cofactors = _cofactor_weights(w)
-        return lambda block: _squares_power_sums(block, w, cofactors, f)
+    n = len(a)
+    if n == 3:
+        w = _outer(a, b)
+        e1, e2, e3 = _reduced(w), _reduced(_cofactor_weights(w)), float(prod(a) * prod(b))
+        return lambda block: _quaternion_power_sums(block, e1, e2, e3, f)
+    w = np.outer(a.floats(), b.floats())
+    if n < 3:
+        return lambda block: _squares_power_sums(block, w, f)
     return lambda block: _gemm_power_sums(block, w, f)
 
 
-def _cofactor_weights(w: np.ndarray) -> np.ndarray:
+def _cofactor_weights(w) -> list[list]:
     """The outer product of a^ and b^, a^_i the product of a_k over k != i, from w = a b'.
 
     Entry (i, j) is the product of w over any matching of the rows other
-    than i with the columns other than j; for n = 1 it is 1.
+    than i with the columns other than j, in the type of w's entries
+    (exact for Fractions); for n = 1 it is 1.
     """
-    n = len(w)
-    out = np.ones((n, n))
-    for i in range(n):
-        for j in range(n):
-            rows, cols = [k for k in range(n) if k != i], [k for k in range(n) if k != j]
-            out[i, j] = np.prod(w[rows, cols])
-    return out
+    others = [[k for k in range(len(w)) if k != i] for i in range(len(w))]
+    return [[prod(w[r][c] for r, c in zip(rows, cols)) for cols in others] for rows in others]
 
 
 def _weighted_sum(v: np.ndarray, squares: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -324,32 +448,15 @@ def _weighted_sum(v: np.ndarray, squares: np.ndarray, out: np.ndarray, tmp: np.n
     return out
 
 
-def _squares_power_sums(block: np.ndarray, w: np.ndarray, cofactors: np.ndarray, f: int) -> np.ndarray:
-    """``_latent_power_sums`` at n <= 3, from the squared entries of each draw.
+def _newton(e: dict, sums: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Rows 1.. of the (f, m) ``sums`` from p_1 in row 0 and e_1..e_n, by Newton's identities; returns ``sums``.
 
-    By Cauchy-Binet, e_k of the roots of D_a H D_b H' is the sum over
-    |I| = |J| = k of a_I b_J det(H_IJ)^2.  For orthogonal H each
-    (n - 1)-minor is +-det(H) H_ij, since the adjugate is det(H) H', so
-    e_1 = sum a_i b_j H_ij^2, e_(n-1) = sum a^_i b^_j H_ij^2 from
-    ``cofactors``, the ``_cofactor_weights`` of w, and
-    e_n = prod a_i prod b_j.  At n <= 3 every k is 1, n - 1 or n; at
-    n = 2, e_(n-1) is e_1.  Newton's identities
-    give p_1..p_f, for spectra of any real signs.  The block is squared
-    in place, and every call is elementwise over rows of m draws with the
-    squared terms added one at a time, so each draw's bits do not depend
-    on the block size.
+    ``e`` maps i to e_i, a (m) row or a float, for i = 1..n; ``tmp`` is
+    one (m) row.  p_k = sum_(i = 1..min(k, n)) (-1)^(i-1) e_i p_(k-i),
+    where p_0 counts as k; every call is elementwise along the draw axis.
     """
-    n, m = block.shape[0], block.shape[2]
-    squares = block.reshape(n * n, m)
-    squares *= squares
-    sums, tmp = np.empty((f, m)), np.empty(m)
-    e = {1: _weighted_sum(w.ravel(), squares, sums[0], tmp)}
-    if n == 3:
-        e[2] = _weighted_sum(cofactors.ravel(), squares, np.empty(m), tmp)
-    if n > 1:
-        e[n] = float(np.prod(np.diagonal(w)))
-    # p_k = sum_(i = 1..min(k, n)) (-1)^(i-1) e_i p_(k-i), where p_0 counts as k
-    for k in range(2, f + 1):
+    n = len(e)
+    for k in range(2, len(sums) + 1):
         out = sums[k - 1]
         np.multiply(sums[k - 2], e[1], out=out)
         for i in range(2, min(k, n) + 1):
@@ -362,6 +469,43 @@ def _squares_power_sums(block: np.ndarray, w: np.ndarray, cofactors: np.ndarray,
             else:
                 out -= tmp
     return sums
+
+
+def _squares_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
+    """``_latent_power_sums`` at n <= 2, from the squared entries of each draw-minor draw.
+
+    By Cauchy-Binet, e_k of the roots of D_a H D_b H' is the sum over
+    |I| = |J| = k of a_I b_J det(H_IJ)^2, so e_1 = sum a_i b_j H_ij^2 and
+    e_n = prod a_i prod b_j; at n <= 2 there is no other.  Newton's
+    identities give p_1..p_f, for spectra of any real signs.  The block
+    is squared in place, and every call is elementwise over rows of m
+    draws with the squared terms added one at a time, so each draw's bits
+    do not depend on the block size.
+    """
+    n, m = block.shape[0], block.shape[2]
+    squares = block.reshape(n * n, m)
+    squares *= squares
+    sums, tmp = np.empty((f, m)), np.empty(m)
+    e = {1: _weighted_sum(w.ravel(), squares, sums[0], tmp)}
+    if n > 1:
+        e[n] = float(np.prod(np.diagonal(w)))
+    return _newton(e, sums, tmp)
+
+
+def _quaternion_power_sums(block: np.ndarray, e1, e2, e3: float, f: int) -> np.ndarray:
+    """``_latent_power_sums`` at n = 3, from one quaternion block.
+
+    As at n <= 2, e_1 = sum a_i b_j H_ij^2, and for orthogonal H each
+    2-minor is +-det(H) H_ij, since the adjugate is det(H) H', so
+    e_2 = sum a^_i b^_j H_ij^2 with the ``_cofactor_weights``; e_3 is
+    prod a_i prod b_j.  ``e1`` and ``e2`` are the ``_reduced`` weights of
+    the two sums, read on the squares of ``_minor_squares``, and ``e3`` is
+    the float of the exact product.  Then Newton's identities.
+    """
+    norm = _minor_squares(block)
+    sums = np.empty((f, block.shape[1]))
+    e = {1: _reduced_sum(e1, block, norm, sums[0]), 2: _reduced_sum(e2, block, norm, block[6]), 3: e3}
+    return _newton(e, sums, block[5])
 
 
 #: Matrix entries in one chunk of ``_gemm_power_sums``, CHUNK // n^2 draws (at
@@ -413,15 +557,14 @@ def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     return sums
 
 
-def _splitting_statistic(kappa: Partition, av: np.ndarray, bv: np.ndarray):
+def _splitting_statistic(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec):
     """statistic(block) -> Z_kappa at the latent roots of D_a H D_b H', per draw H.
 
     Z_kappa is evaluated from its integer power-sum row at the power sums
     from ``_latent_power_sums``, by the term loop of ``SymPoly.evaluate``
     (``_powersum_value``); both spectra may take any real signs.
     """
-    f = kappa.weight
-    power_sums = _latent_power_sums(np.outer(av, bv), f)
+    power_sums = _latent_power_sums(a, b, kappa.weight)
     terms = [(lam, float(c)) for lam, c in zonal_in_powersums(kappa).sorted_items()]
 
     def statistic(q: np.ndarray) -> np.ndarray:
@@ -441,14 +584,61 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
     roots in closed form, then Newton's identities) and from traces of
     matrix powers above, so a and b may be any real spectra: where the
     roots are complex, their power sums, and so Z_kappa, are still real.
+    At n = 1 the one root a_0 b_0 is the same on every draw, and the exact
+    value is reported with no sample drawn or counted.
     """
     kappa = Partition(kappa)
     a, b, n = _spectra(a, b)
     if len(kappa) > n:
         raise ValueError(f"kappa {tuple(kappa)} has more than {n} parts")
     exact = _splitting_value(kappa, a, b)
-    statistic = _splitting_statistic(kappa, np.array(a.floats()), np.array(b.floats()))
+    statistic = None if n == 1 else _splitting_statistic(kappa, a, b)
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
+
+
+def _linear_trace(a: DiagonalSpec):
+    """trace(block) -> tr(D_a H) per draw H of one lane's block, which it overwrites.
+
+    Elsewhere than at n = 3 the diagonal entries are every (n + 1)-th row
+    of the draw-minor block, weighted in place and added from a_0 H_00 up.
+    At n = 3, H = F^b R(q) with the sign s = -1 where b is set, and the
+    diagonal of |q|^2 R(q) is linear in the squares of q, so
+    tr(D_a H) = (sum_k c_k q_k^2 - (1 - s) a_0 (w^2 + x^2 - y^2 - z^2)) / |q|^2,
+    c = (a0 + a1 + a2, a0 - a1 - a2, -a0 + a1 - a2, -a0 - a1 + a2),
+    taken exactly and rounded once: (1 - s) a_0 is 0 or 2 a_0, exactly.
+    """
+    n = len(a)
+    if n != 3:
+        av = np.array(a.floats())
+
+        def trace(block: np.ndarray) -> np.ndarray:
+            diagonal = block.reshape(n * n, -1)[:: n + 1]
+            diagonal *= av[:, None]
+            return _sum_rows(diagonal)
+
+        return trace
+    a0, a1, a2 = a
+    c = np.array([float(x) for x in (a0 + a1 + a2, a0 - a1 - a2, -a0 + a1 - a2, -a0 - a1 + a2)])
+    first = float(a0)
+
+    def trace(block: np.ndarray) -> np.ndarray:
+        squares, flips = block[:4], block[4]
+        first_row, tmp, norm = block[5:8]
+        squares *= squares
+        w, x, y, z = squares
+        np.add(w, x, out=first_row)
+        np.add(y, z, out=tmp)
+        np.add(first_row, tmp, out=norm)
+        first_row -= tmp  # |q|^2 R_00
+        np.subtract(1.0, flips, out=flips)
+        flips *= first
+        flips *= first_row
+        total = _weighted_sum(c, squares, first_row, tmp)
+        total -= flips
+        total /= norm
+        return total
+
+    return trace
 
 
 def mc_linear_trace_power(a, f: int, samples: int, rng, threads: int = 1) -> MomentReport:
@@ -456,9 +646,10 @@ def mc_linear_trace_power(a, f: int, samples: int, rng, threads: int = 1) -> Mom
 
     By Haar invariance the moments of tr(A H) depend only on the singular
     values of A, so a diagonal A covers every A.  Odd powers integrate to
-    zero by the H -> -H symmetry and f = 0 to one; both are reported
-    exactly, with no sample drawn or counted.  Even powers compare against
-    the exact value
+    zero by the H -> -H symmetry, f = 0 to one, and at n = 1, where
+    H = +-1, an even power is a_0^f on every draw; all three are reported
+    exactly, with no sample drawn or counted.  Other even powers compare
+    against the exact value
 
         sum_kappa chi(kappa) Z_kappa(a^2) / Z_kappa(I_n)
 
@@ -467,17 +658,13 @@ def mc_linear_trace_power(a, f: int, samples: int, rng, threads: int = 1) -> Mom
     a = DiagonalSpec.of(a)
     n = len(a)
     exact = _linear_trace_power_value(a, f)
-    if f % 2 == 1 or f == 0:  # odd powers vanish by H -> -H; no sampling either way
+    if f % 2 == 1 or f == 0 or n == 1:  # odd powers vanish by H -> -H; the rest are constant
         return _monte_carlo(exact, n, samples, rng, threads, None)
-    av = np.array(a.floats())
+    trace = _linear_trace(a)
 
-    def statistic(q: np.ndarray) -> np.ndarray:
-        # the diagonal entries are every (n + 1)-th row of the draw-minor block,
-        # weighted in place and added from a_0 Q_00 up; f is even, so
-        # |tr(A H)|^f: pow on a nonnegative base stays vectorized
-        diagonal = q.reshape(n * n, -1)[:: n + 1]
-        diagonal *= av[:, None]
-        return np.abs(_sum_rows(diagonal)) ** f
+    def statistic(block: np.ndarray) -> np.ndarray:
+        # f is even, so |tr(A H)|^f: pow on a nonnegative base stays vectorized
+        return np.abs(trace(block)) ** f
 
     return _monte_carlo(exact, n, samples, rng, threads, statistic)
 
@@ -486,14 +673,17 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
     """MC mean of exp(tr(D_a Q D_b Q') / 2), z-scored against ``reference``.
 
     The natural reference is a truncated hyper0f0 value, so the z-score
-    mixes truncation error with sampling error.  A draw whose exponential
-    overflows makes the mean infinite, which raises OverflowError.
+    mixes truncation error with sampling error; so unlike the other
+    kinds it draws at n = 1 too.  A draw whose exponential overflows
+    makes the mean infinite, which raises OverflowError.
     """
     a, b, n = _spectra(a, b)
-    w = np.outer(a.floats(), b.floats())
+    trace = _trace(a, b)
 
-    def statistic(q: np.ndarray) -> np.ndarray:
+    def statistic(block: np.ndarray) -> np.ndarray:
+        half = trace(block)
+        half *= 0.5
         with np.errstate(over="ignore"):  # an infinite mean raises OverflowError
-            return np.exp(0.5 * _squares_dot(w, q))
+            return np.exp(half)
 
     return _monte_carlo(reference, n, samples, rng, threads, statistic)

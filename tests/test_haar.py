@@ -12,7 +12,10 @@ from scipy.stats import beta, ks_2samp, kstest, ortho_group
 from zonalpoly import haar
 from zonalpoly.haar import (
     BLOCK,
+    QUATERNION_ROWS,
     _generator,
+    _quaternion_workspace,
+    _quaternions,
     _realize,
     _workspace,
     sample_orthogonal_batch,
@@ -439,9 +442,10 @@ class TestRealize:
 
     @pytest.mark.parametrize("n", (3, 5))
     def test_zero_quaternion_is_identity(self, n):
-        # an all-zero q has no direction either: the trailing 3 x 3 block is
-        # the identity, in value, with no warning, whatever the signs of its
-        # zeros, and the entries outside it are left as they were
+        # an all-zero q has no direction either: ``_direct_zeros`` takes it as
+        # (1, 0, 0, 0), so the trailing 3 x 3 block is the identity, in
+        # value, with no warning, whatever the signs of its zeros, and the
+        # entries outside it are left as they were
         m = 8
         rows = np.random.default_rng(n).standard_normal((n, n, m))
         want = rows.copy()
@@ -449,6 +453,7 @@ class TestRealize:
         q = np.random.default_rng(n).choice((0.0, -0.0), (4, m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            haar._direct_zeros(q)
             haar._quaternion_base(rows, q, np.empty((2, m)))
         assert np.array_equal(rows, want)
 
@@ -464,7 +469,9 @@ class TestRealize:
         got = []
         for quats in (q, -q):
             rows = np.zeros((n, n, m))
-            haar._quaternion_base(rows, quats.copy(), np.empty((2, m)))
+            quats = quats.copy()
+            haar._direct_zeros(quats)
+            haar._quaternion_base(rows, quats, np.empty((2, m)))
             got.append(rows)
         nonzero = q.any(axis=0)
         assert np.count_nonzero(~nonzero) == 16  # the all-zero calls of the special values
@@ -501,6 +508,76 @@ class TestRealize:
             want += [("normal", m)] * per_block + ([("integers", m)] if n <= 2 else [])
         assert calls == want
 
+    def test_quaternion_blocks_take_one_normal_call_each(self):
+        # blocks of BLOCK // 3 draws, the last one shorter, each one
+        # standard_normal call of (4, m) in rows 0-3; row 4 is the sign of
+        # w as drawn (-0.0 gives -1), and then each all-zero q, whatever the
+        # signs of its zeros, is (1, 0, 0, 0); the scratch rows 5-7, and
+        # every entry of the workspace past the block, are left as they were
+        size = BLOCK // 3
+        count = 2 * size + 5
+        zeros = np.random.default_rng(5).choice((0.0, -0.0), (4, 6))
+        zeros[0, :2] = (0.0, -0.0)
+
+        class Zeros:
+            """A generator whose first call starts with six all-zero quaternions."""
+
+            def __init__(self):
+                self.gen, self.calls = np.random.default_rng(4), []
+
+            def standard_normal(self, out):
+                self.calls.append(out.shape)
+                self.gen.standard_normal(out=out)
+                if len(self.calls) == 1:
+                    out[:, :6] = zeros
+                return out
+
+        rng = Zeros()
+        workspace = _quaternion_workspace(count)
+        assert workspace.shape == (QUATERNION_ROWS, size)
+        flat = workspace.reshape(-1)
+        flat[...] = np.arange(len(flat))
+        twin = np.random.default_rng(4)
+        widths = []
+        blocks = _quaternions(count, rng, workspace)
+        while True:
+            before = flat.copy()
+            block = next(blocks, None)
+            if block is None:
+                break
+            m = block.shape[1]
+            widths.append(m)
+            assert block.shape == (QUATERNION_ROWS, m) and block.flags.c_contiguous
+            assert np.shares_memory(block, workspace) and np.array_equal(flat[5 * m :], before[5 * m :])
+            q = twin.standard_normal((4, m))
+            if len(widths) == 1:
+                q[:, :6] = zeros
+            assert np.array_equal(block[4], np.copysign(1.0, q[0]))
+            q[0, ~q.any(axis=0)] = 1.0
+            assert np.array_equal(block[:4].view(np.int64), q.view(np.int64))
+        assert widths == [size, size, 5]
+        assert rng.calls == [(4, m) for m in widths]
+        assert list(np.copysign(1.0, zeros[0, :2])) == [1.0, -1.0]
+
+    @pytest.mark.parametrize("count", (1, BLOCK // 3, 2 * (BLOCK // 3) + 7))
+    def test_realize_at_three_replays_the_quaternion_blocks(self, count):
+        # on two generators of one seed, _realize at n = 3 and _quaternions
+        # consume the same normals, block for block, and leave their streams
+        # in the same state; each realized draw is F^b R(q) of the quaternion
+        # block's q, with b set where its row 4 is -1
+        seen, realized = [], []
+        gen_q, gen_r = (np.random.Generator(np.random.SFC64(11)) for _ in range(2))
+        for block in _quaternions(count, gen_q, _quaternion_workspace(count)):
+            seen.append(block[:5].copy())
+        for block in _realize(3, count, gen_r, _workspace(3, count)):
+            realized.append(block.transpose(2, 0, 1).copy())
+        assert np.array_equal(gen_q.standard_normal(8), gen_r.standard_normal(8))
+        assert [b.shape[1] for b in seen] == [r.shape[0] for r in realized]
+        for block, got in zip(seen, realized):
+            bits = (block[4] < 0).astype(np.int64)
+            want = reflect_row_zero(quaternion_rotation(block[:4].T), bits)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
         qs = sample_orthogonal_batch(n, 10, np.random.default_rng(91))
@@ -508,18 +585,18 @@ class TestRealize:
         assert np.all(np.abs(np.abs(np.linalg.det(qs)) - 1.0) < 1e-10)
 
     def test_sampler_scratch_is_capped(self):
-        # the sampler holds its block (n^2 doubles per draw), the widest
-        # call's normals (the sweep's n, or the quaternion's 4 at n = 3), and
-        # when a sweep runs the step's dots (n) and rank-1 update scratch
-        # (UPDATE_ROWS (n - 1)); then four per-draw rows, the step's three
-        # and the reflection signs, plus numpy's transients: the ufunc
-        # buffers of np.getbufsize() elements that broadcast in-place updates
-        # take, about two at n = 30 (measured), three allowed.  At n >= 3 no
-        # row of bits is drawn
+        # the sampler holds its block (n^2 doubles per draw), and when a
+        # sweep runs the widest sweep's normals (n), the step's dots (n) and
+        # rank-1 update scratch (UPDATE_ROWS (n - 1)); then the quaternion
+        # block's QUATERNION_ROWS, its normals, the reflection signs and
+        # three rows of scratch for it and the steps, plus numpy's
+        # transients: the ufunc buffers of np.getbufsize() elements that
+        # broadcast in-place updates take, about two at n = 30 (measured),
+        # three allowed.  At n >= 3 no row of bits is drawn
         for n, count in ((3, 20_000), (30, 5_000)):
             size = BLOCK // n
-            steps = 0 if n == 3 else n + haar.UPDATE_ROWS * (n - 1)
-            rows = n * n + max(n, 4) + steps + 4
+            steps = 0 if n == 3 else 2 * n + haar.UPDATE_ROWS * (n - 1)
+            rows = n * n + steps + QUATERNION_ROWS
             cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
             sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
             tracemalloc.start()

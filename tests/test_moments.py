@@ -15,7 +15,14 @@ import pytest
 from scipy.stats import kstest
 
 from zonalpoly import haar, moments, montecarlo, zonal
-from zonalpoly.haar import BLOCK, _realize, _workspace, sample_orthogonal_batch
+from zonalpoly.haar import (
+    BLOCK,
+    _quaternion_workspace,
+    _quaternions,
+    _realize,
+    _workspace,
+    sample_orthogonal_batch,
+)
 from zonalpoly.moments import (
     DiagonalSpec,
     bilinear_coefficient,
@@ -228,6 +235,82 @@ def lane_stacks(n, samples, seed):
 def in_blocks(values, size):
     """``values`` cut into consecutive blocks of ``size``, the last one shorter."""
     return [values[s : s + size] for s in range(0, len(values), size)]
+
+
+def lane_quaternions(samples, seed):
+    """Each lane's (4, size) quaternions and (size,) reflection signs, as an estimate at n = 3 draws them.
+
+    Lane k runs on child k of ``Generator(SFC64(seed)).spawn(LANES)`` and
+    draws one (4, m) call of normals per block of BLOCK // 3 draws; a
+    draw's sign is that of its w as drawn, and an all-zero q is then taken
+    as (1, 0, 0, 0).
+    """
+    base, extra = divmod(samples, LANES)
+    children = np.random.Generator(np.random.SFC64(seed)).spawn(LANES)[: min(LANES, samples)]
+    lanes = []
+    for k, gen in enumerate(children):
+        sizes = [len(block) for block in in_blocks(range(base + (k < extra)), BLOCK // 3)]
+        q = np.concatenate([gen.standard_normal((4, m)) for m in sizes], axis=1)
+        signs = np.copysign(1.0, q[0])
+        q[0, ~q.any(axis=0)] = 1.0
+        lanes.append((q, signs))
+    return lanes
+
+
+def quaternion_draws(count, seed):
+    """(stack, block): ``sample_orthogonal_batch(3, count)`` on ``default_rng(seed)``, and the
+    ``haar._quaternions`` block of the same draws, for count <= BLOCK // 3."""
+    block = next(_quaternions(count, np.random.default_rng(seed), _quaternion_workspace(count)))
+    return sample_orthogonal_batch(3, count, np.random.default_rng(seed)), block.copy()
+
+
+def statistic_draws(n, count, seed):
+    """(stack, block): ``count`` Haar draws on ``default_rng(seed)`` as a (count, n, n) stack, and
+    as the block a lane's statistic takes: the quaternion block at n = 3, else the draw-minor block."""
+    if n == 3:
+        return quaternion_draws(count, seed)
+    q = sample_orthogonal_batch(n, count, np.random.default_rng(seed))
+    return q, q.transpose(1, 2, 0).copy()
+
+
+def exact_spectrum(values):
+    """A float spectrum as its exact ``DiagonalSpec``."""
+    return DiagonalSpec.of(Fraction(float(x)) for x in values)
+
+
+def reduced_weights(w):
+    """(c, v): sum_ij w_ij P_ij = c + sum_(i,j<2) v_ij P_ij over doubly stochastic 3 x 3 P, in Fractions,
+    with v in the order 00, 01, 10, 11 times (1, 4, 4, 1), rounded once to floats."""
+    c = w[0][2] + w[1][2] + w[2][0] + w[2][1] - w[2][2]
+    v = [(w[i][j] - w[i][2] - w[2][j] + w[2][2]) * (1 if i == j else 4) for i in (0, 1) for j in (0, 1)]
+    return float(c), [float(x) for x in v]
+
+
+def quaternion_trace(q, a, b):
+    """tr(D_a Q D_b Q') of the draws of (4, m) quaternions, in the n = 3 statistics' term order.
+
+    With u = w^2 - z^2, v = x^2 - y^2 and the squares r of the leading minor
+    of |q|^2 R, (u + v, xy - wz, xy + wz, u - v), the trace is
+    c + (((v_0 r_0 + v_1 r_1) + v_2 r_2) + v_3 r_3) / |q|^4.
+    """
+    c, v = reduced_weights([[Fraction(x) * Fraction(y) for y in b] for x in a])
+    w, x, y, z = q
+    w2, x2, y2, z2 = q * q
+    u, s = w2 - z2, x2 - y2
+    norm = (w2 + z2) + (x2 + y2)
+    minor = np.array([u + s, x * y - w * z, x * y + w * z, u - s])
+    r = minor * minor
+    return (((v[0] * r[0] + v[1] * r[1]) + v[2] * r[2]) + v[3] * r[3]) / (norm * norm) + c
+
+
+def quaternion_linear_trace(q, signs, a):
+    """tr(D_a H) of the draws H = F^b R(q) of (4, m) quaternions, in the n = 3 statistic's term order."""
+    a0, a1, a2 = map(Fraction, a)
+    c = [float(x) for x in (a0 + a1 + a2, a0 - a1 - a2, -a0 + a1 - a2, -a0 - a1 + a2)]
+    sq = q * q
+    low, high = sq[0] + sq[1], sq[2] + sq[3]
+    total = ((c[0] * sq[0] + c[1] * sq[1]) + c[2] * sq[2]) + c[3] * sq[3]
+    return (total - (1.0 - signs) * float(a0) * (low - high)) / (low + high)
 
 
 #: The exact-moments benchmark spectra for seed 1 (n = 4, 8, 10), and the
@@ -496,20 +579,17 @@ class TestMcTracePower:
     def test_blocks_match_one_whole_stack(self):
         # the report is the lane fold, each lane in blocks of BLOCK // 3 draws
         # and each lane two full blocks and a block of one or two draws, of
-        # the whole stack's values, each the sum over j of the sums over i of
-        # a_i b_j Q_ij^2, added from index 0 up, bit for bit; it agrees with
-        # numpy's whole-stack mean and sample deviation of the row-major
-        # contraction to 1e-12 relative, a bound fixed before the first run
+        # the values of each lane's quaternions: the trace read on the
+        # leading minor of |q|^2 R(q), in the term order of
+        # ``quaternion_trace``, bit for bit; it agrees with numpy's
+        # whole-stack mean and sample deviation of the row-major contraction
+        # of the same draws to 1e-12 relative, a bound fixed before the
+        # first run
         av, bv, f = [1.0, 2.0, 3.0], [0.5, 3.0, 0.0], 3
         samples, size = LANES * 2 * (BLOCK // 3) + 11, BLOCK // 3
         report = mc_trace_power((1, 2, 3), (Fraction(1, 2), 3, 0), f, samples, 5)
-        stacks, lanes = lane_stacks(3, samples, 5), []
-        for q in stacks:
-            terms = q * q * np.outer(av, bv)
-            columns = terms[:, 0]
-            for row in terms[:, 1:].transpose(1, 0, 2):
-                columns = columns + row
-            lanes.append(in_blocks(fixed_order_sum(columns) ** f, size))
+        stacks = lane_stacks(3, samples, 5)
+        lanes = [in_blocks(quaternion_trace(q, av, bv) ** f, size) for q, _ in lane_quaternions(samples, 5)]
         m, mean, m2 = lanes_fold(lanes)
         assert report.samples == m == samples
         assert report.mc_estimate == mean
@@ -622,14 +702,19 @@ class TestMcTracePower:
         # traces of both signs: |tr|^f with the sign restored for odd f, on
         # the statistic's own traces; they agree with einsum's to 1e-15 of
         # sum |a_i b_j| Q_ij^2, whatever the cancellation
+        # (the draw-minor traces of n != 3, checked here on n = 3 draws, and
+        # the quaternion traces that the n = 3 statistic reads)
         av, bv = np.array([-1.0, 2.0, 3.0]), np.array([1.0, -2.0, 0.5])
-        q = sample_orthogonal_batch(3, 2_000, np.random.default_rng(f))
+        q, quats = quaternion_draws(2_000, f)
         block = q.transpose(1, 2, 0)
         trace = montecarlo._squares_dot(np.outer(av, bv), block.copy())
         assert trace.min() < 0 < trace.max()
         dense = np.einsum("mij,i,j->m", q * q, av, bv)
         assert np.all(np.abs(trace - dense) <= 1e-15 * np.einsum("mij,i,j->m", q * q, abs(av), abs(bv)))
-        got = montecarlo._trace_power_statistic(av, bv, f)(block.copy())
+        a, b = exact_spectrum(av), exact_spectrum(bv)
+        trace = montecarlo._trace(a, b)(quats.copy())
+        assert trace.min() < 0 < trace.max()
+        got = montecarlo._trace_power_statistic(a, b, f)(quats.copy())
         want = trace**f
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
@@ -762,19 +847,26 @@ class TestWorkspace:
 
     @staticmethod
     def record(monkeypatch, fill=None):
-        """Wrap ``haar._workspace`` to fill every buffer of each new set with ``fill``; returns its weakrefs."""
+        """Wrap ``haar._workspace`` and ``haar._quaternion_workspace`` to fill every buffer of each
+        new set with ``fill``; returns their weakrefs."""
         built = []
 
-        def workspace(n, count):
-            buffers = _workspace(n, count)
-            if fill is not None:
-                for buf in buffers:
-                    buf.fill(fill)
-            built.append([weakref.ref(buf) for buf in buffers])
-            return buffers
+        def recorded(make):
+            def workspace(*args):
+                made = make(*args)
+                buffers = made if isinstance(made, tuple) else (made,)
+                if fill is not None:
+                    for buf in buffers:
+                        buf.fill(fill)
+                built.append([weakref.ref(buf) for buf in buffers])
+                return made
 
-        monkeypatch.setattr(haar, "_workspace", workspace)
-        monkeypatch.setattr(montecarlo, "_workspace", workspace)
+            return workspace
+
+        # haar._workspace builds its quaternion rows itself, inside the set it records
+        monkeypatch.setattr(haar, "_workspace", recorded(_workspace))
+        monkeypatch.setattr(montecarlo, "_workspace", recorded(_workspace))
+        monkeypatch.setattr(montecarlo, "_quaternion_workspace", recorded(_quaternion_workspace))
         return built
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 30))
@@ -783,7 +875,9 @@ class TestWorkspace:
         # every buffer of every fresh set filled with NaN, then with +1e300
         # and with -1e300: an entry read before it is written would move some
         # bit of the output.  Two workers; each lane, and the batch, spans two
-        # blocks at n = 30 (BLOCK // 30 = 546), the second a partial one
+        # blocks at n = 30 (BLOCK // 30 = 546), the second a partial one.  At
+        # n = 1 only exp-series draws: the other kinds are exact there and
+        # build no workspace
         a = [Fraction(k % 9 + 1, 4) for k in range(n)]
         b = [Fraction(-1 if k == 1 else k % 7 + 1, 3) for k in range(n)]
         samples = LANES * (BLOCK // 30 + 1) + 3
@@ -800,7 +894,7 @@ class TestWorkspace:
         for fill in (np.nan, 1e300, -1e300):
             built = self.record(monkeypatch, fill)
             assert run() == want, fill
-            assert len(built) == (1 if kind == "batch" else 2)
+            assert len(built) == (1 if kind == "batch" else 0 if n == 1 and kind != "exp-series" else 2)
 
     @pytest.mark.parametrize("n", (3, 30))
     @pytest.mark.parametrize("kind", TestThreads.KINDS)
@@ -952,11 +1046,11 @@ class TestTracePowerSums:
 
     def test_power_sums_match_eigensolve(self, n, negative):
         av, bv = _spectra(n, negative)
-        q = sample_orthogonal_batch(n, 50, np.random.default_rng(n))
+        q, block = statistic_draws(n, 50, n)
         roots = _eigensolve_roots(q.copy(), av, bv)
         if negative == "both" and n > 1:
             assert np.any(roots.imag != 0)  # the case the square root could not take
-        sums = montecarlo._latent_power_sums(np.outer(av, bv), 6)(q.transpose(1, 2, 0).copy())
+        sums = montecarlo._latent_power_sums(exact_spectrum(av), exact_spectrum(bv), 6)(block)
         assert len(sums) == 6
         for k, p in enumerate(sums, start=1):
             want = (roots**k).sum(axis=1)  # complex roots come in pairs: the sum is real
@@ -964,13 +1058,14 @@ class TestTracePowerSums:
 
     def test_zonal_values_match_eigensolve(self, n, negative):
         av, bv = _spectra(n, negative)
-        q = sample_orthogonal_batch(n, 50, np.random.default_rng(n))
+        q, block = statistic_draws(n, 50, n)
         roots = _eigensolve_roots(q.copy(), av, bv)
+        a, b = exact_spectrum(av), exact_spectrum(bv)
         for f in range(1, 7):
             for kappa in partitions_of(f):
                 if len(kappa) > n:
                     continue
-                got = montecarlo._splitting_statistic(kappa, av, bv)(q.transpose(1, 2, 0).copy())
+                got = montecarlo._splitting_statistic(kappa, a, b)(block.copy())
                 want, scale = _powersum_batch(kappa, roots)
                 assert np.all(np.abs(got - want) <= 1e-10 * scale), kappa
 
@@ -987,18 +1082,19 @@ ESTIMATES = {
 @pytest.mark.parametrize("n", (2, 3, 30))
 def test_draw_alone_matches_its_block(monkeypatch, n, kind):
     # each estimate's statistic gives a draw the same bits in a block of
-    # one as in a full block of the sampler, wherever it sits there
+    # one as in a full block of the sampler (of quaternions at n = 3),
+    # wherever it sits there
     statistics = []
     monkeypatch.setattr(montecarlo, "_monte_carlo", lambda *args: statistics.append(args[-1]))
     a = [Fraction(k % 5 + 1, 4) * (-1) ** k for k in range(n)]
     b = [Fraction(k % 3 + 1, 2) for k in range(n)]
     ESTIMATES[kind](a, b)
     (statistic,) = statistics
-    block = next(_realize(n, BLOCK // n, np.random.default_rng(8), _workspace(n, BLOCK // n))).copy()
+    _, block = statistic_draws(n, BLOCK // n, 8)
     whole = statistic(block.copy())
-    assert len(whole) == block.shape[2]
-    for k in np.random.default_rng(n).choice(block.shape[2], 12, replace=False):
-        alone = statistic(block[:, :, k : k + 1].copy())
+    assert len(whole) == block.shape[-1]
+    for k in np.random.default_rng(n).choice(block.shape[-1], 12, replace=False):
+        alone = statistic(block[..., k : k + 1].copy())
         assert np.array_equal(alone.view(np.int64), whole[k : k + 1].view(np.int64)), k
 
 
@@ -1011,18 +1107,19 @@ def gemm_block_sizes(n):
 class TestPowerSumParts:
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 10, 30))
     def test_block_size_does_not_move_a_draw(self, n):
-        # up to n = 3 every call is elementwise along the draws and each
-        # weighted sum adds its terms one at a time; above, a block of m
+        # up to n = 3 every call is elementwise along the draws (of the
+        # quaternion block at n = 3) and each weighted sum adds its terms
+        # one at a time; above, a block of m
         # draws is taken in row-major chunks of CHUNK // n^2 draws, at least
         # one, each draw multiplied on its own: either way each draw's power
         # sums are the same bits in any block size
         av, bv = _spectra(n, "A")
         sizes = (1, 2, 3, 50, BLOCK // n) if n <= 3 else gemm_block_sizes(n)
-        q = sample_orthogonal_batch(n, BLOCK // n, np.random.default_rng(n)).transpose(1, 2, 0).copy()
-        power_sums = montecarlo._latent_power_sums(np.outer(av, bv), 6)
+        _, q = statistic_draws(n, BLOCK // n, n)
+        power_sums = montecarlo._latent_power_sums(exact_spectrum(av), exact_spectrum(bv), 6)
         whole = power_sums(q.copy())
         for m in sizes:
-            part = power_sums(q[:, :, :m].copy())
+            part = power_sums(q[..., :m].copy())
             assert np.array_equal(part, whole[:, :m]), m
 
 
@@ -1057,16 +1154,19 @@ def test_gemm_chunks_keep_each_draw(n):
 @pytest.mark.parametrize("negative", ("A", "both"))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_draw_minor_and_gemm_power_sums_agree(n, negative):
-    # the power sums from the squared entries of the draw-minor block and
-    # the traces of gemm powers round differently; on the same block they
-    # agree to 1e-13 of the scale sum_i |root_i|^k of each p_k
+    # the power sums from the squared entries of the draw-minor block (from
+    # the leading minor of the quaternion block at n = 3) and the traces of
+    # gemm powers round differently; on the same draws they agree to 1e-13
+    # of the scale sum_i |root_i|^k of each p_k
     av, bv = _spectra(n, negative)
-    q = sample_orthogonal_batch(n, 200, np.random.default_rng(40 + n))
+    q, block = statistic_draws(n, 200, 40 + n)
     scale = (np.abs(_eigensolve_roots(q.copy(), av, bv))[:, :, None] ** np.arange(1, 7)).sum(axis=1).T
-    block = q.transpose(1, 2, 0)
     w = np.outer(av, bv)
-    squares = montecarlo._squares_power_sums(block.copy(), w, montecarlo._cofactor_weights(w), 6)
-    gemm = montecarlo._gemm_power_sums(block.copy(), w, 6)
+    if n == 3:
+        squares = montecarlo._latent_power_sums(exact_spectrum(av), exact_spectrum(bv), 6)(block)
+    else:
+        squares = montecarlo._squares_power_sums(block.copy(), w, 6)
+    gemm = montecarlo._gemm_power_sums(q.transpose(1, 2, 0).copy(), w, 6)
     assert np.all(np.abs(squares - gemm) <= 1e-13 * scale)
 
 
@@ -1083,10 +1183,209 @@ def test_cofactor_weights_give_the_principal_minor_sum(n, zero):
     product = np.einsum("i,mik,k,mjk->mij", av, q, bv, q)
     minors = [[k for k in range(n) if k != i] for i in range(n)]
     want = sum(np.linalg.det(product[:, rows][:, :, rows]) for rows in minors)
-    weights = montecarlo._cofactor_weights(np.outer(av, bv))
+    weights = np.array(montecarlo._cofactor_weights(np.outer(av, bv)))
     squares = (q * q).transpose(1, 2, 0).reshape(n * n, -1)
     got = montecarlo._weighted_sum(weights.ravel(), squares, np.empty(200), np.empty(200))
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(weights).sum())
+
+
+class ZeroedNormals:
+    """A generator stand-in whose every normal call starts with quaternions of signed zeros.
+
+    The first five draws of each call are an all-zero q of +0.0, one of
+    -0.0, one of mixed signed zeros, and two nonzero q with w = +0.0 and
+    w = -0.0; the rest come from ``default_rng(seed)``.
+    """
+
+    ZEROS = np.array(
+        [
+            [0.0, -0.0, -0.0, 0.0, -0.0],
+            [0.0, -0.0, 0.0, 0.5, -1.5],
+            [0.0, -0.0, -0.0, -2.0, 0.25],
+            [0.0, -0.0, 0.0, 1.0, 0.75],
+        ]
+    )
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+
+    def standard_normal(self, out):
+        self.gen.standard_normal(out=out)
+        out.reshape(4, -1)[:, :5] = self.ZEROS
+        return out
+
+
+#: Spectra for the n = 3 statistics: positive, signed, and scalar on either side.
+QUATERNION_SPECTRA = {
+    "positive": ((Fraction(1, 2), Fraction(3, 4), 2), (Fraction(9, 4), Fraction(1, 3), Fraction(5, 2))),
+    "signed": ((-1, 2, Fraction(-1, 3)), (1, Fraction(-5, 2), Fraction(1, 2))),
+    "scalar-A": ((Fraction(2, 3),) * 3, (-1, 2, Fraction(1, 3))),
+    "scalar-B": ((-1, 2, Fraction(1, 3)), (Fraction(-7, 5),) * 3),
+}
+
+
+class TestQuaternionStatistics:
+    """The n = 3 statistics read from each draw's quaternion, against the dense contraction of its matrix."""
+
+    @staticmethod
+    def draws(zeroed):
+        """(stack, block) of 2000 draws on one seed, the first five of a block signed zeros if ``zeroed``."""
+        if not zeroed:
+            return quaternion_draws(2_000, 3)
+        (block,) = _quaternions(2_000, ZeroedNormals(3), _quaternion_workspace(2_000))
+        (stack,) = _realize(3, 2_000, ZeroedNormals(3), _workspace(3, 2_000))
+        return stack.transpose(2, 0, 1).copy(), block.copy()
+
+    @pytest.mark.parametrize("zeroed", (False, True), ids=("normals", "signed-zeros"))
+    @pytest.mark.parametrize("spectra", sorted(QUATERNION_SPECTRA))
+    def test_traces_match_the_dense_contraction(self, spectra, zeroed):
+        # tr(D_a Q D_b Q') within 1e-13 sum |a_i b_j| and tr(D_a Q) within
+        # 1e-13 sum |a_i| of the dense row-major contraction of the same
+        # draws, as sample_orthogonal_batch makes them; an all-zero q is the
+        # identity, reflected where w is -0.0, with no warning
+        a, b = (DiagonalSpec.of(x) for x in QUATERNION_SPECTRA[spectra])
+        av, bv = np.array(a.floats()), np.array(b.floats())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, block = self.draws(zeroed)
+            trace = montecarlo._trace(a, b)(block.copy())
+            linear = montecarlo._linear_trace(a)(block.copy())
+        if zeroed:
+            assert np.array_equal(q[:3], [np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0])])
+        dense = np.einsum("mij,i,j->m", q * q, av, bv)
+        assert np.all(np.abs(trace - dense) <= 1e-13 * np.abs(np.outer(av, bv)).sum())
+        dense = np.einsum("mii,i->m", q, av)
+        assert np.all(np.abs(linear - dense) <= 1e-13 * np.abs(av).sum())
+
+    @pytest.mark.parametrize("spectra", ("scalar-A", "scalar-B"))
+    def test_scalar_spectrum_gives_a_constant_statistic(self, spectra):
+        # with a scalar spectrum on either side the reduced weights are 0
+        # exactly, so every draw's trace is the rounded exact constant and
+        # every trace-power, exp-series and zonal-split value is the same
+        # bits; the estimate has std_err 0, and at f = 1, where the value is
+        # the float of the exact one, z = 0
+        a, b = (DiagonalSpec.of(x) for x in QUATERNION_SPECTRA[spectra])
+        constant = sum(x for x in a) * sum(y for y in b) / 3
+        _, block = quaternion_draws(2_000, 5)
+        trace = montecarlo._trace(a, b)(block.copy())
+        assert np.all(trace == float(constant))
+        for statistic in (
+            montecarlo._trace_power_statistic(a, b, 3),
+            montecarlo._splitting_statistic(Partition((2, 1)), a, b),
+        ):
+            values = statistic(block.copy())
+            assert np.all(values == values[0])
+        report = mc_trace_power(a, b, 1, 20_000, 7)
+        assert report.exact_value == constant
+        assert (report.mc_estimate, report.mc_std_err, report.z_score) == (float(constant), 0.0, 0.0)
+        for report in (mc_trace_power(a, b, 3, 20_000, 7), mc_splitting((2, 1), a, b, 20_000, 7)):
+            assert report.mc_std_err == 0.0
+            assert abs(report.z_score) <= 1
+        series = hyper0f0(a, b, 20)
+        assert mc_exponential_trace(a, b, series.value, 20_000, 7).mc_std_err == 0.0
+
+    def test_lanes_consume_the_normals_realize_consumes(self, monkeypatch):
+        # each lane of an n = 3 estimate reads the quaternion blocks of
+        # exactly the normals that _realize at n = 3 takes from the same
+        # spawned stream, and leaves that stream where _realize leaves it
+        samples, seed = LANES * (BLOCK // 3) + 13, 21
+        lanes = []
+        quaternions = montecarlo._quaternions
+
+        def recording(count, gen, workspace):
+            blocks = []
+            lanes.append((count, gen, blocks))
+            for block in quaternions(count, gen, workspace):
+                blocks.append(block[:5].copy())
+                yield block
+
+        monkeypatch.setattr(montecarlo, "_quaternions", recording)
+        mc_trace_power((1, 2, 3), (3, 1, 2), 2, samples, seed)
+        children = np.random.Generator(np.random.SFC64(seed)).spawn(LANES)
+        assert len(lanes) == LANES
+
+        class Recorder:
+            def __init__(self, gen):
+                self.gen, self.normals = gen, []
+
+            def standard_normal(self, out):
+                self.gen.standard_normal(out=out)
+                self.normals.append(out.copy())
+                return out
+
+        for (count, gen, blocks), child in zip(lanes, children):
+            recorder = Recorder(child)
+            realized = [block.copy() for block in _realize(3, count, recorder, _workspace(3, count))]
+            assert len(recorder.normals) == len(blocks) == len(realized)
+            for normals, block, matrices in zip(recorder.normals, blocks, realized):
+                assert np.array_equal(normals, block[:4])  # no all-zero q in these draws
+                # the reflection signs are the determinants of the realized draws
+                assert np.allclose(np.linalg.det(matrices.transpose(2, 0, 1)), block[4], rtol=0, atol=1e-12)
+            assert np.array_equal(gen.standard_normal(8), child.standard_normal(8))
+
+
+class TestDimensionOne:
+    """At n = 1, O(1) = {-1, 1}: trace-power, zonal-split and trace-AH are constant and reported exactly."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a draw at n = 1")
+
+        monkeypatch.setattr(montecarlo, "_realize", refuse)
+        monkeypatch.setattr(montecarlo, "_quaternions", refuse)
+
+    @pytest.mark.parametrize("f", (1, 2, 3))
+    def test_constant_kinds_are_exact_with_no_draw(self, no_draws, f):
+        # each value is that of both draws, Q = -1 and Q = 1: (a b)^f,
+        # Z_(f)(a b) = Z_(f)(1) (a b)^f and, for even f, a^f (odd f are 0)
+        a, b = Fraction(3, 2), Fraction(-1, 2)
+        reports = {
+            (a * b) ** f: mc_trace_power((a,), (b,), f, 131_080, 7),
+            zonal_at_identity((f,), 1) * (a * b) ** f: mc_splitting((f,), (a,), (b,), 131_080, 7),
+            a**f if f % 2 == 0 else 0: mc_linear_trace_power((a,), f, 131_080, 7),
+        }
+        for value, report in reports.items():
+            assert report.exact_value == value
+            got = (report.mc_estimate, report.mc_std_err, report.samples, report.z_score)
+            assert got == (float(value), 0.0, 0, 0.0)
+
+    def test_exp_series_still_draws(self):
+        # its reference is a truncated series, so the draws are compared with it
+        series = hyper0f0((Fraction(3, 2),), (Fraction(1, 2),), 12)
+        report = mc_exponential_trace((Fraction(3, 2),), (Fraction(1, 2),), series.value, 131_080, 7)
+        assert report.samples == 131_080
+        assert report.mc_estimate == pytest.approx(exp(3 / 8), rel=1e-15)
+
+
+@pytest.mark.parametrize("failing", (0, 1), ids=("calling-thread", "started-thread"))
+@pytest.mark.parametrize("error", (MemoryError, OverflowError))
+def test_a_worker_error_is_raised_in_the_caller(monkeypatch, failing, error):
+    # two workers, one in the calling thread and one started: a lane of
+    # either that raises makes the estimate raise the same error, once
+    # every worker has ended
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    chunks = montecarlo._sample_chunks
+    failing_streams = []
+
+    def recording_chunks(samples, rng):
+        lanes = chunks(samples, rng)
+        failing_streams.append(lanes[failing][1])
+        return lanes
+
+    realize = montecarlo._realize
+
+    def failing_realize(n, count, gen, workspace):
+        if gen is failing_streams[0]:
+            raise error("lane")
+        return realize(n, count, gen, workspace)
+
+    monkeypatch.setattr(montecarlo, "_sample_chunks", recording_chunks)
+    monkeypatch.setattr(montecarlo, "_realize", failing_realize)
+    before = threading.active_count()
+    with pytest.raises(error, match="lane"):
+        mc_trace_power((1, 2), (3, 1), 2, 1_000, 3, threads=2)
+    assert threading.active_count() == before
 
 
 class TestCalibratedZScores:
@@ -1206,9 +1505,12 @@ class TestMcLinearTracePower:
         assert abs(report.mc_std_err * samples**0.5 - sigma) <= bound * se
 
     def test_matches_dense_contraction_of_one_whole_stack(self):
-        # the report is the lane fold of |tr(A H)|^f, the trace added as
-        # a_0 H_00 + a_1 H_11 + a_2 H_22 in that order, bit for bit; that
-        # trace is bit-identical to the dense row-major contraction, and |x|^f
+        # the report is the lane fold of |tr(A H)|^f, the trace read from
+        # each lane's quaternions and reflection signs in the term order of
+        # ``quaternion_linear_trace``, bit for bit; that trace is within
+        # 1e-13 sum |a_i| of the dense row-major contraction of the same
+        # draws.  The diagonal added as a_0 H_00 + a_1 H_11 + a_2 H_22 in
+        # that order is bit-identical to the dense contraction, and |x|^f
         # and x^f agree exactly at f = 2 and within an ulp at f = 4
         d, samples, size = (-1.0, 2.0, 0.5), LANES * 2 * (BLOCK // 3) + 11, BLOCK // 3
         stacks = lane_stacks(3, samples, 5)
@@ -1216,9 +1518,11 @@ class TestMcLinearTracePower:
         q, diagonal = np.concatenate(stacks), np.concatenate(diagonals)
         dense = np.einsum("ij,mji->m", np.diag(d), q)
         assert np.array_equal(diagonal.view(np.int64), dense.view(np.int64))
+        traces = [quaternion_linear_trace(quats, signs, d) for quats, signs in lane_quaternions(samples, 5)]
+        assert np.all(np.abs(np.concatenate(traces) - dense) <= 1e-13 * sum(map(abs, d)))
         reports = {f: mc_linear_trace_power(d, f, samples, 5) for f in (2, 4)}
         for f, report in reports.items():
-            _, mean, _ = lanes_fold([in_blocks(np.abs(lane) ** f, size) for lane in diagonals])
+            _, mean, _ = lanes_fold([in_blocks(np.abs(lane) ** f, size) for lane in traces])
             assert report.mc_estimate == mean
         assert np.array_equal(np.abs(diagonal) ** 2, dense**2)
         assert np.all(np.abs(np.abs(diagonal) ** 4 - dense**4) <= 1e-14 * dense**4)
