@@ -371,11 +371,7 @@ def _trace(a: DiagonalSpec, b: DiagonalSpec):
     """
     if len(a) == 3:
         reduced = _reduced(_outer(a, b))
-
-        def trace(block: np.ndarray) -> np.ndarray:
-            return _reduced_sum(reduced, block, _minor_squares(block), block[6])
-
-        return trace
+        return lambda block: _reduced_sum(reduced, block, _minor_squares(block), block[6])
     w = np.outer(a.floats(), b.floats())
     return lambda block: _squares_dot(w, block)
 
