@@ -367,7 +367,9 @@ def estimate(
         series = _in_float_range(kind, terms, "lower --max-degree", hyper0f0, a, b, max_degree)
         run = (mc_exponential_trace, a, b, series.value)
     n = len(a)
-    block = f"a block of up to {max(1, BLOCK // n)} draws of {n} x {n} matrices"
+    # a worker at n = 3 reads the quaternions and builds no matrix
+    held = "quaternions" if n == 3 else f"{n} x {n} matrices"
+    block = f"a block of up to {max(1, BLOCK // n)} draws of {held}"
     remedy = "each of up to --threads workers holds one, whatever --samples, so lower --threads or n"
     report = _in_float_range(kind, block, remedy, *run, samples, seed, threads)
 

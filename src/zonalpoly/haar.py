@@ -37,21 +37,22 @@ before its step, n(n+1)/2 - 2 per draw in all; for n <= 2 each sweep's
 normals, n(n+1)/2 - 1 per draw, and after the last sweep its m
 reflection bits, one per draw.  So a block holds one call's normals at a
 time, not all of them.  At n = 3 no sweep runs.  The quaternions have one
-source, ``_quaternions``: one (4, m) normal call per block, whose w give
-the reflection signs, taken before an all-zero q is read as
-(1, 0, 0, 0).  ``_realize`` takes its SO(3) base from it.  A block is
-held draw-minor, as ``rows[row, col, draw]``, so a step is one
-contraction along the draw axis and one rank-1 update of the trailing
-block, a few long numpy calls per sweep whatever its width.
-``_realize`` makes its blocks in the five buffers of a ``_workspace``
-that its caller builds and may pass to later calls: each Monte Carlo
-worker above n = 3 builds one and runs its lanes in it in turn, each lane
-on the stream it holds, and takes the draw-minor blocks as they are; at
-n = 3 a worker builds only a ``_quaternion_workspace`` and reads the
-quaternion blocks themselves, on the same normals, with no rotation
-built.  sample_orthogonal_batch, the only sampler function that checks
-and coerces its input, builds one ``_workspace`` per call and transposes
-the blocks to one matrix per draw.
+source, ``_quaternion_block``: one (4, m) normal call per block, whose w
+give the reflection signs, taken before an all-zero q is read as
+(1, 0, 0, 0).  ``_realize`` takes its SO(3) base from it, and
+``_quaternions`` yields its blocks as they are.  A block is held
+draw-minor, as ``rows[row, col, draw]``, so a step is one contraction
+along the draw axis and one rank-1 update of the trailing block, a few
+long numpy calls per sweep whatever its width.  ``_realize`` makes its
+blocks in the five buffers of a ``_workspace`` that its caller builds and
+may pass to later calls: each Monte Carlo worker above n = 3 builds one
+and runs its lanes in it in turn, each lane on the stream it holds, and
+takes the draw-minor blocks as they are; at n = 3 a worker builds only a
+``_quaternion_workspace`` and reads the ``_quaternions`` blocks
+themselves, on the same normals, with no rotation built.
+sample_orthogonal_batch, the only sampler function that checks and
+coerces its input, builds one ``_workspace`` per call and transposes the
+blocks to one matrix per draw.
 """
 
 from __future__ import annotations
@@ -70,15 +71,17 @@ __all__ = [
 #: place or read it in chunks, so no second block is made.  The block and
 #: the sampler's scratch live in one ``_workspace``, which serves every
 #: block of every call it is passed to (a Monte Carlo worker's lanes, in
-#: turn).  The sweeps draw their normals into one buffer of the widest
-#: sweep's n rows, 128 KB; a step's contraction takes n rows of
-#: BLOCK // n doubles, its rank-1 update UPDATE_ROWS rows of the widest
-#: sweep, UPDATE_ROWS * (n - 1), and the quaternion block QUATERNION_ROWS,
-#: whose scratch rows serve the steps too: 5n + 5 rows with the normals,
-#: about 660 KB.  At n = 3, where no step runs, the buffers take 17 rows
-#: (9 of matrices and the quaternion block's 8), about 740 KB, and a Monte
-#: Carlo lane, which reads the quaternions and builds no matrix, only the
-#: 8, about 350 KB.  On two threads at n = 30 (2-core VM, 2 MB L2 per
+#: turn).  Its normals take the widest call's rows, since the quaternion
+#: and each sweep draw theirs into the same buffer: the widest sweep's n,
+#: 128 KB, or at n = 3, where no sweep runs, the quaternion's 4.  A step's
+#: contraction takes n rows of BLOCK // n doubles, its rank-1 update
+#: UPDATE_ROWS rows of the widest sweep, UPDATE_ROWS * (n - 1), and its
+#: per-draw radius, sign and scale three, and the reflection signs one:
+#: 5n + 1 rows with the normals, about 640 KB.  At n = 3, where no step
+#: runs, the buffers take 17 rows (9 of matrices, 4 of normals and 4
+#: per-draw), about 740 KB, and a Monte Carlo lane, which reads the
+#: ``_quaternions`` blocks and builds no matrix, only their
+#: QUATERNION_ROWS, about 350 KB.  On two threads at n = 30 (2-core VM, 2 MB L2 per
 #: core), 2**12 and 2**13 ran 1.4-2x slower than 2**14: a smaller block
 #: spends more of each call in Python, holding the GIL.  2**15 ran about
 #: 9% faster (eight lanes of 1000 draws, median 0.197 s against 0.217 s),
@@ -91,9 +94,8 @@ BLOCK = 2**14
 UPDATE_ROWS = 3
 
 #: Rows of one block of ``_quaternions``: the four normals (w, x, y, z), the
-#: reflection signs, and three rows of scratch, which hold the quaternion
-#: block's and then each step's per-draw values in ``_realize``, and the
-#: statistic's in a Monte Carlo lane at n = 3.
+#: reflection signs, and three rows of scratch for the Monte Carlo
+#: statistic that reads the block at n = 3.
 QUATERNION_ROWS = 8
 
 
@@ -137,8 +139,8 @@ def _quaternion_base(rows: np.ndarray, q: np.ndarray, draws: np.ndarray) -> None
     (i, j) off it s (v_i v_j -+ w v_k).  Every call is elementwise along
     the draw axis, so no draw's bits depend on the block.  Each entry is
     made of products of two of q's entries, so -q gives the same R bit
-    for bit, which is what lets ``_quaternions`` take the sign of w as the
-    reflection bit.  ``q`` is overwritten, and the other entries of
+    for bit, which is what lets ``_quaternion_block`` take the sign of w as
+    the reflection bit.  ``q`` is overwritten, and the other entries of
     ``rows`` are left as they are.
     """
     n, m = rows.shape[1], rows.shape[2]
@@ -219,6 +221,24 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
     np.divide(g, radius, out=corner[:, 0])
 
 
+def _quaternion_block(rng: np.random.Generator, q: np.ndarray, signs: np.ndarray) -> None:
+    """Draw one block's quaternions into the (4, m) ``q`` and their reflection signs into the (m) ``signs``.
+
+    One ``rng.standard_normal(out=q)`` call draws the normals
+    q = (w, x, y, z), whose direction is uniform on the 3-sphere.
+    ``signs`` takes the sign of each w, signed zeros included, before
+    ``_direct_zeros`` takes every all-zero q as (1, 0, 0, 0): that sign is
+    the draw's reflection sign, fair and independent of R(q), since q and
+    -q are equally likely (numpy's normals are symmetric bit for bit) and
+    R(q) = R(-q).  This is the one place that draws quaternions: at n = 3
+    the draws of ``_realize`` are F^b R(q) of the very blocks that
+    ``_quaternions`` yields, b set where the sign is -1.
+    """
+    rng.standard_normal(out=q)
+    np.copysign(1.0, q[0], out=signs)
+    _direct_zeros(q)
+
+
 def _quaternion_workspace(count: int) -> np.ndarray:
     """The (QUATERNION_ROWS, c) buffer, c = min(count, BLOCK // 3) (at least one), of ``_quaternions``.
 
@@ -233,57 +253,46 @@ def _quaternions(count: int, rng: np.random.Generator, workspace: np.ndarray) ->
 
     Nothing is checked: count >= 0, a Generator ``rng`` and a
     ``_quaternion_workspace(c)`` for some c >= count are taken as given.
-    The blocks take min(count, BLOCK // 3) draws, the last one fewer, and
-    each makes one ``rng.standard_normal(out=q)`` call for its (4, m)
-    normals q = (w, x, y, z) in rows 0-3, whose direction is uniform on
-    the 3-sphere.  Row 4 takes the sign of each w, signed zeros included,
-    before ``_direct_zeros`` takes every all-zero q as (1, 0, 0, 0): that
-    sign is the draw's reflection sign, fair and independent of R(q),
-    since q and -q are equally likely (numpy's normals are symmetric bit
-    for bit) and R(q) = R(-q).  Rows 5-7 are the caller's scratch, left as
-    they are.  Each block is yielded in the first entries of ``workspace``,
+    The blocks take min(count, BLOCK // 3) draws, the last one fewer, as
+    ``_realize``'s blocks at n = 3 do, and ``_quaternion_block`` writes
+    each one's normals q = (w, x, y, z) into rows 0-3 and its reflection
+    signs into row 4.  Rows 5-7 are the caller's scratch, left as they
+    are.  Each block is yielded in the first entries of ``workspace``,
     which the next overwrites, and which the caller may overwrite too.
-
-    ``_realize`` takes its SO(3) base from one block of here per block of
-    its own, so at n = 3 its draws are F^b R(q) of these very blocks, b
-    set where row 4 is -1; the Monte Carlo statistics at n = 3 read the
-    blocks as they are and build no rotation.
+    The Monte Carlo statistics at n = 3 read the blocks as they are and
+    build no rotation.
     """
     size = max(1, min(count, BLOCK // 3))
     flat = workspace.reshape(-1)
     for start in range(0, count, size):
         m = min(size, count - start)
         block = flat[: QUATERNION_ROWS * m].reshape(QUATERNION_ROWS, m)
-        q = block[:4]
-        rng.standard_normal(out=q)
-        np.copysign(1.0, q[0], out=block[4])
-        _direct_zeros(q)
+        _quaternion_block(rng, block[:4], block[4])
         yield block
 
 
 def _workspace(n: int, count: int) -> tuple[np.ndarray, ...]:
-    """The five buffers in which ``_realize`` runs up to ``count`` draws.
+    """The five flat buffers in which ``_realize`` runs up to ``count`` draws.
 
     They take blocks of up to min(count, BLOCK // n) draws (at least one),
-    in the order ``_realize`` takes them: the sweeps' normals (the widest
-    sweep's n rows), the draw-minor block (n^2 rows), the step's dots (n
-    rows) and rank-1 update scratch (UPDATE_ROWS (n - 1) rows), all three
-    empty when no sweep runs, as at n = 3, and the per-draw rows: for
-    n >= 3 a ``_quaternion_workspace``, whose scratch rows serve the
-    quaternion block and then every step, and which keeps the reflection
-    signs past every step; for n <= 2 four rows, the reflection signs and
-    the step's three.  Nothing is filled in: ``_realize`` writes every
-    entry it reads.
+    in the order ``_realize`` takes them: normals (the widest call's rows,
+    the widest sweep's n, or at n = 3, where no sweep runs, the
+    quaternion's 4), the draw-minor block (n^2 rows), the step's dots (n
+    rows) and rank-1 update scratch (UPDATE_ROWS (n - 1) rows), both
+    empty when no sweep runs, and four per-draw rows: the step's radius,
+    sign and scale, then the reflection signs, which for n >= 3 are taken
+    before the first sweep and kept past every step.  Nothing is filled
+    in: ``_realize`` writes every entry it reads.
     """
     size = max(1, min(count, BLOCK // n))
     base = 3 if n >= 3 else 1  # as in _realize
     widest = n if base < n else 0  # the normals of the widest sweep, if any sweep runs
     return (
-        np.empty(widest * size),
+        np.empty(max(widest, 4 if base == 3 else 0) * size),
         np.empty(n * n * size),
         np.empty(widest * size),
         np.empty(UPDATE_ROWS * (n - 1) * size if widest else 0),
-        _quaternion_workspace(size) if base == 3 else np.empty((4, size)),
+        np.empty(4 * size),
     )
 
 
@@ -300,14 +309,14 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
     each buffer, and the entries it leaves alone are never read.
 
     Each block of m draws makes its calls on ``rng`` in the order it uses
-    them, every normal call one ``rng.standard_normal(out=...)``.  For
-    n >= 3 the block first takes one block of m ``_quaternions``, whose
-    (4, m) normals come with each draw's reflection sign, the sign of w,
-    and ``_quaternion_base`` writes their rotations, Haar on SO(3), into
-    the trailing 3 x 3 block of the identity.  Then sweep
-    i = n - 3, ..., 1 (i = n - 1, ..., 1 for n <= 2, from SO(1) = {1}),
-    with d = n - i, draws its d + 1 rows of normals into the sweep buffer
-    just before its step: n(n+1)/2 - 2 normals per draw in all for
+    them, every normal call one ``rng.standard_normal(out=...)`` into the
+    normal buffer, which holds the widest call's rows.  For n >= 3 the
+    block first draws its (4, m) quaternions by ``_quaternion_block``,
+    with each draw's reflection sign, the sign of w, and
+    ``_quaternion_base`` writes their rotations, Haar on SO(3), into the
+    trailing 3 x 3 block of the identity.  Then sweep i = n - 3, ..., 1
+    (i = n - 1, ..., 1 for n <= 2, from SO(1) = {1}), with d = n - i,
+    draws its d + 1 rows of normals just before its step: n(n+1)/2 - 2 normals per draw in all for
     n >= 3, none of them in a sweep at n = 3, and n(n+1)/2 - 1 for
     n <= 2.  For n <= 2 only, after the last sweep
     ``rng.integers(0, 2, size=m)`` draws the reflection bits, one per
@@ -336,22 +345,23 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
     for start in range(0, count, size):
         m = min(size, count - start)
         rows = row_buf[: n * n * m].reshape(n, n, m)
+        draws = draw_buf[: 4 * m].reshape(4, m)
+        signs = draws[3]  # no step touches it
         if base == 3:
             # rows n - 3 on, left of the corner, are each written by the first
             # column of the step that reaches them before anything reads them
             rows[: n - 3] = eye[: n - 3]
-            draws = next(_quaternions(m, rng, draw_buf))
-            _quaternion_base(rows, draws[:4], draws[5:7])
+            q = normal_buf[: 4 * m].reshape(4, m)
+            _quaternion_block(rng, q, signs)
+            _quaternion_base(rows, q, draws[:2])
         else:
             rows[...] = eye
-            draws = draw_buf.reshape(-1)[: 4 * m].reshape(4, m)
-        signs, scratch = draws[-4], draws[-3:]  # no step touches the signs
         for i in range(n - base, 0, -1):
             d = n - i
             g = normal_buf[: (d + 1) * m].reshape(d + 1, m)
             rng.standard_normal(out=g)
             dots = dots_buf[: (d + 1) * m].reshape(d + 1, m)
-            _step(rows[i - 1 :, i - 1 :], g, dots, work, scratch)
+            _step(rows[i - 1 :, i - 1 :], g, dots, work, draws[:3])
         if base == 1:
             np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
             signs += 1.0

@@ -228,13 +228,13 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
         workspace = _quaternion_workspace(longest) if n == 3 else _workspace(n, longest)
         return [lane(count, gen, workspace) for count, gen in share]
 
-    shares, errors = [None] * workers, [None] * workers
+    shares = [None] * workers
 
     def run(k: int) -> None:
         try:
             shares[k] = worker(chunks[k::workers])
         except BaseException as exc:  # raised again in the calling thread
-            errors[k] = exc
+            shares[k] = exc
 
     pool = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
     for thread in pool:
@@ -242,9 +242,9 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     run(0)
     for thread in pool:
         thread.join()
-    raised = [exc for exc in errors if exc is not None]
-    if raised:
-        raise raised[0]
+    for share in shares:
+        if isinstance(share, BaseException):
+            raise share
     lanes = [shares[k % workers][k // workers] for k in range(len(chunks))]
     base = lanes[0][0]
     m, mean, m2 = reduce(_merge, ((k, (shift - base) + mu, m2) for shift, (k, mu, m2) in lanes))

@@ -695,20 +695,21 @@ class TestEstimate:
 
     def test_unallocatable_samples_is_usage_error(self, runner, monkeypatch):
         # a block of draws too large for memory, without allocating one: the
-        # message names the block, which lowering --samples does not shrink
+        # message names the block, which lowering --samples does not shrink,
+        # by what a worker holds: quaternions at n = 3, matrices elsewhere
         from zonalpoly.haar import BLOCK
 
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 745. GiB")
 
         monkeypatch.setattr("zonalpoly.montecarlo.mc_trace_power", out_of_memory)
-        result = runner.invoke(
-            main, ["estimate", "trace-power", "--f", "2", "--A", "1,2,3", "--B", "1,2,3"]
-        )
-        assert result.exit_code == 2
-        assert "Unable to allocate" in result.output
-        assert f"a block of up to {BLOCK // 3} draws of 3 x 3 matrices" in result.output
-        assert "lower --samples" not in result.output
+        for spec, held in (("1,2,3", "quaternions"), ("1,2,3,4", "4 x 4 matrices")):
+            n = spec.count(",") + 1
+            result = runner.invoke(main, ["estimate", "trace-power", "--f", "2", "--A", spec, "--B", spec])
+            assert result.exit_code == 2
+            assert "Unable to allocate" in result.output
+            assert f"a block of up to {BLOCK // n} draws of {held}" in result.output
+            assert "lower --samples" not in result.output
 
     def test_unallocatable_series_is_usage_error(self, runner, monkeypatch):
         # the series step holds its exact terms, not a block of draws: lowering

@@ -585,18 +585,18 @@ class TestRealize:
         assert np.all(np.abs(np.abs(np.linalg.det(qs)) - 1.0) < 1e-10)
 
     def test_sampler_scratch_is_capped(self):
-        # the sampler holds its block (n^2 doubles per draw), and when a
-        # sweep runs the widest sweep's normals (n), the step's dots (n) and
-        # rank-1 update scratch (UPDATE_ROWS (n - 1)); then the quaternion
-        # block's QUATERNION_ROWS, its normals, the reflection signs and
-        # three rows of scratch for it and the steps, plus numpy's
-        # transients: the ufunc buffers of np.getbufsize() elements that
-        # broadcast in-place updates take, about two at n = 30 (measured),
-        # three allowed.  At n >= 3 no row of bits is drawn
+        # the sampler holds its block (n^2 doubles per draw), the widest
+        # call's normals (the sweep's n, or the quaternion's 4 at n = 3), and
+        # when a sweep runs the step's dots (n) and rank-1 update scratch
+        # (UPDATE_ROWS (n - 1)); then four per-draw rows, the step's three
+        # and the reflection signs, plus numpy's transients: the ufunc
+        # buffers of np.getbufsize() elements that broadcast in-place updates
+        # take, about two at n = 30 (measured), three allowed.  At n >= 3 no
+        # row of bits is drawn
         for n, count in ((3, 20_000), (30, 5_000)):
             size = BLOCK // n
-            steps = 0 if n == 3 else 2 * n + haar.UPDATE_ROWS * (n - 1)
-            rows = n * n + steps + QUATERNION_ROWS
+            steps = 0 if n == 3 else n + haar.UPDATE_ROWS * (n - 1)
+            rows = n * n + max(n, 4) + steps + 4
             cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
             sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
             tracemalloc.start()

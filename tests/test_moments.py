@@ -863,7 +863,6 @@ class TestWorkspace:
 
             return workspace
 
-        # haar._workspace builds its quaternion rows itself, inside the set it records
         monkeypatch.setattr(haar, "_workspace", recorded(_workspace))
         monkeypatch.setattr(montecarlo, "_workspace", recorded(_workspace))
         monkeypatch.setattr(montecarlo, "_quaternion_workspace", recorded(_quaternion_workspace))
