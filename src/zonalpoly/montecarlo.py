@@ -24,19 +24,27 @@ q-method; Shuster and Oh, J. Guid. Control 4, 1981), less 2 a_0 R_00
 where b is set (``_linear_trace``).  Elsewhere the statistics read the
 sampler's draw-minor blocks.
 
-The splitting check needs Z_kappa at the latent roots of each draw; a
-symmetric polynomial depends on the roots only through their power sums,
-which come with no eigensolve and no square root, so the spectra may
-take any real signs.  Up to n = 3 they follow by Newton's identities
-from the elementary symmetric functions of the roots, which are weighted
-sums of the squared entries of each draw along the draw axis (at n = 3,
-of the squared leading minor of each quaternion's rotation); above, they
-are traces of powers of H' D_a H D_b, through a batched matmul on
-row-major copies of the block in chunks of CHUNK // n^2 draws, so a
-worker holds its block and three chunks of at most CHUNK entries, not a
-second block.  At n = 1, O(1) = {-1, 1}, every statistic but exp-series'
-is constant and its exact value is reported with no draw.  This module
-and ``haar`` are the only ones that import numpy.
+Trace-power, exp-series and zonal-split take p_1^f, exp(p_1 / 2) and
+Z_kappa(p) of the power sums p_k of the latent roots of D_a H D_b H',
+from one builder (``_power_sums``), so Z_(1) and tr^1 are the same bits;
+trace-AH is linear in H and reads tr(D_a H) on its own.  A symmetric
+polynomial depends on the roots only through their power sums, which
+come with no eigensolve and no square root, so the spectra may take any
+real signs.  p_1 = tr(D_a H D_b H') is a weighted sum of the squared
+entries of each draw (at n = 3, of the squared leading minor of each
+quaternion's rotation).  Up to n = 3, p_2.. follow by Newton's
+identities from the elementary symmetric functions of the roots, weighted
+sums of the same squares or exact constants; above, they are traces of
+powers of H' D_a H D_b, through a batched matmul on row-major copies of
+the block in chunks of CHUNK // n^2 draws, so a worker holds its block
+and three chunks of at most CHUNK entries, not a second block.  There
+p_1 costs zonal-split one more squares pass per block: at n = 30 about
+0.6 ms per 546 draws (2-vCPU VM, Python 3.11.7, numpy 2.4.6).  With p_1
+taken one way, zonal-split's output differs from that of the three ways
+before it in its last digits at n = 2 and n >= 4; every other output
+kept its bytes.  At n = 1, O(1) = {-1, 1}, every statistic but
+exp-series' is constant and its exact value is reported with no draw.
+This module and ``haar`` are the only ones that import numpy.
 """
 
 from __future__ import annotations
@@ -360,65 +368,73 @@ def _reduced_sum(reduced: tuple[float, np.ndarray], block: np.ndarray, norm: np.
     return total
 
 
-def _trace(a: DiagonalSpec, b: DiagonalSpec):
-    """trace(block) -> tr(D_a Q D_b Q') per draw Q of one lane's block, which it overwrites.
+def _power_sums(a: DiagonalSpec, b: DiagonalSpec, k: int):
+    """power_sums(block) -> p_1..p_k of the latent roots of D_a H D_b H' per draw H of one lane's block.
 
-    At n = 3 the block is a quaternion block and Q = F^b R(q): the squares
-    (Q_ij^2) are doubly stochastic, so the trace is ``_reduced`` of the
-    exact a b' on the leading minor of ``_minor_squares``, over |q|^4, and
-    no rotation is built.  Elsewhere it is ``_squares_dot`` of the
-    draw-minor block.  Either way it returns a view of the block.
+    The result is a fresh (k, m) array whose row j - 1 is p_j; the block is
+    overwritten.  p_1 = tr(D_a H D_b H') is taken one way at each n: at
+    n = 3, where the block is a quaternion block, as ``_reduced`` of the
+    exact a b' on the leading minor of ``_minor_squares``, over |q|^4, so a
+    scalar spectrum gives an exactly constant p_1; elsewhere as
+    ``_squares_dot`` of the draw-minor block.
+
+    By Cauchy-Binet, e_j of the roots is the sum over |I| = |J| = j of
+    a_I b_J det(H_IJ)^2, so e_1 = p_1 and e_n = prod a_i prod b_j, taken
+    exactly and rounded once; each (n - 1)-minor of an orthogonal H is
+    +-det(H) H_ij, since the adjugate is det(H) H', so at n = 3
+    e_2 = sum a^_i b^_j H_ij^2 with the ``_cofactor_weights``, read on
+    p_1's squares.  Up to n = 3 that is every e_j, and Newton's identities
+    (``_newton``) give p_2..p_k.  Above, ``_gemm_power_sums`` takes them
+    as traces of matrix powers, reading the block before ``_squares_dot``
+    squares it.  No draw's bits depend on the block it lands in.
     """
-    if len(a) == 3:
-        reduced = _reduced(_outer(a, b))
-        return lambda block: _reduced_sum(reduced, block, _minor_squares(block), block[6])
-    w = np.outer(a.floats(), b.floats())
-    return lambda block: _squares_dot(w, block)
+    n = len(a)
+    newton = n <= 3 and k > 1
+    # only Newton's identities read e_2 and e_n, which may overflow where p_1 does not
+    e_n = float(prod(a) * prod(b)) if newton else None
+    if n == 3:
+        w = _outer(a, b)
+        e1 = _reduced(w)
+        e2 = _reduced(_cofactor_weights(w)) if newton else None
+    else:
+        w = np.outer(a.floats(), b.floats())
+
+    def power_sums(block: np.ndarray) -> np.ndarray:
+        sums = np.empty((k, block.shape[-1]))
+        if n == 3:
+            norm = _minor_squares(block)
+            _reduced_sum(e1, block, norm, sums[0])
+            if newton:
+                _newton({1: sums[0], 2: _reduced_sum(e2, block, norm, block[6]), 3: e_n}, sums, block[5])
+            return sums
+        if n > 3 and k > 1:
+            _gemm_power_sums(block, w, sums)
+        sums[0] = _squares_dot(w, block)
+        if newton:
+            # block[-1, -1] is a row _squares_dot is done with; at n = 1, e_1 is e_n: p_1 stands for both
+            _newton({n: e_n, 1: sums[0]}, sums, block[-1, -1])
+        return sums
+
+    return power_sums
 
 
 def _trace_power_statistic(a: DiagonalSpec, b: DiagonalSpec, f: int):
-    """statistic(block) -> tr(D_a Q D_b Q')^f per draw Q, from ``_trace``; overwrites the block.
+    """statistic(block) -> tr(D_a Q D_b Q')^f per draw Q, p_1^f from ``_power_sums``; overwrites the block.
 
     numpy's pow leaves its vectorized loop for a negative base, so the
     power is taken of |tr| and the sign restored for odd f: the bits of
     ``tr ** f`` for a nonnegative trace, and within one ulp of them for a
     negative one (measured on 1e6 signed normals at f = 3, 4, 5 and 7).
     """
-    trace_of = _trace(a, b)
+    power_sums = _power_sums(a, b, 1)
 
     def statistic(block: np.ndarray) -> np.ndarray:
-        trace = trace_of(block)
+        (trace,) = power_sums(block)
         power = np.abs(trace)
         power **= f
         return np.copysign(power, trace, out=power) if f % 2 else power
 
     return statistic
-
-
-def _latent_power_sums(a: DiagonalSpec, b: DiagonalSpec, f: int):
-    """power_sums(block) -> p_1..p_f of the latent roots of D_a H D_b H' per draw H.
-
-    The spectra may take any real signs.  The elementary symmetric
-    functions of the roots are closed forms in the squared entries of H
-    where every one is e_1, e_(n-1) or e_n, so up to n = 3, and Newton's
-    identities (``_newton``) take the power sums from them: at n <= 2 from
-    the draw-minor block (``_squares_power_sums``), and at n = 3 from the
-    leading minor of each quaternion block (``_quaternion_power_sums``),
-    with the weights reduced here, once per estimate, from the exact
-    a b' and its ``_cofactor_weights``.  Above, where e_2, ..., e_(n-2)
-    would need larger minors, ``_gemm_power_sums`` takes traces of powers
-    by one gemm per draw.  Either way the block is overwritten, and the
-    result is a fresh (f, m) array whose row k-1 is p_k.
-    """
-    n = len(a)
-    if n == 3:
-        w = _outer(a, b)
-        e1, e2, e3 = _reduced(w), _reduced(_cofactor_weights(w)), float(prod(a) * prod(b))
-        return lambda block: _quaternion_power_sums(block, e1, e2, e3, f)
-    w = np.outer(a.floats(), b.floats())
-    if n < 3:
-        return lambda block: _squares_power_sums(block, w, f)
-    return lambda block: _gemm_power_sums(block, w, f)
 
 
 def _cofactor_weights(w) -> list[list]:
@@ -467,43 +483,6 @@ def _newton(e: dict, sums: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _squares_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
-    """``_latent_power_sums`` at n <= 2, from the squared entries of each draw-minor draw.
-
-    By Cauchy-Binet, e_k of the roots of D_a H D_b H' is the sum over
-    |I| = |J| = k of a_I b_J det(H_IJ)^2, so e_1 = sum a_i b_j H_ij^2 and
-    e_n = prod a_i prod b_j; at n <= 2 there is no other.  Newton's
-    identities give p_1..p_f, for spectra of any real signs.  The block
-    is squared in place, and every call is elementwise over rows of m
-    draws with the squared terms added one at a time, so each draw's bits
-    do not depend on the block size.
-    """
-    n, m = block.shape[0], block.shape[2]
-    squares = block.reshape(n * n, m)
-    squares *= squares
-    sums, tmp = np.empty((f, m)), np.empty(m)
-    e = {1: _weighted_sum(w.ravel(), squares, sums[0], tmp)}
-    if n > 1:
-        e[n] = float(np.prod(np.diagonal(w)))
-    return _newton(e, sums, tmp)
-
-
-def _quaternion_power_sums(block: np.ndarray, e1, e2, e3: float, f: int) -> np.ndarray:
-    """``_latent_power_sums`` at n = 3, from one quaternion block.
-
-    As at n <= 2, e_1 = sum a_i b_j H_ij^2, and for orthogonal H each
-    2-minor is +-det(H) H_ij, since the adjugate is det(H) H', so
-    e_2 = sum a^_i b^_j H_ij^2 with the ``_cofactor_weights``; e_3 is
-    prod a_i prod b_j.  ``e1`` and ``e2`` are the ``_reduced`` weights of
-    the two sums, read on the squares of ``_minor_squares``, and ``e3`` is
-    the float of the exact product.  Then Newton's identities.
-    """
-    norm = _minor_squares(block)
-    sums = np.empty((f, block.shape[1]))
-    e = {1: _reduced_sum(e1, block, norm, sums[0]), 2: _reduced_sum(e2, block, norm, block[6]), 3: e3}
-    return _newton(e, sums, block[5])
-
-
 #: Matrix entries in one chunk of ``_gemm_power_sums``, CHUNK // n^2 draws (at
 #: least one): each of its three chunk buffers takes at most 256 KB, whatever
 #: the block, for n <= 181.  At n = 30 a chunk is 36 draws, where chunks of an
@@ -511,8 +490,8 @@ def _quaternion_power_sums(block: np.ndarray, e1, e2, e3: float, f: int) -> np.n
 CHUNK = 2**15
 
 
-def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
-    """``_latent_power_sums`` by batched gemm on row-major chunks of the block.
+def _gemm_power_sums(block: np.ndarray, w: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Rows 1.. of the (f, m) ``sums``, p_2..p_f, by batched gemm on row-major chunks of the block; returns ``sums``.
 
     The roots are those of N = H' D_a H D_b, a cyclic shift of
     D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
@@ -525,11 +504,12 @@ def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
     power goes to w * H, and the third power buffer that f >= 5 needs
     reuses H.  Each draw's matrices are multiplied on their own, so its
     power sums do not depend on the block or the chunk it lands in.
+    Row 0 is left alone.
     """
     n, m = block.shape[0], block.shape[2]
+    f = len(sums)
     chunk = max(1, min(m, CHUNK // (n * n)))
     bufs = np.empty((3, chunk, n, n))
-    sums = np.empty((f, m))
     for start in range(0, m, chunk):
         k = min(chunk, m - start)
         h, spare, base = bufs[:, :k]
@@ -537,9 +517,7 @@ def _gemm_power_sums(block: np.ndarray, w: np.ndarray, f: int) -> np.ndarray:
         np.multiply(h, w, out=spare)
         np.matmul(h.transpose(0, 2, 1), spare, out=base)
         out = sums[:, start : start + k]
-        np.einsum("mii->m", base, out=out[0])
-        if f > 1:
-            np.einsum("mij,mji->m", base, base, out=out[1])
+        np.einsum("mij,mji->m", base, base, out=out[1])
         # With low = N^j and high = N^(j+1): p_(2j+1) = tr(low high), p_(2j+2) = tr(high high).
         low, free, done = base, [h, spare], 2
         while done < f:
@@ -557,10 +535,10 @@ def _splitting_statistic(kappa: Partition, a: DiagonalSpec, b: DiagonalSpec):
     """statistic(block) -> Z_kappa at the latent roots of D_a H D_b H', per draw H.
 
     Z_kappa is evaluated from its integer power-sum row at the power sums
-    from ``_latent_power_sums``, by the term loop of ``SymPoly.evaluate``
+    from ``_power_sums``, by the term loop of ``SymPoly.evaluate``
     (``_powersum_value``); both spectra may take any real signs.
     """
-    power_sums = _latent_power_sums(a, b, kappa.weight)
+    power_sums = _power_sums(a, b, kappa.weight)
     terms = [(lam, float(c)) for lam, c in zonal_in_powersums(kappa).sorted_items()]
 
     def statistic(q: np.ndarray) -> np.ndarray:
@@ -575,11 +553,12 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
 
     Estimates the Haar mean of Z_kappa at the latent roots of
     D_a H D_b H', against the exact value Z_kappa(a) Z_kappa(b) / Z_kappa(I_n).
-    The power sums of the roots come, with no eigensolve, from the
-    squared entries of each draw at n <= 3 (e_1, e_(n-1) and e_n of the
-    roots in closed form, then Newton's identities) and from traces of
-    matrix powers above, so a and b may be any real spectra: where the
-    roots are complex, their power sums, and so Z_kappa, are still real.
+    The power sums of the roots come with no eigensolve (``_power_sums``):
+    p_1 from the squared entries of each draw, then, at n <= 3, Newton's
+    identities on e_1, e_(n-1) and e_n of the roots in closed form, and
+    above, traces of matrix powers, so a and b may be any real spectra:
+    where the roots are complex, their power sums, and so Z_kappa, are
+    still real.
     At n = 1 the one root a_0 b_0 is the same on every draw, and the exact
     value is reported with no sample drawn or counted.
     """
@@ -674,10 +653,10 @@ def mc_exponential_trace(a, b, reference: float, samples: int, rng, threads: int
     makes the mean infinite, which raises OverflowError.
     """
     a, b, n = _spectra(a, b)
-    trace = _trace(a, b)
+    power_sums = _power_sums(a, b, 1)
 
     def statistic(block: np.ndarray) -> np.ndarray:
-        half = trace(block)
+        (half,) = power_sums(block)
         half *= 0.5
         with np.errstate(over="ignore"):  # an infinite mean raises OverflowError
             return np.exp(half)

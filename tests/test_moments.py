@@ -8,7 +8,7 @@ import tracemalloc
 import warnings
 import weakref
 from fractions import Fraction
-from math import exp, factorial, lcm, sqrt, ulp
+from math import exp, factorial, lcm, prod, sqrt, ulp
 
 import numpy as np
 import pytest
@@ -552,6 +552,19 @@ class TestMcTracePower:
         assert report.exact_value == 6
         assert abs(report.z_score) <= 3
 
+    @pytest.mark.parametrize("n, scale", ((3, 10**52), (30, 10**5)), ids=("n3", "n30"))
+    def test_spectra_whose_product_has_no_float(self, n, scale):
+        # prod a_i prod b_j is beyond the float range, but p_1 is not: only
+        # Newton's identities read that product, so trace-power and
+        # zonal-split at kappa = (1,), which take p_1 alone, still estimate
+        a = [Fraction(k + 1) * scale for k in range(n)]
+        b = a[::-1]
+        with pytest.raises(OverflowError):
+            float(prod(a) * prod(b))
+        for report in (mc_trace_power(a, b, 1, 2_000, 3), mc_splitting((1,), a, b, 2_000, 3)):
+            assert np.isfinite(report.mc_estimate)
+            assert abs(report.z_score) <= 4
+
     def test_zeroth_power_degenerate(self):
         report = mc_trace_power((1, 2), (3, 1), 0, 100, 1)
         assert report.exact_value == 1
@@ -712,7 +725,7 @@ class TestMcTracePower:
         dense = np.einsum("mij,i,j->m", q * q, av, bv)
         assert np.all(np.abs(trace - dense) <= 1e-15 * np.einsum("mij,i,j->m", q * q, abs(av), abs(bv)))
         a, b = exact_spectrum(av), exact_spectrum(bv)
-        trace = montecarlo._trace(a, b)(quats.copy())
+        (trace,) = montecarlo._power_sums(a, b, 1)(quats.copy())
         assert trace.min() < 0 < trace.max()
         got = montecarlo._trace_power_statistic(a, b, f)(quats.copy())
         want = trace**f
@@ -1049,7 +1062,7 @@ class TestTracePowerSums:
         roots = _eigensolve_roots(q.copy(), av, bv)
         if negative == "both" and n > 1:
             assert np.any(roots.imag != 0)  # the case the square root could not take
-        sums = montecarlo._latent_power_sums(exact_spectrum(av), exact_spectrum(bv), 6)(block)
+        sums = montecarlo._power_sums(exact_spectrum(av), exact_spectrum(bv), 6)(block)
         assert len(sums) == 6
         for k, p in enumerate(sums, start=1):
             want = (roots**k).sum(axis=1)  # complex roots come in pairs: the sum is real
@@ -1115,7 +1128,7 @@ class TestPowerSumParts:
         av, bv = _spectra(n, "A")
         sizes = (1, 2, 3, 50, BLOCK // n) if n <= 3 else gemm_block_sizes(n)
         _, q = statistic_draws(n, BLOCK // n, n)
-        power_sums = montecarlo._latent_power_sums(exact_spectrum(av), exact_spectrum(bv), 6)
+        power_sums = montecarlo._power_sums(exact_spectrum(av), exact_spectrum(bv), 6)
         whole = power_sums(q.copy())
         for m in sizes:
             part = power_sums(q[..., :m].copy())
@@ -1124,9 +1137,10 @@ class TestPowerSumParts:
 
 @pytest.mark.parametrize("n", (4, 5, 10, 30))
 def test_gemm_chunks_keep_each_draw(n):
-    # the gemm path copies a block of m draws to row-major in chunks of
-    # CHUNK // n^2 through three chunk buffers, and f >= 5 reuses the first
-    # for the third power buffer: at block sizes around a chunk, and at
+    # above n = 3, p_2.. come from the gemm path, which copies a block of m
+    # draws to row-major in chunks of CHUNK // n^2 through three chunk
+    # buffers, and f >= 5 reuses the first for the third power buffer; p_1
+    # comes from the squared entries: at block sizes around a chunk, and at
     # every f up to 7, each draw's power sums are those of the draw
     # alone, bit for bit, and the traces of np.linalg.matrix_power of
     # N = H' D_a H D_b to 1e-12 relative (positive spectra: every trace is
@@ -1136,16 +1150,16 @@ def test_gemm_chunks_keep_each_draw(n):
     size = BLOCK // n
     q = sample_orthogonal_batch(n, size, np.random.default_rng(130 + n))
     block = q.transpose(1, 2, 0).copy()
-    alone = np.concatenate(
-        [montecarlo._gemm_power_sums(block[:, :, k : k + 1].copy(), w, 7) for k in range(size)], axis=1
-    )
+    a, b = exact_spectrum(av), exact_spectrum(bv)
+    power_sums = montecarlo._power_sums(a, b, 7)
+    alone = np.concatenate([power_sums(block[:, :, k : k + 1].copy()) for k in range(size)], axis=1)
     product = q.transpose(0, 2, 1) @ (q * w)
     for k in range(1, 8):
         want = np.trace(np.linalg.matrix_power(product, k), axis1=1, axis2=2)
         assert np.all(np.abs(alone[k - 1] - want) <= 1e-12 * want), k
     for m in gemm_block_sizes(n):
         for f in range(1, 8):
-            got = montecarlo._gemm_power_sums(block[:, :, :m].copy(), w, f)
+            got = montecarlo._power_sums(a, b, f)(block[:, :, :m].copy())
             assert got.shape == (f, m)
             assert np.array_equal(got.view(np.int64), alone[:f, :m].view(np.int64)), (m, f)
 
@@ -1155,18 +1169,65 @@ def test_gemm_chunks_keep_each_draw(n):
 def test_draw_minor_and_gemm_power_sums_agree(n, negative):
     # the power sums from the squared entries of the draw-minor block (from
     # the leading minor of the quaternion block at n = 3) and the traces of
-    # gemm powers round differently; on the same draws they agree to 1e-13
-    # of the scale sum_i |root_i|^k of each p_k
+    # gemm powers (p_1 from the dense contraction) round differently; on the
+    # same draws they agree to 1e-13 of the scale sum_i |root_i|^k of each p_k
     av, bv = _spectra(n, negative)
     q, block = statistic_draws(n, 200, 40 + n)
     scale = (np.abs(_eigensolve_roots(q.copy(), av, bv))[:, :, None] ** np.arange(1, 7)).sum(axis=1).T
-    w = np.outer(av, bv)
-    if n == 3:
-        squares = montecarlo._latent_power_sums(exact_spectrum(av), exact_spectrum(bv), 6)(block)
-    else:
-        squares = montecarlo._squares_power_sums(block.copy(), w, 6)
-    gemm = montecarlo._gemm_power_sums(q.transpose(1, 2, 0).copy(), w, 6)
+    squares = montecarlo._power_sums(exact_spectrum(av), exact_spectrum(bv), 6)(block)
+    gemm = np.empty((6, 200))
+    gemm[0] = np.einsum("mij,i,j->m", q * q, av, bv)  # p_1, which the gemm path leaves to the caller
+    montecarlo._gemm_power_sums(q.transpose(1, 2, 0).copy(), np.outer(av, bv), gemm)
     assert np.all(np.abs(squares - gemm) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("negative", (None, "A", "both"))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 10, 30))
+def test_every_kind_takes_the_same_p1(monkeypatch, n, negative):
+    # Z_(1) = p_1 = tr(D_a H D_b H'): on one sampler block (of quaternions
+    # at n = 3) the splitting statistic at kappa = (1,), trace-power at
+    # f = 1 and the trace that exp-series halves and exponentiates are the
+    # same bits on every draw, since all three take p_1 from one builder
+    av, bv = _spectra(n, negative)
+    a, b = exact_spectrum(av), exact_spectrum(bv)
+    m = BLOCK // n
+    gen = np.random.default_rng(70 + n)
+    if n == 3:
+        block = next(_quaternions(m, gen, _quaternion_workspace(m))).copy()
+    else:
+        block = next(_realize(n, m, gen, _workspace(n, m))).copy()
+    statistics = []
+    monkeypatch.setattr(montecarlo, "_monte_carlo", lambda *args: statistics.append(args[-1]))
+    mc_exponential_trace(a, b, 1.0, 2, 0)
+    (exponential,) = statistics
+    zonal = montecarlo._splitting_statistic(Partition((1,)), a, b)(block.copy())
+    trace = montecarlo._trace_power_statistic(a, b, 1)(block.copy())
+    assert np.array_equal(zonal.view(np.int64), trace.view(np.int64))
+    want = np.exp(trace * 0.5)
+    assert np.array_equal(exponential(block.copy()).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    (
+        ((Fraction(1, 3), Fraction(3, 5)), (Fraction(5, 3), Fraction(9, 11))),
+        ((Fraction(1, 3), Fraction(1, 7)), (Fraction(2, 9), Fraction(-3, 7))),
+    ),
+    ids=("positive", "signed"),
+)
+def test_two_by_two_determinant_is_rounded_once(a, b):
+    # at n = 2, e_2 of the roots is a_0 a_1 b_0 b_1, taken exactly and
+    # rounded once, as at n = 3, so p_2 = p_1^2 - 2 e_2 on every draw;
+    # on these spectra the product of the rounded a_i b_i differs from it,
+    # and moves p_2 on some draws
+    a, b = DiagonalSpec.of(a), DiagonalSpec.of(b)
+    e2 = float(prod(a) * prod(b))
+    twice = float(np.prod(np.diagonal(np.outer(a.floats(), b.floats()))))
+    assert twice != e2
+    _, block = statistic_draws(2, 2_000, 11)
+    p1, p2 = montecarlo._power_sums(a, b, 2)(block)
+    assert np.array_equal(p2.view(np.int64), (p1 * p1 - 2 * e2).view(np.int64))
+    assert np.any(p1 * p1 - 2 * twice != p2)
 
 
 @pytest.mark.parametrize("zero", (False, True), ids=("signed", "zero-root"))
@@ -1247,7 +1308,7 @@ class TestQuaternionStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             q, block = self.draws(zeroed)
-            trace = montecarlo._trace(a, b)(block.copy())
+            (trace,) = montecarlo._power_sums(a, b, 1)(block.copy())
             linear = montecarlo._linear_trace(a)(block.copy())
         if zeroed:
             assert np.array_equal(q[:3], [np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.diag([-1.0, 1.0, 1.0])])
@@ -1266,7 +1327,7 @@ class TestQuaternionStatistics:
         a, b = (DiagonalSpec.of(x) for x in QUATERNION_SPECTRA[spectra])
         constant = sum(x for x in a) * sum(y for y in b) / 3
         _, block = quaternion_draws(2_000, 5)
-        trace = montecarlo._trace(a, b)(block.copy())
+        (trace,) = montecarlo._power_sums(a, b, 1)(block.copy())
         assert np.all(trace == float(constant))
         for statistic in (
             montecarlo._trace_power_statistic(a, b, 3),
