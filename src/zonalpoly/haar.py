@@ -1,55 +1,46 @@
 """Haar sampling on O(n).
 
-The primary sampler runs the subgroup algorithm (Diaconis and
-Shahshahani, Prob. Eng. Inf. Sci. 1, 1987): if C is Haar on SO(d) and M
-is in SO(d + 1) with M e_0 = u, u uniform on the sphere in d + 1
-dimensions and independent of C, then M diag(1, C) is Haar on SO(d + 1).
-The algorithm may start from any Haar block.  For n >= 3 it starts from
-SO(3): 4 standard normals q, whose direction is uniform on the 3-sphere,
-read as a quaternion give the rotation R(q / |q|), Haar on SO(3)
-(Shoemake, Graphics Gems III, 1992), in the trailing 3 x 3 block of the
-identity; for n <= 2 it starts from SO(1) = {1}.  Then each sweep
-i = n - 3, ..., 1 (i = n - 1, ..., 1 for n <= 2), with d = n - i, takes
-d + 1 standard normals g, whose direction u = g / |g| is uniform on that
-sphere (Muller, Comm. ACM 2, 1959), and multiplies the trailing
+The sampler runs the subgroup algorithm (Diaconis and Shahshahani, Prob.
+Eng. Inf. Sci. 1, 1987): if C is Haar on SO(d) and M is in SO(d + 1) with
+M e_0 = u, u uniform on the sphere in d + 1 dimensions and independent of
+C, then M diag(1, C) is Haar on SO(d + 1).  It starts from SO(1) = {1} at
+every n.  Each sweep i = n - 1, ..., 1, with d = n - i, takes d + 1
+standard normals g, whose direction u = g / |g| is uniform on that sphere
+(Muller, Comm. ACM 2, 1959), and multiplies the trailing
 (d + 1) x (d + 1) block of the product so far, which is diag(1, C), by
 one step M: the Householder reflection that takes e_0 to -sign(g_0) u
 (Householder, J. ACM 5, 1958), times diag(-sign(g_0), sign(g_0), 1, ...,
 1), so that M e_0 = u and det M = 1 for every draw.  So the product of
-the steps and the starting block is Haar on SO(n); F SO(n),
-F = diag(-1, 1, ..., 1), is the other coset of O(n), so one fair bit per
-draw, independent of the rotation, which flips the sign of row 0, makes
-the draw Haar on O(n).  A step with det -1 on some draws and +1 on
-others would not: the bit flips the coset, not the law within it.  For
-n >= 3 the bit is the sign of the quaternion's w, which costs no draw:
-q and -q are equally likely (numpy's normals are symmetric, signed zeros
-included) and R(q) = R(-q), so the sign is fair and independent of the
-rotation.  For n <= 2, which has no quaternion, the bits are drawn.  The
-tests check the sampler against an independent oracle, the Q factor of
-a Gaussian matrix with diag(R) made positive.
+the steps is Haar on SO(n); F SO(n), F = diag(-1, 1, ..., 1), is the
+other coset of O(n), so one fair bit per draw, drawn independently of the
+rotation, which flips the sign of row 0, makes the draw Haar on O(n).  A
+step with det -1 on some draws and +1 on others would not: the bit flips
+the coset, not the law within it.  The tests check the sampler against an
+independent oracle, the Q factor of a Gaussian matrix with diag(R) made
+positive.
 
 A seed means ``Generator(SFC64(seed))``, whose normals cost less than
 PCG64's; a Generator passed in is used as given (``_generator``).  The
 sampler builds matrices in blocks of BLOCK // n draws.  Each block
-consumes the stream in the order it uses it: for n >= 3 first its
-(4, m) quaternion normals, then each sweep's own (d + 1, m) normals just
-before its step, n(n+1)/2 - 2 per draw in all; for n <= 2 each sweep's
-normals, n(n+1)/2 - 1 per draw, and after the last sweep its m
-reflection bits, one per draw.  So a block holds one call's normals at a
-time, not all of them.  At n = 3 no sweep runs.  The quaternions have one
-source, ``_quaternion_block``: one (4, m) normal call per block, whose w
-give the reflection signs, taken before an all-zero q is read as
-(1, 0, 0, 0).  ``_realize`` takes its SO(3) base from it, and
-``_quaternions`` yields its blocks as they are.  A block is held
+consumes the stream in the order it uses it: each sweep's (d + 1, m)
+normals just before its step, n(n+1)/2 - 1 per draw in all, then its m
+reflection bits, one per draw, in one ``integers`` call.  So a block
+holds one sweep's normals at a time, not all of them.  A block is held
 draw-minor, as ``rows[row, col, draw]``, so a step is one contraction
 along the draw axis and one rank-1 update of the trailing block, a few
 long numpy calls per sweep whatever its width.  ``_realize`` makes its
 blocks in the five buffers of a ``_workspace`` that its caller builds and
-may pass to later calls: each Monte Carlo worker above n = 3 builds one
-and runs its lanes in it in turn, each lane on the stream it holds, and
-takes the draw-minor blocks as they are; at n = 3 a worker builds only a
-``_quaternion_workspace`` and reads the ``_quaternions`` blocks
-themselves, on the same normals, with no rotation built.
+may pass to later calls: each Monte Carlo worker at n != 3 builds one and
+runs its lanes in it in turn, each lane on the stream it holds, and takes
+the draw-minor blocks as they are.
+
+Quaternions serve only the Monte Carlo lane at n = 3.  There
+``_quaternions`` draws 4 normals q per draw, whose direction is uniform
+on the 3-sphere, so R(q / |q|) is Haar on SO(3) (Shoemake, Graphics Gems
+III, 1992), and takes the sign of w as the reflection bit, which costs no
+draw: q and -q are equally likely (numpy's normals are symmetric, signed
+zeros included) and R(q) = R(-q), so the sign is fair and independent of
+the rotation.  The statistics read q itself and build no rotation.
 sample_orthogonal_batch, the only sampler function that checks and
 coerces its input, builds one ``_workspace`` per call and transposes the
 blocks to one matrix per draw.
@@ -71,22 +62,18 @@ __all__ = [
 #: place or read it in chunks, so no second block is made.  The block and
 #: the sampler's scratch live in one ``_workspace``, which serves every
 #: block of every call it is passed to (a Monte Carlo worker's lanes, in
-#: turn).  Its normals take the widest call's rows, since the quaternion
-#: and each sweep draw theirs into the same buffer: the widest sweep's n,
-#: 128 KB, or at n = 3, where no sweep runs, the quaternion's 4.  A step's
-#: contraction takes n rows of BLOCK // n doubles, its rank-1 update
-#: UPDATE_ROWS rows of the widest sweep, UPDATE_ROWS * (n - 1), and its
-#: per-draw radius, sign and scale three, and the reflection signs one:
-#: 5n + 1 rows with the normals, about 640 KB.  At n = 3, where no step
-#: runs, the buffers take 17 rows (9 of matrices, 4 of normals and 4
-#: per-draw), about 740 KB, and a Monte Carlo lane, which reads the
-#: ``_quaternions`` blocks and builds no matrix, only their
-#: QUATERNION_ROWS, about 350 KB.  On two threads at n = 30 (2-core VM, 2 MB L2 per
-#: core), 2**12 and 2**13 ran 1.4-2x slower than 2**14: a smaller block
-#: spends more of each call in Python, holding the GIL.  2**15 ran about
-#: 9% faster (eight lanes of 1000 draws, median 0.197 s against 0.217 s),
-#: but BLOCK sets which normals and bits each block takes, so a new value
-#: changes every estimate.
+#: turn).  Its normals take the widest sweep's n rows of BLOCK // n
+#: doubles, a step's contraction n, its rank-1 update UPDATE_ROWS rows of
+#: the widest sweep, UPDATE_ROWS * (n - 1), and its per-draw radius, sign
+#: and scale three, and the reflection signs one: 5n + 1 rows beside the
+#: block's n^2, about 640 KB.  A Monte Carlo lane at n = 3, which
+#: reads the ``_quaternions`` blocks and builds no matrix, holds only
+#: their QUATERNION_ROWS, about 350 KB.  On two threads at n = 30 (2-core
+#: VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower than 2**14: a
+#: smaller block spends more of each call in Python, holding the GIL.
+#: 2**15 ran about 9% faster (eight lanes of 1000 draws, median 0.197 s
+#: against 0.217 s), but BLOCK sets which normals and bits each block
+#: takes, so a new value changes every estimate.
 BLOCK = 2**14
 
 #: Rows of the widest sweep's trailing block that one multiply and one add
@@ -122,50 +109,6 @@ def _direct_zeros(g: np.ndarray) -> None:
     """
     if not g[0].all():  # an all-zero column starts with a zero
         g[0][~g.any(axis=0)] = 1.0
-
-
-def _quaternion_base(rows: np.ndarray, q: np.ndarray, draws: np.ndarray) -> None:
-    """Write R(q / |q|) into the trailing 3 x 3 block of the draw-minor (n, n, m) ``rows``.
-
-    ``rows`` is C-contiguous; ``q`` holds the block's (4, m) normals
-    (w, x, y, z), whose direction is uniform on the 3-sphere, so
-    R(q / |q|) is Haar on SO(3) (Shoemake, Graphics Gems III, 1992), with
-    every all-zero column already taken as (1, 0, 0, 0) by
-    ``_direct_zeros``; ``draws`` is two (m) rows of scratch.  R is taken
-    in its Euler-Rodrigues form for a quaternion of any length,
-    R = I + s (w [v]x + [v]x^2), [v]x^2 = v v' - |v|^2 I, s = 2 / |q|^2:
-    with T = |v|^2 = x^2 + y^2 + z^2 and |q|^2 = w^2 + T, each sum added
-    from left to right, the diagonal is 1 + s (v_i^2 - T) and the entry
-    (i, j) off it s (v_i v_j -+ w v_k).  Every call is elementwise along
-    the draw axis, so no draw's bits depend on the block.  Each entry is
-    made of products of two of q's entries, so -q gives the same R bit
-    for bit, which is what lets ``_quaternion_block`` take the sign of w as
-    the reflection bit.  ``q`` is overwritten, and the other entries of
-    ``rows`` are left as they are.
-    """
-    n, m = rows.shape[1], rows.shape[2]
-    scale, total = draws
-    w, v = q[0], q[1:]
-    corner = rows[n - 3 :, n - 3 :]
-    np.multiply(v[:, None], v, out=corner)
-    # entry (j, k) of the 3 x 3 block is flat row b + j n + k
-    flat, b, e = rows.reshape(n * n, m), (n - 3) * (n + 1), n + 1
-    diagonal = flat[b : b + 2 * e + 1 : e]
-    np.add(diagonal[0], diagonal[1], out=total)
-    total += diagonal[2]
-    np.multiply(w, w, out=scale)
-    scale += total
-    np.divide(2.0, scale, out=scale)
-    diagonal -= total
-    v *= w
-    below = flat[b + n : b + n + e + 1 : e]  # (1, 0) and (2, 1): + w z and + w x
-    below += v[::-2]
-    above = flat[b + 1 : b + e + 2 : e]  # (0, 1) and (1, 2): - w z and - w x
-    above -= v[::-2]
-    np.add(flat[b + 2], v[1], out=flat[b + 2])  # (0, 2): + w y
-    np.subtract(flat[b + 2 * n], v[1], out=flat[b + 2 * n])  # (2, 0): - w y
-    corner *= scale
-    diagonal += 1.0
 
 
 def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray, draws: np.ndarray) -> None:
@@ -221,24 +164,6 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
     np.divide(g, radius, out=corner[:, 0])
 
 
-def _quaternion_block(rng: np.random.Generator, q: np.ndarray, signs: np.ndarray) -> None:
-    """Draw one block's quaternions into the (4, m) ``q`` and their reflection signs into the (m) ``signs``.
-
-    One ``rng.standard_normal(out=q)`` call draws the normals
-    q = (w, x, y, z), whose direction is uniform on the 3-sphere.
-    ``signs`` takes the sign of each w, signed zeros included, before
-    ``_direct_zeros`` takes every all-zero q as (1, 0, 0, 0): that sign is
-    the draw's reflection sign, fair and independent of R(q), since q and
-    -q are equally likely (numpy's normals are symmetric bit for bit) and
-    R(q) = R(-q).  This is the one place that draws quaternions: at n = 3
-    the draws of ``_realize`` are F^b R(q) of the very blocks that
-    ``_quaternions`` yields, b set where the sign is -1.
-    """
-    rng.standard_normal(out=q)
-    np.copysign(1.0, q[0], out=signs)
-    _direct_zeros(q)
-
-
 def _quaternion_workspace(count: int) -> np.ndarray:
     """The (QUATERNION_ROWS, c) buffer, c = min(count, BLOCK // 3) (at least one), of ``_quaternions``.
 
@@ -253,21 +178,26 @@ def _quaternions(count: int, rng: np.random.Generator, workspace: np.ndarray) ->
 
     Nothing is checked: count >= 0, a Generator ``rng`` and a
     ``_quaternion_workspace(c)`` for some c >= count are taken as given.
-    The blocks take min(count, BLOCK // 3) draws, the last one fewer, as
-    ``_realize``'s blocks at n = 3 do, and ``_quaternion_block`` writes
-    each one's normals q = (w, x, y, z) into rows 0-3 and its reflection
-    signs into row 4.  Rows 5-7 are the caller's scratch, left as they
-    are.  Each block is yielded in the first entries of ``workspace``,
-    which the next overwrites, and which the caller may overwrite too.
-    The Monte Carlo statistics at n = 3 read the blocks as they are and
-    build no rotation.
+    The blocks take min(count, BLOCK // 3) draws, the last one fewer.
+    Each block makes one ``rng.standard_normal`` call of (4, m), the
+    normals q = (w, x, y, z) in rows 0-3, and row 4 takes the sign of each
+    w, signed zeros included: the draw's reflection sign.  Then
+    ``_direct_zeros`` takes every all-zero q as (1, 0, 0, 0).  Rows 5-7
+    are the caller's scratch, left as they are.  Each block is yielded in
+    the first entries of ``workspace``, which the next overwrites, and
+    which the caller may overwrite too.  The draws are F^b R(q), b set
+    where the sign is -1; the Monte Carlo statistics at n = 3 read the
+    blocks as they are and build no rotation.
     """
     size = max(1, min(count, BLOCK // 3))
     flat = workspace.reshape(-1)
     for start in range(0, count, size):
         m = min(size, count - start)
         block = flat[: QUATERNION_ROWS * m].reshape(QUATERNION_ROWS, m)
-        _quaternion_block(rng, block[:4], block[4])
+        q = block[:4]
+        rng.standard_normal(out=q)
+        np.copysign(1.0, q[0], out=block[4])
+        _direct_zeros(q)
         yield block
 
 
@@ -275,23 +205,20 @@ def _workspace(n: int, count: int) -> tuple[np.ndarray, ...]:
     """The five flat buffers in which ``_realize`` runs up to ``count`` draws.
 
     They take blocks of up to min(count, BLOCK // n) draws (at least one),
-    in the order ``_realize`` takes them: normals (the widest call's rows,
-    the widest sweep's n, or at n = 3, where no sweep runs, the
-    quaternion's 4), the draw-minor block (n^2 rows), the step's dots (n
-    rows) and rank-1 update scratch (UPDATE_ROWS (n - 1) rows), both
-    empty when no sweep runs, and four per-draw rows: the step's radius,
-    sign and scale, then the reflection signs, which for n >= 3 are taken
-    before the first sweep and kept past every step.  Nothing is filled
-    in: ``_realize`` writes every entry it reads.
+    in the order ``_realize`` takes them: normals (n rows, the widest
+    sweep's), the draw-minor block (n^2 rows), the step's dots (n rows)
+    and rank-1 update scratch (UPDATE_ROWS (n - 1) rows), and four per-draw
+    rows: the step's radius, sign and scale, then the reflection signs.
+    At n = 1, where no sweep runs, the normals and dots are empty.  Nothing
+    is filled in: ``_realize`` writes every entry it reads.
     """
     size = max(1, min(count, BLOCK // n))
-    base = 3 if n >= 3 else 1  # as in _realize
-    widest = n if base < n else 0  # the normals of the widest sweep, if any sweep runs
+    widest = n * size if n > 1 else 0  # the normals of the widest sweep, if any sweep runs
     return (
-        np.empty(max(widest, 4 if base == 3 else 0) * size),
+        np.empty(widest),
         np.empty(n * n * size),
-        np.empty(widest * size),
-        np.empty(UPDATE_ROWS * (n - 1) * size if widest else 0),
+        np.empty(widest),
+        np.empty(UPDATE_ROWS * (n - 1) * size),
         np.empty(4 * size),
     )
 
@@ -308,63 +235,44 @@ def _realize(n: int, count: int, rng: np.random.Generator, workspace: tuple[np.n
     and bits in any workspace; a block is made in the first entries of
     each buffer, and the entries it leaves alone are never read.
 
-    Each block of m draws makes its calls on ``rng`` in the order it uses
-    them, every normal call one ``rng.standard_normal(out=...)`` into the
-    normal buffer, which holds the widest call's rows.  For n >= 3 the
-    block first draws its (4, m) quaternions by ``_quaternion_block``,
-    with each draw's reflection sign, the sign of w, and
-    ``_quaternion_base`` writes their rotations, Haar on SO(3), into the
-    trailing 3 x 3 block of the identity.  Then sweep i = n - 3, ..., 1
-    (i = n - 1, ..., 1 for n <= 2, from SO(1) = {1}), with d = n - i,
-    draws its d + 1 rows of normals just before its step: n(n+1)/2 - 2 normals per draw in all for
-    n >= 3, none of them in a sweep at n = 3, and n(n+1)/2 - 1 for
-    n <= 2.  For n <= 2 only, after the last sweep
-    ``rng.integers(0, 2, size=m)`` draws the reflection bits, one per
-    draw, and a bit b becomes the sign 1 - 2b; for n >= 3 the block calls
-    no ``integers``.  The sweeps are applied from the left (the subgroup
-    algorithm): before sweep i the product is diag(I_i, C),
-    C in SO(d) Haar, and ``_step`` multiplies its trailing
-    (d + 1) x (d + 1) block diag(1, C) by one M in SO(d + 1) with
-    M e_0 = g / |g|, uniform on the sphere, which leaves M diag(1, C) Haar
-    on SO(d + 1).  A block is held as ``rows[row, col, draw]``, so the
-    quaternion block and each step are O(1) numpy calls over the whole
-    corner along the draw axis, plus a step's rank-1 update in calls of
-    at least UPDATE_ROWS rows of the widest sweep.  The product is Haar on
-    SO(n); the reflection sign multiplies row 0 in place at every n, and
-    F SO(n), F = diag(-1, 1, ..., 1), is the other coset, so the draws
-    are Haar on O(n).  Each block is yielded in the workspace's block
-    buffer, which the next overwrites, and which the caller may overwrite
-    too; so a caller holds one workspace whatever ``count``, and may pass
-    it to the next call once this one is spent.  Transposed to (m, n, n)
-    and concatenated, the blocks are the bits of sample_orthogonal_batch.
+    Each block of m draws starts from the identity, SO(1) = {1} in its
+    last entry, and makes its calls on ``rng`` in the order it uses them.
+    Sweep i = n - 1, ..., 1, with d = n - i, draws its d + 1 rows of
+    normals by one ``rng.standard_normal(out=...)`` into the normal buffer
+    just before its step, n(n+1)/2 - 1 normals per draw in all.  The
+    sweeps are applied from the left (the subgroup algorithm): before
+    sweep i the product is diag(I_i, C), C in SO(d) Haar, and ``_step``
+    multiplies its trailing (d + 1) x (d + 1) block diag(1, C) by one M in
+    SO(d + 1) with M e_0 = g / |g|, uniform on the sphere, which leaves
+    M diag(1, C) Haar on SO(d + 1).  Each step is O(1) numpy calls over
+    the whole corner along the draw axis, plus its rank-1 update in calls
+    of at least UPDATE_ROWS rows of the widest sweep.  After the last
+    sweep ``rng.integers(0, 2, size=m)`` draws the reflection bits, one
+    per draw, and a bit b multiplies row 0 by 1 - 2b in place: F SO(n),
+    F = diag(-1, 1, ..., 1), is the other coset, so the draws are Haar on
+    O(n).  Each block is yielded in the workspace's block buffer, which
+    the next overwrites, and which the caller may overwrite too; so a
+    caller holds one workspace whatever ``count``, and may pass it to the
+    next call once this one is spent.  Transposed to (m, n, n) and
+    concatenated, the blocks are the bits of sample_orthogonal_batch.
     """
     size = max(1, min(count, BLOCK // n))
-    base = 3 if n >= 3 else 1  # the sweeps start from diag(I_(n - base), SO(base))
     normal_buf, row_buf, dots_buf, work, draw_buf = workspace
     eye = np.eye(n)[:, :, None]
     for start in range(0, count, size):
         m = min(size, count - start)
         rows = row_buf[: n * n * m].reshape(n, n, m)
         draws = draw_buf[: 4 * m].reshape(4, m)
-        signs = draws[3]  # no step touches it
-        if base == 3:
-            # rows n - 3 on, left of the corner, are each written by the first
-            # column of the step that reaches them before anything reads them
-            rows[: n - 3] = eye[: n - 3]
-            q = normal_buf[: 4 * m].reshape(4, m)
-            _quaternion_block(rng, q, signs)
-            _quaternion_base(rows, q, draws[:2])
-        else:
-            rows[...] = eye
-        for i in range(n - base, 0, -1):
+        rows[...] = eye
+        for i in range(n - 1, 0, -1):
             d = n - i
             g = normal_buf[: (d + 1) * m].reshape(d + 1, m)
             rng.standard_normal(out=g)
             dots = dots_buf[: (d + 1) * m].reshape(d + 1, m)
             _step(rows[i - 1 :, i - 1 :], g, dots, work, draws[:3])
-        if base == 1:
-            np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
-            signs += 1.0
+        signs = draws[3]
+        np.multiply(rng.integers(0, 2, size=m), -2.0, out=signs)
+        signs += 1.0
         rows[0] *= signs
         yield rows
 
@@ -375,12 +283,10 @@ def sample_orthogonal_batch(n: int, count: int, rng) -> np.ndarray:
     Vectorized across the batch; for a fixed (n, count, seed) the output
     is bit-reproducible.  ``rng`` may be a seed, which means
     ``Generator(SFC64(seed))``, or a Generator, used as given.  The draws
-    come in blocks of BLOCK // n, and each block draws 4 normals per draw
-    for its quaternion block when n >= 3, whose w gives the draw's
-    reflection bit, then each sweep's normals as the sweep runs,
-    n(n+1)/2 - 2 per draw in all; for n <= 2 it draws n(n+1)/2 - 1
-    normals per draw and then one reflection bit per draw.  The bit flips
-    the sign of row 0 (see ``_realize``).  This is the sampler's one
+    come in blocks of BLOCK // n, and each block draws each sweep's
+    normals as the sweep runs, n(n+1)/2 - 1 per draw in all, and then one
+    reflection bit per draw, at every n.  The bit flips the sign of row 0
+    (see ``_realize``).  This is the sampler's one
     entry point that checks its input: ValueError for n < 1 or count < 0,
     before anything is drawn.
     """

@@ -39,11 +39,9 @@ powers of H' D_a H D_b, through a batched matmul on row-major copies of
 the block in chunks of CHUNK // n^2 draws, so a worker holds its block
 and three chunks of at most CHUNK entries, not a second block.  There
 p_1 costs zonal-split one more squares pass per block: at n = 30 about
-0.6 ms per 546 draws (2-vCPU VM, Python 3.11.7, numpy 2.4.6).  With p_1
-taken one way, zonal-split's output differs from that of the three ways
-before it in its last digits at n = 2 and n >= 4; every other output
-kept its bytes.  At n = 1, O(1) = {-1, 1}, every statistic but
-exp-series' is constant and its exact value is reported with no draw.
+0.6 ms per 546 draws (2-vCPU VM, Python 3.11.7, numpy 2.4.6).  At n = 1,
+O(1) = {-1, 1}, every statistic but exp-series' is constant and its
+exact value is reported with no draw.
 This module and ``haar`` are the only ones that import numpy.
 """
 
@@ -177,11 +175,10 @@ def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> M
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
     Each lane of ``_sample_chunks`` draws its matrices block by block from
-    ``haar._realize`` on its own spawned stream, SFC64 for a seed (the
-    quaternion normals for n >= 3, whose w gives each draw's reflection
-    bit, then each sweep's normals as it runs; for n <= 2 the sweeps'
-    normals, then the block's reflection bits), or at n = 3 takes the
-    same quaternion blocks from ``haar._quaternions`` itself, and reduces
+    ``haar._realize`` on its own spawned stream, SFC64 for a seed (each
+    sweep's normals as it runs, then the block's reflection bits), or at
+    n = 3 its quaternion blocks from ``haar._quaternions`` (one call of 4
+    normals per draw, whose w gives each draw's reflection bit), and reduces
     ``statistic(block) -> values`` to the block's (count, mean, M2) at
     once, so it holds one block of draws and its values, whatever the
     budget.  The lanes run on
@@ -299,8 +296,8 @@ def _squares_dot(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _sum_rows(_sum_rows(q))
 
 
-def _outer(a: DiagonalSpec, b: DiagonalSpec) -> list[list[Fraction]]:
-    """The exact outer product a b' of two spectra."""
+def _outer(a, b) -> list[list]:
+    """The outer product a b' of two vectors, exact for Fractions: spectra, or their ``_complements``."""
     return [[x * y for y in b] for x in a]
 
 
@@ -326,7 +323,7 @@ def _minor_squares(block: np.ndarray) -> np.ndarray:
 
     The block is a ``haar._quaternions`` block: q = (w, x, y, z) in rows
     0-3, no column all zero.  With u = w^2 - z^2 and v = x^2 - y^2,
-    Shoemake's R (``haar._quaternion_base``) has |q|^2 R_00 = u + v,
+    Shoemake's R (Graphics Gems III, 1992) has |q|^2 R_00 = u + v,
     |q|^2 R_11 = u - v, |q|^2 R_01 = 2 (xy - wz) and
     |q|^2 R_10 = 2 (xy + wz), and |q|^2 = (w^2 + z^2) + (x^2 + y^2).  Rows
     0-3 become (u + v)^2, (xy - wz)^2, (xy + wz)^2 and (u - v)^2, the
@@ -382,7 +379,7 @@ def _power_sums(a: DiagonalSpec, b: DiagonalSpec, k: int):
     a_I b_J det(H_IJ)^2, so e_1 = p_1 and e_n = prod a_i prod b_j, taken
     exactly and rounded once; each (n - 1)-minor of an orthogonal H is
     +-det(H) H_ij, since the adjugate is det(H) H', so at n = 3
-    e_2 = sum a^_i b^_j H_ij^2 with the ``_cofactor_weights``, read on
+    e_2 = sum a^_i b^_j H_ij^2, a^ and b^ the ``_complements``, read on
     p_1's squares.  Up to n = 3 that is every e_j, and Newton's identities
     (``_newton``) give p_2..p_k.  Above, ``_gemm_power_sums`` takes them
     as traces of matrix powers, reading the block before ``_squares_dot``
@@ -395,7 +392,7 @@ def _power_sums(a: DiagonalSpec, b: DiagonalSpec, k: int):
     if n == 3:
         w = _outer(a, b)
         e1 = _reduced(w)
-        e2 = _reduced(_cofactor_weights(w)) if newton else None
+        e2 = _reduced(_outer(_complements(a), _complements(b))) if newton else None
     else:
         w = np.outer(a.floats(), b.floats())
 
@@ -437,15 +434,9 @@ def _trace_power_statistic(a: DiagonalSpec, b: DiagonalSpec, f: int):
     return statistic
 
 
-def _cofactor_weights(w) -> list[list]:
-    """The outer product of a^ and b^, a^_i the product of a_k over k != i, from w = a b'.
-
-    Entry (i, j) is the product of w over any matching of the rows other
-    than i with the columns other than j, in the type of w's entries
-    (exact for Fractions); for n = 1 it is 1.
-    """
-    others = [[k for k in range(len(w)) if k != i] for i in range(len(w))]
-    return [[prod(w[r][c] for r, c in zip(rows, cols)) for cols in others] for rows in others]
+def _complements(a) -> list:
+    """a^, a^_i the product of a_k over k != i, in the type of a's entries (exact for Fractions)."""
+    return [prod(x for k, x in enumerate(a) if k != i) for i in range(len(a))]
 
 
 def _weighted_sum(v: np.ndarray, squares: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -293,7 +293,12 @@ def character_degree(kappa) -> int:
 
 @lru_cache(maxsize=None)
 def _character_degree(kappa: Partition) -> int:
-    """``character_degree`` once per partition: every exact sum over kappa asks for it again."""
+    """``character_degree`` once per partition.
+
+    ``table`` and ``verify`` ask for each kappa once, so the cache saves
+    them nothing; ``moments._character_table`` asks again for the same
+    kappa at each n of a degree f, and those repeats read the cache.
+    """
     return sym_group_degree(kappa.doubled())
 
 

@@ -7,7 +7,8 @@ grouped by value and summed by target rather than listed one choice at
 a time, its exact values come from an integer recursion over the
 variables rather than from orbit sums or the branching rule, its Haar
 sampler runs the subgroup algorithm rather than a QR factorization, and
-no package code checks a sampled matrix for orthogonality.
+no package code checks a sampled matrix for orthogonality or builds the
+rotation of a quaternion.
 ``bilinear_reference`` reads the package's full rows and closed forms,
 but none of its exact-integral machinery: no capped row and no cached
 character table.  ``residual_values`` is no independent reference: it is
@@ -91,6 +92,38 @@ def oracle_sample_batch(n: int, count: int, rng) -> np.ndarray:
         out[pending[ok]] = q[ok]
         pending = pending[~ok]
     return out
+
+
+def reflect_row_zero(q: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Each draw of a (count, n, n) stack with row 0 times 1 - 2 b, b its bit, in place."""
+    q[:, 0] *= (1.0 - 2.0 * bits)[:, None]
+    return q
+
+
+def quaternion_rotation(quats: np.ndarray) -> np.ndarray:
+    """Row-major (count, 3, 3) rotations R(q / |q|) of (count, 4) quaternions q = (w, x, y, z).
+
+    The textbook formula R = I + 2 / |q|^2 (w [v]x + [v]x^2) (Euler and
+    Rodrigues) for the quaternion (w, v) of any length, written entry by
+    entry with [v]x^2 = v v' - |v|^2 I; sums add from left to right.  An
+    all-zero q is taken as (1, 0, 0, 0): the identity.
+    """
+    quats = quats.copy()
+    quats[~quats.any(axis=1), 0] = 1.0
+    w, x, y, z = quats.T
+    vv = x * x + y * y + z * z
+    s = 2.0 / (w * w + vv)
+    entries = [
+        [1.0 + s * (x * x - vv), s * (x * y - w * z), s * (x * z + w * y)],
+        [s * (y * x + w * z), 1.0 + s * (y * y - vv), s * (y * z - w * x)],
+        [s * (z * x - w * y), s * (z * y + w * x), 1.0 + s * (z * z - vv)],
+    ]
+    return np.stack([np.stack(row, axis=1) for row in entries], axis=1)
+
+
+def quaternion_matrices(block: np.ndarray) -> np.ndarray:
+    """The (m, 3, 3) draws F^b R(q) of one ``haar._quaternions`` block, b set where its row 4 is -1."""
+    return reflect_row_zero(quaternion_rotation(block[:4].T), (block[4] < 0).astype(np.int64))
 
 
 def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:

@@ -1,4 +1,4 @@
-"""The Householder subgroup Haar sampler and its QR oracle."""
+"""The Householder subgroup Haar sampler, the quaternion blocks of the n = 3 Monte Carlo lane, and the QR oracle."""
 
 import itertools
 import math
@@ -21,7 +21,7 @@ from zonalpoly.haar import (
     sample_orthogonal_batch,
 )
 
-from oracles import oracle_sample_batch, orthogonality_check
+from oracles import oracle_sample_batch, orthogonality_check, quaternion_matrices, reflect_row_zero
 
 
 def rounded_ks(xs, ys):
@@ -35,47 +35,35 @@ def rounded_ks(xs, ys):
 
 
 def stream_calls(n):
-    """The calls on the normal stream that make one block, in order, as (name, rows per draw).
+    """The sweeps that make one block, in stream order, as (i, rows per draw).
 
-    At n >= 3 the block first draws its quaternions, 4 normals per draw,
-    and then each sweep i = n - 3, ..., 1 draws n - i + 1; at n <= 2 the
-    sweeps i = n - 1, ..., 1 start from SO(1) = {1}.
+    The sweeps i = n - 1, ..., 1 start from SO(1) = {1}, and sweep i draws
+    n - i + 1 normals per draw.
     """
-    base = [("base", 4)] if n >= 3 else []
-    first = n - 3 if n >= 3 else n - 1
-    return base + [(i, n - i + 1) for i in range(first, 0, -1)]
+    return [(i, n - i + 1) for i in range(n - 1, 0, -1)]
 
 
 def normal_rows(n):
-    """Normals per draw: n(n+1)/2 - 2 at n >= 3, n(n+1)/2 - 1 below."""
+    """Normals per draw: n(n+1)/2 - 1."""
     return sum(width for _, width in stream_calls(n))
 
 
 def split_normals(n, normals):
-    """Each call's (count, rows) normals by name, from (count, normal_rows(n)) normals in stream order."""
+    """Each sweep's (count, rows) normals by i, from (count, normal_rows(n)) normals in stream order."""
     out, first = {}, 0
-    for name, width in stream_calls(n):
-        out[name] = normals[:, first : first + width]
+    for i, width in stream_calls(n):
+        out[i] = normals[:, first : first + width]
         first += width
     return out
-
-
-def quaternion_bits(normals):
-    """The reflection bits of (rows, count) normals at n >= 3: the sign bits of the quaternions' w.
-
-    w is the first normal of each draw, as drawn (a w of -0.0 has its bit
-    set).
-    """
-    return np.signbit(normals[0]).astype(np.int64)
 
 
 def strided_reference_draw(n, count, rng):
     """(count, rows) normals and (count,) bits, drawn as sample_orthogonal_batch draws them.
 
-    Per block of BLOCK // n draws, each call of ``stream_calls`` in one
-    (rows, m) draw, in turn; at n >= 3 a draw's bit is the sign bit of its
-    quaternion's w, and at n <= 2 the block then draws its m bits, one per
-    draw.  The normals of a draw are laid out in the same order.
+    Per block of BLOCK // n draws, each sweep of ``stream_calls`` in one
+    (rows, m) draw, in turn, and then the block's m bits, one per draw, in
+    one ``integers`` call.  The normals of a draw are laid out in the same
+    order.
     """
     size = max(1, min(count, BLOCK // n))
     normals, bits = [], []
@@ -83,35 +71,8 @@ def strided_reference_draw(n, count, rng):
         m = min(size, count - start)
         calls = [rng.standard_normal((width, m)) for _, width in stream_calls(n)]
         normals.append(np.concatenate(calls or [np.empty((0, m))]).T)
-        bits.append(quaternion_bits(calls[0]) if n >= 3 else rng.integers(0, 2, size=m))
+        bits.append(rng.integers(0, 2, size=m))
     return np.concatenate(normals), np.concatenate(bits)
-
-
-def reflect_row_zero(q, bits):
-    """Each draw of a (count, n, n) stack with row 0 times 1 - 2 b, b its bit, in place."""
-    q[:, 0] *= (1.0 - 2.0 * bits)[:, None]
-    return q
-
-
-def quaternion_rotation(quats):
-    """Row-major (count, 3, 3) rotations R(q / |q|) of (count, 4) quaternions q = (w, x, y, z).
-
-    The textbook formula R = I + 2 / |q|^2 (w [v]x + [v]x^2) (Euler and
-    Rodrigues) for the quaternion (w, v) of any length, written entry by
-    entry with [v]x^2 = v v' - |v|^2 I; sums add from left to right.  An
-    all-zero q is taken as (1, 0, 0, 0): the identity.
-    """
-    quats = quats.copy()
-    quats[~quats.any(axis=1), 0] = 1.0
-    w, x, y, z = quats.T
-    vv = x * x + y * y + z * z
-    s = 2.0 / (w * w + vv)
-    entries = [
-        [1.0 + s * (x * x - vv), s * (x * y - w * z), s * (x * z + w * y)],
-        [s * (y * x + w * z), 1.0 + s * (y * y - vv), s * (y * z - w * x)],
-        [s * (z * x - w * y), s * (z * y + w * x), 1.0 + s * (z * z - vv)],
-    ]
-    return np.stack([np.stack(row, axis=1) for row in entries], axis=1)
 
 
 def strided_reference_step(q, i, g):
@@ -145,40 +106,16 @@ def strided_reference_step(q, i, g):
 def strided_reference_realize(n, normals, bits):
     """Matrices from (count, rows) normals and (count,) bits on a C-ordered stack.
 
-    The subgroup order: at n >= 3 the trailing 3 x 3 block of the
-    identity becomes the quaternion's rotation, then the steps are applied
-    from the left, sweep by sweep in stream order, each on the trailing
-    rows and columns i - 1, ..., n - 1, and then row 0 of each draw is
-    reflected by its bit.  The package's draw-minor sweep must reproduce it
-    bit for bit.
+    The subgroup order: from the identity, the steps are applied from the
+    left, sweep by sweep in stream order, each on the trailing rows and
+    columns i - 1, ..., n - 1, and then row 0 of each draw is reflected by
+    its bit.  The package's draw-minor sweep must reproduce it bit for
+    bit.
     """
     q = np.broadcast_to(np.eye(n), (len(bits), n, n)).copy()
-    for name, g in split_normals(n, normals).items():
-        if name == "base":
-            q[:, n - 3 :, n - 3 :] = quaternion_rotation(g)
-        else:
-            strided_reference_step(q, name, g)
+    for i, g in split_normals(n, normals).items():
+        strided_reference_step(q, i, g)
     return reflect_row_zero(q, bits)
-
-
-def dense_base(n, quat):
-    """The quaternion block of one draw as a dense n x n matrix: diag(I_(n-3), R).
-
-    R has entries 1 - 2 (y^2 + z^2), 2 (x y - w z), ... in u = q / |q|,
-    by ``np.linalg.norm``: Shoemake's form, which rounds differently from
-    ``quaternion_rotation``; the identity for an all-zero q.
-    """
-    out = np.eye(n)
-    radius = np.linalg.norm(quat)
-    if radius == 0.0:
-        return out
-    w, x, y, z = quat / radius
-    out[n - 3 :, n - 3 :] = [
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ]
-    return out
 
 
 def dense_step(n, i, g):
@@ -204,21 +141,18 @@ def dense_step(n, i, g):
 
 
 def left_to_right_product(n, normals, bits):
-    """The same matrices as dense products F^b E_1 E_2 ... E_k B, formed left to right.
+    """The same matrices as dense products F^b E_1 E_2 ... E_(n-1), formed left to right.
 
-    E_i is sweep i's ``dense_step``, k = n - 3 (n - 1 at n <= 2), and B the
-    ``dense_base`` (the identity at n <= 2).  It rounds differently from
-    the subgroup order and builds each factor from its definition, so it
-    is an independent check of the product, not of its bits.
+    E_i is sweep i's ``dense_step``.  It rounds differently from the
+    subgroup order and builds each factor from its definition, so it is an
+    independent check of the product, not of its bits.
     """
-    by_call = split_normals(n, normals)
+    by_sweep = split_normals(n, normals)
     out = np.empty((len(bits), n, n))
     for k in range(len(bits)):
         q = np.eye(n)
-        for i in range(1, n - 2 if n >= 3 else n):
-            q = q @ dense_step(n, i, by_call[i][k])
-        if n >= 3:
-            q = q @ dense_base(n, by_call["base"][k])
+        for i in range(1, n):
+            q = q @ dense_step(n, i, by_sweep[i][k])
         out[k] = q
     return reflect_row_zero(out, bits)
 
@@ -228,17 +162,27 @@ def strided_reference_batch(n, count, rng):
     return strided_reference_realize(n, *strided_reference_draw(n, count, rng))
 
 
+def quaternion_lane_batch(n, count, rng):
+    """The (count, 3, 3) draws F^b R(q) of the n = 3 Monte Carlo lane's ``_quaternions`` blocks on ``rng``.
+
+    The rotations are built by the textbook formula (``quaternion_matrices``),
+    as the package never builds them.
+    """
+    assert n == 3
+    blocks = _quaternions(count, rng, _quaternion_workspace(count))
+    return np.concatenate([quaternion_matrices(block) for block in blocks])
+
+
 class FixedNormals:
     """A generator stand-in: fixed normals, and bits from a generator seeded with ``seed``.
 
     The (rows, count) normals are laid out in stream order, so each call
     is served the first rows not yet served.  With ``seed=None`` every bit
-    is 0: no draw is reflected.  With ``draws_bits=False`` an ``integers``
-    call fails the test: at n >= 3 the sampler draws no bits.
+    is 0: no draw is reflected.
     """
 
-    def __init__(self, normals, seed, draws_bits=True):
-        self.normals, self.first, self.draws_bits = normals, 0, draws_bits
+    def __init__(self, normals, seed):
+        self.normals, self.first = normals, 0
         self.bits = None if seed is None else np.random.default_rng(seed)
 
     def standard_normal(self, out):
@@ -247,7 +191,6 @@ class FixedNormals:
         return out
 
     def integers(self, low, high, size):
-        assert self.draws_bits, "a reflection bit drawn at n >= 3"
         if self.bits is None:
             return np.zeros(size, dtype=np.int64)
         return self.bits.integers(low, high, size=size)
@@ -256,40 +199,22 @@ class FixedNormals:
 def realize_with_twin(n, normals, seed):
     """``_realize`` of one block of (rows, count) normals, with the (count,) bits it took.
 
-    The normals are fed through ``FixedNormals``.  At n >= 3 the bits are
-    the ``quaternion_bits`` of the normals, and any ``integers`` call
-    fails; at n <= 2 they come from a twin of its generator, in the one
-    call of one bit per draw that a single block makes (all 0 for
-    ``seed=None``).  The draw-minor block is transposed to a (count, n, n)
-    stack.
+    The normals are fed through ``FixedNormals``, and the bits come from a
+    twin of its generator, in the one call of one bit per draw that a
+    single block makes (all 0 for ``seed=None``).  The draw-minor block is
+    transposed to a (count, n, n) stack.
     """
     normals = np.asarray(normals, dtype=float).reshape(normal_rows(n), -1)
     count = normals.shape[1]
     assert count <= BLOCK // n
-    rng = FixedNormals(normals, seed, draws_bits=n <= 2)
+    rng = FixedNormals(normals, seed)
     (block,) = _realize(n, count, rng, _workspace(n, count))
     assert rng.first == len(normals)  # every normal served, none left over
-    if n >= 3:
-        bits = quaternion_bits(normals)
-    elif seed is None:
+    if seed is None:
         bits = np.zeros(count, dtype=np.int64)
     else:
         bits = np.random.default_rng(seed).integers(0, 2, size=count)
     return block.transpose(2, 0, 1).copy(), bits
-
-
-def unreflected(n, normals):
-    """(rows, count) normals whose draws keep their rotations and take bit 0.
-
-    At n >= 3 each quaternion whose w has its sign bit set is negated:
-    R(q) = R(-q) bit for bit (for a nonzero q), so only the bit changes.
-    At n <= 2, where the bits do not come from the normals, a copy of the
-    normals.
-    """
-    normals = np.array(normals, dtype=float).reshape(normal_rows(n), -1)
-    if n >= 3:
-        normals[:4] *= 1.0 - 2.0 * quaternion_bits(normals)
-    return normals
 
 
 def signs(n, bits):
@@ -298,11 +223,11 @@ def signs(n, bits):
 
 
 def special_sweeps(width):
-    """Normals of one call, a sweep or a quaternion, with exact zeros in its step or rotation.
+    """Normals of one sweep with exact zeros in its step.
 
     Every vector of +-0.0 and +-1.0: one-hot vectors, equal magnitudes,
-    signed zeros and all-zero calls, where a step or rotation that skips
-    rows or reorders its roundings flips signed zeros.
+    signed zeros and all-zero calls, where a step that skips rows or
+    reorders its roundings flips signed zeros.
     """
     return list(itertools.product((0.0, -0.0, 1.0, -1.0), repeat=width))
 
@@ -318,17 +243,14 @@ class TestRealize:
         assert np.allclose(q, signs(2, bits) @ expected, atol=1e-15)
 
     def test_all_reflections_no_rotation(self):
-        # every sweep's normals e_0 times a positive scale and every
-        # quaternion e_0 times a scale of either sign: the quaternion block
-        # and each step are the identity, and the sign of the scale is the
-        # reflection
+        # every sweep's normals e_0 times a positive scale: each step is the
+        # identity, and the drawn bits are the reflections
         for n in (3, 4, 6):
             normals = np.zeros((normal_rows(n), 16))
             first = np.cumsum([0] + [width for _, width in stream_calls(n)][:-1])
             normals[first] = np.linspace(0.5, 2.0, 16)
-            normals[0, 1::3] *= -1.0
             qs, bits = realize_with_twin(n, normals, 2)
-            assert bits.any() and not bits.all()  # the quaternions reach the reflection and the identity
+            assert bits.any() and not bits.all()  # the bits reach the reflection and the identity
             assert np.array_equal(qs, signs(n, bits)), n
 
     def test_rotation_times_inverse(self):
@@ -341,10 +263,9 @@ class TestRealize:
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_reflection_flips_row_zero_only(self, n):
         # the product of the steps alone lies in SO(n); a set bit negates row 0
-        # and leaves rows 1..n-1 as they were, bit for bit (at n >= 3 the
-        # draws without a reflection take the negated quaternions)
+        # and leaves rows 1..n-1 as they were, bit for bit
         normals = np.random.default_rng(70 + n).standard_normal((normal_rows(n), 300))
-        rotations, _ = realize_with_twin(n, unreflected(n, normals), None)
+        rotations, _ = realize_with_twin(n, normals, None)
         assert np.all(np.abs(np.linalg.det(rotations) - 1.0) <= 1e-12)
         got, bits = realize_with_twin(n, normals, n)
         assert bits.any() and not bits.all()
@@ -359,7 +280,7 @@ class TestRealize:
         assert bits.any() and not bits.all()
         assert np.all(np.abs(np.linalg.det(got) - (1.0 - 2.0 * bits)) <= 1e-12)
 
-    @pytest.mark.parametrize("n", (2, 4, 5, 30))
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 30))
     def test_first_column_is_the_first_sweep_direction(self, n):
         # column 0 of a draw is F^b g / |g|, g the normals of sweep 1 (the
         # last n rows), |g| the square root of g_0^2 + ... + g_(n-1)^2 added
@@ -374,19 +295,9 @@ class TestRealize:
         want[0] *= 1.0 - 2.0 * bits
         assert np.array_equal(got[:, :, 0].view(np.int64), want.T.view(np.int64))
 
-    def test_three_dimensional_draw_is_the_quaternion_rotation(self):
-        # at n = 3 no step runs: a draw is F^b R(q / |q|), R built entry by
-        # entry from the textbook formula on a row-major 3 x 3, bit for bit
-        normals = np.random.default_rng(95).standard_normal((4, 300))
-        got, bits = realize_with_twin(3, normals, 3)
-        assert bits.any() and not bits.all()
-        want = reflect_row_zero(quaternion_rotation(normals.T), bits)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_special_angles_match_strided_reference(self, n):
-        # special normals give steps and quaternion blocks with exact zeros
-        # in their entries
+        # special normals give steps with exact zeros in their entries
         choices = [special_sweeps(width) for _, width in stream_calls(n)]
         rng = np.random.default_rng(n)
         if math.prod(map(len, choices)) <= 2000:
@@ -402,11 +313,10 @@ class TestRealize:
 
     @pytest.mark.parametrize("n", (2, 3, 6))
     def test_zero_tails_are_identity_rotations(self, n):
-        # numpy's normals include +-0.0; a sweep or a quaternion whose normals
-        # are all zero would make its step or its rotation 0 / 0 and every
-        # entry of the draw NaN, and is the identity instead.  Shorter zero
-        # tails g_r = ... = 0, r > 0, are no special case, and every draw
-        # matches the reference
+        # numpy's normals include +-0.0; a sweep whose normals are all zero
+        # would make its step 0 / 0 and every entry of the draw NaN, and is
+        # the identity instead.  Shorter zero tails g_r = ... = 0, r > 0,
+        # are no special case, and every draw matches the reference
         rng = np.random.default_rng(40 + n)
         normals = rng.standard_normal((normal_rows(n), 300))
         first = 0
@@ -440,49 +350,12 @@ class TestRealize:
                 haar._step(corner, g, np.empty((d + 1, m)), np.empty(d * d * m), np.empty((3, m)))
             assert np.array_equal(corner, before), d
 
-    @pytest.mark.parametrize("n", (3, 5))
-    def test_zero_quaternion_is_identity(self, n):
-        # an all-zero q has no direction either: ``_direct_zeros`` takes it as
-        # (1, 0, 0, 0), so the trailing 3 x 3 block is the identity, in
-        # value, with no warning, whatever the signs of its zeros, and the
-        # entries outside it are left as they were
-        m = 8
-        rows = np.random.default_rng(n).standard_normal((n, n, m))
-        want = rows.copy()
-        want[n - 3 :, n - 3 :] = np.eye(3)[:, :, None]
-        q = np.random.default_rng(n).choice((0.0, -0.0), (4, m))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            haar._direct_zeros(q)
-            haar._quaternion_base(rows, q, np.empty((2, m)))
-        assert np.array_equal(rows, want)
-
-    @pytest.mark.parametrize("n", (3, 5))
-    def test_negated_quaternion_is_the_same_rotation(self, n):
-        # every entry of R(q) is made of products of two entries of q, so -q
-        # gives the same rotation bit for bit, signed zeros included: the sign
-        # of w is free to serve as the reflection bit.  An all-zero q gives
-        # the identity either way, but its zeros take the signs of v w
-        rng = np.random.default_rng(120 + n)
-        q = np.concatenate([rng.standard_normal((4, 300)), np.array(special_sweeps(4)).T], axis=1)
-        m = q.shape[1]
-        got = []
-        for quats in (q, -q):
-            rows = np.zeros((n, n, m))
-            quats = quats.copy()
-            haar._direct_zeros(quats)
-            haar._quaternion_base(rows, quats, np.empty((2, m)))
-            got.append(rows)
-        nonzero = q.any(axis=0)
-        assert np.count_nonzero(~nonzero) == 16  # the all-zero calls of the special values
-        assert np.array_equal(got[0][..., nonzero].view(np.int64), got[1][..., nonzero].view(np.int64))
-        assert np.array_equal(got[0], got[1])
-
     @pytest.mark.parametrize("n", (1, 2, 3, 5))
     def test_bits_drawn_only_without_a_quaternion(self, n):
-        # at n <= 2 each block makes one integers call, of one bit per draw,
-        # after its normals; at n >= 3 the quaternions' w are the bits and
-        # no block calls integers
+        # at every n each block of _realize makes one integers call, of one
+        # bit per draw, after its sweeps' normals; the quaternion blocks of
+        # the n = 3 lane take their bits from the signs of w and make one
+        # normal call each and no integers call
         calls = []
 
         class Spy:
@@ -505,8 +378,13 @@ class TestRealize:
         per_block = len(stream_calls(n))
         want = []
         for m in widths:
-            want += [("normal", m)] * per_block + ([("integers", m)] if n <= 2 else [])
+            want += [("normal", m)] * per_block + [("integers", m)]
         assert calls == want
+        if n == 3:
+            calls.clear()
+            blocks = _quaternions(count, Spy(np.random.default_rng(n)), _quaternion_workspace(count))
+            assert [block.shape[1] for block in blocks] == widths
+            assert calls == [("normal", m) for m in widths]
 
     def test_quaternion_blocks_take_one_normal_call_each(self):
         # blocks of BLOCK // 3 draws, the last one shorter, each one
@@ -559,25 +437,6 @@ class TestRealize:
         assert rng.calls == [(4, m) for m in widths]
         assert list(np.copysign(1.0, zeros[0, :2])) == [1.0, -1.0]
 
-    @pytest.mark.parametrize("count", (1, BLOCK // 3, 2 * (BLOCK // 3) + 7))
-    def test_realize_at_three_replays_the_quaternion_blocks(self, count):
-        # on two generators of one seed, _realize at n = 3 and _quaternions
-        # consume the same normals, block for block, and leave their streams
-        # in the same state; each realized draw is F^b R(q) of the quaternion
-        # block's q, with b set where its row 4 is -1
-        seen, realized = [], []
-        gen_q, gen_r = (np.random.Generator(np.random.SFC64(11)) for _ in range(2))
-        for block in _quaternions(count, gen_q, _quaternion_workspace(count)):
-            seen.append(block[:5].copy())
-        for block in _realize(3, count, gen_r, _workspace(3, count)):
-            realized.append(block.transpose(2, 0, 1).copy())
-        assert np.array_equal(gen_q.standard_normal(8), gen_r.standard_normal(8))
-        assert [b.shape[1] for b in seen] == [r.shape[0] for r in realized]
-        for block, got in zip(seen, realized):
-            bits = (block[4] < 0).astype(np.int64)
-            want = reflect_row_zero(quaternion_rotation(block[:4].T), bits)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
     @pytest.mark.parametrize("n", (1, 2, 3, 5, 30))
     def test_realized_matrices_are_orthogonal(self, n):
         qs = sample_orthogonal_batch(n, 10, np.random.default_rng(91))
@@ -586,17 +445,15 @@ class TestRealize:
 
     def test_sampler_scratch_is_capped(self):
         # the sampler holds its block (n^2 doubles per draw), the widest
-        # call's normals (the sweep's n, or the quaternion's 4 at n = 3), and
-        # when a sweep runs the step's dots (n) and rank-1 update scratch
+        # sweep's normals (n), the step's dots (n) and rank-1 update scratch
         # (UPDATE_ROWS (n - 1)); then four per-draw rows, the step's three
         # and the reflection signs, plus numpy's transients: the ufunc
         # buffers of np.getbufsize() elements that broadcast in-place updates
-        # take, about two at n = 30 (measured), three allowed.  At n >= 3 no
-        # row of bits is drawn
+        # take, about two at n = 30 (measured), three allowed, which also
+        # hold each block's m bits from integers
         for n, count in ((3, 20_000), (30, 5_000)):
             size = BLOCK // n
-            steps = 0 if n == 3 else n + haar.UPDATE_ROWS * (n - 1)
-            rows = n * n + max(n, 4) + steps + 4
+            rows = n * n + n + n + haar.UPDATE_ROWS * (n - 1) + 4
             cap = (rows * size + 3 * np.getbufsize()) * np.dtype(float).itemsize
             sample_orthogonal_batch(n, 2, 3)  # numpy.random's lazy imports happen outside the measurement
             tracemalloc.start()
@@ -658,11 +515,9 @@ class TestDeterminism:
         ),
     )
     def test_batch_matches_strided_reference(self, n, count):
-        # per block, the quaternions' (4, m) normals at n >= 3, whose w give
-        # the bits, then each sweep's own (d + 1, m) normals as it runs, and
-        # at n <= 2 then the block's m bits: a twin generator that makes
-        # those calls gives the same matrices, bit for bit, and ends in the
-        # same state
+        # per block, each sweep's own (d + 1, m) normals as it runs, then the
+        # block's m bits: a twin generator that makes those calls gives the
+        # same matrices, bit for bit, and ends in the same state
         rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
         batch = sample_orthogonal_batch(n, count, rng)
         reference = strided_reference_batch(n, count, ref_rng)
@@ -678,7 +533,7 @@ class TestDeterminism:
         normals = np.random.default_rng(110 + n).standard_normal((normal_rows(n), size))
         block, bits = realize_with_twin(n, normals, n)
         for k in np.random.default_rng(n).choice(size, 12, replace=False):
-            alone, _ = realize_with_twin(n, unreflected(n, normals[:, k : k + 1]), None)
+            alone, _ = realize_with_twin(n, normals[:, k : k + 1], None)
             alone[:, 0] *= 1.0 - 2.0 * bits[k]
             assert np.array_equal(alone[0].view(np.int64), block[k].view(np.int64)), k
 
@@ -753,41 +608,56 @@ class TestOneDimensional:
         assert 0.4 < (values == 1.0).mean() < 0.6
 
 
+def samplers(*dimensions):
+    """``sample_orthogonal_batch`` at each n, id'd by n, and the n = 3 quaternion lane, id'd 3-quaternions."""
+    return [pytest.param(n, sample_orthogonal_batch, id=str(n)) for n in dimensions] + [
+        pytest.param(3, quaternion_lane_batch, id="3-quaternions")
+    ]
+
+
 class TestSamplerStatistics:
+    """Entry moments and the reflection bit's law, of sample_orthogonal_batch and of the n = 3 lane.
+
+    The lane's draws F^b R(q) are built from its ``_quaternions`` blocks,
+    several of them per sample.  Its seeds are those of
+    sample_orthogonal_batch at n = 3 and its bounds the same, fixed before
+    its first run.
+    """
+
     SAMPLES = 30_000
 
-    @pytest.mark.parametrize("n", (2, 3, 4))
-    def test_squared_entry_moment(self, n):
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(100 + n))
+    @pytest.mark.parametrize("n, sampler", samplers(2, 3, 4))
+    def test_squared_entry_moment(self, n, sampler):
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(100 + n))
         for i, j in ((0, 0), (n - 1, 0), (0, n - 1)):
             x = qs[:, i, j] ** 2
             se = x.std(ddof=1) / math.sqrt(x.size)
             assert abs(x.mean() - 1 / n) <= 3 * se
 
-    @pytest.mark.parametrize("n", (2, 3, 4))
-    def test_fourth_moment(self, n):
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(200 + n))
+    @pytest.mark.parametrize("n, sampler", samplers(2, 3, 4))
+    def test_fourth_moment(self, n, sampler):
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(200 + n))
         x = qs[:, 0, 0] ** 4
         se = x.std(ddof=1) / math.sqrt(x.size)
         assert abs(x.mean() - 3 / (n * (n + 2))) <= 3 * se
 
-    @pytest.mark.parametrize("n", (2, 3, 4))
-    def test_det_sign_frequency(self, n):
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(300 + n))
+    @pytest.mark.parametrize("n, sampler", samplers(2, 3, 4))
+    def test_det_sign_frequency(self, n, sampler):
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(300 + n))
         freq = (np.linalg.det(qs) < 0).mean()
         assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / self.SAMPLES)
 
-    @pytest.mark.parametrize("n", (3, 5))
-    def test_reflection_bit_is_fair_and_independent_of_the_rotation(self, n):
-        # at n >= 3 the bit is the sign of the quaternion's w: det = -1 with
-        # frequency 1/2 within 4 sigma, and on each coset the trace and two
-        # entries of the last row, which the bit leaves alone, have the law
-        # of the QR oracle's draws on that coset, so the bit does not lean on
-        # the rotation.  The trace alone would not see a bit that leans on a
-        # quantity conjugation moves, such as the sign of Q[n-1, n-2].
-        # Seeds, sample sizes and the p-value bound were fixed before the
-        # first run
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(700 + n))
+    @pytest.mark.parametrize("n, sampler", samplers(3, 5))
+    def test_reflection_bit_is_fair_and_independent_of_the_rotation(self, n, sampler):
+        # the sampler draws the bit by integers, the n = 3 lane takes the
+        # sign of the quaternion's w: det = -1 with frequency 1/2 within 4
+        # sigma, and on each coset the trace and two entries of the last
+        # row, which the bit leaves alone, have the law of the QR oracle's
+        # draws on that coset, so the bit does not lean on the rotation.
+        # The trace alone would not see a bit that leans on a quantity
+        # conjugation moves, such as the sign of Q[n-1, n-2].  Seeds, sample
+        # sizes and the p-value bound were fixed before the first run
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(700 + n))
         qo = oracle_sample_batch(n, self.SAMPLES, np.random.default_rng(800 + n))
         reflected, oracle_reflected = np.linalg.det(qs) < 0, np.linalg.det(qo) < 0
         assert abs(reflected.mean() - 0.5) <= 4 * math.sqrt(0.25 / self.SAMPLES)
@@ -818,27 +688,27 @@ class TestSamplerStatistics:
 class TestStepLaw:
     """The corner entries of a draw, by the law of a Haar draw's entry.
 
-    Every entry Q_ij^2 of a Haar draw is Beta(1/2, (n - 1) / 2).  For
-    n != 3, Q_00 is u_0 = g_0 / |g| for the n normals g of sweep 1, flipped
-    by the reflection bit; at n = 3 it is an entry of the quaternion's
-    rotation.  Q_(n-1)(n-1) is made by the quaternion block alone at n = 3,
-    and at n = 4 by it under one Householder step.  Seeds, sample size and
-    the p-value bound were fixed before the first run; a step or a
-    rotation that takes the wrong normals or the wrong radius moves the
-    law far beyond it.
+    Every entry Q_ij^2 of a Haar draw is Beta(1/2, (n - 1) / 2).  Q_00 is
+    u_0 = g_0 / |g| for the n normals g of sweep 1, flipped by the
+    reflection bit.  Q_(n-1)(n-1) is an entry of the first step, a 2 x 2
+    rotation, under the n - 2 steps after it.  The n = 3 lane's draws
+    F^b R(q) take the same checks.  Seeds, sample size and the p-value
+    bound were fixed before the first run (for the lane, before its first
+    run too); a step that takes the wrong normals or the wrong radius
+    moves the law far beyond it.
     """
 
     SAMPLES, P_MIN = 20_000, 1e-3
 
-    @pytest.mark.parametrize("n", (2, 3, 4, 5, 30))
-    def test_corner_square_is_beta(self, n):
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(16))
+    @pytest.mark.parametrize("n, sampler", samplers(2, 3, 4, 5, 30))
+    def test_corner_square_is_beta(self, n, sampler):
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(16))
         p = kstest(qs[:, 0, 0] ** 2, beta(0.5, (n - 1) / 2).cdf).pvalue
         assert p > self.P_MIN, p
 
-    @pytest.mark.parametrize("n", (3, 4))
-    def test_last_corner_square_is_beta(self, n):
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(17))
+    @pytest.mark.parametrize("n, sampler", samplers(3, 4))
+    def test_last_corner_square_is_beta(self, n, sampler):
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(17))
         p = kstest(qs[:, -1, -1] ** 2, beta(0.5, (n - 1) / 2).cdf).pvalue
         assert p > self.P_MIN, p
 
@@ -879,12 +749,17 @@ class TestTwoSamplerAgreement:
     SAMPLES = 30_000
 
     @pytest.mark.parametrize(
-        "n, oracle",
-        [pytest.param(n, oracle_sample_batch, id=str(n)) for n in (2, 3, 4)]
-        + [pytest.param(n, scipy_ortho_group_batch, id=f"{n}-scipy") for n in (2, 3, 4)],
+        "n, sampler, oracle",
+        [pytest.param(n, sample_orthogonal_batch, oracle_sample_batch, id=str(n)) for n in (2, 3, 4)]
+        + [pytest.param(n, sample_orthogonal_batch, scipy_ortho_group_batch, id=f"{n}-scipy") for n in (2, 3, 4)]
+        # the n = 3 quaternion lane on the same seeds and bounds, fixed before its first run
+        + [
+            pytest.param(3, quaternion_lane_batch, oracle_sample_batch, id="3-quaternions"),
+            pytest.param(3, quaternion_lane_batch, scipy_ortho_group_batch, id="3-quaternions-scipy"),
+        ],
     )
-    def test_ks_battery(self, n, oracle):
-        qs = sample_orthogonal_batch(n, self.SAMPLES, np.random.default_rng(500 + n))
+    def test_ks_battery(self, n, sampler, oracle):
+        qs = sampler(n, self.SAMPLES, np.random.default_rng(500 + n))
         qo = oracle(n, self.SAMPLES, np.random.default_rng(600 + n))
         assert rounded_ks(np.trace(qs, axis1=1, axis2=2), np.trace(qo, axis1=1, axis2=2)) > 0.01
         assert rounded_ks(qs[:, 0, 0], qo[:, 0, 0]) > 0.01

@@ -46,7 +46,15 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
-from oracles import bilinear_reference, evaluate_by_terms, residual_values, zonal_by_branching
+from oracles import (
+    bilinear_reference,
+    evaluate_by_terms,
+    quaternion_matrices,
+    quaternion_rotation,
+    reflect_row_zero,
+    residual_values,
+    zonal_by_branching,
+)
 from test_cli import EXP_SERIES_DEGREE_20
 
 
@@ -225,8 +233,11 @@ def lane_stacks(n, samples, seed):
 
     Lane k runs on child k of ``Generator(SFC64(seed)).spawn(LANES)``; the
     first ``samples % LANES`` lanes take one draw more than
-    ``samples // LANES``.
+    ``samples // LANES``.  At n = 3 a lane's draws are F^b R(q) of its
+    ``lane_quaternions``, R by the textbook formula.
     """
+    if n == 3:
+        return [reflect_row_zero(quaternion_rotation(q.T), signs < 0) for q, signs in lane_quaternions(samples, seed)]
     base, extra = divmod(samples, LANES)
     children = np.random.Generator(np.random.SFC64(seed)).spawn(LANES)[: min(LANES, samples)]
     return [sample_orthogonal_batch(n, base + (k < extra), gen) for k, gen in enumerate(children)]
@@ -258,10 +269,10 @@ def lane_quaternions(samples, seed):
 
 
 def quaternion_draws(count, seed):
-    """(stack, block): ``sample_orthogonal_batch(3, count)`` on ``default_rng(seed)``, and the
-    ``haar._quaternions`` block of the same draws, for count <= BLOCK // 3."""
+    """(stack, block): the ``haar._quaternions`` block of ``count`` draws on ``default_rng(seed)``,
+    for count <= BLOCK // 3, and its draws F^b R(q) as a (count, 3, 3) stack (``quaternion_matrices``)."""
     block = next(_quaternions(count, np.random.default_rng(seed), _quaternion_workspace(count)))
-    return sample_orthogonal_batch(3, count, np.random.default_rng(seed)), block.copy()
+    return quaternion_matrices(block), block.copy()
 
 
 def statistic_draws(n, count, seed):
@@ -1243,7 +1254,7 @@ def test_cofactor_weights_give_the_principal_minor_sum(n, zero):
     product = np.einsum("i,mik,k,mjk->mij", av, q, bv, q)
     minors = [[k for k in range(n) if k != i] for i in range(n)]
     want = sum(np.linalg.det(product[:, rows][:, :, rows]) for rows in minors)
-    weights = np.array(montecarlo._cofactor_weights(np.outer(av, bv)))
+    weights = np.array(montecarlo._outer(montecarlo._complements(av), montecarlo._complements(bv)))
     squares = (q * q).transpose(1, 2, 0).reshape(n * n, -1)
     got = montecarlo._weighted_sum(weights.ravel(), squares, np.empty(200), np.empty(200))
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(weights).sum())
@@ -1293,15 +1304,14 @@ class TestQuaternionStatistics:
         if not zeroed:
             return quaternion_draws(2_000, 3)
         (block,) = _quaternions(2_000, ZeroedNormals(3), _quaternion_workspace(2_000))
-        (stack,) = _realize(3, 2_000, ZeroedNormals(3), _workspace(3, 2_000))
-        return stack.transpose(2, 0, 1).copy(), block.copy()
+        return quaternion_matrices(block), block.copy()
 
     @pytest.mark.parametrize("zeroed", (False, True), ids=("normals", "signed-zeros"))
     @pytest.mark.parametrize("spectra", sorted(QUATERNION_SPECTRA))
     def test_traces_match_the_dense_contraction(self, spectra, zeroed):
         # tr(D_a Q D_b Q') within 1e-13 sum |a_i b_j| and tr(D_a Q) within
         # 1e-13 sum |a_i| of the dense row-major contraction of the same
-        # draws, as sample_orthogonal_batch makes them; an all-zero q is the
+        # draws F^b R(q), R by the textbook formula; an all-zero q is the
         # identity, reflected where w is -0.0, with no warning
         a, b = (DiagonalSpec.of(x) for x in QUATERNION_SPECTRA[spectra])
         av, bv = np.array(a.floats()), np.array(b.floats())
@@ -1344,10 +1354,12 @@ class TestQuaternionStatistics:
         series = hyper0f0(a, b, 20)
         assert mc_exponential_trace(a, b, series.value, 20_000, 7).mc_std_err == 0.0
 
-    def test_lanes_consume_the_normals_realize_consumes(self, monkeypatch):
-        # each lane of an n = 3 estimate reads the quaternion blocks of
-        # exactly the normals that _realize at n = 3 takes from the same
-        # spawned stream, and leaves that stream where _realize leaves it
+    def test_lanes_consume_one_normal_call_per_block(self, monkeypatch):
+        # each lane of an n = 3 estimate reads blocks of BLOCK // 3 draws, the
+        # last one shorter, each block exactly the normals of one (4, m)
+        # standard_normal call on its spawned stream, and leaves that stream
+        # where those calls leave it; the reflection signs are the
+        # determinants of the draws F^b R(q)
         samples, seed = LANES * (BLOCK // 3) + 13, 21
         lanes = []
         quaternions = montecarlo._quaternions
@@ -1364,23 +1376,13 @@ class TestQuaternionStatistics:
         children = np.random.Generator(np.random.SFC64(seed)).spawn(LANES)
         assert len(lanes) == LANES
 
-        class Recorder:
-            def __init__(self, gen):
-                self.gen, self.normals = gen, []
-
-            def standard_normal(self, out):
-                self.gen.standard_normal(out=out)
-                self.normals.append(out.copy())
-                return out
-
         for (count, gen, blocks), child in zip(lanes, children):
-            recorder = Recorder(child)
-            realized = [block.copy() for block in _realize(3, count, recorder, _workspace(3, count))]
-            assert len(recorder.normals) == len(blocks) == len(realized)
-            for normals, block, matrices in zip(recorder.normals, blocks, realized):
+            assert [block.shape[1] for block in blocks] == [len(b) for b in in_blocks(range(count), BLOCK // 3)]
+            for block in blocks:
+                normals = child.standard_normal((4, block.shape[1]))
                 assert np.array_equal(normals, block[:4])  # no all-zero q in these draws
-                # the reflection signs are the determinants of the realized draws
-                assert np.allclose(np.linalg.det(matrices.transpose(2, 0, 1)), block[4], rtol=0, atol=1e-12)
+                dets = np.linalg.det(quaternion_matrices(block))
+                assert np.allclose(dets, block[4], rtol=0, atol=1e-12)
             assert np.array_equal(gen.standard_normal(8), child.standard_normal(8))
 
 
