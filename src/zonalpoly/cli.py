@@ -5,6 +5,18 @@ Output conventions: exact rationals serialize as strings like ``3/8``
 digits, partitions as comma-joined parts with the empty partition as an
 empty string.  Exit codes: 0 success, 1 verification failure, 2 usage
 error.  All commands are deterministic given the same options and seed.
+
+The command line is read by a small table-driven parser on the standard
+library.  Each command declares its options once (``_Option``), with the
+range or choices that a value must meet and that ``--help`` shows.  An
+option takes the next token as its value whatever it looks like, so a
+signed spectrum such as ``--A -30,30`` is a value; ``--A=-30,30`` works
+too, and the last of a repeated option counts.  A usage error writes the
+usage line and ``Error: <message>`` to stderr, nothing to stdout, and
+exits 2.  ``main(args)`` runs one command line and returns its exit code;
+``main.main(args, prog_name)`` exits with it, as the console script does.
+Every run looks up ``main.commands[name].callback``, so a wrapper put
+there sees each call.
 """
 
 from __future__ import annotations
@@ -12,11 +24,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import sys
 from fractions import Fraction
 from typing import Iterator
-
-import click
-from click.core import ParameterSource
 
 from .moments import DiagonalSpec, hyper0f0
 from .partitions import Partition, partitions_of
@@ -35,9 +46,8 @@ from .zonal import (
 DEGREE_CEILING = 12
 
 #: ``verify`` runs the Jack orthogonality certificate up to this degree.  It
-#: needs the power-sum form of every row: to degree 6 that costs about 2 ms,
-#: while to degree 12 a cold ``verify --f 1..12`` would take 0.18 s instead
-#: of 0.11 s (2-core shared VM, Python 3.11).
+#: needs the power-sum form of every row, whose cost grows fast with the
+#: degree; above it, a degree gets the trace identity only.
 ORTHOGONALITY_CEILING = 6
 
 #: Each ``estimate`` kind and the options it needs; it takes no other of them,
@@ -48,6 +58,236 @@ ESTIMATE_KINDS = {
     "trace-AH": ("--f",),
     "exp-series": ("--B",),
 }
+
+#: The degree to which ``exp-series`` sums the series when ``--max-degree``
+#: is not given.
+_SERIES_DEGREE = 12
+
+
+class _UsageError(Exception):
+    """A bad command line: ``main`` writes it to stderr and returns exit code 2."""
+
+
+class _Option:
+    """``--name VALUE``: the parameter it sets, the values it takes, and its line in ``--help``.
+
+    A value is text; or an integer when ``integer`` is set or ``low`` is
+    given, at least ``low`` and at most ``high`` where they are given; or
+    one of ``choices``.  An option that is not given takes ``default``, and
+    ``--help`` shows ``shown``, or else a ``default`` other than None.  The
+    one positional argument of a command is an _Option too, named by its
+    metavar.
+    """
+
+    def __init__(self, names, dest, help="", *, default=None, shown=None, required=False,
+                 integer=False, low=None, high=None, choices=None):
+        self.names, self.dest, self.help = names, dest, help
+        self.default, self.required, self.choices = default, required, choices
+        self.shown = default if shown is None else shown
+        self.integer = integer or low is not None
+        self.low, self.high = low, high
+
+    def read(self, text: str):
+        """The value that ``text`` gives this option; _UsageError naming both if it is not one."""
+        invalid = f"Invalid value for {self.names[0]!r}: "
+        if self.choices is not None:
+            if text not in self.choices:
+                raise _UsageError(f"{invalid}{text!r} is not one of {', '.join(map(repr, self.choices))}.")
+            return text
+        if not self.integer:
+            return text
+        try:
+            value = int(text)
+        except ValueError:
+            kind = "integer" if self.low is None else "integer range"
+            raise _UsageError(f"{invalid}{text!r} is not a valid {kind}.") from None
+        if self.low is not None and (value < self.low or self.high is not None and value > self.high):
+            raise _UsageError(f"{invalid}{value} is not in the range {self._range()}.")
+        return value
+
+    def _range(self) -> str:
+        return f"x>={self.low}" if self.high is None else f"{self.low}<=x<={self.high}"
+
+    def help_row(self) -> tuple[str, str]:
+        """The option's two columns in ``--help``: names and metavar, then help and limits."""
+        if self.choices is not None:
+            metavar = f"[{'|'.join(self.choices)}]"
+        else:
+            metavar = "TEXT" if not self.integer else "INTEGER" if self.low is None else "INTEGER RANGE"
+        limits = [f"default: {self.shown}"] if self.shown is not None else []
+        limits += [self._range()] if self.low is not None else []
+        limits += ["required"] if self.required else []
+        text = f"{self.help}  [{'; '.join(limits)}]" if limits else self.help
+        return f"{', '.join(self.names)} {metavar}", text.strip()
+
+
+class _Command:
+    """A subcommand: ``callback`` takes each option's parameter, and the argument's, by name."""
+
+    def __init__(self, callback, options, argument=None) -> None:
+        self.callback, self.options, self.argument = callback, options, argument
+        self.doc = callback.__doc__
+        self.usage = "[OPTIONS]" + (f" {argument.names[0]}" if argument else "")
+
+
+    def parse(self, args: list[str]) -> dict | None:
+        """The parameters that ``args`` give, or None where ``--help`` is one of its tokens.
+
+        Every token that does not start with ``-`` (``-`` alone included),
+        and every token after ``--``, is positional.  _UsageError for an
+        unknown option, an option without its value, a positional token
+        this command does not take, a missing argument or required option,
+        or a value out of its option's range or choices; values are read
+        after every token is placed, in the order the options are declared.
+        """
+        options = {name: option for option in self.options for name in option.names}
+        texts, positional = {}, []
+        tokens = iter(args)
+        for token in tokens:
+            if token == "--help":
+                return None
+            if token == "--":
+                positional += tokens
+            elif token == "-" or not token.startswith("-"):
+                positional.append(token)
+            else:
+                name, eq, text = token.partition("=")
+                if name not in options:
+                    raise _UsageError(f"No such option {name!r}.")
+                if not eq:
+                    text = next(tokens, None)
+                    if text is None:
+                        raise _UsageError(f"Option {name!r} requires an argument.")
+                texts[options[name].dest] = text
+        values = {}
+        if self.argument is not None:
+            if not positional:
+                choices = ",\n\t".join(self.argument.choices)
+                raise _UsageError(f"Missing argument {self.argument.names[0]!r}. Choose from:\n\t{choices}")
+            values[self.argument.dest] = self.argument.read(positional.pop(0))
+        if positional:
+            s = "s" if len(positional) > 1 else ""
+            raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(positional)})")
+        for option in self.options:
+            if option.dest in texts:
+                values[option.dest] = option.read(texts[option.dest])
+            elif option.required:
+                raise _UsageError(f"Missing option {' / '.join(map(repr, option.names))}.")
+            else:
+                values[option.dest] = option.default
+        return values
+
+
+def _usage(prog: str, args: str) -> str:
+    """The usage line, ``args`` wrapped at 78 columns under their first word."""
+    import textwrap  # only --help and usage errors read it
+
+    first = f"Usage: {prog} "
+    return "\n".join(textwrap.wrap(args, 78, initial_indent=first, subsequent_indent=" " * len(first)))
+
+
+def _short_help(doc: str, limit: int) -> str:
+    """The first sentence of ``doc``, or as many of its words as fit ``limit`` with "..."."""
+    words = doc.split("\n\n")[0].split()
+    for i, word in enumerate(words):
+        if len(" ".join(words[: i + 1])) > limit:
+            break
+        if word.endswith("."):
+            return " ".join(words[: i + 1])
+    else:
+        return " ".join(words)
+    while i and len(" ".join(words[:i])) + 3 > limit:
+        i -= 1
+    return " ".join(words[:i]) + "..."
+
+
+def _help(usage: str, doc: str, sections: list[tuple[str, list[tuple[str, str]]]]) -> str:
+    """``--help`` text: the usage, ``doc`` reflowed by paragraph, then each titled two-column section."""
+    import textwrap
+
+    lines = [usage, ""]
+    for paragraph in doc.split("\n\n"):
+        text = " ".join(line.strip() for line in paragraph.strip().splitlines())
+        lines += textwrap.wrap(text, 78, initial_indent="  ", subsequent_indent="  ", replace_whitespace=False)
+        lines.append("")
+    for title, rows in sections:
+        width = max(len(first) for first, _ in rows) + 2
+        lines.append(f"{title}:")
+        for first, text in rows:
+            wrapped = textwrap.wrap(text, 76 - width) or [""]
+            lines.append(f"  {first.ljust(width)}{wrapped[0]}".rstrip())
+            lines += [" " * (width + 2) + more for more in wrapped[1:]]
+        lines.append("")
+    return "\n".join(lines[:-1]) + "\n"
+
+
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+
+class _Main:
+    """The ``zonalpoly`` command line; ``commands`` maps each subcommand's name to its _Command."""
+
+    def __init__(self, doc: str) -> None:
+        self.doc = doc
+        self.commands: dict[str, _Command] = {}
+
+    def command(self, *options, argument=None):
+        """Register the decorated function as the subcommand of its name, with these options."""
+
+        def register(callback):
+            self.commands[callback.__name__] = _Command(callback, options, argument)
+            return callback
+
+        return register
+
+    def _help(self, prog: str, usage: str) -> str:
+        """The top-level ``--help``: each command with the first sentence of its docstring."""
+        limit = 72 - max(map(len, self.commands))
+        rows = [(name, _short_help(self.commands[name].doc, limit)) for name in sorted(self.commands)]
+        return _help(_usage(prog, usage), self.doc, [("Options", [_HELP_ROW]), ("Commands", rows)])
+
+    def __call__(self, args=None, prog_name: str = "zonalpoly") -> int:
+        """Run the command line ``args`` (default ``sys.argv[1:]``) and return its exit code.
+
+        A reader that closes stdout early, as ``| head`` does, ends the run
+        with exit code 1 and no traceback; so does an interrupt, after
+        ``Aborted!`` on stderr.
+        """
+        try:
+            code = self._run(sys.argv[1:] if args is None else list(args), prog_name)
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+            return code
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # what is left of stdout goes nowhere
+            return 1
+        except KeyboardInterrupt:
+            sys.stderr.write("\nAborted!\n")
+            return 1
+
+    def _run(self, args: list[str], prog_name: str) -> int:
+        prog, usage = prog_name, "[OPTIONS] COMMAND [ARGS]..."
+        try:
+            if args[:1] in (["--help"], []):  # with no command, the help is a usage error
+                (sys.stdout if args else sys.stderr).write(self._help(prog, usage))
+                return 0 if args else 2
+            name, *rest = args
+            if name not in self.commands:
+                raise _UsageError(f"No such command {name!r}.")
+            command = self.commands[name]
+            prog, usage = f"{prog_name} {name}", command.usage
+            values = command.parse(rest)
+            if values is None:
+                rows = [option.help_row() for option in command.options]
+                sys.stdout.write(_help(_usage(prog, usage), command.doc, [("Options", [*rows, _HELP_ROW])]))
+                return 0
+            return command.callback(**values) or 0
+        except _UsageError as exc:
+            sys.stderr.write(f"{_usage(prog, usage)}\nTry '{prog} --help' for help.\n\nError: {exc}\n")
+            return 2
+
+    def main(self, args=None, prog_name: str = "zonalpoly"):
+        """Run the command line ``args`` and exit with its code (SystemExit), as the console script does."""
+        sys.exit(self(args, prog_name))
 
 
 def format_partition(p) -> str:
@@ -60,18 +300,18 @@ def parse_partition(text: str) -> Partition:
     try:
         return Partition(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise click.UsageError(f"bad partition {text!r}: {exc}") from exc
+        raise _UsageError(f"bad partition {text!r}: {exc}") from exc
 
 
 def parse_spectrum(text: str, option: str) -> DiagonalSpec:
     try:
         spec = DiagonalSpec.of(text.split(","))
     except ValueError as exc:
-        raise click.UsageError(f"bad eigenvalue list for {option}: {text!r}") from exc
+        raise _UsageError(f"bad eigenvalue list for {option}: {text!r}") from exc
     try:
         spec.floats()
     except OverflowError as exc:
-        raise click.UsageError(
+        raise _UsageError(
             f"an eigenvalue in {option} is too large for a float: {text!r}"
         ) from exc
     return spec
@@ -97,9 +337,7 @@ def powersum_latex(p) -> str:
     return _powersum_monomial(p, " ", "s_{{{}}}", "^{{{}}}")
 
 
-@click.group()
-def main() -> None:
-    """Exact zonal polynomial tables, identities, and Monte Carlo checks."""
+main = _Main("Exact zonal polynomial tables, identities, and Monte Carlo checks.")
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +383,10 @@ def _emit_latex(header: list[str], body: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command()
-@click.option(
-    "--f", "degree", type=click.IntRange(1, DEGREE_CEILING), required=True, help="Degree of the table."
-)
-@click.option(
-    "--basis",
-    type=click.Choice([MONOMIAL, POWERSUM]),
-    default=POWERSUM,
-    show_default=True,
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "csv", "latex", "text"]),
-    default="text",
-    show_default=True,
+@main.command(
+    _Option(("--f",), "degree", "Degree of the table.", required=True, low=1, high=DEGREE_CEILING),
+    _Option(("--basis",), "basis", default=POWERSUM, choices=(MONOMIAL, POWERSUM)),
+    _Option(("--format",), "fmt", default="text", choices=("json", "csv", "latex", "text")),
 )
 def table(degree: int, basis: str, fmt: str) -> None:
     """Print the full coefficient table for one degree."""
@@ -180,7 +406,7 @@ def table(degree: int, basis: str, fmt: str) -> None:
                 for kappa, coefficients, chi in rows
             ],
         }
-        click.echo(_emit_json(payload), nl=False)
+        sys.stdout.write(_emit_json(payload))
         return
     latex = fmt == "latex"
     kappa_head, chi_head = (r"$\kappa$", r"$\chi$") if latex else ("kappa", "chi")
@@ -190,7 +416,7 @@ def table(degree: int, basis: str, fmt: str) -> None:
         for kappa, coefficients, chi in rows
     ]
     emit = {"csv": _emit_csv, "latex": _emit_latex, "text": _emit_text}[fmt]
-    click.echo(emit(header, body), nl=False)
+    sys.stdout.write(emit(header, body))
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +432,11 @@ def parse_degree_range(text: str) -> list[int]:
         else:
             degrees = [int(text)]
     except ValueError as exc:
-        raise click.UsageError(f"bad degree range {text!r}; use N or A..B") from exc
+        raise _UsageError(f"bad degree range {text!r}; use N or A..B") from exc
     if not degrees:
-        raise click.UsageError(f"degree range {text!r} is empty")
+        raise _UsageError(f"degree range {text!r} is empty")
     if degrees[0] < 1:
-        raise click.UsageError(f"degree range {text!r} must start at 1 or above")
+        raise _UsageError(f"degree range {text!r} must start at 1 or above")
     return degrees
 
 
@@ -241,10 +467,8 @@ def _verify_degree(f: int) -> Iterator[str]:
             )
 
 
-@main.command()
-@click.option("--f", "frange", default="1..6", show_default=True, help="Degree or range A..B.")
-@click.pass_context
-def verify(ctx: click.Context, frange: str) -> None:
+@main.command(_Option(("--f",), "frange", "Degree or range A..B.", default="1..6"))
+def verify(frange: str) -> int:
     """Check the trace identity and, to degree 6, prove the rows by Jack orthogonality.
 
     Each row is built triangular in the lexicographic order, which refines
@@ -258,12 +482,12 @@ def verify(ctx: click.Context, frange: str) -> None:
     for f in parse_degree_range(frange):
         try:
             for line in _verify_degree(f):
-                click.echo(line)
+                print(line)
                 failed = failed or line.startswith("FAIL")
         except DataIntegrityError as exc:  # a row that cannot be built
-            click.echo(f"FAIL f={f} data integrity: {exc}")
+            print(f"FAIL f={f} data integrity: {exc}")
             failed = True
-    ctx.exit(1 if failed else 0)
+    return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +504,26 @@ def _in_float_range(kind: str, holds: str, remedy: str, fn, *args):
     try:
         return fn(*args)
     except OverflowError as exc:
-        raise click.UsageError(
+        raise _UsageError(
             f"{kind} needs a value too large for a float ({exc}); scale the eigenvalues down"
         ) from exc
     except MemoryError as exc:
-        raise click.UsageError(f"{kind} cannot allocate {holds} ({exc}); {remedy}") from exc
+        raise _UsageError(f"{kind} cannot allocate {holds} ({exc}); {remedy}") from exc
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(tuple(ESTIMATE_KINDS)))
-@click.option("--f", "degree", type=click.IntRange(min=0), default=None, help="Trace power.")
-@click.option("--n", "dim", type=int, default=None, help="Expected dimension (validated).")
-@click.option("--A", "a_spec", "--a", required=True, help="Eigenvalues, e.g. 1,2 or 1/2,3.")
-@click.option("--B", "b_spec", "--b", default=None, help="Eigenvalues of the second matrix.")
-@click.option("--kappa", default=None, help="Partition, e.g. 2,1.")
-@click.option("--samples", type=click.IntRange(min=2), default=100_000, show_default=True)
-@click.option(
-    "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Nonnegative integer RNG seed."
-)
-@click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Worker threads for MC; they change the speed, not the estimate.",
-)
-@click.option(
-    "--max-degree", type=click.IntRange(min=0), default=12, show_default=True, help="Series truncation."
+@main.command(
+    _Option(("--f",), "degree", "Trace power.", low=0),
+    _Option(("--n",), "dim", "Expected dimension (validated).", integer=True),
+    _Option(("--A", "--a"), "a_spec", "Eigenvalues, e.g. 1,2 or 1/2,3.", required=True),
+    _Option(("--B", "--b"), "b_spec", "Eigenvalues of the second matrix."),
+    _Option(("--kappa",), "kappa", "Partition, e.g. 2,1."),
+    _Option(("--samples",), "samples", default=100_000, low=2),
+    _Option(("--seed",), "seed", "Nonnegative integer RNG seed.", default=0, low=0),
+    _Option(
+        ("--threads",), "threads", "Worker threads for MC; they change the speed, not the estimate.", default=1, low=1
+    ),
+    _Option(("--max-degree",), "max_degree", "Series truncation.", shown=_SERIES_DEGREE, low=0),
+    argument=_Option((f"{{{'|'.join(ESTIMATE_KINDS)}}}",), "kind", choices=tuple(ESTIMATE_KINDS)),
 )
 def estimate(
     kind: str,
@@ -318,7 +535,7 @@ def estimate(
     samples: int,
     seed: int,
     threads: int,
-    max_degree: int,
+    max_degree: int | None,
 ) -> None:
     """Run one Monte Carlo experiment and print a JSON report."""
     # imported here, so that table and verify never load numpy
@@ -332,33 +549,32 @@ def estimate(
 
     a = parse_spectrum(a_spec, "--A")
     if dim is not None and len(a) != dim:
-        raise click.UsageError(f"--A has {len(a)} eigenvalues but --n is {dim}")
+        raise _UsageError(f"--A has {len(a)} eigenvalues but --n is {dim}")
 
-    options = {"--f": degree, "--B": b_spec, "--kappa": kappa}
+    options = {"--f": degree, "--B": b_spec, "--kappa": kappa, "--max-degree": max_degree}
     given = [option for option, value in options.items() if value is not None]
     needs = ESTIMATE_KINDS[kind]
     if any(option not in given for option in needs):
-        raise click.UsageError(f"{kind} needs {' and '.join(needs)}")
-    # --max-degree has a default, so only its source tells whether it was given
-    source = click.get_current_context().get_parameter_source("max_degree")
-    if kind != "exp-series" and source is not ParameterSource.DEFAULT:
-        given.append("--max-degree")
-    unused = [option for option in given if option not in needs]
+        raise _UsageError(f"{kind} needs {' and '.join(needs)}")
+    takes = (*needs, "--max-degree") if kind == "exp-series" else needs
+    unused = [option for option in given if option not in takes]
     if unused:
-        raise click.UsageError(f"{kind} takes no {' or '.join(unused)}")
+        raise _UsageError(f"{kind} takes no {' or '.join(unused)}")
+    if max_degree is None:
+        max_degree = _SERIES_DEGREE
     if b_spec is not None:
         b = parse_spectrum(b_spec, "--B")
         if len(a) != len(b):
-            raise click.UsageError("--A and --B must have the same length")
+            raise _UsageError("--A and --B must have the same length")
 
     if kind == "trace-power":
         run = (mc_trace_power, a, b, degree)
     elif kind == "zonal-split":
         part = parse_partition(kappa)
         if not part:
-            raise click.UsageError("--kappa must be a nonempty partition")
+            raise _UsageError("--kappa must be a nonempty partition")
         if len(part) > len(a):
-            raise click.UsageError("--kappa has more parts than there are eigenvalues")
+            raise _UsageError("--kappa has more parts than there are eigenvalues")
         run = (mc_splitting, part, a, b)
     elif kind == "trace-AH":
         run = (mc_linear_trace_power, a, degree)
@@ -397,8 +613,8 @@ def estimate(
     if kind == "exp-series":
         payload["series_value"] = str(sum(series.terms))
         payload["tail_bound"] = format_float(series.tail_bound)
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
 if __name__ == "__main__":
-    main()
+    main.main(prog_name="python -m zonalpoly.cli")

@@ -37,10 +37,12 @@ the draw-minor blocks as they are.
 Quaternions serve only the Monte Carlo lane at n = 3.  There
 ``_quaternions`` draws 4 normals q per draw, whose direction is uniform
 on the 3-sphere, so R(q / |q|) is Haar on SO(3) (Shoemake, Graphics Gems
-III, 1992), and takes the sign of w as the reflection bit, which costs no
+III, 1992), and the sign of w is the reflection bit, which costs no
 draw: q and -q are equally likely (numpy's normals are symmetric, signed
 zeros included) and R(q) = R(-q), so the sign is fair and independent of
-the rotation.  The statistics read q itself and build no rotation.
+the rotation.  The statistics read q itself and build no rotation; only
+trace-AH reads the bit, since the squared entries are the same on both
+cosets.
 sample_orthogonal_batch, the only sampler function that checks and
 coerces its input, builds one ``_workspace`` per call and transposes the
 blocks to one matrix per draw.
@@ -68,22 +70,19 @@ __all__ = [
 #: and scale three, and the reflection signs one: 5n + 1 rows beside the
 #: block's n^2, about 640 KB.  A Monte Carlo lane at n = 3, which
 #: reads the ``_quaternions`` blocks and builds no matrix, holds only
-#: their QUATERNION_ROWS, about 350 KB.  On two threads at n = 30 (2-core
-#: VM, 2 MB L2 per core), 2**12 and 2**13 ran 1.4-2x slower than 2**14: a
-#: smaller block spends more of each call in Python, holding the GIL.
-#: 2**15 ran about 9% faster (eight lanes of 1000 draws, median 0.197 s
-#: against 0.217 s), but BLOCK sets which normals and bits each block
-#: takes, so a new value changes every estimate.
+#: their QUATERNION_ROWS, about 300 KB.  A smaller block spends more of
+#: each call in Python, holding the GIL; BLOCK also sets which normals and
+#: bits each block takes, so a new value changes every estimate.
 BLOCK = 2**14
 
 #: Rows of the widest sweep's trailing block that one multiply and one add
 #: of the rank-1 update cover; a narrower sweep takes more rows per call.
 UPDATE_ROWS = 3
 
-#: Rows of one block of ``_quaternions``: the four normals (w, x, y, z), the
-#: reflection signs, and three rows of scratch for the Monte Carlo
-#: statistic that reads the block at n = 3.
-QUATERNION_ROWS = 8
+#: Rows of one block of ``_quaternions``: the four normals (w, x, y, z), whose
+#: w carries the reflection bit in its sign, and three rows of scratch for
+#: the Monte Carlo statistic that reads the block at n = 3.
+QUATERNION_ROWS = 7
 
 
 def _generator(rng) -> np.random.Generator:
@@ -104,8 +103,7 @@ def _direct_zeros(g: np.ndarray) -> None:
     """Set the first entry of each all-zero column of ``g`` to 1, in place.
 
     An all-zero draw of normals (numpy's normals include +-0.0) has no
-    direction; taking it as e_0 makes its step, or its rotation, the
-    identity.
+    direction; taking it as e_0 makes its step the identity.
     """
     if not g[0].all():  # an all-zero column starts with a zero
         g[0][~g.any(axis=0)] = 1.0
@@ -167,7 +165,7 @@ def _step(corner: np.ndarray, g: np.ndarray, dots: np.ndarray, work: np.ndarray,
 def _quaternion_workspace(count: int) -> np.ndarray:
     """The (QUATERNION_ROWS, c) buffer, c = min(count, BLOCK // 3) (at least one), of ``_quaternions``.
 
-    Nothing is filled in: ``_quaternions`` writes rows 0-4 of every block,
+    Nothing is filled in: ``_quaternions`` writes rows 0-3 of every block,
     and its caller every scratch row it reads.
     """
     return np.empty((QUATERNION_ROWS, max(1, min(count, BLOCK // 3))))
@@ -180,14 +178,14 @@ def _quaternions(count: int, rng: np.random.Generator, workspace: np.ndarray) ->
     ``_quaternion_workspace(c)`` for some c >= count are taken as given.
     The blocks take min(count, BLOCK // 3) draws, the last one fewer.
     Each block makes one ``rng.standard_normal`` call of (4, m), the
-    normals q = (w, x, y, z) in rows 0-3, and row 4 takes the sign of each
-    w, signed zeros included: the draw's reflection sign.  Then
-    ``_direct_zeros`` takes every all-zero q as (1, 0, 0, 0).  Rows 5-7
-    are the caller's scratch, left as they are.  Each block is yielded in
-    the first entries of ``workspace``, which the next overwrites, and
-    which the caller may overwrite too.  The draws are F^b R(q), b set
-    where the sign is -1; the Monte Carlo statistics at n = 3 read the
-    blocks as they are and build no rotation.
+    normals q = (w, x, y, z) in rows 0-3.  The sign of each w, signed zeros
+    included, is the draw's reflection sign, and an all-zero q is taken as
+    (+-1, 0, 0, 0), the sign of its w as drawn, whose rotation is the
+    identity.  Rows 4-6 are the caller's scratch, left as they are.  Each
+    block is yielded in the first entries of ``workspace``, which the next
+    overwrites, and which the caller may overwrite too.  The draws are
+    F^b R(q), b set where w is negative; the Monte Carlo statistics at
+    n = 3 read the blocks as they are and build no rotation.
     """
     size = max(1, min(count, BLOCK // 3))
     flat = workspace.reshape(-1)
@@ -196,8 +194,9 @@ def _quaternions(count: int, rng: np.random.Generator, workspace: np.ndarray) ->
         block = flat[: QUATERNION_ROWS * m].reshape(QUATERNION_ROWS, m)
         q = block[:4]
         rng.standard_normal(out=q)
-        np.copysign(1.0, q[0], out=block[4])
-        _direct_zeros(q)
+        if not q[0].all():  # an all-zero q starts with a zero
+            w, zero = q[0], ~q.any(axis=0)
+            w[zero] = np.copysign(1.0, w[zero])
         yield block
 
 

@@ -35,14 +35,13 @@ Python: it imports no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, factorial, lcm, ulp
 from operator import mul
 
 from .partitions import Partition, _partitions_capped
-from .symfunc import SymPoly, _monomial_values, _row_dot
+from .symfunc import SymPoly, _monomial_values, _Record, _row_dot
 from .zonal import (
     _capped_row,
     character_degree,
@@ -59,15 +58,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagonalSpec:
+class DiagonalSpec(_Record):
     """Latent roots of a diagonal matrix, held as exact rationals; at least one."""
 
-    eigenvalues: tuple[Fraction, ...]
+    _fields = ("eigenvalues",)
 
-    def __post_init__(self) -> None:
-        if not self.eigenvalues:
+    def __init__(self, eigenvalues: tuple[Fraction, ...]) -> None:
+        if not eigenvalues:
             raise ValueError("spectra must be nonempty")
+        self._set(eigenvalues)
 
     @classmethod
     def of(cls, values) -> "DiagonalSpec":
@@ -98,13 +97,13 @@ class DiagonalSpec:
         return iter(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(_Record):
     """A truncated exponential-trace series with its exact terms."""
 
-    value: float
-    terms: tuple[Fraction, ...]
-    tail_bound: float
+    _fields = ("value", "terms", "tail_bound")
+
+    def __init__(self, value: float, terms: tuple[Fraction, ...], tail_bound: float) -> None:
+        self._set(value, terms, tail_bound)
 
 
 def _trace_power_prefactor(f: int) -> Fraction:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import isfinite, prod, sqrt
@@ -65,7 +64,7 @@ from .moments import (
     exact_trace_power_integral,
 )
 from .partitions import Partition
-from .symfunc import _powersum_value
+from .symfunc import _powersum_value, _Record
 from .zonal import zonal_in_powersums
 
 __all__ = [
@@ -77,15 +76,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(_Record):
     """One exact-vs-Monte-Carlo comparison."""
 
-    exact_value: Fraction | float
-    mc_estimate: float
-    mc_std_err: float
-    samples: int
-    z_score: float
+    _fields = ("exact_value", "mc_estimate", "mc_std_err", "samples", "z_score")
+
+    def __init__(
+        self, exact_value: Fraction | float, mc_estimate: float, mc_std_err: float, samples: int, z_score: float
+    ) -> None:
+        self._set(exact_value, mc_estimate, mc_std_err, samples, z_score)
 
 
 #: The lanes of a sample budget, each on its own spawned stream.  The lanes,
@@ -327,13 +326,13 @@ def _minor_squares(block: np.ndarray) -> np.ndarray:
     |q|^2 R_11 = u - v, |q|^2 R_01 = 2 (xy - wz) and
     |q|^2 R_10 = 2 (xy + wz), and |q|^2 = (w^2 + z^2) + (x^2 + y^2).  Rows
     0-3 become (u + v)^2, (xy - wz)^2, (xy + wz)^2 and (u - v)^2, the
-    factors 2 left to the weights, and row 7 |q|^4; row 5 holds xy and
-    row 6 wz, and row 4, the reflection signs, is left alone: a flipped
-    row 0 leaves every square as it is.  Every call is elementwise along
-    the draw axis, so no draw's bits depend on the block.
+    factors 2 left to the weights, and row 6 |q|^4; row 4 holds xy and
+    row 5 wz.  The reflection sign is not read: a flipped row 0 leaves
+    every square as it is.  Every call is elementwise along the draw axis,
+    so no draw's bits depend on the block.
     """
     w, x, y, z = block[:4]
-    xy, wz, norm = block[5:8]
+    xy, wz, norm = block[4:7]
     np.multiply(x, y, out=xy)
     np.multiply(w, z, out=wz)
     squares = block[:4]
@@ -355,11 +354,11 @@ def _minor_squares(block: np.ndarray) -> np.ndarray:
 def _reduced_sum(reduced: tuple[float, np.ndarray], block: np.ndarray, norm: np.ndarray, out: np.ndarray):
     """c + (sum_k v_k block[k]) / norm into ``out``, (c, v) = ``reduced``, after ``_minor_squares``.
 
-    The four terms are added one at a time, and row 5 of the block is
+    The four terms are added one at a time, and row 4 of the block is
     scratch.  Returns ``out``.
     """
     c, v = reduced
-    total = _weighted_sum(v, block[:4], out, block[5])
+    total = _weighted_sum(v, block[:4], out, block[4])
     total /= norm
     total += c
     return total
@@ -402,7 +401,7 @@ def _power_sums(a: DiagonalSpec, b: DiagonalSpec, k: int):
             norm = _minor_squares(block)
             _reduced_sum(e1, block, norm, sums[0])
             if newton:
-                _newton({1: sums[0], 2: _reduced_sum(e2, block, norm, block[6]), 3: e_n}, sums, block[5])
+                _newton({1: sums[0], 2: _reduced_sum(e2, block, norm, block[5]), 3: e_n}, sums, block[4])
             return sums
         if n > 3 and k > 1:
             _gemm_power_sums(block, w, sums)
@@ -567,11 +566,13 @@ def _linear_trace(a: DiagonalSpec):
 
     Elsewhere than at n = 3 the diagonal entries are every (n + 1)-th row
     of the draw-minor block, weighted in place and added from a_0 H_00 up.
-    At n = 3, H = F^b R(q) with the sign s = -1 where b is set, and the
-    diagonal of |q|^2 R(q) is linear in the squares of q, so
+    At n = 3, H = F^b R(q) with the sign s of w, -1 where b is set, and
+    the diagonal of |q|^2 R(q) is linear in the squares of q, so
     tr(D_a H) = (sum_k c_k q_k^2 - (1 - s) a_0 (w^2 + x^2 - y^2 - z^2)) / |q|^2,
     c = (a0 + a1 + a2, a0 - a1 - a2, -a0 + a1 - a2, -a0 - a1 + a2),
     taken exactly and rounded once: (1 - s) a_0 is 0 or 2 a_0, exactly.
+    s is read from w before it is squared, and the sum is taken in place
+    on the squares, once the scratch rows hold w^2 + x^2 and y^2 + z^2.
     """
     n = len(a)
     if n != 3:
@@ -588,18 +589,20 @@ def _linear_trace(a: DiagonalSpec):
     first = float(a0)
 
     def trace(block: np.ndarray) -> np.ndarray:
-        squares, flips = block[:4], block[4]
-        first_row, tmp, norm = block[5:8]
+        squares = block[:4]
+        flips, first_row, tmp = block[4:7]
+        np.copysign(1.0, squares[0], out=flips)
         squares *= squares
         w, x, y, z = squares
         np.add(w, x, out=first_row)
         np.add(y, z, out=tmp)
-        np.add(first_row, tmp, out=norm)
-        first_row -= tmp  # |q|^2 R_00
         np.subtract(1.0, flips, out=flips)
         flips *= first
+        total = _weighted_sum(c, squares, w, x)  # the squares are read once each, in order
+        norm = y  # read by the sum already
+        np.add(first_row, tmp, out=norm)
+        first_row -= tmp  # |q|^2 R_00
         flips *= first_row
-        total = _weighted_sum(c, squares, first_row, tmp)
         total -= flips
         total /= norm
         return total

@@ -29,12 +29,12 @@ the ``sum`` calls of the solves, whose products are of multi-digit
 integers, take almost half of it.  Concurrent first access may compute
 a column set or a plan twice but always publishes a consistent value;
 both hold tuples and itemgetters only, and polynomials themselves are
-immutable.
+immutable: ``SymPoly`` is a ``_Record``, the plain immutable record that
+the other modules' value types share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -55,29 +55,66 @@ MONOMIAL = "monomial"
 POWERSUM = "powersum"
 
 
-@dataclass(frozen=True)
-class SymPoly:
+class _Record:
+    """An immutable record whose fields, named in ``_fields``, its ``__init__`` sets once.
+
+    Two records are equal when they are of one class and their fields are
+    equal, a record hashes as the tuple of its fields, and its repr names
+    the class and each field, as a frozen dataclass does.  Assigning or
+    deleting an attribute of an instance raises AttributeError; a subclass
+    sets its fields with ``_set``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields, in the order of ``_fields``."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SymPoly(_Record):
     """Homogeneous symmetric polynomial of fixed degree in a fixed basis.
 
     Every coefficient is stored as an ``int`` when it is integral (bools
     and numpy integers included) and as a reduced ``Fraction`` otherwise,
     and zero coefficients are never stored, so structural equality of two
-    SymPoly values is exact polynomial equality.
+    SymPoly values is exact polynomial equality.  The coefficients are a
+    dict, so a SymPoly does not hash.
     """
 
-    degree: int
-    basis: str
-    coeffs: Mapping[Partition, int | Fraction] = field(default_factory=dict)
+    _fields = ("degree", "basis", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.basis not in (MONOMIAL, POWERSUM):
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(self, degree: int, basis: str, coeffs: Mapping[Partition, int | Fraction] | None = None) -> None:
+        if basis not in (MONOMIAL, POWERSUM):
+            raise ValueError(f"unknown basis {basis!r}")
         clean: dict[Partition, int | Fraction] = {}
-        for lam, c in self.coeffs.items():
+        for lam, c in (coeffs or {}).items():
             lam = Partition(lam)
-            if lam.weight != self.degree:
+            if lam.weight != degree:
                 raise ValueError(
-                    f"key {lam!r} has weight {lam.weight}, expected {self.degree}"
+                    f"key {lam!r} has weight {lam.weight}, expected {degree}"
                 )
             if type(c) is not int:
                 c = Fraction(c)
@@ -85,7 +122,7 @@ class SymPoly:
                     c = int(c)
             if c:
                 clean[lam] = c
-        object.__setattr__(self, "coeffs", clean)
+        self._set(degree, basis, clean)
 
     def coefficient(self, lam) -> int | Fraction:
         """The coefficient attached to partition ``lam`` (0 if absent)."""

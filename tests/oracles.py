@@ -122,8 +122,8 @@ def quaternion_rotation(quats: np.ndarray) -> np.ndarray:
 
 
 def quaternion_matrices(block: np.ndarray) -> np.ndarray:
-    """The (m, 3, 3) draws F^b R(q) of one ``haar._quaternions`` block, b set where its row 4 is -1."""
-    return reflect_row_zero(quaternion_rotation(block[:4].T), (block[4] < 0).astype(np.int64))
+    """The (m, 3, 3) draws F^b R(q) of one ``haar._quaternions`` block, b set where w is negative, -0.0 included."""
+    return reflect_row_zero(quaternion_rotation(block[:4].T), np.signbit(block[0]).astype(np.int64))
 
 
 def residual_values(f: int, g, h, n_values: Iterable[int]) -> list[tuple[int, Fraction]]:

@@ -13,7 +13,6 @@ from math import exp, factorial, prod, sqrt
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.stats import ks_2samp
 
 from zonalpoly.cli import DEGREE_CEILING
@@ -31,6 +30,7 @@ from zonalpoly.zonal import (
     zonal_row,
 )
 
+from clirun import Runner
 from oracles import dominated_by, evaluate_by_terms, oracle_sample_batch, residual_values
 from reference import GOLDEN_CHARACTER_DEGREES, GOLDEN_POWERSUM_ROWS
 
@@ -41,7 +41,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_golden_table_reproduction():
     start = time.perf_counter()
-    result = CliRunner().invoke(main_cli(), ["verify", "--f", "1..6"])
+    result = Runner().invoke(main_cli(), ["verify", "--f", "1..6"])
     elapsed = time.perf_counter() - start
     # verify proves the rows without the golden table; every tabulated row must match too
     golden = [

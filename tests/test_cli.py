@@ -12,18 +12,19 @@ import warnings
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import zonalpoly
-from zonalpoly import zonal
+from zonalpoly import cli, zonal
 from zonalpoly.cli import _emit_json, main
 from zonalpoly.partitions import Partition, partitions_of
 from zonalpoly.symfunc import SymPoly
 
+from clirun import Runner
+
 
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def assert_refused(result, option, value):
@@ -257,10 +258,85 @@ def test_cli_imports_no_scipy():
     code = (
         "import sys, zonalpoly, zonalpoly.cli, zonalpoly.moments\n"
         "for args in (['table', '--f', '3'], ['verify', '--f', '1..3']):\n"
-        "    assert zonalpoly.cli.main(args, standalone_mode=False) in (None, 0)\n"
+        "    assert zonalpoly.cli.main(args) in (None, 0)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
     )
     assert last_line_of_python(code) == "[]"
+
+
+def test_cli_loads_no_click_dataclasses_or_inspect():
+    # the command line is parsed by the standard library, and the records are
+    # plain classes: a table and a verify run load none of these (numpy loads
+    # inspect, so an estimate does)
+    code = (
+        "import sys, zonalpoly.cli\n"
+        "for args in (['table', '--f', '3'], ['verify', '--f', '1..3']):\n"
+        "    assert zonalpoly.cli.main(args) == 0\n"
+        "print([m for m in ('click', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
+    assert last_line_of_python(code) == "[]"
+
+
+def test_a_closed_stdout_ends_the_run_quietly():
+    # a reader that stops early, as `| head` does: exit code 1, no traceback,
+    # also where stdout is buffered and the pipe fails only on the flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        for unbuffered in ("1", ""):
+            result = subprocess.run(
+                [sys.executable, "-m", "zonalpoly.cli", "table", "--f", "3"],
+                stdout=write, stderr=subprocess.PIPE, env={**package_env(), "PYTHONUNBUFFERED": unbuffered}, timeout=60,
+            )
+            assert (result.returncode, result.stderr) == (1, b""), unbuffered
+    finally:
+        os.close(write)
+
+
+class TestBenchmarkHooks:
+    """The two hooks by which ``perfbench`` drives the command line.
+
+    ``perfbench/worker.py`` runs an op as ``main.main(args=..., prog_name=...)``
+    and reads the exit code from its SystemExit; ``perfbench/spans.py`` puts a
+    wrapper into ``main.commands[name].callback``, which every run must call.
+    """
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["table", "--f", "2"], 0), (["verify", "--f", "1..2"], 1), (["table", "--f", "2", "--zzz", "1"], 2)],
+        ids=["table", "failing-verify", "bad-option"],
+    )
+    def test_main_main_exits_with_the_code(self, monkeypatch, capsys, args, code):
+        # the trace identity of every degree reported broken: verify exits 1
+        monkeypatch.setattr(cli, "check_trace_identity", lambda f: (False, {Partition((f,)): 1}))
+        with pytest.raises(SystemExit) as exit_info:
+            main.main(args=args, prog_name="zonalpoly")
+        assert exit_info.value.code == code
+        out, err = capsys.readouterr()
+        assert (out == "") == (code == 2) and (err == "") == (code != 2)
+
+    def test_a_wrapped_callback_sees_each_call(self, monkeypatch, capsys):
+        calls = []
+        for name in ("table", "verify", "estimate"):
+            command = main.commands[name]
+
+            def wrapper(*args, _name=name, _callback=command.callback, **kwargs):
+                calls.append(_name)
+                return _callback(*args, **kwargs)
+
+            monkeypatch.setattr(command, "callback", wrapper)
+        runs = [
+            ["table", "--f", "2"],
+            ["verify", "--f", "1"],
+            ["estimate", "trace-power", "--f", "1", "--A", "1,2", "--B", "3,1", "--samples", "10"],
+            ["table", "--f", "3", "--format", "json"],
+        ]
+        for args in runs:
+            with pytest.raises(SystemExit) as exit_info:
+                main.main(args=args, prog_name="zonalpoly")
+            assert exit_info.value.code == 0
+        assert calls == ["table", "verify", "estimate", "table"]
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("threads", ("1", "2"))
@@ -272,7 +348,7 @@ def test_no_estimate_imports_a_thread_pool(threads):
         "import sys, zonalpoly.cli\n"
         "args = ['estimate', 'trace-power', '--f', '2', '--A', '1,2', '--B', '3,1',\n"
         f"        '--samples', '100', '--threads', '{threads}']\n"
-        "zonalpoly.cli.main(args, standalone_mode=False)\n"
+        "assert zonalpoly.cli.main(args) == 0\n"
         "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
     )
     assert last_line_of_python(code) == "[]"
@@ -432,7 +508,8 @@ KIND_OPTIONS = {
 }
 
 #: A value for each option that some kind does not take: malformed where the
-#: CLI, not click, parses it, since such an option is refused before it is read.
+#: command, not the option parser, reads it, since such an option is refused
+#: before it is read.
 UNUSED_VALUES = {"--f": "2", "--B": "x", "--kappa": "x"}
 
 
@@ -635,7 +712,7 @@ class TestEstimate:
             assert "--A" in result.output
 
     def test_help_shows_the_integer_ranges(self, runner):
-        # click wraps the help over lines; joined, each entry runs to its bracket
+        # --help wraps its lines; joined, each entry runs to its bracket
         output = " ".join(runner.invoke(main, ["estimate", "--help"]).output.split())
         for option, shown in (
             ("--f", "x>=0"),

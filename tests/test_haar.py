@@ -388,10 +388,10 @@ class TestRealize:
 
     def test_quaternion_blocks_take_one_normal_call_each(self):
         # blocks of BLOCK // 3 draws, the last one shorter, each one
-        # standard_normal call of (4, m) in rows 0-3; row 4 is the sign of
-        # w as drawn (-0.0 gives -1), and then each all-zero q, whatever the
-        # signs of its zeros, is (1, 0, 0, 0); the scratch rows 5-7, and
-        # every entry of the workspace past the block, are left as they were
+        # standard_normal call of (4, m) in rows 0-3, where each all-zero q
+        # is (+-1, 0, 0, 0), keeping the sign of w as drawn (-0.0 gives -1),
+        # the reflection sign; the scratch rows 4-6, and every entry of the
+        # workspace past the block, are left as they were
         size = BLOCK // 3
         count = 2 * size + 5
         zeros = np.random.default_rng(5).choice((0.0, -0.0), (4, 6))
@@ -426,12 +426,12 @@ class TestRealize:
             m = block.shape[1]
             widths.append(m)
             assert block.shape == (QUATERNION_ROWS, m) and block.flags.c_contiguous
-            assert np.shares_memory(block, workspace) and np.array_equal(flat[5 * m :], before[5 * m :])
+            assert np.shares_memory(block, workspace) and np.array_equal(flat[4 * m :], before[4 * m :])
             q = twin.standard_normal((4, m))
             if len(widths) == 1:
                 q[:, :6] = zeros
-            assert np.array_equal(block[4], np.copysign(1.0, q[0]))
-            q[0, ~q.any(axis=0)] = 1.0
+            zero = ~q.any(axis=0)
+            q[0, zero] = np.copysign(1.0, q[0, zero])
             assert np.array_equal(block[:4].view(np.int64), q.view(np.int64))
         assert widths == [size, size, 5]
         assert rng.calls == [(4, m) for m in widths]

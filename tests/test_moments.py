@@ -1358,8 +1358,8 @@ class TestQuaternionStatistics:
         # each lane of an n = 3 estimate reads blocks of BLOCK // 3 draws, the
         # last one shorter, each block exactly the normals of one (4, m)
         # standard_normal call on its spawned stream, and leaves that stream
-        # where those calls leave it; the reflection signs are the
-        # determinants of the draws F^b R(q)
+        # where those calls leave it; the signs of w are the determinants of
+        # the draws F^b R(q)
         samples, seed = LANES * (BLOCK // 3) + 13, 21
         lanes = []
         quaternions = montecarlo._quaternions
@@ -1368,7 +1368,7 @@ class TestQuaternionStatistics:
             blocks = []
             lanes.append((count, gen, blocks))
             for block in quaternions(count, gen, workspace):
-                blocks.append(block[:5].copy())
+                blocks.append(block[:4].copy())
                 yield block
 
         monkeypatch.setattr(montecarlo, "_quaternions", recording)
@@ -1382,7 +1382,7 @@ class TestQuaternionStatistics:
                 normals = child.standard_normal((4, block.shape[1]))
                 assert np.array_equal(normals, block[:4])  # no all-zero q in these draws
                 dets = np.linalg.det(quaternion_matrices(block))
-                assert np.allclose(dets, block[4], rtol=0, atol=1e-12)
+                assert np.allclose(dets, np.copysign(1.0, block[0]), rtol=0, atol=1e-12)
             assert np.array_equal(gen.standard_normal(8), child.standard_normal(8))
 
 
