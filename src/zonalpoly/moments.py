@@ -1,36 +1,17 @@
 """Orthogonal-group moment integrals in exact closed form.
 
-Integrals of powers of tr(D_a Q D_b Q') over Haar measure expand into
-character-weighted products of zonal polynomial values.  Every exact
-Z_kappa value is an integer dot product from ``symfunc``'s evaluator:
-a spectrum x is scaled by the lcm D of its denominators, the monomial
-values m_lambda(D x) of every weight up to the degree needed are built
-once in ``int`` and serve every row, and the integer monomial row of
-kappa is dotted with them; the result is divided by D^|kappa| once per
-product.  m_lambda vanishes at n variables when lambda has more than n
-parts, so the rows are capped at n parts: the same recursion as
-``zonal_row`` on the partitions with at most n parts, each capped row
-pinned by the closed form Z_kappa(I_n), and the partitions are
-enumerated with at most n parts, so no other is walked.
-
+Integrals of powers of tr(D_a Q D_b Q') over Haar measure on O(n)
+expand into character-weighted products of zonal polynomial values.
 Every exact value is one character sum, sum_kappa chi(kappa) t_kappa /
 Z_kappa(I_n) over the kappa of f with at most n parts, where t_kappa is
-an integer read from kappa's row.  Its weights come from one cached
-table per (f, n), ``_character_table``: D = lcm_kappa Z_kappa(I_n), not
-the spectrum's D above, and the integers w_kappa = chi(kappa) D /
-Z_kappa(I_n).  So each sum adds
-w_kappa t_kappa in ``int`` and makes one ``Fraction``, (sum) / D, per
-call.  The table holds partitions and integers only, never a row: each
-call reads its rows from ``_capped_row``.  Two threads that first ask
-for the same (f, n) at once may both build its table; the copies are
-equal.
-Cold, ``hyper0f0`` at n = 3 takes about 0.02 s to degree 16, 0.05 s to
-degree 20 and 0.16 s to degree 30, against 0.05 s and 0.24 s to degrees
-16 and 20 on full rows (medians of three runs, 2-core shared VM, Python
-3.11.7; single runs spread up to twofold).
-Eigenvalue inputs are rationals, so the Monte Carlo estimators in
-``montecarlo`` take the same inputs bit-for-bit.  This module is pure
-Python: it imports no numpy.
+an integer read from kappa's row capped at n parts (m_lambda vanishes at
+n variables when lambda has more than n parts).  The weights come from
+one cached integer table per (f, n), ``_character_table``, so a sum adds
+integers and makes one ``Fraction``.
+
+Inputs are exact rationals (``DiagonalSpec``), so the Monte Carlo
+estimators in ``montecarlo`` take the same inputs bit for bit.  This
+module imports no numpy.
 """
 
 from __future__ import annotations
@@ -127,7 +108,8 @@ def _character_table(f: int, n: int) -> tuple[int, tuple[tuple[Partition, int], 
     D is the lcm of the Z_kappa(I_n), and w_kappa = chi(kappa) D / Z_kappa(I_n)
     is an integer, so sum_kappa chi(kappa) t_kappa / Z_kappa(I_n) over
     integers t_kappa is sum_kappa w_kappa t_kappa / D.  The table holds
-    closed-form data only, never a row.
+    partitions and integers only, never a row; two threads that first ask
+    for the same (f, n) at once may both build it, and the copies are equal.
     """
     kappas = _partitions_capped(f, n)
     dims = [zonal_at_identity(kappa, n) for kappa in kappas]
@@ -140,13 +122,10 @@ def _character_sum(f: int, n: int, term, cap: int | None = None) -> Fraction:
 
     ``term`` maps the integer monomial row of kappa, on the partitions with
     at most ``cap`` parts (by default n, all that Z_kappa reads at n
-    variables), to an integer.  The weights come from the cached
-    ``_character_table(f, n)``: the sum is sum_kappa w_kappa term(row) in
-    ``int``, divided by D = lcm Z_kappa(I_n) in one ``Fraction``.  Each
-    call reads its rows from ``_capped_row``, so the table caches no row;
-    two threads that first ask for the same (f, n) at once may both build
-    its table, and the copies are equal.  At f = 0 the one kappa
-    is (), whose Z is the constant 1 and every term 1, so the sum is 1.
+    variables), to an integer.  The sum is sum_kappa w_kappa term(row) in
+    ``int`` over ``_character_table(f, n)``, divided by D in one
+    ``Fraction``.  At f = 0 the one kappa is (), whose Z is the constant 1,
+    so the sum is 1.
     """
     if f == 0:
         return Fraction(1)
@@ -263,8 +242,7 @@ def hyper0f0(a, b, max_degree: int) -> SeriesResult:
     """Truncated series sum_f (1/(2^f f!)) <tr(D_a Q D_b Q')^f>.
 
     The per-degree terms are exact rationals; ``value`` is their floating
-    sum.  The monomial values of each spectrum are built once, at
-    ``max_degree``, and serve every degree.  tr(D_a Q D_b Q') is
+    sum.  tr(D_a Q D_b Q') is
     sum_ij a_i Q_ij^2 b_j, linear in the doubly stochastic matrix (Q_ij^2),
     so over the Birkhoff polytope its extremes are at permutations, which
     are orthogonal: by the rearrangement inequality they are the pairings

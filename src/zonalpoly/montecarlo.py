@@ -1,48 +1,27 @@
 """Monte Carlo estimates of orthogonal-group moments, z-scored against exact values.
 
-Each estimator draws Haar matrices from ``haar``'s batch sampler, takes
-one statistic per draw, and reports the sample mean, its standard error
-and a z-score against the exact value from ``moments``.  No sample is
-kept: each block of statistics becomes its (count, mean, M2) at once,
-and those triples are merged by the pairwise update of Chan, Golub and
-LeVeque.  The lanes of a budget run on at most
-min(threads, lanes, usable CPUs) workers, each lane in turn in its
-worker's one sampler workspace (a block and the sampler's scratch), so
-memory stays at one workspace per worker whatever the budget.
+Each estimator draws from ``haar``, takes one statistic per draw, and
+reports the sample mean, its standard error and a z-score against the
+exact value from ``moments``.  No sample is kept: each block of values
+becomes its (count, mean, M2) at once, and the triples merge by the
+pairwise update of Chan, Golub and LeVeque, so memory stays at one
+sampler workspace per worker whatever the budget.  A budget splits into
+lanes on spawned streams whose results merge in lane order, so an
+estimate depends only on (seed, samples), whatever ``threads``.
 
-At n = 3 a draw is F^b R(q), q = (w, x, y, z) four normals read as a
-quaternion and b set where w is negative, -0.0 included, and a lane
-reads each block of quaternions as ``haar._quaternions`` makes it, with
-no rotation built.  Each statistic is a closed form in q.  The squares
-(H_ij^2) of an orthogonal H are doubly stochastic, so every weighted sum
-of them is a constant plus a weighted sum of the leading 2 x 2 minor
-(``_reduced``), whose entries are quadratic in q over |q|^2
-(``_minor_squares``); the weights are reduced once per estimate, in
-Fractions, so a scalar spectrum gives an exactly constant trace.
-tr(D_a R(q)) is a diagonal quadratic form in q over |q|^2 (Davenport's
-q-method; Shuster and Oh, J. Guid. Control 4, 1981), less 2 a_0 R_00
-where b is set (``_linear_trace``).  Elsewhere the statistics read the
-sampler's draw-minor blocks.
-
-Trace-power, exp-series and zonal-split take p_1^f, exp(p_1 / 2) and
+Trace-power, exp-series and zonal-split read p_1^f, exp(p_1 / 2) and
 Z_kappa(p) of the power sums p_k of the latent roots of D_a H D_b H',
 from one builder (``_power_sums``), so Z_(1) and tr^1 are the same bits;
-trace-AH is linear in H and reads tr(D_a H) on its own.  A symmetric
-polynomial depends on the roots only through their power sums, which
-come with no eigensolve and no square root, so the spectra may take any
-real signs.  p_1 = tr(D_a H D_b H') is a weighted sum of the squared
-entries of each draw (at n = 3, of the squared leading minor of each
-quaternion's rotation).  Up to n = 3, p_2.. follow by Newton's
-identities from the elementary symmetric functions of the roots, weighted
-sums of the same squares or exact constants; above, they are traces of
-powers of H' D_a H D_b, through a batched matmul on row-major copies of
-the block in chunks of CHUNK // n^2 draws, so a worker holds its block
-and three chunks of at most CHUNK entries, not a second block.  There
-p_1 costs zonal-split one more squares pass per block: at n = 30 about
-0.6 ms per 546 draws (2-vCPU VM, Python 3.11.7, numpy 2.4.6).  At n = 1,
-O(1) = {-1, 1}, every statistic but exp-series' is constant and its
-exact value is reported with no draw.
-This module and ``haar`` are the only ones that import numpy.
+trace-AH is linear in H and reads tr(D_a H).  The power sums need no
+eigensolve and no square root, so the spectra may take any real signs.
+At n = 3 a draw is a quaternion from ``haar._quaternions`` and every
+statistic is a closed form in q: the squares of an orthogonal matrix are
+doubly stochastic, so each weighted sum of them reduces to the leading
+2 x 2 minor (``_reduced``), and tr(D_a R(q)) is a quadratic form in q
+(Davenport's q-method; Shuster and Oh, J. Guid. Control 4, 1981).  At
+n = 1 every statistic but exp-series' is constant and is reported
+exactly, with no draw.  This module and ``haar`` are the only ones that
+import numpy.
 """
 
 from __future__ import annotations
@@ -90,9 +69,7 @@ class MomentReport(_Record):
 #: The lanes of a sample budget, each on its own spawned stream.  The lanes,
 #: not the threads, fix the draws; threads only set how many lanes run at
 #: once, on up to LANES cores.  A lane costs a stream and a partial block; the
-#: sampler buffers belong to the worker that runs it: 1 to 16 lanes ran within
-#: noise on one thread at n = 3 (1e6 draws), and 2 to 16 on two threads at
-#: n = 30 (8000 draws).
+#: sampler buffers belong to the worker that runs it.
 LANES = 8
 
 
@@ -173,40 +150,26 @@ def _usable_cpus() -> int:
 def _monte_carlo(exact, n: int, samples: int, rng, threads: int, statistic) -> MomentReport:
     """The Haar mean over O(n) of a per-draw statistic, compared with ``exact``.
 
-    Each lane of ``_sample_chunks`` draws its matrices block by block from
-    ``haar._realize`` on its own spawned stream, SFC64 for a seed (each
-    sweep's normals as it runs, then the block's reflection bits), or at
-    n = 3 its quaternion blocks from ``haar._quaternions`` (one call of 4
-    normals per draw, whose w gives each draw's reflection bit), and reduces
-    ``statistic(block) -> values`` to the block's (count, mean, M2) at
-    once, so it holds one block of draws and its values, whatever the
-    budget.  The lanes run on
-    min(threads, lanes, ``_usable_cpus()``) workers, lane k on worker
-    k mod workers; each worker builds one ``haar._workspace`` for its
-    longest lane (at n = 3 a ``haar._quaternion_workspace``) and runs its
-    lanes in it in turn.  A lane's blocks take min(count, BLOCK // n)
-    draws for its own count, so the workspace's size moves no draw.  A
-    block is the sampler's draw-minor (n, n, m) array, entry (i, j) of
-    draw k at [i, j, k], or at n = 3 the (``haar.QUATERNION_ROWS``, m)
-    quaternion block; a statistic may overwrite it and must return a fresh
-    array of m values, which ``_moments`` overwrites.  A lane takes its values
-    less its first value (the shifted data of Chan, Golub and LeVeque),
-    so the means that the fold rounds are of deviations, not of a mean
-    that may dwarf them, and it folds its block triples left to right, in
-    block order.  Worker 0 runs in the calling thread, so ``threads == 1``
-    starts no thread; each other worker runs on a ``threading.Thread`` of
-    its own, sharing nothing mutable, and an error that a worker raises is
-    raised again here once every worker has ended, the lowest worker's
-    first.  Nothing outlives the call.  The lane triples, rebased to the
-    first lane's shift, are folded the same way, in lane order, and that
-    shift is added back to the mean, so results depend only on
-    (seed, samples), whatever ``threads``.
-    An ``exact`` value too large for a float raises OverflowError before
-    anything is drawn; a sample mean or sample variance that is not finite
-    raises it after the draws, so an overflow is never reported as an
-    infinite std_err with a zero z-score.  A ``statistic`` of None marks
-    an integrand known to equal ``exact`` on every draw: it is reported
-    exactly, with no sample drawn or counted.
+    ``statistic(block) -> values`` maps a block of draws, the sampler's
+    draw-minor (n, n, m) array or at n = 3 a (``haar.QUATERNION_ROWS``, m)
+    quaternion block, to a fresh array of m values; it may overwrite the
+    block.  Each lane of ``_sample_chunks`` reduces each block's values at
+    once to their (count, mean, M2), taken less the lane's first value
+    (the shifted data of Chan, Golub and LeVeque) so that a large mean
+    does not dwarf the deviations, and folds them in block order.  The
+    lanes run on min(threads, lanes, ``_usable_cpus()``) workers, lane k
+    on worker k mod workers, each worker in one workspace for its longest
+    lane.  Worker 0 runs in the calling thread and the others on
+    ``threading.Thread``s that share nothing mutable; an error that a
+    worker raises is raised again here once every worker has ended, the
+    lowest worker's first.  The lane triples fold in lane order, so
+    results depend only on (seed, samples), whatever ``threads``.
+
+    OverflowError for an ``exact`` too large for a float, before anything
+    is drawn, and for a sample mean or variance that is not finite, after
+    the draws, so an overflow is never reported as an infinite std_err.
+    A ``statistic`` of None marks an integrand equal to ``exact`` on every
+    draw: it is reported exactly, with no sample drawn or counted.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -475,8 +438,7 @@ def _newton(e: dict, sums: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 #: Matrix entries in one chunk of ``_gemm_power_sums``, CHUNK // n^2 draws (at
 #: least one): each of its three chunk buffers takes at most 256 KB, whatever
-#: the block, for n <= 181.  At n = 30 a chunk is 36 draws, where chunks of an
-#: eighth of a block (68 draws) took 1.47 MB per running worker.
+#: the block, for n <= 181.
 CHUNK = 2**15
 
 
@@ -487,14 +449,11 @@ def _gemm_power_sums(block: np.ndarray, w: np.ndarray, sums: np.ndarray) -> np.n
     D_a H D_b H', so p_k = tr(N^k); N need not be symmetric and its roots
     may be complex, but the traces are real.  N = H' (w * H) is a product
     of two distinct buffers, which BLAS runs as gemm.  The block is taken
-    in chunks of CHUNK // n^2 draws (at least one, at most m), and each
-    chunk is copied to a row-major (k, n, n) stack H for the batched
-    matmul, so no block-sized copy is made and the block is left as it
-    is.  Three chunk buffers serve every chunk: H, w * H and N; the next
-    power goes to w * H, and the third power buffer that f >= 5 needs
-    reuses H.  Each draw's matrices are multiplied on their own, so its
-    power sums do not depend on the block or the chunk it lands in.
-    Row 0 is left alone.
+    in chunks of CHUNK // n^2 draws, each copied to a row-major stack for
+    the batched matmul, so no block-sized copy is made and the block is
+    left as it is.  Three chunk buffers serve every chunk and every power.
+    Each draw's matrices are multiplied on their own, so its power sums do
+    not depend on the block or the chunk it lands in.  Row 0 is left alone.
     """
     n, m = block.shape[0], block.shape[2]
     f = len(sums)
@@ -543,14 +502,10 @@ def mc_splitting(kappa, a, b, samples: int, rng, threads: int = 1) -> MomentRepo
 
     Estimates the Haar mean of Z_kappa at the latent roots of
     D_a H D_b H', against the exact value Z_kappa(a) Z_kappa(b) / Z_kappa(I_n).
-    The power sums of the roots come with no eigensolve (``_power_sums``):
-    p_1 from the squared entries of each draw, then, at n <= 3, Newton's
-    identities on e_1, e_(n-1) and e_n of the roots in closed form, and
-    above, traces of matrix powers, so a and b may be any real spectra:
-    where the roots are complex, their power sums, and so Z_kappa, are
-    still real.
-    At n = 1 the one root a_0 b_0 is the same on every draw, and the exact
-    value is reported with no sample drawn or counted.
+    a and b may be any real spectra: where the roots are complex, their
+    power sums (``_power_sums``), and so Z_kappa, are still real.  At n = 1
+    the one root a_0 b_0 is the same on every draw, and the exact value is
+    reported with no sample drawn or counted.
     """
     kappa = Partition(kappa)
     a, b, n = _spectra(a, b)

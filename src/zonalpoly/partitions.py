@@ -96,8 +96,7 @@ def partitions_of(f: int) -> tuple[Partition, ...]:
 def _partitions_capped(f: int, n: int) -> tuple[Partition, ...]:
     """The partitions of ``f`` with at most ``n`` parts, in the order of ``partitions_of(f)``.
 
-    Enumerated with the cap, so at n = 3 and f = 30 it walks the 91
-    partitions it returns, not all 5604 of f.
+    Enumerated with the cap, so it walks only the partitions it returns.
     """
     if n >= f:
         return partitions_of(f)

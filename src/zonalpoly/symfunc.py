@@ -1,36 +1,21 @@
 """Exact homogeneous symmetric polynomials in two bases.
 
-A polynomial is a map from partitions of its degree to rational
-coefficients, tagged by basis: ``monomial`` (m_lambda, the sum of all
-distinct monomials with exponent multiset lambda) or ``powersum``
-(products p_lambda = p_{lambda_1} p_{lambda_2} ... with p_k = sum x_i^k).
+A polynomial maps the partitions of its degree to rational coefficients,
+in the ``monomial`` basis (m_lambda, the sum of the distinct monomials
+with exponent multiset lambda) or the ``powersum`` basis
+(p_lambda = p_{lambda_1} p_{lambda_2} ..., with p_k = sum x_i^k).
 ``SymPoly`` stores an integral coefficient as ``int`` and any other as a
-reduced ``fractions.Fraction``, so every identity in this module is
-exact and integer tables stay in ``int`` arithmetic.  Evaluation is
-exact too: one integer recursion gives monomial values
-(``_monomial_values``) and one term loop power-sum values
+reduced ``fractions.Fraction``, so every identity here is exact.  Each
+basis has one evaluator: an integer recursion for monomial values
+(``_monomial_values``) and one term loop for power-sum values
 (``_powersum_value``), which Monte Carlo also runs on float arrays.
 
-The monomial expansions of the power-sum products p_lambda of one
-degree are built once, as columns on positions in ``partitions_of(f)``
-(``_power_sum_columns``), each from a column of a lower degree, on plain
-tuples; ``p_to_m`` reads them.  The monomial-to-power-sum change solves
-the triangular system those columns form, so no inverse matrix is
-stored.  The columns of one degree are transposed once into a
-substitution plan (``_substitution_plan``) whose rows carry an
-``itemgetter`` of their positions, and the solve is forward
-substitution over it on a list, finest partition first, one gather and
-one ``sum`` of products per partition.  The expansions are integer
-counts, and the solve divides exactly by the integer diagonal unless a
-remainder forces a ``Fraction``.  Cold, the plan and the power-sum forms
-of all zonal rows of one degree take about 0.026 s at f = 12, 0.10 s at
-f = 14 and 0.4 s at f = 16 (2-core shared VM, Python 3.11); at f = 16
-the ``sum`` calls of the solves, whose products are of multi-digit
-integers, take almost half of it.  Concurrent first access may compute
-a column set or a plan twice but always publishes a consistent value;
-both hold tuples and itemgetters only, and polynomials themselves are
-immutable: ``SymPoly`` is a ``_Record``, the plain immutable record that
-the other modules' value types share.
+``m_to_p`` solves the triangular system of the monomial expansions of
+the p_lambda by forward substitution, so no inverse matrix is stored.
+The cached columns and plans hold tuples and itemgetters only:
+concurrent first access may build one twice but always publishes a
+consistent value.  ``_Record`` is the immutable record type that the
+package's value types share.
 """
 
 from __future__ import annotations

@@ -1,45 +1,24 @@
 """Zonal polynomials via an explicit coefficient recursion.
 
-Each polynomial Z_kappa is homogeneous symmetric of degree f = |kappa|,
-expanded in monomial symmetric functions with coefficients supported on
-the partitions dominated by kappa, and normalized so that the coefficient
-of m_{(1,...,1)} equals f!.  Rows are produced by a triangular recursion
-in integers: the top coefficient is seeded with its closed form
-prod_s (2 a(s) + l(s) + 1), every lower coefficient is a
-positively-weighted sum of coefficients above it in dominance divided
-exactly by rho(kappa) - rho(g), and the m_{(1,...,1)} coefficient must
-come out as f!.  Both ends of every row are thus pinned by independent
-closed forms, and a division with a remainder is a hard error.
+Z_kappa, for a partition kappa of f, is the homogeneous symmetric
+polynomial of degree f whose monomial coefficients are supported on the
+partitions dominated by kappa, normalized so that the coefficient of
+m_(1^f) is f!.  It is the Jack polynomial J_kappa at alpha = 2 (Stanley,
+Adv. Math. 77, 1989; Macdonald, *Symmetric Functions and Hall
+Polynomials*, VI.10).
 
-The recursion runs on a plan keyed by (f, n) (``_raise_plan``), built
-once on first use: the partitions of f with at most n parts, in the
-order of ``partitions_of(f)``; for each partition g, by its position,
-rho(g), the numerators of its raising moves, and an ``itemgetter`` that
-gathers the coefficients at the positions they land on, the same shape
-as a row of the basis change's ``_substitution_plan``; and, for n < f, the
-orbit sizes m_lam(1^n).  A row is a list of integers filled from
-kappa's position down, each entry one gather and one ``sum`` of
-products.  A partition whose raises all land on zero coefficients is
-skipped (its coefficient is zero), and that zero-sum skip stands in for
-a dominance test: only partitions strictly below kappa can collect a
-nonzero sum.  A raising move never adds a part, so the recursion
+Rows come from a triangular recursion in integers (``_recurse``): seeded
+with the closed-form top coefficient prod_s (2 a(s) + l(s) + 1), each
+lower coefficient is a positively weighted sum of coefficients above it
+divided exactly by rho(kappa) - rho(g).  Both ends of every row are
+pinned by closed forms, and a remainder or a missed end raises
+DataIntegrityError.  A raising move never adds a part, so the recursion
 restricted to at most n parts is closed and exact (Koev and Edelman,
 Math. Comp. 75, 2006).  ``zonal_row`` is the case n = f, pinned at
-m_(1^f) = f!.  Every exact value at n variables reads only the
-partitions with at most n parts, so the exact integrals read rows
-capped at n (``_capped_row``).  A capped row with n < f stops short of
-m_(1^f); it is pinned instead by Muirhead's closed form (Thm 7.2.7):
-the sum of c_lam m_lam(1^n) over its coefficients must be Z_kappa(I_n).
-The plan holds tuples and itemgetters only, so concurrent first access
-can at worst build it twice and no caller can change a shared plan.
-Rows and power-sum forms are built as ``SymPoly`` values without
-re-validation: their keys come from ``partitions_of``, and their
-coefficients are nonzero ints, or reduced Fractions from the solve, as
-they are made.  Cold, all full rows of one degree take about 0.008 s
-at f = 12, 0.022 s at f = 14 and 0.07 s at f = 16 (2-core shared VM,
-Python 3.11), and their power-sum forms about 0.026 s, 0.10 s and
-0.42 s more; the rows capped at 3 parts of every degree up to 20 take
-0.04 s.
+m_(1^f) = f!; ``_capped_row`` gives the rows that exact values at n
+variables read, pinned below f by Muirhead's closed form for
+Z_kappa(I_n) (Thm 7.2.7).  The cached plans hold tuples and itemgetters
+only, so concurrent first access can at worst build one twice.
 """
 
 from __future__ import annotations
@@ -133,13 +112,10 @@ def _raise_plan(f: int, n: int) -> tuple[tuple[Partition, ...], tuple, tuple[int
     Returns those partitions, in the order of ``partitions_of(f)``; per
     partition g (rho(g), numerators, gather): the numerators of the
     partitions ``_raising_moves`` raises g to, and an ``itemgetter`` of
-    their positions, the shape of a ``_substitution_plan`` row; and, for
-    n < f, per partition lam its orbit size m_lam(1^n), the weights of the
-    Z_kappa(I_n) pin (the full plan, n = f, is pinned at m_(1^f) and has
-    none).  A raise moves weight up, so every target comes before g, and
-    it never adds a part, so every target is in the list: the recursion
-    on at most n parts is closed (Koev and Edelman, Math. Comp. 75, 2006).  n = f gives the full plan.  Built once per (f, n)
-    from tuples and itemgetters only, so it is shared read-only.
+    their positions; and, for n < f, per partition lam its orbit size
+    m_lam(1^n), the weights of the Z_kappa(I_n) pin.  A raise moves weight
+    up, so every target comes before g, and it never adds a part, so every
+    target is in the list.  Shared read-only.
     """
     parts = _partitions_capped(f, n)
     position = {lam: i for i, lam in enumerate(parts)}
@@ -163,25 +139,19 @@ def _top_coefficient(kappa: Partition) -> int:
 
 
 def _recurse(kappa: Partition, n: int) -> SymPoly:
-    """The coefficients of Z_kappa on the partitions with at most n parts.
+    """The coefficients of Z_kappa on the partitions with at most n parts; len(kappa) <= n <= f.
 
-    Requires len(kappa) <= n <= f.  Coefficients live in a list indexed
-    by position in the plan of (f, n) and are filled from kappa's position
-    down.  That order (descending lexicographic) refines descending
-    dominance, so every coefficient a raise of g lands on is already
-    final, and no g before kappa is dominated by kappa.  A g whose raises
-    all land on zero coefficients is skipped: its coefficient is zero.
-    Every g that is not skipped lies strictly below kappa, because a raise
-    lands strictly above g in dominance, on some h with a nonzero
-    coefficient, and by induction h lies at or below kappa; so the
-    dominance filter of the recursion needs no test of its own.  Seeded
-    with the closed-form top coefficient, every coefficient is a
-    nonnegative integer (Knop and Sahi, Invent. Math. 1997), so each step
-    is an exact integer division; a vanishing denominator, a remainder or
-    a negative coefficient raises DataIntegrityError.  The far end is
-    pinned by a closed form as well: at n = f the m_(1^f) coefficient
-    must be f!, and below f, where the row stops short of m_(1^f), the
-    sum of c_lam m_lam(1^n) must be ``zonal_at_identity(kappa, n)``.
+    The coefficients are filled from kappa's position down, in descending
+    lexicographic order, which refines dominance, so every coefficient a
+    raise of g lands on is final.  A g whose raises all land on zero
+    coefficients has coefficient zero and is skipped; every other g lies
+    strictly below kappa, since a raise lands strictly above g on a
+    nonzero coefficient, so the recursion needs no dominance test.  Every
+    coefficient is a nonnegative integer (Knop and Sahi, Invent. Math.
+    1997), so each step is an exact division.  DataIntegrityError for a
+    vanishing denominator, a remainder, a negative coefficient, or a far
+    end that misses its closed form: m_(1^f) = f! at n = f, and below f
+    sum_lam c_lam m_lam(1^n) = ``zonal_at_identity(kappa, n)``.
     """
     f = kappa.weight
     parts, steps, orbits = _raise_plan(f, n)

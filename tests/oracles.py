@@ -8,7 +8,8 @@ a time, its exact values come from an integer recursion over the
 variables rather than from orbit sums or the branching rule, its Haar
 sampler runs the subgroup algorithm rather than a QR factorization, and
 no package code checks a sampled matrix for orthogonality or builds the
-rotation of a quaternion.
+rotation of a quaternion.  ``trace_power_at_two`` reads no zonal row at
+all: it integrates over O(2) in closed form.
 ``bilinear_reference`` reads the package's full rows and closed forms,
 but none of its exact-integral machinery: no capped row and no cached
 character table.  ``residual_values`` is no independent reference: it is
@@ -19,6 +20,7 @@ values, so the tests can show that it depends on the dimension.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -169,6 +171,26 @@ def bilinear_reference(f: int, n: int, g, h) -> Fraction:
                 zonal_at_identity(kappa, n),
             )
     return total / double_factorial(2 * f - 1)
+
+
+def trace_power_at_two(a: Sequence, b: Sequence, f: int) -> Fraction:
+    """The Haar mean of tr(D_a H D_b H')^f over O(2), in closed form.
+
+    On either coset of O(2) the squared entries of H are
+    [[c^2, s^2], [s^2, c^2]], c = cos theta and s = sin theta with theta
+    uniform, so t = tr(D_a H D_b H') = alpha + beta cos 2 theta, where
+    alpha = (a1 + a2)(b1 + b2) / 2 and beta = (a1 - a2)(b1 - b2) / 2.  The
+    odd powers of cos 2 theta average to 0 and E[cos^(2k) 2 theta] is
+    C(2k, k) / 4^k, so E[t^f] is a binomial sum with no zonal polynomial.
+    """
+    a1, a2 = map(Fraction, a)
+    b1, b2 = map(Fraction, b)
+    alpha = (a1 + a2) * (b1 + b2) / 2
+    beta = (a1 - a2) * (b1 - b2) / 2
+    return sum(
+        comb(f, 2 * k) * alpha ** (f - 2 * k) * beta ** (2 * k) * Fraction(comb(2 * k, k), 4**k)
+        for k in range(f // 2 + 1)
+    )
 
 
 def evaluate_by_terms(poly, xs: Sequence):

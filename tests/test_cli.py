@@ -398,7 +398,7 @@ EXACT_BYTES_SHA256 = "bab0203b4347573836ad6315d1d33659dd78eca5ef5140a2ecbb8a54fa
 
 
 class TestOutputBytes:
-    """Exact-integer outputs pinned byte for byte; any changed byte fails.
+    """Exact-integer outputs and the ``--help`` screens pinned byte for byte; any changed byte fails.
 
     The ``estimate`` pins are at n = 3, where each statistic takes only
     elementwise IEEE operations (no exp, no power beyond a square, no
@@ -466,6 +466,10 @@ class TestOutputBytes:
                 ["estimate", "trace-AH", "--f", "2", "--A", "1,2,3", "--samples", "20001", "--seed", "7"],
                 "4e1a57f3a97adbab18f22b459d7f69d2f331f3b4389f7ba16463aa9550721823",
             ),
+            (["--help"], "46dae151ac73609534970d8edcaa52d99d92ffcdbfdf7bc7010b9e276f5ce4e1"),
+            (["table", "--help"], "6dabdb92ce9dd509bb6c007add37738db5a47d7df480b5eef3e1ff9f871e4e37"),
+            (["verify", "--help"], "48a02d83288d1dc7c5f2180d2d7093ec3cd582e95e135007b3d07bf6262cdef9"),
+            (["estimate", "--help"], "af1c35fec1f7d3c9a23e180d9fd20d04f0fa1507044a330f9a458b541da12b58"),
         ],
         ids=[
             "table-f12-powersum",
@@ -482,6 +486,10 @@ class TestOutputBytes:
             "estimate-trace-power-n3",
             "estimate-zonal-split-n3",
             "estimate-trace-AH-n3",
+            "help",
+            "table-help",
+            "verify-help",
+            "estimate-help",
         ],
     )
     def test_stdout_sha256(self, runner, args, digest):

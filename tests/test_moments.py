@@ -53,6 +53,7 @@ from oracles import (
     quaternion_rotation,
     reflect_row_zero,
     residual_values,
+    trace_power_at_two,
     zonal_by_branching,
 )
 from test_cli import EXP_SERIES_DEGREE_20
@@ -136,6 +137,30 @@ class TestExactTracePower:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             exact_trace_power_integral((1, 2), (1,), 1)
+
+
+#: Spectra at n = 2 for the closed form over O(2), signed ones included.
+TWO_SPECTRA = [
+    ((Fraction(1, 2), 3), (Fraction(5, 4), Fraction(2, 3))),
+    ((-1, Fraction(7, 3)), (3, Fraction(-1, 2))),
+    ((Fraction(-3, 5), -2), (Fraction(9, 7), 0)),
+]
+
+
+class TestClosedFormAtTwo:
+    """At n = 2 the exact integrals against ``trace_power_at_two``, which reads no zonal row."""
+
+    @pytest.mark.parametrize("a, b", TWO_SPECTRA)
+    def test_trace_power_to_degree_40(self, a, b):
+        for f in range(41):
+            assert exact_trace_power_integral(a, b, f) == trace_power_at_two(a, b, f), f
+
+    @pytest.mark.parametrize("a, b", TWO_SPECTRA)
+    def test_series_terms_to_degree_40(self, a, b):
+        terms = hyper0f0(a, b, 40).terms
+        assert len(terms) == 41
+        for f, term in enumerate(terms):
+            assert term == trace_power_at_two(a, b, f) / (2**f * factorial(f)), f
 
 
 def _fraction_trace_power(a, b, f):
